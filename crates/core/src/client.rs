@@ -39,7 +39,6 @@ use crate::protocol::{IdeaNode, NodeReport, ProtocolShard};
 use crate::quantify::{MaxBounds, Weights};
 use crate::resolution::ResolutionPolicy;
 use idea_net::{Context, Proto, ShardedEngine, ShardedProto, SimEngine, ThreadedEngine};
-use idea_store::Snapshot;
 use idea_types::{
     ConsistencyLevel, IdeaError, NodeId, ObjectId, Result, SimDuration, SimTime, Update,
     UpdatePayload, WireError,
@@ -465,27 +464,20 @@ pub struct ReadResult {
 }
 
 impl ReadResult {
-    fn from_snapshot(snap: &Snapshot, level: ConsistencyLevel, probed: bool) -> Self {
-        ReadResult {
-            object: snap.object,
-            meta: snap.meta,
-            updates: snap.updates,
-            latest_update: snap.latest_update,
-            level,
-            probed,
-        }
-    }
-
-    /// Copies the scalar fields straight off the borrowing view — no
-    /// version-vector clone, which is the whole point of `Peek`.
-    fn from_view(view: &idea_store::SnapshotView<'_>, level: ConsistencyLevel) -> Self {
+    /// Copies the scalar fields straight off the borrowing view — a served
+    /// `Read` or `Peek` never clones the version vector.
+    fn from_view(
+        view: &idea_store::SnapshotView<'_>,
+        level: ConsistencyLevel,
+        probed: bool,
+    ) -> Self {
         ReadResult {
             object: view.object,
             meta: view.meta,
             updates: view.updates,
             latest_update: view.latest_update,
             level,
-            probed: false,
+            probed,
         }
     }
 }
@@ -585,15 +577,20 @@ pub fn apply_to_node(
             }
             Response::Written { update: node.local_write(object, meta_delta, payload, ctx) }
         }
-        Command::Read { object, consistency } => match node.read_with(object, consistency, ctx) {
-            Ok((snap, probed)) => Response::Value {
-                read: ReadResult::from_snapshot(&snap, node.level(object), probed),
-            },
-            Err(e) => Response::err(e),
-        },
+        Command::Read { object, consistency } => {
+            match node
+                .probe_for_read(object, consistency, ctx)
+                .and_then(|p| Ok((node.peek(object)?, p)))
+            {
+                Ok((view, probed)) => Response::Value {
+                    read: ReadResult::from_view(&view, node.level(object), probed),
+                },
+                Err(e) => Response::err(e),
+            }
+        }
         Command::Peek { object } => match node.peek(object) {
             Ok(view) => {
-                let read = ReadResult::from_view(&view, node.level(object));
+                let read = ReadResult::from_view(&view, node.level(object), false);
                 Response::Value { read }
             }
             Err(e) => Response::err(e),
@@ -654,15 +651,20 @@ pub fn apply_to_shard(
             }
             Response::Written { update: shard.local_write(object, meta_delta, payload, ctx) }
         }
-        Command::Read { object, consistency } => match shard.read_with(object, consistency, ctx) {
-            Ok((snap, probed)) => Response::Value {
-                read: ReadResult::from_snapshot(&snap, shard.level(object), probed),
-            },
-            Err(e) => Response::err(e),
-        },
+        Command::Read { object, consistency } => {
+            match shard
+                .probe_for_read(object, consistency, ctx)
+                .and_then(|p| Ok((shard.peek(object)?, p)))
+            {
+                Ok((view, probed)) => Response::Value {
+                    read: ReadResult::from_view(&view, shard.level(object), probed),
+                },
+                Err(e) => Response::err(e),
+            }
+        }
         Command::Peek { object } => match shard.peek(object) {
             Ok(view) => {
-                let read = ReadResult::from_view(&view, shard.level(object));
+                let read = ReadResult::from_view(&view, shard.level(object), false);
                 Response::Value { read }
             }
             Err(e) => Response::err(e),

@@ -239,8 +239,10 @@ impl ProtocolShard {
     /// the local replica and decides the detection probe from both the
     /// configured read policy *and* the requested [`ReadConsistency`] —
     /// `AtLeast` probes on demand when the current estimate sits below the
-    /// floor, `Fresh` always probes. Returns the snapshot plus whether a
-    /// probe was launched.
+    /// floor, `Fresh` always probes. Returns the owned snapshot (version
+    /// vector included) plus whether a probe was launched; callers that
+    /// only need the value should pair [`ProtocolShard::probe_for_read`]
+    /// with [`ProtocolShard::peek`] instead.
     ///
     /// # Errors
     /// Fails when this shard hosts no replica of the object.
@@ -250,7 +252,25 @@ impl ProtocolShard {
         consistency: ReadConsistency,
         ctx: &mut dyn Context<IdeaMsg>,
     ) -> Result<(Snapshot, bool)> {
-        let (snapshot, policy_probe) = self.write_path.read(&mut self.core, object, ctx)?;
+        let probe = self.probe_for_read(object, consistency, ctx)?;
+        Ok((self.core.store.read(object)?, probe))
+    }
+
+    /// The protocol half of a read: accounts it against the read policy,
+    /// launches the detection probe the policy or `consistency` calls for,
+    /// and returns whether one was launched. The replica itself is not
+    /// touched, so [`ProtocolShard::peek`] right after sees exactly the
+    /// state the read was decided on.
+    ///
+    /// # Errors
+    /// Fails when this shard hosts no replica of the object.
+    pub fn probe_for_read(
+        &mut self,
+        object: ObjectId,
+        consistency: ReadConsistency,
+        ctx: &mut dyn Context<IdeaMsg>,
+    ) -> Result<bool> {
+        let policy_probe = self.write_path.read(&mut self.core, object, ctx)?;
         let probe = match consistency {
             ReadConsistency::Any => policy_probe,
             ReadConsistency::AtLeast(floor) => policy_probe || self.level(object) < floor,
@@ -259,7 +279,7 @@ impl ProtocolShard {
         if probe {
             self.detection.request_round(&mut self.core, object, ctx);
         }
-        Ok((snapshot, probe))
+        Ok(probe)
     }
 
     /// Reads the object's value view without cloning its version vector and
@@ -701,6 +721,21 @@ impl IdeaNode {
         ctx: &mut dyn Context<IdeaMsg>,
     ) -> Result<(Snapshot, bool)> {
         self.shard_for(object).read_with(object, consistency, ctx)
+    }
+
+    /// The protocol half of a read (see [`ProtocolShard::probe_for_read`]):
+    /// launches whatever probe the read calls for and reports it; pair
+    /// with [`IdeaNode::peek`] for the value.
+    ///
+    /// # Errors
+    /// Fails when no replica of the object exists.
+    pub fn probe_for_read(
+        &mut self,
+        object: ObjectId,
+        consistency: ReadConsistency,
+        ctx: &mut dyn Context<IdeaMsg>,
+    ) -> Result<bool> {
+        self.shard_for(object).probe_for_read(object, consistency, ctx)
     }
 
     /// Reads the object's value view without cloning its version vector and

@@ -11,7 +11,6 @@ use super::lazy::dispatch_rumor;
 use super::NodeCore;
 use crate::messages::IdeaMsg;
 use idea_net::Context;
-use idea_store::Snapshot;
 use idea_types::{ConsistencyLevel, NodeId, ObjectId, Result, Update, UpdatePayload};
 use idea_vv::VersionVector;
 use std::collections::BTreeMap;
@@ -65,32 +64,26 @@ impl WritePath {
         update
     }
 
-    /// Serves a read from the local replica. Returns the snapshot plus
-    /// whether the read policy demands a detection probe (§4.2).
-    ///
-    /// The probe decision runs on the borrowing
-    /// [`idea_store::SnapshotView`]; the version vector is cloned exactly
-    /// once, for the owned snapshot handed to the caller. Callers that only
-    /// need the value view should use the protocol layer's `peek` instead
-    /// and never pay the clone.
+    /// Accounts a read of the local replica and returns whether the read
+    /// policy demands a detection probe (§4.2). The decision runs on the
+    /// borrowing [`idea_store::SnapshotView`]; nothing is cloned — the
+    /// caller reads the value through whichever view it needs.
     pub fn read(
         &mut self,
         core: &mut NodeCore,
         object: ObjectId,
         ctx: &mut dyn Context<IdeaMsg>,
-    ) -> Result<(Snapshot, bool)> {
+    ) -> Result<bool> {
         let view = core.store.read_view(object)?;
         let policy = core.cfg.read_policy;
         let stale = view
             .latest_update
             .map(|t| ctx.now().saturating_since(t) > policy.stale_after)
             .unwrap_or(false);
-        let snapshot = view.to_owned();
         let st = self.state(object);
         let fresh = !st.has_read;
         st.has_read = true;
-        let probe = (fresh && policy.fresh_read_triggers) || stale;
-        Ok((snapshot, probe))
+        Ok((fresh && policy.fresh_read_triggers) || stale)
     }
 
     /// Gossips every writer count this node knows (own plus learned) so the

@@ -1,4 +1,14 @@
 //! One node's replica of one shared object.
+//!
+//! The applied log holds each writer's updates `1..=count` exactly once, in
+//! per-writer sequence order. Batching a transfer leans on that: the number
+//! of updates beyond some counts is known from the counters alone, they sit
+//! near the log's end, and the scan back from the end stops once all of
+//! them are found. Rolling back cuts the log's suffix off and takes exactly
+//! those updates out of the vector and the digest. Both cost
+//! `O(writers + divergence)`, never a pass over the log. Loser invalidation
+//! ([`Replica::drop_extras`]) and the wholesale [`Replica::reconcile_to`]
+//! still rebuild from the log.
 
 use idea_types::{IdeaError, ObjectId, Result, SimTime, Update, UpdateId, WriterId};
 use idea_vv::ExtendedVersionVector;
@@ -46,8 +56,8 @@ pub struct Replica {
     /// Rolling content digest: XOR of [`idea_wal::hash::update_hash`] over
     /// the applied log. Order-independent (two replicas holding the same
     /// update *set* hash identically regardless of delivery interleaving),
-    /// maintained incrementally on apply and recomputed in the same O(n)
-    /// passes reconcile/drop/rollback already make.
+    /// maintained incrementally: XORed in on apply, XORed back out on
+    /// rollback, recomputed in the pass reconcile/drop already make.
     hash: u64,
 }
 
@@ -134,8 +144,9 @@ impl Replica {
             self.pending.insert((update.writer(), update.seq()), update);
             return Ok(ApplyOutcome::Buffered);
         }
+        let writer = update.writer();
         self.apply_in_order(update);
-        self.drain_pending();
+        self.drain_pending(writer);
         Ok(ApplyOutcome::Applied)
     }
 
@@ -145,30 +156,44 @@ impl Replica {
         self.log.push(update);
     }
 
-    fn drain_pending(&mut self) {
-        loop {
-            let mut next: Option<(WriterId, u64)> = None;
-            for &(w, s) in self.pending.keys() {
-                if self.evv.count(w) + 1 == s {
-                    next = Some((w, s));
-                    break;
-                }
-            }
-            match next {
-                Some(key) => {
-                    let u = self.pending.remove(&key).expect("key just found");
-                    self.apply_in_order(u);
-                }
-                None => break,
+    /// Applies the buffered successors of `writer`'s update that was just
+    /// applied. Nothing else can have become applicable: the buffer never
+    /// holds an update whose predecessor is already applied, and only
+    /// `writer`'s count moved.
+    fn drain_pending(&mut self, writer: WriterId) {
+        let mut next = self.evv.count(writer) + 1;
+        while let Some(u) = self.pending.remove(&(writer, next)) {
+            self.apply_in_order(u);
+            next += 1;
+        }
+    }
+
+    /// Number of applied updates beyond the per-writer `counts`.
+    pub fn count_beyond(&self, counts: &idea_vv::VersionVector) -> u64 {
+        counts.missing_from(self.evv.counters())
+    }
+
+    /// Log index from which the suffix holds every update beyond `counts`
+    /// (`len` when there is none): scans back from the end only until the
+    /// number the counters promise has been seen.
+    fn beyond_from(&self, counts: &idea_vv::VersionVector) -> usize {
+        let mut left = self.count_beyond(counts);
+        let mut i = self.log.len();
+        while left > 0 && i > 0 {
+            i -= 1;
+            let u = &self.log[i];
+            if u.seq() > counts.get(u.writer()) {
+                left -= 1;
             }
         }
+        i
     }
 
     /// Updates this replica holds that `peer` (described by its vector) is
     /// missing — the transfer batch resolution ships (§4.5.2: members
     /// "update their copies by acquiring any missing updates").
     pub fn updates_missing_at(&self, peer: &ExtendedVersionVector) -> Vec<Update> {
-        self.log.iter().filter(|u| peer.count(u.writer()) < u.seq()).cloned().collect()
+        self.updates_beyond(peer.counters())
     }
 
     /// Replaces this replica's content with the reference state: applied
@@ -190,17 +215,24 @@ impl Replica {
         extras
     }
 
-    /// Updates this replica holds beyond the per-writer `counts` — the
-    /// transfer batch for a peer that advertised bare counters.
+    /// Updates this replica holds beyond the per-writer `counts`, in log
+    /// order — the transfer batch for a peer that advertised bare counters.
     pub fn updates_beyond(&self, counts: &idea_vv::VersionVector) -> Vec<Update> {
-        self.log.iter().filter(|u| u.seq() > counts.get(u.writer())).cloned().collect()
+        let from = self.beyond_from(counts);
+        self.log[from..].iter().filter(|u| u.seq() > counts.get(u.writer())).cloned().collect()
     }
 
     /// Drops every applied update beyond the per-writer `counts` — the
     /// "loser invalidation" step of resolution: after a reference state is
     /// chosen, updates the reference never sanctioned are rolled back
     /// (§4.5.1, *invalidate both* and the losing side of *user-ID based*).
-    /// Returns the invalidated updates.
+    /// Returns the invalidated updates in log order; buffered out-of-order
+    /// arrivals are discarded either way.
+    ///
+    /// One pass over the log rebuilds log, vector and digest, whether or
+    /// not anything is dropped — `O(history)` per `Inform`. The in-place
+    /// edit ([`Replica::rollback`] has its shape) is the ROADMAP open item
+    /// "In-place loser invalidation".
     pub fn drop_extras(&mut self, counts: &idea_vv::VersionVector) -> Vec<Update> {
         let (keep, dropped): (Vec<Update>, Vec<Update>) =
             self.log.drain(..).partition(|u| u.seq() <= counts.get(u.writer()));
@@ -232,16 +264,19 @@ impl Replica {
         if cp.log_len > self.log.len() {
             return Err(IdeaError::RollbackBeyondLog);
         }
-        let dropped: Vec<Update> = self.log.split_off(cp.log_len);
-        let mut evv = ExtendedVersionVector::new();
-        let mut hash = 0u64;
-        for u in &self.log {
-            evv.record(u.writer(), u.seq(), u.at, u.meta_delta);
-            hash ^= idea_wal::hash::update_hash(u);
-        }
-        self.evv = evv;
-        self.hash = hash;
         self.pending.clear();
+        let dropped: Vec<Update> = self.log.split_off(cp.log_len);
+        // Each writer's dropped updates are the newest of its run, in
+        // sequence order: the first one met fixes the surviving count.
+        let mut cut: BTreeMap<WriterId, u64> = BTreeMap::new();
+        let mut meta = 0;
+        for u in &dropped {
+            cut.entry(u.writer()).or_insert(u.seq() - 1);
+            meta += u.meta_delta;
+            self.hash ^= idea_wal::hash::update_hash(u);
+        }
+        let keep = self.evv.counters().with_overrides(&cut.into_iter().collect::<Vec<_>>());
+        self.evv.truncate_to(&keep, meta);
         Ok(dropped)
     }
 }
@@ -295,6 +330,21 @@ mod tests {
         assert_eq!(r.len(), 3, "gap closed, buffer drained");
         assert_eq!(r.pending_len(), 0);
         assert_eq!(r.version().count(WriterId(0)), 3);
+    }
+
+    #[test]
+    fn interleaved_writers_drain_in_per_writer_order() {
+        let mut r = Replica::new(OBJ);
+        for (w, s) in [(0, 3), (1, 2), (0, 2), (1, 3)] {
+            assert_eq!(r.apply(upd(w, s, s, 1)).unwrap(), ApplyOutcome::Buffered);
+        }
+        // Closing w1's gap releases w1's run only; w0's stays buffered.
+        assert_eq!(r.apply(upd(1, 1, 1, 1)).unwrap(), ApplyOutcome::Applied);
+        assert_eq!(r.pending_len(), 2);
+        assert_eq!(r.apply(upd(0, 1, 1, 1)).unwrap(), ApplyOutcome::Applied);
+        assert_eq!(r.pending_len(), 0);
+        let order: Vec<(u32, u64)> = r.log().iter().map(|u| (u.writer().0, u.seq())).collect();
+        assert_eq!(order, vec![(1, 1), (1, 2), (1, 3), (0, 1), (0, 2), (0, 3)]);
     }
 
     #[test]
@@ -399,6 +449,45 @@ mod tests {
         assert_eq!(r.log(), &before_log[..]);
     }
 
+    #[test]
+    fn rollback_cuts_across_vector_chunks() {
+        // Deep enough that the vector's history spans several frozen
+        // chunks, whatever their size.
+        let mut r = Replica::new(OBJ);
+        for s in 1..=1_500 {
+            r.apply(upd(0, s, s, 2)).unwrap();
+            if s % 500 == 0 {
+                r.apply(upd(1, s / 500, s, 5)).unwrap();
+            }
+        }
+        let cp = Checkpoint { log_len: 1_001, at: SimTime::from_secs(1) };
+        let (want, want_dropped) = rebuilt_rollback(&r, &cp);
+        assert_eq!(r.rollback(&cp).unwrap(), want_dropped);
+        assert_same(&r, &want);
+    }
+
+    /// The rebuild-from-scratch `rollback` the in-place one replaced.
+    fn rebuilt_rollback(r: &Replica, cp: &Checkpoint) -> (Replica, Vec<Update>) {
+        (rebuilt_from(r.log[..cp.log_len].to_vec()), r.log[cp.log_len..].to_vec())
+    }
+
+    fn rebuilt_from(log: Vec<Update>) -> Replica {
+        let mut out = Replica::new(OBJ);
+        for u in &log {
+            out.evv.record(u.writer(), u.seq(), u.at, u.meta_delta);
+            out.hash ^= idea_wal::hash::update_hash(u);
+        }
+        out.log = log;
+        out
+    }
+
+    fn assert_same(got: &Replica, want: &Replica) {
+        assert_eq!(got.log(), want.log());
+        assert_eq!(got.version(), want.version(), "structural vector equality");
+        assert_eq!(got.state_hash(), want.state_hash());
+        assert_eq!(got.pending_len(), want.pending_len());
+    }
+
     /// Random per-writer streams delivered in arbitrary interleavings.
     fn arb_streams() -> impl Strategy<Value = Vec<Update>> {
         prop::collection::vec((0u32..4, 1u64..60, -4i64..5), 1..40).prop_map(|raw| {
@@ -466,6 +555,50 @@ mod tests {
             prop_assert_eq!(b.pending_len(), 0);
             prop_assert!(a.version().triple_against(b.version()).is_zero());
             prop_assert_eq!(a.meta(), b.meta());
+        }
+
+        /// The scan back from the log's end finds exactly what a filter
+        /// over the whole log finds — which is what `drop_extras` removes —
+        /// on random logs and random sanctioned counts (below, at and above
+        /// what is held, and for writers the replica never saw).
+        #[test]
+        fn scan_back_finds_what_drop_extras_removes(
+            updates in arb_streams(),
+            sanctioned in prop::collection::vec(0u64..14, 5..6),
+            seed in 0u64..32,
+        ) {
+            use rand::seq::SliceRandom;
+            use rand::SeedableRng;
+            let mut shuffled = updates.clone();
+            shuffled.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+            let mut r = Replica::new(OBJ);
+            for u in shuffled {
+                r.apply(u).unwrap();
+            }
+            let counts = idea_vv::VersionVector::from_pairs(
+                sanctioned.iter().enumerate().map(|(w, c)| (WriterId(w as u32), *c)),
+            );
+            let beyond: Vec<Update> =
+                r.log.iter().filter(|u| u.seq() > counts.get(u.writer())).cloned().collect();
+            prop_assert_eq!(r.count_beyond(&counts), beyond.len() as u64);
+            prop_assert_eq!(&r.updates_beyond(&counts), &beyond);
+            prop_assert_eq!(r.drop_extras(&counts), beyond, "same extras, same order");
+            prop_assert_eq!(r.count_beyond(&counts), 0);
+        }
+
+        /// In-place `rollback` equals the rebuild at every checkpoint.
+        #[test]
+        fn in_place_rollback_equals_the_rebuild(updates in arb_streams(), cut in 0usize..40) {
+            let mut r = Replica::new(OBJ);
+            for u in &updates {
+                r.apply(u.clone()).unwrap();
+            }
+            r.apply(upd(3, r.version().count(WriterId(3)) + 2, 70, 1)).unwrap(); // buffered
+            let cp = Checkpoint { log_len: cut.min(r.len()), at: SimTime::from_secs(999) };
+            let (want, want_dropped) = rebuilt_rollback(&r, &cp);
+            let dropped = r.rollback(&cp).unwrap();
+            prop_assert_eq!(dropped, want_dropped);
+            assert_same(&r, &want);
         }
 
         #[test]

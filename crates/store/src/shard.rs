@@ -13,7 +13,7 @@ use idea_types::{
     IdeaError, NodeId, ObjectId, Result, SimTime, Update, UpdateId, UpdatePayload, WriterId,
 };
 use idea_vv::{ExtendedVersionVector, VersionVector};
-use idea_wal::{ObjectSnapshot, Recovered, ShardSnapshot, ShardWal, WalRecord};
+use idea_wal::{ObjectSnapshotRef, Recovered, ShardSnapshotRef, ShardWal, WalRecord};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What a read returns: the replica's current value view (owned).
@@ -243,6 +243,11 @@ impl StoreShard {
     /// Resets the local write sequence to continue after `seq` (used after a
     /// reconciliation re-sequenced this writer's extra updates).
     pub fn resume_writes_after(&mut self, object: ObjectId, seq: u64) {
+        // A resume that moves nothing (the common case after an `Inform`
+        // that sanctioned everything held) is not a transition to log.
+        if self.next_seq.get(&object) == Some(&(seq + 1)) {
+            return;
+        }
         self.log_wal(WalRecord::ResumeSeq { object, seq });
         self.next_seq.insert(object, seq + 1);
     }
@@ -286,10 +291,11 @@ impl StoreShard {
         }
     }
 
-    /// Appends `rec` when a WAL is attached, then installs a snapshot once
-    /// the tail passes the configured threshold. Append-path I/O failure is
-    /// fail-stop: a replica that cannot persist must not acknowledge
-    /// writes.
+    /// Appends `rec` when a WAL is attached, installing a snapshot first
+    /// when the tail is due one ([`ShardWal::should_snapshot`]: it has
+    /// reached `snapshot_every` records and the size of the last
+    /// snapshot). Append-path I/O failure is fail-stop: a replica that
+    /// cannot persist must not acknowledge writes.
     fn log_wal(&mut self, rec: WalRecord) {
         if self.wal.is_none() {
             return;
@@ -308,37 +314,29 @@ impl StoreShard {
             .expect("WAL append failed: cannot guarantee durability");
     }
 
-    /// Captures the shard's full in-memory state: next sequence numbers,
-    /// applied logs, and buffered out-of-order (pending) updates.
-    pub fn to_snapshot(&self, shard: u32) -> ShardSnapshot {
-        ShardSnapshot {
+    /// Installs a durable snapshot now and truncates the log behind it
+    /// (no-op without a WAL). Clean shutdown ends with this so a restart
+    /// sees an empty tail. The shard's full in-memory state — next
+    /// sequence numbers, applied logs, buffered out-of-order updates — is
+    /// serialised from where it lives; no log is cloned.
+    pub fn snapshot_now(&mut self) {
+        let Some(wal) = self.wal.as_mut() else { return };
+        let snap = ShardSnapshotRef {
             node: self.node,
             writer: self.writer,
-            shard,
+            shard: wal.shard(),
             objects: self
                 .replicas
                 .iter()
-                .map(|(object, r)| ObjectSnapshot {
+                .map(|(object, r)| ObjectSnapshotRef {
                     object: *object,
                     next_seq: self.next_seq.get(object).copied().unwrap_or(0),
-                    log: r.log().to_vec(),
-                    pending: r.pending_updates().cloned().collect(),
+                    log: r.log(),
+                    pending: r.pending_updates().collect(),
                 })
                 .collect(),
-        }
-    }
-
-    /// Installs a durable snapshot now and truncates the log behind it
-    /// (no-op without a WAL). Clean shutdown ends with this so a restart
-    /// sees an empty tail.
-    pub fn snapshot_now(&mut self) {
-        let Some(shard) = self.wal.as_ref().map(ShardWal::shard) else { return };
-        let snap = self.to_snapshot(shard);
-        self.wal
-            .as_mut()
-            .expect("checked above")
-            .install_snapshot(&snap)
-            .expect("WAL snapshot failed: cannot guarantee durability");
+        };
+        wal.install_snapshot(&snap).expect("WAL snapshot failed: cannot guarantee durability");
     }
 
     /// Rebuilds a shard from recovered durable state: the snapshot first,
@@ -424,8 +422,10 @@ impl StoreShard {
     /// # Errors
     /// Fails when no replica of the object exists.
     pub fn drop_extras(&mut self, object: ObjectId, counts: &VersionVector) -> Result<Vec<Update>> {
-        self.replica(object)?;
-        if self.wal.is_some() {
+        let r = self.replica(object)?;
+        // Logged only when it changes the replica: something is beyond
+        // `counts`, or buffered arrivals are about to be discarded.
+        if self.wal.is_some() && (r.count_beyond(counts) > 0 || r.pending_len() > 0) {
             self.log_wal(WalRecord::DropExtras { object, counts: counts.clone() });
         }
         Ok(self.replicas.get_mut(&object).expect("checked above").drop_extras(counts))
@@ -654,6 +654,80 @@ mod tests {
         let r = reopen(&cfg);
         assert_eq!(r.state_hash(), expect_hash);
         assert_eq!(r.read(ObjectId(1)).unwrap().updates, 20);
+        std::fs::remove_dir_all(&cfg.dir).unwrap();
+    }
+
+    #[test]
+    fn snapshots_are_amortised_and_a_long_tail_recovers() {
+        const RECORDS: u64 = 100_000;
+        // No per-append fsync: the rule under test is the snapshot
+        // schedule, and snapshots are written durably in every mode.
+        let cfg = DurabilityConfig::buffered(tmp_cfg("amortised").dir);
+        let mut s = shard(0);
+        s.attach_wal(ShardWal::create(&cfg, NodeId(0), 0).unwrap());
+        s.open(ObjectId(1));
+        let (mut snapshots, mut tail) = (0u32, s.wal().unwrap().tail_records());
+        for i in 1..RECORDS {
+            s.write(ObjectId(1), SimTime::from_secs(i), 1, payload());
+            let now = s.wal().unwrap().tail_records();
+            if now <= tail {
+                snapshots += 1;
+            }
+            tail = now;
+        }
+        // Each snapshot waits for the tail to match the one before it, so
+        // the state doubles between snapshots: log2(N / snapshot_every) of
+        // them, where a fixed period would have written N / snapshot_every.
+        let doublings = (RECORDS as f64 / cfg.snapshot_every as f64).log2().ceil() as u32;
+        assert!(snapshots >= 2, "the minimum tail still triggers snapshots");
+        assert!(snapshots <= doublings + 1, "{snapshots} snapshots over {RECORDS} records");
+        assert!(tail > cfg.snapshot_every, "the tail outgrew the minimum: {tail}");
+        let expect_hash = s.state_hash();
+        drop(s);
+
+        let mut r = reopen(&cfg);
+        assert_eq!(r.state_hash(), expect_hash, "snapshot + long tail replays bit-identically");
+        assert_eq!(r.wal().unwrap().tail_records(), tail);
+        // The reopened handle knows the size of the snapshot on disk: the
+        // next one is still due only once the tail has caught up with it.
+        let held = RECORDS - 1 - tail;
+        for i in 0..held - tail {
+            assert!(r.wal().unwrap().tail_records() > 0, "early snapshot after reopen");
+            r.write(ObjectId(1), SimTime::from_secs(RECORDS + i), 1, payload());
+        }
+        r.write(ObjectId(1), SimTime::from_secs(2 * RECORDS), 1, payload());
+        assert_eq!(r.wal().unwrap().tail_records(), 1, "due exactly at the snapshot's size");
+        std::fs::remove_dir_all(&cfg.dir).unwrap();
+    }
+
+    #[test]
+    fn unchanged_transitions_are_not_logged() {
+        let cfg = tmp_cfg("noop-records");
+        let mut s = shard(0);
+        s.attach_wal(ShardWal::create(&cfg, NodeId(0), 0).unwrap());
+        s.write(ObjectId(1), SimTime::from_secs(1), 1, payload());
+        s.write(ObjectId(1), SimTime::from_secs(2), 1, payload());
+        let logged = |s: &StoreShard| s.wal().unwrap().tail_records();
+        let before = logged(&s);
+        // Everything held is sanctioned and sequencing already continues
+        // at 3: neither call is a transition.
+        let counts = VersionVector::from_pairs([(WriterId(0), 2)]);
+        assert!(s.drop_extras(ObjectId(1), &counts).unwrap().is_empty());
+        s.resume_writes_after(ObjectId(1), 2);
+        assert_eq!(logged(&s), before);
+        // A buffered arrival makes the same drop a real transition (it
+        // discards the buffer), and a moved sequence a real resume.
+        s.ingest(remote(1, 9, 2, 10)).unwrap();
+        let before = logged(&s);
+        assert!(s.drop_extras(ObjectId(1), &counts).unwrap().is_empty());
+        s.resume_writes_after(ObjectId(1), 5);
+        assert_eq!(logged(&s), before + 2);
+        let expect_hash = s.state_hash();
+        drop(s);
+
+        let r = reopen(&cfg);
+        assert_eq!(r.state_hash(), expect_hash);
+        assert_eq!(r.replica(ObjectId(1)).unwrap().pending_len(), 0, "the discard replayed");
         std::fs::remove_dir_all(&cfg.dir).unwrap();
     }
 

@@ -80,6 +80,17 @@ impl VersionVector {
         *c = (*c).max(seq);
     }
 
+    /// Sets `writer`'s counter to exactly `count` (zero removes the entry,
+    /// keeping the vector zero-elided) — the in-place form of a one-entry
+    /// [`VersionVector::with_overrides`].
+    pub(crate) fn set(&mut self, writer: WriterId, count: u64) {
+        if count == 0 {
+            self.counters.remove(&writer);
+        } else {
+            self.counters.insert(writer, count);
+        }
+    }
+
     /// Total updates across all writers.
     pub fn total(&self) -> u64 {
         self.counters.values().sum()
@@ -180,11 +191,7 @@ impl VersionVector {
     pub fn with_overrides(&self, overrides: &[(WriterId, u64)]) -> VersionVector {
         let mut out = self.clone();
         for &(w, c) in overrides {
-            if c == 0 {
-                out.counters.remove(&w);
-            } else {
-                out.counters.insert(w, c);
-            }
+            out.set(w, c);
         }
         out
     }

@@ -14,24 +14,25 @@
 //!
 //! The triple computation is a merge-walk over the per-writer histories —
 //! it never materialises or sorts a combined event list, so a pairwise
-//! comparison allocates nothing and costs one linear pass. The classic
+//! comparison allocates nothing. Each history is a run of frozen chunks
+//! shared behind `Arc` plus a small tail (the `history` module): cloning a
+//! vector, rebuilding a peer's from a delta and cutting one back copy
+//! pointers below the divergence point, and the walk skips the chunks two
+//! vectors share and those lying wholly past their divergence, so all of
+//! them cost `O(writers + chunks)` plus the chunk the divergence falls in
+//! rather than a pass over the history (two vectors that share nothing
+//! still pay one vector compare over their common prefix). The classic
 //! counter view is cached and maintained incrementally by
 //! [`ExtendedVersionVector::record`]/[`ExtendedVersionVector::adopt`], so
 //! [`ExtendedVersionVector::counters`] is a free borrow. Compact wire forms
 //! live in [`crate::wire`].
 
 use crate::classic::{VersionVector, VvOrdering};
+use crate::history::WriterHistory;
 use idea_types::{ErrorTriple, SimTime, UpdateId, WriterId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
-
-/// Per-writer update history: timestamps of updates `1..=count`.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub(crate) struct WriterHistory {
-    /// `times[i]` is the timestamp of the writer's `(i+1)`-th update.
-    pub(crate) times: Vec<SimTime>,
-}
 
 /// The extended version vector of one replica.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -58,38 +59,39 @@ pub(crate) fn note_divergence(d: &mut Divergence, t: SimTime, writer: WriterId, 
 }
 
 /// Walks the union of two writer maps in writer order, handing `f` the two
-/// (possibly empty) time slices of each writer — the merge-walk primitive
+/// (possibly empty) histories of each writer — the merge-walk primitive
 /// shared by the triple computations.
 fn walk_writer_pairs(
     a: &BTreeMap<WriterId, WriterHistory>,
     b: &BTreeMap<WriterId, WriterHistory>,
-    mut f: impl FnMut(WriterId, &[SimTime], &[SimTime]),
+    mut f: impl FnMut(WriterId, &WriterHistory, &WriterHistory),
 ) {
+    let empty = WriterHistory::default();
     let mut ia = a.iter().peekable();
     let mut ib = b.iter().peekable();
     loop {
         match (ia.peek(), ib.peek()) {
             (Some((wa, ha)), Some((wb, hb))) => match wa.cmp(wb) {
                 std::cmp::Ordering::Less => {
-                    f(**wa, &ha.times, &[]);
+                    f(**wa, ha, &empty);
                     ia.next();
                 }
                 std::cmp::Ordering::Greater => {
-                    f(**wb, &[], &hb.times);
+                    f(**wb, &empty, hb);
                     ib.next();
                 }
                 std::cmp::Ordering::Equal => {
-                    f(**wa, &ha.times, &hb.times);
+                    f(**wa, ha, hb);
                     ia.next();
                     ib.next();
                 }
             },
             (Some((wa, ha)), None) => {
-                f(**wa, &ha.times, &[]);
+                f(**wa, ha, &empty);
                 ia.next();
             }
             (None, Some((wb, hb))) => {
-                f(**wb, &[], &hb.times);
+                f(**wb, &empty, hb);
                 ib.next();
             }
             (None, None) => break,
@@ -103,20 +105,20 @@ impl ExtendedVersionVector {
         Self::default()
     }
 
-    /// Rebuilds a vector from raw per-writer histories (the wire-form
-    /// reconstruction path).
-    pub(crate) fn from_raw(
-        parts: impl IntoIterator<Item = (WriterId, Vec<SimTime>)>,
+    /// Assembles a vector from finished per-writer histories (the wire-form
+    /// reconstruction path); empty histories are elided.
+    pub(crate) fn from_histories(
+        parts: impl IntoIterator<Item = (WriterId, WriterHistory)>,
         meta: i64,
     ) -> Self {
         let mut histories = BTreeMap::new();
         let mut counters = VersionVector::new();
-        for (w, times) in parts {
-            if times.is_empty() {
+        for (w, h) in parts {
+            if h.is_empty() {
                 continue;
             }
-            counters.observe(w, times.len() as u64);
-            histories.insert(w, WriterHistory { times });
+            counters.observe(w, h.len() as u64);
+            histories.insert(w, h);
         }
         ExtendedVersionVector { histories, meta, counters }
     }
@@ -124,11 +126,6 @@ impl ExtendedVersionVector {
     /// Raw per-writer histories (crate-internal: the wire forms read them).
     pub(crate) fn raw_histories(&self) -> &BTreeMap<WriterId, WriterHistory> {
         &self.histories
-    }
-
-    /// Timestamps of `writer`'s updates, oldest first (empty when unknown).
-    pub(crate) fn writer_times(&self, writer: WriterId) -> &[SimTime] {
-        self.histories.get(&writer).map_or(&[], |h| &h.times)
     }
 
     /// Records the replica applying `writer`'s update with sequence `seq`
@@ -140,13 +137,13 @@ impl ExtendedVersionVector {
     /// tolerate replays (`seq <= count`) by ignoring them.
     pub fn record(&mut self, writer: WriterId, seq: u64, at: SimTime, meta_delta: i64) {
         let h = self.histories.entry(writer).or_default();
-        let count = h.times.len() as u64;
+        let count = h.len() as u64;
         if seq <= count {
             // Replay of an already-recorded update: ignore.
             return;
         }
         debug_assert_eq!(seq, count + 1, "update for {writer} skipped seq {count}+1 -> {seq}");
-        h.times.push(at);
+        h.push(at);
         self.counters.observe(writer, count + 1);
         self.meta += meta_delta;
     }
@@ -166,7 +163,7 @@ impl ExtendedVersionVector {
         if seq == 0 {
             return None;
         }
-        self.histories.get(&writer)?.times.get(seq as usize - 1).copied()
+        self.histories.get(&writer)?.get(seq as usize - 1)
     }
 
     /// The critical metadata value.
@@ -181,14 +178,14 @@ impl ExtendedVersionVector {
 
     /// Timestamp of the most recent recorded update (`None` when empty).
     pub fn latest_update_time(&self) -> Option<SimTime> {
-        self.histories.values().filter_map(|h| h.times.last().copied()).max()
+        self.histories.values().filter_map(WriterHistory::last).max()
     }
 
     /// Chronologically largest recorded timestamp — equals
     /// [`ExtendedVersionVector::latest_update_time`] for monotone per-writer
     /// histories, but robust to out-of-order issue times.
     pub(crate) fn max_event_time(&self) -> Option<SimTime> {
-        self.histories.values().flat_map(|h| h.times.iter().copied()).max()
+        self.histories.values().filter_map(WriterHistory::max_time).max()
     }
 
     /// Compares the counter views under the domination order.
@@ -202,8 +199,8 @@ impl ExtendedVersionVector {
     pub fn events(&self) -> Vec<(SimTime, UpdateId)> {
         let mut out: Vec<(SimTime, UpdateId)> = Vec::with_capacity(self.total() as usize);
         for (w, h) in &self.histories {
-            for (i, t) in h.times.iter().enumerate() {
-                out.push((*t, UpdateId { writer: *w, seq: i as u64 + 1 }));
+            for (i, t) in h.iter_from(0) {
+                out.push((t, UpdateId { writer: *w, seq: i as u64 + 1 }));
             }
         }
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
@@ -216,38 +213,22 @@ impl ExtendedVersionVector {
     ///
     /// Computed as a merge-walk: the prefix ends at the chronologically
     /// first event held by only one side (or held by both under different
-    /// timestamps), so one linear pass finds that divergence point and a
-    /// second finds the newest common event before it — no sort, no
-    /// intermediate event list.
+    /// timestamps), so one pass finds that divergence point and a second
+    /// finds the newest common event before it — no sort, no intermediate
+    /// event list. Both passes go chunk by chunk and read only the chunk the
+    /// divergence falls in (see the `history` module for the skip rules).
     pub fn last_consistent_with(&self, reference: &ExtendedVersionVector) -> SimTime {
         let mut d: Divergence = None;
-        walk_writer_pairs(&self.histories, &reference.histories, |w, ta, tb| {
-            let m = ta.len().min(tb.len());
-            for s in 0..m {
-                if ta[s] != tb[s] {
-                    note_divergence(&mut d, ta[s], w, s as u64 + 1);
-                    note_divergence(&mut d, tb[s], w, s as u64 + 1);
-                }
-            }
-            for (s, t) in ta.iter().enumerate().skip(m) {
-                note_divergence(&mut d, *t, w, s as u64 + 1);
-            }
-            for (s, t) in tb.iter().enumerate().skip(m) {
-                note_divergence(&mut d, *t, w, s as u64 + 1);
-            }
+        walk_writer_pairs(&self.histories, &reference.histories, |w, a, b| {
+            a.note_divergence(b, w, &mut d);
         });
         let Some(d) = d else {
             // Identical event sets: consistent through the newest event.
             return self.max_event_time().unwrap_or(SimTime::ZERO);
         };
         let mut last = SimTime::ZERO;
-        walk_writer_pairs(&self.histories, &reference.histories, |w, ta, tb| {
-            let m = ta.len().min(tb.len());
-            for s in 0..m {
-                if ta[s] == tb[s] && (ta[s], UpdateId { writer: w, seq: s as u64 + 1 }) < d {
-                    last = last.max(ta[s]);
-                }
-            }
+        walk_writer_pairs(&self.histories, &reference.histories, |w, a, b| {
+            a.newest_common_before(b, w, d, &mut last);
         });
         last
     }
@@ -297,6 +278,33 @@ impl ExtendedVersionVector {
         absorbed
     }
 
+    /// Cuts every writer's history back to at most `counts` — the vector
+    /// side of a rollback. `dropped_meta` is the summed metadata delta of
+    /// the updates being removed (the caller holds them; the vector keeps
+    /// only timestamps). Writers cut to zero leave no
+    /// entry behind, so the result is structurally equal to a vector that
+    /// only ever recorded the surviving updates. Costs `O(writers)` plus
+    /// one partial chunk per writer actually cut.
+    pub fn truncate_to(&mut self, counts: &VersionVector, dropped_meta: i64) {
+        let cut: Vec<(WriterId, u64)> = self
+            .counters
+            .iter()
+            .filter_map(|(w, have)| {
+                let keep = counts.get(w);
+                (keep < have).then_some((w, keep))
+            })
+            .collect();
+        for (w, keep) in cut {
+            if keep == 0 {
+                self.histories.remove(&w);
+            } else if let Some(h) = self.histories.get_mut(&w) {
+                h.truncate(keep as usize);
+            }
+            self.counters.set(w, keep);
+        }
+        self.meta -= dropped_meta;
+    }
+
     /// Renders in the paper's Figure-5 style:
     /// `<A:2(1, 2) B:0> <\[5\]> <num, order, stale>` (triple omitted — it is
     /// relative to a reference, not intrinsic).
@@ -306,10 +314,10 @@ impl ExtendedVersionVector {
             if i > 0 {
                 s.push(' ');
             }
-            let _ = write!(s, "{w}:{}", h.times.len());
-            if !h.times.is_empty() {
+            let _ = write!(s, "{w}:{}", h.len());
+            if !h.is_empty() {
                 s.push('(');
-                for (j, t) in h.times.iter().enumerate() {
+                for (j, t) in h.iter_from(0) {
                     if j > 0 {
                         s.push_str(", ");
                     }

@@ -16,8 +16,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod boundary_tests;
 pub mod classic;
 pub mod extended;
+mod history;
 pub mod wire;
 
 pub use classic::{VersionVector, VvOrdering};

@@ -24,6 +24,7 @@
 
 use crate::classic::VersionVector;
 use crate::extended::{note_divergence, Divergence, ExtendedVersionVector};
+use crate::history::WriterHistory;
 use idea_types::{ErrorTriple, SimDuration, SimTime, UpdateId, WriterId};
 use serde::{Deserialize, Serialize};
 
@@ -91,14 +92,17 @@ impl VvSummary {
         form_bytes(&self.counters, &self.tail)
     }
 
-    /// Timestamp the summarised replica recorded for `(writer, seq)`, when
-    /// the tail covers it.
-    fn time_of(&self, writer: WriterId, seq: u64) -> Option<SimTime> {
-        let s = suffix_for(&self.tail, writer)?;
-        if seq < s.start_seq {
-            return None;
+    /// The tail's coverage of `writer`: `(first, times)` with `first >= 1`,
+    /// meaning the summarised replica recorded `times[i]` for the writer's
+    /// update `first + i`. Empty when the tail skips the writer.
+    fn coverage(&self, writer: WriterId) -> (u64, &[SimTime]) {
+        match suffix_for(&self.tail, writer) {
+            // Sequence numbers are 1-based; a (malformed) zero start
+            // covers nothing with its first slot.
+            Some(s) if s.start_seq == 0 => (1, s.times.get(1..).unwrap_or(&[])),
+            Some(s) => (s.start_seq, &s.times),
+            None => (1, &[]),
         }
-        s.times.get((seq - s.start_seq) as usize).copied()
     }
 
     /// Triple of the summarised replica against `reference` (a full vector)
@@ -136,14 +140,14 @@ impl ExtendedVersionVector {
     pub fn summary(&self, tail_len: usize) -> VvSummary {
         let mut tail = Vec::new();
         for (w, h) in self.raw_histories() {
-            if h.times.is_empty() || tail_len == 0 {
+            if h.is_empty() || tail_len == 0 {
                 continue;
             }
-            let skip = h.times.len().saturating_sub(tail_len);
+            let skip = h.len().saturating_sub(tail_len);
             tail.push(WriterSuffix {
                 writer: *w,
                 start_seq: skip as u64 + 1,
-                times: h.times[skip..].to_vec(),
+                times: h.copy_from(skip),
             });
         }
         VvSummary {
@@ -168,13 +172,13 @@ impl ExtendedVersionVector {
     pub fn suffix_since(&self, have: &VersionVector) -> VvDelta {
         let mut suffixes = Vec::new();
         for (w, h) in self.raw_histories() {
-            let base = (have.get(*w) as usize).min(h.times.len());
-            if base < h.times.len() {
+            let base = (have.get(*w) as usize).min(h.len());
+            if base < h.len() {
                 let start = base.saturating_sub(1);
                 suffixes.push(WriterSuffix {
                     writer: *w,
                     start_seq: start as u64 + 1,
-                    times: h.times[start..].to_vec(),
+                    times: h.copy_from(start),
                 });
             }
         }
@@ -188,34 +192,35 @@ impl ExtendedVersionVector {
 
     /// Rebuilds the sender's full vector from a delta whose baseline this
     /// vector covers: timestamps below each suffix come from the local
-    /// history (identical updates carry identical issue times), the rest
-    /// from the delta. Positions the local history cannot vouch for (it was
-    /// truncated by a reconciliation after the baseline was advertised) are
-    /// filled with [`SimTime::ZERO`], which makes the later triple
-    /// computation conservatively treat them as immediately-divergent.
+    /// history (identical updates carry identical issue times) — as shared
+    /// chunks, not copies — the rest from the delta. Positions the local
+    /// history cannot vouch for (it was truncated by a reconciliation after
+    /// the baseline was advertised) are filled with [`SimTime::ZERO`],
+    /// which makes the later triple computation conservatively treat them
+    /// as immediately-divergent.
     pub fn reconstruct(&self, delta: &VvDelta) -> ExtendedVersionVector {
         let parts = delta.counters.iter().map(|(w, c)| {
             let c = c as usize;
-            let local = self.writer_times(w);
             let sfx = suffix_for(&delta.suffixes, w);
             let prefix_end = sfx.map_or(c, |s| (s.start_seq - 1) as usize).min(c);
-            let mut times = Vec::with_capacity(c);
-            for s in 0..prefix_end {
-                times.push(local.get(s).copied().unwrap_or(SimTime::ZERO));
+            let mut h =
+                self.raw_histories().get(&w).map(|l| l.prefix(prefix_end)).unwrap_or_default();
+            while h.len() < prefix_end {
+                h.push(SimTime::ZERO);
             }
-            if let Some(sfx) = sfx {
-                for t in &sfx.times {
-                    if times.len() < c {
-                        times.push(*t);
-                    }
+            for t in sfx.map_or(&[][..], |s| &s.times) {
+                if h.len() < c {
+                    h.push(*t);
                 }
             }
             // Defensive: a malformed delta (suffix shorter than the counter
             // claims) must not produce an inconsistent vector.
-            times.resize(c, SimTime::ZERO);
-            (w, times)
+            while h.len() < c {
+                h.push(SimTime::ZERO);
+            }
+            (w, h)
         });
-        ExtendedVersionVector::from_raw(parts, delta.meta)
+        ExtendedVersionVector::from_histories(parts, delta.meta)
     }
 
     /// Converges this vector onto the delta's sender — the wire-form
@@ -229,53 +234,67 @@ impl ExtendedVersionVector {
     /// The last-consistent point against a summarised replica: the
     /// merge-walk of [`ExtendedVersionVector::last_consistent_with`] with
     /// the remote timestamps drawn from the tail. Remote events in the
-    /// common per-writer range but below the tail are assumed to match the
-    /// local copy (same update id ⇒ same issue time); remote events *beyond*
-    /// the local count whose timestamp the tail does not cover are treated
-    /// as divergent at time zero — staleness saturates rather than being
-    /// under-reported.
+    /// common per-writer range but outside the tail are assumed to match
+    /// the local copy (same update id ⇒ same issue time); remote events
+    /// *beyond* the local count whose timestamp the tail does not cover are
+    /// treated as divergent at time zero — staleness saturates rather than
+    /// being under-reported. Only positions the tail covers are compared
+    /// one by one; the assumed-equal range below it is read per chunk.
     pub fn last_consistent_with_summary(&self, summary: &VvSummary) -> SimTime {
+        let empty = WriterHistory::default();
+        // Per writer the summary counts: the local history, the common
+        // range `1..=m`, and the tail's coverage `lo..hi` with its times.
+        let spans = || {
+            summary.counters.iter().map(|(w, cr)| {
+                let local = self.raw_histories().get(&w).unwrap_or(&empty);
+                let (lo, times) = summary.coverage(w);
+                let hi = lo.saturating_add(times.len() as u64);
+                (w, cr, local, (local.len() as u64).min(cr), lo, hi, times)
+            })
+        };
         let mut d: Divergence = None;
         let note = note_divergence;
-        for (w, cr) in summary.counters.iter() {
-            let local = self.writer_times(w);
-            let m = local.len().min(cr as usize);
+        for (w, cr, local, m, lo, hi, times) in spans() {
+            let remote = |seq: u64| times[(seq - lo) as usize];
             // Timestamp mismatches detectable inside the tail's coverage.
-            for (s, t) in local.iter().enumerate().take(m) {
-                if let Some(rt) = summary.time_of(w, s as u64 + 1) {
-                    if rt != *t {
-                        note(&mut d, *t, w, s as u64 + 1);
-                        note(&mut d, rt, w, s as u64 + 1);
-                    }
+            for seq in lo..hi.min(m + 1) {
+                let (t, rt) = (local.get(seq as usize - 1).expect("seq <= len"), remote(seq));
+                if rt != t {
+                    note(&mut d, t, w, seq);
+                    note(&mut d, rt, w, seq);
                 }
             }
-            // Remote-only suffix: known times from the tail, unknown ones
-            // pinned to time zero (conservative).
-            for seq in (m as u64 + 1)..=cr {
-                let rt = summary.time_of(w, seq).unwrap_or(SimTime::ZERO);
-                note(&mut d, rt, w, seq);
+            // Remote-only suffix: known times from the tail. The unknown
+            // ones are all pinned to time zero (conservative), so only the
+            // lowest-numbered of them can be the divergence point.
+            for seq in lo.max(m + 1)..hi.min(cr.saturating_add(1)) {
+                note(&mut d, remote(seq), w, seq);
+            }
+            let unknown = if (lo..hi).contains(&(m + 1)) { hi } else { m + 1 };
+            if unknown <= cr {
+                note(&mut d, SimTime::ZERO, w, unknown);
             }
         }
         // Local-only suffixes (writers or updates the summary lacks).
         for (w, h) in self.raw_histories() {
             let cr = summary.counters.get(*w) as usize;
-            for (s, t) in h.times.iter().enumerate().skip(cr.min(h.times.len())) {
-                note(&mut d, *t, *w, s as u64 + 1);
+            for (s, t) in h.iter_from(cr.min(h.len())) {
+                note(&mut d, t, *w, s as u64 + 1);
             }
         }
         let Some(d) = d else {
             return self.max_event_time().unwrap_or(SimTime::ZERO);
         };
         let mut last = SimTime::ZERO;
-        for (w, cr) in summary.counters.iter() {
-            let local = self.writer_times(w);
-            let m = local.len().min(cr as usize);
-            for (s, t) in local.iter().enumerate().take(m) {
-                let agreed = summary.time_of(w, s as u64 + 1).is_none_or(|rt| rt == *t);
-                if agreed && (*t, UpdateId { writer: w, seq: s as u64 + 1 }) < d {
-                    last = last.max(*t);
+        for (w, _, local, m, lo, hi, times) in spans() {
+            local.newest_before(0, (lo - 1).min(m) as usize, w, d, &mut last);
+            for seq in lo..hi.min(m + 1) {
+                let t = local.get(seq as usize - 1).expect("seq <= len");
+                if times[(seq - lo) as usize] == t && (t, UpdateId { writer: w, seq }) < d {
+                    last = last.max(t);
                 }
             }
+            local.newest_before((hi - 1) as usize, m as usize, w, d, &mut last);
         }
         last
     }

@@ -137,12 +137,22 @@ fn decode_len(r: &mut WalReader<'_>) -> Result<usize, CodecError> {
     Ok(len)
 }
 
+/// Encodes a sequence in the `Vec<T>` wire form (count, then the items)
+/// from borrowed items, so a caller holding `&[T]` or scattered `&T`s
+/// need not collect an owned `Vec` first.
+pub(crate) fn encode_seq<'a, T: WalCodec + 'a>(
+    items: impl ExactSizeIterator<Item = &'a T>,
+    out: &mut Vec<u8>,
+) {
+    (items.len() as u64).encode(out);
+    for item in items {
+        item.encode(out);
+    }
+}
+
 impl<T: WalCodec> WalCodec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        encode_seq(self.iter(), out);
     }
     fn decode(r: &mut WalReader<'_>) -> Result<Self, CodecError> {
         let len = decode_len(r)?;

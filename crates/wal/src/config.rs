@@ -28,8 +28,11 @@ pub enum DurabilityMode {
 pub struct DurabilityConfig {
     /// Fsync policy; [`DurabilityMode::Off`] disables the plane entirely.
     pub mode: DurabilityMode,
-    /// After this many log records a shard writes a durable snapshot and
-    /// truncates its log. Must be positive when the plane is on.
+    /// The minimum log tail: a shard writes a durable snapshot and
+    /// truncates its log once the tail holds this many records *and* at
+    /// least as many as the previous snapshot held updates (see
+    /// [`crate::ShardWal::should_snapshot`]). Must be positive when the
+    /// plane is on.
     pub snapshot_every: u64,
     /// Root directory for WAL and snapshot files (one subdirectory per
     /// node). Must be non-empty when the plane is on.

@@ -39,4 +39,4 @@ pub use codec::{CodecError, WalCodec, WalReader};
 pub use config::{DurabilityConfig, DurabilityMode};
 pub use log::{crc32, Recovered, ShardWal, WalError, WalResult};
 pub use record::WalRecord;
-pub use snapshot::{ObjectSnapshot, ShardSnapshot};
+pub use snapshot::{ObjectSnapshot, ObjectSnapshotRef, ShardSnapshot, ShardSnapshotRef};

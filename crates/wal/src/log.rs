@@ -4,7 +4,7 @@
 use crate::codec::WalCodec;
 use crate::config::{DurabilityConfig, DurabilityMode};
 use crate::record::WalRecord;
-use crate::snapshot::ShardSnapshot;
+use crate::snapshot::{ShardSnapshot, ShardSnapshotRef};
 use idea_types::NodeId;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -107,10 +107,19 @@ impl Recovered {
     }
 }
 
-fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Appends one frame to `out`, letting `encode` write the payload straight
+/// into it: the header is reserved first and filled in once the payload's
+/// length and checksum are known, so nothing is encoded into a buffer of
+/// its own and copied.
+fn append_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    encode(out);
+    let payload = header + FRAME_HEADER;
+    let len = (out.len() - payload) as u32;
+    let crc = crc32(&out[payload..]);
+    out[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    out[header + 4..payload].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// One frame scanned out of `buf` at `pos`: `Some((payload, next_pos))`
@@ -145,8 +154,13 @@ pub struct ShardWal {
     shard: u32,
     file: File,
     tail_records: u64,
+    /// Updates held by the snapshot on disk (0 when there is none): the
+    /// tail is allowed to grow to this before the next one is due.
+    snapshot_records: u64,
     /// Appends written since the last `fdatasync` (group-commit window).
     unsynced: u64,
+    /// The frame being appended (kept for its allocation).
+    frame: Vec<u8>,
 }
 
 impl ShardWal {
@@ -262,7 +276,9 @@ impl ShardWal {
             shard,
             file,
             tail_records: recovered.tail.len() as u64,
+            snapshot_records: recovered.snapshot.as_ref().map_or(0, |s| s.borrowed().records()),
             unsynced: 0,
+            frame: Vec::new(),
         };
         Ok((wal, recovered))
     }
@@ -300,7 +316,9 @@ impl ShardWal {
             shard,
             file,
             tail_records: 0,
+            snapshot_records: 0,
             unsynced: 0,
+            frame: Vec::new(),
         })
     }
 
@@ -312,10 +330,9 @@ impl ShardWal {
     /// # Errors
     /// Fails on I/O errors.
     pub fn append(&mut self, rec: &WalRecord) -> WalResult<()> {
-        let payload = rec.to_bytes();
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        append_frame(&mut frame, &payload);
-        self.file.write_all(&frame)?;
+        self.frame.clear();
+        append_frame(&mut self.frame, |out| rec.encode(out));
+        self.file.write_all(&self.frame)?;
         self.unsynced += 1;
         if self.mode == DurabilityMode::Sync && self.unsynced >= self.group_commit {
             self.file.sync_data()?;
@@ -343,10 +360,18 @@ impl ShardWal {
         self.unsynced
     }
 
-    /// True once the tail has grown past `snapshot_every` records — time
-    /// for the owner to call [`ShardWal::install_snapshot`].
+    /// True once the tail holds at least `snapshot_every` records **and**
+    /// at least as many as the snapshot on disk holds updates — time for
+    /// the owner to call [`ShardWal::install_snapshot`]. Rewriting the
+    /// whole state only after as much again has been logged (the
+    /// append-only-file rewrite rule) keeps the bytes written to snapshots
+    /// over `N` records at `O(N)`, where a fixed period costs
+    /// `O(N² / period)`; recovery never replays more records than it
+    /// loads, and the log never outgrows the snapshot by more than the
+    /// `snapshot_every` floor.
     pub fn should_snapshot(&self) -> bool {
-        self.snapshot_every > 0 && self.tail_records >= self.snapshot_every
+        self.snapshot_every > 0
+            && self.tail_records >= self.snapshot_every.max(self.snapshot_records)
     }
 
     /// Records appended since the last durable snapshot (the "WAL tail").
@@ -363,14 +388,12 @@ impl ShardWal {
     ///
     /// # Errors
     /// Fails on I/O errors.
-    pub fn install_snapshot(&mut self, snap: &ShardSnapshot) -> WalResult<()> {
+    pub fn install_snapshot(&mut self, snap: &ShardSnapshotRef<'_>) -> WalResult<()> {
         let tmp = self.snap_path.with_extension("tmp");
         {
             let mut f = File::create(&tmp)?;
-            let payload = snap.to_bytes();
-            let mut out = Vec::with_capacity(SNAP_MAGIC.len() + FRAME_HEADER + payload.len());
-            out.extend_from_slice(SNAP_MAGIC);
-            append_frame(&mut out, &payload);
+            let mut out = SNAP_MAGIC.to_vec();
+            append_frame(&mut out, |out| snap.encode(out));
             f.write_all(&out)?;
             f.sync_all()?;
         }
@@ -381,6 +404,7 @@ impl ShardWal {
             self.file.sync_data()?;
         }
         self.tail_records = 0;
+        self.snapshot_records = snap.records();
         self.unsynced = 0;
         Ok(())
     }
@@ -500,7 +524,7 @@ mod tests {
             let (mut wal, _) = ShardWal::open(&cfg, NodeId(0), 0).unwrap();
             wal.append(&WalRecord::Open { object: ObjectId(3) }).unwrap();
             wal.append(&WalRecord::Write { update: upd(1) }).unwrap();
-            wal.install_snapshot(&snap).unwrap();
+            wal.install_snapshot(&snap.borrowed()).unwrap();
             assert_eq!(wal.tail_records(), 0, "snapshot empties the tail");
             wal.append(&WalRecord::Write { update: upd(2) }).unwrap();
         }
