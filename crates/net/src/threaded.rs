@@ -105,6 +105,57 @@ impl<M> Ord for InFlight<M> {
     }
 }
 
+/// One worker thread's timers: the due-ordered heap plus the set of ids
+/// still armed. Cancelling removes the id from `live` and leaves the heap
+/// entry to be skipped when it comes due, so the set never outgrows the
+/// heap — in particular, cancelling a timer that already fired (what
+/// `finish_round` does to the deadline that woke it) records nothing.
+#[derive(Default)]
+struct Timers {
+    /// `(due, id, kind)`, earliest first.
+    heap: BinaryHeap<Reverse<(Instant, u64, u64)>>,
+    /// Ids armed and neither fired nor cancelled.
+    live: HashSet<u64>,
+    next_id: u64,
+}
+
+impl Timers {
+    fn arm(&mut self, due: Instant, kind: u64) -> TimerId {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.live.insert(id);
+        self.heap.push(Reverse((due, id, kind)));
+        TimerId(id)
+    }
+
+    fn cancel(&mut self, timer: TimerId) {
+        self.live.remove(&timer.0);
+    }
+
+    /// The next timer due by `now` that was not cancelled, if any.
+    fn pop_due(&mut self, now: Instant) -> Option<(TimerId, u64)> {
+        while let Some(&Reverse((due, id, kind))) = self.heap.peek() {
+            if due > now {
+                break;
+            }
+            self.heap.pop();
+            if self.live.remove(&id) {
+                return Some((TimerId(id), kind));
+            }
+        }
+        None
+    }
+
+    /// How long a worker may block before its next timer comes due (an
+    /// hour with none armed: the mailbox wakes it for everything else).
+    fn sleep_for(&self) -> Duration {
+        self.heap
+            .peek()
+            .map(|Reverse((due, _, _))| due.saturating_duration_since(Instant::now()))
+            .unwrap_or(Duration::from_secs(3600))
+    }
+}
+
 /// Node-thread context handed to protocol callbacks.
 struct ThreadCtx<'a, M> {
     me: NodeId,
@@ -112,9 +163,7 @@ struct ThreadCtx<'a, M> {
     start: Instant,
     scale: f64,
     router: &'a Sender<RouterCmd<M>>,
-    timers: &'a mut BinaryHeap<Reverse<(Instant, u64, u64)>>,
-    cancelled: &'a mut HashSet<u64>,
-    next_timer: &'a mut u64,
+    timers: &'a mut Timers,
     rng: &'a mut StdRng,
 }
 
@@ -134,14 +183,11 @@ impl<M> Context<M> for ThreadCtx<'_, M> {
         let _ = self.router.send(RouterCmd::Send { from: self.me, to, msg });
     }
     fn set_timer(&mut self, delay: SimDuration, kind: u64) -> TimerId {
-        let id = *self.next_timer;
-        *self.next_timer += 1;
         let wall = Duration::from_secs_f64(delay.as_secs_f64() * self.scale);
-        self.timers.push(Reverse((Instant::now() + wall, id, kind)));
-        TimerId(id)
+        self.timers.arm(Instant::now() + wall, kind)
     }
     fn cancel_timer(&mut self, timer: TimerId) {
-        self.cancelled.insert(timer.0);
+        self.timers.cancel(timer);
     }
     fn rng(&mut self) -> &mut dyn RngCore {
         self.rng
@@ -329,24 +375,12 @@ fn node_loop<P: Proto>(
     router: Sender<RouterCmd<P::Msg>>,
     seed: u64,
 ) {
-    let mut timers: BinaryHeap<Reverse<(Instant, u64, u64)>> = BinaryHeap::new();
-    let mut cancelled: HashSet<u64> = HashSet::new();
-    let mut next_timer: u64 = 0;
+    let mut timers = Timers::default();
     let mut rng = StdRng::seed_from_u64(seed);
 
     macro_rules! ctx {
         () => {
-            ThreadCtx {
-                me,
-                n,
-                start,
-                scale,
-                router: &router,
-                timers: &mut timers,
-                cancelled: &mut cancelled,
-                next_timer: &mut next_timer,
-                rng: &mut rng,
-            }
+            ThreadCtx { me, n, start, scale, router: &router, timers: &mut timers, rng: &mut rng }
         };
     }
 
@@ -357,30 +391,14 @@ fn node_loop<P: Proto>(
 
     loop {
         // Fire due timers first.
-        loop {
-            let due_now = match timers.peek() {
-                Some(Reverse((due, _, _))) => *due <= Instant::now(),
-                None => false,
-            };
-            if !due_now {
-                break;
-            }
-            let Reverse((_, id, kind)) = timers.pop().expect("peeked");
-            if cancelled.remove(&id) {
-                continue;
-            }
+        while let Some((id, kind)) = timers.pop_due(Instant::now()) {
             let mut c = ctx!();
-            proto.on_timer(TimerId(id), kind, &mut c);
+            proto.on_timer(id, kind, &mut c);
         }
 
         // With no timer armed there is nothing to poll for: block until
         // the next envelope (Stop also arrives on the channel).
-        let timeout = timers
-            .peek()
-            .map(|Reverse((due, _, _))| due.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_secs(3600));
-
-        match inbox.recv_timeout(timeout) {
+        match inbox.recv_timeout(timers.sleep_for()) {
             Ok(Envelope::Net { from, msg }) => {
                 let mut c = ctx!();
                 proto.on_message(from, msg, &mut c);
@@ -471,9 +489,7 @@ struct ShardCtx<'a, M> {
     scale: f64,
     route: fn(&M, usize) -> usize,
     routers: &'a [Sender<RouterCmd<M>>],
-    timers: &'a mut BinaryHeap<Reverse<(Instant, u64, u64)>>,
-    cancelled: &'a mut HashSet<u64>,
-    next_timer: &'a mut u64,
+    timers: &'a mut Timers,
     rng: &'a mut StdRng,
 }
 
@@ -494,14 +510,11 @@ impl<M> Context<M> for ShardCtx<'_, M> {
         let _ = self.routers[shard].send(RouterCmd::Send { from: self.me, to, msg });
     }
     fn set_timer(&mut self, delay: SimDuration, kind: u64) -> TimerId {
-        let id = *self.next_timer;
-        *self.next_timer += 1;
         let wall = Duration::from_secs_f64(delay.as_secs_f64() * self.scale);
-        self.timers.push(Reverse((Instant::now() + wall, id, kind)));
-        TimerId(id)
+        self.timers.arm(Instant::now() + wall, kind)
     }
     fn cancel_timer(&mut self, timer: TimerId) {
-        self.cancelled.insert(timer.0);
+        self.timers.cancel(timer);
     }
     fn rng(&mut self) -> &mut dyn RngCore {
         self.rng
@@ -763,9 +776,7 @@ fn shard_worker_loop<P: ShardedProto>(
     routers: Vec<Sender<RouterCmd<P::Msg>>>,
     seed: u64,
 ) {
-    let mut timers: BinaryHeap<Reverse<(Instant, u64, u64)>> = BinaryHeap::new();
-    let mut cancelled: HashSet<u64> = HashSet::new();
-    let mut next_timer: u64 = 0;
+    let mut timers = Timers::default();
     let mut rng = StdRng::seed_from_u64(seed);
 
     macro_rules! ctx {
@@ -779,8 +790,6 @@ fn shard_worker_loop<P: ShardedProto>(
                 route: P::shard_of,
                 routers: &routers,
                 timers: &mut timers,
-                cancelled: &mut cancelled,
-                next_timer: &mut next_timer,
                 rng: &mut rng,
             }
         };
@@ -793,32 +802,16 @@ fn shard_worker_loop<P: ShardedProto>(
 
     loop {
         // Fire due timers first.
-        loop {
-            let due_now = match timers.peek() {
-                Some(Reverse((due, _, _))) => *due <= Instant::now(),
-                None => false,
-            };
-            if !due_now {
-                break;
-            }
-            let Reverse((_, id, kind)) = timers.pop().expect("peeked");
-            if cancelled.remove(&id) {
-                continue;
-            }
+        while let Some((id, kind)) = timers.pop_due(Instant::now()) {
             let mut c = ctx!();
-            P::shard_on_timer(shard, TimerId(id), kind, &mut c);
+            P::shard_on_timer(shard, id, kind, &mut c);
         }
 
         // Idle shard workers must not wake the scheduler: with no timer
         // armed, block until the next envelope (Stop arrives on the
         // channel too). With hundreds of workers per machine a 25 ms idle
         // poll was a measurable scheduling storm.
-        let timeout = timers
-            .peek()
-            .map(|Reverse((due, _, _))| due.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_secs(3600));
-
-        match inbox.recv_timeout(timeout) {
+        match inbox.recv_timeout(timers.sleep_for()) {
             Ok(ShardEnvelope::Net { from, msg }) => {
                 let mut c = ctx!();
                 P::shard_on_message(shard, from, msg, &mut c);
@@ -991,6 +984,31 @@ mod tests {
         thread::sleep(Duration::from_millis(120));
         let states = eng.stop();
         assert_eq!(states[0].fired, vec![7]);
+    }
+
+    /// The serving pattern that used to leak: `finish_round` cancels the
+    /// deadline timer whose firing called it. 100 k such cycles must leave
+    /// nothing behind — and a cancelled-before-due timer must still never
+    /// fire, nor a junk id disturb anything.
+    #[test]
+    fn cancelling_fired_timers_leaves_no_tombstones() {
+        let mut timers = Timers::default();
+        let now = Instant::now();
+        for cycle in 0..100_000u64 {
+            let armed = timers.arm(now, cycle);
+            let (fired, kind) = timers.pop_due(now).expect("due timer fires");
+            assert_eq!((fired, kind), (armed, cycle));
+            timers.cancel(fired);
+        }
+        assert!(timers.live.is_empty() && timers.heap.is_empty());
+
+        let doomed = timers.arm(now, 1);
+        let kept = timers.arm(now, 2);
+        timers.cancel(doomed);
+        timers.cancel(TimerId(doomed.0 + 1_000_000));
+        assert_eq!(timers.pop_due(now), Some((kept, 2)));
+        assert_eq!(timers.pop_due(now), None);
+        assert!(timers.live.is_empty() && timers.heap.is_empty());
     }
 
     #[test]

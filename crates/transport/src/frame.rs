@@ -111,19 +111,34 @@ impl WireCodec for Frame {
 /// enforced on the send side too, so an oversized command fails *its own*
 /// call instead of poisoning the connection for every pipelined request.
 pub fn frame_bytes(frame: &Frame) -> Result<Vec<u8>, WireError> {
-    let body = frame.to_bytes();
-    if body.len() > MAX_FRAME_BYTES {
-        return Err(protocol_err(format!(
-            "frame body of {} bytes exceeds cap {MAX_FRAME_BYTES}",
-            body.len()
-        )));
-    }
-    let mut out = Vec::with_capacity(10 + body.len());
+    let mut out = Vec::new();
+    encode_into(frame, &mut out)?;
+    Ok(out)
+}
+
+/// Appends `frame`, header and body, to `out` — the bytes [`frame_bytes`]
+/// returns, written in place after whatever `out` already holds, so a
+/// write queue takes a frame without a temporary buffer.
+///
+/// # Errors
+/// The same over-cap rejection as [`frame_bytes`]; `out` is then left
+/// exactly as it was passed in.
+pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) -> Result<(), WireError> {
+    let start = out.len();
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    Ok(out)
+    out.extend_from_slice(&[0u8; 4]); // length, patched once the body is encoded
+    let body_start = out.len();
+    frame.encode(out);
+    let body_len = out.len() - body_start;
+    if body_len > MAX_FRAME_BYTES {
+        out.truncate(start);
+        return Err(protocol_err(format!(
+            "frame body of {body_len} bytes exceeds cap {MAX_FRAME_BYTES}"
+        )));
+    }
+    out[body_start - 4..body_start].copy_from_slice(&(body_len as u32).to_le_bytes());
+    Ok(())
 }
 
 /// Writes one frame (header + body) and flushes.
@@ -350,6 +365,38 @@ mod tests {
             matches!(parse_frame(&wire[..10]), Err(WireError::Protocol(_))),
             "over-cap length must be rejected from the header alone"
         );
+    }
+
+    /// `encode_into` appends exactly the bytes `frame_bytes` returns and
+    /// disturbs nothing already in the buffer — including when it rejects
+    /// an over-cap frame.
+    #[test]
+    fn encode_into_appends_the_same_bytes_as_frame_bytes() {
+        use idea_types::UpdatePayload;
+        let response = Frame {
+            request_id: 9,
+            node: NodeId(1),
+            payload: FramePayload::Response(Response::Done),
+        };
+        let mut out = b"already queued".to_vec();
+        encode_into(&sample(), &mut out).unwrap();
+        encode_into(&response, &mut out).unwrap();
+        let mut expected = b"already queued".to_vec();
+        expected.extend_from_slice(&frame_bytes(&sample()).unwrap());
+        expected.extend_from_slice(&frame_bytes(&response).unwrap());
+        assert_eq!(out, expected);
+
+        let huge = Frame {
+            request_id: 1,
+            node: NodeId(0),
+            payload: FramePayload::Command(Command::Write {
+                object: ObjectId(1),
+                meta_delta: 0,
+                payload: UpdatePayload::Opaque(bytes::Bytes::from(vec![0u8; MAX_FRAME_BYTES + 1])),
+            }),
+        };
+        assert!(matches!(encode_into(&huge, &mut out), Err(WireError::Protocol(_))));
+        assert_eq!(out, expected, "a rejected frame must leave the buffer untouched");
     }
 
     /// The cap binds on the send side too: an over-cap frame fails its own

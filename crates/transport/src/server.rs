@@ -190,6 +190,17 @@ impl IdeaServer {
         }
     }
 
+    /// Wakes the completion hand-off sent the event loop since bind. A
+    /// completion wakes the loop only when no wake is already pending, so
+    /// this stays at or below [`IdeaServer::loop_wakeups`] however many
+    /// replies were delivered. Always 0 in threaded mode.
+    pub fn completion_wakes(&self) -> u64 {
+        match &self.inner {
+            Inner::Threaded(_) => 0,
+            Inner::Evented(s) => s.completion_wakes(),
+        }
+    }
+
     /// Count of reads-deferred transitions: how many times a connection
     /// crossed [`ServerConfig::high_water_bytes`] and had its reads parked
     /// until the write queue drained. Always 0 in threaded mode.

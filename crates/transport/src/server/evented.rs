@@ -13,10 +13,10 @@
 //!   responses coalesce into one syscall (replacing the writer thread).
 //!
 //! Commands still dispatch in arrival order through the non-blocking
-//! [`CommandExecutor::dispatch`] reply-callback path; callbacks push onto
-//! a completion queue and wake the loop, which encodes them in completion
-//! order — the same per-connection semantics as the threaded baseline,
-//! byte for byte.
+//! [`CommandExecutor::dispatch`] reply-callback path; callbacks hand their
+//! response to the [`CompletionSink`], which wakes the loop at most once
+//! per pass, and the loop encodes them in completion order — the same
+//! per-connection semantics as the threaded baseline, byte for byte.
 //!
 //! Readiness handling is drain-to-`WouldBlock` throughout, so the loop is
 //! correct under both level-triggered semantics (the epoll backend) and
@@ -31,7 +31,7 @@
 //! instead of ballooning server memory, without stalling its neighbours.
 
 use super::ServerConfig;
-use crate::frame::{frame_bytes, parse_frame, Frame, FramePayload, NO_REPLY};
+use crate::frame::{encode_into, frame_bytes, parse_frame, Frame, FramePayload, NO_REPLY};
 use idea_core::{CommandExecutor, Response};
 use idea_types::{NodeId, WireError};
 use mio::{Events, Interest, Poll, Token, Waker};
@@ -56,9 +56,53 @@ const READ_CHUNK: usize = 64 * 1024;
 /// unparsed remainder.
 const COMPACT_AT: usize = 64 * 1024;
 
+/// Inline completions are folded into their connection's write queue at
+/// least this often within one parse batch, so the high-water check sees
+/// them: an inline executor's backlog stays within this many responses of
+/// the mark however many frames one read delivered.
+const FOLD_EVERY: usize = 64;
+
 /// A completed command's response, queued by a dispatch callback for the
 /// loop to encode: `(connection token, request_id, node, response)`.
 type Completion = (usize, u64, NodeId, Response);
+
+/// The hand-off from whichever thread completes a command (a shard worker,
+/// or the loop itself under an inline executor) to the event loop: the one
+/// thing a reply callback holds.
+///
+/// A wake is a datagram through the loopback stack, and it carries no
+/// information once one is on its way, so [`CompletionSink::complete`]
+/// sends one only when it flips `wake_pending` from false to true. No
+/// completion is stranded by the wakes it skips: the completer pushes and
+/// *then* swaps the flag, the loop clears the flag and *then* takes the
+/// queue (all `SeqCst`), so a completion whose swap saw `true` was pushed
+/// before the clear of some pass still to come — the pass the pending
+/// wake starts — and that pass takes it.
+struct CompletionSink {
+    queue: Mutex<Vec<Completion>>,
+    wake_pending: AtomicBool,
+    waker: Waker,
+    /// Wakes actually sent by [`CompletionSink::complete`].
+    wakes: AtomicU64,
+}
+
+impl CompletionSink {
+    fn complete(&self, completion: Completion) {
+        self.queue.lock().expect("completions").push(completion);
+        if !self.wake_pending.swap(true, Ordering::SeqCst) {
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+            let _ = self.waker.wake();
+        }
+    }
+
+    /// The loop's side, once per pass: re-arms the wake, then swaps the
+    /// queued completions into `batch` (empty on entry; its buffer becomes
+    /// the next queue, so a steady state allocates nothing).
+    fn take_into(&self, batch: &mut Vec<Completion>) {
+        self.wake_pending.store(false, Ordering::SeqCst);
+        std::mem::swap(&mut *self.queue.lock().expect("completions"), batch);
+    }
+}
 
 /// Counters shared between the loop thread and the server handle.
 #[derive(Default)]
@@ -72,7 +116,7 @@ struct Stats {
 pub(super) struct EventedServer {
     local_addr: SocketAddr,
     stop_flag: Arc<AtomicBool>,
-    waker: Arc<Waker>,
+    sink: Arc<CompletionSink>,
     handle: Option<JoinHandle<()>>,
     stats: Arc<Stats>,
 }
@@ -87,13 +131,18 @@ impl EventedServer {
         listener.set_nonblocking(true)?;
         let poll = Poll::new()?;
         poll.registry().register(&listener, LISTENER, Interest::READABLE)?;
-        let waker = Arc::new(Waker::new(poll.registry(), WAKER)?);
+        let sink = Arc::new(CompletionSink {
+            queue: Mutex::new(Vec::new()),
+            wake_pending: AtomicBool::new(false),
+            waker: Waker::new(poll.registry(), WAKER)?,
+            wakes: AtomicU64::new(0),
+        });
         let stop_flag = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(Stats::default());
 
         let handle = {
             let stop_flag = Arc::clone(&stop_flag);
-            let waker = Arc::clone(&waker);
+            let sink = Arc::clone(&sink);
             let stats = Arc::clone(&stats);
             thread::Builder::new().name("idea-evented".into()).spawn(move || {
                 EventLoop {
@@ -101,19 +150,19 @@ impl EventedServer {
                     listener,
                     executor,
                     config,
-                    waker,
+                    sink,
                     stop_flag,
                     stats,
                     conns: HashMap::new(),
                     next_token: FIRST_CONN,
-                    completions: Arc::new(Mutex::new(Vec::new())),
+                    batch: Vec::new(),
                     scratch: vec![0u8; READ_CHUNK],
                 }
                 .run();
             })?
         };
 
-        Ok(EventedServer { local_addr, stop_flag, waker, handle: Some(handle), stats })
+        Ok(EventedServer { local_addr, stop_flag, sink, handle: Some(handle), stats })
     }
 
     pub(super) fn local_addr(&self) -> SocketAddr {
@@ -132,6 +181,10 @@ impl EventedServer {
         self.stats.wakeups.load(Ordering::SeqCst)
     }
 
+    pub(super) fn completion_wakes(&self) -> u64 {
+        self.sink.wakes.load(Ordering::SeqCst)
+    }
+
     pub(super) fn reads_deferred_total(&self) -> u64 {
         self.stats.reads_deferred.load(Ordering::SeqCst)
     }
@@ -140,7 +193,7 @@ impl EventedServer {
 impl Drop for EventedServer {
     fn drop(&mut self) {
         self.stop_flag.store(true, Ordering::SeqCst);
-        let _ = self.waker.wake();
+        let _ = self.sink.waker.wake();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -163,6 +216,8 @@ struct Conn {
     registered: Option<Interest>,
     /// Responses dispatched but not yet completed.
     in_flight: usize,
+    /// Already on this pass's list of connections to pump.
+    queued: bool,
     /// Reads parked by backpressure until the write queue drains.
     reads_deferred: bool,
     /// No further reads: peer EOF, malformed frame, or engine loss. The
@@ -195,6 +250,15 @@ impl Conn {
     fn done(&self) -> bool {
         self.dead || (self.no_more_reads && self.in_flight == 0 && self.pending_out() == 0)
     }
+
+    /// Adds this connection (registered under `token`) to the pass's pump
+    /// list unless it is already there; [`EventLoop::pump`] clears the mark.
+    fn queue_for_pump(&mut self, token: usize, touched: &mut Vec<usize>) {
+        if !self.queued {
+            self.queued = true;
+            touched.push(token);
+        }
+    }
 }
 
 struct EventLoop {
@@ -202,12 +266,14 @@ struct EventLoop {
     listener: TcpListener,
     executor: Arc<dyn CommandExecutor>,
     config: ServerConfig,
-    waker: Arc<Waker>,
+    sink: Arc<CompletionSink>,
     stop_flag: Arc<AtomicBool>,
     stats: Arc<Stats>,
     conns: HashMap<usize, Conn>,
     next_token: usize,
-    completions: Arc<Mutex<Vec<Completion>>>,
+    /// Completions taken from the sink and not yet encoded; empty between
+    /// uses, kept for its buffer.
+    batch: Vec<Completion>,
     scratch: Vec<u8>,
 }
 
@@ -224,27 +290,27 @@ impl EventLoop {
             for event in events.iter() {
                 match event.token() {
                     LISTENER => self.accept_ready(),
-                    WAKER => self.waker.drain(),
+                    WAKER => self.sink.waker.drain(),
                     Token(t) => {
-                        if self.conns.contains_key(&t) {
-                            touched.push(t);
+                        if let Some(conn) = self.conns.get_mut(&t) {
+                            conn.queue_for_pump(t, &mut touched);
                         }
                     }
                 }
             }
             // Completions queued by dispatch callbacks since the last
             // pass — encode them in completion order, exactly as the
-            // threaded writer drained its channel.
-            let completed = std::mem::take(&mut *self.completions.lock().expect("completions"));
-            for (t, request_id, node, response) in completed {
+            // threaded writer drained its channel. The waker was drained
+            // above, before the sink re-arms it: a wake sent from here on
+            // stays in the socket and starts the next pass.
+            self.sink.take_into(&mut self.batch);
+            for (t, request_id, node, response) in self.batch.drain(..) {
                 let Some(conn) = self.conns.get_mut(&t) else {
                     continue; // connection died while the command ran
                 };
                 conn.in_flight -= 1;
                 enqueue_response(conn, request_id, node, response);
-                if !touched.contains(&t) {
-                    touched.push(t);
-                }
+                conn.queue_for_pump(t, &mut touched);
             }
             for &t in &touched {
                 self.pump(t);
@@ -283,6 +349,7 @@ impl EventLoop {
                 out_pos: 0,
                 registered: None,
                 in_flight: 0,
+                queued: false,
                 reads_deferred: false,
                 no_more_reads: false,
                 dead: false,
@@ -293,9 +360,8 @@ impl EventLoop {
                 node: NodeId(0),
                 payload: FramePayload::Hello { nodes: self.executor.node_count() as u32 },
             };
-            match frame_bytes(&hello) {
-                Ok(bytes) => conn.out.extend_from_slice(&bytes),
-                Err(_) => continue, // unreachable: a Hello frame is tiny
+            if encode_into(&hello, &mut conn.out).is_err() {
+                continue; // unreachable: a Hello frame is tiny
             }
             self.conns.insert(token, conn);
             self.pump(token);
@@ -324,6 +390,7 @@ impl EventLoop {
     /// poller interest, and reap the connection once done.
     fn pump(&mut self, token: usize) {
         let Some(mut conn) = self.conns.remove(&token) else { return };
+        conn.queued = false;
 
         if !conn.no_more_reads && !conn.reads_deferred && !conn.dead {
             self.read_ready(&mut conn);
@@ -406,6 +473,8 @@ impl EventLoop {
     /// good (the stream position is unrecoverable) but still drains
     /// responses already owed.
     fn parse_frames(&mut self, token: usize, conn: &mut Conn) {
+        // Commands dispatched since the last fold.
+        let mut unfolded = 0;
         loop {
             if conn.dead || conn.pending_out() > self.config.high_water_bytes {
                 break;
@@ -413,7 +482,13 @@ impl EventLoop {
             match parse_frame(&conn.in_buf[conn.in_start..]) {
                 Ok(Some((frame, used))) => {
                     conn.in_start += used;
-                    self.handle_frame(token, conn, frame);
+                    if self.handle_frame(token, conn, frame) {
+                        unfolded += 1;
+                    }
+                    if unfolded == FOLD_EVERY {
+                        self.fold_own_completions(token, conn);
+                        unfolded = 0;
+                    }
                 }
                 Ok(None) => break,
                 Err(_) => {
@@ -421,6 +496,9 @@ impl EventLoop {
                     break;
                 }
             }
+        }
+        if unfolded > 0 {
+            self.fold_own_completions(token, conn);
         }
         if conn.in_start == conn.in_buf.len() {
             conn.in_buf.clear();
@@ -431,10 +509,36 @@ impl EventLoop {
         }
     }
 
+    /// Moves the completions already queued for *this* connection straight
+    /// into its write queue, so a parse batch an inline executor completed
+    /// synchronously — or a shard worker finished while the loop was still
+    /// parsing — coalesces into the flush that follows. Completions for
+    /// other connections stay queued, in order: their wake is pending and
+    /// the run loop's pass is what pumps those connections.
+    fn fold_own_completions(&mut self, token: usize, conn: &mut Conn) {
+        {
+            let mut queue = self.sink.queue.lock().expect("completions");
+            let mut others = Vec::new();
+            for completion in queue.drain(..) {
+                if completion.0 == token {
+                    self.batch.push(completion);
+                } else {
+                    others.push(completion);
+                }
+            }
+            queue.append(&mut others);
+        }
+        for (_, request_id, node, response) in self.batch.drain(..) {
+            conn.in_flight -= 1;
+            enqueue_response(conn, request_id, node, response);
+        }
+    }
+
     /// One decoded frame — the same command handling as the threaded
-    /// reader, with the reply callback queueing into the completion list
-    /// instead of a per-connection channel.
-    fn handle_frame(&mut self, token: usize, conn: &mut Conn, frame: Frame) {
+    /// reader, with the reply callback handing the response to the
+    /// completion sink instead of a per-connection channel. Returns whether
+    /// a command with a reply owed was dispatched.
+    fn handle_frame(&mut self, token: usize, conn: &mut Conn, frame: Frame) -> bool {
         let Frame { request_id, node, payload } = frame;
         match payload {
             FramePayload::Command(cmd) if request_id == NO_REPLY => {
@@ -446,45 +550,17 @@ impl EventLoop {
                     Err(WireError::EngineUnavailable(_)) => conn.no_more_reads = true,
                     Err(_) => {}
                 }
+                false
             }
             FramePayload::Command(cmd) => {
                 conn.in_flight += 1;
-                let completions = Arc::clone(&self.completions);
-                let waker = Arc::clone(&self.waker);
+                let sink = Arc::clone(&self.sink);
                 self.executor.dispatch(
                     node,
                     cmd,
-                    Box::new(move |response| {
-                        completions
-                            .lock()
-                            .expect("completions")
-                            .push((token, request_id, node, response));
-                        let _ = waker.wake();
-                    }),
+                    Box::new(move |response| sink.complete((token, request_id, node, response))),
                 );
-                // An inline executor may have completed synchronously;
-                // fold completions for *this* connection straight into its
-                // write queue so a burst of pipelined commands coalesces
-                // into one flush. Completions for other connections stay
-                // queued — their callback's wakeup is already pending and
-                // the run loop's drain is what pumps those connections.
-                let mine = {
-                    let mut queue = self.completions.lock().expect("completions");
-                    let mut mine = Vec::new();
-                    queue.retain(|entry| {
-                        if entry.0 == token {
-                            mine.push(entry.clone());
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    mine
-                };
-                for (_, id, n, response) in mine {
-                    conn.in_flight -= 1;
-                    enqueue_response(conn, id, n, response);
-                }
+                true
             }
             // Only clients send Hello/Response frames — answer with a
             // typed rejection when correlatable, otherwise ignore.
@@ -493,6 +569,7 @@ impl EventLoop {
                     let error = WireError::Protocol("clients must send Command frames".to_string());
                     enqueue_response(conn, request_id, node, Response::Rejected { error });
                 }
+                false
             }
         }
     }
@@ -524,21 +601,14 @@ fn has_buffered_frame(buf: &[u8]) -> bool {
 /// survives — the same policy as the threaded writer.
 fn enqueue_response(conn: &mut Conn, request_id: u64, node: NodeId, response: Response) {
     let frame = Frame { request_id, node, payload: FramePayload::Response(response) };
-    let bytes = match frame_bytes(&frame) {
-        Ok(bytes) => bytes,
-        Err(error) => {
-            let substitute = Frame {
-                request_id,
-                node,
-                payload: FramePayload::Response(Response::Rejected { error }),
-            };
-            match frame_bytes(&substitute) {
-                Ok(bytes) => bytes,
-                Err(_) => return, // unreachable: the substitute is tiny
-            }
-        }
-    };
-    conn.out.extend_from_slice(&bytes);
+    if let Err(error) = encode_into(&frame, &mut conn.out) {
+        let substitute = Frame {
+            request_id,
+            node,
+            payload: FramePayload::Response(Response::Rejected { error }),
+        };
+        let _ = encode_into(&substitute, &mut conn.out); // cannot fail: the substitute is tiny
+    }
 }
 
 /// Flushes the write queue until `WouldBlock` or empty. One `write` call
