@@ -1,5 +1,6 @@
-//! The benchmark harness: one binary per table/figure of the paper plus the
-//! ablations, and two Criterion benches.
+//! The paper artifacts: one binary per table/figure of the paper plus the
+//! ablations, and three Criterion benches. (The repo's performance
+//! benchmark is the standalone `benchmark/` package, see `BENCHMARK.json`.)
 //!
 //! | Paper artifact | Binary |
 //! |---|---|
@@ -13,14 +14,11 @@
 //! | Ablations A1–A4 | `ablate_coverage`, `ablate_rollback`, `ablate_parallel`, `ablate_booking_bounds` |
 //!
 //! `cargo bench` runs `benches/figures.rs` (every scenario end-to-end,
-//! printing the paper-vs-measured reports) and `benches/microbench.rs`
-//! (Criterion timings of the building blocks).
+//! printing the paper-vs-measured reports), `benches/microbench.rs`
+//! (Criterion timings of the building blocks) and `benches/hotpath.rs`
+//! (the detection hot path at realistic history depths).
 
 #![forbid(unsafe_code)]
-
-pub mod hist;
-
-pub use hist::LatencyHistogram;
 
 /// Default seed shared by the binaries so their outputs agree with the
 /// committed EXPERIMENTS.md.

@@ -7,12 +7,10 @@
 //! only reach from inside an engine callback. This module lifts them into a
 //! serializable [`Command`]/[`Response`] pair — the exact unit a network
 //! frontend can carry — executed through the [`EngineHandle`] trait, which
-//! all three engines implement:
+//! both engines implement:
 //!
 //! * [`idea_net::SimEngine`] — commands run deterministically in virtual
 //!   time via `with_node`;
-//! * [`idea_net::ThreadedEngine`] — commands post to the node thread's
-//!   mailbox and block for the response;
 //! * [`idea_net::ShardedEngine`] — commands route to the shard worker
 //!   owning the object (`ShardId::of`, the same hash the message mailboxes
 //!   use); node-wide commands fan out to every shard worker.
@@ -38,7 +36,7 @@ use crate::messages::IdeaMsg;
 use crate::protocol::{IdeaNode, NodeReport, ProtocolShard};
 use crate::quantify::{MaxBounds, Weights};
 use crate::resolution::ResolutionPolicy;
-use idea_net::{Context, Proto, ShardedEngine, ShardedProto, SimEngine, ThreadedEngine};
+use idea_net::{Context, Proto, ShardedEngine, ShardedProto, SimEngine};
 use idea_types::{
     ConsistencyLevel, IdeaError, NodeId, ObjectId, Result, SimDuration, SimTime, Update,
     UpdatePayload, WireError,
@@ -563,8 +561,8 @@ fn unexpected(what: &'static str, got: Response) -> CommandError {
 // Command execution
 // ====================================================================
 
-/// Executes one command against a whole node (single-worker engines; also
-/// the path the applications use from inside protocol callbacks).
+/// Executes one command against a whole node (the deterministic engine;
+/// also the path the applications use from inside protocol callbacks).
 pub fn apply_to_node(
     node: &mut IdeaNode,
     cmd: Command,
@@ -742,8 +740,8 @@ fn setter_spec(cmd: Command) -> Result<ConsistencySpec> {
 // ====================================================================
 
 /// A running deployment that can execute client [`Command`]s against its
-/// nodes — the surface [`Session`]s are written against. Implemented by all
-/// three in-process engines and by the TCP client stub in
+/// nodes — the surface [`Session`]s are written against. Implemented by
+/// both in-process engines and by the TCP client stub in
 /// `idea-transport`, so session-based application code compiles once and
 /// runs unchanged locally or against a remote cluster.
 ///
@@ -759,14 +757,14 @@ pub trait EngineHandle {
 
     /// Executes `cmd` on `node` and waits for the response. On the
     /// deterministic engine this runs inline in virtual time; on the
-    /// threaded engines it posts to the owning worker's mailbox and blocks
+    /// threaded engine it posts to the owning worker's mailbox and blocks
     /// for the reply. Engine-level failures (dead worker, lost connection)
     /// surface as [`Response::Rejected`] with the typed [`WireError`] — no
     /// engine panics across this boundary.
     fn execute(&mut self, node: NodeId, cmd: Command) -> Response;
 
     /// Fire-and-forget variant: posts the command without waiting for its
-    /// response. On the threaded engines and the remote stub this is the
+    /// response. On the threaded engine and the remote stub this is the
     /// genuinely pipelined write-drain fast path — the call returns once
     /// the command is enqueued (or written to the socket), never blocking
     /// on the reply; the deterministic engine executes inline and discards
@@ -787,8 +785,8 @@ pub type ReplyFn = Box<dyn FnOnce(Response) + Send + 'static>;
 /// panicking, so the same typed error crosses the wire that local callers
 /// see.
 ///
-/// Implementors: [`ThreadedEngine`], [`ShardedEngine`] (commands go
-/// straight into the existing per-node / per-shard mailboxes),
+/// Implementors: [`ShardedEngine`] (commands go straight into the
+/// existing per-shard mailboxes),
 /// [`LockedEngine`] (any `EngineHandle` behind a mutex — how the
 /// deterministic engine is served), and the `RemoteEngine` client stub in
 /// `idea-transport` (proxying makes a server chainable).
@@ -962,66 +960,6 @@ where
     }
 }
 
-impl<P> CommandExecutor for ThreadedEngine<P>
-where
-    P: Proto<Msg = IdeaMsg> + IdeaHost + 'static,
-{
-    fn node_count(&self) -> usize {
-        self.len()
-    }
-
-    fn try_execute(&self, node: NodeId, cmd: Command) -> std::result::Result<Response, WireError> {
-        if node.index() >= self.len() {
-            return Ok(Response::err(IdeaError::UnknownNode(node)));
-        }
-        self.try_query(node, move |p, ctx| apply_to_node(p.idea_mut(), cmd, ctx))
-            .ok_or_else(engine_unavailable)
-    }
-
-    fn dispatch(&self, node: NodeId, cmd: Command, reply: ReplyFn) {
-        if node.index() >= self.len() {
-            return reply(Response::err(IdeaError::UnknownNode(node)));
-        }
-        let cell = ReplyCell::new(reply);
-        let in_worker = cell.clone();
-        if !self.try_invoke(node, move |p, ctx| {
-            in_worker.call(apply_to_node(p.idea_mut(), cmd, ctx));
-        }) {
-            cell.call(Response::err(engine_unavailable()));
-        }
-    }
-
-    fn try_submit(&self, node: NodeId, cmd: Command) -> std::result::Result<(), WireError> {
-        if node.index() >= self.len() {
-            return Ok(()); // dropped rejection, per the trait contract
-        }
-        if self.try_invoke(node, move |p, ctx| {
-            let _ = apply_to_node(p.idea_mut(), cmd, ctx);
-        }) {
-            Ok(())
-        } else {
-            Err(engine_unavailable())
-        }
-    }
-}
-
-impl<P> EngineHandle for ThreadedEngine<P>
-where
-    P: Proto<Msg = IdeaMsg> + IdeaHost + 'static,
-{
-    fn nodes(&self) -> usize {
-        self.len()
-    }
-
-    fn execute(&mut self, node: NodeId, cmd: Command) -> Response {
-        CommandExecutor::try_execute(self, node, cmd).unwrap_or_else(Response::err)
-    }
-
-    fn submit(&mut self, node: NodeId, cmd: Command) {
-        let _ = CommandExecutor::try_submit(self, node, cmd);
-    }
-}
-
 impl<P> CommandExecutor for ShardedEngine<P>
 where
     P: ShardedProto<Msg = IdeaMsg, Shard = ProtocolShard> + 'static,
@@ -1058,8 +996,8 @@ where
             // to every worker, then resolve on the owning shard (the same
             // split `IdeaNode::user_dissatisfied` performs). The owning
             // shard validates object and weights *before* the fan-out so a
-            // rejected command mutates nothing — the same atomicity the
-            // single-worker engines get from their up-front checks.
+            // rejected command mutates nothing — the same atomicity
+            // `apply_to_node` gets from its up-front checks.
             Command::Dissatisfied { object, new_weights: Some(w) } => {
                 match self.dissatisfied_checks(node, object, w)? {
                     Response::Done => {}

@@ -132,15 +132,6 @@ pub struct IdeaConfig {
     /// preserves the historical single-reply behaviour; `Some(0)` is
     /// rejected by [`IdeaConfig::validate`].
     pub max_fetch_updates: Option<usize>,
-    /// Batch the pending lazy-gossip advertisements of **every** object in
-    /// a shard onto outgoing detect frames (one
-    /// [`crate::messages::DigestGroup`] per object), not just the probed
-    /// object's. Saves the per-object flush-timer frames, but delivers
-    /// adverts earlier the more objects share a shard — message timing
-    /// then depends on the shard count, so the default is off to preserve
-    /// the shard-equivalence invariant. Byte accounting for the batched
-    /// form is exercised by the `gossip_scale` benchmark.
-    pub batch_digests: bool,
     /// Durability plane: per-shard write-ahead logging, periodic durable
     /// snapshots with log truncation, and the fsync policy
     /// ([`idea_wal::DurabilityMode`]). The default is
@@ -180,7 +171,6 @@ impl Default for IdeaConfig {
             store_shards: 1,
             compact_resolution: true,
             max_fetch_updates: None,
-            batch_digests: false,
             durability: DurabilityConfig::off(),
         }
     }
@@ -319,7 +309,6 @@ mod tests {
         assert_eq!(c.store_shards, 1, "default is the paper's unsharded store");
         assert!(c.compact_resolution, "compact wire forms are byte-equivalent in behaviour");
         assert!(c.max_fetch_updates.is_none(), "fetch chunking is opt-in");
-        assert!(!c.batch_digests, "cross-object batching is opt-in (shard-equivalence)");
         assert!(!c.durability.enabled(), "durability is opt-in (pinned traces unchanged)");
     }
 

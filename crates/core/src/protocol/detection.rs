@@ -61,32 +61,16 @@ pub(crate) struct Detection {
     batch_armed: bool,
 }
 
-/// Drains the pending IHAVEs bound for `peer` into per-object digest
-/// groups for piggybacking on a detect frame. Always drains the probed
-/// object's outbox; with [`crate::IdeaConfig::batch_digests`] set it also
-/// drains **every other** object of the shard (its groups follow the
-/// probed object's, in object order), so one frame flushes the shard's
-/// whole outbox for that peer instead of waiting on each object's own
-/// detect traffic or flush timer (cross-object digest batching).
+/// Drains the probed object's pending IHAVEs bound for `peer` into a
+/// digest group for piggybacking on a detect frame (none when its outbox
+/// for that peer is empty).
 fn batched_digests(core: &mut NodeCore, primary: ObjectId, peer: NodeId) -> Vec<DigestGroup> {
-    let mut groups = Vec::new();
     let ids = core.obj_mut(primary).lazy.take_outbox(peer);
-    if !ids.is_empty() {
-        groups.push(DigestGroup { object: primary, ids });
+    if ids.is_empty() {
+        Vec::new()
+    } else {
+        vec![DigestGroup { object: primary, ids }]
     }
-    if !core.cfg.batch_digests {
-        return groups;
-    }
-    for (&object, shared) in core.objs.iter_mut() {
-        if object == primary {
-            continue;
-        }
-        let ids = shared.lazy.take_outbox(peer);
-        if !ids.is_empty() {
-            groups.push(DigestGroup { object, ids });
-        }
-    }
-    groups
 }
 
 impl Detection {

@@ -12,14 +12,9 @@
 //!
 //! All state is per-object (it lives inside [`super::ObjShared`]), so the
 //! sharded runtime needs no cross-shard coordination. Piggybacked digests
-//! are grouped per object ([`crate::messages::DigestGroup`]); with
-//! [`crate::IdeaConfig::batch_digests`] set, one detect frame batches the
-//! groups of **every** object in its shard that has advertisements queued
-//! for the receiving peer — objects never cross shards, so the routing
-//! invariant is preserved while one frame drains what would otherwise
-//! take one flush timer per object. The batching is opt-in because it
-//! delivers adverts earlier the more objects share a shard, which makes
-//! message timing shard-count-dependent.
+//! are grouped per object ([`crate::messages::DigestGroup`]): a detect
+//! frame carries the probed object's group only, so when an advert is
+//! delivered never depends on which other objects share its shard.
 
 use super::{pack, NodeCore, K_LAZY_FLUSH};
 use crate::messages::IdeaMsg;

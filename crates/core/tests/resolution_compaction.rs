@@ -12,7 +12,9 @@
 //!    node — the delta path reconstructs exactly the vectors the full
 //!    path ships, so `choose_reference` picks the same winner.
 //! 2. **Compaction**: the compact run pays strictly fewer
-//!    resolution-control bytes for it, at the same message count.
+//!    resolution-control bytes for it, at the same message count — and at
+//!    least 4× fewer once bursts have built deep histories (the PR-8
+//!    acceptance floor).
 //! 3. **Chunking**: `max_fetch_updates` ∈ {1, 7, 64, ∞} all converge to
 //!    the same final replicas — a chunked backlog reassembles the same
 //!    update set one unbounded reply would ship. (The per-frame bound
@@ -52,6 +54,18 @@ impl Outcome {
 }
 
 fn run(compact: bool, max_fetch: Option<usize>, n: usize, seed: u64, waves: u32) -> Outcome {
+    run_bursts(compact, max_fetch, n, seed, waves, 1)
+}
+
+/// [`run`] with every writer issuing `burst` back-to-back writes per wave.
+fn run_bursts(
+    compact: bool,
+    max_fetch: Option<usize>,
+    n: usize,
+    seed: u64,
+    waves: u32,
+    burst: u32,
+) -> Outcome {
     let cfg = IdeaConfig {
         // Sweep-driven rollbacks trigger resolution rounds (the same
         // recipe the gossip-equivalence scenario uses), and an explicit
@@ -75,10 +89,12 @@ fn run(compact: bool, max_fetch: Option<usize>, n: usize, seed: u64, waves: u32)
     // every writer writes concurrently, so detection finds divergence and
     // rollback resolution picks references round after round.
     for wave in 0..waves {
-        for w in 0..writers {
-            eng.with_node(NodeId(w), |p, ctx| {
-                p.local_write(OBJ, 1 + wave as i64, UpdatePayload::none(), ctx);
-            });
+        for _ in 0..burst {
+            for w in 0..writers {
+                eng.with_node(NodeId(w), |p, ctx| {
+                    p.local_write(OBJ, 1 + wave as i64, UpdatePayload::none(), ctx);
+                });
+            }
         }
         eng.run_for(SimDuration::from_secs(5));
     }
@@ -115,7 +131,7 @@ fn compact_and_full_wire_converge_identically_on_fixed_seeds() {
     // only the divergence, so the byte gap is structural, not noise. (On
     // shallow histories the probe summary can outweigh the delta saving —
     // compaction is a deep-history optimisation, which is the regime the
-    // burst benchmark pins.)
+    // burst case below pins.)
     for seed in [7u64, 21, 42] {
         let full = run(false, None, 10, seed, 10);
         let compact = run(true, None, 10, seed, 10);
@@ -131,6 +147,27 @@ fn compact_and_full_wire_converge_identically_on_fixed_seeds() {
         assert!(
             compact.ctl_bytes < full.ctl_bytes,
             "seed {seed}: compact ctl bytes {} not below full {}",
+            compact.ctl_bytes,
+            full.ctl_bytes
+        );
+    }
+}
+
+/// The PR-8 acceptance floor: bursts build deep per-writer histories (20
+/// waves of 8 writes by each of 4 writers), and there the compact wire
+/// must cost at least 4× fewer resolution-control bytes than the full
+/// wire for the identical outcome. It measures 4.3–4.8× on these seeds,
+/// and the ratio grows with depth (5.9× at 30 waves).
+#[test]
+fn compact_wire_is_4x_smaller_under_bursts() {
+    for seed in [7u64, 21, 42] {
+        let full = run_bursts(false, None, 10, seed, 20, 8);
+        let compact = run_bursts(true, None, 10, seed, 20, 8);
+        assert_eq!(full.state(), compact.state(), "seed {seed}: outcomes diverged");
+        assert_eq!(full.ctl_msgs, compact.ctl_msgs, "seed {seed}: message counts differ");
+        assert!(
+            compact.ctl_bytes * 4 <= full.ctl_bytes,
+            "seed {seed}: compact ctl bytes {} not 4x below full {}",
             compact.ctl_bytes,
             full.ctl_bytes
         );

@@ -7,10 +7,11 @@
 //! * [`sim::SimEngine`] — a deterministic discrete-event simulator in virtual
 //!   time. All figures and tables of the paper are regenerated on it; a
 //!   seed fully determines a run.
-//! * [`threaded::ThreadedEngine`] — one OS thread per node, crossbeam
-//!   channels for links, a router thread injecting the same latency model in
-//!   wall-clock time. Used by examples and integration tests to demonstrate
-//!   the protocol under real concurrency.
+//! * [`threaded::ShardedEngine`] — OS threads (one worker per node and
+//!   state shard), crossbeam channels for links, router threads injecting
+//!   the same latency model in wall-clock time. This is the engine a served
+//!   deployment runs on; examples and integration tests also use it to
+//!   demonstrate the protocol under real concurrency.
 //!
 //! Protocol logic implements [`Proto`] and interacts with the world only
 //! through [`Context`] (time, identity, sends, timers, RNG), which is what
@@ -36,6 +37,6 @@ pub use latency::{Jitter, LatencyModel};
 pub use proto::{Context, Proto, ShardedProto, TimerId, Wire};
 pub use sim::{Quiescence, SimConfig, SimEngine};
 pub use stats::{MsgClass, NetStats, StatsSnapshot};
-pub use threaded::{shards_from_env, ShardedEngine, ThreadedConfig, ThreadedEngine};
+pub use threaded::{ShardedEngine, ThreadedConfig};
 pub use topology::{Region, Topology};
 pub use wheel::TimerWheel;

@@ -1,25 +1,25 @@
 //! The threaded runtime: the same [`Proto`] state machines on real threads.
 //!
-//! One OS thread per node plus a router thread. Links are crossbeam
-//! channels; the router holds every in-flight message in a delay heap and
-//! forwards it when its (scaled) latency elapses, so the threaded engine
-//! exhibits the same WAN behaviour as the simulator — just in wall-clock
-//! time and without determinism.
+//! [`ShardedEngine`] runs `ThreadedConfig::shards` worker threads **per
+//! node**, each owning one shard of the node's state, plus one delay-router
+//! thread per shard. Links are crossbeam channels; a router holds every
+//! in-flight message in a delay heap and forwards it when its (scaled)
+//! latency elapses, so the engine exhibits the same WAN behaviour as the
+//! simulator — just in wall-clock time and without determinism. At
+//! `shards: 1` that is one worker per node and one router: the plain
+//! thread-per-node runtime.
 //!
 //! `time_scale` maps virtual time to wall time (`wall = virtual × scale`), so
 //! integration tests can replay a 100-second PlanetLab scenario in a second.
 //!
-//! ## Sharded mode
+//! ## The sharded mailbox
 //!
-//! For protocols implementing [`ShardedProto`], [`ShardedEngine`] runs
-//! `ThreadedConfig::shards` workers **per node**, each owning one shard of
-//! the node's state, with a sharded mailbox: every message is routed to the
-//! worker `ShardedProto::shard_of(msg, S)` of its destination node, so
-//! messages about one object always land on the same FIFO worker (per-object
-//! order preserved) while disjoint objects are processed concurrently. The
-//! delay-router is sharded by the same function — shard `s` traffic of all
-//! nodes flows through router `s` — so no single thread serialises the
-//! cluster's forwarding.
+//! Every message is routed to the worker `ShardedProto::shard_of(msg, S)` of
+//! its destination node, so messages about one object always land on the
+//! same FIFO worker (per-object order preserved) while disjoint objects are
+//! processed concurrently. The delay-router is sharded by the same function
+//! — shard `s` traffic of all nodes flows through router `s` — so no single
+//! thread serialises the cluster's forwarding.
 
 use crate::proto::{Context, Proto, ShardedProto, TimerId, Wire};
 use crate::stats::{NetStats, StatsSnapshot};
@@ -43,9 +43,8 @@ pub struct ThreadedConfig {
     /// Wall seconds per virtual second. `0.01` replays a 100 s scenario in
     /// roughly one wall second.
     pub time_scale: f64,
-    /// Shard workers per node ([`ShardedEngine`] only; the plain
-    /// [`ThreadedEngine`] always runs one worker per node and requires this
-    /// to be ≤ 1). Every node's [`ShardedProto::shard_count`] must equal it.
+    /// Shard workers per node. Every node's [`ShardedProto::shard_count`]
+    /// must equal it.
     pub shards: usize,
 }
 
@@ -53,25 +52,6 @@ impl Default for ThreadedConfig {
     fn default() -> Self {
         ThreadedConfig { seed: 0, time_scale: 1.0, shards: 1 }
     }
-}
-
-/// Reads the shard count for threaded runs from the `THREADED_SHARDS`
-/// environment variable (the CI matrix knob), defaulting to `default`.
-pub fn shards_from_env(default: usize) -> usize {
-    std::env::var("THREADED_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(default)
-}
-
-/// Boxed closure run on a node's own thread (see [`ThreadedEngine::invoke`]).
-type InvokeFn<P> = Box<dyn FnOnce(&mut P, &mut dyn Context<<P as Proto>::Msg>) + Send>;
-
-enum Envelope<P: Proto> {
-    Net { from: NodeId, msg: P::Msg },
-    Invoke(InvokeFn<P>),
-    Stop,
 }
 
 enum RouterCmd<M> {
@@ -156,319 +136,6 @@ impl Timers {
     }
 }
 
-/// Node-thread context handed to protocol callbacks.
-struct ThreadCtx<'a, M> {
-    me: NodeId,
-    n: usize,
-    start: Instant,
-    scale: f64,
-    router: &'a Sender<RouterCmd<M>>,
-    timers: &'a mut Timers,
-    rng: &'a mut StdRng,
-}
-
-impl<M> Context<M> for ThreadCtx<'_, M> {
-    fn now(&self) -> SimTime {
-        let wall = self.start.elapsed().as_micros() as f64;
-        SimTime((wall / self.scale) as u64)
-    }
-    fn me(&self) -> NodeId {
-        self.me
-    }
-    fn node_count(&self) -> usize {
-        self.n
-    }
-    fn send(&mut self, to: NodeId, msg: M) {
-        // A closed router means the engine is stopping; drop silently.
-        let _ = self.router.send(RouterCmd::Send { from: self.me, to, msg });
-    }
-    fn set_timer(&mut self, delay: SimDuration, kind: u64) -> TimerId {
-        let wall = Duration::from_secs_f64(delay.as_secs_f64() * self.scale);
-        self.timers.arm(Instant::now() + wall, kind)
-    }
-    fn cancel_timer(&mut self, timer: TimerId) {
-        self.timers.cancel(timer);
-    }
-    fn rng(&mut self) -> &mut dyn RngCore {
-        self.rng
-    }
-}
-
-/// The threaded engine handle. Dropping without [`ThreadedEngine::stop`]
-/// detaches the threads; call `stop` to join and recover node states.
-pub struct ThreadedEngine<P: Proto + 'static> {
-    node_txs: Vec<Sender<Envelope<P>>>,
-    router_tx: Sender<RouterCmd<P::Msg>>,
-    node_handles: Vec<thread::JoinHandle<P>>,
-    router_handle: Option<thread::JoinHandle<()>>,
-    stats: Arc<Mutex<NetStats>>,
-    start: Instant,
-    scale: f64,
-}
-
-impl<P: Proto + 'static> ThreadedEngine<P> {
-    /// Starts one thread per node plus the router, running `on_start` on
-    /// each node thread.
-    pub fn start(topo: Topology, cfg: ThreadedConfig, nodes: Vec<P>) -> Self {
-        assert_eq!(nodes.len(), topo.len(), "one protocol instance per topology node");
-        assert!(cfg.time_scale > 0.0, "time_scale must be positive");
-        assert!(cfg.shards <= 1, "shards > 1 needs ShardedEngine (a ShardedProto protocol)");
-        let n = nodes.len();
-        let stats = Arc::new(Mutex::new(NetStats::new()));
-        let start = Instant::now();
-
-        let (router_tx, router_rx) = unbounded::<RouterCmd<P::Msg>>();
-        let mut node_txs = Vec::with_capacity(n);
-        let mut node_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded::<Envelope<P>>();
-            node_txs.push(tx);
-            node_rxs.push(rx);
-        }
-
-        // Router thread: delay heap + latency sampling.
-        let router_handle = {
-            let txs = node_txs.clone();
-            let stats = Arc::clone(&stats);
-            let scale = cfg.time_scale;
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0070_07e5);
-            thread::Builder::new()
-                .name("idea-router".into())
-                .spawn(move || {
-                    router_loop(topo, scale, txs, router_rx, stats, &mut rng);
-                })
-                .expect("spawn router")
-        };
-
-        // Node threads.
-        let mut node_handles = Vec::with_capacity(n);
-        for (i, (mut proto, inbox)) in nodes.into_iter().zip(node_rxs).enumerate() {
-            let router = router_tx.clone();
-            let scale = cfg.time_scale;
-            let seed = cfg.seed.wrapping_add(1 + i as u64);
-            let handle = thread::Builder::new()
-                .name(format!("idea-node-{i}"))
-                .spawn(move || {
-                    node_loop(NodeId(i as u32), n, start, scale, &mut proto, inbox, router, seed);
-                    proto
-                })
-                .expect("spawn node");
-            node_handles.push(handle);
-        }
-
-        ThreadedEngine {
-            node_txs,
-            router_tx,
-            node_handles,
-            router_handle: Some(router_handle),
-            stats,
-            start,
-            scale: cfg.time_scale,
-        }
-    }
-
-    /// Current virtual time as observed by the engine.
-    pub fn now(&self) -> SimTime {
-        SimTime((self.start.elapsed().as_micros() as f64 / self.scale) as u64)
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.node_txs.len()
-    }
-
-    /// True when the engine has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.node_txs.is_empty()
-    }
-
-    /// Fire-and-forget action on a node (e.g. inject a write).
-    pub fn invoke(
-        &self,
-        id: NodeId,
-        f: impl FnOnce(&mut P, &mut dyn Context<P::Msg>) + Send + 'static,
-    ) {
-        let _ = self.try_invoke(id, f);
-    }
-
-    /// Fallible fire-and-forget: `false` when the node thread's mailbox is
-    /// closed (the engine is stopping or stopped), so service frontends can
-    /// surface a typed error instead of dropping the command silently.
-    #[must_use]
-    pub fn try_invoke(
-        &self,
-        id: NodeId,
-        f: impl FnOnce(&mut P, &mut dyn Context<P::Msg>) + Send + 'static,
-    ) -> bool {
-        self.node_txs[id.index()].send(Envelope::Invoke(Box::new(f))).is_ok()
-    }
-
-    /// Runs `f` on the node thread and waits for its result.
-    ///
-    /// # Panics
-    /// Panics when the node thread is gone; use
-    /// [`ThreadedEngine::try_query`] where that must be an error instead.
-    pub fn query<R: Send + 'static>(
-        &self,
-        id: NodeId,
-        f: impl FnOnce(&mut P, &mut dyn Context<P::Msg>) -> R + Send + 'static,
-    ) -> R {
-        self.try_query(id, f).expect("node thread alive")
-    }
-
-    /// Like [`ThreadedEngine::query`], but returns `None` instead of
-    /// panicking when the node thread is gone — either the mailbox is
-    /// already closed, or the thread dies before replying.
-    pub fn try_query<R: Send + 'static>(
-        &self,
-        id: NodeId,
-        f: impl FnOnce(&mut P, &mut dyn Context<P::Msg>) -> R + Send + 'static,
-    ) -> Option<R> {
-        let (tx, rx) = bounded(1);
-        if !self.try_invoke(id, move |p, ctx| {
-            let _ = tx.send(f(p, ctx));
-        }) {
-            return None;
-        }
-        rx.recv().ok()
-    }
-
-    /// Sleeps for `d` of *virtual* time (scaled to wall time).
-    pub fn sleep_virtual(&self, d: SimDuration) {
-        thread::sleep(Duration::from_secs_f64(d.as_secs_f64() * self.scale));
-    }
-
-    /// Snapshot of network statistics.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.lock().snapshot()
-    }
-
-    /// Stops all threads and returns the final node states in id order.
-    ///
-    /// The router is stopped and joined **first**: its shutdown path
-    /// flushes every message still in the delay heap into the node
-    /// mailboxes, and only after that flush has happened do the nodes get
-    /// their `Stop` envelope — channel FIFO order then guarantees each
-    /// node drains the flushed messages before it exits. (Stopping nodes
-    /// first delivered the flush into mailboxes nobody reads, silently
-    /// dropping in-flight protocol traffic on shutdown.)
-    pub fn stop(mut self) -> Vec<P> {
-        let _ = self.router_tx.send(RouterCmd::Stop);
-        if let Some(h) = self.router_handle.take() {
-            let _ = h.join();
-        }
-        for tx in &self.node_txs {
-            let _ = tx.send(Envelope::Stop);
-        }
-        self.node_handles.drain(..).map(|h| h.join().expect("node thread panicked")).collect()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn node_loop<P: Proto>(
-    me: NodeId,
-    n: usize,
-    start: Instant,
-    scale: f64,
-    proto: &mut P,
-    inbox: Receiver<Envelope<P>>,
-    router: Sender<RouterCmd<P::Msg>>,
-    seed: u64,
-) {
-    let mut timers = Timers::default();
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    macro_rules! ctx {
-        () => {
-            ThreadCtx { me, n, start, scale, router: &router, timers: &mut timers, rng: &mut rng }
-        };
-    }
-
-    {
-        let mut c = ctx!();
-        proto.on_start(&mut c);
-    }
-
-    loop {
-        // Fire due timers first.
-        while let Some((id, kind)) = timers.pop_due(Instant::now()) {
-            let mut c = ctx!();
-            proto.on_timer(id, kind, &mut c);
-        }
-
-        // With no timer armed there is nothing to poll for: block until
-        // the next envelope (Stop also arrives on the channel).
-        match inbox.recv_timeout(timers.sleep_for()) {
-            Ok(Envelope::Net { from, msg }) => {
-                let mut c = ctx!();
-                proto.on_message(from, msg, &mut c);
-            }
-            Ok(Envelope::Invoke(f)) => {
-                let mut c = ctx!();
-                f(proto, &mut c);
-            }
-            Ok(Envelope::Stop) | Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-    }
-}
-
-fn router_loop<P: Proto>(
-    topo: Topology,
-    scale: f64,
-    txs: Vec<Sender<Envelope<P>>>,
-    rx: Receiver<RouterCmd<P::Msg>>,
-    stats: Arc<Mutex<NetStats>>,
-    rng: &mut StdRng,
-) {
-    let mut heap: BinaryHeap<Reverse<InFlight<P::Msg>>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    loop {
-        // Forward everything due.
-        loop {
-            let due_now = match heap.peek() {
-                Some(Reverse(f)) => f.due <= Instant::now(),
-                None => false,
-            };
-            if !due_now {
-                break;
-            }
-            let Reverse(f) = heap.pop().expect("peeked");
-            let _ = txs[f.to.index()].send(Envelope::Net { from: f.from, msg: f.msg });
-        }
-
-        // Nothing in flight: block until the next command.
-        let timeout = heap
-            .peek()
-            .map(|Reverse(f)| f.due.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_secs(3600));
-
-        match rx.recv_timeout(timeout) {
-            Ok(RouterCmd::Send { from, to, msg }) => {
-                stats.lock().record(msg.class(), msg.wire_size() as u64);
-                let virt = if from == to {
-                    SimDuration::from_micros(50)
-                } else {
-                    topo.sample_delay(from, to, rng)
-                };
-                let wall = Duration::from_secs_f64(virt.as_secs_f64() * scale);
-                heap.push(Reverse(InFlight { due: Instant::now() + wall, seq, from, to, msg }));
-                seq += 1;
-            }
-            Ok(RouterCmd::Stop) | Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-    }
-    // Flush anything still queued so late messages are not lost on stop.
-    while let Some(Reverse(f)) = heap.pop() {
-        let _ = txs[f.to.index()].send(Envelope::Net { from: f.from, msg: f.msg });
-    }
-}
-
-// ====================================================================
-// Sharded mode: per-node shard workers over a ShardedProto.
-// ====================================================================
-
 /// Boxed closure run on one shard worker (see [`ShardedEngine::invoke`]).
 type ShardInvokeFn<P> =
     Box<dyn FnOnce(&mut <P as ShardedProto>::Shard, &mut dyn Context<<P as Proto>::Msg>) + Send>;
@@ -479,8 +146,8 @@ enum ShardEnvelope<P: ShardedProto> {
     Stop,
 }
 
-/// Context handed to shard workers: identical to the per-node context
-/// except that sends are routed to the shard-matching router.
+/// Worker-thread context handed to protocol callbacks; sends go to the
+/// router of the message's shard.
 struct ShardCtx<'a, M> {
     me: NodeId,
     n: usize,
@@ -521,7 +188,7 @@ impl<M> Context<M> for ShardCtx<'_, M> {
     }
 }
 
-/// The sharded threaded engine: `shards` workers per node, each owning one
+/// The threaded engine: `shards` workers per node, each owning one
 /// [`ShardedProto::Shard`], mailboxes and delay-routers partitioned by the
 /// protocol's object hash. See the module docs for the ordering guarantees.
 pub struct ShardedEngine<P: ShardedProto + 'static> {
@@ -592,13 +259,15 @@ impl<P: ShardedProto + 'static> ShardedEngine<P> {
             router_handles.push(handle);
         }
 
-        // Shard workers.
+        // Shard workers: node i's shards take mailboxes i*shards.. in order.
         let mut worker_handles = Vec::with_capacity(n * shards);
+        let mut worker_rxs = worker_rxs.into_iter();
         for (i, node) in nodes.into_iter().enumerate() {
             let node_shards = node.into_shards();
             assert_eq!(node_shards.len(), shards, "into_shards must honour shard_count");
-            for (s, mut shard) in node_shards.into_iter().enumerate() {
-                let inbox = worker_rxs.remove(0);
+            for (s, (mut shard, inbox)) in
+                node_shards.into_iter().zip(worker_rxs.by_ref()).enumerate()
+            {
                 let routers = router_txs.clone();
                 let scale = cfg.time_scale;
                 let seed = cfg.seed.wrapping_add(1 + (i * shards + s) as u64);
@@ -736,10 +405,12 @@ impl<P: ShardedProto + 'static> ShardedEngine<P> {
     /// and returns the final node states in id order.
     ///
     /// Routers are stopped and joined **before** the workers are told to
-    /// stop, for the same reason as [`ThreadedEngine::stop`]: the router
-    /// shutdown flushes its delay heap into the worker mailboxes, and the
-    /// flush must precede each worker's `Stop` envelope (FIFO) to be
-    /// processed rather than silently dropped.
+    /// stop: a router's shutdown path flushes every message still in its
+    /// delay heap into the worker mailboxes, and only after that flush do
+    /// the workers get their `Stop` envelope — channel FIFO order then
+    /// guarantees each worker drains the flushed messages before it exits.
+    /// (Stopping workers first delivered the flush into mailboxes nobody
+    /// reads, silently dropping in-flight protocol traffic on shutdown.)
     pub fn stop(mut self) -> Vec<P> {
         for tx in &self.router_txs {
             let _ = tx.send(RouterCmd::Stop);
@@ -890,6 +561,62 @@ mod tests {
     use super::*;
     use crate::stats::MsgClass;
 
+    /// Runs a plain [`Proto`] on the engine as a one-shard node, so the
+    /// test protocols below are written once against `Proto`.
+    struct OneShard<P>(P);
+
+    impl<P: Proto> Proto for OneShard<P> {
+        type Msg = P::Msg;
+        fn on_message(&mut self, from: NodeId, msg: P::Msg, ctx: &mut dyn Context<P::Msg>) {
+            self.0.on_message(from, msg, ctx);
+        }
+    }
+
+    impl<P: Proto + 'static> ShardedProto for OneShard<P> {
+        type Shard = P;
+        fn shard_count(&self) -> usize {
+            1
+        }
+        fn shard_of(_msg: &P::Msg, _shards: usize) -> usize {
+            0
+        }
+        fn into_shards(self) -> Vec<P> {
+            vec![self.0]
+        }
+        fn from_shards(mut shards: Vec<P>) -> Self {
+            OneShard(shards.pop().expect("one shard"))
+        }
+        fn shard_on_start(shard: &mut P, ctx: &mut dyn Context<P::Msg>) {
+            shard.on_start(ctx);
+        }
+        fn shard_on_message(
+            shard: &mut P,
+            from: NodeId,
+            msg: P::Msg,
+            ctx: &mut dyn Context<P::Msg>,
+        ) {
+            shard.on_message(from, msg, ctx);
+        }
+        fn shard_on_timer(shard: &mut P, t: TimerId, kind: u64, ctx: &mut dyn Context<P::Msg>) {
+            shard.on_timer(t, kind, ctx);
+        }
+    }
+
+    /// Starts `nodes` as one-shard nodes; `stop` hands them back unwrapped.
+    fn start<P: Proto + 'static>(
+        topo: Topology,
+        seed: u64,
+        time_scale: f64,
+        nodes: Vec<P>,
+    ) -> ShardedEngine<OneShard<P>> {
+        let cfg = ThreadedConfig { seed, time_scale, shards: 1 };
+        ShardedEngine::start(topo, cfg, nodes.into_iter().map(OneShard).collect())
+    }
+
+    fn stop<P: Proto + 'static>(eng: ShardedEngine<OneShard<P>>) -> Vec<P> {
+        eng.stop().into_iter().map(|node| node.0).collect()
+    }
+
     #[derive(Debug, Clone)]
     struct Token {
         hops: u32,
@@ -917,34 +644,26 @@ mod tests {
         }
     }
 
+    fn rings(n: usize, laps: u32) -> Vec<Ring> {
+        (0..n).map(|_| Ring { received: 0, laps }).collect()
+    }
+
     #[test]
     fn token_ring_runs_on_threads() {
-        let n = 4;
-        let nodes: Vec<Ring> = (0..n).map(|_| Ring { received: 0, laps: 3 }).collect();
-        let eng = ThreadedEngine::start(
-            Topology::lan(n),
-            ThreadedConfig { seed: 1, time_scale: 1.0, ..Default::default() },
-            nodes,
-        );
-        eng.invoke(NodeId(0), |_, ctx| ctx.send(NodeId(1), Token { hops: 1 }));
+        let eng = start(Topology::lan(4), 1, 1.0, rings(4, 3));
+        eng.invoke(NodeId(0), 0, |_, ctx| ctx.send(NodeId(1), Token { hops: 1 }));
         // 12 hops at 0.5 ms each — give it ample wall time.
         thread::sleep(Duration::from_millis(400));
-        let received = eng.query(NodeId(1), |p, _| p.received);
+        let received = eng.query(NodeId(1), 0, |p, _| p.received);
         assert!(received >= 1);
-        let states = eng.stop();
-        let total: u32 = states.iter().map(|p| p.received).sum();
+        let total: u32 = stop(eng).iter().map(|p| p.received).sum();
         assert_eq!(total, 12);
     }
 
     #[test]
     fn stats_are_shared_and_counted() {
-        let nodes: Vec<Ring> = (0..2).map(|_| Ring { received: 0, laps: 1 }).collect();
-        let eng = ThreadedEngine::start(
-            Topology::lan(2),
-            ThreadedConfig { seed: 2, time_scale: 1.0, ..Default::default() },
-            nodes,
-        );
-        eng.invoke(NodeId(0), |_, ctx| ctx.send(NodeId(1), Token { hops: 1 }));
+        let eng = start(Topology::lan(2), 2, 1.0, rings(2, 1));
+        eng.invoke(NodeId(0), 0, |_, ctx| ctx.send(NodeId(1), Token { hops: 1 }));
         thread::sleep(Duration::from_millis(200));
         let snap = eng.stats();
         let app = snap
@@ -976,14 +695,9 @@ mod tests {
 
     #[test]
     fn timers_fire_and_cancel_on_threads() {
-        let eng = ThreadedEngine::start(
-            Topology::lan(1),
-            ThreadedConfig { seed: 3, time_scale: 1.0, ..Default::default() },
-            vec![Alarm { fired: vec![] }],
-        );
+        let eng = start(Topology::lan(1), 3, 1.0, vec![Alarm { fired: vec![] }]);
         thread::sleep(Duration::from_millis(120));
-        let states = eng.stop();
-        assert_eq!(states[0].fired, vec![7]);
+        assert_eq!(stop(eng)[0].fired, vec![7]);
     }
 
     /// The serving pattern that used to leak: `finish_round` cancels the
@@ -1013,11 +727,7 @@ mod tests {
 
     #[test]
     fn virtual_time_respects_scale() {
-        let eng = ThreadedEngine::start(
-            Topology::lan(1),
-            ThreadedConfig { seed: 4, time_scale: 0.01, ..Default::default() },
-            vec![Alarm { fired: vec![] }],
-        );
+        let eng = start(Topology::lan(1), 4, 0.01, vec![Alarm { fired: vec![] }]);
         thread::sleep(Duration::from_millis(50));
         // 50 ms of wall time at scale 0.01 is ~5 s of virtual time.
         let now = eng.now();
@@ -1030,88 +740,25 @@ mod tests {
         use crate::latency::{Jitter, LatencyModel};
         // 200 ms constant delay: the token is guaranteed to still sit in
         // the router's delay heap when stop() runs right after the send.
-        // The router's shutdown flush must land in a mailbox the node will
-        // still drain (regression: nodes used to be stopped first, so the
+        // The router's shutdown flush must land in a mailbox the worker will
+        // still drain (regression: workers used to be stopped first, so the
         // flushed message arrived behind Stop and was never processed).
         let topo = Topology::custom(
             2,
             LatencyModel::Constant(SimDuration::from_millis(200)),
             Jitter::None,
         );
-        let nodes: Vec<Ring> = (0..2).map(|_| Ring { received: 0, laps: 0 }).collect();
-        let eng =
-            ThreadedEngine::start(topo, ThreadedConfig { seed: 5, ..Default::default() }, nodes);
+        let eng = start(topo, 5, 1.0, rings(2, 0));
         // query (not invoke) so the send has reached the router before
         // stop() enqueues RouterCmd::Stop behind it.
-        eng.query(NodeId(0), |_, ctx| ctx.send(NodeId(1), Token { hops: 99 }));
-        let states = eng.stop();
-        assert_eq!(states[1].received, 1, "in-flight message dropped on stop");
-    }
-
-    /// Single-shard sharded wrapper over [`Ring`], for the sharded-engine
-    /// twin of the shutdown-flush regression test.
-    struct ShardedRing {
-        shards: Vec<Ring>,
-    }
-
-    impl Proto for ShardedRing {
-        type Msg = Token;
-        fn on_message(&mut self, from: NodeId, msg: Token, ctx: &mut dyn Context<Token>) {
-            self.shards[0].on_message(from, msg, ctx);
-        }
-    }
-
-    impl ShardedProto for ShardedRing {
-        type Shard = Ring;
-        fn shard_count(&self) -> usize {
-            self.shards.len()
-        }
-        fn shard_of(_msg: &Token, _shards: usize) -> usize {
-            0
-        }
-        fn into_shards(self) -> Vec<Ring> {
-            self.shards
-        }
-        fn from_shards(shards: Vec<Ring>) -> Self {
-            ShardedRing { shards }
-        }
-        fn shard_on_start(_shard: &mut Ring, _ctx: &mut dyn Context<Token>) {}
-        fn shard_on_message(
-            shard: &mut Ring,
-            from: NodeId,
-            msg: Token,
-            ctx: &mut dyn Context<Token>,
-        ) {
-            shard.on_message(from, msg, ctx);
-        }
-        fn shard_on_timer(_s: &mut Ring, _t: TimerId, _k: u64, _c: &mut dyn Context<Token>) {}
-    }
-
-    #[test]
-    fn sharded_stop_delivers_messages_still_in_the_delay_heap() {
-        use crate::latency::{Jitter, LatencyModel};
-        let topo = Topology::custom(
-            2,
-            LatencyModel::Constant(SimDuration::from_millis(200)),
-            Jitter::None,
-        );
-        let nodes: Vec<ShardedRing> =
-            (0..2).map(|_| ShardedRing { shards: vec![Ring { received: 0, laps: 0 }] }).collect();
-        let eng =
-            ShardedEngine::start(topo, ThreadedConfig { seed: 6, ..Default::default() }, nodes);
         eng.query(NodeId(0), 0, |_, ctx| ctx.send(NodeId(1), Token { hops: 99 }));
-        let states = eng.stop();
-        assert_eq!(states[1].shards[0].received, 1, "in-flight message dropped on stop");
+        assert_eq!(stop(eng)[1].received, 1, "in-flight message dropped on stop");
     }
 
     #[test]
     fn query_round_trips() {
-        let eng = ThreadedEngine::start(
-            Topology::lan(2),
-            ThreadedConfig::default(),
-            vec![Ring { received: 0, laps: 1 }, Ring { received: 0, laps: 1 }],
-        );
-        let me = eng.query(NodeId(1), |_, ctx| ctx.me());
+        let eng = start(Topology::lan(2), 0, 1.0, rings(2, 1));
+        let me = eng.query(NodeId(1), 0, |_, ctx| ctx.me());
         assert_eq!(me, NodeId(1));
         assert_eq!(eng.len(), 2);
         eng.stop();

@@ -18,11 +18,9 @@
 //!   per-shard mailboxes the dispatch path feeds directly), and
 //!   [`RemoteEngine`] implements [`idea_core::EngineHandle`] over a
 //!   connection pool, so `Session` code from `idea_core::client` runs
-//!   unchanged against a remote cluster. The server has two
-//!   implementations behind [`ServerConfig`]: the default readiness-driven
-//!   event loop (one thread for every connection, with admission and
-//!   backpressure control) and the original thread-per-connection baseline
-//!   ([`ServerMode::Threaded`]).
+//!   unchanged against a remote cluster. The server is one
+//!   readiness-driven event loop — one thread for every connection, with
+//!   the admission and backpressure control [`ServerConfig`] tunes.
 //!
 //! ## Ordering and pipelining guarantees
 //!
@@ -65,4 +63,4 @@ pub mod server;
 pub use client::{RemoteEngine, RemoteStats};
 pub use codec::{CodecError, WireCodec, WireReader};
 pub use frame::{Frame, FramePayload, MAX_FRAME_BYTES, VERSION};
-pub use server::{IdeaServer, ServerConfig, ServerMode};
+pub use server::{IdeaServer, ServerConfig};

@@ -1,4 +1,4 @@
-//! The readiness-driven event loop ([`super::ServerMode::Evented`]).
+//! The readiness-driven event loop behind [`IdeaServer`].
 //!
 //! One thread multiplexes the listener and every connection over the
 //! vendored `mio`-style poller. The loop blocks in `poll` with no timeout
@@ -6,41 +6,39 @@
 //! the old 20 ms accept-poll). Per connection the loop keeps:
 //!
 //! * a **read buffer** reassembling frames from whatever byte runs the
-//!   nonblocking socket hands over ([`parse_frame`] replaces the blocking
-//!   reader thread);
+//!   nonblocking socket hands over ([`parse_frame`]);
 //! * a **write queue**: one contiguous buffer that response frames append
 //!   to and flushes drain with single `write` calls — many small pipelined
-//!   responses coalesce into one syscall (replacing the writer thread).
+//!   responses coalesce into one syscall.
 //!
-//! Commands still dispatch in arrival order through the non-blocking
+//! Commands dispatch in arrival order through the non-blocking
 //! [`CommandExecutor::dispatch`] reply-callback path; callbacks hand their
 //! response to the [`CompletionSink`], which wakes the loop at most once
-//! per pass, and the loop encodes them in completion order — the same
-//! per-connection semantics as the threaded baseline, byte for byte.
+//! per pass, and the loop encodes them in completion order.
 //!
 //! Readiness handling is drain-to-`WouldBlock` throughout, so the loop is
 //! correct under both level-triggered semantics (the epoll backend) and
 //! the portable backend's spurious readiness.
 //!
-//! Admission and backpressure (the two knobs the threaded baseline lacks):
-//! an over-cap connection is answered with the typed
-//! [`WireError::ServerAtCapacity`] rejection and closed; a connection
+//! Admission and backpressure: an over-cap connection is answered with the
+//! typed [`WireError::ServerAtCapacity`] rejection and closed; a connection
 //! whose un-flushed responses exceed `high_water_bytes` has its reads —
 //! and the parsing of already-buffered frames — deferred until the queue
 //! drains below half the mark, so a slow reader stops generating new work
 //! instead of ballooning server memory, without stalling its neighbours.
 
-use super::ServerConfig;
+use super::{IdeaServer, ServerConfig};
 use crate::frame::{encode_into, frame_bytes, parse_frame, Frame, FramePayload, NO_REPLY};
 use idea_core::{CommandExecutor, Response};
 use idea_types::{NodeId, WireError};
-use mio::{Events, Interest, Poll, Token, Waker};
+use mio::{Events, Interest, Poll, Registry, Token, Waker};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::Arc;
+use std::thread;
 
 const LISTENER: Token = Token(0);
 const WAKER: Token = Token(1);
@@ -78,17 +76,30 @@ type Completion = (usize, u64, NodeId, Response);
 /// queue (all `SeqCst`), so a completion whose swap saw `true` was pushed
 /// before the clear of some pass still to come — the pass the pending
 /// wake starts — and that pass takes it.
-struct CompletionSink {
+///
+/// The queue's lock does not poison: a thread that panics while holding it
+/// must not turn every later reply into a panic on its shard worker.
+pub(super) struct CompletionSink {
     queue: Mutex<Vec<Completion>>,
     wake_pending: AtomicBool,
-    waker: Waker,
+    pub(super) waker: Waker,
     /// Wakes actually sent by [`CompletionSink::complete`].
-    wakes: AtomicU64,
+    pub(super) wakes: AtomicU64,
 }
 
 impl CompletionSink {
+    /// An empty sink whose wakes arrive on `registry`'s poller as [`WAKER`].
+    fn new(registry: &Registry) -> io::Result<Self> {
+        Ok(CompletionSink {
+            queue: Mutex::new(Vec::new()),
+            wake_pending: AtomicBool::new(false),
+            waker: Waker::new(registry, WAKER)?,
+            wakes: AtomicU64::new(0),
+        })
+    }
+
     fn complete(&self, completion: Completion) {
-        self.queue.lock().expect("completions").push(completion);
+        self.queue.lock().push(completion);
         if !self.wake_pending.swap(true, Ordering::SeqCst) {
             self.wakes.fetch_add(1, Ordering::Relaxed);
             let _ = self.waker.wake();
@@ -100,104 +111,56 @@ impl CompletionSink {
     /// the next queue, so a steady state allocates nothing).
     fn take_into(&self, batch: &mut Vec<Completion>) {
         self.wake_pending.store(false, Ordering::SeqCst);
-        std::mem::swap(&mut *self.queue.lock().expect("completions"), batch);
+        std::mem::swap(&mut *self.queue.lock(), batch);
     }
 }
 
 /// Counters shared between the loop thread and the server handle.
 #[derive(Default)]
-struct Stats {
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    wakeups: AtomicU64,
-    reads_deferred: AtomicU64,
+pub(super) struct Stats {
+    pub(super) accepted: AtomicU64,
+    pub(super) rejected: AtomicU64,
+    pub(super) wakeups: AtomicU64,
+    pub(super) reads_deferred: AtomicU64,
 }
 
-pub(super) struct EventedServer {
-    local_addr: SocketAddr,
-    stop_flag: Arc<AtomicBool>,
-    sink: Arc<CompletionSink>,
-    handle: Option<JoinHandle<()>>,
-    stats: Arc<Stats>,
-}
+/// Starts the loop thread serving `executor` on `listener`.
+pub(super) fn spawn(
+    listener: TcpListener,
+    executor: Arc<dyn CommandExecutor>,
+    config: ServerConfig,
+) -> io::Result<IdeaServer> {
+    let local_addr = listener.local_addr()?;
+    listener.set_nonblocking(true)?;
+    let poll = Poll::new()?;
+    poll.registry().register(&listener, LISTENER, Interest::READABLE)?;
+    let sink = Arc::new(CompletionSink::new(poll.registry())?);
+    let stop_flag = Arc::new(AtomicBool::new(false));
+    let stats = Arc::new(Stats::default());
 
-impl EventedServer {
-    pub(super) fn spawn(
-        listener: TcpListener,
-        executor: Arc<dyn CommandExecutor>,
-        config: ServerConfig,
-    ) -> io::Result<Self> {
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let poll = Poll::new()?;
-        poll.registry().register(&listener, LISTENER, Interest::READABLE)?;
-        let sink = Arc::new(CompletionSink {
-            queue: Mutex::new(Vec::new()),
-            wake_pending: AtomicBool::new(false),
-            waker: Waker::new(poll.registry(), WAKER)?,
-            wakes: AtomicU64::new(0),
-        });
-        let stop_flag = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(Stats::default());
+    let handle = {
+        let stop_flag = Arc::clone(&stop_flag);
+        let sink = Arc::clone(&sink);
+        let stats = Arc::clone(&stats);
+        thread::Builder::new().name("idea-evented".into()).spawn(move || {
+            EventLoop {
+                poll,
+                listener,
+                executor,
+                config,
+                sink,
+                stop_flag,
+                stats,
+                conns: HashMap::new(),
+                next_token: FIRST_CONN,
+                batch: Vec::new(),
+                scratch: vec![0u8; READ_CHUNK],
+            }
+            .run();
+        })?
+    };
 
-        let handle = {
-            let stop_flag = Arc::clone(&stop_flag);
-            let sink = Arc::clone(&sink);
-            let stats = Arc::clone(&stats);
-            thread::Builder::new().name("idea-evented".into()).spawn(move || {
-                EventLoop {
-                    poll,
-                    listener,
-                    executor,
-                    config,
-                    sink,
-                    stop_flag,
-                    stats,
-                    conns: HashMap::new(),
-                    next_token: FIRST_CONN,
-                    batch: Vec::new(),
-                    scratch: vec![0u8; READ_CHUNK],
-                }
-                .run();
-            })?
-        };
-
-        Ok(EventedServer { local_addr, stop_flag, sink, handle: Some(handle), stats })
-    }
-
-    pub(super) fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    pub(super) fn connections_accepted(&self) -> u64 {
-        self.stats.accepted.load(Ordering::SeqCst)
-    }
-
-    pub(super) fn connections_rejected(&self) -> u64 {
-        self.stats.rejected.load(Ordering::SeqCst)
-    }
-
-    pub(super) fn loop_wakeups(&self) -> u64 {
-        self.stats.wakeups.load(Ordering::SeqCst)
-    }
-
-    pub(super) fn completion_wakes(&self) -> u64 {
-        self.sink.wakes.load(Ordering::SeqCst)
-    }
-
-    pub(super) fn reads_deferred_total(&self) -> u64 {
-        self.stats.reads_deferred.load(Ordering::SeqCst)
-    }
-}
-
-impl Drop for EventedServer {
-    fn drop(&mut self) {
-        self.stop_flag.store(true, Ordering::SeqCst);
-        let _ = self.sink.waker.wake();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
+    Ok(IdeaServer { local_addr, stop_flag, sink, handle: Some(handle), stats })
 }
 
 /// Per-connection state machine.
@@ -299,8 +262,7 @@ impl EventLoop {
                 }
             }
             // Completions queued by dispatch callbacks since the last
-            // pass — encode them in completion order, exactly as the
-            // threaded writer drained its channel. The waker was drained
+            // pass — encode them in completion order. The waker was drained
             // above, before the sink re-arms it: a wake sent from here on
             // stays in the socket and starts the next pass.
             self.sink.take_into(&mut self.batch);
@@ -517,7 +479,7 @@ impl EventLoop {
     /// the run loop's pass is what pumps those connections.
     fn fold_own_completions(&mut self, token: usize, conn: &mut Conn) {
         {
-            let mut queue = self.sink.queue.lock().expect("completions");
+            let mut queue = self.sink.queue.lock();
             let mut others = Vec::new();
             for completion in queue.drain(..) {
                 if completion.0 == token {
@@ -534,10 +496,9 @@ impl EventLoop {
         }
     }
 
-    /// One decoded frame — the same command handling as the threaded
-    /// reader, with the reply callback handing the response to the
-    /// completion sink instead of a per-connection channel. Returns whether
-    /// a command with a reply owed was dispatched.
+    /// One decoded frame; a command's reply callback hands the response to
+    /// the completion sink. Returns whether a command with a reply owed was
+    /// dispatched.
     fn handle_frame(&mut self, token: usize, conn: &mut Conn, frame: Frame) -> bool {
         let Frame { request_id, node, payload } = frame;
         match payload {
@@ -598,7 +559,7 @@ fn has_buffered_frame(buf: &[u8]) -> bool {
 /// Appends one response frame to the connection's write queue. An
 /// unframeable (over-cap) response fails only its own request: substitute
 /// a typed rejection so the waiting client is answered and the connection
-/// survives — the same policy as the threaded writer.
+/// survives.
 fn enqueue_response(conn: &mut Conn, request_id: u64, node: NodeId, response: Response) {
     let frame = Frame { request_id, node, payload: FramePayload::Response(response) };
     if let Err(error) = encode_into(&frame, &mut conn.out) {
@@ -612,8 +573,7 @@ fn enqueue_response(conn: &mut Conn, request_id: u64, node: NodeId, response: Re
 }
 
 /// Flushes the write queue until `WouldBlock` or empty. One `write` call
-/// covers every queued frame — the coalescing that replaces the
-/// frame-at-a-time writer thread.
+/// covers every queued frame.
 fn flush(conn: &mut Conn) {
     while conn.pending_out() > 0 {
         match conn.stream.write(&conn.out[conn.out_pos..]) {
@@ -632,4 +592,37 @@ fn flush(conn: &mut Conn) {
     }
     conn.out.clear();
     conn.out_pos = 0;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    /// One fault must not become a node-wide outage: after a thread panics
+    /// while holding the completion queue's lock, a shard worker's next
+    /// `complete()` still pushes its reply and wakes the loop.
+    #[test]
+    fn a_panic_under_the_queue_lock_does_not_break_later_completions() {
+        let mut poll = Poll::new().expect("poller");
+        let sink = Arc::new(CompletionSink::new(poll.registry()).expect("sink"));
+
+        let holder = Arc::clone(&sink);
+        let panicked = thread::spawn(move || {
+            let _guard = holder.queue.lock();
+            panic!("fault while holding the completion queue");
+        })
+        .join();
+        assert!(panicked.is_err(), "the holder thread must have panicked");
+
+        sink.complete((FIRST_CONN, 1, NodeId(0), Response::Done));
+        assert_eq!(sink.wakes.load(Ordering::SeqCst), 1, "the completion must wake the loop");
+        let mut events = Events::with_capacity(4);
+        poll.poll(&mut events, Some(Duration::from_secs(5))).expect("poll");
+        assert!(events.iter().any(|e| e.token() == WAKER), "the wake must reach the poller");
+
+        let mut batch = Vec::new();
+        sink.take_into(&mut batch);
+        assert_eq!(batch.len(), 1, "the completion must be queued for the loop");
+    }
 }

@@ -10,7 +10,7 @@ use idea_core::client::ReadConsistency;
 use idea_core::{Command, CommandExecutor, IdeaConfig, IdeaNode, Response};
 use idea_net::{ShardedEngine, ThreadedConfig, Topology};
 use idea_transport::frame::{encode_into, read_frame, Frame, FramePayload};
-use idea_transport::{IdeaServer, RemoteEngine, ServerConfig};
+use idea_transport::{IdeaServer, RemoteEngine};
 use idea_types::{NodeId, ObjectId};
 use std::io::Write;
 use std::net::TcpStream;
@@ -29,8 +29,7 @@ const OBJECTS: [ObjectId; 8] = [
     ObjectId(8),
 ];
 
-/// A two-node `ShardedEngine` behind an evented server (explicitly: these
-/// pins are about the event loop, whatever `IDEA_SERVER_MODE` says).
+/// A two-node `ShardedEngine` behind a server.
 fn serve() -> (Arc<ShardedEngine<IdeaNode>>, IdeaServer) {
     let cfg = IdeaConfig { store_shards: SHARDS, ..IdeaConfig::default() };
     let nodes: Vec<IdeaNode> =
@@ -40,8 +39,7 @@ fn serve() -> (Arc<ShardedEngine<IdeaNode>>, IdeaServer) {
         ThreadedConfig { seed: 13, time_scale: 0.01, shards: SHARDS },
         nodes,
     ));
-    let server = IdeaServer::bind_with("127.0.0.1:0", engine.clone(), ServerConfig::default())
-        .expect("bind loopback");
+    let server = IdeaServer::bind("127.0.0.1:0", engine.clone()).expect("bind loopback");
     (engine, server)
 }
 

@@ -1,12 +1,12 @@
-//! Event-loop-specific guarantees of the evented [`IdeaServer`]: an idle
-//! server schedules zero wakeups, admission past the connection cap is a
-//! *typed* rejection (never a hang), and a slow reader hitting the
-//! write-queue high-water mark has its reads deferred without stalling
-//! other connections.
+//! Event-loop guarantees of [`IdeaServer`]: an idle server schedules zero
+//! wakeups, admission past the connection cap is a *typed* rejection
+//! (never a hang), a slow reader hitting the write-queue high-water mark
+//! has its reads deferred without stalling other connections, and the
+//! server's thread count does not grow with its connection count.
 
 use idea_core::{Command, CommandExecutor, Response};
 use idea_transport::frame::{frame_bytes, read_frame, Frame, FramePayload, NO_REPLY};
-use idea_transport::{IdeaServer, RemoteEngine, ServerConfig, ServerMode};
+use idea_transport::{IdeaServer, RemoteEngine, ServerConfig};
 use idea_types::{NodeId, ObjectId, WireError};
 use std::io::Write;
 use std::net::TcpStream;
@@ -44,7 +44,7 @@ fn expect_hello(stream: &mut TcpStream) {
     assert!(matches!(frame.payload, FramePayload::Hello { .. }), "{frame:?}");
 }
 
-/// An idle evented server blocks in its poll: zero wakeups while nothing
+/// An idle server blocks in its poll: zero wakeups while nothing
 /// happens (the regression pin for the accept loop's old 20 ms sleep
 /// poll), and wakeups only once a client actually connects.
 #[test]
@@ -55,10 +55,7 @@ fn idle_server_schedules_no_wakeups() {
         // readiness queue.
         return;
     }
-    let server =
-        IdeaServer::bind_with("127.0.0.1:0", Arc::new(BlobExecutor), ServerConfig::default())
-            .unwrap();
-    assert_eq!(server.mode(), ServerMode::Evented);
+    let server = IdeaServer::bind("127.0.0.1:0", Arc::new(BlobExecutor)).unwrap();
 
     std::thread::sleep(Duration::from_millis(400));
     assert_eq!(server.loop_wakeups(), 0, "idle server must not wake");
@@ -167,14 +164,12 @@ fn slow_reader_defers_reads_without_stalling_neighbours() {
     );
 }
 
-/// Fire-and-forget frames stay silent on the evented server too: a
-/// NO_REPLY command produces no response frame, and the next correlated
-/// command's response is the first thing on the wire.
+/// Fire-and-forget frames stay silent: a NO_REPLY command produces no
+/// response frame, and the next correlated command's response is the first
+/// thing on the wire.
 #[test]
 fn no_reply_commands_stay_silent() {
-    let server =
-        IdeaServer::bind_with("127.0.0.1:0", Arc::new(BlobExecutor), ServerConfig::default())
-            .unwrap();
+    let server = IdeaServer::bind("127.0.0.1:0", Arc::new(BlobExecutor)).unwrap();
     let mut client = TcpStream::connect(server.local_addr()).unwrap();
     expect_hello(&mut client);
 
@@ -185,4 +180,46 @@ fn no_reply_commands_stay_silent() {
     client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let frame = read_frame(&mut client).unwrap().expect("response");
     assert_eq!(frame.request_id, 42, "the NO_REPLY command must not be answered");
+}
+
+/// `Threads:` from `/proc/self/status`.
+#[cfg(target_os = "linux")]
+fn current_thread_count() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    let line = status.lines().find(|l| l.starts_with("Threads:")).expect("Threads: line");
+    line.split_whitespace().nth(1).and_then(|v| v.parse().ok()).expect("thread count")
+}
+
+/// Fan-in is O(1) in threads: 256 greeted connections, each answered once,
+/// cost the process not one thread more than the first did. The count is
+/// process-wide and this binary's other tests start and stop threads of
+/// their own, so a disturbed measurement is retried — a server that spent
+/// threads on connections would grow by hundreds on every attempt.
+#[cfg(target_os = "linux")]
+#[test]
+fn thread_count_does_not_grow_with_connections() {
+    const CONNECTIONS: u64 = 256;
+    let server = IdeaServer::bind("127.0.0.1:0", Arc::new(BlobExecutor)).unwrap();
+    let serve_one = |request_id: u64| {
+        let mut client = TcpStream::connect(server.local_addr()).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        expect_hello(&mut client);
+        client.write_all(&peek_frame(request_id)).unwrap();
+        let frame = read_frame(&mut client).unwrap().expect("response");
+        assert_eq!(frame.request_id, request_id);
+        client
+    };
+
+    let mut grew_by = u64::MAX;
+    for _attempt in 0..10 {
+        let mut clients = vec![serve_one(1)];
+        let after_first = current_thread_count();
+        clients.extend((2..=CONNECTIONS).map(serve_one));
+        grew_by = current_thread_count().saturating_sub(after_first);
+        if grew_by == 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    assert_eq!(grew_by, 0, "threads grew between connection 1 and connection {CONNECTIONS}");
 }

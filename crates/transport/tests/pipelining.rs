@@ -3,7 +3,7 @@
 //! in-process threaded engine.
 
 use idea_core::{Command, CommandExecutor, EngineHandle, IdeaConfig, IdeaNode, Response, Session};
-use idea_net::{ThreadedConfig, ThreadedEngine, Topology};
+use idea_net::{ShardedEngine, ThreadedConfig, Topology};
 use idea_transport::{IdeaServer, RemoteEngine};
 use idea_types::{NodeId, ObjectId, UpdatePayload, WireError};
 use parking_lot::Mutex;
@@ -83,34 +83,44 @@ fn remote_submits_pipeline_without_round_trips() {
     server.stop();
 }
 
-/// The same pin for the in-process threaded engine: submits return while
-/// the node's worker is busy, instead of queueing behind it for a reply.
+/// The same pin for the in-process threaded engine, with one worker per
+/// node and with four: submits return while the object's worker is busy,
+/// instead of queueing behind it for a reply.
 #[test]
 fn threaded_submits_do_not_block_on_a_busy_worker() {
     const WRITES: usize = 64;
-    let nodes = vec![IdeaNode::new(NodeId(0), IdeaConfig::default(), &[OBJ])];
-    let mut eng = ThreadedEngine::start(Topology::lan(1), ThreadedConfig::default(), nodes);
+    for shards in [1, 4] {
+        let cfg = IdeaConfig { store_shards: shards, ..IdeaConfig::default() };
+        let nodes = vec![IdeaNode::new(NodeId(0), cfg, &[OBJ])];
+        let mut eng = ShardedEngine::start(
+            Topology::lan(1),
+            ThreadedConfig { shards, ..ThreadedConfig::default() },
+            nodes,
+        );
 
-    // Occupy the node thread so any hidden execute-and-wait would stall.
-    eng.invoke(NodeId(0), |_, _| std::thread::sleep(Duration::from_millis(400)));
-
-    let started = Instant::now();
-    let mut session = Session::open(&mut eng, NodeId(0));
-    for i in 0..WRITES {
-        session.submit(Command::Write {
-            object: OBJ,
-            meta_delta: i as i64,
-            payload: UpdatePayload::none(),
+        // Occupy the owning worker so any hidden execute-and-wait would stall.
+        eng.invoke(NodeId(0), eng.shard_for_object(OBJ), |_, _| {
+            std::thread::sleep(Duration::from_millis(400))
         });
-    }
-    let submit_wall = started.elapsed();
-    assert!(
-        submit_wall < Duration::from_millis(200),
-        "submits took {submit_wall:?} behind a 400 ms-busy worker — they are blocking"
-    );
 
-    // A blocking read drains the queue and sees every posted write.
-    let read = Session::open(&mut eng, NodeId(0)).object(OBJ).peek().expect("peek");
-    assert_eq!(read.updates, WRITES, "all fire-and-forget writes must apply in order");
-    eng.stop();
+        let started = Instant::now();
+        let mut session = Session::open(&mut eng, NodeId(0));
+        for i in 0..WRITES {
+            session.submit(Command::Write {
+                object: OBJ,
+                meta_delta: i as i64,
+                payload: UpdatePayload::none(),
+            });
+        }
+        let submit_wall = started.elapsed();
+        assert!(
+            submit_wall < Duration::from_millis(200),
+            "{shards} shard(s): submits took {submit_wall:?} behind a 400 ms-busy worker"
+        );
+
+        // A blocking read drains the queue and sees every posted write.
+        let read = Session::open(&mut eng, NodeId(0)).object(OBJ).peek().expect("peek");
+        assert_eq!(read.updates, WRITES, "all fire-and-forget writes must apply in order");
+        eng.stop();
+    }
 }

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! The session code below is engine-agnostic: `Session::open` works
-//! identically against `SimEngine`, `ThreadedEngine` and `ShardedEngine`
+//! identically against `SimEngine` and `ShardedEngine`
 //! (see `examples/threaded_cluster.rs` for the same API on real threads,
 //! and `examples/whiteboard_session.rs` for the low-level closure escape
 //! hatch).

@@ -9,7 +9,6 @@
 //!
 //! ```bash
 //! cargo run --release --example served_cluster
-//! THREADED_SHARDS=4 cargo run --release --example served_cluster
 //! ```
 
 use idea::prelude::*;
@@ -18,19 +17,20 @@ use std::thread;
 
 const OBJECT: ObjectId = ObjectId(1);
 const N: usize = 4;
+/// Shard workers per node.
+const SHARDS: usize = 2;
 
 fn main() {
-    let shards = shards_from_env(2);
     // time_scale 0.01: one virtual second takes 10 wall milliseconds.
-    let tcfg = ThreadedConfig { seed: 7, time_scale: 0.01, shards };
-    let idea_cfg = IdeaConfig { store_shards: shards, ..IdeaConfig::whiteboard(0.0) };
+    let tcfg = ThreadedConfig { seed: 7, time_scale: 0.01, shards: SHARDS };
+    let idea_cfg = IdeaConfig { store_shards: SHARDS, ..IdeaConfig::whiteboard(0.0) };
     let nodes: Vec<IdeaNode> =
         (0..N).map(|i| IdeaNode::new(NodeId(i as u32), idea_cfg.clone(), &[OBJECT])).collect();
 
     let engine = Arc::new(ShardedEngine::start(Topology::planetlab(N, 7), tcfg, nodes));
     let server = IdeaServer::bind("127.0.0.1:0", engine.clone()).expect("bind loopback");
     let addr = server.local_addr();
-    println!("serving a {N}-node cluster ({shards} shard workers per node) on {addr}");
+    println!("serving a {N}-node cluster ({SHARDS} shard workers per node) on {addr}");
 
     // One remote client per node: connect, draw three strokes, disconnect.
     let mut clients = Vec::new();

@@ -1,12 +1,10 @@
 //! The same IDEA protocol on real OS threads — driven through the typed
 //! client layer. `drive()` below is written once against [`EngineHandle`]
-//! and runs unchanged on the plain per-node [`ThreadedEngine`] and on the
-//! [`ShardedEngine`]'s per-shard workers: set `THREADED_SHARDS` > 1 to
-//! switch engines (the CI matrix runs both).
+//! and runs on the [`ShardedEngine`] twice: with one worker per node, then
+//! with four shard workers per node.
 //!
 //! ```bash
 //! cargo run --example threaded_cluster
-//! THREADED_SHARDS=4 cargo run --example threaded_cluster
 //! ```
 
 use idea::prelude::*;
@@ -51,33 +49,24 @@ fn metas_converged(metas: &[i64]) -> bool {
 }
 
 fn main() {
-    let shards = shards_from_env(1);
-    // time_scale 0.01: one virtual second takes 10 wall milliseconds.
-    let tcfg = ThreadedConfig { seed: 3, time_scale: 0.01, shards };
-    let idea_cfg = IdeaConfig { store_shards: shards, ..Default::default() };
-    let nodes: Vec<IdeaNode> =
-        (0..N).map(|i| IdeaNode::new(NodeId(i as u32), idea_cfg.clone(), &[OBJECT])).collect();
-    let topo = Topology::planetlab(N, 3);
+    for shards in [1, 4] {
+        // time_scale 0.01: one virtual second takes 10 wall milliseconds.
+        let tcfg = ThreadedConfig { seed: 3, time_scale: 0.01, shards };
+        let idea_cfg = IdeaConfig { store_shards: shards, ..Default::default() };
+        let nodes: Vec<IdeaNode> =
+            (0..N).map(|i| IdeaNode::new(NodeId(i as u32), idea_cfg.clone(), &[OBJECT])).collect();
 
-    let metas: Vec<i64> = if shards > 1 {
-        println!("running on ShardedEngine ({shards} shard workers per node)");
-        let mut net = ShardedEngine::start(topo, tcfg, nodes);
+        println!("running on ShardedEngine ({shards} shard worker(s) per node)");
+        let mut net = ShardedEngine::start(Topology::planetlab(N, 3), tcfg, nodes);
         drive(&mut net, |e, d| e.sleep_virtual(d));
         thread::sleep(Duration::from_millis(200)); // stragglers
         let states = net.stop();
-        states.iter().map(|s| s.report(OBJECT).meta).collect()
-    } else {
-        println!("running on ThreadedEngine (one worker per node)");
-        let mut net = ThreadedEngine::start(topo, tcfg, nodes);
-        drive(&mut net, |e, d| e.sleep_virtual(d));
-        thread::sleep(Duration::from_millis(200)); // stragglers
-        let states = net.stop();
-        states.iter().map(|s| s.report(OBJECT).meta).collect()
-    };
+        let metas: Vec<i64> = states.iter().map(|s| s.report(OBJECT).meta).collect();
 
-    if metas_converged(&metas) {
-        println!("\nall replicas converged on the threaded runtime ✓");
-    } else {
-        println!("\nreplicas still settling (threaded runs are not deterministic)");
+        if metas_converged(&metas) {
+            println!("\nall replicas converged on the threaded runtime ✓\n");
+        } else {
+            println!("\nreplicas still settling (threaded runs are not deterministic)\n");
+        }
     }
 }

@@ -37,7 +37,7 @@
 //! net.run_for(SimDuration::from_secs(2));
 //!
 //! // ...and resolve it on demand — through a typed client session (the
-//! // same session code runs unchanged on the threaded engines).
+//! // same session code runs unchanged on the threaded engine).
 //! let mut session = Session::open(&mut net, NodeId(0));
 //! session.object(board).demand_resolution().unwrap();
 //! net.run_for(SimDuration::from_secs(5));
@@ -73,8 +73,7 @@ pub mod prelude {
         Weights,
     };
     pub use idea_net::{
-        shards_from_env, Context, Proto, ShardedEngine, ShardedProto, SimConfig, SimEngine,
-        ThreadedConfig, ThreadedEngine, Topology,
+        Context, Proto, ShardedEngine, ShardedProto, SimConfig, SimEngine, ThreadedConfig, Topology,
     };
     pub use idea_transport::{IdeaServer, RemoteEngine};
     pub use idea_types::{

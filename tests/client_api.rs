@@ -1,7 +1,7 @@
 //! The acceptance pin for the typed client layer: **one** session-based
 //! application function, compiled once against [`EngineHandle`], exercised
-//! unchanged on all three engines — the deterministic [`SimEngine`], the
-//! per-node [`ThreadedEngine`], and the per-shard-worker [`ShardedEngine`].
+//! unchanged on the deterministic [`SimEngine`] and on the threaded
+//! [`ShardedEngine`] — at one worker per node and at four.
 
 use idea::prelude::*;
 use std::thread;
@@ -96,25 +96,8 @@ fn the_same_session_code_runs_on_the_sim_engine() {
     assert!(resolutions >= 1, "the demanded resolution must complete");
 }
 
-#[test]
-fn the_same_session_code_runs_on_the_threaded_engine() {
-    let nodes: Vec<IdeaNode> = (0..N)
-        .map(|i| IdeaNode::new(NodeId(i as u32), IdeaConfig::whiteboard(0.0), &[OBJ_A, OBJ_B]))
-        .collect();
-    let mut eng = ThreadedEngine::start(
-        Topology::planetlab(N, 9),
-        ThreadedConfig { seed: 9, time_scale: 0.02, ..Default::default() },
-        nodes,
-    );
-    let (out, _) = drive(&mut eng, |e, d| e.sleep_virtual(d));
-    thread::sleep(Duration::from_millis(300));
-    assert!(object_a_agreement(&out) >= N - 1, "threaded replicas diverge: {out:?}");
-    eng.stop();
-}
-
-#[test]
-fn the_same_session_code_runs_on_the_sharded_engine() {
-    let shards = shards_from_env(2);
+/// `drive()` on the threaded engine with `shards` workers per node.
+fn drive_on_threads(shards: usize) {
     let cfg = IdeaConfig { store_shards: shards, ..IdeaConfig::whiteboard(0.0) };
     let nodes: Vec<IdeaNode> =
         (0..N).map(|i| IdeaNode::new(NodeId(i as u32), cfg.clone(), &[OBJ_A, OBJ_B])).collect();
@@ -125,10 +108,22 @@ fn the_same_session_code_runs_on_the_sharded_engine() {
     );
     let (out, _) = drive(&mut eng, |e, d| e.sleep_virtual(d));
     thread::sleep(Duration::from_millis(300));
-    assert!(object_a_agreement(&out) >= N - 1, "sharded replicas diverge: {out:?}");
-    // OBJ_A and OBJ_B hash to different shards for shards > 1: the report
-    // aggregation above already proves cross-shard routing works.
+    assert!(object_a_agreement(&out) >= N - 1, "{shards}-shard replicas diverge: {out:?}");
     eng.stop();
+}
+
+/// One worker per node: every command of a node serialises on one mailbox.
+#[test]
+fn the_same_session_code_runs_on_the_threaded_engine() {
+    drive_on_threads(1);
+}
+
+/// Four workers per node: OBJ_A and OBJ_B hash to different shards, so the
+/// report aggregation in `drive()` also proves cross-shard routing works.
+#[test]
+fn the_same_session_code_runs_on_the_sharded_engine() {
+    assert_ne!(ShardId::of(OBJ_A, 4), ShardId::of(OBJ_B, 4), "objects must span shards");
+    drive_on_threads(4);
 }
 
 fn small_sharded_fleet(shards: usize) -> ShardedEngine<IdeaNode> {
@@ -145,7 +140,7 @@ fn small_sharded_fleet(shards: usize) -> ShardedEngine<IdeaNode> {
 
 /// A rejected re-weighting dissatisfaction (unknown object) on the sharded
 /// engine must mutate **nothing** — no shard's weights may move, matching
-/// the single-worker engines' up-front checks.
+/// the deterministic engine's up-front checks.
 #[test]
 fn sharded_dissatisfied_rejects_atomically() {
     let mut eng = small_sharded_fleet(4);
