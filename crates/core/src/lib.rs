@@ -42,6 +42,6 @@ pub use client::{
 pub use config::{IdeaConfig, ReadPolicy};
 pub use idea_wal::{DurabilityConfig, DurabilityMode};
 pub use messages::IdeaMsg;
-pub use protocol::{IdeaNode, NodeReport};
+pub use protocol::{GossipFootprint, IdeaNode, NodeReport};
 pub use quantify::{MaxBounds, Quantifier, Weights};
 pub use resolution::{ReferenceState, ResolutionPolicy, ResolutionRecord};

@@ -25,6 +25,7 @@ use idea_overlay::gossip::{RumorId, DIGEST_ENTRY_BYTES};
 use idea_types::{ObjectId, Update};
 use idea_vv::{ExtendedVersionVector, VersionVector, VvDelta, VvSummary};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One object's worth of piggybacked lazy-gossip advertisements.
 ///
@@ -182,7 +183,9 @@ pub enum IdeaMsg {
         /// Object being swept.
         object: ObjectId,
         /// The origin's counters; receivers holding more reply directly.
-        counters: VersionVector,
+        /// One allocation per rumor: every relayed copy, cache entry and
+        /// pull reply in a process shares the originator's body.
+        counters: Arc<VersionVector>,
     },
     /// Bottom node → sweep origin: "I hold updates you have not seen".
     SweepDivergence {
@@ -395,7 +398,7 @@ mod tests {
             id: RumorId { origin: idea_types::NodeId(0), seq: 0 },
             ttl: 4,
             object: ObjectId(0),
-            counters: sample_evv().counters().clone(),
+            counters: Arc::new(sample_evv().counters().clone()),
         };
         assert!(rumor.wire_size() <= 1024);
     }

@@ -18,17 +18,18 @@
 //! one timer, one fan-out per peer — turning O(writes × peers) steady-state
 //! probe traffic into O(peers) per window.
 
-use super::lazy::{dispatch_rumor, Missing};
+use super::lazy::Missing;
 use super::{pack, NodeCore, Trigger, K_BATCH, K_DETECT, K_PULL, K_SWEEP};
 use crate::adapt::AdaptAction;
 use crate::messages::{DigestGroup, IdeaMsg};
 use idea_detect::bottom::{BottomReport, SweepCollector};
 use idea_detect::round::DetectRound;
 use idea_net::{Context, TimerId};
-use idea_overlay::gossip::{GossipMode, RumorId};
+use idea_overlay::gossip::{GossipMode, Receipt, RumorId};
 use idea_types::{NodeId, ObjectId};
 use idea_vv::{VersionVector, VvDelta, VvSummary};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Per-object detection state.
 #[derive(Default)]
@@ -138,9 +139,8 @@ impl Detection {
         st.timer = Some(ctx.set_timer(core.cfg.detect_deadline, pack(K_DETECT, core.shard, rid)));
         self.round_objects.insert(rid, object);
         for p in peers {
-            // Pending lazy-gossip advertisements for this peer hitch a ride
-            // (zero wire bytes when none are queued) — from every object of
-            // the shard, not just the probed one.
+            // The probed object's pending lazy-gossip advertisements for
+            // this peer hitch a ride (zero wire bytes when none are queued).
             let digests = batched_digests(core, object, p);
             ctx.send(
                 p,
@@ -283,7 +283,8 @@ impl Detection {
         object: ObjectId,
         ctx: &mut dyn Context<IdeaMsg>,
     ) {
-        let counters = core.store.replica(object).expect("opened").version().counters().clone();
+        let counters =
+            Arc::new(core.store.replica(object).expect("opened").version().counters().clone());
         core.ensure_everyone(ctx.node_count());
         let deadline = ctx.now() + core.cfg.sweep_deadline;
         let epsilon = core.cfg.sweep_epsilon;
@@ -294,7 +295,7 @@ impl Detection {
         let level = shared.level;
         let (id, _ttl, plan) = shared.gossip.originate(everyone, ctx.rng());
         self.state(object).collectors.insert(id.seq, SweepCollector::new(level, epsilon, deadline));
-        dispatch_rumor(core, object, id, plan, &counters, ctx);
+        shared.dispatch_rumor(&core.cfg, core.shard, id, plan, &counters, ctx);
         // Deadline timers route through a node-unique ticket: gossip seqs
         // are allocated per object, so two objects at one node can emit the
         // same `id.seq` and a seq-keyed map would settle the wrong sweep.
@@ -318,20 +319,25 @@ impl Detection {
         id: RumorId,
         ttl: u8,
         object: ObjectId,
-        counters: VersionVector,
+        counters: Arc<VersionVector>,
         ctx: &mut dyn Context<IdeaMsg>,
     ) {
-        core.store.open(object);
-        core.ensure_obj(object);
-        let now = ctx.now();
-        core.note_counters(object, &counters, now);
         core.ensure_everyone(ctx.node_count());
-        let lazy_mode = core.cfg.gossip.mode == GossipMode::Lazy;
-        let everyone = &core.everyone;
-        let shared = core.objs.get_mut(&object).expect("object state");
-        let dup = shared.gossip.has_seen(id);
-        let plan = shared.gossip.on_receive(id, ttl, Some(from), everyone, ctx.rng());
-        if dup && lazy_mode {
+        // Field-disjoint borrows from here on: the object's state is
+        // resolved once and mutated while the config, the cached node list
+        // and the store stay shared.
+        let shared = match core.objs.get_mut(&object) {
+            Some(shared) => shared,
+            None => {
+                // First contact: open the replica, create the state.
+                core.store.open(object);
+                core.ensure_obj(object);
+                core.objs.get_mut(&object).expect("object state")
+            }
+        };
+        shared.note_counters(&counters, ctx.now());
+        let receipt = shared.gossip.on_receive(id, ttl, Some(from), &core.everyone, ctx.rng());
+        if receipt == Receipt::Duplicate && core.cfg.gossip.mode == GossipMode::Lazy {
             // Plumtree repair: the pusher's eager link to us is redundant.
             // Tell it to go lazy (our own link to it is demoted inside
             // `on_receive`); the eager overlay trims towards a tree.
@@ -344,8 +350,8 @@ impl Detection {
             ctx.cancel_timer(miss.timer);
             self.pull_tickets.remove(&miss.ticket);
         }
-        if let Some(plan) = plan {
-            dispatch_rumor(core, object, id, plan, &counters, ctx);
+        if let Receipt::Relay(plan) = receipt {
+            shared.dispatch_rumor(&core.cfg, core.shard, id, plan, &counters, ctx);
         }
         let mine = core.store.replica(object).expect("opened").version();
         if counters.missing_from(mine.counters()) > 0 {
@@ -434,7 +440,7 @@ impl Detection {
             return;
         };
         if let Some(counters) = shared.lazy.cached(id) {
-            let counters = counters.clone();
+            let counters = Arc::clone(counters);
             shared.gossip.graft(from);
             ctx.send(from, IdeaMsg::SweepRumor { id, ttl: 0, object, counters });
         }

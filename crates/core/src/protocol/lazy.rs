@@ -16,13 +16,15 @@
 //! frame carries the probed object's group only, so when an advert is
 //! delivered never depends on which other objects share its shard.
 
-use super::{pack, NodeCore, K_LAZY_FLUSH};
+use super::{pack, ObjShared, K_LAZY_FLUSH};
+use crate::config::IdeaConfig;
 use crate::messages::IdeaMsg;
 use idea_net::{Context, TimerId};
 use idea_overlay::gossip::{GossipMode, RelayPlan, RumorId};
-use idea_types::{NodeId, ObjectId};
+use idea_types::{NodeId, ShardId};
 use idea_vv::VersionVector;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Bodies kept per object for answering pulls. Old entries are evicted
 /// FIFO; a pull for an evicted body is simply unanswered and the puller's
@@ -46,10 +48,12 @@ pub(crate) struct Missing {
 /// Per-object lazy-plane state (see module docs).
 #[derive(Default)]
 pub(crate) struct LazyPlane {
-    /// Rumor bodies held for answering pulls: id → counters. Pull replies
-    /// are stamped ttl 0 (terminal): a pull satisfies the one node the
-    /// flood missed, it must not re-flood past the sweep's TTL budget.
-    cache: HashMap<RumorId, VersionVector>,
+    /// Rumor bodies held for answering pulls: id → counters, sharing the
+    /// allocation the body arrived in (an entry costs a refcount, not a
+    /// copy). Pull replies are stamped ttl 0 (terminal): a pull satisfies
+    /// the one node the flood missed, it must not re-flood past the
+    /// sweep's TTL budget.
+    cache: HashMap<RumorId, Arc<VersionVector>>,
     /// FIFO eviction order of `cache`.
     cache_order: VecDeque<RumorId>,
     /// Pending advertisements per peer, drained by piggybacking and the
@@ -63,7 +67,7 @@ pub(crate) struct LazyPlane {
 
 impl LazyPlane {
     /// Caches a body for answering pulls, evicting FIFO at capacity.
-    pub fn cache_body(&mut self, id: RumorId, counters: VersionVector) {
+    pub fn cache_body(&mut self, id: RumorId, counters: Arc<VersionVector>) {
         if self.cache.insert(id, counters).is_none() {
             self.cache_order.push_back(id);
             if self.cache_order.len() > CACHE_CAP {
@@ -75,8 +79,13 @@ impl LazyPlane {
     }
 
     /// The cached body of `id`, if still held.
-    pub fn cached(&self, id: RumorId) -> Option<&VersionVector> {
+    pub fn cached(&self, id: RumorId) -> Option<&Arc<VersionVector>> {
         self.cache.get(&id)
+    }
+
+    /// Bodies currently held for answering pulls (at most [`CACHE_CAP`]).
+    pub fn cached_bodies(&self) -> usize {
+        self.cache.len()
     }
 
     /// Queues an advertisement of `id` towards `peer`.
@@ -96,35 +105,41 @@ impl LazyPlane {
     }
 }
 
-/// Sends a relay plan on the wire: full [`IdeaMsg::SweepRumor`] bodies on
-/// the eager links, queued digests (piggyback or flush) on the lazy links.
-/// In lazy mode the body is also cached so later pulls can be answered.
-pub(crate) fn dispatch_rumor(
-    core: &mut NodeCore,
-    object: ObjectId,
-    id: RumorId,
-    plan: RelayPlan,
-    counters: &VersionVector,
-    ctx: &mut dyn Context<IdeaMsg>,
-) {
-    for &t in &plan.eager {
-        ctx.send(t, IdeaMsg::SweepRumor { id, ttl: plan.ttl, object, counters: counters.clone() });
-    }
-    if core.cfg.gossip.mode != GossipMode::Lazy {
-        return; // eager plans never carry lazy links
-    }
-    let shard = core.shard;
-    let flush_after = core.cfg.gossip_digest_flush;
-    let shared = core.objs.get_mut(&object).expect("object state");
-    shared.lazy.cache_body(id, counters.clone());
-    if plan.lazy.is_empty() {
-        return;
-    }
-    for &p in &plan.lazy {
-        shared.lazy.enqueue_digest(p, id, plan.ttl);
-    }
-    if !shared.lazy.flush_armed {
-        shared.lazy.flush_armed = true;
-        ctx.set_timer(flush_after, pack(K_LAZY_FLUSH, shard, object.index() as u64));
+impl ObjShared {
+    /// Sends a relay plan on the wire: full [`IdeaMsg::SweepRumor`] bodies
+    /// on the eager links, queued digests (piggyback or flush) on the lazy
+    /// links. In lazy mode the body is also cached so later pulls can be
+    /// answered. Every copy shares `counters`' allocation.
+    pub fn dispatch_rumor(
+        &mut self,
+        cfg: &IdeaConfig,
+        shard: ShardId,
+        id: RumorId,
+        plan: RelayPlan,
+        counters: &Arc<VersionVector>,
+        ctx: &mut dyn Context<IdeaMsg>,
+    ) {
+        let object = self.layer.object();
+        for &t in &plan.eager {
+            let counters = Arc::clone(counters);
+            ctx.send(t, IdeaMsg::SweepRumor { id, ttl: plan.ttl, object, counters });
+        }
+        if cfg.gossip.mode != GossipMode::Lazy {
+            return; // eager plans never carry lazy links
+        }
+        self.lazy.cache_body(id, Arc::clone(counters));
+        if plan.lazy.is_empty() {
+            return;
+        }
+        for &p in &plan.lazy {
+            self.lazy.enqueue_digest(p, id, plan.ttl);
+        }
+        if !self.lazy.flush_armed {
+            self.lazy.flush_armed = true;
+            ctx.set_timer(
+                cfg.gossip_digest_flush,
+                pack(K_LAZY_FLUSH, shard, object.index() as u64),
+            );
+        }
     }
 }

@@ -68,7 +68,7 @@ mod write_path;
 #[cfg(test)]
 mod tests;
 
-pub use node::{IdeaNode, NodeReport, ProtocolShard};
+pub use node::{GossipFootprint, IdeaNode, NodeReport, ProtocolShard};
 
 use crate::adapt::{AdaptAction, HintController};
 use crate::config::IdeaConfig;
@@ -131,6 +131,21 @@ pub(crate) struct ObjShared {
     pub level: ConsistencyLevel,
     /// Lazy gossip plane: body cache, digest outbox, missing/pull state.
     pub lazy: lazy::LazyPlane,
+}
+
+impl ObjShared {
+    /// Learns writer activity from any counters that pass by (detection,
+    /// collection, gossip), feeding the temperature overlay: one observed
+    /// update per count a writer advanced beyond what this node knew.
+    pub fn note_counters(&mut self, counters: &VersionVector, now: SimTime) {
+        let layer = &mut self.layer;
+        self.known_counts.merge_with(counters, |writer, known, count| {
+            let node = NodeCore::home(writer);
+            for _ in known..count {
+                layer.observe_update(node, now);
+            }
+        });
+    }
 }
 
 /// The genuinely node-wide state, shared by all shards of one node.
@@ -283,19 +298,9 @@ impl NodeCore {
         self.objs.get_mut(&object).expect("object state")
     }
 
-    /// Learns writer activity from any counters that pass by (detection,
-    /// collection, gossip), feeding the temperature overlay.
+    /// Learns writer activity from any counters that pass by (see
+    /// [`ObjShared::note_counters`]).
     pub fn note_counters(&mut self, object: ObjectId, counters: &VersionVector, now: SimTime) {
-        let st = self.objs.get_mut(&object).expect("object state");
-        for (writer, count) in counters.iter() {
-            let known = st.known_counts.get(writer);
-            if count > known {
-                let node = Self::home(writer);
-                for _ in known..count {
-                    st.layer.observe_update(node, now);
-                }
-                st.known_counts.observe(writer, count);
-            }
-        }
+        self.obj_mut(object).note_counters(counters, now);
     }
 }

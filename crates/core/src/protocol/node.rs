@@ -49,6 +49,24 @@ pub struct NodeReport {
     pub updates: usize,
 }
 
+/// What one node's gossip plane currently holds for one object — each
+/// figure is bounded by the router's configuration, none by the
+/// deployment size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct GossipFootprint {
+    /// Peers in the stable view (at most `gossip.fanout`).
+    pub view: usize,
+    /// View links currently pruned to the lazy side (at most `view`).
+    pub lazy_links: usize,
+    /// Rumor ids remembered for duplicate suppression (at most
+    /// `2 × gossip.seen_cap`).
+    pub seen_ids: usize,
+    /// Rumor bodies cached for answering pulls (at most 1,024).
+    pub cached_bodies: usize,
+    /// Advertised bodies not yet received (pending pulls).
+    pub missing: usize,
+}
+
 /// One shard of the IDEA middleware: the subsystems plus the shard's
 /// `NodeCore`. All per-object protocol state of the objects this shard
 /// owns lives here and nowhere else, which is what lets the threaded
@@ -688,6 +706,21 @@ impl IdeaNode {
     /// [`ProtocolShard::gossip_seen`]).
     pub fn gossip_seen(&self, object: ObjectId) -> Vec<idea_overlay::RumorId> {
         self.shards[self.shard_idx(object)].gossip_seen(object)
+    }
+
+    /// What this node's gossip plane holds for `object` (all zero for an
+    /// object it never touched).
+    pub fn gossip_footprint(&self, object: ObjectId) -> GossipFootprint {
+        self.shards[self.shard_idx(object)].core.obj(object).map_or_else(
+            GossipFootprint::default,
+            |s| GossipFootprint {
+                view: s.gossip.view().len(),
+                lazy_links: s.gossip.lazy_link_count(),
+                seen_ids: s.gossip.seen_count(),
+                cached_bodies: s.lazy.cached_bodies(),
+                missing: s.lazy.missing.len(),
+            },
+        )
     }
 
     // ----------------------------------------------------------- triggers

@@ -548,3 +548,60 @@ fn chunked_fetch_frames_respect_the_bound_and_reassemble_identically() {
         assert_eq!(drain(Some(cap)), unbounded, "cap {cap} reassembled a different set");
     }
 }
+
+/// Pre-change `note_counters`: one `known_counts` lookup per incoming
+/// writer instead of one walk over both sorted maps.
+fn note_counters_reference(st: &mut ObjShared, counters: &VersionVector, now: SimTime) {
+    for (writer, count) in counters.iter() {
+        let known = st.known_counts.get(writer);
+        if count > known {
+            let node = NodeCore::home(writer);
+            for _ in known..count {
+                st.layer.observe_update(node, now);
+            }
+            st.known_counts.observe(writer, count);
+        }
+    }
+}
+
+proptest::proptest! {
+    /// The merge-walk feeds the temperature overlay exactly what the
+    /// per-writer lookups fed it: a run of counter vectors (so `known` is
+    /// itself random by the later steps) leaves the same known counts, the
+    /// same top layer and bit-equal temperatures. The order of the
+    /// `observe_update` calls is pinned at its source, by
+    /// `merge_with_matches_per_writer_lookup` in `idea-vv`.
+    #[test]
+    fn note_counters_merge_walk_matches_per_writer_lookup(
+        steps in proptest::collection::vec(
+            proptest::collection::btree_map(0u32..8, 0u64..6, 0..8),
+            1..12,
+        ),
+    ) {
+        let cfg = IdeaConfig::default();
+        let fresh = || ObjShared {
+            layer: TwoLayer::new(OBJ, cfg.top_layer),
+            gossip: GossipRouter::new(NodeId(0), cfg.gossip),
+            known_counts: VersionVector::new(),
+            level: ConsistencyLevel::PERFECT,
+            lazy: lazy::LazyPlane::default(),
+        };
+        let (mut walked, mut looked_up) = (fresh(), fresh());
+        for (i, counts) in steps.into_iter().enumerate() {
+            let now = SimTime::from_secs(3 * i as u64);
+            let incoming = VersionVector::from_pairs(
+                counts.into_iter().map(|(w, c)| (idea_types::WriterId(w), c)),
+            );
+            walked.note_counters(&incoming, now);
+            note_counters_reference(&mut looked_up, &incoming, now);
+            proptest::prop_assert_eq!(&walked.known_counts, &looked_up.known_counts);
+            proptest::prop_assert_eq!(walked.layer.top_members(), looked_up.layer.top_members());
+            for node in (0..8).map(NodeId) {
+                proptest::prop_assert_eq!(
+                    walked.layer.temperature(node, now).to_bits(),
+                    looked_up.layer.temperature(node, now).to_bits()
+                );
+            }
+        }
+    }
+}

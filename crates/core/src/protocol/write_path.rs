@@ -7,13 +7,13 @@
 //! which forwards it to the detection subsystem — the write path never
 //! touches detection state.
 
-use super::lazy::dispatch_rumor;
 use super::NodeCore;
 use crate::messages::IdeaMsg;
 use idea_net::Context;
 use idea_types::{ConsistencyLevel, NodeId, ObjectId, Result, Update, UpdatePayload};
 use idea_vv::VersionVector;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Per-object write-path state.
 #[derive(Debug, Default)]
@@ -96,7 +96,7 @@ impl WritePath {
         let shared = core.objs.get_mut(&object).expect("object state");
         counters.merge(&shared.known_counts);
         let (id, _ttl, plan) = shared.gossip.originate(everyone, ctx.rng());
-        dispatch_rumor(core, object, id, plan, &counters, ctx);
+        shared.dispatch_rumor(&core.cfg, core.shard, id, plan, &Arc::new(counters), ctx);
     }
 
     /// A peer asked for the updates it is missing: ship them (batched).

@@ -166,6 +166,9 @@ pub struct SimEngine<P: Proto> {
     /// Per-node clock skew in parts-per-million of elapsed virtual time.
     /// Only the node's *view* of `now` drifts; engine event times do not.
     skew_ppm: Vec<i64>,
+    /// The one action buffer every event's context fills and `apply`
+    /// drains (empty between events; only its capacity is kept).
+    actions: Vec<Action<P::Msg>>,
 }
 
 impl<P: Proto> SimEngine<P> {
@@ -196,6 +199,7 @@ impl<P: Proto> SimEngine<P> {
             reorder_window: SimDuration::ZERO,
             duplicate_rate: 0.0,
             skew_ppm: vec![0; n],
+            actions: Vec::new(),
         };
         for i in 0..n {
             eng.with_node(NodeId(i as u32), |p, ctx| p.on_start(ctx));
@@ -353,14 +357,15 @@ impl<P: Proto> SimEngine<P> {
             now: self.skewed_now(id),
             me: id,
             n: self.nodes.len(),
-            actions: Vec::new(),
+            actions: std::mem::take(&mut self.actions),
             rng: &mut self.rng,
             next_timer: &mut self.next_timer,
         };
         let out = f(&mut node, &mut ctx);
-        let actions = ctx.actions;
+        let mut actions = ctx.actions;
         self.nodes[i] = Some(node);
-        self.apply(id, actions);
+        self.apply(id, &mut actions);
+        self.actions = actions;
         out
     }
 
@@ -386,8 +391,9 @@ impl<P: Proto> SimEngine<P> {
         base + SimDuration::from_micros(self.rng.gen_range(0..=window))
     }
 
-    fn apply(&mut self, me: NodeId, actions: Vec<Action<P::Msg>>) {
-        for a in actions {
+    /// Carries out (and drains) the actions node `me` requested.
+    fn apply(&mut self, me: NodeId, actions: &mut Vec<Action<P::Msg>>) {
+        for a in actions.drain(..) {
             match a {
                 Action::Send { to, msg } => {
                     self.stats.record(msg.class(), msg.wire_size() as u64);

@@ -154,6 +154,20 @@ impl RelayPlan {
     }
 }
 
+/// What a received rumor body meant to the router
+/// ([`GossipRouter::on_receive`]).
+#[derive(Debug, PartialEq, Eq)]
+pub enum Receipt {
+    /// The body was already processed here. The link it arrived on was
+    /// demoted (the push was pure redundancy); nothing else changed.
+    Duplicate,
+    /// First delivery, nothing to relay: the TTL is exhausted or no
+    /// eligible peer remains.
+    Terminal,
+    /// First delivery: relay per the plan.
+    Relay(RelayPlan),
+}
+
 /// Per-node gossip state: duplicate suppression, fanout selection, and (in
 /// lazy mode) the stable view with its persistent eager/lazy link split.
 ///
@@ -245,8 +259,10 @@ impl GossipRouter {
     /// redundancy), and a duplicate arrival demotes it. Pass `None` for
     /// locally injected bodies.
     ///
-    /// Returns `None` when the rumor is a duplicate, its TTL is exhausted,
-    /// or no eligible peer remains.
+    /// The duplicate check is the call's own: a caller that must react to
+    /// a duplicate (the prune notification) matches on
+    /// [`Receipt::Duplicate`] instead of probing [`GossipRouter::has_seen`]
+    /// first.
     pub fn on_receive<R: Rng + ?Sized>(
         &mut self,
         id: RumorId,
@@ -254,20 +270,20 @@ impl GossipRouter {
         from: Option<NodeId>,
         peers: &[NodeId],
         rng: &mut R,
-    ) -> Option<RelayPlan> {
+    ) -> Receipt {
         if !self.note_seen(id) {
             // Duplicate body: the sender wasted a full push on us — prune
             // that link to the lazy side from now on.
             if let Some(p) = from {
                 self.demote(p);
             }
-            return None;
+            return Receipt::Duplicate;
         }
         if self.cfg.mode == GossipMode::Lazy {
             self.ensure_view(peers, rng);
         }
         if ttl == 0 {
-            return None;
+            return Receipt::Terminal;
         }
         let plan = match self.cfg.mode {
             GossipMode::Eager => RelayPlan {
@@ -278,9 +294,9 @@ impl GossipRouter {
             GossipMode::Lazy => self.view_plan(from, ttl - 1),
         };
         if plan.is_empty() {
-            None
+            Receipt::Terminal
         } else {
-            Some(plan)
+            Receipt::Relay(plan)
         }
     }
 
@@ -337,6 +353,12 @@ impl GossipRouter {
         &self.view
     }
 
+    /// Number of view links currently pruned to the lazy side (bounded by
+    /// the view).
+    pub fn lazy_link_count(&self) -> usize {
+        self.lazy_links.len()
+    }
+
     /// Samples the stable view on first use: up to `fanout` distinct peers.
     /// Membership is assumed stable (all engines hand the same `everyone`
     /// slice for the lifetime of a run).
@@ -374,7 +396,10 @@ impl GossipRouter {
     }
 
     /// Uniformly picks up to `fanout` distinct peers, never `me` and never
-    /// the sender the rumor arrived from.
+    /// the sender the rumor arrived from. The result owns exactly the
+    /// chosen ids: lazy mode stores it as the router's view for the whole
+    /// run, so it must not keep the candidate pool's deployment-sized
+    /// buffer alive.
     fn pick_peers<R: Rng + ?Sized>(
         &self,
         peers: &[NodeId],
@@ -389,8 +414,7 @@ impl GossipRouter {
             let j = rng.gen_range(i..pool.len());
             pool.swap(i, j);
         }
-        pool.truncate(k);
-        pool
+        pool[..k].to_vec()
     }
 }
 
@@ -485,24 +509,20 @@ impl SpreadSim {
                 stats.hops += 1;
                 let mut next = Vec::new();
                 for c in frontier {
-                    let was_dup = self.routers[c.node.index()].has_seen(id);
-                    if let Some(plan) = self.routers[c.node.index()].on_receive(
-                        id,
-                        c.ttl,
-                        Some(c.from),
-                        &self.peers,
-                        rng,
-                    ) {
-                        queue_plan(&plan, c.node, &mut next, &mut advertised, &mut stats);
-                    } else if was_dup
-                        && self.routers[c.node.index()].config().mode == GossipMode::Lazy
-                    {
-                        // Duplicate push: answer with a PRUNE so the
-                        // *sender* demotes its outgoing link — that is the
-                        // link that wasted the body.
-                        stats.messages += 1;
-                        stats.prunes += 1;
-                        self.routers[c.from.index()].demote(c.node);
+                    let router = &mut self.routers[c.node.index()];
+                    match router.on_receive(id, c.ttl, Some(c.from), &self.peers, rng) {
+                        Receipt::Relay(plan) => {
+                            queue_plan(&plan, c.node, &mut next, &mut advertised, &mut stats);
+                        }
+                        Receipt::Duplicate if router.config().mode == GossipMode::Lazy => {
+                            // Duplicate push: answer with a PRUNE so the
+                            // *sender* demotes its outgoing link — that is
+                            // the link that wasted the body.
+                            stats.messages += 1;
+                            stats.prunes += 1;
+                            self.routers[c.from.index()].demote(c.node);
+                        }
+                        Receipt::Duplicate | Receipt::Terminal => {}
                     }
                 }
                 frontier = next;
@@ -564,7 +584,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn lazy_cfg(fanout: usize, eager_fanout: usize, ttl: u8) -> GossipConfig {
         GossipConfig { fanout, ttl, mode: GossipMode::Lazy, eager_fanout, ..Default::default() }
@@ -604,9 +624,9 @@ mod tests {
         let mut r = GossipRouter::new(NodeId(1), lazy_cfg(4, 1, 3));
         let id = RumorId { origin: NodeId(0), seq: 9 };
         let first = r.on_receive(id, 3, Some(NodeId(0)), &peers, &mut rng);
-        assert!(first.is_some());
+        assert!(matches!(first, Receipt::Relay(_)));
         let second = r.on_receive(id, 3, Some(NodeId(3)), &peers, &mut rng);
-        assert_eq!(second, None);
+        assert_eq!(second, Receipt::Duplicate);
         assert_eq!(r.seen_count(), 1);
         // The duplicate pusher's link got pruned; the first sender's did not.
         assert!(r.is_demoted(NodeId(3)));
@@ -622,9 +642,9 @@ mod tests {
         let peers: Vec<NodeId> = (0..5u32).map(NodeId).collect();
         let mut r = GossipRouter::new(NodeId(1), GossipConfig::default());
         let id = RumorId { origin: NodeId(0), seq: 1 };
-        assert_eq!(r.on_receive(id, 0, None, &peers, &mut rng), None);
+        assert_eq!(r.on_receive(id, 0, None, &peers, &mut rng), Receipt::Terminal);
         // Still marked seen so a later copy with budget is also dropped.
-        assert_eq!(r.on_receive(id, 5, None, &peers, &mut rng), None);
+        assert_eq!(r.on_receive(id, 5, None, &peers, &mut rng), Receipt::Duplicate);
     }
 
     #[test]
@@ -633,11 +653,11 @@ mod tests {
         let peers: Vec<NodeId> = (0..6u32).map(NodeId).collect();
         let mut r = GossipRouter::new(NodeId(2), eager_cfg(2, 8));
         match r.on_receive(RumorId { origin: NodeId(0), seq: 0 }, 5, None, &peers, &mut rng) {
-            Some(plan) => {
+            Receipt::Relay(plan) => {
                 assert_eq!(plan.ttl, 4);
                 assert_eq!(plan.eager.len(), 2);
             }
-            None => panic!("fresh rumor with budget must forward"),
+            other => panic!("fresh rumor with budget must forward, got {other:?}"),
         }
     }
 
@@ -659,7 +679,7 @@ mod tests {
             let mut frontier: Vec<(NodeId, u8, NodeId)> =
                 plan.eager.iter().map(|&t| (t, plan.ttl, NodeId(0))).collect();
             while let Some((node, ttl, from)) = frontier.pop() {
-                if let Some(p) =
+                if let Receipt::Relay(p) =
                     routers[node.index()].on_receive(id, ttl, Some(from), &peers, &mut rng)
                 {
                     assert!(!p.eager.contains(&from), "pushed rumor back to its sender");
@@ -829,7 +849,7 @@ mod tests {
         // Recent rumors are still suppressed...
         let recent = RumorId { origin: NodeId(0), seq: 99_999 };
         assert!(r.has_seen(recent));
-        assert_eq!(r.on_receive(recent, 3, None, &peers, &mut rng), None);
+        assert_eq!(r.on_receive(recent, 3, None, &peers, &mut rng), Receipt::Duplicate);
         // ...while ids far outside the window have been evicted.
         let ancient = RumorId { origin: NodeId(0), seq: 0 };
         assert!(!r.has_seen(ancient), "eviction must eventually forget old ids");
@@ -851,14 +871,14 @@ mod tests {
         };
         let mut r = GossipRouter::new(NodeId(1), cfg);
         let marked = RumorId { origin: NodeId(0), seq: 0 };
-        assert!(r.on_receive(marked, 3, None, &peers, &mut rng).is_some());
+        assert!(matches!(r.on_receive(marked, 3, None, &peers, &mut rng), Receipt::Relay(_)));
         // Fill exactly up to one rotation: `marked` moves to the previous
         // generation but must still be recognised.
         for seq in 1..cap as u64 {
             let _ = r.on_receive(RumorId { origin: NodeId(0), seq }, 3, None, &peers, &mut rng);
         }
         assert!(r.has_seen(marked));
-        assert_eq!(r.on_receive(marked, 3, None, &peers, &mut rng), None);
+        assert_eq!(r.on_receive(marked, 3, None, &peers, &mut rng), Receipt::Duplicate);
     }
 
     /// Prune state stays bounded by the view no matter how many distinct
@@ -875,7 +895,137 @@ mod tests {
         }
     }
 
+    /// The view a router keeps for the whole run owns exactly the chosen
+    /// ids — never the deployment-sized candidate pool it was drawn from.
+    #[test]
+    fn stored_view_is_exactly_sized() {
+        let peers: Vec<NodeId> = (0..10_000u32).map(NodeId).collect();
+        let cfg = lazy_cfg(3, 1, 4);
+        let mut r = GossipRouter::new(NodeId(0), cfg);
+        let mut rng = StdRng::seed_from_u64(12);
+        r.ensure_view(&peers, &mut rng);
+        assert_eq!(r.view.capacity(), r.view.len());
+        assert!(!r.view.is_empty() && r.view.len() <= cfg.fanout);
+    }
+
+    /// Pre-change `pick_peers`: the same pool and partial Fisher–Yates, but
+    /// the pool itself (truncated) was the result.
+    fn pick_peers_reference(
+        r: &GossipRouter,
+        peers: &[NodeId],
+        from: Option<NodeId>,
+        rng: &mut StdRng,
+    ) -> Vec<NodeId> {
+        let mut pool: Vec<NodeId> =
+            peers.iter().copied().filter(|&p| p != r.me && Some(p) != from).collect();
+        let k = r.cfg.fanout.min(pool.len());
+        for i in 0..k {
+            let j = rng.gen_range(i..pool.len());
+            pool.swap(i, j);
+        }
+        pool.truncate(k);
+        pool
+    }
+
+    /// Pre-change `on_receive`: `None` for duplicate and terminal alike, so
+    /// callers had to probe `has_seen` first to tell them apart.
+    fn on_receive_reference(
+        r: &mut GossipRouter,
+        id: RumorId,
+        ttl: u8,
+        from: Option<NodeId>,
+        peers: &[NodeId],
+        rng: &mut StdRng,
+    ) -> Option<RelayPlan> {
+        if !r.note_seen(id) {
+            if let Some(p) = from {
+                r.demote(p);
+            }
+            return None;
+        }
+        if r.cfg.mode == GossipMode::Lazy && r.view.is_empty() {
+            r.view = pick_peers_reference(r, peers, None, rng);
+        }
+        if ttl == 0 {
+            return None;
+        }
+        let plan = match r.cfg.mode {
+            GossipMode::Eager => RelayPlan {
+                eager: pick_peers_reference(r, peers, from, rng),
+                lazy: Vec::new(),
+                ttl: ttl - 1,
+            },
+            GossipMode::Lazy => r.view_plan(from, ttl - 1),
+        };
+        (!plan.is_empty()).then_some(plan)
+    }
+
+    /// Every pinned trace depends on the chosen peers and on the RNG
+    /// position `pick_peers` leaves behind: both must match the old body.
+    #[test]
+    fn pick_peers_matches_the_truncating_reference() {
+        let fanout = 3;
+        for n in [1usize, 2, fanout, fanout + 1, 640] {
+            let peers: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+            let r = GossipRouter::new(NodeId(0), eager_cfg(fanout, 4));
+            for from in [None, Some(NodeId(n as u32 - 1))] {
+                for seed in 0..8 {
+                    let mut new_rng = StdRng::seed_from_u64(seed);
+                    let mut old_rng = StdRng::seed_from_u64(seed);
+                    let picked = r.pick_peers(&peers, from, &mut new_rng);
+                    let want = pick_peers_reference(&r, &peers, from, &mut old_rng);
+                    assert_eq!(picked, want, "n {n} from {from:?} seed {seed}");
+                    assert_eq!(picked.capacity(), picked.len());
+                    assert_eq!(new_rng.next_u64(), old_rng.next_u64(), "rng position diverged");
+                }
+            }
+        }
+    }
+
     proptest! {
+        /// The three-way receipt against the old two-call protocol
+        /// (`has_seen`, then an `on_receive` that answered `None` for
+        /// duplicate and terminal alike) over rumor sequences with repeats,
+        /// exhausted TTLs, local injections and generation rotation.
+        #[test]
+        fn receipt_matches_has_seen_then_reference(
+            lazy in prop::bool::ANY,
+            seed in 0u64..64,
+            n in 2u32..12,
+            arrivals in prop::collection::vec((0u64..24, 0u8..3, 0u32..13), 1..120),
+        ) {
+            let cfg = GossipConfig {
+                fanout: 3,
+                ttl: 4,
+                seen_cap: 8,
+                mode: if lazy { GossipMode::Lazy } else { GossipMode::Eager },
+                eager_fanout: 1,
+            };
+            let peers: Vec<NodeId> = (0..n).map(NodeId).collect();
+            let mut new = GossipRouter::new(NodeId(0), cfg);
+            let mut old = GossipRouter::new(NodeId(0), cfg);
+            let mut new_rng = StdRng::seed_from_u64(seed);
+            let mut old_rng = StdRng::seed_from_u64(seed);
+            for (seq, ttl, sender) in arrivals {
+                let id = RumorId { origin: NodeId(1), seq };
+                // Senders past the population stand for local injection.
+                let from = (sender < n).then_some(NodeId(sender));
+                let was_dup = old.has_seen(id);
+                let want = match on_receive_reference(&mut old, id, ttl, from, &peers, &mut old_rng) {
+                    Some(plan) => Receipt::Relay(plan),
+                    None if was_dup => Receipt::Duplicate,
+                    None => Receipt::Terminal,
+                };
+                prop_assert_eq!(new.on_receive(id, ttl, from, &peers, &mut new_rng), want);
+                for &p in &peers {
+                    prop_assert_eq!(new.is_demoted(p), old.is_demoted(p));
+                }
+                prop_assert_eq!(new.seen_ids(), old.seen_ids());
+                prop_assert_eq!(new.view(), old.view());
+            }
+            prop_assert_eq!(new_rng.next_u64(), old_rng.next_u64());
+        }
+
         #[test]
         fn spread_never_exceeds_population(n in 2usize..80, seed in 0u64..32,
                                            fanout in 1usize..5, ttl in 0u8..6) {

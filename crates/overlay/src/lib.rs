@@ -22,6 +22,6 @@ pub mod gossip;
 pub mod ransub;
 pub mod temperature;
 
-pub use gossip::{GossipConfig, GossipMode, GossipRouter, RelayPlan, RumorId};
+pub use gossip::{GossipConfig, GossipMode, GossipRouter, Receipt, RelayPlan, RumorId};
 pub use ransub::{RansubConfig, RansubTree};
 pub use temperature::{TopLayerConfig, TwoLayer};

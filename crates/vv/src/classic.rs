@@ -141,10 +141,34 @@ impl VersionVector {
 
     /// Component-wise maximum (the join of the domination lattice).
     pub fn merge(&mut self, other: &VersionVector) {
-        for (w, c) in &other.counters {
-            let e = self.counters.entry(*w).or_insert(0);
-            *e = (*e).max(*c);
+        self.merge_with(other, |_, _, _| {});
+    }
+
+    /// [`VersionVector::merge`] that reports every counter it raises:
+    /// `on_advance(writer, old, new)` runs once per writer whose count in
+    /// `other` exceeds ours, in writer order. One lock-step walk over the
+    /// two sorted maps — no per-writer lookup.
+    pub fn merge_with(
+        &mut self,
+        other: &VersionVector,
+        mut on_advance: impl FnMut(WriterId, u64, u64),
+    ) {
+        // Writers we lack entirely: inserted once the walk lets go of the map.
+        let mut absent = Vec::new();
+        let mut mine = self.counters.iter_mut().peekable();
+        for (&writer, &theirs) in &other.counters {
+            while mine.next_if(|(w, _)| **w < writer).is_some() {}
+            let have = mine.next_if(|(w, _)| **w == writer).map(|(_, count)| count);
+            let old = have.as_deref().copied().unwrap_or(0);
+            if theirs > old {
+                on_advance(writer, old, theirs);
+                match have {
+                    Some(count) => *count = theirs,
+                    None => absent.push((writer, theirs)),
+                }
+            }
         }
+        self.counters.extend(absent);
     }
 
     /// Returns the merged copy without mutating `self`.
@@ -284,6 +308,16 @@ mod tests {
     }
 
     #[test]
+    fn merge_with_reports_each_raised_counter_in_writer_order() {
+        let mut a = vv(&[(1, 3), (3, 2), (5, 9)]);
+        let b = vv(&[(0, 4), (1, 3), (3, 6), (5, 1), (7, 2)]);
+        let mut seen = Vec::new();
+        a.merge_with(&b, |w, old, new| seen.push((w.0, old, new)));
+        assert_eq!(seen, vec![(0, 0, 4), (3, 2, 6), (7, 0, 2)]);
+        assert_eq!(a, vv(&[(0, 4), (1, 3), (3, 6), (5, 9), (7, 2)]));
+    }
+
+    #[test]
     fn missing_from_counts_gap() {
         let a = vv(&[(0, 2), (1, 1)]);
         let r = vv(&[(0, 3), (1, 1), (2, 2)]);
@@ -324,6 +358,27 @@ mod tests {
     }
 
     proptest! {
+        /// The lock-step walk against the per-writer `get`/`observe` loop
+        /// it replaces: same result, same advances in the same order.
+        #[test]
+        fn merge_with_matches_per_writer_lookup(a in arb_vv(), b in arb_vv()) {
+            let mut want = a.clone();
+            let mut want_calls = Vec::new();
+            for (w, c) in b.iter() {
+                let have = want.get(w);
+                if c > have {
+                    want_calls.push((w, have, c));
+                    want.observe(w, c);
+                }
+            }
+            let mut got = a.clone();
+            let mut calls = Vec::new();
+            got.merge_with(&b, |w, old, new| calls.push((w, old, new)));
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(calls, want_calls);
+            prop_assert_eq!(got, a.merged(&b));
+        }
+
         #[test]
         fn compare_is_reflexive(v in arb_vv()) {
             prop_assert_eq!(v.compare(&v), VvOrdering::Equal);
