@@ -13,7 +13,9 @@ use idea_store::NodeStore;
 use idea_types::{
     NodeId, ObjectId, SimDuration, SimTime, Update, UpdateId, UpdatePayload, WriterId,
 };
-use std::collections::HashMap;
+
+#[allow(clippy::disallowed_types)] // baseline comparator, off the IDEA hot path: left as measured
+type PendingWrites = std::collections::HashMap<UpdateId, (usize, SimTime)>;
 
 /// A strongly-consistent replica node (write-all, ack-all).
 pub struct StrongNode {
@@ -21,7 +23,7 @@ pub struct StrongNode {
     object: ObjectId,
     store: NodeStore,
     /// In-flight writes: update id → (acks outstanding, issue time).
-    pending: HashMap<UpdateId, (usize, SimTime)>,
+    pending: PendingWrites,
     /// Commit latencies of completed writes.
     commit_latencies: Vec<SimDuration>,
 }
@@ -31,7 +33,13 @@ impl StrongNode {
     pub fn new(me: NodeId, object: ObjectId) -> Self {
         let mut store = NodeStore::new(me, WriterId(me.0));
         store.open(object);
-        StrongNode { me, object, store, pending: HashMap::new(), commit_latencies: Vec::new() }
+        StrongNode {
+            me,
+            object,
+            store,
+            pending: PendingWrites::new(),
+            commit_latencies: Vec::new(),
+        }
     }
 
     /// Issues a write: applies locally and propagates to every other node;

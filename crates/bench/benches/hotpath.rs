@@ -17,9 +17,8 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use idea_net::TimerWheel;
 use idea_overlay::gossip::{decode_digest, encode_digest, RumorId};
 use idea_transport::WireCodec;
-use idea_types::{NodeId, ObjectId, SimTime, Update, UpdateId, UpdatePayload, WriterId};
+use idea_types::{FastSet, NodeId, ObjectId, SimTime, Update, UpdateId, UpdatePayload, WriterId};
 use idea_vv::{ExtendedVersionVector, VersionVector, VvDelta};
-use std::collections::HashSet;
 
 /// History sizes swept: total updates spread over four writers.
 const SIZES: [u64; 3] = [10, 100, 1_000];
@@ -165,7 +164,7 @@ fn bench_timer_wheel(c: &mut Criterion) {
                 // Half the timers are cancelled before they fire —
                 // tombstoned exactly like `SimEngine::cancel_timer`.
                 let mut w = wheel_with(n);
-                let mut cancelled: HashSet<u64> = (0..n).filter(|i| i % 2 == 0).collect();
+                let mut cancelled: FastSet<u64> = (0..n).filter(|i| i % 2 == 0).collect();
                 while let Some((at, seq, id)) = w.pop() {
                     if cancelled.remove(&id) {
                         continue;

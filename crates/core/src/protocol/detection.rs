@@ -26,9 +26,9 @@ use idea_detect::bottom::{BottomReport, SweepCollector};
 use idea_detect::round::DetectRound;
 use idea_net::{Context, TimerId};
 use idea_overlay::gossip::{GossipMode, Receipt, RumorId};
-use idea_types::{NodeId, ObjectId};
+use idea_types::{FastMap, NodeId, ObjectId};
 use idea_vv::{VersionVector, VvDelta, VvSummary};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Per-object detection state.
@@ -41,7 +41,7 @@ struct DetectState {
     /// Completed rounds (drives the sweep cadence).
     completed: u64,
     /// Sweep collectors keyed by rumor sequence.
-    collectors: HashMap<u64, SweepCollector>,
+    collectors: FastMap<u64, SweepCollector>,
 }
 
 /// The detection subsystem.
@@ -49,12 +49,12 @@ struct DetectState {
 pub(crate) struct Detection {
     states: BTreeMap<ObjectId, DetectState>,
     /// Detect round id → object, for deadline timers.
-    round_objects: HashMap<u64, ObjectId>,
+    round_objects: FastMap<u64, ObjectId>,
     /// Sweep-deadline ticket → (object, rumor seq). Tickets come from the
     /// node-wide id counter because gossip seqs are only per-object unique.
-    sweep_tickets: HashMap<u64, (ObjectId, u64)>,
+    sweep_tickets: FastMap<u64, (ObjectId, u64)>,
     /// Pull-retry ticket → (object, rumor id), for `K_PULL` timers.
-    pull_tickets: HashMap<u64, (ObjectId, RumorId)>,
+    pull_tickets: FastMap<u64, (ObjectId, RumorId)>,
     /// Whether a batching-window timer is armed. The dirty objects the
     /// window will probe live in the store shard's dirty-set
     /// ([`idea_store::StoreShard::take_dirty`]): local writes mark it at

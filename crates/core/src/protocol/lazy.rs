@@ -21,9 +21,9 @@ use crate::config::IdeaConfig;
 use crate::messages::IdeaMsg;
 use idea_net::{Context, TimerId};
 use idea_overlay::gossip::{GossipMode, RelayPlan, RumorId};
-use idea_types::{NodeId, ShardId};
+use idea_types::{FastMap, NodeId, ShardId};
 use idea_vv::VersionVector;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Bodies kept per object for answering pulls. Old entries are evicted
@@ -53,14 +53,14 @@ pub(crate) struct LazyPlane {
     /// copy). Pull replies are stamped ttl 0 (terminal): a pull satisfies
     /// the one node the flood missed, it must not re-flood past the
     /// sweep's TTL budget.
-    cache: HashMap<RumorId, Arc<VersionVector>>,
+    cache: FastMap<RumorId, Arc<VersionVector>>,
     /// FIFO eviction order of `cache`.
     cache_order: VecDeque<RumorId>,
     /// Pending advertisements per peer, drained by piggybacking and the
     /// flush timer.
     outbox: BTreeMap<NodeId, Vec<(RumorId, u8)>>,
     /// Advertised-but-missing bodies with their pull state.
-    pub missing: HashMap<RumorId, Missing>,
+    pub missing: FastMap<RumorId, Missing>,
     /// Whether a `K_LAZY_FLUSH` timer is armed for this object.
     pub flush_armed: bool,
 }

@@ -13,8 +13,7 @@ use crate::schedule::{FaultEvent, Scenario, WorkOp};
 use idea_apps::{BookingServer, FleetInvariant};
 use idea_core::IdeaMsg;
 use idea_net::{Context, Proto, Quiescence, SimEngine};
-use idea_types::{NodeId, SimDuration, SimTime};
-use std::collections::HashMap;
+use idea_types::{FastMap, NodeId, SimDuration, SimTime};
 
 /// What the fault harness needs from an application under test, beyond
 /// [`Proto`]: a content hash, a workload step, and the recovery hooks.
@@ -263,7 +262,7 @@ impl<P: FaultHost> FaultRunner<P> {
     fn apply_partition(&mut self, groups: &[Vec<u32>]) {
         self.eng.heal_all();
         let n = self.eng.len() as u32;
-        let mut class: HashMap<u32, usize> = HashMap::new();
+        let mut class: FastMap<u32, usize> = FastMap::default();
         for (g, members) in groups.iter().enumerate() {
             for m in members {
                 class.insert(*m, g);

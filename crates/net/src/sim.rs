@@ -13,10 +13,9 @@ use crate::proto::{Context, Proto, TimerId, Wire};
 use crate::stats::NetStats;
 use crate::topology::Topology;
 use crate::wheel::TimerWheel;
-use idea_types::{NodeId, SimDuration, SimTime};
+use idea_types::{FastMap, FastSet, NodeId, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::collections::{HashMap, HashSet};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -149,15 +148,15 @@ pub struct SimEngine<P: Proto> {
     /// Entries are removed when the timer event pops, and cancellations of
     /// ids that are no longer live (already fired) are ignored, so the set
     /// is bounded by the number of in-flight timers.
-    cancelled: HashSet<u64>,
+    cancelled: FastSet<u64>,
     /// Timer ids currently queued and not cancelled.
-    live_timers: HashSet<u64>,
+    live_timers: FastSet<u64>,
     next_timer: u64,
     paused: Vec<bool>,
     parked: Vec<Vec<Buffered<P::Msg>>>,
-    blocked: HashSet<(NodeId, NodeId)>,
+    blocked: FastSet<(NodeId, NodeId)>,
     /// Per-link loss rates overriding the global `cfg.loss_rate`.
-    link_loss: HashMap<(NodeId, NodeId), f64>,
+    link_loss: FastMap<(NodeId, NodeId), f64>,
     /// Extra seeded delivery jitter on remote sends (0 = off). A window
     /// wider than the inter-send gap reorders messages on a link.
     reorder_window: SimDuration,
@@ -189,13 +188,13 @@ impl<P: Proto> SimEngine<P> {
             now: SimTime::ZERO,
             seq: 0,
             stats: NetStats::new(),
-            cancelled: HashSet::new(),
-            live_timers: HashSet::new(),
+            cancelled: FastSet::default(),
+            live_timers: FastSet::default(),
             next_timer: 0,
             paused: vec![false; n],
             parked: (0..n).map(|_| Vec::new()).collect(),
-            blocked: HashSet::new(),
-            link_loss: HashMap::new(),
+            blocked: FastSet::default(),
+            link_loss: FastMap::default(),
             reorder_window: SimDuration::ZERO,
             duplicate_rate: 0.0,
             skew_ppm: vec![0; n],

@@ -25,12 +25,12 @@ use crate::proto::{Context, Proto, ShardedProto, TimerId, Wire};
 use crate::stats::{NetStats, StatsSnapshot};
 use crate::topology::Topology;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use idea_types::{NodeId, SimDuration, SimTime};
+use idea_types::{FastSet, NodeId, SimDuration, SimTime};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -95,7 +95,7 @@ struct Timers {
     /// `(due, id, kind)`, earliest first.
     heap: BinaryHeap<Reverse<(Instant, u64, u64)>>,
     /// Ids armed and neither fired nor cancelled.
-    live: HashSet<u64>,
+    live: FastSet<u64>,
     next_id: u64,
 }
 

@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn planetlab_first_four_nodes_span_distinct_regions() {
         let t = Topology::planetlab(40, 7);
-        let regions: std::collections::HashSet<_> = (0..4).map(|i| t.region(NodeId(i))).collect();
+        let regions: idea_types::FastSet<_> = (0..4).map(|i| t.region(NodeId(i))).collect();
         assert_eq!(regions.len(), 4, "paper's four writers must be far apart");
     }
 

@@ -28,10 +28,9 @@
 //! `idea-core`) turns plans into actual messages, owns the rumor bodies,
 //! and runs the pull timers.
 
-use idea_types::NodeId;
+use idea_types::{FastSet, NodeId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// How a relay plan transports rumors to its chosen peers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -182,9 +181,9 @@ pub struct GossipRouter {
     cfg: GossipConfig,
     me: NodeId,
     /// Current duplicate-suppression generation.
-    seen: HashSet<RumorId>,
+    seen: FastSet<RumorId>,
     /// Previous generation (read-only until evicted).
-    seen_prev: HashSet<RumorId>,
+    seen_prev: FastSet<RumorId>,
     /// Lazy mode's stable gossip neighbourhood: up to `fanout` peers,
     /// sampled once on first use. Eager mode never populates it (it keeps
     /// the classic per-rumor random pick).
@@ -192,7 +191,7 @@ pub struct GossipRouter {
     /// View links currently pruned to the lazy side (duplicate bodies
     /// arrived on them). Bounded by the view, so repair state cannot grow
     /// with deployment size.
-    lazy_links: HashSet<NodeId>,
+    lazy_links: FastSet<NodeId>,
     next_seq: u64,
 }
 
@@ -203,10 +202,10 @@ impl GossipRouter {
         GossipRouter {
             cfg,
             me,
-            seen: HashSet::new(),
-            seen_prev: HashSet::new(),
+            seen: FastSet::default(),
+            seen_prev: FastSet::default(),
             view: Vec::new(),
-            lazy_links: HashSet::new(),
+            lazy_links: FastSet::default(),
             next_seq: 0,
         }
     }
@@ -533,7 +532,7 @@ impl SpreadSim {
             // past the sweep's TTL budget — the graft handles future rumors.
             let pending = std::mem::take(&mut advertised);
             let mut pulled = false;
-            let mut pulled_by: HashSet<NodeId> = HashSet::new();
+            let mut pulled_by: FastSet<NodeId> = FastSet::default();
             for (node, from) in pending {
                 if !self.routers[node.index()].wants_body(id) || !pulled_by.insert(node) {
                     continue;

@@ -211,10 +211,10 @@ impl RansubTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idea_types::FastMap;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::HashMap;
 
     #[test]
     fn tree_shape_is_heap_like() {
@@ -274,7 +274,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let n = 30;
         let t = RansubTree::new(n, RansubConfig { sample_size: 5, fanout: 3 });
-        let mut freq: HashMap<NodeId, usize> = HashMap::new();
+        let mut freq: FastMap<NodeId, usize> = FastMap::default();
         let rounds = 400;
         for _ in 0..rounds {
             for s in t.round(&mut rng) {

@@ -18,7 +18,6 @@
 
 use idea_types::{NodeId, ObjectId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Top-layer membership configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -48,14 +47,19 @@ impl Default for TopLayerConfig {
     }
 }
 
-/// A decayed score with its last-touch time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct Score {
+/// One node's temperature: a decayed score with its last-touch time, and
+/// whether the node is in the top layer now. The flag sits in what would
+/// otherwise be padding and mirrors `members` exactly, so a refresh tests
+/// membership without searching it.
+#[derive(Debug, Clone, Copy)]
+struct Heat {
+    node: NodeId,
+    member: bool,
     value: f64,
     at: SimTime,
 }
 
-impl Score {
+impl Heat {
     fn decayed(&self, now: SimTime, half_life: SimDuration) -> f64 {
         let dt = now.saturating_since(self.at).as_micros() as f64;
         let hl = half_life.as_micros() as f64;
@@ -71,7 +75,8 @@ impl Score {
 pub struct TwoLayer {
     object: ObjectId,
     cfg: TopLayerConfig,
-    scores: BTreeMap<NodeId, Score>,
+    /// Scored nodes, sorted by node id.
+    scores: Vec<Heat>,
     members: Vec<NodeId>,
 }
 
@@ -80,7 +85,7 @@ impl TwoLayer {
     pub fn new(object: ObjectId, cfg: TopLayerConfig) -> Self {
         assert!(cfg.leave_threshold <= cfg.join_threshold, "hysteresis requires leave ≤ join");
         assert!(cfg.max_size >= 1, "top layer must allow at least one member");
-        TwoLayer { object, cfg, scores: BTreeMap::new(), members: Vec::new() }
+        TwoLayer { object, cfg, scores: Vec::new(), members: Vec::new() }
     }
 
     /// The object this view tracks.
@@ -96,46 +101,66 @@ impl TwoLayer {
     /// Records that `node` updated the object at `now` (observed locally or
     /// learned from a detection message), then refreshes membership.
     pub fn observe_update(&mut self, node: NodeId, now: SimTime) {
-        let hl = self.cfg.half_life;
-        let e = self.scores.entry(node).or_insert(Score { value: 0.0, at: now });
-        let decayed = e.decayed(now, hl);
-        *e = Score { value: decayed + 1.0, at: now };
+        let i = match self.scores.binary_search_by_key(&node, |h| h.node) {
+            Ok(i) => i,
+            Err(i) => {
+                let member = self.members.binary_search(&node).is_ok();
+                self.scores.insert(i, Heat { node, member, value: 0.0, at: now });
+                i
+            }
+        };
+        let heat = &mut self.scores[i];
+        heat.value = heat.decayed(now, self.cfg.half_life) + 1.0;
+        heat.at = now;
         self.refresh(now);
     }
 
     /// Current temperature of `node`.
     pub fn temperature(&self, node: NodeId, now: SimTime) -> f64 {
-        self.scores.get(&node).map_or(0.0, |s| s.decayed(now, self.cfg.half_life))
+        self.scores
+            .binary_search_by_key(&node, |h| h.node)
+            .map_or(0.0, |i| self.scores[i].decayed(now, self.cfg.half_life))
     }
 
     /// Recomputes membership at `now` (called by `observe_update`; exposed
-    /// for periodic sweeps so silent nodes decay out).
+    /// for periodic sweeps so silent nodes decay out). One pass decays each
+    /// score once, and that value decides both membership and whether the
+    /// score is kept.
     pub fn refresh(&mut self, now: SimTime) {
-        let hl = self.cfg.half_life;
-        // Current members stay while above leave_threshold (hysteresis);
-        // non-members join above join_threshold.
-        let mut candidates: Vec<(NodeId, f64)> = Vec::new();
-        for (&node, score) in &self.scores {
-            let t = score.decayed(now, hl);
-            let is_member = self.members.contains(&node);
-            let keep = if is_member {
-                t >= self.cfg.leave_threshold
-            } else {
-                t >= self.cfg.join_threshold
-            };
-            if keep {
-                candidates.push((node, t));
+        let TopLayerConfig { half_life, join_threshold, leave_threshold, max_size } = self.cfg;
+        let floor = leave_threshold / 16.0;
+        // Candidates can outnumber the cap only when scores do; only then
+        // must they be ranked, which needs their temperatures.
+        let rank = self.scores.len() > max_size;
+        let mut ranked: Vec<(NodeId, f64)> = Vec::new();
+        let members = &mut self.members;
+        members.clear();
+        self.scores.retain_mut(|heat| {
+            let t = heat.decayed(now, half_life);
+            // Current members stay while above leave_threshold
+            // (hysteresis); non-members join above join_threshold.
+            heat.member = t >= if heat.member { leave_threshold } else { join_threshold };
+            if heat.member {
+                if rank {
+                    ranked.push((heat.node, t));
+                } else {
+                    members.push(heat.node);
+                }
+            }
+            // Drop stone-cold scores so the table stays small.
+            t > floor
+        });
+        if rank {
+            // Hottest first; cap at max_size; store sorted by id for
+            // determinism.
+            ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            ranked.truncate(max_size);
+            members.extend(ranked.iter().map(|&(node, _)| node));
+            members.sort_unstable();
+            for heat in &mut self.scores {
+                heat.member = members.binary_search(&heat.node).is_ok();
             }
         }
-        // Hottest first; cap at max_size; store sorted by id for determinism.
-        candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        candidates.truncate(self.cfg.max_size);
-        let mut members: Vec<NodeId> = candidates.into_iter().map(|(n, _)| n).collect();
-        members.sort_unstable();
-        self.members = members;
-        // Drop stone-cold scores so the map stays small.
-        let floor = self.cfg.leave_threshold / 16.0;
-        self.scores.retain(|_, s| s.decayed(now, hl) > floor);
     }
 
     /// Current top-layer members, sorted by node id.
@@ -158,6 +183,85 @@ impl TwoLayer {
     /// the hot writers (§4.1).
     pub fn bottom_members(&self, n: usize) -> Vec<NodeId> {
         (0..n as u32).map(NodeId).filter(|node| !self.is_top(*node)).collect()
+    }
+}
+
+#[cfg(test)]
+mod reference {
+    //! The map-backed table the flat one replaced, as it was (minus what
+    //! the proptest below does not call): the equivalence reference.
+
+    use super::TopLayerConfig;
+    use idea_types::{NodeId, SimDuration, SimTime};
+    use std::collections::BTreeMap;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Score {
+        value: f64,
+        at: SimTime,
+    }
+
+    impl Score {
+        fn decayed(&self, now: SimTime, half_life: SimDuration) -> f64 {
+            let dt = now.saturating_since(self.at).as_micros() as f64;
+            let hl = half_life.as_micros() as f64;
+            if hl <= 0.0 {
+                return self.value;
+            }
+            self.value * 0.5f64.powf(dt / hl)
+        }
+    }
+
+    pub struct TwoLayer {
+        cfg: TopLayerConfig,
+        scores: BTreeMap<NodeId, Score>,
+        members: Vec<NodeId>,
+    }
+
+    impl TwoLayer {
+        pub fn new(cfg: TopLayerConfig) -> Self {
+            TwoLayer { cfg, scores: BTreeMap::new(), members: Vec::new() }
+        }
+
+        pub fn observe_update(&mut self, node: NodeId, now: SimTime) {
+            let hl = self.cfg.half_life;
+            let e = self.scores.entry(node).or_insert(Score { value: 0.0, at: now });
+            let decayed = e.decayed(now, hl);
+            *e = Score { value: decayed + 1.0, at: now };
+            self.refresh(now);
+        }
+
+        pub fn temperature(&self, node: NodeId, now: SimTime) -> f64 {
+            self.scores.get(&node).map_or(0.0, |s| s.decayed(now, self.cfg.half_life))
+        }
+
+        pub fn refresh(&mut self, now: SimTime) {
+            let hl = self.cfg.half_life;
+            let mut candidates: Vec<(NodeId, f64)> = Vec::new();
+            for (&node, score) in &self.scores {
+                let t = score.decayed(now, hl);
+                let is_member = self.members.contains(&node);
+                let keep = if is_member {
+                    t >= self.cfg.leave_threshold
+                } else {
+                    t >= self.cfg.join_threshold
+                };
+                if keep {
+                    candidates.push((node, t));
+                }
+            }
+            candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            candidates.truncate(self.cfg.max_size);
+            let mut members: Vec<NodeId> = candidates.into_iter().map(|(n, _)| n).collect();
+            members.sort_unstable();
+            self.members = members;
+            let floor = self.cfg.leave_threshold / 16.0;
+            self.scores.retain(|_, s| s.decayed(now, hl) > floor);
+        }
+
+        pub fn top_members(&self) -> &[NodeId] {
+            &self.members
+        }
     }
 }
 
@@ -269,6 +373,28 @@ mod tests {
         assert!((t30 - 0.5).abs() < 1e-9, "one half-life halves the score");
     }
 
+    /// Once warm, a refresh rebuilds membership in the buffers it has: no
+    /// allocation per observation while the cap cannot bind.
+    #[test]
+    fn warm_refresh_reuses_its_buffers() {
+        let mut layer = TwoLayer::new(ObjectId(0), cfg());
+        for step in 0..4u64 {
+            for w in 0..4u32 {
+                layer.observe_update(NodeId(w), t(step));
+            }
+        }
+        assert_eq!(layer.top_members().len(), 4);
+        let (scores, members) = (layer.scores.as_ptr(), layer.members.as_ptr());
+        for step in 4..40u64 {
+            for w in 0..4u32 {
+                layer.observe_update(NodeId(w), t(step));
+            }
+        }
+        assert_eq!(layer.top_members().len(), 4);
+        assert_eq!(layer.scores.as_ptr(), scores);
+        assert_eq!(layer.members.as_ptr(), members);
+    }
+
     #[test]
     #[should_panic(expected = "hysteresis")]
     fn invalid_thresholds_panic() {
@@ -279,6 +405,57 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+        /// The flat table against the map-backed one it replaced, over
+        /// random observation sequences: same-`now` repeats, gaps long
+        /// enough to drop stone-cold scores, bare refreshes, caps that bind
+        /// (1–4 against 5 writers), half-life 0 and a zero leave threshold.
+        /// After every step the members are equal and every temperature is
+        /// bit-equal.
+        #[test]
+        fn flat_table_matches_the_map_reference(
+            half_life_s in 0u64..3,
+            max_size in 1usize..5,
+            thresholds in 0usize..4,
+            steps in prop::collection::vec((0u32..5, 0u8..4, 0u64..3000), 0..80),
+        ) {
+            let (join_threshold, leave_threshold) =
+                [(1.5, 0.5), (2.0, 0.0), (0.5, 0.5), (1.0, 0.25)][thresholds];
+            let c = TopLayerConfig {
+                half_life: SimDuration::from_secs([0, 1, 30][half_life_s as usize]),
+                join_threshold,
+                leave_threshold,
+                max_size,
+            };
+            let mut got = TwoLayer::new(ObjectId(0), c);
+            let mut want = reference::TwoLayer::new(c);
+            let mut now = SimTime::ZERO;
+            for (node, kind, gap) in steps {
+                let node = NodeId(node);
+                match kind {
+                    0 => {}
+                    1 => now += SimDuration::from_millis(gap),
+                    _ => now += SimDuration::from_millis(gap * 100),
+                }
+                if kind == 3 {
+                    got.refresh(now);
+                    want.refresh(now);
+                } else {
+                    got.observe_update(node, now);
+                    want.observe_update(node, now);
+                }
+                prop_assert_eq!(got.top_members(), want.top_members());
+                for n in 0..6u32 {
+                    for probe in [now, now + SimDuration::from_secs(7)] {
+                        prop_assert_eq!(
+                            got.temperature(NodeId(n), probe).to_bits(),
+                            want.temperature(NodeId(n), probe).to_bits()
+                        );
+                    }
+                }
+            }
+        }
+
         #[test]
         fn membership_is_sorted_and_capped(
             updates in prop::collection::vec((0u32..20, 0u64..300), 0..120),

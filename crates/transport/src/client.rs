@@ -20,7 +20,6 @@ use crossbeam::channel::{bounded, Sender};
 use idea_core::{Command, CommandExecutor, EngineHandle, Response};
 use idea_types::{NodeId, ShardId, WireError};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,7 +37,8 @@ pub struct RemoteStats {
     pub replies_awaited: u64,
 }
 
-type PendingMap = Mutex<HashMap<u64, Sender<Result<Response, WireError>>>>;
+#[allow(clippy::disallowed_types)] // network-facing: keeps std's keyed hasher
+type PendingMap = Mutex<std::collections::HashMap<u64, Sender<Result<Response, WireError>>>>;
 
 /// Shared between a connection and its reader thread: the in-flight
 /// request map plus the "connection is gone" marker. The reader records
@@ -82,8 +82,10 @@ impl Connection {
         };
         let _ = stream.set_read_timeout(None);
 
-        let shared =
-            Arc::new(ConnShared { pending: Mutex::new(HashMap::new()), closed: Mutex::new(None) });
+        let shared = Arc::new(ConnShared {
+            pending: Mutex::new(Default::default()),
+            closed: Mutex::new(None),
+        });
         let reader = {
             let shared = Arc::clone(&shared);
             thread::Builder::new()

@@ -346,10 +346,12 @@ impl WireCodec for Update {
 // Resolution-plane vector forms
 // ====================================================================
 
-/// A version vector is a sorted run of `(writer, counter)` pairs. Zero
-/// counters are elided by construction ([`VersionVector`] never stores
-/// them), so a zero on the wire is a malformed frame, not a representable
-/// value — rejecting it keeps encode/decode a bijection.
+/// A version vector is a run of `(writer, counter)` pairs, strictly
+/// ascending by writer. Zero counters are elided and writers are unique by
+/// construction ([`VersionVector`] stores neither), so a zero, a repeated
+/// writer or a writer out of order on the wire is a malformed frame, not a
+/// representable value — rejecting them keeps encode/decode a bijection.
+/// A well-formed run becomes the vector's storage as it stands.
 impl WireCodec for VersionVector {
     fn encode(&self, out: &mut Vec<u8>) {
         self.writers().encode(out);
@@ -366,6 +368,9 @@ impl WireCodec for VersionVector {
             let c = u64::decode(r)?;
             if c == 0 {
                 return Err(r.err("zero counter in version vector"));
+            }
+            if pairs.last().is_some_and(|&(prev, _)| prev >= w) {
+                return Err(r.err("version vector writers not strictly ascending"));
             }
             pairs.push((w, c));
         }
@@ -945,6 +950,43 @@ mod tests {
         assert!(VersionVector::from_bytes(&buf).is_err());
         // An unknown ReferenceWire tag is out of domain.
         assert!(ReferenceWire::from_bytes(&[2]).is_err());
+    }
+
+    /// `pairs` in the vector wire form verbatim, however malformed.
+    fn raw_vector(pairs: &[(u32, u64)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        pairs.len().encode(&mut buf);
+        for &(w, c) in pairs {
+            WriterId(w).encode(&mut buf);
+            c.encode(&mut buf);
+        }
+        buf
+    }
+
+    /// Writers out of order or repeated are as malformed as a zero counter:
+    /// `[(w1, 5), (w0, 3)]` used to decode and re-encode as different bytes.
+    #[test]
+    fn non_canonical_vector_runs_are_rejected() {
+        for pairs in [&[(1, 5), (0, 3)][..], &[(2, 1), (2, 4)][..]] {
+            let err = VersionVector::from_bytes(&raw_vector(pairs)).unwrap_err();
+            assert_eq!(err.what, "version vector writers not strictly ascending", "{pairs:?}");
+        }
+        let sorted = raw_vector(&[(0, 3), (1, 5)]);
+        assert_eq!(VersionVector::from_bytes(&sorted).unwrap().to_bytes(), sorted);
+    }
+
+    proptest::proptest! {
+        /// Vector decoding is a bijection: whatever raw run of pairs decodes
+        /// re-encodes to exactly its own bytes.
+        #[test]
+        fn decoded_vectors_re_encode_to_the_same_bytes(
+            pairs in proptest::collection::vec((0u32..5, 0u64..4), 0..6),
+        ) {
+            let bytes = raw_vector(&pairs);
+            if let Ok(vv) = VersionVector::from_bytes(&bytes) {
+                proptest::prop_assert_eq!(vv.to_bytes(), bytes);
+            }
+        }
     }
 
     #[test]

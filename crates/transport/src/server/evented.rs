@@ -33,7 +33,6 @@ use idea_core::{CommandExecutor, Response};
 use idea_types::{NodeId, WireError};
 use mio::{Events, Interest, Poll, Registry, Token, Waker};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -151,7 +150,7 @@ pub(super) fn spawn(
                 sink,
                 stop_flag,
                 stats,
-                conns: HashMap::new(),
+                conns: ConnMap::default(),
                 next_token: FIRST_CONN,
                 batch: Vec::new(),
                 scratch: vec![0u8; READ_CHUNK],
@@ -162,6 +161,10 @@ pub(super) fn spawn(
 
     Ok(IdeaServer { local_addr, stop_flag, sink, handle: Some(handle), stats })
 }
+
+/// Live connections by poll token.
+#[allow(clippy::disallowed_types)] // network-facing: keeps std's keyed hasher
+type ConnMap = std::collections::HashMap<usize, Conn>;
 
 /// Per-connection state machine.
 struct Conn {
@@ -232,7 +235,7 @@ struct EventLoop {
     sink: Arc<CompletionSink>,
     stop_flag: Arc<AtomicBool>,
     stats: Arc<Stats>,
-    conns: HashMap<usize, Conn>,
+    conns: ConnMap,
     next_token: usize,
     /// Completions taken from the sink and not yet encoded; empty between
     /// uses, kept for its buffer.

@@ -97,7 +97,7 @@ impl From<u64> for ObjectId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use crate::FastSet;
 
     #[test]
     fn node_id_ordering_is_numeric() {
@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn ids_hash_distinctly() {
-        let set: HashSet<NodeId> = (0..100).map(NodeId).collect();
+        let set: FastSet<NodeId> = (0..100).map(NodeId).collect();
         assert_eq!(set.len(), 100);
     }
 

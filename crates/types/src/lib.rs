@@ -15,6 +15,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod level;
 pub mod shard;
@@ -23,6 +24,7 @@ pub mod time;
 pub mod update;
 
 pub use error::{IdeaError, WireError};
+pub use hash::{mix64, FastMap, FastSet, FoldHasher};
 pub use ids::{NodeId, ObjectId, WriterId};
 pub use level::{ConsistencyLevel, ErrorTriple};
 pub use shard::{shard_hash, ShardId};

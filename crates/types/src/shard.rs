@@ -8,6 +8,7 @@
 //! message-routing hot path), so it is a fixed SplitMix64 finaliser rather
 //! than anything keyed or configurable.
 
+use crate::hash::mix64;
 use crate::ids::ObjectId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -44,17 +45,15 @@ impl fmt::Display for ShardId {
     }
 }
 
-/// The stable 64-bit mix behind [`ShardId::of`] (SplitMix64 finaliser).
+/// The stable 64-bit mix behind [`ShardId::of`] ([`mix64`], the SplitMix64
+/// finaliser).
 ///
 /// Object ids are often dense small integers; taking them modulo `S`
 /// directly would stripe consecutive objects across shards in lockstep with
 /// any workload periodicity, so they are mixed first.
 #[inline]
 pub fn shard_hash(object: ObjectId) -> u64 {
-    let mut z = object.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(object.0)
 }
 
 #[cfg(test)]

@@ -3,8 +3,11 @@
 //! Inconsistency in IDEA is "detected through exchanging version vectors
 //! among replicas" (§4.3, after Parker et al. 1983). This crate provides:
 //!
-//! * [`VersionVector`] — the classic per-writer counter map with its partial
-//!   order ([`VvOrdering`]) and merge;
+//! * [`VersionVector`] — the classic per-writer counters with their partial
+//!   order ([`VvOrdering`]) and merge, stored as one flat run of
+//!   `(writer, count)` pairs sorted by writer: lookups binary-search it,
+//!   two-vector operations walk both runs in lock-step, and a writer joining
+//!   a vector costs one O(W) insert (see [`classic`]);
 //! * [`ExtendedVersionVector`] — the paper's extension (§4.4.1, Figure 5):
 //!   per-update timestamps, a critical-metadata value, and computation of the
 //!   TACT `<numerical error, order error, staleness>` triple against a chosen

@@ -261,6 +261,9 @@ impl WalCodec for Update {
     }
 }
 
+/// The strictly ascending, zero-free run the transport codec carries too:
+/// no encoder writes anything else, so anything else is corrupt. A
+/// well-formed run becomes the vector's storage as it stands.
 impl WalCodec for VersionVector {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.writers() as u64).encode(out);
@@ -273,7 +276,15 @@ impl WalCodec for VersionVector {
         let len = decode_len(r)?;
         let mut pairs = Vec::with_capacity(len.min(1024));
         for _ in 0..len {
-            pairs.push((WriterId::decode(r)?, u64::decode(r)?));
+            let w = WriterId::decode(r)?;
+            let c = u64::decode(r)?;
+            if c == 0 {
+                return Err(r.err("zero counter in version vector"));
+            }
+            if pairs.last().is_some_and(|&(prev, _)| prev >= w) {
+                return Err(r.err("version vector writers not strictly ascending"));
+            }
+            pairs.push((w, c));
         }
         Ok(VersionVector::from_pairs(pairs))
     }

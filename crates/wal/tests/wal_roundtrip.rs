@@ -221,6 +221,36 @@ fn unknown_tag_is_rejected() {
     }
 }
 
+/// A `DropExtras` payload carrying `pairs` verbatim as its vector, however
+/// malformed.
+fn drop_extras_bytes(pairs: &[(u32, u64)]) -> Vec<u8> {
+    let mut out =
+        WalRecord::DropExtras { object: ObjectId(7), counts: VersionVector::new() }.to_bytes();
+    out.truncate(out.len() - 8); // drop the empty vector's count
+    (pairs.len() as u64).encode(&mut out);
+    for &(w, c) in pairs {
+        WriterId(w).encode(&mut out);
+        c.encode(&mut out);
+    }
+    out
+}
+
+/// No encoder writes a zero counter or a writer out of order or twice, so
+/// the decoder refuses them: accepting `[(w1, 5), (w0, 3)]` used to re-encode
+/// as different bytes, and a zero counter used to vanish on decode.
+#[test]
+fn non_canonical_version_vectors_are_rejected() {
+    assert!(WalRecord::from_bytes(&drop_extras_bytes(&[(0, 4), (2, 1)])).is_ok());
+    for (pairs, what) in [
+        (&[(0, 4), (2, 0)][..], "zero counter in version vector"),
+        (&[(1, 5), (0, 3)][..], "version vector writers not strictly ascending"),
+        (&[(2, 1), (2, 4)][..], "version vector writers not strictly ascending"),
+    ] {
+        let err = WalRecord::from_bytes(&drop_extras_bytes(pairs)).unwrap_err();
+        assert_eq!(err.what, what, "{pairs:?}");
+    }
+}
+
 // ====================================================================
 // Frame layer: torn tail vs corruption
 // ====================================================================
@@ -301,6 +331,24 @@ fn checksum_valid_undecodable_frame_is_corruption() {
     std::fs::remove_dir_all(&cfg.dir).unwrap();
 }
 
+/// A durable frame holding a non-canonical vector is corruption, not a
+/// vector to repair.
+#[test]
+fn checksum_valid_non_canonical_vector_is_corruption() {
+    let cfg = tmp_cfg("noncanon");
+    let log = write_fixture_log(&cfg);
+    let mut bytes = std::fs::read(&log).unwrap();
+    let payload = drop_extras_bytes(&[(1, 5), (0, 3)]);
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    std::fs::write(&log, &bytes).unwrap();
+
+    let err = ShardWal::load(&cfg, NodeId(0), 0).unwrap_err();
+    assert!(matches!(err, WalError::Corrupt { what: "record payload" }), "{err}");
+    std::fs::remove_dir_all(&cfg.dir).unwrap();
+}
+
 #[test]
 fn bad_log_magic_is_corruption() {
     let cfg = tmp_cfg("magic");
@@ -328,6 +376,18 @@ proptest! {
     fn random_snapshots_round_trip(snap in arb_snapshot()) {
         let bytes = snap.to_bytes();
         prop_assert_eq!(ShardSnapshot::from_bytes(&bytes).unwrap(), snap);
+    }
+
+    /// Vector decoding is a bijection: whatever raw run of pairs decodes
+    /// re-encodes to exactly its own bytes.
+    #[test]
+    fn decoded_vectors_re_encode_to_the_same_bytes(
+        pairs in prop::collection::vec((0u32..5, 0u64..4), 0..6),
+    ) {
+        let bytes = drop_extras_bytes(&pairs);
+        if let Ok(rec) = WalRecord::from_bytes(&bytes) {
+            prop_assert_eq!(rec.to_bytes(), bytes);
+        }
     }
 
     /// Random single-byte flips anywhere after the magic never produce a
