@@ -228,13 +228,10 @@ impl ResolutionDriver {
         let Some(st) = self.states.get_mut(&object) else {
             return;
         };
-        let (my_rid, mut awaiting, started, dispatch) = match &st.state {
-            ResState::Phase1 { rid: r, awaiting, started, dispatch } => {
-                (*r, awaiting.clone(), *started, *dispatch)
-            }
-            _ => return,
+        let ResState::Phase1 { rid: my_rid, awaiting, started, dispatch } = &mut st.state else {
+            return;
         };
-        if my_rid != rid {
+        if *my_rid != rid {
             return;
         }
         if !granted {
@@ -247,6 +244,7 @@ impl ResolutionDriver {
         awaiting.retain(|&n| n != from);
         if awaiting.is_empty() {
             // Phase 1 complete: move to phase 2.
+            let (started, dispatch) = (*started, *dispatch);
             let now = ctx.now();
             let me = core.me;
             let members = core.obj_mut(object).layer.top_peers(me);
@@ -266,8 +264,6 @@ impl ResolutionDriver {
                 probe,
             };
             send_collects(core, object, rid, &members, 0, summary.as_ref(), ctx);
-        } else {
-            st.state = ResState::Phase1 { rid, awaiting, started, dispatch };
         }
     }
 
@@ -331,15 +327,14 @@ impl ResolutionDriver {
         probe: Option<idea_vv::VvSummary>,
         ctx: &mut dyn Context<IdeaMsg>,
     ) {
-        core.store.open(object);
-        let evv = core.store.replica(object).expect("opened").version().clone();
+        let evv = core.store.open(object).version();
         self.state(object).remember_ack(from, rid, evv.counters().clone());
         match probe {
             Some(probe) => {
                 let delta = evv.suffix_since(&probe.counters);
                 ctx.send(from, IdeaMsg::CollectDelta { rid, object, delta });
             }
-            None => ctx.send(from, IdeaMsg::CollectReply { rid, object, evv }),
+            None => ctx.send(from, IdeaMsg::CollectReply { rid, object, evv: evv.clone() }),
         }
     }
 

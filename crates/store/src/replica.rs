@@ -7,8 +7,9 @@
 //! them are found. Rolling back cuts the log's suffix off and takes exactly
 //! those updates out of the vector and the digest. Both cost
 //! `O(writers + divergence)`, never a pass over the log. Loser invalidation
-//! ([`Replica::drop_extras`]) and the wholesale [`Replica::reconcile_to`]
-//! still rebuild from the log.
+//! ([`Replica::drop_extras`]) costs `O(writers)` when it drops nothing and
+//! rebuilds from the log otherwise; the wholesale [`Replica::reconcile_to`]
+//! always rebuilds.
 
 use idea_types::{IdeaError, ObjectId, Result, SimTime, Update, UpdateId, WriterId};
 use idea_vv::ExtendedVersionVector;
@@ -229,11 +230,29 @@ impl Replica {
     /// Returns the invalidated updates in log order; buffered out-of-order
     /// arrivals are discarded either way.
     ///
-    /// One pass over the log rebuilds log, vector and digest, whether or
-    /// not anything is dropped — `O(history)` per `Inform`. The in-place
-    /// edit ([`Replica::rollback`] has its shape) is the ROADMAP open item
-    /// "In-place loser invalidation".
+    /// When nothing is beyond `counts` — most members' `Inform`s — the
+    /// counters say so in `O(writers)` and log, vector and digest are left
+    /// untouched. Otherwise one pass over the log rebuilds all three,
+    /// `O(history)`; the in-place cut ([`Replica::rollback`] has its shape)
+    /// is ROADMAP item 1(b), step 2.
     pub fn drop_extras(&mut self, counts: &idea_vv::VersionVector) -> Vec<Update> {
+        self.drop_beyond(counts, self.count_beyond(counts))
+    }
+
+    /// [`Replica::drop_extras`] for a caller that already knows
+    /// `beyond == self.count_beyond(counts)`.
+    pub(crate) fn drop_beyond(
+        &mut self,
+        counts: &idea_vv::VersionVector,
+        beyond: u64,
+    ) -> Vec<Update> {
+        debug_assert_eq!(beyond, self.count_beyond(counts));
+        self.pending.clear();
+        if beyond == 0 {
+            // Keeping every update in order would rebuild an equal vector
+            // and the same digest.
+            return Vec::new();
+        }
         let (keep, dropped): (Vec<Update>, Vec<Update>) =
             self.log.drain(..).partition(|u| u.seq() <= counts.get(u.writer()));
         let mut evv = ExtendedVersionVector::new();
@@ -245,7 +264,6 @@ impl Replica {
         self.log = keep;
         self.evv = evv;
         self.hash = hash;
-        self.pending.clear();
         dropped
     }
 
@@ -466,9 +484,39 @@ mod tests {
         assert_same(&r, &want);
     }
 
+    #[test]
+    fn drop_extras_that_drops_nothing_leaves_the_log_in_place() {
+        let mut r = Replica::new(OBJ);
+        for s in 1..=5 {
+            r.apply(upd(0, s, s, 1)).unwrap();
+            r.apply(upd(1, s, s, 2)).unwrap();
+        }
+        // Buffered, and discarded by the drop.
+        r.apply(upd(1, 9, 9, 4)).unwrap();
+        // At w0's count, above w1's, and a writer the replica never saw.
+        let counts = idea_vv::VersionVector::from_pairs([
+            (WriterId(0), 5),
+            (WriterId(1), 7),
+            (WriterId(2), 1),
+        ]);
+        let (want, _) = rebuilt_drop_extras(&r, &counts);
+        let (ptr, cap) = (r.log.as_ptr(), r.log.capacity());
+        assert!(r.drop_extras(&counts).is_empty());
+        assert_same(&r, &want);
+        assert_eq!((r.log.as_ptr(), r.log.capacity()), (ptr, cap), "log not rebuilt");
+    }
+
     /// The rebuild-from-scratch `rollback` the in-place one replaced.
     fn rebuilt_rollback(r: &Replica, cp: &Checkpoint) -> (Replica, Vec<Update>) {
         (rebuilt_from(r.log[..cp.log_len].to_vec()), r.log[cp.log_len..].to_vec())
+    }
+
+    /// The always-rebuild `drop_extras` the no-op early return sits in
+    /// front of.
+    fn rebuilt_drop_extras(r: &Replica, counts: &idea_vv::VersionVector) -> (Replica, Vec<Update>) {
+        let (keep, dropped) =
+            r.log.iter().cloned().partition(|u| u.seq() <= counts.get(u.writer()));
+        (rebuilt_from(keep), dropped)
     }
 
     fn rebuilt_from(log: Vec<Update>) -> Replica {
@@ -598,6 +646,28 @@ mod tests {
             let (want, want_dropped) = rebuilt_rollback(&r, &cp);
             let dropped = r.rollback(&cp).unwrap();
             prop_assert_eq!(dropped, want_dropped);
+            assert_same(&r, &want);
+        }
+
+        /// `drop_extras` equals the rebuild whether or not it drops
+        /// anything: counts below, at and above each writer's count, and
+        /// writers the replica or the counts never saw.
+        #[test]
+        fn drop_extras_equals_the_rebuild(
+            updates in arb_streams(),
+            offsets in prop::collection::vec(-3i64..3, 5..6),
+        ) {
+            let mut r = Replica::new(OBJ);
+            for u in &updates {
+                r.apply(u.clone()).unwrap();
+            }
+            r.apply(upd(3, r.version().count(WriterId(3)) + 2, 70, 1)).unwrap(); // buffered
+            let counts = idea_vv::VersionVector::from_pairs(offsets.iter().enumerate().map(|(w, d)| {
+                let w = WriterId(w as u32);
+                (w, r.version().count(w).saturating_add_signed(*d))
+            }));
+            let (want, want_dropped) = rebuilt_drop_extras(&r, &counts);
+            prop_assert_eq!(r.drop_extras(&counts), want_dropped);
             assert_same(&r, &want);
         }
 

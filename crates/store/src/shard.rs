@@ -423,12 +423,13 @@ impl StoreShard {
     /// Fails when no replica of the object exists.
     pub fn drop_extras(&mut self, object: ObjectId, counts: &VersionVector) -> Result<Vec<Update>> {
         let r = self.replica(object)?;
+        let beyond = r.count_beyond(counts);
         // Logged only when it changes the replica: something is beyond
         // `counts`, or buffered arrivals are about to be discarded.
-        if self.wal.is_some() && (r.count_beyond(counts) > 0 || r.pending_len() > 0) {
+        if self.wal.is_some() && (beyond > 0 || r.pending_len() > 0) {
             self.log_wal(WalRecord::DropExtras { object, counts: counts.clone() });
         }
-        Ok(self.replicas.get_mut(&object).expect("checked above").drop_extras(counts))
+        Ok(self.replicas.get_mut(&object).expect("checked above").drop_beyond(counts, beyond))
     }
 
     /// Rolls `object` back to `cp`, WAL-logging the truncation once it
