@@ -182,7 +182,7 @@ fn bench_timer_wheel(c: &mut Criterion) {
 const DIGESTS: [usize; 3] = [1, 16, 128];
 
 fn digest_entries(len: usize) -> Vec<(RumorId, u8)> {
-    (0..len).map(|i| (RumorId { origin: NodeId((i % 64) as u32), seq: i as u64 }, 4)).collect()
+    (0..len).map(|i| (RumorId { origin: NodeId((i % 64) as u32), seq: i as u32 }, 4)).collect()
 }
 
 /// The lazy gossip plane's wire codec: IHAVE advertisements encode at

@@ -162,12 +162,10 @@ impl Detection {
         summary: VvSummary,
         ctx: &mut dyn Context<IdeaMsg>,
     ) -> Trigger {
-        core.store.open(object);
-        core.ensure_obj(object);
         let me = core.me;
         let quant = core.quant;
         let (delta, pair) = {
-            let mine = core.store.replica(object).expect("opened").version();
+            let mine = core.open(object).version();
             let delta = mine.suffix_since(&summary.counters);
             let pair = if from > me {
                 quant.level(&mine.triple_against_summary(&summary))
@@ -291,17 +289,18 @@ impl Detection {
         // Field-disjoint borrows: the cached node list stays shared while
         // the object state is mutated.
         let everyone = &core.everyone;
-        let shared = core.objs.get_mut(&object).expect("object state");
+        let shared = core.objs.get_mut(object).expect("object state");
         let level = shared.level;
         let (id, _ttl, plan) = shared.gossip.originate(everyone, ctx.rng());
-        self.state(object).collectors.insert(id.seq, SweepCollector::new(level, epsilon, deadline));
+        let seq = u64::from(id.seq);
+        self.state(object).collectors.insert(seq, SweepCollector::new(level, epsilon, deadline));
         shared.dispatch_rumor(&core.cfg, core.shard, id, plan, &counters, ctx);
         // Deadline timers route through a node-unique ticket: gossip seqs
         // are allocated per object, so two objects at one node can emit the
         // same `id.seq` and a seq-keyed map would settle the wrong sweep.
         let ticket = core.fresh_id();
         ctx.set_timer(core.cfg.sweep_deadline, pack(K_SWEEP, core.shard, ticket));
-        self.sweep_tickets.insert(ticket, (object, id.seq));
+        self.sweep_tickets.insert(ticket, (object, seq));
     }
 
     /// A sweep (or bootstrap announce) rumor arrived: relay it per the
@@ -326,13 +325,12 @@ impl Detection {
         // Field-disjoint borrows from here on: the object's state is
         // resolved once and mutated while the config, the cached node list
         // and the store stay shared.
-        let shared = match core.objs.get_mut(&object) {
+        let shared = match core.objs.get_mut(object) {
             Some(shared) => shared,
             None => {
                 // First contact: open the replica, create the state.
-                core.store.open(object);
-                core.ensure_obj(object);
-                core.objs.get_mut(&object).expect("object state")
+                core.open(object);
+                core.objs.get_mut(object).expect("object state")
             }
         };
         shared.note_counters(&counters, ctx.now());
@@ -359,7 +357,7 @@ impl Detection {
                 id.origin,
                 IdeaMsg::SweepDivergence {
                     object,
-                    sweep: id.seq,
+                    sweep: u64::from(id.seq),
                     delta: mine.suffix_since(&counters),
                 },
             );
@@ -385,14 +383,13 @@ impl Detection {
         if ids.is_empty() {
             return;
         }
-        core.store.open(object);
-        core.ensure_obj(object);
+        core.open(object);
         let shard = core.shard;
         let timeout = core.cfg.gossip_pull_timeout;
         // Pass 1: classify under the object borrow.
         let mut fresh = Vec::new();
         {
-            let shared = core.objs.get_mut(&object).expect("object state");
+            let shared = core.objs.get_mut(object).expect("object state");
             for (id, _ttl) in ids {
                 if !shared.gossip.wants_body(id) {
                     continue; // body already processed here
@@ -417,7 +414,7 @@ impl Detection {
             let ticket = core.fresh_id();
             let timer = ctx.set_timer(timeout, pack(K_PULL, shard, ticket));
             self.pull_tickets.insert(ticket, (object, id));
-            let shared = core.objs.get_mut(&object).expect("object state");
+            let shared = core.objs.get_mut(object).expect("object state");
             shared.lazy.missing.insert(id, Missing { advertisers: vec![from], timer, ticket });
         }
     }
@@ -436,7 +433,7 @@ impl Detection {
         id: RumorId,
         ctx: &mut dyn Context<IdeaMsg>,
     ) {
-        let Some(shared) = core.objs.get_mut(&object) else {
+        let Some(shared) = core.objs.get_mut(object) else {
             return;
         };
         if let Some(counters) = shared.lazy.cached(id) {
@@ -461,7 +458,7 @@ impl Detection {
         let shard = core.shard;
         let timeout = core.cfg.gossip_pull_timeout;
         let next = {
-            let Some(shared) = core.objs.get_mut(&object) else {
+            let Some(shared) = core.objs.get_mut(object) else {
                 return;
             };
             if !shared.gossip.wants_body(id) {
@@ -480,7 +477,7 @@ impl Detection {
             let fresh = core.fresh_id();
             let timer = ctx.set_timer(timeout, pack(K_PULL, shard, fresh));
             self.pull_tickets.insert(fresh, (object, id));
-            let shared = core.objs.get_mut(&object).expect("object state");
+            let shared = core.objs.get_mut(object).expect("object state");
             if let Some(miss) = shared.lazy.missing.get_mut(&id) {
                 miss.timer = timer;
                 miss.ticket = fresh;
@@ -492,7 +489,7 @@ impl Detection {
     /// A peer found our eager push redundant ([`IdeaMsg::GossipPrune`]):
     /// demote our link to it. Its next genuine miss grafts the link back.
     pub fn on_prune(&mut self, core: &mut NodeCore, from: NodeId, object: ObjectId) {
-        if let Some(shared) = core.objs.get_mut(&object) {
+        if let Some(shared) = core.objs.get_mut(object) {
             shared.gossip.demote(from);
         }
     }
@@ -505,7 +502,7 @@ impl Detection {
         object: ObjectId,
         ctx: &mut dyn Context<IdeaMsg>,
     ) {
-        let Some(shared) = core.objs.get_mut(&object) else {
+        let Some(shared) = core.objs.get_mut(object) else {
             return;
         };
         shared.lazy.flush_armed = false;

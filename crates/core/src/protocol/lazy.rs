@@ -66,16 +66,21 @@ pub(crate) struct LazyPlane {
 }
 
 impl LazyPlane {
-    /// Caches a body for answering pulls, evicting FIFO at capacity.
+    /// Caches a body for answering pulls, evicting FIFO at capacity. The
+    /// oldest body leaves before the new one is queued, so the eviction
+    /// order never holds more than [`CACHE_CAP`] ids.
     pub fn cache_body(&mut self, id: RumorId, counters: Arc<VersionVector>) {
-        if self.cache.insert(id, counters).is_none() {
-            self.cache_order.push_back(id);
-            if self.cache_order.len() > CACHE_CAP {
-                if let Some(old) = self.cache_order.pop_front() {
-                    self.cache.remove(&old);
-                }
+        if let Some(held) = self.cache.get_mut(&id) {
+            *held = counters;
+            return;
+        }
+        if self.cache_order.len() == CACHE_CAP {
+            if let Some(old) = self.cache_order.pop_front() {
+                self.cache.remove(&old);
             }
         }
+        self.cache_order.push_back(id);
+        self.cache.insert(id, counters);
     }
 
     /// The cached body of `id`, if still held.
@@ -141,5 +146,30 @@ impl ObjShared {
                 pack(K_LAZY_FLUSH, shard, object.index() as u64),
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_body_cache_evicts_fifo_within_its_capacity() {
+        let mut lazy = LazyPlane::default();
+        let body = Arc::new(VersionVector::new());
+        let id = |seq: usize| RumorId { origin: NodeId(3), seq: seq as u32 };
+        for seq in 0..CACHE_CAP + 5 {
+            lazy.cache_body(id(seq), Arc::clone(&body));
+        }
+        assert_eq!(lazy.cached_bodies(), CACHE_CAP);
+        assert!((0..5).all(|seq| lazy.cached(id(seq)).is_none()), "the oldest left first");
+        assert!((5..CACHE_CAP + 5).all(|seq| lazy.cached(id(seq)).is_some()));
+        assert!(lazy.cache_order.iter().copied().eq((5..CACHE_CAP + 5).map(id)));
+        assert!(lazy.cache_order.capacity() <= CACHE_CAP, "the order outgrew the cap");
+        // A body cached again replaces the held one and keeps its place.
+        let newer = Arc::new(VersionVector::new());
+        lazy.cache_body(id(5), Arc::clone(&newer));
+        assert!(Arc::ptr_eq(lazy.cached(id(5)).unwrap(), &newer));
+        assert_eq!(lazy.cache_order.front(), Some(&id(5)));
     }
 }

@@ -32,6 +32,18 @@
 //! `&mut NodeCore` of one shard plus the (internally synchronised)
 //! `SharedCore`, never another shard.
 //!
+//! A node hosts every configured object from its first event, so the state
+//! *every* hosted object carries is dense: the store shard's replica slots
+//! and `NodeCore::objs` are [`idea_types::ObjectTable`]s, one id-ordered
+//! vector each, sized exactly when `NodeCore::new` opens the objects; a
+//! lookup is one probe when the ids form a dense run and a binary search
+//! otherwise. `NodeCore::open` is the only way an
+//! object enters a shard, so both tables always hold the same ids. State
+//! only a *touched* object carries — an in-flight detection round, a
+//! resolution state machine, read bookkeeping — stays in each subsystem's
+//! sparse map: most objects of a large deployment never need it, and
+//! inlining it into every slot would cost more than the tables save.
+//!
 //! On the deterministic simulator [`IdeaNode`] routes events to shards
 //! in-process, so semantics are engine-independent; the threaded engine can
 //! instead split the shards onto per-node workers
@@ -75,8 +87,8 @@ use crate::config::IdeaConfig;
 use crate::quantify::Quantifier;
 use idea_overlay::gossip::GossipRouter;
 use idea_overlay::temperature::TwoLayer;
-use idea_store::StoreShard;
-use idea_types::{ConsistencyLevel, NodeId, ObjectId, ShardId, SimTime, WriterId};
+use idea_store::{Replica, StoreShard};
+use idea_types::{ConsistencyLevel, NodeId, ObjectId, ObjectTable, ShardId, SimTime, WriterId};
 use idea_vv::VersionVector;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -134,6 +146,18 @@ pub(crate) struct ObjShared {
 }
 
 impl ObjShared {
+    /// Fresh state of `object` at node `me`: a cold overlay view, an empty
+    /// router, nothing learned yet.
+    fn new(object: ObjectId, me: NodeId, cfg: &IdeaConfig) -> Self {
+        ObjShared {
+            layer: TwoLayer::new(object, cfg.top_layer),
+            gossip: GossipRouter::new(me, cfg.gossip),
+            known_counts: VersionVector::new(),
+            level: ConsistencyLevel::PERFECT,
+            lazy: lazy::LazyPlane::default(),
+        }
+    }
+
     /// Learns writer activity from any counters that pass by (detection,
     /// collection, gossip), feeding the temperature overlay: one observed
     /// update per count a writer advanced beyond what this node knew.
@@ -175,7 +199,7 @@ impl SharedCore {
 }
 
 /// One shard's working state: identity, configuration, the shard of the
-/// store, the quantifier, and the per-object [`ObjShared`] map — plus the
+/// store, the quantifier, and the per-object [`ObjShared`] table — plus the
 /// `Arc` to the node-wide [`SharedCore`].
 ///
 /// `cfg`, `quant` and `priorities` are read on every event, so each shard
@@ -190,7 +214,9 @@ pub(crate) struct NodeCore {
     pub quant: Quantifier,
     pub store: StoreShard,
     pub priorities: BTreeMap<NodeId, u8>,
-    pub objs: BTreeMap<ObjectId, ObjShared>,
+    /// Shared state of every object this shard hosts, in id order; holds
+    /// exactly the store shard's objects (see [`NodeCore::open`]).
+    pub objs: ObjectTable<ObjShared>,
     /// All node ids in the deployment, cached so gossip fan-out never
     /// re-allocates the peer list per received rumor (refreshed by
     /// [`NodeCore::ensure_everyone`] if the deployment size changes).
@@ -200,29 +226,28 @@ pub(crate) struct NodeCore {
 
 impl NodeCore {
     /// Builds the shard's core hosting `objects` (already filtered to this
-    /// shard by the caller).
+    /// shard by the caller), with both per-object tables sized exactly.
     pub fn new(
         me: NodeId,
         shard: ShardId,
         cfg: IdeaConfig,
-        objects: &[ObjectId],
+        objects: impl Iterator<Item = ObjectId> + Clone,
         shared: Arc<SharedCore>,
     ) -> Self {
-        let store = StoreShard::new(me, WriterId(me.0));
+        let n = objects.clone().count();
         let mut core = NodeCore {
             me,
             shard,
             quant: Quantifier::new(cfg.weights, cfg.bounds),
             cfg,
-            store,
+            store: StoreShard::with_capacity(me, WriterId(me.0), n),
             priorities: BTreeMap::new(),
-            objs: BTreeMap::new(),
+            objs: ObjectTable::with_capacity(n),
             everyone: Vec::new(),
             shared,
         };
-        for &o in objects {
-            core.store.open(o);
-            core.ensure_obj(o);
+        for o in objects {
+            core.open(o);
         }
         core
     }
@@ -276,26 +301,24 @@ impl NodeCore {
         }
     }
 
-    /// Creates the shared state of `object` on first contact.
-    pub fn ensure_obj(&mut self, object: ObjectId) {
-        let (me, top_layer, gossip) = (self.me, self.cfg.top_layer, self.cfg.gossip);
-        self.objs.entry(object).or_insert_with(|| ObjShared {
-            layer: TwoLayer::new(object, top_layer),
-            gossip: GossipRouter::new(me, gossip),
-            known_counts: VersionVector::new(),
-            level: ConsistencyLevel::PERFECT,
-            lazy: lazy::LazyPlane::default(),
-        });
+    /// Opens `object` on this shard — its replica and its shared state,
+    /// each created on first contact (the replica's creation is WAL-logged
+    /// when durability is on) — and returns the replica.
+    pub fn open(&mut self, object: ObjectId) -> &mut Replica {
+        if let Err(slot) = self.objs.find(object) {
+            self.objs.insert_at(slot, object, ObjShared::new(object, self.me, &self.cfg));
+        }
+        self.store.open(object)
     }
 
-    /// Shared state of `object`, if this shard has touched it.
+    /// Shared state of `object`, if this shard hosts it.
     pub fn obj(&self, object: ObjectId) -> Option<&ObjShared> {
-        self.objs.get(&object)
+        self.objs.get(object)
     }
 
     /// Shared state of `object`; panics when the object was never opened.
     pub fn obj_mut(&mut self, object: ObjectId) -> &mut ObjShared {
-        self.objs.get_mut(&object).expect("object state")
+        self.objs.get_mut(object).expect("object state")
     }
 
     /// Learns writer activity from any counters that pass by (see

@@ -437,7 +437,6 @@ impl ProtocolShard {
     pub fn rejoin_from(&mut self, peer: NodeId, ctx: &mut dyn Context<IdeaMsg>) {
         let objects: Vec<ObjectId> = self.core.store.objects().collect();
         for object in objects {
-            self.core.ensure_obj(object);
             if peer != self.core.me {
                 let have = self
                     .core
@@ -511,15 +510,9 @@ impl IdeaNode {
         let shards = (0..nshards)
             .map(|s| {
                 let shard = ShardId(s as u32);
-                let mine: Vec<ObjectId> =
-                    objects.iter().copied().filter(|&o| ShardId::of(o, nshards) == shard).collect();
-                ProtocolShard::new(NodeCore::new(
-                    me,
-                    shard,
-                    cfg.clone(),
-                    &mine,
-                    Arc::clone(&shared),
-                ))
+                let mine =
+                    objects.iter().copied().filter(move |&o| ShardId::of(o, nshards) == shard);
+                ProtocolShard::new(NodeCore::new(me, shard, cfg.clone(), mine, Arc::clone(&shared)))
             })
             .collect();
         Ok(IdeaNode { shards, shared })
@@ -552,16 +545,14 @@ impl IdeaNode {
                 panic!("cannot recover WAL shard {i} under {:?}: {e}", dcfg.dir)
             });
             if !recovered.is_empty() {
-                let mut store = StoreShard::recover(me, WriterId(me.0), &recovered);
-                // Keep newly configured objects that never hit the log.
-                for o in shard.core.store.objects().collect::<Vec<_>>() {
-                    store.open(o);
+                shard.core.store = StoreShard::recover(me, WriterId(me.0), &recovered);
+                // Recovered objects need their protocol-plane state too, and
+                // newly configured objects that never hit the log open fresh.
+                let objects: Vec<ObjectId> =
+                    shard.core.store.objects().chain(shard.core.objs.ids()).collect();
+                for o in objects {
+                    shard.core.open(o);
                 }
-                shard.core.store = store;
-            }
-            // Recovered objects need their protocol-plane state too.
-            for o in shard.core.store.objects().collect::<Vec<_>>() {
-                shard.core.ensure_obj(o);
             }
             shard.core.store.attach_wal(wal);
         }

@@ -42,7 +42,7 @@ pub(super) fn apply_reference(
     ctx: &mut dyn Context<IdeaMsg>,
 ) {
     let my_writer = core.store.writer();
-    core.store.open(object);
+    core.open(object);
     // Through the store wrapper so the transition is WAL-logged when
     // durability is on (a recovering node must not resurrect updates the
     // reference dropped).

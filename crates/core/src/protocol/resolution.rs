@@ -107,7 +107,7 @@ pub(crate) struct ResolutionDriver {
 /// overhead on every collect request.
 fn make_probe(core: &mut NodeCore, object: ObjectId) -> Option<Box<CollectProbe>> {
     core.cfg.compact_resolution.then(|| {
-        let baseline = core.store.open(object).version().clone();
+        let baseline = core.open(object).version().clone();
         Box::new(CollectProbe { summary: baseline.summary(0), baseline })
     })
 }
@@ -169,8 +169,7 @@ impl ResolutionDriver {
         object: ObjectId,
         ctx: &mut dyn Context<IdeaMsg>,
     ) {
-        core.store.open(object);
-        core.ensure_obj(object);
+        core.open(object);
         let lease = core.cfg.attention_lease;
         let now = ctx.now();
         let me = core.me;
@@ -279,7 +278,7 @@ impl ResolutionDriver {
             return;
         };
         ctx.set_timer(period, pack(K_BACKGROUND, core.shard, object.0));
-        let Some(shared) = core.objs.get_mut(&object) else {
+        let Some(shared) = core.objs.get_mut(object) else {
             return;
         };
         let members = shared.layer.top_members().to_vec();
@@ -327,7 +326,7 @@ impl ResolutionDriver {
         probe: Option<idea_vv::VvSummary>,
         ctx: &mut dyn Context<IdeaMsg>,
     ) {
-        let evv = core.store.open(object).version();
+        let evv = core.open(object).version();
         self.state(object).remember_ack(from, rid, evv.counters().clone());
         match probe {
             Some(probe) => {
@@ -493,8 +492,7 @@ impl ResolutionDriver {
         reference: ReferenceWire,
         ctx: &mut dyn Context<IdeaMsg>,
     ) {
-        core.store.open(object);
-        core.ensure_obj(object);
+        core.open(object);
         let st = self.state(object);
         let acked = st.take_ack(from, rid);
         if let Some((holder, held_rid, _)) = st.attention {
@@ -527,7 +525,7 @@ impl ResolutionDriver {
         };
         if matches!(st.state, ResState::BackOff { .. }) {
             st.state = ResState::Idle;
-            let Some(shared) = core.objs.get_mut(&object) else {
+            let Some(shared) = core.objs.get_mut(object) else {
                 return;
             };
             let level = shared.level;

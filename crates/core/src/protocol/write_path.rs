@@ -93,7 +93,7 @@ impl WritePath {
         let mut counters = core.store.replica(object).expect("opened").version().counters().clone();
         core.ensure_everyone(ctx.node_count());
         let everyone = &core.everyone;
-        let shared = core.objs.get_mut(&object).expect("object state");
+        let shared = core.objs.get_mut(object).expect("object state");
         counters.merge(&shared.known_counts);
         let (id, _ttl, plan) = shared.gossip.originate(everyone, ctx.rng());
         shared.dispatch_rumor(&core.cfg, core.shard, id, plan, &Arc::new(counters), ctx);
@@ -139,14 +139,12 @@ impl WritePath {
         done: bool,
         ctx: &mut dyn Context<IdeaMsg>,
     ) {
-        core.store.open(object);
+        core.open(object);
         for u in updates {
             let _ = core.store.ingest(u);
         }
         if done {
-            if let Some(st) = core.objs.get_mut(&object) {
-                st.level = ConsistencyLevel::PERFECT;
-            }
+            core.obj_mut(object).level = ConsistencyLevel::PERFECT;
         } else {
             let have = core.store.replica(object).expect("opened").version().counters().clone();
             ctx.send(from, IdeaMsg::FetchRequest { object, have });

@@ -86,34 +86,44 @@ impl Default for GossipConfig {
     }
 }
 
-/// Unique rumor identity: (origin node, origin-local sequence).
+/// Unique rumor identity: (origin node, origin-local sequence), 8 bytes.
+///
+/// The sequence is a wrapping `u32`. An id only has to be unique while
+/// something can still confuse it with another: inside the receivers'
+/// duplicate-suppression window (at most `2 × seen_cap` ids per router)
+/// and while one rumor's copies, cached bodies and pulls are alive. A
+/// router reuses a sequence only after 2³² originations of its own, far
+/// outside both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct RumorId {
     /// Node that started the rumor.
     pub origin: NodeId,
-    /// Origin-local sequence number.
-    pub seq: u64,
+    /// Origin-local sequence number (wrapping).
+    pub seq: u32,
 }
 
-/// Encoded bytes per digest entry: origin (4) + seq (8) + ttl (1).
+/// Encoded bytes per digest entry: origin (4) + seq (8) + ttl (1). The
+/// wire keeps eight bytes for the sequence.
 pub const DIGEST_ENTRY_BYTES: usize = 13;
 
 /// Encodes `(rumor id, remaining ttl)` advertisements into the compact
-/// wire form ([`DIGEST_ENTRY_BYTES`] per entry, little-endian). This is
-/// the byte layout the accounting layer charges for digests, kept as a
-/// real codec so the cost model and any future external transport agree.
+/// wire form ([`DIGEST_ENTRY_BYTES`] per entry, little-endian, the
+/// sequence widened to eight bytes). This is the byte layout the
+/// accounting layer charges for digests, kept as a real codec so the cost
+/// model and any future external transport agree.
 pub fn encode_digest(entries: &[(RumorId, u8)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(entries.len() * DIGEST_ENTRY_BYTES);
     for (id, ttl) in entries {
         out.extend_from_slice(&id.origin.0.to_le_bytes());
-        out.extend_from_slice(&id.seq.to_le_bytes());
+        out.extend_from_slice(&u64::from(id.seq).to_le_bytes());
         out.push(*ttl);
     }
     out
 }
 
 /// Decodes a digest produced by [`encode_digest`]. Returns `None` when the
-/// buffer is not a whole number of entries.
+/// buffer is not a whole number of entries or a sequence exceeds
+/// `u32::MAX`.
 pub fn decode_digest(bytes: &[u8]) -> Option<Vec<(RumorId, u8)>> {
     if !bytes.len().is_multiple_of(DIGEST_ENTRY_BYTES) {
         return None;
@@ -121,7 +131,7 @@ pub fn decode_digest(bytes: &[u8]) -> Option<Vec<(RumorId, u8)>> {
     let mut out = Vec::with_capacity(bytes.len() / DIGEST_ENTRY_BYTES);
     for chunk in bytes.chunks_exact(DIGEST_ENTRY_BYTES) {
         let origin = NodeId(u32::from_le_bytes(chunk[0..4].try_into().ok()?));
-        let seq = u64::from_le_bytes(chunk[4..12].try_into().ok()?);
+        let seq = u64::from_le_bytes(chunk[4..12].try_into().ok()?).try_into().ok()?;
         out.push((RumorId { origin, seq }, chunk[12]));
     }
     Some(out)
@@ -192,7 +202,8 @@ pub struct GossipRouter {
     /// arrived on them). Bounded by the view, so repair state cannot grow
     /// with deployment size.
     lazy_links: FastSet<NodeId>,
-    next_seq: u64,
+    /// Sequence of the next originated rumor (wrapping; see [`RumorId`]).
+    next_seq: u32,
 }
 
 impl GossipRouter {
@@ -235,7 +246,7 @@ impl GossipRouter {
         rng: &mut R,
     ) -> (RumorId, u8, RelayPlan) {
         let id = RumorId { origin: self.me, seq: self.next_seq };
-        self.next_seq += 1;
+        self.next_seq = self.next_seq.wrapping_add(1);
         self.note_seen(id);
         let plan = match self.cfg.mode {
             GossipMode::Eager => RelayPlan {
@@ -751,7 +762,7 @@ mod tests {
     fn digest_codec_round_trips() {
         let entries = vec![
             (RumorId { origin: NodeId(0), seq: 0 }, 4),
-            (RumorId { origin: NodeId(7), seq: u64::MAX }, 0),
+            (RumorId { origin: NodeId(7), seq: u32::MAX }, 0),
             (RumorId { origin: NodeId(u32::MAX), seq: 12345 }, 255),
         ];
         let bytes = encode_digest(&entries);
@@ -759,6 +770,44 @@ mod tests {
         assert_eq!(decode_digest(&bytes), Some(entries));
         assert_eq!(decode_digest(&[0u8; 5]), None, "partial entries must be rejected");
         assert_eq!(decode_digest(&[]), Some(vec![]));
+    }
+
+    #[test]
+    fn rumor_ids_are_eight_bytes() {
+        assert_eq!(std::mem::size_of::<RumorId>(), 8);
+    }
+
+    /// The wire keeps eight bytes for a sequence, but no router can issue
+    /// one past `u32::MAX`: such an entry is malformed, not a rumor.
+    #[test]
+    fn decode_digest_rejects_a_seq_past_u32() {
+        let mut bytes = encode_digest(&[(RumorId { origin: NodeId(2), seq: u32::MAX }, 3)]);
+        assert_eq!(bytes.len(), DIGEST_ENTRY_BYTES);
+        assert!(decode_digest(&bytes).is_some());
+        bytes[8] = 1; // the low byte of the sequence's upper half
+        assert_eq!(decode_digest(&bytes), None);
+    }
+
+    /// A router whose sequence wraps keeps originating distinct ids, and
+    /// the receivers keep suppressing duplicates and relaying fresh ids
+    /// across the wrap.
+    #[test]
+    fn sequences_wrap_without_breaking_suppression() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let peers: Vec<NodeId> = (0..8u32).map(NodeId).collect();
+        let cfg = eager_cfg(2, 3);
+        let mut origin = GossipRouter::new(NodeId(0), cfg);
+        origin.next_seq = u32::MAX - 2;
+        let mut relay = GossipRouter::new(NodeId(1), cfg);
+        let mut ids = Vec::new();
+        for _ in 0..6 {
+            let (id, ttl, _) = origin.originate(&peers, &mut rng);
+            assert!(matches!(relay.on_receive(id, ttl, None, &peers, &mut rng), Receipt::Relay(_)));
+            assert_eq!(relay.on_receive(id, ttl, None, &peers, &mut rng), Receipt::Duplicate);
+            ids.push(id.seq);
+        }
+        assert_eq!(ids, [u32::MAX - 2, u32::MAX - 1, u32::MAX, 0, 1, 2]);
+        assert!(ids.iter().all(|&seq| relay.has_seen(RumorId { origin: NodeId(0), seq })));
     }
 
     #[test]
@@ -834,7 +883,7 @@ mod tests {
             ..Default::default()
         };
         let mut r = GossipRouter::new(NodeId(1), cfg);
-        for seq in 0..100_000u64 {
+        for seq in 0..100_000u32 {
             let id = RumorId { origin: NodeId(0), seq };
             let _ = r.on_receive(id, 3, None, &peers, &mut rng);
             assert!(
@@ -873,7 +922,7 @@ mod tests {
         assert!(matches!(r.on_receive(marked, 3, None, &peers, &mut rng), Receipt::Relay(_)));
         // Fill exactly up to one rotation: `marked` moves to the previous
         // generation but must still be recognised.
-        for seq in 1..cap as u64 {
+        for seq in 1..cap as u32 {
             let _ = r.on_receive(RumorId { origin: NodeId(0), seq }, 3, None, &peers, &mut rng);
         }
         assert!(r.has_seen(marked));
@@ -991,7 +1040,7 @@ mod tests {
             lazy in prop::bool::ANY,
             seed in 0u64..64,
             n in 2u32..12,
-            arrivals in prop::collection::vec((0u64..24, 0u8..3, 0u32..13), 1..120),
+            arrivals in prop::collection::vec((0u32..24, 0u8..3, 0u32..13), 1..120),
         ) {
             let cfg = GossipConfig {
                 fanout: 3,

@@ -282,8 +282,16 @@ impl Replica {
         if cp.log_len > self.log.len() {
             return Err(IdeaError::RollbackBeyondLog);
         }
+        Ok(self.truncate(cp.log_len))
+    }
+
+    /// Keeps the first `len` applied updates and cuts the rest in place,
+    /// returning them (newest last); buffered arrivals are discarded. The
+    /// cut costs the dropped suffix, not the history. A `len` past the
+    /// log keeps everything.
+    pub(crate) fn truncate(&mut self, len: usize) -> Vec<Update> {
         self.pending.clear();
-        let dropped: Vec<Update> = self.log.split_off(cp.log_len);
+        let dropped: Vec<Update> = self.log.split_off(len.min(self.log.len()));
         // Each writer's dropped updates are the newest of its run, in
         // sequence order: the first one met fixes the surviving count.
         let mut cut: BTreeMap<WriterId, u64> = BTreeMap::new();
@@ -295,7 +303,7 @@ impl Replica {
         }
         let keep = self.evv.counters().with_overrides(&cut.into_iter().collect::<Vec<_>>());
         self.evv.truncate_to(&keep, meta);
-        Ok(dropped)
+        dropped
     }
 }
 

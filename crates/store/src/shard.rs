@@ -10,11 +10,11 @@
 
 use crate::replica::{ApplyOutcome, Checkpoint, Replica};
 use idea_types::{
-    IdeaError, NodeId, ObjectId, Result, SimTime, Update, UpdateId, UpdatePayload, WriterId,
+    IdeaError, NodeId, ObjectId, ObjectTable, Result, SimTime, Update, UpdateId, UpdatePayload,
+    WriterId,
 };
 use idea_vv::{ExtendedVersionVector, VersionVector};
 use idea_wal::{ObjectSnapshotRef, Recovered, ShardSnapshotRef, ShardWal, WalRecord};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// What a read returns: the replica's current value view (owned).
 ///
@@ -69,22 +69,30 @@ impl SnapshotView<'_> {
     }
 }
 
+/// What a shard keeps per hosted object.
+#[derive(Debug, Clone)]
+struct StoreSlot {
+    replica: Replica,
+    /// Next local sequence number; 0 until the first local write or
+    /// resume sets it.
+    next_seq: u64,
+    /// A detection probe is pending. Local writes mark their object, and
+    /// the protocol layer marks read-triggered probes via
+    /// [`StoreShard::mark_dirty`]; the detection layer's batching window
+    /// drains the marks ([`StoreShard::take_dirty`]) to start one
+    /// coalesced round per dirty object. Remote ingests do *not* dirty —
+    /// only local triggers start probes (§4.2).
+    dirty: bool,
+}
+
 /// The replicas of one shard, behind the same read/write API as the whole
 /// store.
 #[derive(Debug)]
 pub struct StoreShard {
     node: NodeId,
     writer: WriterId,
-    replicas: BTreeMap<ObjectId, Replica>,
-    /// Next local sequence number per object.
-    next_seq: BTreeMap<ObjectId, u64>,
-    /// Objects with a pending detection probe: local writes mark their
-    /// object dirty, and the protocol layer marks read-triggered probes via
-    /// [`StoreShard::mark_dirty`]; the detection layer's batching window
-    /// drains the set ([`StoreShard::take_dirty`]) to start one coalesced
-    /// round per dirty object. Remote ingests do *not* dirty — only local
-    /// triggers start probes (§4.2).
-    dirty: BTreeSet<ObjectId>,
+    /// One slot per hosted object, in id order.
+    slots: ObjectTable<StoreSlot>,
     /// The attached write-ahead log, when durability is on. Every sanctioned
     /// mutation appends a [`WalRecord`] before it is applied; the handle
     /// also owns snapshot installation ([`StoreShard::snapshot_now`]).
@@ -97,28 +105,20 @@ impl Clone for StoreShard {
     /// appending to the original's log would corrupt replay order). Clones
     /// are in-memory working copies — baselines, tests, harness snapshots.
     fn clone(&self) -> Self {
-        StoreShard {
-            node: self.node,
-            writer: self.writer,
-            replicas: self.replicas.clone(),
-            next_seq: self.next_seq.clone(),
-            dirty: self.dirty.clone(),
-            wal: None,
-        }
+        StoreShard { node: self.node, writer: self.writer, slots: self.slots.clone(), wal: None }
     }
 }
 
 impl StoreShard {
     /// An empty shard for `node`, writing as `writer`.
     pub fn new(node: NodeId, writer: WriterId) -> Self {
-        StoreShard {
-            node,
-            writer,
-            replicas: BTreeMap::new(),
-            next_seq: BTreeMap::new(),
-            dirty: BTreeSet::new(),
-            wal: None,
-        }
+        Self::with_capacity(node, writer, 0)
+    }
+
+    /// An empty shard with room for `objects` replicas, so opening that
+    /// many allocates nothing more.
+    pub fn with_capacity(node: NodeId, writer: WriterId, objects: usize) -> Self {
+        StoreShard { node, writer, slots: ObjectTable::with_capacity(objects), wal: None }
     }
 
     /// The owning node.
@@ -131,44 +131,63 @@ impl StoreShard {
         self.writer
     }
 
+    /// The slot of `object`, opening it first when absent (the first
+    /// creation is WAL-logged, before it is applied).
+    fn open_slot(&mut self, object: ObjectId) -> usize {
+        match self.slots.find(object) {
+            Ok(slot) => slot,
+            Err(slot) => {
+                // Logging never adds or removes a slot, so `slot` stays
+                // the insertion point.
+                self.log_wal(WalRecord::Open { object });
+                let fresh = StoreSlot { replica: Replica::new(object), next_seq: 0, dirty: false };
+                self.slots.insert_at(slot, object, fresh);
+                slot
+            }
+        }
+    }
+
+    /// The slot of `object`.
+    fn hosted(&self, object: ObjectId) -> Result<usize> {
+        self.slots.find(object).map_err(|_| IdeaError::UnknownObject(object))
+    }
+
     /// Creates (or returns) the replica of `object`. First creation is a
     /// sanctioned transition and is WAL-logged when durability is on.
     pub fn open(&mut self, object: ObjectId) -> &mut Replica {
-        if !self.replicas.contains_key(&object) {
-            self.log_wal(WalRecord::Open { object });
-            self.replicas.insert(object, Replica::new(object));
-        }
-        self.replicas.get_mut(&object).expect("just inserted")
+        let slot = self.open_slot(object);
+        &mut self.slots.slot_mut(slot).replica
     }
 
     /// Immutable access to a replica.
     pub fn replica(&self, object: ObjectId) -> Result<&Replica> {
-        self.replicas.get(&object).ok_or(IdeaError::UnknownObject(object))
+        self.slots.get(object).map(|s| &s.replica).ok_or(IdeaError::UnknownObject(object))
     }
 
     /// Mutable access to a replica.
     pub fn replica_mut(&mut self, object: ObjectId) -> Result<&mut Replica> {
-        self.replicas.get_mut(&object).ok_or(IdeaError::UnknownObject(object))
+        self.slots.get_mut(object).map(|s| &mut s.replica).ok_or(IdeaError::UnknownObject(object))
     }
 
     /// Objects hosted by this shard, in id order (no per-call allocation).
     pub fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.replicas.keys().copied()
+        self.slots.ids()
     }
 
     /// Number of replicas hosted by this shard.
     pub fn len(&self) -> usize {
-        self.replicas.len()
+        self.slots.len()
     }
 
     /// True when the shard hosts no replica.
     pub fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
+        self.slots.is_empty()
     }
 
     /// Issues a local write: assigns the next sequence number, applies it to
     /// the local replica, marks the object dirty and returns the update for
-    /// dissemination.
+    /// dissemination. Opens the object first when this shard does not
+    /// host it yet.
     pub fn write(
         &mut self,
         object: ObjectId,
@@ -176,23 +195,19 @@ impl StoreShard {
         meta_delta: i64,
         payload: UpdatePayload,
     ) -> Update {
-        let seq = self.next_seq.entry(object).or_insert(1);
-        let update = Update {
-            object,
-            id: UpdateId { writer: self.writer, seq: *seq },
-            at,
-            meta_delta,
-            payload,
-        };
-        *seq += 1;
-        self.open(object);
+        let slot = self.open_slot(object);
+        let next = &mut self.slots.slot_mut(slot).next_seq;
+        let seq = (*next).max(1);
+        *next = seq + 1;
+        let update =
+            Update { object, id: UpdateId { writer: self.writer, seq }, at, meta_delta, payload };
         if self.wal.is_some() {
             self.log_wal(WalRecord::Write { update: update.clone() });
         }
-        let replica = self.replicas.get_mut(&object).expect("opened above");
-        let outcome = replica.apply(update.clone()).expect("own write applies");
+        let s = self.slots.slot_mut(slot);
+        let outcome = s.replica.apply(update.clone()).expect("own write applies");
         debug_assert_eq!(outcome, ApplyOutcome::Applied, "local writes are in order");
-        self.dirty.insert(object);
+        s.dirty = true;
         update
     }
 
@@ -202,19 +217,14 @@ impl StoreShard {
     /// # Errors
     /// Fails when no replica of the object exists (`open` it first).
     pub fn ingest(&mut self, update: Update) -> Result<ApplyOutcome> {
-        let object = update.object;
-        let seen = self
-            .replicas
-            .get(&object)
-            .ok_or(IdeaError::UnknownObject(object))?
-            .version()
-            .count(update.writer());
+        let slot = self.hosted(update.object)?;
+        let seen = self.slots.slot(slot).replica.version().count(update.writer());
         // Already-applied duplicates are not re-logged; new updates are —
         // including out-of-order ones the replica will buffer as pending.
         if seen < update.seq() && self.wal.is_some() {
             self.log_wal(WalRecord::Ingest { update: update.clone() });
         }
-        self.replicas.get_mut(&object).expect("checked above").apply(update)
+        self.slots.slot_mut(slot).replica.apply(update)
     }
 
     /// Reads the current snapshot of `object` (owned; clones the version).
@@ -241,30 +251,40 @@ impl StoreShard {
     }
 
     /// Resets the local write sequence to continue after `seq` (used after a
-    /// reconciliation re-sequenced this writer's extra updates).
+    /// reconciliation re-sequenced this writer's extra updates). Opens the
+    /// object first when this shard does not host it yet.
     pub fn resume_writes_after(&mut self, object: ObjectId, seq: u64) {
+        let slot = self.open_slot(object);
         // A resume that moves nothing (the common case after an `Inform`
         // that sanctioned everything held) is not a transition to log.
-        if self.next_seq.get(&object) == Some(&(seq + 1)) {
+        if self.slots.slot(slot).next_seq == seq + 1 {
             return;
         }
         self.log_wal(WalRecord::ResumeSeq { object, seq });
-        self.next_seq.insert(object, seq + 1);
+        self.slots.slot_mut(slot).next_seq = seq + 1;
     }
 
-    /// Marks an object dirty without a write (read-triggered probes).
+    /// Marks an object dirty without a write (read-triggered probes). A
+    /// no-op for an object this shard does not host: there is nothing to
+    /// probe.
     pub fn mark_dirty(&mut self, object: ObjectId) {
-        self.dirty.insert(object);
+        if let Some(s) = self.slots.get_mut(object) {
+            s.dirty = true;
+        }
     }
 
-    /// Drains the dirty-set: the objects marked since the previous drain.
-    pub fn take_dirty(&mut self) -> BTreeSet<ObjectId> {
-        std::mem::take(&mut self.dirty)
+    /// Drains the dirty marks: the objects marked since the previous
+    /// drain, in id order.
+    pub fn take_dirty(&mut self) -> Vec<ObjectId> {
+        self.slots
+            .iter_mut()
+            .filter_map(|(o, s)| std::mem::take(&mut s.dirty).then_some(o))
+            .collect()
     }
 
     /// Objects currently marked dirty.
     pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
+        self.slots.iter().filter(|(_, s)| s.dirty).count()
     }
 
     // ------------------------------------------------------- durability
@@ -326,13 +346,13 @@ impl StoreShard {
             writer: self.writer,
             shard: wal.shard(),
             objects: self
-                .replicas
+                .slots
                 .iter()
-                .map(|(object, r)| ObjectSnapshotRef {
-                    object: *object,
-                    next_seq: self.next_seq.get(object).copied().unwrap_or(0),
-                    log: r.log(),
-                    pending: r.pending_updates().collect(),
+                .map(|(object, s)| ObjectSnapshotRef {
+                    object,
+                    next_seq: s.next_seq,
+                    log: s.replica.log(),
+                    pending: s.replica.pending_updates().collect(),
                 })
                 .collect(),
         };
@@ -343,25 +363,21 @@ impl StoreShard {
     /// then the log tail replayed in append order. The result has no WAL
     /// attached — the caller reattaches the truncated handle afterwards.
     pub fn recover(node: NodeId, writer: WriterId, recovered: &Recovered) -> StoreShard {
-        let mut s = StoreShard::new(node, writer);
+        let objects = recovered.snapshot.as_ref().map_or(0, |snap| snap.objects.len());
+        let mut s = StoreShard::with_capacity(node, writer, objects);
         if let Some(snap) = &recovered.snapshot {
             for os in &snap.objects {
-                let r = s.open(os.object);
-                for u in &os.log {
-                    let _ = r.apply(u.clone());
+                let slot = s.open_slot(os.object);
+                let slot = s.slots.slot_mut(slot);
+                for u in os.log.iter().chain(&os.pending) {
+                    let _ = slot.replica.apply(u.clone());
                 }
-                for u in &os.pending {
-                    let _ = r.apply(u.clone());
-                }
-                if os.next_seq > 0 {
-                    s.next_seq.insert(os.object, os.next_seq);
-                }
+                slot.next_seq = os.next_seq;
             }
         }
         for rec in &recovered.tail {
             s.replay(rec);
         }
-        s.dirty.clear();
         s
     }
 
@@ -374,9 +390,10 @@ impl StoreShard {
                 self.open(*object);
             }
             WalRecord::Write { update } => {
-                let next = self.next_seq.entry(update.object).or_insert(1);
-                *next = (*next).max(update.seq() + 1);
-                let _ = self.open(update.object).apply(update.clone());
+                let slot = self.open_slot(update.object);
+                let s = self.slots.slot_mut(slot);
+                s.next_seq = s.next_seq.max(update.seq() + 1);
+                let _ = s.replica.apply(update.clone());
             }
             WalRecord::Ingest { update } => {
                 let _ = self.open(update.object).apply(update.clone());
@@ -388,13 +405,13 @@ impl StoreShard {
                 self.open(*object).drop_extras(counts);
             }
             WalRecord::ResumeSeq { object, seq } => {
-                self.next_seq.insert(*object, *seq + 1);
+                let slot = self.open_slot(*object);
+                self.slots.slot_mut(slot).next_seq = *seq + 1;
             }
             WalRecord::Truncate { object, keep } => {
-                let r = self.open(*object);
-                let keep = (*keep as usize).min(r.len());
-                let prefix = r.log()[..keep].to_vec();
-                r.reconcile_to(&prefix);
+                // The in-place cut `rollback` made, not a rebuild of the
+                // surviving prefix.
+                self.open(*object).truncate(*keep as usize);
             }
         }
     }
@@ -409,11 +426,11 @@ impl StoreShard {
         object: ObjectId,
         reference_log: &[Update],
     ) -> Result<Vec<Update>> {
-        self.replica(object)?;
+        let slot = self.hosted(object)?;
         if self.wal.is_some() {
             self.log_wal(WalRecord::Reconcile { object, log: reference_log.to_vec() });
         }
-        Ok(self.replicas.get_mut(&object).expect("checked above").reconcile_to(reference_log))
+        Ok(self.slots.slot_mut(slot).replica.reconcile_to(reference_log))
     }
 
     /// Drops updates beyond the sanctioned `counts`, WAL-logging the
@@ -422,14 +439,15 @@ impl StoreShard {
     /// # Errors
     /// Fails when no replica of the object exists.
     pub fn drop_extras(&mut self, object: ObjectId, counts: &VersionVector) -> Result<Vec<Update>> {
-        let r = self.replica(object)?;
+        let slot = self.hosted(object)?;
+        let r = &self.slots.slot(slot).replica;
         let beyond = r.count_beyond(counts);
         // Logged only when it changes the replica: something is beyond
         // `counts`, or buffered arrivals are about to be discarded.
         if self.wal.is_some() && (beyond > 0 || r.pending_len() > 0) {
             self.log_wal(WalRecord::DropExtras { object, counts: counts.clone() });
         }
-        Ok(self.replicas.get_mut(&object).expect("checked above").drop_beyond(counts, beyond))
+        Ok(self.slots.slot_mut(slot).replica.drop_beyond(counts, beyond))
     }
 
     /// Rolls `object` back to `cp`, WAL-logging the truncation once it
@@ -453,9 +471,9 @@ impl StoreShard {
     /// [`idea_wal::hash::object_hash`] and XOR-combined, so the node-level
     /// digest is independent of shard count and delivery interleaving.
     pub fn state_hash(&self) -> u64 {
-        self.replicas
+        self.slots
             .iter()
-            .fold(0, |acc, (o, r)| acc ^ idea_wal::hash::object_hash(*o, r.state_hash()))
+            .fold(0, |acc, (o, s)| acc ^ idea_wal::hash::object_hash(o, s.replica.state_hash()))
     }
 }
 
@@ -742,5 +760,127 @@ mod tests {
         assert!(c.wal().is_none(), "clones are in-memory working copies");
         assert_eq!(c.state_hash(), s.state_hash());
         std::fs::remove_dir_all(&cfg.dir).unwrap();
+    }
+
+    #[test]
+    fn rollback_replays_to_the_same_replica() {
+        let cfg = tmp_cfg("rollback-replay");
+        let mut s = shard(0);
+        s.attach_wal(ShardWal::create(&cfg, NodeId(0), 0).unwrap());
+        for i in 1..=3 {
+            s.write(ObjectId(1), SimTime::from_secs(i), 1, payload());
+            s.ingest(remote(1, 9, i, 2)).unwrap();
+        }
+        let cp = s.replica(ObjectId(1)).unwrap().checkpoint(SimTime::from_secs(3));
+        s.ingest(remote(1, 7, 1, 5)).unwrap();
+        s.write(ObjectId(1), SimTime::from_secs(4), -1, payload());
+        s.ingest(remote(1, 9, 4, 3)).unwrap();
+        assert_eq!(s.rollback(ObjectId(1), &cp).unwrap().len(), 3);
+        // A buffered arrival after the cut: the pending set replays too.
+        s.ingest(remote(1, 7, 3, 1)).unwrap();
+        let live = s.replica(ObjectId(1)).unwrap().clone();
+        let expect_hash = s.state_hash();
+        drop(s);
+
+        let r = reopen(&cfg);
+        let replayed = r.replica(ObjectId(1)).unwrap();
+        assert_eq!(replayed.log(), live.log());
+        assert!(replayed.version() == live.version());
+        assert_eq!(r.state_hash(), expect_hash);
+        assert_eq!(replayed.pending_len(), 1);
+        assert!(replayed.pending_updates().eq(live.pending_updates()));
+        std::fs::remove_dir_all(&cfg.dir).unwrap();
+    }
+
+    /// One step of the slot-table proptest.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Open(u64),
+        Write(u64),
+        Ingest(u64, u64),
+        MarkDirty(u64),
+        TakeDirty,
+        Lookup(u64),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..6, 0u64..12, 1u64..4).prop_map(|(kind, o, seq)| match kind {
+            0 => Op::Open(o),
+            1 => Op::Write(o),
+            2 => Op::Ingest(o, seq),
+            3 => Op::MarkDirty(o),
+            4 => Op::TakeDirty,
+            _ => Op::Lookup(o),
+        })
+    }
+
+    /// The map-per-field layout the slots replaced: a replica, a next
+    /// sequence number and a dirty mark per object.
+    #[derive(Default)]
+    struct Reference {
+        replicas: BTreeMap<ObjectId, Replica>,
+        next_seq: BTreeMap<ObjectId, u64>,
+        dirty: BTreeSet<ObjectId>,
+    }
+
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    proptest! {
+        /// The slot table against the `BTreeMap` layout under random open,
+        /// write, ingest, dirty and lookup orders: same objects in id
+        /// order, same sequence numbers, same drain order, same digest.
+        #[test]
+        fn slots_match_the_btreemap_layout(ops in prop::collection::vec(op(), 1..80)) {
+            let mut s = shard(0);
+            let mut m = Reference::default();
+            for (i, op) in ops.into_iter().enumerate() {
+                match op {
+                    Op::Open(o) => {
+                        s.open(ObjectId(o));
+                        m.replicas.entry(ObjectId(o)).or_insert_with(|| Replica::new(ObjectId(o)));
+                    }
+                    Op::Write(o) => {
+                        let object = ObjectId(o);
+                        let at = SimTime::from_secs(i as u64);
+                        let u = s.write(object, at, 1, payload());
+                        let next = m.next_seq.entry(object).or_insert(1);
+                        prop_assert_eq!(u.seq(), *next);
+                        *next += 1;
+                        let r = m.replicas.entry(object).or_insert_with(|| Replica::new(object));
+                        r.apply(u).unwrap();
+                        m.dirty.insert(object);
+                    }
+                    Op::Ingest(o, seq) => {
+                        let got = s.ingest(remote(o, 9, seq, 2));
+                        match m.replicas.get_mut(&ObjectId(o)) {
+                            Some(r) => prop_assert_eq!(got.unwrap(), r.apply(remote(o, 9, seq, 2)).unwrap()),
+                            None => prop_assert!(got.is_err()),
+                        }
+                    }
+                    Op::MarkDirty(o) => {
+                        s.mark_dirty(ObjectId(o));
+                        if m.replicas.contains_key(&ObjectId(o)) {
+                            m.dirty.insert(ObjectId(o));
+                        }
+                    }
+                    Op::TakeDirty => {
+                        let want: Vec<ObjectId> = std::mem::take(&mut m.dirty).into_iter().collect();
+                        prop_assert_eq!(s.take_dirty(), want);
+                    }
+                    Op::Lookup(o) => {
+                        let got = s.replica(ObjectId(o)).ok().map(Replica::state_hash);
+                        prop_assert_eq!(got, m.replicas.get(&ObjectId(o)).map(Replica::state_hash));
+                    }
+                }
+                prop_assert_eq!(s.dirty_len(), m.dirty.len());
+            }
+            prop_assert!(s.objects().eq(m.replicas.keys().copied()));
+            let hash = m.replicas.iter().fold(0, |acc, (o, r)| {
+                acc ^ idea_wal::hash::object_hash(*o, r.state_hash())
+            });
+            prop_assert_eq!(s.state_hash(), hash);
+            prop_assert_eq!(s.len(), m.replicas.len());
+        }
     }
 }

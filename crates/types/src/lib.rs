@@ -20,6 +20,7 @@ pub mod ids;
 pub mod level;
 pub mod shard;
 pub mod size;
+pub mod table;
 pub mod time;
 pub mod update;
 
@@ -29,6 +30,7 @@ pub use ids::{NodeId, ObjectId, WriterId};
 pub use level::{ConsistencyLevel, ErrorTriple};
 pub use shard::{shard_hash, ShardId};
 pub use size::MessageSizeModel;
+pub use table::ObjectTable;
 pub use time::{SimDuration, SimTime};
 pub use update::{Update, UpdateId, UpdatePayload};
 
