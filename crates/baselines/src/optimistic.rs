@@ -8,7 +8,7 @@
 
 use crate::messages::BaselineMsg;
 use idea_net::{Context, Proto, TimerId};
-use idea_store::NodeStore;
+use idea_store::StoreShard;
 use idea_types::{NodeId, ObjectId, SimDuration, Update, UpdatePayload, WriterId};
 use rand::Rng;
 
@@ -18,7 +18,7 @@ const K_SYNC: u64 = 1;
 pub struct OptimisticNode {
     me: NodeId,
     object: ObjectId,
-    store: NodeStore,
+    store: StoreShard,
     sync_period: SimDuration,
     syncs: u64,
 }
@@ -26,7 +26,7 @@ pub struct OptimisticNode {
 impl OptimisticNode {
     /// Builds a node replicating `object`, anti-entropying every `period`.
     pub fn new(me: NodeId, object: ObjectId, period: SimDuration) -> Self {
-        let mut store = NodeStore::new(me, WriterId(me.0));
+        let mut store = StoreShard::new(me, WriterId(me.0));
         store.open(object);
         OptimisticNode { me, object, store, sync_period: period, syncs: 0 }
     }
@@ -43,7 +43,7 @@ impl OptimisticNode {
     }
 
     /// The underlying store (oracle access).
-    pub fn store(&self) -> &NodeStore {
+    pub fn store(&self) -> &StoreShard {
         &self.store
     }
 

@@ -9,7 +9,7 @@
 
 use crate::messages::BaselineMsg;
 use idea_net::{Context, Proto};
-use idea_store::NodeStore;
+use idea_store::StoreShard;
 use idea_types::{
     NodeId, ObjectId, SimDuration, SimTime, Update, UpdateId, UpdatePayload, WriterId,
 };
@@ -21,7 +21,7 @@ type PendingWrites = std::collections::HashMap<UpdateId, (usize, SimTime)>;
 pub struct StrongNode {
     me: NodeId,
     object: ObjectId,
-    store: NodeStore,
+    store: StoreShard,
     /// In-flight writes: update id → (acks outstanding, issue time).
     pending: PendingWrites,
     /// Commit latencies of completed writes.
@@ -31,7 +31,7 @@ pub struct StrongNode {
 impl StrongNode {
     /// Builds a node replicating `object`.
     pub fn new(me: NodeId, object: ObjectId) -> Self {
-        let mut store = NodeStore::new(me, WriterId(me.0));
+        let mut store = StoreShard::new(me, WriterId(me.0));
         store.open(object);
         StrongNode {
             me,
@@ -70,7 +70,7 @@ impl StrongNode {
     }
 
     /// The underlying store (oracle access).
-    pub fn store(&self) -> &NodeStore {
+    pub fn store(&self) -> &StoreShard {
         &self.store
     }
 

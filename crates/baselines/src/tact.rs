@@ -12,7 +12,7 @@
 
 use crate::messages::BaselineMsg;
 use idea_net::{Context, Proto, TimerId};
-use idea_store::NodeStore;
+use idea_store::StoreShard;
 use idea_types::{NodeId, ObjectId, SimDuration, SimTime, Update, UpdatePayload, WriterId};
 use serde::{Deserialize, Serialize};
 
@@ -38,7 +38,7 @@ impl Default for TactBounds {
 pub struct TactNode {
     me: NodeId,
     object: ObjectId,
-    store: NodeStore,
+    store: StoreShard,
     bounds: TactBounds,
     /// Local writes not yet pushed to peers (in issue order).
     unpushed: Vec<Update>,
@@ -50,7 +50,7 @@ pub struct TactNode {
 impl TactNode {
     /// Builds a node replicating `object` under `bounds`.
     pub fn new(me: NodeId, object: ObjectId, bounds: TactBounds) -> Self {
-        let mut store = NodeStore::new(me, WriterId(me.0));
+        let mut store = StoreShard::new(me, WriterId(me.0));
         store.open(object);
         TactNode {
             me,
@@ -88,7 +88,7 @@ impl TactNode {
     }
 
     /// The underlying store (oracle access).
-    pub fn store(&self) -> &NodeStore {
+    pub fn store(&self) -> &StoreShard {
         &self.store
     }
 

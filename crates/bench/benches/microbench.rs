@@ -2,19 +2,15 @@
 //!
 //! These time the computational cost of the pieces the paper's delays are
 //! made of (vector comparison, triple computation, Formula-1
-//! quantification, gossip/RanSub rounds, store operations) — the
-//! end-to-end table/figure scenarios live in `figures.rs`.
+//! quantification, detection rounds, store operations) — the end-to-end
+//! table/figure scenarios live in `figures.rs`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use idea_core::{MaxBounds, Quantifier, Weights};
 use idea_detect::round::DetectRound;
-use idea_overlay::gossip::{simulate_spread, GossipConfig};
-use idea_overlay::ransub::{RansubConfig, RansubTree};
 use idea_store::Replica;
 use idea_types::{NodeId, ObjectId, SimTime, Update, WriterId};
 use idea_vv::{ExtendedVersionVector, VersionVector};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn evv_with(writers: u32, updates_each: u64) -> ExtendedVersionVector {
     let mut v = ExtendedVersionVector::new();
@@ -79,36 +75,6 @@ fn bench_detect_round(c: &mut Criterion) {
     });
 }
 
-fn bench_gossip(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gossip-spread");
-    for n in [40usize, 128] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, &n| {
-            let mut rng = StdRng::seed_from_u64(7);
-            bench.iter(|| {
-                black_box(simulate_spread(
-                    n,
-                    NodeId(0),
-                    GossipConfig { fanout: 3, ttl: 5, ..Default::default() },
-                    &mut rng,
-                ))
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_ransub(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ransub-round");
-    for n in [40usize, 160] {
-        let tree = RansubTree::new(n, RansubConfig::default());
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            let mut rng = StdRng::seed_from_u64(7);
-            bench.iter(|| black_box(tree.round(&mut rng)))
-        });
-    }
-    group.finish();
-}
-
 fn bench_store(c: &mut Criterion) {
     c.bench_function("replica_apply_100", |bench| {
         bench.iter(|| {
@@ -145,8 +111,6 @@ criterion_group!(
     bench_triple,
     bench_quantify,
     bench_detect_round,
-    bench_gossip,
-    bench_ransub,
     bench_store,
 );
 criterion_main!(benches);

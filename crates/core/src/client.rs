@@ -28,9 +28,9 @@
 //! response reports the level at read time plus whether a probe was
 //! launched, so a client can poll until its floor is met.
 //!
-//! The integer-coded Table-1 setters survive as a compatibility shim
-//! ([`crate::api::DeveloperApi`]); new code builds a typed
-//! [`ConsistencySpec`] instead, validated at construction.
+//! The paper's integer-coded Table-1 setters are [`ConsistencySpecBuilder`]
+//! calls, validated when the [`ConsistencySpec`] is built; each one also
+//! travels alone as a `Command::Set*`, which goes through the same builder.
 
 use crate::messages::IdeaMsg;
 use crate::protocol::{IdeaNode, NodeReport, ProtocolShard};
@@ -1397,7 +1397,6 @@ impl<E: EngineHandle + ?Sized> ObjectHandle<'_, '_, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::DeveloperApi;
     use crate::config::IdeaConfig;
     use idea_net::{SimConfig, Topology};
 
@@ -1412,15 +1411,26 @@ mod tests {
 
     #[test]
     fn spec_builder_validates_at_construction() {
-        assert!(ConsistencySpec::builder()
-            .metric(0.0, 1.0, SimDuration::from_secs(1))
-            .build()
-            .is_err());
-        assert!(ConsistencySpec::builder().weights(-1.0, 1.0, 1.0).build().is_err());
-        assert!(ConsistencySpec::builder().weights(0.0, 0.0, 0.0).build().is_err());
-        assert!(ConsistencySpec::builder().resolution_code(0).build().is_err());
-        assert!(ConsistencySpec::builder().resolution_code(4).build().is_err());
-        assert!(ConsistencySpec::builder().hint(1.5).build().is_err());
+        for (a, b, c) in [
+            (0.0, 1.0, SimDuration::from_secs(1)),
+            (1.0, 0.0, SimDuration::from_secs(1)),
+            (-2.0, 1.0, SimDuration::from_secs(1)),
+            (1.0, 1.0, SimDuration::ZERO),
+        ] {
+            assert!(ConsistencySpec::builder().metric(a, b, c).build().is_err(), "<{a}, {b}, {c}>");
+        }
+        for (a, b, c) in [(-1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (1.0, -0.1, 0.0)] {
+            assert!(
+                ConsistencySpec::builder().weights(a, b, c).build().is_err(),
+                "<{a}, {b}, {c}>"
+            );
+        }
+        for code in [0u8, 4, 255] {
+            assert!(ConsistencySpec::builder().resolution_code(code).build().is_err(), "{code}");
+        }
+        for h in [-0.1, 1.1, 1.5, f64::INFINITY] {
+            assert!(ConsistencySpec::builder().hint(h).build().is_err(), "hint {h}");
+        }
         assert!(ConsistencySpec::builder().background_every(SimDuration::ZERO).build().is_err());
         let ok = ConsistencySpec::builder()
             .metric(10.0, 10.0, SimDuration::from_secs(10))
@@ -1446,13 +1456,32 @@ mod tests {
             .build()
             .unwrap();
         spec.apply_to(&mut node).unwrap();
-        assert_eq!(node.quantifier().bounds().numerical, 5.0);
+        let bounds = node.quantifier().bounds();
+        assert_eq!((bounds.numerical, bounds.order), (5.0, 6.0));
+        assert_eq!(bounds.staleness, SimDuration::from_secs(7));
+        assert!((node.quantifier().weights().numerical - 0.4).abs() < 1e-12);
         assert_eq!(node.quantifier().weights().order, 0.0);
         assert_eq!(node.config().policy, ResolutionPolicy::PriorityWins);
         assert!((node.hint().floor().value() - 0.85).abs() < 1e-12);
         assert_eq!(node.config().background_period, Some(SimDuration::from_secs(30)));
         ConsistencySpec::builder().no_background().build().unwrap().apply_to(&mut node).unwrap();
         assert_eq!(node.config().background_period, None);
+
+        // Table 1's resolution codes name the three policies.
+        for (code, policy) in [
+            (1, ResolutionPolicy::InvalidateBoth),
+            (2, ResolutionPolicy::HighestIdWins),
+            (3, ResolutionPolicy::PriorityWins),
+        ] {
+            let spec = ConsistencySpec::builder().resolution_code(code).build().unwrap();
+            spec.apply_to(&mut node).unwrap();
+            assert_eq!(node.config().policy, policy, "code {code}");
+        }
+        // Hint 0 marks the system as not hint-based; 1 tolerates nothing.
+        ConsistencySpec::builder().hint(0.0).build().unwrap().apply_to(&mut node).unwrap();
+        assert!(!node.hint().enabled());
+        ConsistencySpec::builder().hint(1.0).build().unwrap().apply_to(&mut node).unwrap();
+        assert!(node.hint().enabled());
     }
 
     #[test]
@@ -1511,8 +1540,8 @@ mod tests {
         ));
         assert_eq!(eng.execute(NodeId(0), Command::SetResolution { code: 3 }), Response::Done);
         let mut reference = IdeaNode::new(NodeId(0), IdeaConfig::default(), &[OBJ]);
-        reference.set_hint(0.9).unwrap();
-        reference.set_resolution(3).unwrap();
+        let spec = ConsistencySpec::builder().hint(0.9).resolution_code(3).build().unwrap();
+        spec.apply_to(&mut reference).unwrap();
         assert_eq!(eng.node(NodeId(0)).config().policy, reference.config().policy);
         assert_eq!(eng.node(NodeId(0)).hint().floor().value(), reference.hint().floor().value());
     }

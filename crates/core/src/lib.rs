@@ -17,14 +17,13 @@
 //!
 //! [`protocol::IdeaNode`] wires all of it into one [`idea_net::Proto`] state
 //! machine; [`client`] exposes the typed application surface (sessions,
-//! commands, consistency-aware reads) over every engine, and [`api`] keeps
-//! the paper's integer-coded Table-1 interface as a compatibility shim.
+//! commands, consistency-aware reads) over every engine, with the paper's
+//! Table-1 developer interface as one validated [`ConsistencySpec`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adapt;
-pub mod api;
 pub mod client;
 pub mod config;
 pub mod messages;
@@ -33,7 +32,6 @@ pub mod quantify;
 pub mod resolution;
 
 pub use adapt::{AutoController, HintController};
-pub use api::DeveloperApi;
 pub use client::{
     apply_to_node, apply_to_shard, Command, CommandError, CommandExecutor, ConsistencySpec,
     EngineHandle, IdeaHost, LockedEngine, ObjectHandle, ReadConsistency, ReadResult, ReplyFn,

@@ -11,8 +11,8 @@
 //!    externally observable outcome of closure-injected and
 //!    session-routed runs.
 
-use idea_core::client::{ReadConsistency, Session};
-use idea_core::{DeveloperApi, IdeaConfig, IdeaNode};
+use idea_core::client::{ConsistencySpec, ReadConsistency, Session};
+use idea_core::{IdeaConfig, IdeaNode};
 use idea_net::{MsgClass, SimConfig, SimEngine, Topology};
 use idea_types::{NodeId, ObjectId, SimDuration, UpdatePayload};
 use proptest::prelude::*;
@@ -110,7 +110,8 @@ fn demand(eng: &mut SimEngine<IdeaNode>, route: Route, node: u32, obj: ObjectId)
 fn set_hint(eng: &mut SimEngine<IdeaNode>, route: Route, node: u32, hint: f64) {
     match route {
         Route::Closure => eng.with_node(NodeId(node), |p, _| {
-            p.set_hint(hint).expect("valid hint");
+            let spec = ConsistencySpec::builder().hint(hint).build().expect("valid hint");
+            spec.apply_to(p).expect("valid hint");
         }),
         Route::Session => Session::open(eng, NodeId(node)).set_hint(hint).expect("valid hint"),
     }

@@ -143,7 +143,7 @@ fn detect_round_scenario(shards: usize) -> Trace {
     collect(&eng, n, &[OBJ_A])
 }
 
-/// The Formula-1 trace captured at `8d9bef3` (pre-refactor `NodeStore`).
+/// The Formula-1 trace captured at `8d9bef3` (pre-refactor single-map store).
 fn formula1_pin() -> Trace {
     let mut nodes = Vec::new();
     for _ in 0..4 {

@@ -4,7 +4,8 @@
 //! The framework's job is a single powerful API: `detect(update)` — "given
 //! an update, this operation will return *success* when there is no
 //! inconsistency or *fail* when there is conflict (thus inconsistency)
-//! detected". Detection compares version vectors:
+//! detected". Detection compares version vectors; the pairwise test runs
+//! inside each round rather than as a call of its own:
 //!
 //! * [`round`] — the fast path: on every update the issuer exchanges
 //!   extended version vectors with its **top-layer** peers and aggregates a
@@ -25,4 +26,4 @@ pub mod round;
 
 pub use bottom::{BottomReport, SweepCollector};
 pub use coverage::top_layer_catch_probability;
-pub use round::{detect, DetectOutcome, DetectReport, DetectRound};
+pub use round::{DetectReport, DetectRound};

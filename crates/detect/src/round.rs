@@ -2,9 +2,10 @@
 //!
 //! A round starts when a node updates (or deliberately probes) a shared
 //! object: it sends its extended version vector to every top-layer peer and
-//! collects theirs. [`detect`] is the pairwise primitive; [`DetectRound`]
-//! tracks an in-flight round; [`DetectReport`] is the aggregate the IDEA
-//! protocol quantifies with Formula 1.
+//! collects theirs. [`DetectRound`] tracks an in-flight round and marks a
+//! replica conflicted when its vector differs from the initiator's;
+//! [`DetectReport`] is the aggregate the IDEA protocol quantifies with
+//! Formula 1.
 //!
 //! The *reference consistent state* is, per §4.4.1, "the replica with higher
 //! ID value": among all replicas seen in the round (initiator included) the
@@ -14,31 +15,6 @@
 use idea_types::{ErrorTriple, NodeId, SimTime};
 use idea_vv::{ExtendedVersionVector, VvOrdering};
 use serde::{Deserialize, Serialize};
-
-/// Result of the pairwise `detect(update)` API (§4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetectOutcome {
-    /// No inconsistency: the vectors are identical.
-    Success,
-    /// Conflict detected; carries the vector ordering that proved it.
-    Fail(VvOrdering),
-}
-
-impl DetectOutcome {
-    /// True when no inconsistency was found.
-    pub fn is_success(self) -> bool {
-        matches!(self, DetectOutcome::Success)
-    }
-}
-
-/// The pairwise detection primitive: two replicas are inconsistent iff their
-/// version vectors differ (§4.3).
-pub fn detect(mine: &ExtendedVersionVector, theirs: &ExtendedVersionVector) -> DetectOutcome {
-    match mine.compare(theirs) {
-        VvOrdering::Equal => DetectOutcome::Success,
-        other => DetectOutcome::Fail(other),
-    }
-}
 
 /// Per-replica line of a completed round.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -160,7 +136,8 @@ impl DetectRound {
         let lines = participants
             .iter()
             .map(|(n, evv)| {
-                let conflicted = !detect(mine, evv).is_success() && *n != self.me;
+                // §4.3: two replicas are inconsistent iff their vectors differ.
+                let conflicted = *n != self.me && mine.compare(evv) != VvOrdering::Equal;
                 if conflicted {
                     any = true;
                 }
@@ -193,27 +170,6 @@ mod tests {
             v.record(WriterId(w), seq, t(at), delta);
         }
         v
-    }
-
-    #[test]
-    fn detect_equal_is_success() {
-        let a = evv(&[(0, 1, 1, 5)]);
-        let b = evv(&[(0, 1, 1, 5)]);
-        assert_eq!(detect(&a, &b), DetectOutcome::Success);
-        assert!(detect(&a, &b).is_success());
-    }
-
-    #[test]
-    fn detect_divergent_is_fail() {
-        let a = evv(&[(0, 1, 1, 5)]);
-        let b = evv(&[(1, 1, 2, 3)]);
-        match detect(&a, &b) {
-            DetectOutcome::Fail(VvOrdering::Concurrent) => {}
-            o => panic!("expected concurrent fail, got {o:?}"),
-        }
-        // Dominated is also "inconsistent" (vectors differ).
-        let c = evv(&[(0, 1, 1, 5), (0, 2, 2, 1)]);
-        assert_eq!(detect(&a, &c), DetectOutcome::Fail(VvOrdering::Less));
     }
 
     #[test]

@@ -22,7 +22,10 @@ pub enum MsgClass {
     Transfer,
     /// Bottom-layer gossip (lpbcast digests, §4.3).
     Gossip,
-    /// Overlay maintenance: RanSub collect/distribute (§4.1).
+    /// Overlay maintenance (§4.1). Nothing sends it: the protocol builds
+    /// its overlay from write-path announces and digest piggybacking
+    /// instead of RanSub rounds. Kept because the benchmark's overlay
+    /// tally still sums it.
     Overlay,
     /// Application-level traffic (writes themselves).
     App,

@@ -429,6 +429,7 @@ impl GossipRouter {
 }
 
 /// Message/coverage tallies of one simulated spread.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpreadStats {
     /// Nodes that processed the rumor body.
@@ -447,18 +448,20 @@ pub struct SpreadStats {
     pub prunes: usize,
 }
 
-/// Synchronous multi-rumor spread simulation used by tests and the
-/// coverage ablation. Routers persist across rumors, so lazy mode's
+/// Synchronous multi-rumor spread simulation: the tests' oracle for what
+/// the routers do together. Routers persist across rumors, so lazy mode's
 /// prune/graft link state accumulates exactly as it does in the engines:
 /// the first rumor floods (all links eager), later rumors ride the pruned
 /// link split. Digest receivers missing the body pull it from the
 /// advertiser once the flood dies out (loss-free semantics; loss
 /// injection is the network engines' job).
+#[cfg(test)]
 pub struct SpreadSim {
     peers: Vec<NodeId>,
     routers: Vec<GossipRouter>,
 }
 
+#[cfg(test)]
 impl SpreadSim {
     /// A fresh `n`-node population with per-node routers.
     pub fn new(n: usize, cfg: GossipConfig) -> Self {
@@ -466,11 +469,6 @@ impl SpreadSim {
             peers: (0..n as u32).map(NodeId).collect(),
             routers: (0..n as u32).map(|i| GossipRouter::new(NodeId(i), cfg)).collect(),
         }
-    }
-
-    /// The router of `node` (test introspection).
-    pub fn router(&self, node: NodeId) -> &GossipRouter {
-        &self.routers[node.index()]
     }
 
     /// Spreads one rumor from `origin` through the current link state and
@@ -565,27 +563,17 @@ impl SpreadSim {
     }
 }
 
-/// One-shot spread of a single rumor through a fresh population — in lazy
-/// mode this is the cold-start wave (all links still eager); use
-/// [`SpreadSim`] for steady-state behaviour.
-pub fn simulate_spread_stats<R: Rng + ?Sized>(
-    n: usize,
-    origin: NodeId,
-    cfg: GossipConfig,
-    rng: &mut R,
-) -> SpreadStats {
-    SpreadSim::new(n, cfg).spread(origin, rng)
-}
-
-/// Compatibility wrapper over [`simulate_spread_stats`] returning the
-/// historical `(covered, hops, messages)` triple.
+/// One-shot spread of a single rumor through a fresh population, as
+/// `(covered, hops, messages)` — in lazy mode this is the cold-start wave
+/// (all links still eager); use [`SpreadSim`] for steady-state behaviour.
+#[cfg(test)]
 pub fn simulate_spread<R: Rng + ?Sized>(
     n: usize,
     origin: NodeId,
     cfg: GossipConfig,
     rng: &mut R,
 ) -> (usize, usize, usize) {
-    let s = simulate_spread_stats(n, origin, cfg, rng);
+    let s = SpreadSim::new(n, cfg).spread(origin, rng);
     (s.covered, s.hops, s.messages)
 }
 

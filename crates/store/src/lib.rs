@@ -7,19 +7,17 @@
 //! [`idea_vv::ExtendedVersionVector`], checkpoints for the rollback path of §4.4.2,
 //! and the transfer helpers resolution uses to ship missing updates.
 //!
-//! [`ShardedStore`] bundles one node's replicas behind the read/write API
-//! the applications call, partitioned by `ObjectId` hash into independent
-//! [`StoreShard`]s so disjoint objects never contend; [`NodeStore`] names
-//! the single-shard configuration. IDEA sits on top, consulted on writes
-//! and reads.
+//! [`StoreShard`] bundles the replicas of one shard behind the read/write
+//! API the protocol calls. A node's objects are partitioned by `ObjectId`
+//! hash into independent shards so disjoint objects never contend; a node
+//! that never shards holds a single `StoreShard`. IDEA sits on top,
+//! consulted on writes and reads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod replica;
 pub mod shard;
-pub mod store;
 
 pub use replica::{ApplyOutcome, Checkpoint, Replica};
 pub use shard::{Snapshot, SnapshotView, StoreShard};
-pub use store::{NodeStore, ShardedStore};

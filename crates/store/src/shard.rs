@@ -5,8 +5,8 @@
 //! shard worker: it never touches objects of other shards, so two shards of
 //! the same node can be mutated concurrently without coordination. The
 //! routing itself — which shard owns which object — lives in
-//! [`idea_types::ShardId`] so every layer agrees on it;
-//! [`crate::ShardedStore`] is the whole-node composition.
+//! [`idea_types::ShardId`] so every layer agrees on it. Callers that never
+//! shard (the baselines) hold one `StoreShard` for the whole node.
 
 use crate::replica::{ApplyOutcome, Checkpoint, Replica};
 use idea_types::{
@@ -524,6 +524,111 @@ mod tests {
         assert_eq!(owned.meta, view.meta);
         assert_eq!(&owned.version, view.version);
         assert!(matches!(s.read_view(ObjectId(9)), Err(IdeaError::UnknownObject(_))));
+    }
+
+    #[test]
+    fn writes_assign_consecutive_seqs() {
+        let mut s = shard(0);
+        s.open(ObjectId(1));
+        let u1 = s.write(ObjectId(1), SimTime::from_secs(1), 5, payload());
+        let u2 = s.write(ObjectId(1), SimTime::from_secs(2), 5, payload());
+        assert_eq!(u1.seq(), 1);
+        assert_eq!(u2.seq(), 2);
+        assert_eq!(u1.writer(), WriterId(0));
+        let snap = s.read(ObjectId(1)).unwrap();
+        assert_eq!(snap.updates, 2);
+        assert_eq!(snap.meta, 10);
+        assert_eq!(snap.latest_update, Some(SimTime::from_secs(2)));
+    }
+
+    #[test]
+    fn seqs_are_per_object() {
+        let mut s = shard(0);
+        s.open(ObjectId(1));
+        s.open(ObjectId(2));
+        let a = s.write(ObjectId(1), SimTime::from_secs(1), 0, payload());
+        let b = s.write(ObjectId(2), SimTime::from_secs(1), 0, payload());
+        assert_eq!(a.seq(), 1);
+        assert_eq!(b.seq(), 1);
+    }
+
+    #[test]
+    fn ingest_requires_open_replica() {
+        let mut a = shard(0);
+        let mut b = shard(1);
+        a.open(ObjectId(1));
+        let u = a.write(ObjectId(1), SimTime::from_secs(1), 3, payload());
+        assert!(matches!(b.ingest(u.clone()), Err(IdeaError::UnknownObject(_))));
+        b.open(ObjectId(1));
+        assert_eq!(b.ingest(u).unwrap(), ApplyOutcome::Applied);
+        assert_eq!(b.read(ObjectId(1)).unwrap().meta, 3);
+    }
+
+    #[test]
+    fn read_unknown_object_fails() {
+        let s = shard(0);
+        assert!(matches!(s.read(ObjectId(9)), Err(IdeaError::UnknownObject(_))));
+    }
+
+    #[test]
+    fn two_stores_exchange_and_converge() {
+        let mut a = shard(0);
+        let mut b = shard(1);
+        a.open(ObjectId(1));
+        b.open(ObjectId(1));
+        let ua = a.write(ObjectId(1), SimTime::from_secs(1), 1, payload());
+        let ub = b.write(ObjectId(1), SimTime::from_secs(2), 2, payload());
+        a.ingest(ub).unwrap();
+        b.ingest(ua).unwrap();
+        let sa = a.read(ObjectId(1)).unwrap();
+        let sb = b.read(ObjectId(1)).unwrap();
+        assert_eq!(sa.meta, sb.meta);
+        assert!(sa.version.triple_against(&sb.version).is_zero());
+        assert_eq!(a.state_hash(), b.state_hash());
+    }
+
+    #[test]
+    fn resume_writes_after_reconciliation() {
+        let mut s = shard(0);
+        s.open(ObjectId(1));
+        let keep = s.write(ObjectId(1), SimTime::from_secs(1), 1, payload());
+        s.write(ObjectId(1), SimTime::from_secs(2), 1, payload());
+        // Reconciliation kept only seq 1 of this writer (the reference never
+        // sanctioned seq 2); local sequencing must continue from 2 again.
+        let extras = s.replica_mut(ObjectId(1)).unwrap().reconcile_to(&[keep]);
+        assert_eq!(extras.len(), 1);
+        s.resume_writes_after(ObjectId(1), 1);
+        let u = s.write(ObjectId(1), SimTime::from_secs(3), 1, payload());
+        assert_eq!(u.seq(), 2);
+        assert_eq!(s.read(ObjectId(1)).unwrap().updates, 2);
+    }
+
+    #[test]
+    fn objects_lists_hosted_replicas() {
+        let mut s = shard(0);
+        s.open(ObjectId(3));
+        s.open(ObjectId(1));
+        assert_eq!(s.objects().collect::<Vec<_>>(), vec![ObjectId(1), ObjectId(3)]);
+        assert_eq!(s.node(), NodeId(0));
+        assert_eq!(s.writer(), WriterId(0));
+    }
+
+    #[test]
+    fn state_hash_is_shard_count_independent() {
+        // A node XOR-folds its shards' digests (`IdeaNode::state_hash`), so
+        // the value must not depend on how its objects are partitioned.
+        let run = |shards: usize| {
+            let mut parts: Vec<StoreShard> = (0..shards).map(|_| shard(0)).collect();
+            for obj in 0..16u64 {
+                let s = &mut parts[idea_types::ShardId::of(ObjectId(obj), shards).index()];
+                s.open(ObjectId(obj));
+                s.write(ObjectId(obj), SimTime::from_secs(obj), obj as i64, payload());
+            }
+            parts.iter().fold(0, |acc, s| acc ^ s.state_hash())
+        };
+        assert_eq!(run(1), run(4), "the digest must not depend on partitioning");
+        assert_ne!(run(1), 0);
+        assert_ne!(run(1), shard(0).state_hash());
     }
 
     #[test]

@@ -101,8 +101,8 @@ pub struct Update {
     /// Unique identity (writer + per-writer sequence).
     pub id: UpdateId,
     /// Virtual timestamp at which the writer issued the update. The paper
-    /// assumes clocks disciplined to within seconds (§4.4.1); `idea-clock`
-    /// models the residual skew.
+    /// assumes clocks disciplined to within seconds (§4.4.1); the simulator
+    /// models the residual skew per node (`SimEngine::set_clock_skew`).
     pub at: SimTime,
     /// Signed change to the object's critical metadata value.
     pub meta_delta: i64,

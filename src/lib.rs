@@ -7,14 +7,13 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`types`] — ids, virtual time, updates, consistency levels;
-//! * [`clock`] — skewed/NTP-disciplined clock models;
 //! * [`vv`] — classic and extended version vectors (TACT triples);
 //! * [`net`] — deterministic discrete-event simulator + threaded runtime;
-//! * [`overlay`] — RanSub, temperature top layer, gossip bottom layer;
+//! * [`overlay`] — temperature top layer, gossip bottom layer;
 //! * [`detect`] — the inconsistency detection framework;
 //! * [`store`] — the replicated object store substrate;
 //! * [`core`] — the IDEA middleware itself (quantification, protocol,
-//!   resolution, adaptive control, the Table-1 API);
+//!   resolution, adaptive control, the typed client API);
 //! * [`baselines`] — optimistic / TACT / strong comparators;
 //! * [`apps`] — the white board and airline-booking applications;
 //! * [`workload`] — experiment runners regenerating every table and figure.
@@ -51,7 +50,6 @@
 
 pub use idea_apps as apps;
 pub use idea_baselines as baselines;
-pub use idea_clock as clock;
 pub use idea_core as core;
 pub use idea_detect as detect;
 pub use idea_net as net;
@@ -65,7 +63,6 @@ pub use idea_workload as workload;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use idea_apps::{BookOutcome, BookingServer, Stroke, WhiteboardClient};
-    pub use idea_core::api::DeveloperApi;
     pub use idea_core::{
         AutoController, Command, CommandError, CommandExecutor, ConsistencySpec, EngineHandle,
         HintController, IdeaConfig, IdeaHost, IdeaMsg, IdeaNode, LockedEngine, MaxBounds,

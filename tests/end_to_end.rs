@@ -1,6 +1,5 @@
 //! Cross-crate integration: the full IDEA stack on the simulator.
 
-use idea::core::api::DeveloperApi;
 use idea::prelude::*;
 
 const OBJ: ObjectId = ObjectId(1);
@@ -109,16 +108,18 @@ fn paused_node_catches_up_after_resume() {
 }
 
 #[test]
-fn developer_api_reconfigures_live_cluster() {
+fn spec_reconfigures_live_cluster() {
     let mut eng = cluster(6, IdeaConfig::default(), 5);
     warm(&mut eng, 4);
-    eng.with_node(NodeId(0), |p, _| {
-        p.set_consistency_metric(100.0, 10.0, SimDuration::from_secs(20)).unwrap();
-        p.set_weight(0.5, 0.5, 0.0).unwrap();
-        p.set_resolution(1).unwrap();
-        p.set_hint(0.8).unwrap();
-        p.set_background_freq(Some(SimDuration::from_secs(15))).unwrap();
-    });
+    let spec = ConsistencySpec::builder()
+        .metric(100.0, 10.0, SimDuration::from_secs(20))
+        .weights(0.5, 0.5, 0.0)
+        .resolution_code(1)
+        .hint(0.8)
+        .background_every(SimDuration::from_secs(15))
+        .build()
+        .unwrap();
+    eng.with_node(NodeId(0), |p, _| spec.apply_to(p).unwrap());
     let node = eng.node(NodeId(0));
     assert_eq!(node.config().policy, ResolutionPolicy::InvalidateBoth);
     assert_eq!(node.quantifier().bounds().order, 10.0);
