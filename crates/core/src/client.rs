@@ -1411,26 +1411,15 @@ mod tests {
 
     #[test]
     fn spec_builder_validates_at_construction() {
-        for (a, b, c) in [
-            (0.0, 1.0, SimDuration::from_secs(1)),
-            (1.0, 0.0, SimDuration::from_secs(1)),
-            (-2.0, 1.0, SimDuration::from_secs(1)),
-            (1.0, 1.0, SimDuration::ZERO),
-        ] {
-            assert!(ConsistencySpec::builder().metric(a, b, c).build().is_err(), "<{a}, {b}, {c}>");
-        }
-        for (a, b, c) in [(-1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (1.0, -0.1, 0.0)] {
-            assert!(
-                ConsistencySpec::builder().weights(a, b, c).build().is_err(),
-                "<{a}, {b}, {c}>"
-            );
-        }
-        for code in [0u8, 4, 255] {
-            assert!(ConsistencySpec::builder().resolution_code(code).build().is_err(), "{code}");
-        }
-        for h in [-0.1, 1.1, 1.5, f64::INFINITY] {
-            assert!(ConsistencySpec::builder().hint(h).build().is_err(), "hint {h}");
-        }
+        assert!(ConsistencySpec::builder()
+            .metric(0.0, 1.0, SimDuration::from_secs(1))
+            .build()
+            .is_err());
+        assert!(ConsistencySpec::builder().weights(-1.0, 1.0, 1.0).build().is_err());
+        assert!(ConsistencySpec::builder().weights(0.0, 0.0, 0.0).build().is_err());
+        assert!(ConsistencySpec::builder().resolution_code(0).build().is_err());
+        assert!(ConsistencySpec::builder().resolution_code(4).build().is_err());
+        assert!(ConsistencySpec::builder().hint(1.5).build().is_err());
         assert!(ConsistencySpec::builder().background_every(SimDuration::ZERO).build().is_err());
         let ok = ConsistencySpec::builder()
             .metric(10.0, 10.0, SimDuration::from_secs(10))
@@ -1456,32 +1445,104 @@ mod tests {
             .build()
             .unwrap();
         spec.apply_to(&mut node).unwrap();
-        let bounds = node.quantifier().bounds();
-        assert_eq!((bounds.numerical, bounds.order), (5.0, 6.0));
-        assert_eq!(bounds.staleness, SimDuration::from_secs(7));
-        assert!((node.quantifier().weights().numerical - 0.4).abs() < 1e-12);
+        assert_eq!(node.quantifier().bounds().numerical, 5.0);
         assert_eq!(node.quantifier().weights().order, 0.0);
         assert_eq!(node.config().policy, ResolutionPolicy::PriorityWins);
         assert!((node.hint().floor().value() - 0.85).abs() < 1e-12);
         assert_eq!(node.config().background_period, Some(SimDuration::from_secs(30)));
         ConsistencySpec::builder().no_background().build().unwrap().apply_to(&mut node).unwrap();
         assert_eq!(node.config().background_period, None);
+    }
 
-        // Table 1's resolution codes name the three policies.
+    /// Builds a one-field spec and applies it to `node`.
+    fn apply(node: &mut IdeaNode, b: ConsistencySpecBuilder) -> Result<()> {
+        b.build()?.apply_to(node)
+    }
+
+    fn node() -> IdeaNode {
+        IdeaNode::new(NodeId(0), IdeaConfig::default(), &[OBJ])
+    }
+
+    // One test per Table-1 setter (§4.7): the domain each accepts and
+    // rejects, spelled with the builder.
+
+    #[test]
+    fn spec_metric_updates_bounds() {
+        let mut n = node();
+        apply(&mut n, ConsistencySpec::builder().metric(5.0, 6.0, SimDuration::from_secs(7)))
+            .unwrap();
+        let b = n.quantifier().bounds();
+        assert_eq!((b.numerical, b.order), (5.0, 6.0));
+        assert_eq!(b.staleness, SimDuration::from_secs(7));
+    }
+
+    #[test]
+    fn spec_metric_rejects_bad_domain() {
+        for (a, b, c) in [
+            (0.0, 1.0, SimDuration::from_secs(1)),
+            (1.0, 0.0, SimDuration::from_secs(1)),
+            (-2.0, 1.0, SimDuration::from_secs(1)),
+            (1.0, 1.0, SimDuration::ZERO),
+        ] {
+            assert!(ConsistencySpec::builder().metric(a, b, c).build().is_err(), "<{a}, {b}, {c}>");
+        }
+    }
+
+    #[test]
+    fn spec_weights_normalise() {
+        let mut n = node();
+        apply(&mut n, ConsistencySpec::builder().weights(0.4, 0.0, 0.6)).unwrap();
+        let w = n.quantifier().weights();
+        assert!((w.numerical - 0.4).abs() < 1e-12);
+        assert_eq!(w.order, 0.0);
+        for (a, b, c) in [(-1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (1.0, -0.1, 0.0)] {
+            assert!(
+                ConsistencySpec::builder().weights(a, b, c).build().is_err(),
+                "<{a}, {b}, {c}>"
+            );
+        }
+    }
+
+    #[test]
+    fn spec_resolution_accepts_paper_codes() {
+        let mut n = node();
         for (code, policy) in [
             (1, ResolutionPolicy::InvalidateBoth),
             (2, ResolutionPolicy::HighestIdWins),
             (3, ResolutionPolicy::PriorityWins),
         ] {
-            let spec = ConsistencySpec::builder().resolution_code(code).build().unwrap();
-            spec.apply_to(&mut node).unwrap();
-            assert_eq!(node.config().policy, policy, "code {code}");
+            apply(&mut n, ConsistencySpec::builder().resolution_code(code)).unwrap();
+            assert_eq!(n.config().policy, policy, "code {code}");
         }
+        for code in [0u8, 4, 255] {
+            assert!(ConsistencySpec::builder().resolution_code(code).build().is_err(), "{code}");
+        }
+    }
+
+    #[test]
+    fn spec_hint_domain() {
+        let mut n = node();
+        apply(&mut n, ConsistencySpec::builder().hint(0.85)).unwrap();
+        assert!((n.hint().floor().value() - 0.85).abs() < 1e-12);
         // Hint 0 marks the system as not hint-based; 1 tolerates nothing.
-        ConsistencySpec::builder().hint(0.0).build().unwrap().apply_to(&mut node).unwrap();
-        assert!(!node.hint().enabled());
-        ConsistencySpec::builder().hint(1.0).build().unwrap().apply_to(&mut node).unwrap();
-        assert!(node.hint().enabled());
+        apply(&mut n, ConsistencySpec::builder().hint(0.0)).unwrap();
+        assert!(!n.hint().enabled());
+        apply(&mut n, ConsistencySpec::builder().hint(1.0)).unwrap();
+        assert!(n.hint().enabled());
+        for h in [-0.1, 1.1, f64::INFINITY] {
+            assert!(ConsistencySpec::builder().hint(h).build().is_err(), "hint {h}");
+        }
+    }
+
+    #[test]
+    fn spec_background_round_trips() {
+        let mut n = node();
+        apply(&mut n, ConsistencySpec::builder().background_every(SimDuration::from_secs(20)))
+            .unwrap();
+        assert_eq!(n.config().background_period, Some(SimDuration::from_secs(20)));
+        apply(&mut n, ConsistencySpec::builder().no_background()).unwrap();
+        assert_eq!(n.config().background_period, None);
+        assert!(ConsistencySpec::builder().background_every(SimDuration::ZERO).build().is_err());
     }
 
     #[test]
