@@ -18,14 +18,13 @@
 //! one timer, one fan-out per peer — turning O(writes × peers) steady-state
 //! probe traffic into O(peers) per window.
 
-use super::lazy::Missing;
 use super::{pack, NodeCore, Trigger, K_BATCH, K_DETECT, K_PULL, K_SWEEP};
 use crate::adapt::AdaptAction;
 use crate::messages::{DigestGroup, IdeaMsg};
 use idea_detect::bottom::{BottomReport, SweepCollector};
 use idea_detect::round::DetectRound;
 use idea_net::{Context, TimerId};
-use idea_overlay::gossip::{GossipMode, Receipt, RumorId};
+use idea_overlay::gossip::{GossipMode, Peers, Receipt, RumorId};
 use idea_types::{FastMap, NodeId, ObjectId};
 use idea_vv::{VersionVector, VvDelta, VvSummary};
 use std::collections::BTreeMap;
@@ -44,6 +43,20 @@ struct DetectState {
     collectors: FastMap<u64, SweepCollector>,
 }
 
+/// A rumor advertised to us whose body has not arrived yet. No pull has
+/// gone out while the `K_PULL` timer is pending: the grace window lets an
+/// eager copy already in flight win, so only genuinely flood-missed nodes
+/// ever pull (immediate pulls would race the flood and churn the overlay
+/// with graft/prune oscillation).
+struct Missing {
+    /// Advertisers to pull from, tried one per timer firing.
+    advertisers: Vec<NodeId>,
+    /// The armed `K_PULL` grace/retry timer.
+    timer: TimerId,
+    /// Ticket keying `pull_tickets`.
+    ticket: u64,
+}
+
 /// The detection subsystem.
 #[derive(Default)]
 pub(crate) struct Detection {
@@ -55,6 +68,11 @@ pub(crate) struct Detection {
     sweep_tickets: FastMap<u64, (ObjectId, u64)>,
     /// Pull-retry ticket → (object, rumor id), for `K_PULL` timers.
     pull_tickets: FastMap<u64, (ObjectId, RumorId)>,
+    /// Advertised-but-missing bodies of every object of the shard, with
+    /// their pull state. One table per shard rather than one per object:
+    /// few objects have a pull pending at once, and a drained table keeps
+    /// its buckets.
+    missing: FastMap<(ObjectId, RumorId), Missing>,
     /// Whether a batching-window timer is armed. The dirty objects the
     /// window will probe live in the store shard's dirty-set
     /// ([`idea_store::StoreShard::take_dirty`]): local writes mark it at
@@ -273,6 +291,11 @@ impl Detection {
         }
     }
 
+    /// Advertised bodies of `object` still awaited here (pending pulls).
+    pub fn pending_pulls(&self, object: ObjectId) -> usize {
+        self.missing.keys().filter(|(o, _)| *o == object).count()
+    }
+
     // ------------------------------------------------------------- sweeps
 
     fn start_sweep(
@@ -283,18 +306,18 @@ impl Detection {
     ) {
         let counters =
             Arc::new(core.store.replica(object).expect("opened").version().counters().clone());
-        core.ensure_everyone(ctx.node_count());
+        let peers = Peers { me: core.me, n: ctx.node_count() };
         let deadline = ctx.now() + core.cfg.sweep_deadline;
         let epsilon = core.cfg.sweep_epsilon;
-        // Field-disjoint borrows: the cached node list stays shared while
-        // the object state is mutated.
-        let everyone = &core.everyone;
+        // Field-disjoint borrows: the config stays shared while the object
+        // state is mutated.
+        let cfg = &core.cfg;
         let shared = core.objs.get_mut(object).expect("object state");
         let level = shared.level;
-        let (id, _ttl, plan) = shared.gossip.originate(everyone, ctx.rng());
+        let (id, _ttl, plan) = shared.gossip.originate(&cfg.gossip, peers, ctx.rng());
         let seq = u64::from(id.seq);
         self.state(object).collectors.insert(seq, SweepCollector::new(level, epsilon, deadline));
-        shared.dispatch_rumor(&core.cfg, core.shard, id, plan, &counters, ctx);
+        shared.dispatch_rumor(cfg, object, id, plan, &counters, ctx);
         // Deadline timers route through a node-unique ticket: gossip seqs
         // are allocated per object, so two objects at one node can emit the
         // same `id.seq` and a seq-keyed map would settle the wrong sweep.
@@ -321,10 +344,10 @@ impl Detection {
         counters: Arc<VersionVector>,
         ctx: &mut dyn Context<IdeaMsg>,
     ) {
-        core.ensure_everyone(ctx.node_count());
+        let peers = Peers { me: core.me, n: ctx.node_count() };
         // Field-disjoint borrows from here on: the object's state is
-        // resolved once and mutated while the config, the cached node list
-        // and the store stay shared.
+        // resolved once and mutated while the config and the store stay
+        // shared.
         let shared = match core.objs.get_mut(object) {
             Some(shared) => shared,
             None => {
@@ -333,9 +356,10 @@ impl Detection {
                 core.objs.get_mut(object).expect("object state")
             }
         };
-        shared.note_counters(&counters, ctx.now());
-        let receipt = shared.gossip.on_receive(id, ttl, Some(from), &core.everyone, ctx.rng());
-        if receipt == Receipt::Duplicate && core.cfg.gossip.mode == GossipMode::Lazy {
+        let cfg = &core.cfg;
+        shared.note_counters(&cfg.top_layer, &counters, ctx.now());
+        let receipt = shared.gossip.on_receive(&cfg.gossip, id, ttl, Some(from), peers, ctx.rng());
+        if receipt == Receipt::Duplicate && cfg.gossip.mode == GossipMode::Lazy {
             // Plumtree repair: the pusher's eager link to us is redundant.
             // Tell it to go lazy (our own link to it is demoted inside
             // `on_receive`); the eager overlay trims towards a tree.
@@ -343,13 +367,13 @@ impl Detection {
         }
         // The body closes any pending pull for it, however it got here,
         // and grafts the deliverer — its link just proved load-bearing.
-        if let Some(miss) = shared.lazy.missing.remove(&id) {
+        if let Some(miss) = self.missing.remove(&(object, id)) {
             shared.gossip.graft(from);
             ctx.cancel_timer(miss.timer);
             self.pull_tickets.remove(&miss.ticket);
         }
         if let Receipt::Relay(plan) = receipt {
-            shared.dispatch_rumor(&core.cfg, core.shard, id, plan, &counters, ctx);
+            shared.dispatch_rumor(cfg, object, id, plan, &counters, ctx);
         }
         let mine = core.store.replica(object).expect("opened").version();
         if counters.missing_from(mine.counters()) > 0 {
@@ -388,22 +412,20 @@ impl Detection {
         let timeout = core.cfg.gossip_pull_timeout;
         // Pass 1: classify under the object borrow.
         let mut fresh = Vec::new();
-        {
-            let shared = core.objs.get_mut(object).expect("object state");
-            for (id, _ttl) in ids {
-                if !shared.gossip.wants_body(id) {
-                    continue; // body already processed here
-                }
-                match shared.lazy.missing.get_mut(&id) {
-                    Some(miss) => {
-                        if !miss.advertisers.contains(&from) {
-                            miss.advertisers.push(from);
-                        }
+        let shared = core.obj(object).expect("object state");
+        for (id, _ttl) in ids {
+            if !shared.gossip.wants_body(id) {
+                continue; // body already processed here
+            }
+            match self.missing.get_mut(&(object, id)) {
+                Some(miss) => {
+                    if !miss.advertisers.contains(&from) {
+                        miss.advertisers.push(from);
                     }
-                    None => {
-                        if !fresh.contains(&id) {
-                            fresh.push(id);
-                        }
+                }
+                None => {
+                    if !fresh.contains(&id) {
+                        fresh.push(id);
                     }
                 }
             }
@@ -414,8 +436,7 @@ impl Detection {
             let ticket = core.fresh_id();
             let timer = ctx.set_timer(timeout, pack(K_PULL, shard, ticket));
             self.pull_tickets.insert(ticket, (object, id));
-            let shared = core.objs.get_mut(object).expect("object state");
-            shared.lazy.missing.insert(id, Missing { advertisers: vec![from], timer, ticket });
+            self.missing.insert((object, id), Missing { advertisers: vec![from], timer, ticket });
         }
     }
 
@@ -457,33 +478,27 @@ impl Detection {
         };
         let shard = core.shard;
         let timeout = core.cfg.gossip_pull_timeout;
-        let next = {
-            let Some(shared) = core.objs.get_mut(object) else {
-                return;
-            };
-            if !shared.gossip.wants_body(id) {
-                shared.lazy.missing.remove(&id);
-                return;
+        let Some(shared) = core.objs.get(object) else {
+            return;
+        };
+        let key = (object, id);
+        let peer = match self.missing.get_mut(&key) {
+            Some(miss) if shared.gossip.wants_body(id) && !miss.advertisers.is_empty() => {
+                miss.advertisers.remove(0)
             }
-            match shared.lazy.missing.get_mut(&id) {
-                Some(miss) if !miss.advertisers.is_empty() => Some(miss.advertisers.remove(0)),
-                _ => {
-                    shared.lazy.missing.remove(&id);
-                    return;
-                }
+            _ => {
+                self.missing.remove(&key);
+                return;
             }
         };
-        if let Some(peer) = next {
-            let fresh = core.fresh_id();
-            let timer = ctx.set_timer(timeout, pack(K_PULL, shard, fresh));
-            self.pull_tickets.insert(fresh, (object, id));
-            let shared = core.objs.get_mut(object).expect("object state");
-            if let Some(miss) = shared.lazy.missing.get_mut(&id) {
-                miss.timer = timer;
-                miss.ticket = fresh;
-            }
-            ctx.send(peer, IdeaMsg::GossipPull { object, id });
+        let fresh = core.fresh_id();
+        let timer = ctx.set_timer(timeout, pack(K_PULL, shard, fresh));
+        self.pull_tickets.insert(fresh, key);
+        if let Some(miss) = self.missing.get_mut(&key) {
+            miss.timer = timer;
+            miss.ticket = fresh;
         }
+        ctx.send(peer, IdeaMsg::GossipPull { object, id });
     }
 
     /// A peer found our eager push redundant ([`IdeaMsg::GossipPrune`]):

@@ -1,27 +1,31 @@
-//! The lazy gossip plane: rumor body caching, per-peer digest outboxes,
-//! and the missing-body pull state.
+//! The lazy gossip plane's per-object half: rumor body caching and
+//! per-peer digest outboxes.
 //!
 //! In [`idea_overlay::GossipMode::Lazy`], a relay plan's lazy links carry
-//! only rumor ids. This module owns the node-side state that makes those
-//! ids useful: the **body cache** answering [`crate::messages::IdeaMsg::GossipPull`]s,
-//! the **outbox** of pending advertisements (piggybacked on outgoing
-//! detect traffic, flushed by the `K_LAZY_FLUSH` timer otherwise), and the
-//! **missing map** tracking bodies advertised-but-not-held, whose
-//! `K_PULL` timer both delays the first pull (giving in-flight eager
-//! copies a grace window) and retries against backup advertisers.
+//! only rumor ids. This module owns the per-object state that makes those
+//! ids useful: the **body cache** answering [`crate::messages::IdeaMsg::GossipPull`]s
+//! and the **outbox** of pending advertisements (piggybacked on outgoing
+//! detect traffic, flushed by the `K_LAZY_FLUSH` timer otherwise). The
+//! other half — bodies advertised to us but not yet held, whose `K_PULL`
+//! timer both delays the first pull (giving in-flight eager copies a grace
+//! window) and retries against backup advertisers — is one table per
+//! shard in [`super::detection::Detection`], keyed by (object, rumor id):
+//! few objects have a pull pending at any moment, so a per-object table
+//! would sit empty in almost every slot.
 //!
-//! All state is per-object (it lives inside [`super::ObjShared`]), so the
-//! sharded runtime needs no cross-shard coordination. Piggybacked digests
-//! are grouped per object ([`crate::messages::DigestGroup`]): a detect
-//! frame carries the probed object's group only, so when an advert is
-//! delivered never depends on which other objects share its shard.
+//! The state lives in [`super::ObjShared`] and in the shard's detection
+//! subsystem, so the sharded runtime needs no cross-shard coordination.
+//! Piggybacked digests are grouped per object
+//! ([`crate::messages::DigestGroup`]): a detect frame carries the probed
+//! object's group only, so when an advert is delivered never depends on
+//! which other objects share its shard.
 
 use super::{pack, ObjShared, K_LAZY_FLUSH};
 use crate::config::IdeaConfig;
 use crate::messages::IdeaMsg;
-use idea_net::{Context, TimerId};
+use idea_net::Context;
 use idea_overlay::gossip::{GossipMode, RelayPlan, RumorId};
-use idea_types::{FastMap, NodeId, ShardId};
+use idea_types::{FastMap, NodeId, ObjectId, ShardId};
 use idea_vv::VersionVector;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -30,20 +34,6 @@ use std::sync::Arc;
 /// FIFO; a pull for an evicted body is simply unanswered and the puller's
 /// retry timer moves on to a backup advertiser.
 const CACHE_CAP: usize = 1024;
-
-/// A rumor advertised to us whose body has not arrived yet. No pull has
-/// gone out while the `K_PULL` timer is pending: the grace window lets an
-/// eager copy already in flight win, so only genuinely flood-missed nodes
-/// ever pull (immediate pulls would race the flood and churn the overlay
-/// with graft/prune oscillation).
-pub(crate) struct Missing {
-    /// Advertisers to pull from, tried one per timer firing.
-    pub advertisers: Vec<NodeId>,
-    /// The armed `K_PULL` grace/retry timer.
-    pub timer: TimerId,
-    /// Ticket keying [`super::detection::Detection`]'s pull-ticket map.
-    pub ticket: u64,
-}
 
 /// Per-object lazy-plane state (see module docs).
 #[derive(Default)]
@@ -59,8 +49,6 @@ pub(crate) struct LazyPlane {
     /// Pending advertisements per peer, drained by piggybacking and the
     /// flush timer.
     outbox: BTreeMap<NodeId, Vec<(RumorId, u8)>>,
-    /// Advertised-but-missing bodies with their pull state.
-    pub missing: FastMap<RumorId, Missing>,
     /// Whether a `K_LAZY_FLUSH` timer is armed for this object.
     pub flush_armed: bool,
 }
@@ -111,20 +99,20 @@ impl LazyPlane {
 }
 
 impl ObjShared {
-    /// Sends a relay plan on the wire: full [`IdeaMsg::SweepRumor`] bodies
-    /// on the eager links, queued digests (piggyback or flush) on the lazy
-    /// links. In lazy mode the body is also cached so later pulls can be
+    /// Sends a relay plan of a rumor about `object` (the object this state
+    /// belongs to) on the wire: full [`IdeaMsg::SweepRumor`] bodies on the
+    /// eager links, queued digests (piggyback or flush) on the lazy links.
+    /// In lazy mode the body is also cached so later pulls can be
     /// answered. Every copy shares `counters`' allocation.
     pub fn dispatch_rumor(
         &mut self,
         cfg: &IdeaConfig,
-        shard: ShardId,
+        object: ObjectId,
         id: RumorId,
         plan: RelayPlan,
         counters: &Arc<VersionVector>,
         ctx: &mut dyn Context<IdeaMsg>,
     ) {
-        let object = self.layer.object();
         for &t in &plan.eager {
             let counters = Arc::clone(counters);
             ctx.send(t, IdeaMsg::SweepRumor { id, ttl: plan.ttl, object, counters });
@@ -141,6 +129,8 @@ impl ObjShared {
         }
         if !self.lazy.flush_armed {
             self.lazy.flush_armed = true;
+            // The timer comes back to the shard that owns the object.
+            let shard = ShardId::of(object, cfg.store_shards);
             ctx.set_timer(
                 cfg.gossip_digest_flush,
                 pack(K_LAZY_FLUSH, shard, object.index() as u64),

@@ -86,7 +86,7 @@ use crate::adapt::{AdaptAction, HintController};
 use crate::config::IdeaConfig;
 use crate::quantify::Quantifier;
 use idea_overlay::gossip::GossipRouter;
-use idea_overlay::temperature::TwoLayer;
+use idea_overlay::temperature::{TopLayer, TopLayerConfig};
 use idea_store::{Replica, StoreShard};
 use idea_types::{ConsistencyLevel, NodeId, ObjectId, ObjectTable, ShardId, SimTime, WriterId};
 use idea_vv::VersionVector;
@@ -132,26 +132,31 @@ pub(crate) enum Trigger {
 /// two-layer overlay view, the gossip router, learned writer activity, and
 /// the current level estimate. Subsystem-private state lives inside each
 /// subsystem instead.
+///
+/// A shard holds one per hosted object, so it holds only what differs
+/// between objects: the settings (`NodeCore::cfg`), the node's id and the
+/// pending pulls (`Detection`'s per-shard table) are passed in or kept
+/// once per shard.
 pub(crate) struct ObjShared {
     /// Top-layer membership driven by update temperature (§4.1).
-    pub layer: TwoLayer,
+    pub layer: TopLayer,
     /// TTL-bounded gossip router for announcements and sweeps.
     pub gossip: GossipRouter,
     /// Highest per-writer counts this node has seen anywhere.
     pub known_counts: VersionVector,
     /// Current consistency-level estimate for the object.
     pub level: ConsistencyLevel,
-    /// Lazy gossip plane: body cache, digest outbox, missing/pull state.
+    /// Lazy gossip plane: body cache and digest outbox.
     pub lazy: lazy::LazyPlane,
 }
 
 impl ObjShared {
-    /// Fresh state of `object` at node `me`: a cold overlay view, an empty
-    /// router, nothing learned yet.
-    fn new(object: ObjectId, me: NodeId, cfg: &IdeaConfig) -> Self {
+    /// Fresh state of an object: a cold overlay view, an empty router,
+    /// nothing learned yet.
+    fn new(cfg: &IdeaConfig) -> Self {
         ObjShared {
-            layer: TwoLayer::new(object, cfg.top_layer),
-            gossip: GossipRouter::new(me, cfg.gossip),
+            layer: TopLayer::new(&cfg.top_layer),
+            gossip: GossipRouter::new(&cfg.gossip),
             known_counts: VersionVector::new(),
             level: ConsistencyLevel::PERFECT,
             lazy: lazy::LazyPlane::default(),
@@ -161,12 +166,12 @@ impl ObjShared {
     /// Learns writer activity from any counters that pass by (detection,
     /// collection, gossip), feeding the temperature overlay: one observed
     /// update per count a writer advanced beyond what this node knew.
-    pub fn note_counters(&mut self, counters: &VersionVector, now: SimTime) {
+    pub fn note_counters(&mut self, cfg: &TopLayerConfig, counters: &VersionVector, now: SimTime) {
         let layer = &mut self.layer;
         self.known_counts.merge_with(counters, |writer, known, count| {
             let node = NodeCore::home(writer);
             for _ in known..count {
-                layer.observe_update(node, now);
+                layer.observe_update(cfg, node, now);
             }
         });
     }
@@ -217,10 +222,6 @@ pub(crate) struct NodeCore {
     /// Shared state of every object this shard hosts, in id order; holds
     /// exactly the store shard's objects (see [`NodeCore::open`]).
     pub objs: ObjectTable<ObjShared>,
-    /// All node ids in the deployment, cached so gossip fan-out never
-    /// re-allocates the peer list per received rumor (refreshed by
-    /// [`NodeCore::ensure_everyone`] if the deployment size changes).
-    pub everyone: Vec<NodeId>,
     shared: Arc<SharedCore>,
 }
 
@@ -243,7 +244,6 @@ impl NodeCore {
             store: StoreShard::with_capacity(me, WriterId(me.0), n),
             priorities: BTreeMap::new(),
             objs: ObjectTable::with_capacity(n),
-            everyone: Vec::new(),
             shared,
         };
         for o in objects {
@@ -293,20 +293,12 @@ impl NodeCore {
         self.shared.rollbacks.load(Ordering::Relaxed)
     }
 
-    /// Refreshes the cached deployment-wide node list (a no-op once built;
-    /// engines never resize mid-run, but the cache re-derives defensively).
-    pub fn ensure_everyone(&mut self, n: usize) {
-        if self.everyone.len() != n {
-            self.everyone = (0..n as u32).map(NodeId).collect();
-        }
-    }
-
     /// Opens `object` on this shard — its replica and its shared state,
     /// each created on first contact (the replica's creation is WAL-logged
     /// when durability is on) — and returns the replica.
     pub fn open(&mut self, object: ObjectId) -> &mut Replica {
         if let Err(slot) = self.objs.find(object) {
-            self.objs.insert_at(slot, object, ObjShared::new(object, self.me, &self.cfg));
+            self.objs.insert_at(slot, object, ObjShared::new(&self.cfg));
         }
         self.store.open(object)
     }
@@ -324,6 +316,7 @@ impl NodeCore {
     /// Learns writer activity from any counters that pass by (see
     /// [`ObjShared::note_counters`]).
     pub fn note_counters(&mut self, object: ObjectId, counters: &VersionVector, now: SimTime) {
-        self.obj_mut(object).note_counters(counters, now);
+        let shared = self.objs.get_mut(object).expect("object state");
+        shared.note_counters(&self.cfg.top_layer, counters, now);
     }
 }

@@ -702,16 +702,14 @@ impl IdeaNode {
     /// What this node's gossip plane holds for `object` (all zero for an
     /// object it never touched).
     pub fn gossip_footprint(&self, object: ObjectId) -> GossipFootprint {
-        self.shards[self.shard_idx(object)].core.obj(object).map_or_else(
-            GossipFootprint::default,
-            |s| GossipFootprint {
-                view: s.gossip.view().len(),
-                lazy_links: s.gossip.lazy_link_count(),
-                seen_ids: s.gossip.seen_count(),
-                cached_bodies: s.lazy.cached_bodies(),
-                missing: s.lazy.missing.len(),
-            },
-        )
+        let shard = &self.shards[self.shard_idx(object)];
+        shard.core.obj(object).map_or_else(GossipFootprint::default, |s| GossipFootprint {
+            view: s.gossip.view().len(),
+            lazy_links: s.gossip.lazy_link_count(),
+            seen_ids: s.gossip.seen_count(),
+            cached_bodies: s.lazy.cached_bodies(),
+            missing: shard.detection.pending_pulls(object),
+        })
     }
 
     // ----------------------------------------------------------- triggers

@@ -551,13 +551,18 @@ fn chunked_fetch_frames_respect_the_bound_and_reassemble_identically() {
 
 /// Pre-change `note_counters`: one `known_counts` lookup per incoming
 /// writer instead of one walk over both sorted maps.
-fn note_counters_reference(st: &mut ObjShared, counters: &VersionVector, now: SimTime) {
+fn note_counters_reference(
+    st: &mut ObjShared,
+    cfg: &TopLayerConfig,
+    counters: &VersionVector,
+    now: SimTime,
+) {
     for (writer, count) in counters.iter() {
         let known = st.known_counts.get(writer);
         if count > known {
             let node = NodeCore::home(writer);
             for _ in known..count {
-                st.layer.observe_update(node, now);
+                st.layer.observe_update(cfg, node, now);
             }
             st.known_counts.observe(writer, count);
         }
@@ -579,27 +584,21 @@ proptest::proptest! {
         ),
     ) {
         let cfg = IdeaConfig::default();
-        let fresh = || ObjShared {
-            layer: TwoLayer::new(OBJ, cfg.top_layer),
-            gossip: GossipRouter::new(NodeId(0), cfg.gossip),
-            known_counts: VersionVector::new(),
-            level: ConsistencyLevel::PERFECT,
-            lazy: lazy::LazyPlane::default(),
-        };
-        let (mut walked, mut looked_up) = (fresh(), fresh());
+        let layer = &cfg.top_layer;
+        let (mut walked, mut looked_up) = (ObjShared::new(&cfg), ObjShared::new(&cfg));
         for (i, counts) in steps.into_iter().enumerate() {
             let now = SimTime::from_secs(3 * i as u64);
             let incoming = VersionVector::from_pairs(
                 counts.into_iter().map(|(w, c)| (idea_types::WriterId(w), c)),
             );
-            walked.note_counters(&incoming, now);
-            note_counters_reference(&mut looked_up, &incoming, now);
+            walked.note_counters(layer, &incoming, now);
+            note_counters_reference(&mut looked_up, layer, &incoming, now);
             proptest::prop_assert_eq!(&walked.known_counts, &looked_up.known_counts);
             proptest::prop_assert_eq!(walked.layer.top_members(), looked_up.layer.top_members());
             for node in (0..8).map(NodeId) {
                 proptest::prop_assert_eq!(
-                    walked.layer.temperature(node, now).to_bits(),
-                    looked_up.layer.temperature(node, now).to_bits()
+                    walked.layer.temperature(layer, node, now).to_bits(),
+                    looked_up.layer.temperature(layer, node, now).to_bits()
                 );
             }
         }

@@ -10,6 +10,7 @@
 use super::NodeCore;
 use crate::messages::IdeaMsg;
 use idea_net::Context;
+use idea_overlay::gossip::Peers;
 use idea_types::{ConsistencyLevel, NodeId, ObjectId, Result, Update, UpdatePayload};
 use idea_vv::VersionVector;
 use std::collections::BTreeMap;
@@ -49,8 +50,8 @@ impl WritePath {
         let now = ctx.now();
         let update = core.store.write(object, now, meta_delta, payload);
         let me = core.me;
-        let shared = core.obj_mut(object);
-        shared.layer.observe_update(me, now);
+        let shared = core.objs.get_mut(object).expect("object state");
+        shared.layer.observe_update(&core.cfg.top_layer, me, now);
         // Bootstrap: a handful of gossip announces per writer lets the
         // overlay discover hot writers transitively (RanSub's role in §4.1).
         // Bounded so steady-state traffic is detection-only.
@@ -91,12 +92,12 @@ impl WritePath {
     /// random subsets play in §4.1.
     fn announce(&mut self, core: &mut NodeCore, object: ObjectId, ctx: &mut dyn Context<IdeaMsg>) {
         let mut counters = core.store.replica(object).expect("opened").version().counters().clone();
-        core.ensure_everyone(ctx.node_count());
-        let everyone = &core.everyone;
+        let peers = Peers { me: core.me, n: ctx.node_count() };
+        let cfg = &core.cfg;
         let shared = core.objs.get_mut(object).expect("object state");
         counters.merge(&shared.known_counts);
-        let (id, _ttl, plan) = shared.gossip.originate(everyone, ctx.rng());
-        shared.dispatch_rumor(&core.cfg, core.shard, id, plan, &Arc::new(counters), ctx);
+        let (id, _ttl, plan) = shared.gossip.originate(&cfg.gossip, peers, ctx.rng());
+        shared.dispatch_rumor(cfg, object, id, plan, &Arc::new(counters), ctx);
     }
 
     /// A peer asked for the updates it is missing: ship them (batched).

@@ -1,7 +1,8 @@
 //! The gossip plane's memory model as assertions: what one router holds
 //! is bounded by its own configuration (view, suppression window, body
-//! cache), never by the deployment size, and one rumor is one allocation
-//! however many hops, cache entries and pull replies carry it.
+//! cache), never by the deployment size; pending pulls drain once a run
+//! settles; and one rumor is one allocation however many hops, cache
+//! entries and pull replies carry it.
 
 use idea_core::{IdeaConfig, IdeaMsg, IdeaNode};
 use idea_net::{Context, Proto, SimConfig, SimEngine, TimerId, Topology};
@@ -33,14 +34,29 @@ fn per_router_state_is_bounded_by_the_view_not_the_deployment() {
         SimConfig { seed: 7, ..Default::default() },
         nodes,
     );
+    // Pulls pending anywhere in the deployment, summed over objects.
+    let pending = |eng: &SimEngine<IdeaNode>| -> usize {
+        (0..N as u32)
+            .flat_map(|node| objects.iter().map(move |&o| (NodeId(node), o)))
+            .map(|(node, object)| eng.node(node).gossip_footprint(object).missing)
+            .sum()
+    };
+    let mut peak_pending = 0;
     for i in 0..WRITES {
         let object = objects[(i as usize * 5) % objects.len()];
         eng.with_node(NodeId(i % WRITERS), |p, ctx| {
             p.local_write(object, 1, UpdatePayload::none(), ctx);
         });
         eng.run_for(SimDuration::from_millis(100));
+        if i % 10 == 0 {
+            peak_pending = peak_pending.max(pending(&eng));
+        }
     }
     eng.run_for(SimDuration::from_secs(10));
+    // Every pull settled (body arrived or advertisers ran out), so each
+    // shard's pending-pull table drained: nothing is left per object.
+    assert!(peak_pending > 0, "no pull was ever pending");
+    assert_eq!(pending(&eng), 0, "pulls still pending after the run settled");
 
     let (mut full_views, mut pruned, mut cached, mut rotated) = (0, 0, 0, 0);
     for node in (0..N as u32).map(NodeId) {

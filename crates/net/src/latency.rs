@@ -63,7 +63,9 @@ pub enum LatencyModel {
         /// Number of nodes (matrix is `n × n`).
         n: usize,
         /// Row-major one-way delays in microseconds; diagonal is local.
-        us: Vec<u64>,
+        /// Four bytes a cell: a one-way delay above `u32::MAX` µs (~71
+        /// minutes) is no WAN, and `n²` cells are the model's whole size.
+        us: Vec<u32>,
     },
 }
 
@@ -74,11 +76,17 @@ impl LatencyModel {
     }
 
     /// Builds a matrix model from a closure over ordered pairs.
+    ///
+    /// # Panics
+    /// Panics when a delay exceeds `u32::MAX` microseconds.
     pub fn from_fn(n: usize, mut f: impl FnMut(NodeId, NodeId) -> SimDuration) -> Self {
         let mut us = Vec::with_capacity(n * n);
-        for i in 0..n {
-            for j in 0..n {
-                us.push(f(NodeId(i as u32), NodeId(j as u32)).as_micros());
+        for i in 0..n as u32 {
+            for j in 0..n as u32 {
+                let d = f(NodeId(i), NodeId(j));
+                us.push(u32::try_from(d.as_micros()).unwrap_or_else(|_| {
+                    panic!("delay {d} from n{i} to n{j} exceeds the matrix cell's u32::MAX µs")
+                }));
             }
         }
         LatencyModel::Matrix { n, us }
@@ -91,7 +99,7 @@ impl LatencyModel {
             LatencyModel::Matrix { n, us } => {
                 let (i, j) = (from.index(), to.index());
                 assert!(i < *n && j < *n, "pair ({from},{to}) outside {n}-node matrix");
-                SimDuration::from_micros(us[i * n + j])
+                SimDuration::from_micros(u64::from(us[i * n + j]))
             }
         }
     }
@@ -120,7 +128,7 @@ impl LatencyModel {
                 for i in 0..*n {
                     for j in 0..*n {
                         if i != j {
-                            sum += us[i * n + j] as u128;
+                            sum += u128::from(us[i * n + j]);
                             cnt += 1;
                         }
                     }
@@ -161,6 +169,21 @@ mod tests {
     fn matrix_rejects_out_of_range() {
         let m = LatencyModel::from_fn(2, |_, _| SimDuration::from_millis(1));
         let _ = m.base(NodeId(0), NodeId(5));
+    }
+
+    #[test]
+    fn matrix_cells_hold_up_to_u32_max_micros() {
+        let top = SimDuration::from_micros(u64::from(u32::MAX));
+        let m = LatencyModel::from_fn(2, |_, _| top);
+        assert_eq!(m.base(NodeId(1), NodeId(0)), top);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the matrix cell's u32::MAX µs")]
+    fn matrix_rejects_a_delay_past_u32_micros() {
+        let _ = LatencyModel::from_fn(2, |a, b| {
+            SimDuration::from_micros(if a == b { 0 } else { u64::from(u32::MAX) + 1 })
+        });
     }
 
     #[test]

@@ -61,16 +61,19 @@ impl Topology {
         let regions: Vec<Region> = (0..n).map(|i| Region::ALL[i % Region::ALL.len()]).collect();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x70_70_1a_b5);
         // Sample the upper triangle, mirror for symmetry.
-        let mut us = vec![0u64; n * n];
+        let mut us = vec![0u32; n * n];
         for i in 0..n {
             for j in (i + 1)..n {
+                // Drawn as u64: the draw type decides the stream, so only
+                // the stored cell is narrowed.
                 let one_way_ms: u64 = if regions[i] == regions[j] {
                     rng.gen_range(8..=12)
                 } else {
                     rng.gen_range(40..=55)
                 };
-                us[i * n + j] = one_way_ms * 1_000;
-                us[j * n + i] = one_way_ms * 1_000;
+                let cell = u32::try_from(one_way_ms * 1_000).expect("at most 55 ms");
+                us[i * n + j] = cell;
+                us[j * n + i] = cell;
             }
         }
         Topology {
@@ -203,6 +206,39 @@ mod tests {
         let rtt = t.mean_cross_region_rtt();
         assert!(rtt >= SimDuration::from_millis(80), "rtt {rtt}");
         assert!(rtt <= SimDuration::from_millis(115), "rtt {rtt}");
+    }
+
+    /// FNV-1a over every ordered pair's base delay in microseconds,
+    /// row-major: a fingerprint of the whole matrix that does not depend
+    /// on how the cells are stored.
+    fn matrix_checksum(t: &Topology) -> u64 {
+        let n = t.len() as u32;
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..n {
+            for j in 0..n {
+                for b in t.latency().base(NodeId(i), NodeId(j)).as_micros().to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// The testbeds the benchmark and the experiments run on, pinned cell
+    /// by cell: a change to how the matrix is drawn or stored must not
+    /// move a single delay.
+    #[test]
+    fn planetlab_testbeds_are_pinned() {
+        for (n, checksum, mean_us) in
+            [(640, 0xe9d2_519b_780b_18c5u64, 38_152u64), (40, 0x0628_2681_3aa3_f1e5u64, 38_641u64)]
+        {
+            let t = Topology::planetlab(n, 7);
+            assert_eq!(
+                (matrix_checksum(&t), t.latency().mean_base().as_micros()),
+                (checksum, mean_us),
+                "planetlab({n}, 7) drew a different matrix"
+            );
+        }
     }
 
     #[test]

@@ -177,8 +177,23 @@ pub enum Receipt {
     Relay(RelayPlan),
 }
 
+/// Who a router gossips among: the deployment's nodes `0..n`, the router's
+/// own node `me` excluded. Callers pass it on every call instead of a peer
+/// list, so no router keeps (or copies) one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Peers {
+    /// The router's own node.
+    pub me: NodeId,
+    /// Deployment size: peers are drawn from `NodeId(0)..NodeId(n)`.
+    pub n: usize,
+}
+
 /// Per-node gossip state: duplicate suppression, fanout selection, and (in
 /// lazy mode) the stable view with its persistent eager/lazy link split.
+///
+/// One router exists per (node, object), so it holds only what differs
+/// between them: the settings ([`GossipConfig`]) and the router's identity
+/// and population ([`Peers`]) come in with every call.
 ///
 /// Duplicate suppression is **generational**: ids go into a current
 /// generation; when it reaches `seen_cap` it becomes the previous
@@ -188,78 +203,68 @@ pub enum Receipt {
 /// relayed, a real leak for long-lived nodes.
 #[derive(Debug, Clone)]
 pub struct GossipRouter {
-    cfg: GossipConfig,
-    me: NodeId,
     /// Current duplicate-suppression generation.
     seen: FastSet<RumorId>,
     /// Previous generation (read-only until evicted).
     seen_prev: FastSet<RumorId>,
-    /// Lazy mode's stable gossip neighbourhood: up to `fanout` peers,
-    /// sampled once on first use. Eager mode never populates it (it keeps
-    /// the classic per-rumor random pick).
-    view: Vec<NodeId>,
-    /// View links currently pruned to the lazy side (duplicate bodies
-    /// arrived on them). Bounded by the view, so repair state cannot grow
-    /// with deployment size.
-    lazy_links: FastSet<NodeId>,
+    /// Lazy mode's stable gossip neighbourhood in sampling order, each
+    /// link with whether it is pruned to the lazy side (a duplicate body
+    /// arrived on it): up to `fanout` peers, sampled once on first use and
+    /// stored exactly sized. Eager mode never populates it (it keeps the
+    /// classic per-rumor random pick).
+    links: Vec<(NodeId, bool)>,
     /// Sequence of the next originated rumor (wrapping; see [`RumorId`]).
     next_seq: u32,
 }
 
 impl GossipRouter {
-    /// Builds a router for node `me`.
-    pub fn new(me: NodeId, cfg: GossipConfig) -> Self {
+    /// An empty router, checked against the settings every later call
+    /// will pass.
+    pub fn new(cfg: &GossipConfig) -> Self {
         assert!(cfg.seen_cap > 0, "duplicate suppression needs a positive window");
         GossipRouter {
-            cfg,
-            me,
             seen: FastSet::default(),
             seen_prev: FastSet::default(),
-            view: Vec::new(),
-            lazy_links: FastSet::default(),
+            links: Vec::new(),
             next_seq: 0,
         }
     }
 
-    /// The router's configuration.
-    pub fn config(&self) -> GossipConfig {
-        self.cfg
-    }
-
     /// Records `id` as seen; returns `false` when it was already known.
-    fn note_seen(&mut self, id: RumorId) -> bool {
+    fn note_seen(&mut self, cfg: &GossipConfig, id: RumorId) -> bool {
         if self.seen_prev.contains(&id) || !self.seen.insert(id) {
             return false;
         }
-        if self.seen.len() >= self.cfg.seen_cap {
+        if self.seen.len() >= cfg.seen_cap {
             // Rotate generations: drop the old one wholesale.
             self.seen_prev = std::mem::take(&mut self.seen);
         }
         true
     }
 
-    /// Starts a new rumor; returns its id, the initial TTL, and the first
-    /// hop plan chosen from `peers`.
+    /// Starts a new rumor at `peers.me`; returns its id, the initial TTL,
+    /// and the first hop plan chosen among `peers`.
     pub fn originate<R: Rng + ?Sized>(
         &mut self,
-        peers: &[NodeId],
+        cfg: &GossipConfig,
+        peers: Peers,
         rng: &mut R,
     ) -> (RumorId, u8, RelayPlan) {
-        let id = RumorId { origin: self.me, seq: self.next_seq };
+        let id = RumorId { origin: peers.me, seq: self.next_seq };
         self.next_seq = self.next_seq.wrapping_add(1);
-        self.note_seen(id);
-        let plan = match self.cfg.mode {
+        self.note_seen(cfg, id);
+        let plan = match cfg.mode {
             GossipMode::Eager => RelayPlan {
-                eager: self.pick_peers(peers, None, rng),
+                eager: pick_peers(cfg.fanout, peers, None, rng),
                 lazy: Vec::new(),
-                ttl: self.cfg.ttl,
+                ttl: cfg.ttl,
             },
             GossipMode::Lazy => {
-                self.ensure_view(peers, rng);
-                self.view_plan(None, self.cfg.ttl)
+                self.ensure_view(cfg, peers, rng);
+                self.view_plan(cfg, None, cfg.ttl)
             }
         };
-        (id, self.cfg.ttl, plan)
+        (id, cfg.ttl, plan)
     }
 
     /// Processes a received rumor body and decides whether to relay it.
@@ -275,13 +280,14 @@ impl GossipRouter {
     /// first.
     pub fn on_receive<R: Rng + ?Sized>(
         &mut self,
+        cfg: &GossipConfig,
         id: RumorId,
         ttl: u8,
         from: Option<NodeId>,
-        peers: &[NodeId],
+        peers: Peers,
         rng: &mut R,
     ) -> Receipt {
-        if !self.note_seen(id) {
+        if !self.note_seen(cfg, id) {
             // Duplicate body: the sender wasted a full push on us — prune
             // that link to the lazy side from now on.
             if let Some(p) = from {
@@ -289,19 +295,19 @@ impl GossipRouter {
             }
             return Receipt::Duplicate;
         }
-        if self.cfg.mode == GossipMode::Lazy {
-            self.ensure_view(peers, rng);
+        if cfg.mode == GossipMode::Lazy {
+            self.ensure_view(cfg, peers, rng);
         }
         if ttl == 0 {
             return Receipt::Terminal;
         }
-        let plan = match self.cfg.mode {
+        let plan = match cfg.mode {
             GossipMode::Eager => RelayPlan {
-                eager: self.pick_peers(peers, from, rng),
+                eager: pick_peers(cfg.fanout, peers, from, rng),
                 lazy: Vec::new(),
                 ttl: ttl - 1,
             },
-            GossipMode::Lazy => self.view_plan(from, ttl - 1),
+            GossipMode::Lazy => self.view_plan(cfg, from, ttl - 1),
         };
         if plan.is_empty() {
             Receipt::Terminal
@@ -336,13 +342,18 @@ impl GossipRouter {
         ids
     }
 
+    /// The view link to `peer`, if `peer` is in the view.
+    fn link(&mut self, peer: NodeId) -> Option<&mut bool> {
+        self.links.iter_mut().find(|l| l.0 == peer).map(|l| &mut l.1)
+    }
+
     /// Prunes the view link to `peer` to the lazy side — called when a
     /// duplicate body arrives on it (the push was pure redundancy).
     /// Ignored for peers outside the view, so repair state stays bounded
     /// by the view size.
     pub fn demote(&mut self, peer: NodeId) {
-        if self.view.contains(&peer) {
-            self.lazy_links.insert(peer);
+        if let Some(pruned) = self.link(peer) {
+            *pruned = true;
         }
     }
 
@@ -350,31 +361,35 @@ impl GossipRouter {
     /// peer pulls a body from us or answers our pull, proving the lazy
     /// link was load-bearing.
     pub fn graft(&mut self, peer: NodeId) {
-        self.lazy_links.remove(&peer);
+        if let Some(pruned) = self.link(peer) {
+            *pruned = false;
+        }
     }
 
     /// True when the view link to `peer` is currently pruned.
     pub fn is_demoted(&self, peer: NodeId) -> bool {
-        self.lazy_links.contains(&peer)
+        self.links.contains(&(peer, true))
     }
 
-    /// The stable lazy-mode view (empty in eager mode or before first use).
-    pub fn view(&self) -> &[NodeId] {
-        &self.view
+    /// The stable lazy-mode view in sampling order (empty in eager mode or
+    /// before first use).
+    pub fn view(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.links.iter().map(|l| l.0)
     }
 
     /// Number of view links currently pruned to the lazy side (bounded by
     /// the view).
     pub fn lazy_link_count(&self) -> usize {
-        self.lazy_links.len()
+        self.links.iter().filter(|l| l.1).count()
     }
 
     /// Samples the stable view on first use: up to `fanout` distinct peers.
-    /// Membership is assumed stable (all engines hand the same `everyone`
-    /// slice for the lifetime of a run).
-    fn ensure_view<R: Rng + ?Sized>(&mut self, peers: &[NodeId], rng: &mut R) {
-        if self.view.is_empty() {
-            self.view = self.pick_peers(peers, None, rng);
+    /// Membership is assumed stable (all engines pass the same deployment
+    /// size for the lifetime of a run).
+    fn ensure_view<R: Rng + ?Sized>(&mut self, cfg: &GossipConfig, peers: Peers, rng: &mut R) {
+        if self.links.is_empty() {
+            let view = pick_peers(cfg.fanout, peers, None, rng);
+            self.links = view.into_iter().map(|p| (p, false)).collect();
         }
     }
 
@@ -382,50 +397,74 @@ impl GossipRouter {
     /// links the digest, the arrival link (`from`) is excluded. When every
     /// candidate is pruned, the first [`GossipConfig::eager_fanout`] links
     /// (at least one) are grafted back so the rumor keeps moving.
-    fn view_plan(&mut self, from: Option<NodeId>, ttl: u8) -> RelayPlan {
+    fn view_plan(&mut self, cfg: &GossipConfig, from: Option<NodeId>, ttl: u8) -> RelayPlan {
         let mut eager = Vec::new();
         let mut lazy = Vec::new();
-        for &p in &self.view {
+        for &(p, pruned) in &self.links {
             if Some(p) == from {
                 continue;
             }
-            if self.lazy_links.contains(&p) {
+            if pruned {
                 lazy.push(p);
             } else {
                 eager.push(p);
             }
         }
         if eager.is_empty() && !lazy.is_empty() {
-            let floor = self.cfg.eager_fanout.max(1).min(lazy.len());
+            let floor = cfg.eager_fanout.max(1).min(lazy.len());
             for p in lazy.drain(..floor) {
-                self.lazy_links.remove(&p);
+                self.graft(p);
                 eager.push(p);
             }
         }
         RelayPlan { eager, lazy, ttl }
     }
+}
 
-    /// Uniformly picks up to `fanout` distinct peers, never `me` and never
-    /// the sender the rumor arrived from. The result owns exactly the
-    /// chosen ids: lazy mode stores it as the router's view for the whole
-    /// run, so it must not keep the candidate pool's deployment-sized
-    /// buffer alive.
-    fn pick_peers<R: Rng + ?Sized>(
-        &self,
-        peers: &[NodeId],
-        from: Option<NodeId>,
-        rng: &mut R,
-    ) -> Vec<NodeId> {
-        let mut pool: Vec<NodeId> =
-            peers.iter().copied().filter(|&p| p != self.me && Some(p) != from).collect();
-        let k = self.cfg.fanout.min(pool.len());
-        // Partial Fisher–Yates: the first k slots become the choice.
-        for i in 0..k {
-            let j = rng.gen_range(i..pool.len());
-            pool.swap(i, j);
+/// Uniformly picks up to `fanout` distinct peers among `peers`, never
+/// `from`. This is a partial Fisher–Yates over the candidates listed in id
+/// order, run without the list: candidate slot `c` holds the `c`-th id of
+/// `0..n` that is neither `me` nor `from`, and only the slots a swap moved
+/// a value into are stored (at most `fanout` of them). Same `gen_range`
+/// draws, same picks, O(fanout) memory whatever the deployment size. The
+/// result is exactly sized: lazy mode keeps it as the router's view.
+fn pick_peers<R: Rng + ?Sized>(
+    fanout: usize,
+    peers: Peers,
+    from: Option<NodeId>,
+    rng: &mut R,
+) -> Vec<NodeId> {
+    let n = peers.n;
+    // The ids the candidates skip, ascending and distinct, all below `n`.
+    let mut skip = [peers.me.index(), from.map_or(usize::MAX, NodeId::index)];
+    skip.sort_unstable();
+    let skip = match skip {
+        [a, b] if a == b || b >= n => &skip[..usize::from(a < n)],
+        _ => &skip[..],
+    };
+    let candidates = n - skip.len();
+    let id_of = |slot: usize| {
+        let id = skip.iter().fold(slot, |id, &s| id + usize::from(id >= s));
+        NodeId(id as u32)
+    };
+    let k = fanout.min(candidates);
+    let mut picked = Vec::with_capacity(k);
+    // (slot, candidate) for every slot a swap moved a value into; a slot
+    // not listed still holds its own index.
+    let mut moved: Vec<(usize, usize)> = Vec::with_capacity(k);
+    for i in 0..k {
+        let j = rng.gen_range(i..candidates);
+        let at = |slot: usize| moved.iter().find(|m| m.0 == slot).map_or(slot, |m| m.1);
+        let (at_i, at_j) = (at(i), at(j));
+        // Swap: slot `i` takes `at_j` for good (later draws start past
+        // it), slot `j` takes `at_i`.
+        match moved.iter_mut().find(|m| m.0 == j) {
+            Some(m) => m.1 = at_i,
+            None => moved.push((j, at_i)),
         }
-        pool[..k].to_vec()
+        picked.push(id_of(at_j));
     }
+    picked
 }
 
 /// Message/coverage tallies of one simulated spread.
@@ -457,7 +496,7 @@ pub struct SpreadStats {
 /// injection is the network engines' job).
 #[cfg(test)]
 pub struct SpreadSim {
-    peers: Vec<NodeId>,
+    cfg: GossipConfig,
     routers: Vec<GossipRouter>,
 }
 
@@ -465,10 +504,11 @@ pub struct SpreadSim {
 impl SpreadSim {
     /// A fresh `n`-node population with per-node routers.
     pub fn new(n: usize, cfg: GossipConfig) -> Self {
-        SpreadSim {
-            peers: (0..n as u32).map(NodeId).collect(),
-            routers: (0..n as u32).map(|i| GossipRouter::new(NodeId(i), cfg)).collect(),
-        }
+        SpreadSim { cfg, routers: (0..n).map(|_| GossipRouter::new(&cfg)).collect() }
+    }
+
+    fn peers(&self, me: NodeId) -> Peers {
+        Peers { me, n: self.routers.len() }
     }
 
     /// Spreads one rumor from `origin` through the current link state and
@@ -508,7 +548,8 @@ impl SpreadSim {
             }
         };
 
-        let (id, _ttl, first) = self.routers[origin.index()].originate(&self.peers, rng);
+        let peers = self.peers(origin);
+        let (id, _ttl, first) = self.routers[origin.index()].originate(&self.cfg, peers, rng);
         queue_plan(&first, origin, &mut frontier, &mut advertised, &mut stats);
 
         loop {
@@ -517,12 +558,13 @@ impl SpreadSim {
                 stats.hops += 1;
                 let mut next = Vec::new();
                 for c in frontier {
+                    let peers = self.peers(c.node);
                     let router = &mut self.routers[c.node.index()];
-                    match router.on_receive(id, c.ttl, Some(c.from), &self.peers, rng) {
+                    match router.on_receive(&self.cfg, id, c.ttl, Some(c.from), peers, rng) {
                         Receipt::Relay(plan) => {
                             queue_plan(&plan, c.node, &mut next, &mut advertised, &mut stats);
                         }
-                        Receipt::Duplicate if router.config().mode == GossipMode::Lazy => {
+                        Receipt::Duplicate if self.cfg.mode == GossipMode::Lazy => {
                             // Duplicate push: answer with a PRUNE so the
                             // *sender* demotes its outgoing link — that is
                             // the link that wasted the body.
@@ -594,12 +636,18 @@ mod tests {
         GossipConfig { fanout, ttl, mode: GossipMode::Eager, ..Default::default() }
     }
 
+    /// Node `me` of an `n`-node deployment.
+    fn at(me: u32, n: usize) -> Peers {
+        Peers { me: NodeId(me), n }
+    }
+
     #[test]
     fn originate_marks_seen_and_picks_fanout() {
         let mut rng = StdRng::seed_from_u64(1);
-        let peers: Vec<NodeId> = (0..10u32).map(NodeId).collect();
-        let mut r = GossipRouter::new(NodeId(0), eager_cfg(3, 4));
-        let (id, ttl, plan) = r.originate(&peers, &mut rng);
+        let cfg = eager_cfg(3, 4);
+        let mut r = GossipRouter::new(&cfg);
+        let (id, ttl, plan) = r.originate(&cfg, at(0, 10), &mut rng);
+        assert_eq!(id.origin, NodeId(0));
         assert_eq!(ttl, 4);
         assert_eq!(plan.ttl, 4);
         assert!(plan.lazy.is_empty(), "eager mode never plans digests");
@@ -616,14 +664,14 @@ mod tests {
     #[test]
     fn duplicates_are_dropped_and_demote_the_sender() {
         let mut rng = StdRng::seed_from_u64(2);
-        let peers: Vec<NodeId> = (0..5u32).map(NodeId).collect();
         // fanout 4 over 4 other nodes: the view is the whole population,
         // so every sender below is a view link.
-        let mut r = GossipRouter::new(NodeId(1), lazy_cfg(4, 1, 3));
+        let cfg = lazy_cfg(4, 1, 3);
+        let mut r = GossipRouter::new(&cfg);
         let id = RumorId { origin: NodeId(0), seq: 9 };
-        let first = r.on_receive(id, 3, Some(NodeId(0)), &peers, &mut rng);
+        let first = r.on_receive(&cfg, id, 3, Some(NodeId(0)), at(1, 5), &mut rng);
         assert!(matches!(first, Receipt::Relay(_)));
-        let second = r.on_receive(id, 3, Some(NodeId(3)), &peers, &mut rng);
+        let second = r.on_receive(&cfg, id, 3, Some(NodeId(3)), at(1, 5), &mut rng);
         assert_eq!(second, Receipt::Duplicate);
         assert_eq!(r.seen_count(), 1);
         // The duplicate pusher's link got pruned; the first sender's did not.
@@ -637,20 +685,21 @@ mod tests {
     #[test]
     fn ttl_zero_is_terminal() {
         let mut rng = StdRng::seed_from_u64(3);
-        let peers: Vec<NodeId> = (0..5u32).map(NodeId).collect();
-        let mut r = GossipRouter::new(NodeId(1), GossipConfig::default());
+        let cfg = GossipConfig::default();
+        let mut r = GossipRouter::new(&cfg);
         let id = RumorId { origin: NodeId(0), seq: 1 };
-        assert_eq!(r.on_receive(id, 0, None, &peers, &mut rng), Receipt::Terminal);
+        assert_eq!(r.on_receive(&cfg, id, 0, None, at(1, 5), &mut rng), Receipt::Terminal);
         // Still marked seen so a later copy with budget is also dropped.
-        assert_eq!(r.on_receive(id, 5, None, &peers, &mut rng), Receipt::Duplicate);
+        assert_eq!(r.on_receive(&cfg, id, 5, None, at(1, 5), &mut rng), Receipt::Duplicate);
     }
 
     #[test]
     fn forwarded_ttl_decrements() {
         let mut rng = StdRng::seed_from_u64(4);
-        let peers: Vec<NodeId> = (0..6u32).map(NodeId).collect();
-        let mut r = GossipRouter::new(NodeId(2), eager_cfg(2, 8));
-        match r.on_receive(RumorId { origin: NodeId(0), seq: 0 }, 5, None, &peers, &mut rng) {
+        let cfg = eager_cfg(2, 8);
+        let mut r = GossipRouter::new(&cfg);
+        let id = RumorId { origin: NodeId(0), seq: 0 };
+        match r.on_receive(&cfg, id, 5, None, at(2, 6), &mut rng) {
             Receipt::Relay(plan) => {
                 assert_eq!(plan.ttl, 4);
                 assert_eq!(plan.eager.len(), 2);
@@ -666,19 +715,18 @@ mod tests {
     /// sender-oblivious flood could emit.
     #[test]
     fn sender_exclusion_on_three_node_line() {
-        let peers: Vec<NodeId> = (0..3u32).map(NodeId).collect();
         let cfg = eager_cfg(2, 8);
         for seed in 0..16 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut routers: Vec<GossipRouter> =
-                (0..3u32).map(|i| GossipRouter::new(NodeId(i), cfg)).collect();
-            let (id, _ttl, plan) = routers[0].originate(&peers, &mut rng);
+            let mut routers: Vec<GossipRouter> = (0..3).map(|_| GossipRouter::new(&cfg)).collect();
+            let (id, _ttl, plan) = routers[0].originate(&cfg, at(0, 3), &mut rng);
             let mut total = plan.eager.len();
             let mut frontier: Vec<(NodeId, u8, NodeId)> =
                 plan.eager.iter().map(|&t| (t, plan.ttl, NodeId(0))).collect();
             while let Some((node, ttl, from)) = frontier.pop() {
+                let peers = at(node.0, 3);
                 if let Receipt::Relay(p) =
-                    routers[node.index()].on_receive(id, ttl, Some(from), &peers, &mut rng)
+                    routers[node.index()].on_receive(&cfg, id, ttl, Some(from), peers, &mut rng)
                 {
                     assert!(!p.eager.contains(&from), "pushed rumor back to its sender");
                     total += p.eager.len();
@@ -696,34 +744,34 @@ mod tests {
     #[test]
     fn pruned_view_links_move_to_the_lazy_side() {
         let mut rng = StdRng::seed_from_u64(5);
-        let peers: Vec<NodeId> = (0..10u32).map(NodeId).collect();
-        let mut r = GossipRouter::new(NodeId(0), lazy_cfg(4, 1, 6));
-        let (_id, _ttl, plan) = r.originate(&peers, &mut rng);
+        let cfg = lazy_cfg(4, 1, 6);
+        let mut r = GossipRouter::new(&cfg);
+        let (_id, _ttl, plan) = r.originate(&cfg, at(0, 10), &mut rng);
         assert_eq!(plan.eager.len(), 4, "links start eager");
         assert!(plan.lazy.is_empty());
         let pruned = plan.eager[0];
         r.demote(pruned);
-        let (_id, _ttl, plan) = r.originate(&peers, &mut rng);
+        let (_id, _ttl, plan) = r.originate(&cfg, at(0, 10), &mut rng);
         assert_eq!(plan.eager.len(), 3);
         assert_eq!(plan.lazy, vec![pruned]);
         // Disjoint link sets, and the split is stable without randomness.
         assert!(plan.eager.iter().all(|e| !plan.lazy.contains(e)));
-        let (_id, _ttl, again) = r.originate(&peers, &mut rng);
+        let (_id, _ttl, again) = r.originate(&cfg, at(0, 10), &mut rng);
         assert_eq!(again.lazy, vec![pruned]);
     }
 
     #[test]
     fn demoted_peers_drift_to_lazy_links() {
-        let peers: Vec<NodeId> = (0..4u32).map(NodeId).collect();
-        let mut r = GossipRouter::new(NodeId(0), lazy_cfg(3, 1, 6));
+        let cfg = lazy_cfg(3, 1, 6);
+        let mut r = GossipRouter::new(&cfg);
         let mut rng = StdRng::seed_from_u64(1);
         // First originate samples the view: all 3 other nodes.
-        let _ = r.originate(&peers, &mut rng);
+        let _ = r.originate(&cfg, at(0, 4), &mut rng);
         r.demote(NodeId(1));
         r.demote(NodeId(2));
         // The split is persistent state, identical on every later rumor.
         for round in 0..8 {
-            let (_id, _ttl, plan) = r.originate(&peers, &mut rng);
+            let (_id, _ttl, plan) = r.originate(&cfg, at(0, 4), &mut rng);
             assert_eq!(plan.eager, vec![NodeId(3)], "round {round}");
             assert_eq!(plan.lazy.len(), 2);
         }
@@ -731,14 +779,14 @@ mod tests {
 
     #[test]
     fn all_demoted_still_fills_eager_floor() {
-        let peers: Vec<NodeId> = (0..4u32).map(NodeId).collect();
-        let mut r = GossipRouter::new(NodeId(0), lazy_cfg(3, 2, 6));
+        let cfg = lazy_cfg(3, 2, 6);
+        let mut r = GossipRouter::new(&cfg);
         let mut rng = StdRng::seed_from_u64(1);
-        let _ = r.originate(&peers, &mut rng);
+        let _ = r.originate(&cfg, at(0, 4), &mut rng);
         for p in 1..4 {
             r.demote(NodeId(p));
         }
-        let (_id, _ttl, plan) = r.originate(&peers, &mut rng);
+        let (_id, _ttl, plan) = r.originate(&cfg, at(0, 4), &mut rng);
         assert_eq!(plan.eager.len(), 2, "bodies must still move when every link is pruned");
         assert_eq!(plan.lazy.len(), 1);
         // The floor grafts the promoted links: the state is repaired, not
@@ -782,16 +830,17 @@ mod tests {
     #[test]
     fn sequences_wrap_without_breaking_suppression() {
         let mut rng = StdRng::seed_from_u64(13);
-        let peers: Vec<NodeId> = (0..8u32).map(NodeId).collect();
         let cfg = eager_cfg(2, 3);
-        let mut origin = GossipRouter::new(NodeId(0), cfg);
+        let mut origin = GossipRouter::new(&cfg);
         origin.next_seq = u32::MAX - 2;
-        let mut relay = GossipRouter::new(NodeId(1), cfg);
+        let mut relay = GossipRouter::new(&cfg);
         let mut ids = Vec::new();
         for _ in 0..6 {
-            let (id, ttl, _) = origin.originate(&peers, &mut rng);
-            assert!(matches!(relay.on_receive(id, ttl, None, &peers, &mut rng), Receipt::Relay(_)));
-            assert_eq!(relay.on_receive(id, ttl, None, &peers, &mut rng), Receipt::Duplicate);
+            let (id, ttl, _) = origin.originate(&cfg, at(0, 8), &mut rng);
+            let mut receive =
+                |rng: &mut StdRng| relay.on_receive(&cfg, id, ttl, None, at(1, 8), rng);
+            assert!(matches!(receive(&mut rng), Receipt::Relay(_)));
+            assert_eq!(receive(&mut rng), Receipt::Duplicate);
             ids.push(id.seq);
         }
         assert_eq!(ids, [u32::MAX - 2, u32::MAX - 1, u32::MAX, 0, 1, 2]);
@@ -861,7 +910,6 @@ mod tests {
     #[test]
     fn seen_set_is_bounded_by_generations() {
         let mut rng = StdRng::seed_from_u64(10);
-        let peers: Vec<NodeId> = (0..8u32).map(NodeId).collect();
         let cap = 64;
         let cfg = GossipConfig {
             fanout: 2,
@@ -870,10 +918,10 @@ mod tests {
             mode: GossipMode::Eager,
             ..Default::default()
         };
-        let mut r = GossipRouter::new(NodeId(1), cfg);
+        let mut r = GossipRouter::new(&cfg);
         for seq in 0..100_000u32 {
             let id = RumorId { origin: NodeId(0), seq };
-            let _ = r.on_receive(id, 3, None, &peers, &mut rng);
+            let _ = r.on_receive(&cfg, id, 3, None, at(1, 8), &mut rng);
             assert!(
                 r.seen_count() <= 2 * cap,
                 "seen grew to {} after {} rumors (cap {})",
@@ -885,7 +933,7 @@ mod tests {
         // Recent rumors are still suppressed...
         let recent = RumorId { origin: NodeId(0), seq: 99_999 };
         assert!(r.has_seen(recent));
-        assert_eq!(r.on_receive(recent, 3, None, &peers, &mut rng), Receipt::Duplicate);
+        assert_eq!(r.on_receive(&cfg, recent, 3, None, at(1, 8), &mut rng), Receipt::Duplicate);
         // ...while ids far outside the window have been evicted.
         let ancient = RumorId { origin: NodeId(0), seq: 0 };
         assert!(!r.has_seen(ancient), "eviction must eventually forget old ids");
@@ -896,7 +944,6 @@ mod tests {
     #[test]
     fn duplicates_across_rotation_are_suppressed() {
         let mut rng = StdRng::seed_from_u64(11);
-        let peers: Vec<NodeId> = (0..8u32).map(NodeId).collect();
         let cap = 16;
         let cfg = GossipConfig {
             fanout: 2,
@@ -905,56 +952,61 @@ mod tests {
             mode: GossipMode::Eager,
             ..Default::default()
         };
-        let mut r = GossipRouter::new(NodeId(1), cfg);
+        let mut r = GossipRouter::new(&cfg);
         let marked = RumorId { origin: NodeId(0), seq: 0 };
-        assert!(matches!(r.on_receive(marked, 3, None, &peers, &mut rng), Receipt::Relay(_)));
+        let receipt = r.on_receive(&cfg, marked, 3, None, at(1, 8), &mut rng);
+        assert!(matches!(receipt, Receipt::Relay(_)));
         // Fill exactly up to one rotation: `marked` moves to the previous
         // generation but must still be recognised.
         for seq in 1..cap as u32 {
-            let _ = r.on_receive(RumorId { origin: NodeId(0), seq }, 3, None, &peers, &mut rng);
+            let id = RumorId { origin: NodeId(0), seq };
+            let _ = r.on_receive(&cfg, id, 3, None, at(1, 8), &mut rng);
         }
         assert!(r.has_seen(marked));
-        assert_eq!(r.on_receive(marked, 3, None, &peers, &mut rng), Receipt::Duplicate);
+        assert_eq!(r.on_receive(&cfg, marked, 3, None, at(1, 8), &mut rng), Receipt::Duplicate);
     }
 
     /// Prune state stays bounded by the view no matter how many distinct
     /// peers push duplicates.
     #[test]
     fn demoted_set_is_bounded_by_the_view() {
-        let peers: Vec<NodeId> = (0..10_000u32).map(NodeId).collect();
-        let mut r = GossipRouter::new(NodeId(0), lazy_cfg(3, 1, 4));
+        let cfg = lazy_cfg(3, 1, 4);
+        let mut r = GossipRouter::new(&cfg);
         let mut rng = StdRng::seed_from_u64(3);
-        let _ = r.originate(&peers, &mut rng);
+        let _ = r.originate(&cfg, at(0, 10_000), &mut rng);
         for p in 1..10_000u32 {
             r.demote(NodeId(p));
-            assert!(r.lazy_links.len() <= r.view.len());
+            assert!(r.lazy_link_count() <= r.view().len());
+            assert_eq!(r.links.len(), cfg.fanout, "a demotion added a link");
         }
+        assert_eq!(r.lazy_link_count(), cfg.fanout);
     }
 
     /// The view a router keeps for the whole run owns exactly the chosen
-    /// ids — never the deployment-sized candidate pool it was drawn from.
+    /// links — never the deployment-sized candidate range it was drawn
+    /// from.
     #[test]
     fn stored_view_is_exactly_sized() {
-        let peers: Vec<NodeId> = (0..10_000u32).map(NodeId).collect();
         let cfg = lazy_cfg(3, 1, 4);
-        let mut r = GossipRouter::new(NodeId(0), cfg);
+        let mut r = GossipRouter::new(&cfg);
         let mut rng = StdRng::seed_from_u64(12);
-        r.ensure_view(&peers, &mut rng);
-        assert_eq!(r.view.capacity(), r.view.len());
-        assert!(!r.view.is_empty() && r.view.len() <= cfg.fanout);
+        r.ensure_view(&cfg, at(0, 10_000), &mut rng);
+        assert_eq!(r.links.capacity(), r.links.len());
+        assert!(!r.links.is_empty() && r.links.len() <= cfg.fanout);
     }
 
-    /// Pre-change `pick_peers`: the same pool and partial Fisher–Yates, but
-    /// the pool itself (truncated) was the result.
+    /// The pool-based `pick_peers` the index-based one replaced: list the
+    /// candidates, run a partial Fisher–Yates over the list, keep its head.
     fn pick_peers_reference(
-        r: &GossipRouter,
+        fanout: usize,
+        me: NodeId,
         peers: &[NodeId],
         from: Option<NodeId>,
         rng: &mut StdRng,
     ) -> Vec<NodeId> {
         let mut pool: Vec<NodeId> =
-            peers.iter().copied().filter(|&p| p != r.me && Some(p) != from).collect();
-        let k = r.cfg.fanout.min(pool.len());
+            peers.iter().copied().filter(|&p| p != me && Some(p) != from).collect();
+        let k = fanout.min(pool.len());
         for i in 0..k {
             let j = rng.gen_range(i..pool.len());
             pool.swap(i, j);
@@ -967,31 +1019,33 @@ mod tests {
     /// callers had to probe `has_seen` first to tell them apart.
     fn on_receive_reference(
         r: &mut GossipRouter,
+        cfg: &GossipConfig,
         id: RumorId,
         ttl: u8,
         from: Option<NodeId>,
         peers: &[NodeId],
         rng: &mut StdRng,
     ) -> Option<RelayPlan> {
-        if !r.note_seen(id) {
+        if !r.note_seen(cfg, id) {
             if let Some(p) = from {
                 r.demote(p);
             }
             return None;
         }
-        if r.cfg.mode == GossipMode::Lazy && r.view.is_empty() {
-            r.view = pick_peers_reference(r, peers, None, rng);
+        if cfg.mode == GossipMode::Lazy && r.links.is_empty() {
+            let view = pick_peers_reference(cfg.fanout, NodeId(0), peers, None, rng);
+            r.links = view.into_iter().map(|p| (p, false)).collect();
         }
         if ttl == 0 {
             return None;
         }
-        let plan = match r.cfg.mode {
+        let plan = match cfg.mode {
             GossipMode::Eager => RelayPlan {
-                eager: pick_peers_reference(r, peers, from, rng),
+                eager: pick_peers_reference(cfg.fanout, NodeId(0), peers, from, rng),
                 lazy: Vec::new(),
                 ttl: ttl - 1,
             },
-            GossipMode::Lazy => r.view_plan(from, ttl - 1),
+            GossipMode::Lazy => r.view_plan(cfg, from, ttl - 1),
         };
         (!plan.is_empty()).then_some(plan)
     }
@@ -1003,13 +1057,12 @@ mod tests {
         let fanout = 3;
         for n in [1usize, 2, fanout, fanout + 1, 640] {
             let peers: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-            let r = GossipRouter::new(NodeId(0), eager_cfg(fanout, 4));
             for from in [None, Some(NodeId(n as u32 - 1))] {
                 for seed in 0..8 {
                     let mut new_rng = StdRng::seed_from_u64(seed);
                     let mut old_rng = StdRng::seed_from_u64(seed);
-                    let picked = r.pick_peers(&peers, from, &mut new_rng);
-                    let want = pick_peers_reference(&r, &peers, from, &mut old_rng);
+                    let picked = pick_peers(fanout, at(0, n), from, &mut new_rng);
+                    let want = pick_peers_reference(fanout, NodeId(0), &peers, from, &mut old_rng);
                     assert_eq!(picked, want, "n {n} from {from:?} seed {seed}");
                     assert_eq!(picked.capacity(), picked.len());
                     assert_eq!(new_rng.next_u64(), old_rng.next_u64(), "rng position diverged");
@@ -1019,10 +1072,40 @@ mod tests {
     }
 
     proptest! {
+        /// The index-based pick against the pool it no longer builds: the
+        /// same peers in the same order, the RNG left at the same position,
+        /// whoever the router and the sender are — including a sender that
+        /// is the router itself, and fanouts past the population.
+        #[test]
+        fn index_pick_matches_the_pool_pick(
+            n in 1usize..700,
+            me in 0usize..700,
+            sender in 0usize..3,
+            other in 0usize..700,
+            fanout in 0usize..8,
+            seed in 0u64..1_000,
+        ) {
+            let me = NodeId((me % n) as u32);
+            let from = match sender {
+                0 => None,
+                1 => Some(NodeId((other % n) as u32)),
+                _ => Some(me),
+            };
+            let peers: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+            let mut new_rng = StdRng::seed_from_u64(seed);
+            let mut old_rng = StdRng::seed_from_u64(seed);
+            let picked = pick_peers(fanout, Peers { me, n }, from, &mut new_rng);
+            let want = pick_peers_reference(fanout, me, &peers, from, &mut old_rng);
+            prop_assert_eq!(&picked, &want);
+            prop_assert_eq!(picked.capacity(), picked.len());
+            prop_assert_eq!(new_rng.next_u64(), old_rng.next_u64());
+        }
+
         /// The three-way receipt against the old two-call protocol
         /// (`has_seen`, then an `on_receive` that answered `None` for
-        /// duplicate and terminal alike) over rumor sequences with repeats,
-        /// exhausted TTLs, local injections and generation rotation.
+        /// duplicate and terminal alike, picking from a listed pool) over
+        /// rumor sequences with repeats, exhausted TTLs, local injections
+        /// and generation rotation.
         #[test]
         fn receipt_matches_has_seen_then_reference(
             lazy in prop::bool::ANY,
@@ -1038,8 +1121,8 @@ mod tests {
                 eager_fanout: 1,
             };
             let peers: Vec<NodeId> = (0..n).map(NodeId).collect();
-            let mut new = GossipRouter::new(NodeId(0), cfg);
-            let mut old = GossipRouter::new(NodeId(0), cfg);
+            let mut new = GossipRouter::new(&cfg);
+            let mut old = GossipRouter::new(&cfg);
             let mut new_rng = StdRng::seed_from_u64(seed);
             let mut old_rng = StdRng::seed_from_u64(seed);
             for (seq, ttl, sender) in arrivals {
@@ -1047,17 +1130,17 @@ mod tests {
                 // Senders past the population stand for local injection.
                 let from = (sender < n).then_some(NodeId(sender));
                 let was_dup = old.has_seen(id);
-                let want = match on_receive_reference(&mut old, id, ttl, from, &peers, &mut old_rng) {
+                let want = match on_receive_reference(&mut old, &cfg, id, ttl, from, &peers, &mut old_rng) {
                     Some(plan) => Receipt::Relay(plan),
                     None if was_dup => Receipt::Duplicate,
                     None => Receipt::Terminal,
                 };
-                prop_assert_eq!(new.on_receive(id, ttl, from, &peers, &mut new_rng), want);
+                prop_assert_eq!(new.on_receive(&cfg, id, ttl, from, at(0, n as usize), &mut new_rng), want);
                 for &p in &peers {
                     prop_assert_eq!(new.is_demoted(p), old.is_demoted(p));
                 }
                 prop_assert_eq!(new.seen_ids(), old.seen_ids());
-                prop_assert_eq!(new.view(), old.view());
+                prop_assert_eq!(new.view().collect::<Vec<_>>(), old.view().collect::<Vec<_>>());
             }
             prop_assert_eq!(new_rng.next_u64(), old_rng.next_u64());
         }

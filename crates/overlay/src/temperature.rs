@@ -16,7 +16,7 @@
 //! to capture all the active writers with a much smaller subset of the whole
 //! network").
 
-use idea_types::{NodeId, ObjectId, SimDuration, SimTime};
+use idea_types::{NodeId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Top-layer membership configuration.
@@ -71,63 +71,63 @@ impl Heat {
 }
 
 /// The two-layer view of one shared object: temperatures plus membership.
+///
+/// One exists per (node, object), so it holds only what differs between
+/// them: the scores and the members. The settings are the caller's — one
+/// [`TopLayerConfig`] per shard, passed by reference to every call that
+/// decays a score.
 #[derive(Debug, Clone)]
-pub struct TwoLayer {
-    object: ObjectId,
-    cfg: TopLayerConfig,
-    /// Scored nodes, sorted by node id.
+pub struct TopLayer {
+    /// Scored nodes, sorted by node id. Grown one slot at a time, so its
+    /// capacity is the most scores it ever held, not the next power of two.
     scores: Vec<Heat>,
     members: Vec<NodeId>,
 }
 
-impl TwoLayer {
-    /// Builds an empty two-layer view of `object`.
-    pub fn new(object: ObjectId, cfg: TopLayerConfig) -> Self {
+impl TopLayer {
+    /// An empty view, checked against the settings every later call will
+    /// pass.
+    pub fn new(cfg: &TopLayerConfig) -> Self {
         assert!(cfg.leave_threshold <= cfg.join_threshold, "hysteresis requires leave ≤ join");
         assert!(cfg.max_size >= 1, "top layer must allow at least one member");
-        TwoLayer { object, cfg, scores: Vec::new(), members: Vec::new() }
-    }
-
-    /// The object this view tracks.
-    pub fn object(&self) -> ObjectId {
-        self.object
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &TopLayerConfig {
-        &self.cfg
+        TopLayer { scores: Vec::new(), members: Vec::new() }
     }
 
     /// Records that `node` updated the object at `now` (observed locally or
     /// learned from a detection message), then refreshes membership.
-    pub fn observe_update(&mut self, node: NodeId, now: SimTime) {
+    pub fn observe_update(&mut self, cfg: &TopLayerConfig, node: NodeId, now: SimTime) {
         let i = match self.scores.binary_search_by_key(&node, |h| h.node) {
             Ok(i) => i,
             Err(i) => {
                 let member = self.members.binary_search(&node).is_ok();
+                if self.scores.len() == self.scores.capacity() {
+                    // One of these per (node, object): doubling would leave
+                    // up to half of every table empty for good.
+                    self.scores.reserve_exact(1);
+                }
                 self.scores.insert(i, Heat { node, member, value: 0.0, at: now });
                 i
             }
         };
         let heat = &mut self.scores[i];
-        heat.value = heat.decayed(now, self.cfg.half_life) + 1.0;
+        heat.value = heat.decayed(now, cfg.half_life) + 1.0;
         heat.at = now;
-        self.refresh(now);
+        self.refresh(cfg, now);
     }
 
     /// Current temperature of `node`.
-    pub fn temperature(&self, node: NodeId, now: SimTime) -> f64 {
+    pub fn temperature(&self, cfg: &TopLayerConfig, node: NodeId, now: SimTime) -> f64 {
         self.scores
             .binary_search_by_key(&node, |h| h.node)
-            .map_or(0.0, |i| self.scores[i].decayed(now, self.cfg.half_life))
+            .map_or(0.0, |i| self.scores[i].decayed(now, cfg.half_life))
     }
 
     /// Recomputes membership at `now` (called by `observe_update`; exposed
     /// for periodic sweeps so silent nodes decay out). One pass decays each
     /// score once, and that value decides both membership and whether the
     /// score is kept.
-    pub fn refresh(&mut self, now: SimTime) {
-        let TopLayerConfig { half_life, join_threshold, leave_threshold, max_size } = self.cfg;
+    pub fn refresh(&mut self, cfg: &TopLayerConfig, now: SimTime) {
+        let TopLayerConfig { half_life, join_threshold, leave_threshold, max_size } = *cfg;
         let floor = leave_threshold / 16.0;
         // Candidates can outnumber the cap only when scores do; only then
         // must they be ranked, which needs their temperatures.
@@ -268,6 +268,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idea_types::ObjectId;
     use proptest::prelude::*;
 
     fn cfg() -> TopLayerConfig {
@@ -276,6 +277,39 @@ mod tests {
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// A [`TopLayer`] that carries its own settings, for the tests below that
+    /// drive one view on its own (the object id is only a label there). The
+    /// rest of [`TopLayer`] it reaches through `Deref`.
+    struct TwoLayer {
+        cfg: TopLayerConfig,
+        layer: TopLayer,
+    }
+
+    impl TwoLayer {
+        fn new(_object: ObjectId, cfg: TopLayerConfig) -> Self {
+            TwoLayer { cfg, layer: TopLayer::new(&cfg) }
+        }
+
+        fn observe_update(&mut self, node: NodeId, now: SimTime) {
+            self.layer.observe_update(&self.cfg, node, now);
+        }
+
+        fn temperature(&self, node: NodeId, now: SimTime) -> f64 {
+            self.layer.temperature(&self.cfg, node, now)
+        }
+
+        fn refresh(&mut self, now: SimTime) {
+            self.layer.refresh(&self.cfg, now);
+        }
+    }
+
+    impl std::ops::Deref for TwoLayer {
+        type Target = TopLayer;
+        fn deref(&self) -> &TopLayer {
+            &self.layer
+        }
     }
 
     #[test]
@@ -393,6 +427,35 @@ mod tests {
         assert_eq!(layer.top_members().len(), 4);
         assert_eq!(layer.scores.as_ptr(), scores);
         assert_eq!(layer.members.as_ptr(), members);
+    }
+
+    /// A table that grows one score at a time holds capacity for exactly
+    /// the most scores it ever held; shrinking below that peak and growing
+    /// back to it allocates nothing.
+    #[test]
+    fn table_capacity_follows_its_peak_length() {
+        let c = cfg();
+        let mut layer = TopLayer::new(&c);
+        for (i, w) in [9u32, 2, 5, 0, 7].into_iter().enumerate() {
+            layer.observe_update(&c, NodeId(w), t(0));
+            assert_eq!(layer.scores.capacity(), i + 1, "after {} scores", i + 1);
+        }
+        // Five minutes of silence decay every score out; three writers
+        // come back...
+        for w in [9u32, 2, 5] {
+            layer.observe_update(&c, NodeId(w), t(300));
+        }
+        assert_eq!(layer.scores.len(), 3);
+        // ...and two new ones refill the table to its peak in place.
+        let buffer = layer.scores.as_ptr();
+        for w in [1u32, 3] {
+            layer.observe_update(&c, NodeId(w), t(300));
+        }
+        assert_eq!((layer.scores.len(), layer.scores.capacity()), (5, 5));
+        assert_eq!(layer.scores.as_ptr(), buffer);
+        // Past the peak it grows by exactly one.
+        layer.observe_update(&c, NodeId(4), t(300));
+        assert_eq!((layer.scores.len(), layer.scores.capacity()), (6, 6));
     }
 
     #[test]
