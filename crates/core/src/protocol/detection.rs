@@ -145,15 +145,14 @@ impl Detection {
             Ok(r) => r.version().clone(),
             Err(_) => return,
         };
-        let me = core.me;
-        let peers = core.obj_mut(object).layer.top_peers(me);
+        let peers = core.top_peers(object);
         if peers.is_empty() {
             return;
         }
         let rid = core.fresh_id();
         let summary = evv.summary(core.cfg.summary_tail);
         let st = self.state(object);
-        st.round = Some(DetectRound::start(me, rid, &peers, ctx.now(), evv));
+        st.round = Some(DetectRound::start(core.me, rid, &peers, ctx.now(), evv));
         st.timer = Some(ctx.set_timer(core.cfg.detect_deadline, pack(K_DETECT, core.shard, rid)));
         self.round_objects.insert(rid, object);
         for p in peers {

@@ -79,6 +79,8 @@ mod write_path;
 
 #[cfg(test)]
 mod tests;
+#[cfg(test)]
+mod top_layer_reference;
 
 pub use node::{GossipFootprint, IdeaNode, NodeReport, ProtocolShard};
 
@@ -129,21 +131,20 @@ pub(crate) enum Trigger {
 }
 
 /// Per-object state shared by every subsystem *of the owning shard*: the
-/// two-layer overlay view, the gossip router, learned writer activity, and
-/// the current level estimate. Subsystem-private state lives inside each
-/// subsystem instead.
+/// two-layer overlay view (which also holds the writer activity learned
+/// from passing counters), the gossip router, and the current level
+/// estimate. Subsystem-private state lives inside each subsystem instead.
 ///
 /// A shard holds one per hosted object, so it holds only what differs
 /// between objects: the settings (`NodeCore::cfg`), the node's id and the
 /// pending pulls (`Detection`'s per-shard table) are passed in or kept
 /// once per shard.
 pub(crate) struct ObjShared {
-    /// Top-layer membership driven by update temperature (§4.1).
+    /// Top-layer membership driven by update temperature (§4.1), and the
+    /// highest per-writer counts this node has seen anywhere.
     pub layer: TopLayer,
     /// TTL-bounded gossip router for announcements and sweeps.
     pub gossip: GossipRouter,
-    /// Highest per-writer counts this node has seen anywhere.
-    pub known_counts: VersionVector,
     /// Current consistency-level estimate for the object.
     pub level: ConsistencyLevel,
     /// Lazy gossip plane: body cache and digest outbox.
@@ -157,7 +158,6 @@ impl ObjShared {
         ObjShared {
             layer: TopLayer::new(&cfg.top_layer),
             gossip: GossipRouter::new(&cfg.gossip),
-            known_counts: VersionVector::new(),
             level: ConsistencyLevel::PERFECT,
             lazy: lazy::LazyPlane::default(),
         }
@@ -167,13 +167,8 @@ impl ObjShared {
     /// collection, gossip), feeding the temperature overlay: one observed
     /// update per count a writer advanced beyond what this node knew.
     pub fn note_counters(&mut self, cfg: &TopLayerConfig, counters: &VersionVector, now: SimTime) {
-        let layer = &mut self.layer;
-        self.known_counts.merge_with(counters, |writer, known, count| {
-            let node = NodeCore::home(writer);
-            for _ in known..count {
-                layer.observe_update(cfg, node, now);
-            }
-        });
+        let counts = counters.iter().map(|(writer, count)| (NodeCore::home(writer), count));
+        self.layer.observe_counts(cfg, counts, now);
     }
 }
 
@@ -311,6 +306,13 @@ impl NodeCore {
     /// Shared state of `object`; panics when the object was never opened.
     pub fn obj_mut(&mut self, object: ObjectId) -> &mut ObjShared {
         self.objs.get_mut(object).expect("object state")
+    }
+
+    /// Top-layer peers of this node for `object` (members minus itself);
+    /// panics when the object was never opened.
+    pub fn top_peers(&self, object: ObjectId) -> Vec<NodeId> {
+        let layer = &self.obj(object).expect("object state").layer;
+        layer.top_peers(&self.cfg.top_layer, self.me)
     }
 
     /// Learns writer activity from any counters that pass by (see

@@ -350,7 +350,8 @@ impl ProtocolShard {
             hint_floor: self.core.hint_floor(),
             resolutions_initiated: self.resolution.completed(),
             rollbacks: self.core.rollbacks(),
-            top_members: st.map_or_else(Vec::new, |s| s.layer.top_members().to_vec()),
+            top_members: st
+                .map_or_else(Vec::new, |s| s.layer.top_members(&self.core.cfg.top_layer).collect()),
             meta: replica.map_or(0, |r| r.meta()),
             updates: replica.map_or(0, |r| r.len()),
         }

@@ -143,8 +143,7 @@ impl ResolutionDriver {
         if !matches!(self.state(object).state, ResState::Idle) {
             return; // already resolving or backing off
         }
-        let me = core.me;
-        let members = core.obj_mut(object).layer.top_peers(me);
+        let members = core.top_peers(object);
         if members.is_empty() {
             return;
         }
@@ -245,8 +244,7 @@ impl ResolutionDriver {
             // Phase 1 complete: move to phase 2.
             let (started, dispatch) = (*started, *dispatch);
             let now = ctx.now();
-            let me = core.me;
-            let members = core.obj_mut(object).layer.top_peers(me);
+            let members = core.top_peers(object);
             let probe = make_probe(core, object);
             let summary = probe.as_ref().map(|p| p.summary.clone());
             let st = self.state(object);
@@ -278,16 +276,14 @@ impl ResolutionDriver {
             return;
         };
         ctx.set_timer(period, pack(K_BACKGROUND, core.shard, object.0));
-        let Some(shared) = core.objs.get_mut(object) else {
+        let Some(shared) = core.objs.get(object) else {
             return;
         };
-        let members = shared.layer.top_members().to_vec();
-        let initiator = members.first().copied();
+        let initiator = shared.layer.top_members(&core.cfg.top_layer).next();
         if initiator != Some(core.me) || !matches!(self.state(object).state, ResState::Idle) {
             return;
         }
-        let me = core.me;
-        let peers = core.obj_mut(object).layer.top_peers(me);
+        let peers = core.top_peers(object);
         if peers.is_empty() {
             return;
         }

@@ -3,6 +3,7 @@
 //! behaviour; `same_seed_produces_identical_reports` additionally proves
 //! the split node is bit-deterministic under a fixed engine seed.
 
+use super::top_layer_reference::Learned;
 use super::*;
 use crate::config::IdeaConfig;
 use crate::resolution::{ResolutionKind, ResolutionPolicy};
@@ -550,9 +551,10 @@ fn chunked_fetch_frames_respect_the_bound_and_reassemble_identically() {
 }
 
 /// Pre-change `note_counters`: one `known_counts` lookup per incoming
-/// writer instead of one walk over both sorted maps.
+/// writer instead of one walk over both sorted maps, on the pre-change
+/// tables.
 fn note_counters_reference(
-    st: &mut ObjShared,
+    st: &mut Learned,
     cfg: &TopLayerConfig,
     counters: &VersionVector,
     now: SimTime,
@@ -570,11 +572,11 @@ fn note_counters_reference(
 }
 
 proptest::proptest! {
-    /// The merge-walk feeds the temperature overlay exactly what the
-    /// per-writer lookups fed it: a run of counter vectors (so `known` is
-    /// itself random by the later steps) leaves the same known counts, the
-    /// same top layer and bit-equal temperatures. The order of the
-    /// `observe_update` calls is pinned at its source, by
+    /// The one-table walk feeds the temperature overlay exactly what the
+    /// per-writer lookups fed the pre-change tables: a run of counter
+    /// vectors (so `known` is itself random by the later steps) leaves the
+    /// same known counts, the same top layer and bit-equal temperatures.
+    /// The order of the `observe_update` calls is pinned at its source, by
     /// `merge_with_matches_per_writer_lookup` in `idea-vv`.
     #[test]
     fn note_counters_merge_walk_matches_per_writer_lookup(
@@ -585,7 +587,7 @@ proptest::proptest! {
     ) {
         let cfg = IdeaConfig::default();
         let layer = &cfg.top_layer;
-        let (mut walked, mut looked_up) = (ObjShared::new(&cfg), ObjShared::new(&cfg));
+        let (mut walked, mut looked_up) = (ObjShared::new(&cfg), Learned::new(layer));
         for (i, counts) in steps.into_iter().enumerate() {
             let now = SimTime::from_secs(3 * i as u64);
             let incoming = VersionVector::from_pairs(
@@ -593,8 +595,12 @@ proptest::proptest! {
             );
             walked.note_counters(layer, &incoming, now);
             note_counters_reference(&mut looked_up, layer, &incoming, now);
-            proptest::prop_assert_eq!(&walked.known_counts, &looked_up.known_counts);
-            proptest::prop_assert_eq!(walked.layer.top_members(), looked_up.layer.top_members());
+            let known = VersionVector::from_pairs(
+                walked.layer.known_counts().map(|(n, c)| (idea_types::WriterId(n.0), c)),
+            );
+            proptest::prop_assert_eq!(&known, &looked_up.known_counts);
+            let members: Vec<NodeId> = walked.layer.top_members(layer).collect();
+            proptest::prop_assert_eq!(&members[..], looked_up.layer.top_members());
             for node in (0..8).map(NodeId) {
                 proptest::prop_assert_eq!(
                     walked.layer.temperature(layer, node, now).to_bits(),

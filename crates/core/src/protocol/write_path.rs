@@ -11,7 +11,7 @@ use super::NodeCore;
 use crate::messages::IdeaMsg;
 use idea_net::Context;
 use idea_overlay::gossip::Peers;
-use idea_types::{ConsistencyLevel, NodeId, ObjectId, Result, Update, UpdatePayload};
+use idea_types::{ConsistencyLevel, NodeId, ObjectId, Result, Update, UpdatePayload, WriterId};
 use idea_vv::VersionVector;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -50,14 +50,15 @@ impl WritePath {
         let now = ctx.now();
         let update = core.store.write(object, now, meta_delta, payload);
         let me = core.me;
-        let shared = core.objs.get_mut(object).expect("object state");
-        shared.layer.observe_update(&core.cfg.top_layer, me, now);
+        let cfg = &core.cfg.top_layer;
+        let layer = &mut core.objs.get_mut(object).expect("object state").layer;
+        layer.observe_update(cfg, me, now);
         // Bootstrap: a handful of gossip announces per writer lets the
         // overlay discover hot writers transitively (RanSub's role in §4.1).
         // Bounded so steady-state traffic is detection-only.
         let announces = self.state(object).announces;
         let needs_announce =
-            announces < 3 || !shared.layer.is_top(me) || shared.layer.top_peers(me).is_empty();
+            announces < 3 || !layer.is_top(cfg, me) || !layer.has_top_peer(cfg, me);
         if needs_announce {
             self.state(object).announces += 1;
             self.announce(core, object, ctx);
@@ -95,7 +96,9 @@ impl WritePath {
         let peers = Peers { me: core.me, n: ctx.node_count() };
         let cfg = &core.cfg;
         let shared = core.objs.get_mut(object).expect("object state");
-        counters.merge(&shared.known_counts);
+        for (node, count) in shared.layer.known_counts() {
+            counters.observe(WriterId(node.0), count);
+        }
         let (id, _ttl, plan) = shared.gossip.originate(&cfg.gossip, peers, ctx.rng());
         shared.dispatch_rumor(cfg, object, id, plan, &Arc::new(counters), ctx);
     }

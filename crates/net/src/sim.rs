@@ -138,8 +138,14 @@ pub struct SimEngine<P: Proto> {
     nodes: Vec<Option<P>>,
     /// Event queue: a hierarchical timer wheel popping in `(at, seq)`
     /// order, bit-identical to the `BinaryHeap` it replaced (proven by the
-    /// proptest in [`crate::wheel`]).
-    queue: TimerWheel<EvKind<P::Msg>>,
+    /// proptest in [`crate::wheel`]). It holds slots of `events`, so a
+    /// cascade moves 24-byte `(at, seq, slot)` entries, not the events.
+    queue: TimerWheel<u32>,
+    /// Queued events by slot; `None` marks a free slot. As long as the
+    /// most events ever queued at once.
+    events: Vec<Option<EvKind<P::Msg>>>,
+    /// Free slots of `events`, the last freed reused first.
+    free: Vec<u32>,
     now: SimTime,
     seq: u64,
     rng: StdRng,
@@ -185,6 +191,8 @@ impl<P: Proto> SimEngine<P> {
             topo,
             nodes: nodes.into_iter().map(Some).collect(),
             queue: TimerWheel::new(),
+            events: Vec::new(),
+            free: Vec::new(),
             now: SimTime::ZERO,
             seq: 0,
             stats: NetStats::new(),
@@ -441,14 +449,27 @@ impl<P: Proto> SimEngine<P> {
     fn push(&mut self, at: SimTime, kind: EvKind<P::Msg>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(at.as_micros(), seq, kind);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.events[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.events.len()).expect("under 2^32 queued events");
+                self.events.push(Some(kind));
+                slot
+            }
+        };
+        self.queue.push(at.as_micros(), seq, slot);
     }
 
     /// Processes the next event, if any; returns whether one was processed.
     pub fn step(&mut self) -> bool {
-        let Some((at, _seq, kind)) = self.queue.pop() else {
+        let Some((at, _seq, slot)) = self.queue.pop() else {
             return false;
         };
+        let kind = self.events[slot as usize].take().expect("a queued slot holds its event");
+        self.free.push(slot);
         let at = SimTime::from_micros(at);
         debug_assert!(at >= self.now, "time must not run backwards");
         self.now = at;
@@ -894,6 +915,136 @@ mod tests {
             }
             Quiescence::Reached { .. } => unreachable!("storm cannot drain"),
         }
+    }
+
+    /// One record per handled event: `(virtual µs, from, to, tag)`, in the
+    /// order the engine ran them. A timer records `from == to` and its kind
+    /// with bit 32 set; a delivery records the token's hop count.
+    type Trace = std::sync::Arc<std::sync::Mutex<Vec<(u64, u32, u32, u64)>>>;
+
+    /// A timer-driven chatterer: each tick sprays tokens at two seeded
+    /// peers, re-arms itself and swaps a short-lived guard timer (so some
+    /// cancellations land before the guard fires and some after); each
+    /// token is forwarded to a seeded peer until its third hop.
+    struct Chatter {
+        trace: Trace,
+        ticks: u32,
+        guard: Option<TimerId>,
+    }
+
+    impl Proto for Chatter {
+        type Msg = Token;
+        fn on_start(&mut self, ctx: &mut dyn Context<Token>) {
+            let me = u64::from(ctx.me().0);
+            ctx.set_timer(SimDuration::from_millis(me + 1), 1);
+            let doomed = ctx.set_timer(SimDuration::from_millis(7), 2);
+            if me % 2 == 1 {
+                ctx.cancel_timer(doomed);
+            }
+        }
+        fn on_message(&mut self, from: NodeId, msg: Token, ctx: &mut dyn Context<Token>) {
+            let me = ctx.me();
+            let at = ctx.now().as_micros();
+            self.trace.lock().unwrap().push((at, from.0, me.0, u64::from(msg.hops)));
+            if msg.hops < 3 {
+                let to = NodeId(ctx.rng().next_u32() % ctx.node_count() as u32);
+                ctx.send(to, Token { hops: msg.hops + 1 });
+            }
+        }
+        fn on_timer(&mut self, _timer: TimerId, kind: u64, ctx: &mut dyn Context<Token>) {
+            let me = ctx.me();
+            let at = ctx.now().as_micros();
+            self.trace.lock().unwrap().push((at, me.0, me.0, kind | 1 << 32));
+            if kind != 1 || self.ticks == 12 {
+                return;
+            }
+            self.ticks += 1;
+            for _ in 0..2 {
+                let to = NodeId(ctx.rng().next_u32() % ctx.node_count() as u32);
+                ctx.send(to, Token { hops: 0 });
+            }
+            let gap = 1 + u64::from(ctx.rng().next_u32() % 6);
+            ctx.set_timer(SimDuration::from_millis(gap), 1);
+            if let Some(old) = self.guard.take() {
+                ctx.cancel_timer(old);
+            }
+            self.guard = Some(ctx.set_timer(SimDuration::from_millis(3), 3));
+        }
+    }
+
+    /// Six chatterers under every fault the engine injects — duplicates,
+    /// a reorder window, a pause replayed on resume and a crash whose
+    /// backlog `drop_parked` discards — run to quiescence.
+    fn chatter_run(seed: u64) -> (SimEngine<Chatter>, Trace) {
+        let trace = Trace::default();
+        let nodes = (0..6).map(|_| Chatter { trace: trace.clone(), ticks: 0, guard: None });
+        let cfg = SimConfig { seed, ..Default::default() };
+        let mut eng = SimEngine::new(Topology::lan(6), cfg, nodes.collect());
+        eng.set_duplicate_rate(0.2);
+        eng.set_reorder_window(SimDuration::from_micros(1_500));
+        eng.run_until(SimTime::from_millis(10));
+        eng.pause(NodeId(2));
+        eng.run_until(SimTime::from_millis(25));
+        eng.resume(NodeId(2));
+        eng.pause(NodeId(4));
+        eng.run_until(SimTime::from_millis(40));
+        let dropped = eng.drop_parked(NodeId(4));
+        assert!(dropped > 0, "the crash must discard a backlog");
+        eng.resume(NodeId(4));
+        assert!(eng.run_until_quiescent(SimTime::from_secs(10)).reached());
+        (eng, trace)
+    }
+
+    /// FNV-1a over every trace record, in order.
+    fn checksum(trace: &[(u64, u32, u32, u64)]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &(at, from, to, tag) in trace {
+            for word in [at, u64::from(from), u64::from(to), tag] {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// The faulted chatter trace is pinned record for record: the queue
+    /// may change how it stores events, never the order it runs them in.
+    #[test]
+    fn faulted_delivery_trace_is_pinned() {
+        let (_, trace) = chatter_run(11);
+        let trace = trace.lock().unwrap();
+        assert_eq!((trace.len(), checksum(&trace)), (785, 0x53c0_1343_c88f_87e4));
+    }
+
+    /// Every slot is free once the queue drains, and the slab is exactly
+    /// as long as the most events ever queued at once: freed slots are
+    /// reused before the slab grows.
+    #[test]
+    fn event_slab_is_sized_by_its_peak_queue() {
+        let (mut eng, _) = chatter_run(11);
+        assert_eq!(eng.pending_events(), 0);
+        assert_eq!(eng.free.len(), eng.events.len());
+        assert!(eng.events.iter().all(Option::is_none));
+        let peak = eng.events.len();
+        // A second burst, stepped by hand so the queue's peak is observed.
+        let mut seen = 0;
+        for i in 0..6 {
+            eng.with_node(NodeId(i), |_, ctx| {
+                for to in 0..6 {
+                    ctx.send(NodeId(to), Token { hops: 2 });
+                }
+            });
+            seen = seen.max(eng.pending_events());
+        }
+        loop {
+            seen = seen.max(eng.pending_events());
+            if !eng.step() {
+                break;
+            }
+        }
+        assert_eq!(eng.events.len(), peak.max(seen));
+        assert_eq!(eng.free.len(), eng.events.len());
     }
 
     #[test]

@@ -15,6 +15,41 @@
 //! the whole point of the top layer is to stay small (§4.1: "it is possible
 //! to capture all the active writers with a much smaller subset of the whole
 //! network").
+//!
+//! Every observed update refreshes membership at its time: each score is
+//! decayed to `now`, a member stays while it is at or above
+//! `leave_threshold`, a non-member joins at `join_threshold`, a score at or
+//! below the drop floor (`leave_threshold / 16`) goes cold, and when more
+//! scores than `max_size` are hot the members are ranked and cut to the cap.
+//!
+//! # Deferred refresh
+//!
+//! A rumor delivery observes a couple of updates, and refreshing every
+//! score for each would cost a `powf` per score per observation. The table
+//! instead keeps the time `P` of the latest refresh, and each entry owes
+//! the refreshes since it was last evaluated. That debt is exactly one
+//! refresh, the one at `P`: between its own observations an entry's
+//! temperature only falls, so a member that fell below `leave_threshold`
+//! stays out, a non-member (below `join_threshold` when last evaluated)
+//! cannot rise to it, and a score that reached the floor stays there —
+//! the last refresh of a run decides what the whole run would have. An
+//! observation settles its own entry at `P`, raises the score, and decides
+//! it at `now`, where the decay is 0.5⁰ = 1 and the refresh sees the new
+//! value exactly; then `P = now`. Reads evaluate entries at `P` without
+//! changing them.
+//!
+//! The argument needs every refresh it skips to be unranked and monotone,
+//! so an observation settles every entry at `P` and runs the full refresh
+//! instead when
+//!
+//! * `leave_threshold ≤ 0`: a score that underflows to zero is dropped
+//!   while still a member, and the refresh that drops it lists it until
+//!   the next one (a cold entry with its member flag set);
+//! * more than `max_size` entries would be hot: the refresh may rank. This
+//!   also covers a refresh right after one that ranked someone out, since
+//!   such a ranking leaves more than `max_size` members, all hot;
+//! * `now < P`: a skewed clock stepped back, and decaying to `now` would
+//!   undo part of the decay the refresh at `P` applied.
 
 use idea_types::{NodeId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -47,17 +82,23 @@ impl Default for TopLayerConfig {
     }
 }
 
-/// One node's temperature: a decayed score with its last-touch time, and
-/// whether the node is in the top layer now. The flag sits in what would
-/// otherwise be padding and mirrors `members` exactly, so a refresh tests
-/// membership without searching it.
+/// One node's entry in an object's table: the highest count of the node's
+/// writes seen in any counter vector, and its temperature — a decayed
+/// score with its last-touch time and whether the node was in the top
+/// layer when the entry was last evaluated. A score that decays to the
+/// drop floor goes cold (`hot = false`) but the entry stays, so the table
+/// grows once per node it ever sees.
 #[derive(Debug, Clone, Copy)]
 struct Heat {
     node: NodeId,
     member: bool,
+    hot: bool,
+    known: u64,
     value: f64,
     at: SimTime,
 }
+
+const _: () = assert!(std::mem::size_of::<Heat>() == 32);
 
 impl Heat {
     fn decayed(&self, now: SimTime, half_life: SimDuration) -> f64 {
@@ -68,20 +109,50 @@ impl Heat {
         }
         self.value * 0.5f64.powf(dt / hl)
     }
+
+    /// Whether the refresh at `at` left this entry in the top layer.
+    fn listed(&self, cfg: &TopLayerConfig, at: SimTime) -> bool {
+        // A cold member is a node the refresh at `at` dropped while it
+        // still qualified (`leave_threshold ≤ 0`): it stays listed until
+        // the next refresh.
+        self.member && (!self.hot || self.decayed(at, cfg.half_life) >= cfg.leave_threshold)
+    }
+
+    /// Applies the refresh at `at` that this entry still owes (see the
+    /// module docs); returns whether the score went cold.
+    fn settle(&mut self, cfg: &TopLayerConfig, at: SimTime) -> bool {
+        if !self.hot {
+            return false;
+        }
+        let t = self.decayed(at, cfg.half_life);
+        self.member &= t >= cfg.leave_threshold;
+        self.hot = t > floor(cfg);
+        !self.hot
+    }
 }
 
-/// The two-layer view of one shared object: temperatures plus membership.
+/// Score at or below which an entry goes cold.
+fn floor(cfg: &TopLayerConfig) -> f64 {
+    cfg.leave_threshold / 16.0
+}
+
+/// The two-layer view of one shared object: per-node known counts,
+/// temperatures and membership in one table.
 ///
 /// One exists per (node, object), so it holds only what differs between
-/// them: the scores and the members. The settings are the caller's — one
-/// [`TopLayerConfig`] per shard, passed by reference to every call that
-/// decays a score.
+/// them. The settings are the caller's — one [`TopLayerConfig`] per shard,
+/// passed by reference to every call that decays a score.
 #[derive(Debug, Clone)]
 pub struct TopLayer {
-    /// Scored nodes, sorted by node id. Grown one slot at a time, so its
-    /// capacity is the most scores it ever held, not the next power of two.
-    scores: Vec<Heat>,
-    members: Vec<NodeId>,
+    /// One entry per node ever seen, sorted by node id. Grown one slot at
+    /// a time, so its capacity is the number of nodes it has seen.
+    entries: Vec<Heat>,
+    /// Time of the latest refresh; every entry is exact as of it once it
+    /// applies the refresh it owes (see the module docs).
+    refreshed: SimTime,
+    /// Entries with `hot` set: at least the scores the latest refresh
+    /// kept, since an entry owing that refresh may still go cold under it.
+    hot: u32,
 }
 
 impl TopLayer {
@@ -90,99 +161,190 @@ impl TopLayer {
     pub fn new(cfg: &TopLayerConfig) -> Self {
         assert!(cfg.leave_threshold <= cfg.join_threshold, "hysteresis requires leave ≤ join");
         assert!(cfg.max_size >= 1, "top layer must allow at least one member");
-        TopLayer { scores: Vec::new(), members: Vec::new() }
+        TopLayer { entries: Vec::new(), refreshed: SimTime::ZERO, hot: 0 }
+    }
+
+    /// Index of `node`'s entry, which is at `at` or belongs there; a new
+    /// one is inserted cold, knowing no count.
+    fn entry(&mut self, node: NodeId, at: usize) -> usize {
+        if self.entries.get(at).is_some_and(|e| e.node == node) {
+            return at;
+        }
+        if self.entries.len() == self.entries.capacity() {
+            // One of these per (node, object): doubling would leave up to
+            // half of every table empty for good.
+            self.entries.reserve_exact(1);
+        }
+        let heat =
+            Heat { node, member: false, hot: false, known: 0, value: 0.0, at: SimTime::ZERO };
+        self.entries.insert(at, heat);
+        at
     }
 
     /// Records that `node` updated the object at `now` (observed locally or
     /// learned from a detection message), then refreshes membership.
     pub fn observe_update(&mut self, cfg: &TopLayerConfig, node: NodeId, now: SimTime) {
-        let i = match self.scores.binary_search_by_key(&node, |h| h.node) {
-            Ok(i) => i,
-            Err(i) => {
-                let member = self.members.binary_search(&node).is_ok();
-                if self.scores.len() == self.scores.capacity() {
-                    // One of these per (node, object): doubling would leave
-                    // up to half of every table empty for good.
-                    self.scores.reserve_exact(1);
-                }
-                self.scores.insert(i, Heat { node, member, value: 0.0, at: now });
-                i
+        let at = self.entries.partition_point(|e| e.node < node);
+        let i = self.entry(node, at);
+        self.observe(cfg, i, now);
+    }
+
+    /// Learns per-node write counts from a counter vector: one
+    /// [`TopLayer::observe_update`] per count a node advanced beyond what
+    /// this table knew, in node order. `counts` must be sorted by node;
+    /// one forward walk over it and the table finds every entry.
+    pub fn observe_counts(
+        &mut self,
+        cfg: &TopLayerConfig,
+        counts: impl IntoIterator<Item = (NodeId, u64)>,
+        now: SimTime,
+    ) {
+        let mut i = 0;
+        for (node, count) in counts {
+            while self.entries.get(i).is_some_and(|e| e.node < node) {
+                i += 1;
             }
-        };
-        let heat = &mut self.scores[i];
-        heat.value = heat.decayed(now, cfg.half_life) + 1.0;
+            debug_assert!(i == 0 || self.entries[i - 1].node < node, "counts sorted by node");
+            let known = self.entries.get(i).filter(|e| e.node == node).map_or(0, |e| e.known);
+            if count <= known {
+                continue;
+            }
+            i = self.entry(node, i);
+            for _ in known..count {
+                self.observe(cfg, i, now);
+            }
+            self.entries[i].known = count;
+        }
+    }
+
+    /// The highest write count seen per node, in node order.
+    pub fn known_counts(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        self.entries.iter().filter(|e| e.known > 0).map(|e| (e.node, e.known))
+    }
+
+    /// One observed update of entry `i` at `now`, and the refresh that
+    /// follows it: deferred when the module docs allow, applied to every
+    /// entry otherwise.
+    fn observe(&mut self, cfg: &TopLayerConfig, i: usize, now: SimTime) {
+        let last = self.refreshed;
+        self.hot -= u32::from(self.entries[i].settle(cfg, last));
+        let warming = u32::from(!self.entries[i].hot);
+        let full = cfg.leave_threshold <= 0.0
+            || (self.hot + warming) as usize > cfg.max_size
+            || now < last;
+        if full {
+            for heat in &mut self.entries {
+                self.hot -= u32::from(heat.settle(cfg, last));
+            }
+        }
+        let heat = &mut self.entries[i];
+        heat.value = if heat.hot { heat.decayed(now, cfg.half_life) + 1.0 } else { 1.0 };
         heat.at = now;
-        self.refresh(cfg, now);
+        heat.hot = true;
+        self.hot += warming;
+        if full {
+            self.refresh_settled(cfg, now);
+        } else {
+            // The refresh at `now` decides this entry from its fresh score
+            // (decayed by 0.5⁰ = 1: exactly `value`); every other entry
+            // owes it.
+            let t = heat.value;
+            heat.member = t >= if heat.member { cfg.leave_threshold } else { cfg.join_threshold };
+            if t <= floor(cfg) {
+                heat.hot = false;
+                self.hot -= 1;
+            }
+            self.refreshed = now;
+        }
     }
 
     /// Current temperature of `node`.
     pub fn temperature(&self, cfg: &TopLayerConfig, node: NodeId, now: SimTime) -> f64 {
-        self.scores
-            .binary_search_by_key(&node, |h| h.node)
-            .map_or(0.0, |i| self.scores[i].decayed(now, cfg.half_life))
+        self.find(node)
+            .filter(|e| e.hot && e.decayed(self.refreshed, cfg.half_life) > floor(cfg))
+            .map_or(0.0, |e| e.decayed(now, cfg.half_life))
     }
 
-    /// Recomputes membership at `now` (called by `observe_update`; exposed
-    /// for periodic sweeps so silent nodes decay out). One pass decays each
-    /// score once, and that value decides both membership and whether the
-    /// score is kept.
+    /// Recomputes membership at `now` over every entry (exposed for
+    /// periodic sweeps so silent nodes decay out).
     pub fn refresh(&mut self, cfg: &TopLayerConfig, now: SimTime) {
+        let last = self.refreshed;
+        for heat in &mut self.entries {
+            self.hot -= u32::from(heat.settle(cfg, last));
+        }
+        self.refresh_settled(cfg, now);
+    }
+
+    /// The full refresh at `now` of a table that owes no earlier one. One
+    /// pass decays each hot score once, and that value decides both
+    /// membership and whether the score stays hot.
+    fn refresh_settled(&mut self, cfg: &TopLayerConfig, now: SimTime) {
         let TopLayerConfig { half_life, join_threshold, leave_threshold, max_size } = *cfg;
-        let floor = leave_threshold / 16.0;
+        let floor = floor(cfg);
         // Candidates can outnumber the cap only when scores do; only then
         // must they be ranked, which needs their temperatures.
-        let rank = self.scores.len() > max_size;
+        let rank = self.hot as usize > max_size;
         let mut ranked: Vec<(NodeId, f64)> = Vec::new();
-        let members = &mut self.members;
-        members.clear();
-        self.scores.retain_mut(|heat| {
+        let mut hot = 0;
+        for heat in &mut self.entries {
+            if !heat.hot {
+                // A member the previous refresh dropped leaves now.
+                heat.member = false;
+                continue;
+            }
             let t = heat.decayed(now, half_life);
             // Current members stay while above leave_threshold
             // (hysteresis); non-members join above join_threshold.
             heat.member = t >= if heat.member { leave_threshold } else { join_threshold };
-            if heat.member {
-                if rank {
-                    ranked.push((heat.node, t));
-                } else {
-                    members.push(heat.node);
-                }
+            if heat.member && rank {
+                ranked.push((heat.node, t));
             }
-            // Drop stone-cold scores so the table stays small.
-            t > floor
-        });
+            // Stone-cold scores go cold; the entry keeps its known count.
+            heat.hot = t > floor;
+            hot += u32::from(heat.hot);
+        }
         if rank {
-            // Hottest first; cap at max_size; store sorted by id for
-            // determinism.
+            // Hottest first; cap at max_size.
             ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
             ranked.truncate(max_size);
-            members.extend(ranked.iter().map(|&(node, _)| node));
-            members.sort_unstable();
-            for heat in &mut self.scores {
-                heat.member = members.binary_search(&heat.node).is_ok();
+            ranked.sort_unstable_by_key(|&(node, _)| node);
+            for heat in self.entries.iter_mut().filter(|h| h.member) {
+                heat.member = ranked.binary_search_by_key(&heat.node, |&(node, _)| node).is_ok();
             }
         }
+        self.hot = hot;
+        self.refreshed = now;
+    }
+
+    fn find(&self, node: NodeId) -> Option<&Heat> {
+        self.entries.binary_search_by_key(&node, |e| e.node).ok().map(|i| &self.entries[i])
     }
 
     /// Current top-layer members, sorted by node id.
-    pub fn top_members(&self) -> &[NodeId] {
-        &self.members
+    pub fn top_members<'a>(&'a self, cfg: &'a TopLayerConfig) -> impl Iterator<Item = NodeId> + 'a {
+        self.entries.iter().filter(|e| e.listed(cfg, self.refreshed)).map(|e| e.node)
     }
 
     /// True when `node` is currently in the top layer.
-    pub fn is_top(&self, node: NodeId) -> bool {
-        self.members.contains(&node)
+    pub fn is_top(&self, cfg: &TopLayerConfig, node: NodeId) -> bool {
+        self.find(node).is_some_and(|e| e.listed(cfg, self.refreshed))
     }
 
     /// Top-layer peers of `node` (members minus itself).
-    pub fn top_peers(&self, node: NodeId) -> Vec<NodeId> {
-        self.members.iter().copied().filter(|&m| m != node).collect()
+    pub fn top_peers(&self, cfg: &TopLayerConfig, node: NodeId) -> Vec<NodeId> {
+        self.top_members(cfg).filter(|&m| m != node).collect()
+    }
+
+    /// True when the top layer holds a member other than `node`.
+    pub fn has_top_peer(&self, cfg: &TopLayerConfig, node: NodeId) -> bool {
+        self.top_members(cfg).any(|m| m != node)
     }
 
     /// Bottom-layer members: everyone in `0..n` not currently in the top
     /// layer. The bottom layer "covers all the nodes in the network" minus
     /// the hot writers (§4.1).
-    pub fn bottom_members(&self, n: usize) -> Vec<NodeId> {
-        (0..n as u32).map(NodeId).filter(|node| !self.is_top(*node)).collect()
+    pub fn bottom_members(&self, cfg: &TopLayerConfig, n: usize) -> Vec<NodeId> {
+        (0..n as u32).map(NodeId).filter(|&node| !self.is_top(cfg, node)).collect()
     }
 }
 
@@ -303,6 +465,22 @@ mod tests {
         fn refresh(&mut self, now: SimTime) {
             self.layer.refresh(&self.cfg, now);
         }
+
+        fn top_members(&self) -> Vec<NodeId> {
+            self.layer.top_members(&self.cfg).collect()
+        }
+
+        fn is_top(&self, node: NodeId) -> bool {
+            self.layer.is_top(&self.cfg, node)
+        }
+
+        fn top_peers(&self, node: NodeId) -> Vec<NodeId> {
+            self.layer.top_peers(&self.cfg, node)
+        }
+
+        fn bottom_members(&self, n: usize) -> Vec<NodeId> {
+            self.layer.bottom_members(&self.cfg, n)
+        }
     }
 
     impl std::ops::Deref for TwoLayer {
@@ -407,8 +585,8 @@ mod tests {
         assert!((t30 - 0.5).abs() < 1e-9, "one half-life halves the score");
     }
 
-    /// Once warm, a refresh rebuilds membership in the buffers it has: no
-    /// allocation per observation while the cap cannot bind.
+    /// Once warm, observations change the table in place: no allocation
+    /// per observation while the cap cannot bind.
     #[test]
     fn warm_refresh_reuses_its_buffers() {
         let mut layer = TwoLayer::new(ObjectId(0), cfg());
@@ -418,44 +596,40 @@ mod tests {
             }
         }
         assert_eq!(layer.top_members().len(), 4);
-        let (scores, members) = (layer.scores.as_ptr(), layer.members.as_ptr());
+        let table = (layer.entries.as_ptr(), layer.entries.capacity());
         for step in 4..40u64 {
             for w in 0..4u32 {
                 layer.observe_update(NodeId(w), t(step));
             }
         }
         assert_eq!(layer.top_members().len(), 4);
-        assert_eq!(layer.scores.as_ptr(), scores);
-        assert_eq!(layer.members.as_ptr(), members);
+        assert_eq!((layer.entries.as_ptr(), layer.entries.capacity()), table);
     }
 
-    /// A table that grows one score at a time holds capacity for exactly
-    /// the most scores it ever held; shrinking below that peak and growing
-    /// back to it allocates nothing.
+    /// The table keeps one entry per node it has seen, so it grows one slot
+    /// per new node and never again for a node whose score went cold and
+    /// warmed back up.
     #[test]
     fn table_capacity_follows_its_peak_length() {
         let c = cfg();
         let mut layer = TopLayer::new(&c);
         for (i, w) in [9u32, 2, 5, 0, 7].into_iter().enumerate() {
             layer.observe_update(&c, NodeId(w), t(0));
-            assert_eq!(layer.scores.capacity(), i + 1, "after {} scores", i + 1);
+            assert_eq!(layer.entries.capacity(), i + 1, "after {} nodes", i + 1);
         }
-        // Five minutes of silence decay every score out; three writers
-        // come back...
-        for w in [9u32, 2, 5] {
+        // Five minutes of silence decay every score cold; the entries stay.
+        layer.refresh(&c, t(300));
+        assert_eq!((layer.entries.len(), layer.hot), (5, 0));
+        // Cold scores warming again reuse their entries in place...
+        let buffer = layer.entries.as_ptr();
+        for w in [9u32, 2, 5, 0, 7] {
             layer.observe_update(&c, NodeId(w), t(300));
         }
-        assert_eq!(layer.scores.len(), 3);
-        // ...and two new ones refill the table to its peak in place.
-        let buffer = layer.scores.as_ptr();
-        for w in [1u32, 3] {
-            layer.observe_update(&c, NodeId(w), t(300));
-        }
-        assert_eq!((layer.scores.len(), layer.scores.capacity()), (5, 5));
-        assert_eq!(layer.scores.as_ptr(), buffer);
-        // Past the peak it grows by exactly one.
+        assert_eq!((layer.entries.len(), layer.entries.capacity(), layer.hot), (5, 5, 5));
+        assert_eq!(layer.entries.as_ptr(), buffer);
+        // ...and a node never seen before grows the table by exactly one.
         layer.observe_update(&c, NodeId(4), t(300));
-        assert_eq!((layer.scores.len(), layer.scores.capacity()), (6, 6));
+        assert_eq!((layer.entries.len(), layer.entries.capacity()), (6, 6));
     }
 
     #[test]
