@@ -763,6 +763,36 @@ mod tests {
     }
 
     #[test]
+    fn drop_extras_replays_over_a_snapshot() {
+        let cfg = DurabilityConfig { snapshot_every: 4, ..tmp_cfg("dropex-snap") };
+        let mut s = shard(0);
+        s.attach_wal(ShardWal::create(&cfg, NodeId(0), 0).unwrap());
+        s.open(ObjectId(1));
+        for i in 1..=6 {
+            s.write(ObjectId(1), SimTime::from_secs(i), 1, payload());
+            s.ingest(remote(1, 9, i, 10)).unwrap();
+        }
+        // A tail of at most the last five records (I4 W5 I5 W6 I6) means the
+        // threshold snapshot holds w0's fourth update, which the drop
+        // removes: the replay cuts across the snapshot and the tail.
+        assert!(s.wal().unwrap().tail_records() <= 5, "a threshold snapshot was taken");
+        // Both writers lose their newest updates, which alternate with each
+        // other and with w9's surviving fourth.
+        let counts = idea_vv::VersionVector::from_pairs([(WriterId(0), 3), (WriterId(9), 4)]);
+        let dropped = s.drop_extras(ObjectId(1), &counts).unwrap();
+        let order: Vec<(u32, u64)> = dropped.iter().map(|u| (u.writer().0, u.seq())).collect();
+        assert_eq!(order, [(0, 4), (0, 5), (9, 5), (0, 6), (9, 6)]);
+        let (expect_hash, expect_log) =
+            (s.state_hash(), s.replica(ObjectId(1)).unwrap().log().to_vec());
+        drop(s);
+
+        let r = reopen(&cfg);
+        assert_eq!(r.state_hash(), expect_hash);
+        assert_eq!(r.replica(ObjectId(1)).unwrap().log(), &expect_log[..]);
+        std::fs::remove_dir_all(&cfg.dir).unwrap();
+    }
+
+    #[test]
     fn threshold_snapshot_truncates_and_recovers() {
         let cfg = DurabilityConfig { snapshot_every: 4, ..tmp_cfg("threshold") };
         let mut s = shard(0);
