@@ -9,14 +9,21 @@
 //! directly. The timer-wheel and gossip-digest groups cover the two
 //! structures the lazy-gossip work added to the hot path: the engine's
 //! `(at, seq)`-ordered timer queue and the IHAVE advertisement codec.
-//! The collect-delta and fetch-chunk groups cover the resolution-plane
-//! compaction wire forms: the `VvDelta` collect answer (cost must track
-//! divergence, not history depth) and the chunked `FetchReply` batch.
+//! The collect-delta and fetch-chunk groups time the shared binary codec
+//! (`idea_types::codec`) on the resolution plane's compact forms: the
+//! `VvDelta` collect answer (cost must track divergence, not history
+//! depth) and the chunked `FetchReply` batch. Node-to-node `IdeaMsg`s are
+//! never encoded today — the simulated wire charges `IdeaMsg::wire_size`'s
+//! estimate — so these groups price the encoding those forms would get.
+//! The frame group times the one encoding that does ship on every served
+//! request: a framed `Command::Write` and its `Response::Written`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use idea_core::{Command, Response};
 use idea_net::TimerWheel;
 use idea_overlay::gossip::{decode_digest, encode_digest, RumorId};
-use idea_transport::WireCodec;
+use idea_transport::frame::{encode_into, frame_bytes, parse_frame, Frame, FramePayload};
+use idea_types::codec::Codec;
 use idea_types::{FastSet, NodeId, ObjectId, SimTime, Update, UpdateId, UpdatePayload, WriterId};
 use idea_vv::{ExtendedVersionVector, VersionVector, VvDelta};
 
@@ -209,11 +216,10 @@ fn bench_digest_codec(c: &mut Criterion) {
 /// catching-up-after-partition tail.
 const DELTA_DEPTHS: [u64; 3] = [1, 16, 256];
 
-/// The compact collect answer on the wire: a [`VvDelta`] carved by
-/// `suffix_since` from a 1,000-update history, encoded with the transport
-/// [`WireCodec`] the resolution plane ships it with. Cost must scale with
-/// the *divergence*, never the history depth — that is the whole point of
-/// the delta form.
+/// The compact collect answer: a [`VvDelta`] carved by `suffix_since`
+/// from a 1,000-update history, through the shared [`Codec`]. Cost must
+/// scale with the *divergence*, never the history depth — that is the
+/// whole point of the delta form.
 fn bench_collect_delta_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("collect-delta-wire");
     for &depth in &DELTA_DEPTHS {
@@ -253,8 +259,8 @@ fn update_chunk(len: usize) -> Vec<Update> {
         .collect()
 }
 
-/// One chunked `FetchReply`'s update batch through the transport codec —
-/// the framing cost of splitting a backlog into `max_fetch_updates`-sized
+/// One chunked `FetchReply`'s update batch through the shared [`Codec`] —
+/// the encoding cost of splitting a backlog into `max_fetch_updates`-sized
 /// chunks instead of one unbounded reply.
 fn bench_fetch_chunk_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("fetch-chunk-wire");
@@ -271,6 +277,42 @@ fn bench_fetch_chunk_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// The served write path's two frames: the client's `Command::Write` and
+/// the server's `Response::Written`, header and body, encoded in place
+/// and parsed back — what the benchmark's `transport.encode_ns_p50` and
+/// `transport.decode_ns_p50` time end to end.
+fn bench_frame_codec(c: &mut Criterion) {
+    let update = update_chunk(1).remove(0);
+    let frames = [
+        (
+            "write",
+            FramePayload::Command(Command::Write {
+                object: update.object,
+                meta_delta: update.meta_delta,
+                payload: update.payload.clone(),
+            }),
+        ),
+        ("written", FramePayload::Response(Response::Written { update })),
+    ];
+    let mut group = c.benchmark_group("frame-codec");
+    for (name, payload) in frames {
+        let frame = Frame { request_id: 42, node: NodeId(3), payload };
+        let bytes = frame_bytes(&frame).expect("under the frame cap");
+        let mut out = Vec::with_capacity(bytes.len());
+        group.bench_function(BenchmarkId::new("encode", name), |bench| {
+            bench.iter(|| {
+                out.clear();
+                encode_into(black_box(&frame), &mut out).expect("under the frame cap");
+                black_box(out.len())
+            })
+        });
+        group.bench_function(BenchmarkId::new("parse", name), |bench| {
+            bench.iter(|| black_box(parse_frame(black_box(&bytes)).expect("well formed")))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     hotpath,
     bench_record,
@@ -282,6 +324,7 @@ criterion_group!(
     bench_timer_wheel,
     bench_digest_codec,
     bench_collect_delta_codec,
-    bench_fetch_chunk_codec
+    bench_fetch_chunk_codec,
+    bench_frame_codec
 );
 criterion_main!(hotpath);

@@ -91,11 +91,13 @@ pub enum BackgroundFreq {
 /// [`Command::Configure`].
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ConsistencySpec {
-    bounds: Option<MaxBounds>,
-    weights: Option<Weights>,
-    policy: Option<ResolutionPolicy>,
-    hint: Option<f64>,
-    background: Option<BackgroundFreq>,
+    // Crate-visible for the codec, whose decode re-validates; everything
+    // else builds specs through the builder.
+    pub(crate) bounds: Option<MaxBounds>,
+    pub(crate) weights: Option<Weights>,
+    pub(crate) policy: Option<ResolutionPolicy>,
+    pub(crate) hint: Option<f64>,
+    pub(crate) background: Option<BackgroundFreq>,
 }
 
 impl ConsistencySpec {
@@ -107,40 +109,6 @@ impl ConsistencySpec {
     /// True when the spec changes nothing.
     pub fn is_empty(&self) -> bool {
         *self == ConsistencySpec::default()
-    }
-
-    /// The spec's fields, in declaration order — the decomposition a wire
-    /// codec serializes (fields are private so hand-built specs cannot skip
-    /// validation; this is the sanctioned read path).
-    #[allow(clippy::type_complexity)]
-    pub fn parts(
-        &self,
-    ) -> (
-        Option<MaxBounds>,
-        Option<Weights>,
-        Option<ResolutionPolicy>,
-        Option<f64>,
-        Option<BackgroundFreq>,
-    ) {
-        (self.bounds, self.weights, self.policy, self.hint, self.background)
-    }
-
-    /// Rebuilds a spec from the fields of [`ConsistencySpec::parts`],
-    /// re-validating every domain — the decode path of a wire codec.
-    ///
-    /// # Errors
-    /// Returns the same [`IdeaError::InvalidParameter`] the builder would
-    /// for out-of-domain fields.
-    pub fn from_parts(
-        bounds: Option<MaxBounds>,
-        weights: Option<Weights>,
-        policy: Option<ResolutionPolicy>,
-        hint: Option<f64>,
-        background: Option<BackgroundFreq>,
-    ) -> Result<ConsistencySpec> {
-        let spec = ConsistencySpec { bounds, weights, policy, hint, background };
-        spec.validate()?;
-        Ok(spec)
     }
 
     /// Re-checks every field's domain — used on deserialized specs, whose

@@ -25,6 +25,7 @@
 
 pub mod adapt;
 pub mod client;
+mod codec;
 pub mod config;
 pub mod messages;
 pub mod protocol;

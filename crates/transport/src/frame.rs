@@ -15,8 +15,8 @@
 //! pipelined connection; id `0` is reserved for fire-and-forget commands,
 //! which the server never answers.
 
-use crate::codec::{CodecError, WireCodec, WireReader};
 use idea_core::{Command, Response};
+use idea_types::codec::{Codec, CodecError, Reader};
 use idea_types::{NodeId, WireError};
 use std::io::{self, Read, Write};
 
@@ -62,7 +62,7 @@ pub struct Frame {
     pub payload: FramePayload,
 }
 
-impl WireCodec for FramePayload {
+impl Codec for FramePayload {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             FramePayload::Hello { nodes } => {
@@ -79,23 +79,23 @@ impl WireCodec for FramePayload {
             }
         }
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match u8::decode(r)? {
             0 => Ok(FramePayload::Hello { nodes: u32::decode(r)? }),
             1 => Ok(FramePayload::Command(Command::decode(r)?)),
             2 => Ok(FramePayload::Response(Response::decode(r)?)),
-            _ => Err(CodecError { at: 0, what: "FramePayload tag out of domain" }),
+            _ => Err(r.err("FramePayload tag out of domain")),
         }
     }
 }
 
-impl WireCodec for Frame {
+impl Codec for Frame {
     fn encode(&self, out: &mut Vec<u8>) {
         self.request_id.encode(out);
         self.node.encode(out);
         self.payload.encode(out);
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Frame {
             request_id: u64::decode(r)?,
             node: NodeId::decode(r)?,
@@ -397,6 +397,19 @@ mod tests {
         };
         assert!(matches!(encode_into(&huge, &mut out), Err(WireError::Protocol(_))));
         assert_eq!(out, expected, "a rejected frame must leave the buffer untouched");
+    }
+
+    /// An unknown payload tag is reported at its own offset — past the
+    /// 8-byte request id, the 4-byte node and the tag byte — like every
+    /// other decode error, not at byte 0.
+    #[test]
+    fn unknown_payload_tag_is_located() {
+        let mut body = 7u64.to_le_bytes().to_vec();
+        body.extend_from_slice(&2u32.to_le_bytes());
+        body.push(9);
+        let err = Frame::from_bytes(&body).unwrap_err();
+        assert_eq!(err.what, "FramePayload tag out of domain");
+        assert_eq!(err.at, 13);
     }
 
     /// The cap binds on the send side too: an over-cap frame fails its own

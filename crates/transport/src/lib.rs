@@ -2,13 +2,12 @@
 //! positioning made literal: a replicated service links the client stub,
 //! IDEA runs as a served system.
 //!
-//! Three layers, bottom up:
+//! Two layers, bottom up, over the workspace's one binary codec
+//! ([`idea_types::codec::Codec`], implemented for `Command`, `Response`
+//! and their leaves in the crates that own them — the same encoding the
+//! WAL writes; strict decoding maps malformed input to
+//! [`idea_types::WireError::Protocol`]):
 //!
-//! * [`codec`] — a deterministic binary encoding ([`WireCodec`]) for every
-//!   type of the client surface (`Command`, `Response`, their leaves),
-//!   hand-written because the offline `serde` stand-in cannot drive
-//!   serialization; strict decoding maps malformed input to
-//!   [`idea_types::WireError::Protocol`].
 //! * [`frame`] — the length-prefixed, versioned frame
 //!   (`magic · version · length · request_id · node · payload`) that
 //!   carries encoded values over a byte stream; `request_id` correlates
@@ -56,11 +55,9 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod codec;
 pub mod frame;
 pub mod server;
 
 pub use client::{RemoteEngine, RemoteStats};
-pub use codec::{CodecError, WireCodec, WireReader};
 pub use frame::{Frame, FramePayload, MAX_FRAME_BYTES, VERSION};
 pub use server::{IdeaServer, ServerConfig};

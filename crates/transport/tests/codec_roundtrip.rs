@@ -11,8 +11,8 @@ use idea_core::quantify::Weights;
 use idea_core::resolution::ResolutionPolicy;
 use idea_core::resolution::{ReferenceState, ReferenceWire};
 use idea_core::{Command, ConsistencySpec, NodeReport, ReadResult, Response};
-use idea_transport::frame::{frame_bytes, read_frame, Frame, FramePayload, NO_REPLY};
-use idea_transport::WireCodec;
+use idea_transport::frame::{frame_bytes, parse_frame, read_frame, Frame, FramePayload, NO_REPLY};
+use idea_types::codec::Codec;
 use idea_types::{
     ConsistencyLevel, NodeId, ObjectId, SimDuration, SimTime, Update, UpdateId, UpdatePayload,
     WireError, WriterId,
@@ -372,6 +372,57 @@ fn no_fixture_prefix_decodes() {
                 bytes.len()
             );
         }
+    }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// A framed write and its reply, with the exact bytes — header and body —
+/// the frame codec wrote when the format was fixed. A round trip alone
+/// would pass a change that re-encodes both sides differently; a peer
+/// built from another commit would not.
+#[test]
+fn framed_write_and_reply_match_the_pinned_bytes() {
+    let write = Frame {
+        request_id: 42,
+        node: NodeId(3),
+        payload: FramePayload::Command(Command::Write {
+            object: ObjectId(7),
+            meta_delta: -2,
+            payload: UpdatePayload::Stroke { x: 3, y: 9, text: "hi".into() },
+        }),
+    };
+    let written = Frame {
+        request_id: 42,
+        node: NodeId(3),
+        payload: FramePayload::Response(Response::Written {
+            update: Update {
+                object: ObjectId(7),
+                id: UpdateId { writer: WriterId(3), seq: 5 },
+                at: SimTime::from_micros(1_234_567),
+                meta_delta: -2,
+                payload: UpdatePayload::Booking { flight: 12, seats: 2, price_cents: 45_000 },
+            },
+        }),
+    };
+    let pins = [
+        (
+            write,
+            "4944454101002d0000002a000000000000000300000001000700000000000000feffffffffffffff01\
+             0300090002000000000000006869",
+        ),
+        (
+            written,
+            "494445410100430000002a00000000000000030000000201070000000000000003000000050000000000\
+             000087d6120000000000feffffffffffffff020c00000002000000c8af000000000000",
+        ),
+    ];
+    for (frame, pinned) in pins {
+        let bytes = frame_bytes(&frame).unwrap();
+        assert_eq!(hex(&bytes), pinned, "{frame:?}");
+        assert_eq!(parse_frame(&bytes).unwrap(), Some((frame, bytes.len())));
     }
 }
 

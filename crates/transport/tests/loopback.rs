@@ -18,7 +18,8 @@ use idea_core::{
     Command, ConsistencySpec, EngineHandle, IdeaConfig, IdeaNode, LockedEngine, Response, Session,
 };
 use idea_net::{ShardedEngine, SimConfig, SimEngine, ThreadedConfig, Topology};
-use idea_transport::{IdeaServer, RemoteEngine, WireCodec};
+use idea_transport::{IdeaServer, RemoteEngine};
+use idea_types::codec::Codec;
 use idea_types::{ConsistencyLevel, NodeId, ObjectId, SimDuration, UpdatePayload, WireError};
 use std::sync::Arc;
 

@@ -15,6 +15,8 @@
 //! * [`VvSummary`] / [`VvDelta`] — compact wire forms (counters + metadata +
 //!   bounded/exact per-writer timestamp suffixes) so detection traffic never
 //!   ships full update histories.
+//!
+//! Each form implements the shared binary [`idea_types::codec::Codec`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +24,7 @@
 #[cfg(test)]
 mod boundary_tests;
 pub mod classic;
+mod codec;
 pub mod extended;
 mod history;
 pub mod wire;

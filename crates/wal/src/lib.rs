@@ -17,25 +17,24 @@
 //! <dir>/node-<n>/snap-<s>.bin   # magic "IDEASNP1" + one framed snapshot
 //! ```
 //!
-//! Every frame is `[len: u32 LE][crc32: u32 LE][payload]` — the same
-//! length-prefixed, checksummed idiom as the transport codec
-//! (`idea-transport` depends on `idea-core`, so the trait itself cannot be
-//! reused here; [`codec::WalCodec`] mirrors it). Replay is torn-tail
-//! tolerant: a truncated or checksum-corrupt final frame marks the crash
-//! point and everything before it is recovered; a checksum-*valid* frame
-//! that fails to decode is real corruption and surfaces as an error.
+//! Every frame is `[len: u32 LE][crc32: u32 LE][payload]`. The payload is
+//! a [`WalRecord`] or [`ShardSnapshot`] in the workspace's one binary
+//! codec, [`idea_types::codec::Codec`] — the encoding client frames use
+//! too, so an [`idea_types::Update`] has the same bytes on the service
+//! wire and on disk. Replay is torn-tail tolerant: a truncated or
+//! checksum-corrupt final frame marks the crash point and everything
+//! before it is recovered; a checksum-*valid* frame that fails to decode
+//! is real corruption and surfaces as an error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod config;
 pub mod hash;
 pub mod log;
 pub mod record;
 pub mod snapshot;
 
-pub use codec::{CodecError, WalCodec, WalReader};
 pub use config::{DurabilityConfig, DurabilityMode};
 pub use log::{crc32, Recovered, ShardWal, WalError, WalResult};
 pub use record::WalRecord;

@@ -1,10 +1,10 @@
 //! The append/replay engine: framed records on disk, durable snapshot
 //! installation with log truncation, and torn-tail-tolerant recovery.
 
-use crate::codec::WalCodec;
 use crate::config::{DurabilityConfig, DurabilityMode};
 use crate::record::WalRecord;
 use crate::snapshot::{ShardSnapshot, ShardSnapshotRef};
+use idea_types::codec::Codec;
 use idea_types::NodeId;
 use std::fmt;
 use std::fs::{File, OpenOptions};

@@ -2,7 +2,7 @@
 //! captured as one [`WalRecord`], so snapshot + tail replay reconstructs
 //! the shard exactly.
 
-use crate::codec::{CodecError, WalCodec, WalReader};
+use idea_types::codec::{Codec, CodecError, Reader};
 use idea_types::{ObjectId, Update};
 use idea_vv::VersionVector;
 
@@ -67,7 +67,7 @@ const T_DROP_EXTRAS: u8 = 5;
 const T_RESUME_SEQ: u8 = 6;
 const T_TRUNCATE: u8 = 7;
 
-impl WalCodec for WalRecord {
+impl Codec for WalRecord {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Open { object } => {
@@ -105,7 +105,7 @@ impl WalCodec for WalRecord {
         }
     }
 
-    fn decode(r: &mut WalReader<'_>) -> Result<Self, CodecError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match u8::decode(r)? {
             T_OPEN => Ok(WalRecord::Open { object: ObjectId::decode(r)? }),
             T_WRITE => Ok(WalRecord::Write { update: Update::decode(r)? }),

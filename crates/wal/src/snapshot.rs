@@ -8,7 +8,7 @@
 //! [`crate::ShardWal::install_snapshot`] so its logs are serialised in
 //! place, never cloned). The borrowed form owns the one encoder.
 
-use crate::codec::{encode_seq, CodecError, WalCodec, WalReader};
+use idea_types::codec::{encode_seq, Codec, CodecError, Reader};
 use idea_types::{NodeId, ObjectId, Update, WriterId};
 
 /// One replica's durable form.
@@ -117,11 +117,11 @@ impl ShardSnapshot {
     }
 }
 
-impl WalCodec for ObjectSnapshot {
+impl Codec for ObjectSnapshot {
     fn encode(&self, out: &mut Vec<u8>) {
         self.borrowed().encode(out);
     }
-    fn decode(r: &mut WalReader<'_>) -> Result<Self, CodecError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(ObjectSnapshot {
             object: ObjectId::decode(r)?,
             next_seq: u64::decode(r)?,
@@ -131,11 +131,11 @@ impl WalCodec for ObjectSnapshot {
     }
 }
 
-impl WalCodec for ShardSnapshot {
+impl Codec for ShardSnapshot {
     fn encode(&self, out: &mut Vec<u8>) {
         self.borrowed().encode(out);
     }
-    fn decode(r: &mut WalReader<'_>) -> Result<Self, CodecError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(ShardSnapshot {
             node: NodeId::decode(r)?,
             writer: WriterId::decode(r)?,

@@ -9,10 +9,11 @@
 //! proptest drives randomized records/snapshots through the same trip.
 
 use bytes::Bytes;
+use idea_types::codec::Codec;
 use idea_types::{NodeId, ObjectId, SimTime, Update, UpdateId, UpdatePayload, WriterId};
 use idea_vv::VersionVector;
 use idea_wal::{
-    crc32, DurabilityConfig, ObjectSnapshot, ShardSnapshot, ShardWal, WalCodec, WalError, WalRecord,
+    crc32, DurabilityConfig, ObjectSnapshot, ShardSnapshot, ShardWal, WalError, WalRecord,
 };
 use proptest::prelude::*;
 
@@ -172,6 +173,75 @@ fn every_record_variant_round_trips() {
         let bytes = rec.to_bytes();
         assert_eq!(WalRecord::from_bytes(&bytes).unwrap(), rec, "{rec:?}");
     }
+}
+
+/// One record of each variant and the two-object snapshot, with the exact
+/// bytes the codec wrote when the format was fixed. A WAL file on disk is
+/// only recoverable while these stay put: a round trip alone would pass a
+/// change that re-encodes both sides differently.
+const PINNED_RECORDS: [(usize, &str); 7] = [
+    (0, "010700000000000000"),
+    (
+        1,
+        "02070000000000000002000000010000000000000038d8120000000000fdffffffffffff\
+         ff000300000000000000010203",
+    ),
+    (
+        3,
+        "03070000000000000002000000030000000000000008e0120000000000fdffffffffffff\
+         ff020c00000002000000c8af000000000000",
+    ),
+    (
+        4,
+        "040700000000000000020000000000000007000000000000000200000001000000000000\
+         0038d8120000000000fdffffffffffffff00000000000000000007000000000000000200\
+         0000020000000000000020dc120000000000fdffffffffffffff000000000000000000",
+    ),
+    (
+        6,
+        "050700000000000000020000000000000000000000040000000000000002000000010000\
+         0000000000",
+    ),
+    (8, "0607000000000000001100000000000000"),
+    (10, "0707000000000000000900000000000000"),
+];
+
+const PINNED_SNAPSHOT: &str = "\
+    03000000030000000100000002000000000000000700000000000000040000000000000002000000\
+    00000000070000000000000002000000010000000000000038d8120000000000fdffffffffffffff\
+    000600000000000000050505050505070000000000000002000000020000000000000020dc120000\
+    000000fdffffffffffffff01010002000400000000000000736e6170010000000000000007000000\
+    0000000002000000090000000000000078f7120000000000fdffffffffffffff0000000000000000\
+    000800000000000000000000000000000000000000000000000000000000000000";
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
+}
+
+#[test]
+fn fixtures_encode_to_the_pinned_bytes() {
+    let records = fixture_records();
+    let mut variants = Vec::new();
+    for (i, pinned) in PINNED_RECORDS {
+        let rec = &records[i];
+        let variant = std::mem::discriminant(rec);
+        assert!(!variants.contains(&variant), "two pins of one variant: {rec:?}");
+        variants.push(variant);
+        assert_eq!(hex(&rec.to_bytes()), pinned, "{rec:?}");
+        assert_eq!(&WalRecord::from_bytes(&unhex(pinned)).unwrap(), rec);
+    }
+    assert_eq!(variants.len(), 7, "one pin per record variant");
+    let snap = fixture_snapshot();
+    assert_eq!(snap.objects.len(), 2);
+    assert_eq!(hex(&snap.to_bytes()), PINNED_SNAPSHOT);
+    let mut borrowed = Vec::new();
+    snap.borrowed().encode(&mut borrowed);
+    assert_eq!(hex(&borrowed), PINNED_SNAPSHOT);
+    assert_eq!(ShardSnapshot::from_bytes(&unhex(PINNED_SNAPSHOT)).unwrap(), snap);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Reduced-size versions of every paper experiment, asserting the shapes
-//! the full bench harness regenerates. These are the repository's
-//! regression net for the reproduction claims in EXPERIMENTS.md.
+//! the full bench harness regenerates. These shape predicates are the
+//! only pin on the reproduction claims: no recorded figure values are
+//! checked in to compare against.
 
 use idea::workload::experiments::{ablate, fig10, fig2, fig8, fig9, table2, table3};
 use idea::workload::runner::{run_booking, BookingRunConfig, HintRunConfig};
