@@ -38,7 +38,7 @@ use crate::quantify::{MaxBounds, Weights};
 use crate::resolution::ResolutionPolicy;
 use idea_net::{Context, Proto, ShardedEngine, ShardedProto, SimEngine};
 use idea_types::{
-    ConsistencyLevel, IdeaError, NodeId, ObjectId, Result, SimDuration, SimTime, Update,
+    ConsistencyLevel, IdeaError, NodeId, ObjectId, Result, ShardId, SimDuration, SimTime, Update,
     UpdatePayload, WireError,
 };
 use parking_lot::Mutex;
@@ -147,32 +147,15 @@ impl ConsistencySpec {
         Ok(())
     }
 
-    /// Applies the spec to a whole node (fans node-wide pieces out to every
-    /// shard, exactly like the historical setters).
+    /// Applies the spec to a whole node: [`ConsistencySpec::apply_to_shard`]
+    /// on every shard.
     ///
     /// # Errors
     /// Fails only when a deserialized spec carries out-of-domain fields
-    /// (see [`ConsistencySpec::validate`]).
+    /// (see [`ConsistencySpec::validate`]); the first shard rejects before
+    /// any shard changed.
     pub fn apply_to(&self, node: &mut IdeaNode) -> Result<()> {
-        self.validate()?;
-        if let Some(b) = self.bounds {
-            node.set_bounds(b);
-        }
-        if let Some(w) = self.weights {
-            node.set_weights(w);
-        }
-        if let Some(p) = self.policy {
-            node.set_policy(p);
-        }
-        if let Some(h) = self.hint {
-            node.hint_mut().set_hint(h);
-        }
-        match self.background {
-            Some(BackgroundFreq::Disabled) => node.set_background_period(None),
-            Some(BackgroundFreq::Every(p)) => node.set_background_period(Some(p)),
-            None => {}
-        }
-        Ok(())
+        node.shards_mut().iter_mut().try_for_each(|s| self.apply_to_shard(s))
     }
 
     /// Applies the spec to one shard (the sharded engine fans the same spec
@@ -531,71 +514,56 @@ fn unexpected(what: &'static str, got: Response) -> CommandError {
 
 /// Executes one command against a whole node (the deterministic engine;
 /// also the path the applications use from inside protocol callbacks).
+/// Routes through [`apply_to_shard`] with the split the sharded engine
+/// uses: object-addressed commands run on the owning shard, node-wide
+/// setters on every shard.
 pub fn apply_to_node(
     node: &mut IdeaNode,
     cmd: Command,
     ctx: &mut dyn Context<IdeaMsg>,
 ) -> Response {
+    let shards = node.shards_mut();
+    let n = shards.len();
+    let owner = |object: ObjectId| ShardId::of(object, n).index();
     match cmd {
-        Command::Write { object, meta_delta, payload } => {
-            if let Err(e) = node.replica(object) {
+        // The report's resolution count is node-wide.
+        Command::Report { object } => {
+            let mut response = apply_to_shard(&mut shards[owner(object)], cmd, ctx);
+            if let Response::Report { report } = &mut response {
+                report.resolutions_initiated =
+                    shards.iter().map(ProtocolShard::resolutions_completed).sum();
+            }
+            response
+        }
+        // Re-weighting is node-wide: check object and weights first so a
+        // rejected command mutates nothing, fan the weights out, then
+        // resolve on the owning shard.
+        Command::Dissatisfied { object, new_weights: Some(w) } => {
+            let owner = owner(object);
+            let checked = shards[owner].store().replica(object).map(drop);
+            if let Err(e) = checked.and_then(|()| validate_weights(&Some(w))) {
                 return Response::err(e);
             }
-            Response::Written { update: node.local_write(object, meta_delta, payload, ctx) }
-        }
-        Command::Read { object, consistency } => {
-            match node
-                .probe_for_read(object, consistency, ctx)
-                .and_then(|p| Ok((node.peek(object)?, p)))
-            {
-                Ok((view, probed)) => Response::Value {
-                    read: ReadResult::from_view(&view, node.level(object), probed),
-                },
-                Err(e) => Response::err(e),
+            for s in shards.iter_mut() {
+                s.set_weights(w);
             }
+            let cmd = Command::Dissatisfied { object, new_weights: None };
+            apply_to_shard(&mut shards[owner], cmd, ctx)
         }
-        Command::Peek { object } => match node.peek(object) {
-            Ok(view) => {
-                let read = ReadResult::from_view(&view, node.level(object), false);
-                Response::Value { read }
+        cmd => match cmd.object() {
+            Some(object) => apply_to_shard(&mut shards[owner(object)], cmd, ctx),
+            // Shards validate identically: either all accept or the first
+            // rejects before any shard changed.
+            None => {
+                let mut out = Response::Done;
+                for s in shards.iter_mut() {
+                    out = apply_to_shard(s, cmd.clone(), ctx);
+                    if matches!(out, Response::Rejected { .. }) {
+                        break;
+                    }
+                }
+                out
             }
-            Err(e) => Response::err(e),
-        },
-        Command::Level { object } => match node.replica(object) {
-            Ok(_) => Response::Level { level: node.level(object) },
-            Err(e) => Response::err(e),
-        },
-        Command::Report { object } => match node.replica(object) {
-            Ok(_) => Response::Report { report: node.report(object) },
-            Err(e) => Response::err(e),
-        },
-        Command::DemandResolution { object } => {
-            if let Err(e) = node.replica(object) {
-                return Response::err(e);
-            }
-            node.demand_active_resolution(object, ctx);
-            Response::Done
-        }
-        Command::Dissatisfied { object, new_weights } => {
-            if let Err(e) = node.replica(object) {
-                return Response::err(e);
-            }
-            if let Err(e) = validate_weights(&new_weights) {
-                return Response::err(e);
-            }
-            node.user_dissatisfied(object, new_weights, ctx);
-            Response::Done
-        }
-        Command::SetPriority { node: target, priority } => {
-            node.set_priority(target, priority);
-            Response::Done
-        }
-        other => match setter_spec(other) {
-            Ok(spec) => match spec.apply_to(node) {
-                Ok(()) => Response::Done,
-                Err(e) => Response::err(e),
-            },
-            Err(e) => Response::err(e),
         },
     }
 }
@@ -964,8 +932,7 @@ where
             // to every worker, then resolve on the owning shard (the same
             // split `IdeaNode::user_dissatisfied` performs). The owning
             // shard validates object and weights *before* the fan-out so a
-            // rejected command mutates nothing — the same atomicity
-            // `apply_to_node` gets from its up-front checks.
+            // rejected command mutates nothing — as in `apply_to_node`.
             Command::Dissatisfied { object, new_weights: Some(w) } => {
                 match self.dissatisfied_checks(node, object, w)? {
                     Response::Done => {}

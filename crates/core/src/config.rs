@@ -81,12 +81,11 @@ pub struct IdeaConfig {
     pub top_layer: TopLayerConfig,
     /// Bottom-layer gossip parameters (§4.3).
     pub gossip: GossipConfig,
-    /// How long a lazy-mode node waits for a pulled rumor body before
-    /// retrying against a backup advertiser (only meaningful with
-    /// `gossip.mode == GossipMode::Lazy`). Should comfortably exceed one
-    /// WAN round-trip.
+    /// How long a node waits for a pulled rumor body before retrying
+    /// against a backup advertiser. Should comfortably exceed one WAN
+    /// round-trip.
     pub gossip_pull_timeout: SimDuration,
-    /// Lazy-mode digest flush window: pending rumor advertisements
+    /// Digest flush window: pending rumor advertisements
     /// piggyback on outgoing detect traffic, and any still queued when
     /// this window elapses go out in a dedicated
     /// [`crate::messages::IdeaMsg::GossipDigest`].
@@ -116,15 +115,6 @@ pub struct IdeaConfig {
     /// own timer over its own dirty objects), so probe *timing* can differ
     /// across shard counts while convergence is unaffected.
     pub store_shards: usize,
-    /// Use the compact resolution wire forms: collect answers ship a
-    /// `VvDelta` against the initiator's probe summary instead of the full
-    /// extended vector, and `Inform` encodes the reference as per-writer
-    /// overrides against the member's own collect answer where that is
-    /// smaller. Message count, order and the chosen reference are
-    /// bit-identical to the full forms (pinned by the
-    /// resolution-compaction equivalence tests) — only bytes change, so
-    /// the default is on. `false` restores the PR-1 full-EVV wire.
-    pub compact_resolution: bool,
     /// Upper bound on the updates carried by a single `FetchReply` frame.
     /// A far-behind replica streams its backlog in chunks of this size
     /// (each reply's `done` flag drives a continuation `FetchRequest`
@@ -169,7 +159,6 @@ impl Default for IdeaConfig {
             rollback_resolve: true,
             parallel_phase2: false,
             store_shards: 1,
-            compact_resolution: true,
             max_fetch_updates: None,
             durability: DurabilityConfig::off(),
         }
@@ -188,8 +177,9 @@ impl IdeaConfig {
     /// Fails when `store_shards` is outside `1..=256`, a configured
     /// `detect_batch_window` or `background_period` is zero, the hint floor
     /// is outside `[0, 1]`, `hint_delta` is negative, the back-off window
-    /// is inverted (`backoff_min > backoff_max`), or a configured
-    /// `max_fetch_updates` is zero.
+    /// is inverted (`backoff_min > backoff_max`), a configured
+    /// `max_fetch_updates` is zero, or `gossip_pull_timeout` or
+    /// `gossip_digest_flush` is zero.
     pub fn validate(&self) -> Result<()> {
         if self.store_shards == 0 || self.store_shards > 256 {
             return Err(IdeaError::InvalidConfig {
@@ -253,19 +243,17 @@ impl IdeaConfig {
                 });
             }
         }
-        if self.gossip.mode == idea_overlay::GossipMode::Lazy {
-            if self.gossip_pull_timeout.is_zero() {
-                return Err(IdeaError::InvalidConfig {
-                    field: "gossip_pull_timeout",
-                    reason: "lazy gossip needs a positive pull retry timeout",
-                });
-            }
-            if self.gossip_digest_flush.is_zero() {
-                return Err(IdeaError::InvalidConfig {
-                    field: "gossip_digest_flush",
-                    reason: "lazy gossip needs a positive digest flush window",
-                });
-            }
+        if self.gossip_pull_timeout.is_zero() {
+            return Err(IdeaError::InvalidConfig {
+                field: "gossip_pull_timeout",
+                reason: "gossip needs a positive pull retry timeout",
+            });
+        }
+        if self.gossip_digest_flush.is_zero() {
+            return Err(IdeaError::InvalidConfig {
+                field: "gossip_digest_flush",
+                reason: "gossip needs a positive digest flush window",
+            });
         }
         Ok(())
     }
@@ -307,7 +295,6 @@ mod tests {
         assert!(c.detect_batch_window.is_none(), "paper probes per trigger by default");
         assert!(c.summary_tail > 0, "probes must carry some timestamp tail");
         assert_eq!(c.store_shards, 1, "default is the paper's unsharded store");
-        assert!(c.compact_resolution, "compact wire forms are byte-equivalent in behaviour");
         assert!(c.max_fetch_updates.is_none(), "fetch chunking is opt-in");
         assert!(!c.durability.enabled(), "durability is opt-in (pinned traces unchanged)");
     }
@@ -369,32 +356,14 @@ mod tests {
         );
     }
 
+    /// The lazy plane is the only gossip mode, so its knobs are always
+    /// checked.
     #[test]
     fn validate_rejects_zero_lazy_knobs_only_in_lazy_mode() {
-        use idea_overlay::{GossipConfig, GossipMode};
-        // Eager mode ignores the lazy knobs entirely.
-        let eager_gossip = GossipConfig { mode: GossipMode::Eager, ..Default::default() };
-        let eager = IdeaConfig {
-            gossip: eager_gossip,
-            gossip_pull_timeout: SimDuration::ZERO,
-            ..Default::default()
-        };
-        eager.validate().unwrap();
-        let lazy_gossip =
-            GossipConfig { mode: GossipMode::Lazy, eager_fanout: 1, ..Default::default() };
-        let cfg = IdeaConfig {
-            gossip: lazy_gossip,
-            gossip_pull_timeout: SimDuration::ZERO,
-            ..Default::default()
-        };
+        let cfg = IdeaConfig { gossip_pull_timeout: SimDuration::ZERO, ..Default::default() };
         assert_eq!(rejected_field(&cfg), "gossip_pull_timeout");
-        let cfg = IdeaConfig {
-            gossip: lazy_gossip,
-            gossip_digest_flush: SimDuration::ZERO,
-            ..Default::default()
-        };
+        let cfg = IdeaConfig { gossip_digest_flush: SimDuration::ZERO, ..Default::default() };
         assert_eq!(rejected_field(&cfg), "gossip_digest_flush");
-        IdeaConfig { gossip: lazy_gossip, ..Default::default() }.validate().unwrap();
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::messages::{DigestGroup, IdeaMsg};
 use idea_detect::bottom::{BottomReport, SweepCollector};
 use idea_detect::round::DetectRound;
 use idea_net::{Context, TimerId};
-use idea_overlay::gossip::{GossipMode, Peers, Receipt, RumorId};
+use idea_overlay::gossip::{Peers, Receipt, RumorId};
 use idea_types::{FastMap, NodeId, ObjectId};
 use idea_vv::{VersionVector, VvDelta, VvSummary};
 use std::collections::BTreeMap;
@@ -358,7 +358,7 @@ impl Detection {
         let cfg = &core.cfg;
         shared.note_counters(&cfg.top_layer, &counters, ctx.now());
         let receipt = shared.gossip.on_receive(&cfg.gossip, id, ttl, Some(from), peers, ctx.rng());
-        if receipt == Receipt::Duplicate && cfg.gossip.mode == GossipMode::Lazy {
+        if receipt == Receipt::Duplicate {
             // Plumtree repair: the pusher's eager link to us is redundant.
             // Tell it to go lazy (our own link to it is demoted inside
             // `on_receive`); the eager overlay trims towards a tree.

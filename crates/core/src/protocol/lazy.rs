@@ -1,17 +1,18 @@
-//! The lazy gossip plane's per-object half: rumor body caching and
-//! per-peer digest outboxes.
+//! The gossip plane's per-object half: rumor body caching and per-peer
+//! digest outboxes.
 //!
-//! In [`idea_overlay::GossipMode::Lazy`], a relay plan's lazy links carry
-//! only rumor ids. This module owns the per-object state that makes those
-//! ids useful: the **body cache** answering [`crate::messages::IdeaMsg::GossipPull`]s
-//! and the **outbox** of pending advertisements (piggybacked on outgoing
-//! detect traffic, flushed by the `K_LAZY_FLUSH` timer otherwise). The
-//! other half — bodies advertised to us but not yet held, whose `K_PULL`
-//! timer both delays the first pull (giving in-flight eager copies a grace
-//! window) and retries against backup advertisers — is one table per
-//! shard in [`super::detection::Detection`], keyed by (object, rumor id):
-//! few objects have a pull pending at any moment, so a per-object table
-//! would sit empty in almost every slot.
+//! A relay plan's eager links carry rumor bodies and its lazy links only
+//! rumor ids. This module owns the per-object state that makes those ids
+//! useful: the **body cache** answering
+//! [`crate::messages::IdeaMsg::GossipPull`]s and the **outbox** of
+//! pending advertisements (piggybacked on outgoing detect traffic,
+//! flushed by the `K_LAZY_FLUSH` timer otherwise). The other half —
+//! bodies advertised to us but not yet held, whose `K_PULL` timer both
+//! delays the first pull (giving in-flight eager copies a grace window)
+//! and retries against backup advertisers — is one table per shard in
+//! [`super::detection::Detection`], keyed by (object, rumor id): few
+//! objects have a pull pending at any moment, so a per-object table would
+//! sit empty in almost every slot.
 //!
 //! The state lives in [`super::ObjShared`] and in the shard's detection
 //! subsystem, so the sharded runtime needs no cross-shard coordination.
@@ -24,7 +25,7 @@ use super::{pack, ObjShared, K_LAZY_FLUSH};
 use crate::config::IdeaConfig;
 use crate::messages::IdeaMsg;
 use idea_net::Context;
-use idea_overlay::gossip::{GossipMode, RelayPlan, RumorId};
+use idea_overlay::gossip::{RelayPlan, RumorId};
 use idea_types::{FastMap, NodeId, ObjectId, ShardId};
 use idea_vv::VersionVector;
 use std::collections::{BTreeMap, VecDeque};
@@ -87,7 +88,7 @@ impl LazyPlane {
     }
 
     /// Drains the advertisements queued for `peer` (for piggybacking on a
-    /// detect message headed there). Empty in eager mode by construction.
+    /// detect message headed there).
     pub fn take_outbox(&mut self, peer: NodeId) -> Vec<(RumorId, u8)> {
         self.outbox.remove(&peer).unwrap_or_default()
     }
@@ -102,8 +103,8 @@ impl ObjShared {
     /// Sends a relay plan of a rumor about `object` (the object this state
     /// belongs to) on the wire: full [`IdeaMsg::SweepRumor`] bodies on the
     /// eager links, queued digests (piggyback or flush) on the lazy links.
-    /// In lazy mode the body is also cached so later pulls can be
-    /// answered. Every copy shares `counters`' allocation.
+    /// The body is also cached so later pulls can be answered. Every copy
+    /// shares `counters`' allocation.
     pub fn dispatch_rumor(
         &mut self,
         cfg: &IdeaConfig,
@@ -116,9 +117,6 @@ impl ObjShared {
         for &t in &plan.eager {
             let counters = Arc::clone(counters);
             ctx.send(t, IdeaMsg::SweepRumor { id, ttl: plan.ttl, object, counters });
-        }
-        if cfg.gossip.mode != GossipMode::Lazy {
-            return; // eager plans never carry lazy links
         }
         self.lazy.cache_body(id, Arc::clone(counters));
         if plan.lazy.is_empty() {

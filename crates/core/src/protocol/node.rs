@@ -25,7 +25,7 @@ use idea_types::{
 };
 use idea_wal::ShardWal;
 use serde::{Deserialize, Serialize};
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Snapshot of one node's IDEA state for the harness and tests.
@@ -175,9 +175,6 @@ impl ProtocolShard {
             }
             IdeaMsg::CollectRequest { rid, object, probe } => {
                 self.resolution.on_collect_request(core, from, rid, object, probe, ctx)
-            }
-            IdeaMsg::CollectReply { rid, object, evv } => {
-                self.resolution.on_collect_reply(core, from, rid, object, evv, ctx)
             }
             IdeaMsg::CollectDelta { rid, object, delta } => {
                 self.resolution.on_collect_delta(core, from, rid, object, delta, ctx)
@@ -358,8 +355,8 @@ impl ProtocolShard {
     }
 
     /// The gossip rumor ids this shard's router remembers delivering for
-    /// `object`, sorted. Test/harness introspection: delivery-set
-    /// equivalence between eager and lazy modes compares these.
+    /// `object`, sorted. Test/harness introspection: the delivery tests
+    /// check that every node saw every rumor.
     pub fn gossip_seen(&self, object: ObjectId) -> Vec<idea_overlay::RumorId> {
         self.core.obj(object).map_or_else(Vec::new, |s| s.gossip.seen_ids())
     }
@@ -368,7 +365,8 @@ impl ProtocolShard {
     //
     // The client layer's node-wide setters are fanned out shard by shard on
     // the sharded runtime; these are the per-worker halves. On a composed
-    // `IdeaNode` the node-level setters below iterate the same methods.
+    // `IdeaNode`, `apply_to_node` and `ConsistencySpec::apply_to` run them
+    // on every shard.
 
     /// Sets the Formula-1 weights on this shard.
     pub fn set_weights(&mut self, w: Weights) {
@@ -586,6 +584,12 @@ impl IdeaNode {
         &self.shards
     }
 
+    /// Mutable access to the shards, in index order (the client layer's
+    /// command routing).
+    pub(crate) fn shards_mut(&mut self) -> &mut [ProtocolShard] {
+        &mut self.shards
+    }
+
     /// The configuration in force.
     pub fn config(&self) -> &IdeaConfig {
         &self.shards[0].core.cfg
@@ -603,29 +607,9 @@ impl IdeaNode {
         }
     }
 
-    /// Sets the Formula-1 saturation bounds on every shard (Table-1
-    /// `set_consistency_metric`).
-    pub fn set_bounds(&mut self, b: MaxBounds) {
-        for s in &mut self.shards {
-            s.set_bounds(b);
-        }
-    }
-
     /// The hint controller (node-wide; short lock).
     pub fn hint(&self) -> impl Deref<Target = HintController> + '_ {
         self.shared.hint.lock()
-    }
-
-    /// Mutable hint-controller access (node-wide; short lock).
-    pub fn hint_mut(&mut self) -> impl DerefMut<Target = HintController> + '_ {
-        self.shared.hint.lock()
-    }
-
-    /// Sets the resolution policy (the `set_resolution` API).
-    pub fn set_policy(&mut self, policy: ResolutionPolicy) {
-        for s in &mut self.shards {
-            s.set_policy(policy);
-        }
     }
 
     /// Sets or clears the background-resolution period

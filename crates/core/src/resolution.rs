@@ -66,8 +66,8 @@ pub struct ReferenceState {
 /// **overrides** against what that member itself reported — usually a
 /// handful of entries, independent of how many writers the object has.
 /// [`ReferenceWire::Delta`] carries those overrides (explicit zeros mark
-/// invalidated writers); [`ReferenceWire::Full`] remains as the
-/// self-contained fallback and the legacy (non-compact) form.
+/// invalidated writers); [`ReferenceWire::Full`] is the self-contained
+/// fallback for a member the delta would not shrink.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ReferenceWire {
     /// Self-contained: the complete reference state.

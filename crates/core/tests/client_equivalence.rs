@@ -5,8 +5,9 @@
 //!
 //! Two pins:
 //! 1. a fixed-seed scenario (the Formula-1 trace of
-//!    `tests/shard_trace.rs`, captured at commit `8d9bef3` before the
-//!    redesign) reproduced bit-for-bit by session-routed commands;
+//!    `tests/shard_trace.rs`: replicas captured at commit `8d9bef3` before
+//!    the redesign, message counts recorded on the lazy gossip plane at
+//!    `1cd6a41`) reproduced bit-for-bit by session-routed commands;
 //! 2. a proptest over random operation sequences, comparing the full
 //!    externally observable outcome of closure-injected and
 //!    session-routed runs.
@@ -124,10 +125,7 @@ fn set_hint(eng: &mut SimEngine<IdeaNode>, route: Route, node: u32, hint: f64) {
 /// The Formula-1 / whiteboard scenario of `tests/shard_trace.rs`, stimulus
 /// routing parameterised.
 fn formula1_scenario(route: Route) -> Trace {
-    let mut cfg = IdeaConfig::whiteboard(0.93);
-    // Pinned before the default gossip mode flipped to lazy; the eager
-    // path stays available behind config exactly for such traces.
-    cfg.gossip.mode = idea_overlay::GossipMode::Eager;
+    let cfg = IdeaConfig::whiteboard(0.93);
     let objects = [OBJ_A, OBJ_B];
     let n = 8;
     let nodes: Vec<IdeaNode> =
@@ -162,10 +160,10 @@ fn formula1_scenario(route: Route) -> Trace {
 
 /// The Formula-1 trace pin. Replica/level outcomes match the trace
 /// captured at `8d9bef3` (the last commit before the protocol store was
-/// sharded); the message-count constants were re-captured when gossip
-/// gained sender exclusion — relays stopped pushing rumors back to their
-/// sender, which shifts the seeded RNG draws and therefore the exact
-/// counts (convergence is byte-identical: same replicas, same levels).
+/// sharded). The message counts were recorded at `1cd6a41`, the last
+/// commit with the eager gossip flood, by running this scenario on the
+/// lazy plane that is now the only one (closure- and session-routed runs
+/// gave the same counts).
 fn formula1_pin() -> Trace {
     let mut nodes = Vec::new();
     for _ in 0..4 {
@@ -179,10 +177,10 @@ fn formula1_pin() -> Trace {
     Trace {
         nodes,
         detect_msgs: 176,
-        gossip_msgs: 569,
-        resolution_msgs: 252,
-        total_msgs: 1009,
-        resolutions: 10,
+        gossip_msgs: 448,
+        resolution_msgs: 270,
+        total_msgs: 903,
+        resolutions: 9,
     }
 }
 

@@ -12,6 +12,13 @@
 //! counts and resolution timing shift while convergence is preserved
 //! (every node still agrees, level 1.0). The shard-count invariance these
 //! tests primarily guard is unchanged.
+//!
+//! The message counts were re-recorded once more when the eager gossip
+//! flood was deleted: at `1cd6a41`, the last commit that still had it,
+//! the same scenarios on the lazy plane (already the default there) gave
+//! the counts below at S = 1, 2, 4 and 8. The replica and level tuples
+//! are the ones captured at `8d9bef3`; the flood and the lazy plane
+//! converge to the same replicas.
 
 use idea_core::{IdeaConfig, IdeaNode};
 use idea_net::{MsgClass, SimConfig, SimEngine, Topology};
@@ -68,9 +75,6 @@ fn write(eng: &mut SimEngine<IdeaNode>, node: u32, obj: ObjectId, delta: i64) {
 fn formula1_scenario(shards: usize) -> Trace {
     let mut cfg = IdeaConfig::whiteboard(0.93);
     cfg.store_shards = shards;
-    // These traces were pinned before the default gossip mode flipped to
-    // lazy; the eager path stays available behind config exactly for them.
-    cfg.gossip.mode = idea_overlay::GossipMode::Eager;
     let objects = [OBJ_A, OBJ_B];
     let n = 8;
     let nodes: Vec<IdeaNode> =
@@ -108,15 +112,13 @@ fn formula1_scenario(shards: usize) -> Trace {
 /// The detect-round scenario: default config plus sweeps and background
 /// resolution over a single object (the §6.1 detection regime).
 fn detect_round_scenario(shards: usize) -> Trace {
-    let mut cfg = IdeaConfig {
+    let cfg = IdeaConfig {
         store_shards: shards,
         sweep_every: Some(2),
         sweep_deadline: SimDuration::from_secs(3),
         background_period: Some(SimDuration::from_secs(20)),
         ..Default::default()
     };
-    // Pinned pre-flip: the eager flood these trace counts were captured on.
-    cfg.gossip.mode = idea_overlay::GossipMode::Eager;
     let n = 10;
     let nodes: Vec<IdeaNode> =
         (0..n).map(|i| IdeaNode::new(NodeId(i as u32), cfg.clone(), &[OBJ_A])).collect();
@@ -143,7 +145,9 @@ fn detect_round_scenario(shards: usize) -> Trace {
     collect(&eng, n, &[OBJ_A])
 }
 
-/// The Formula-1 trace captured at `8d9bef3` (pre-refactor single-map store).
+/// The Formula-1 trace: replicas and levels captured at `8d9bef3`
+/// (pre-refactor single-map store), message counts recorded on the lazy
+/// gossip plane at `1cd6a41`.
 fn formula1_pin() -> Trace {
     let mut nodes = Vec::new();
     for _ in 0..4 {
@@ -157,14 +161,15 @@ fn formula1_pin() -> Trace {
     Trace {
         nodes,
         detect_msgs: 176,
-        gossip_msgs: 569,
-        resolution_msgs: 252,
-        total_msgs: 1009,
-        resolutions: 10,
+        gossip_msgs: 448,
+        resolution_msgs: 270,
+        total_msgs: 903,
+        resolutions: 9,
     }
 }
 
-/// The detect-round trace captured at `8d9bef3`.
+/// The detect-round trace: replicas and levels captured at `8d9bef3`,
+/// message counts recorded on the lazy gossip plane at `1cd6a41`.
 fn detect_pin() -> Trace {
     let mut nodes = vec![(62, 13, 1_000_000); 4];
     nodes.extend(vec![(0, 0, 1_000_000); 4]);
@@ -173,9 +178,9 @@ fn detect_pin() -> Trace {
     Trace {
         nodes,
         detect_msgs: 164,
-        gossip_msgs: 924,
+        gossip_msgs: 630,
         resolution_msgs: 92,
-        total_msgs: 1197,
+        total_msgs: 903,
         resolutions: 5,
     }
 }

@@ -21,5 +21,5 @@
 pub mod gossip;
 pub mod temperature;
 
-pub use gossip::{GossipConfig, GossipMode, GossipRouter, Peers, Receipt, RelayPlan, RumorId};
+pub use gossip::{GossipConfig, GossipRouter, Peers, Receipt, RelayPlan, RumorId};
 pub use temperature::{TopLayer, TopLayerConfig};
