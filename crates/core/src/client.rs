@@ -15,16 +15,21 @@
 //!   owning the object (`ShardId::of`, the same hash the message mailboxes
 //!   use); node-wide commands fan out to every shard worker.
 //!
+//! Both engines split a node's command over its shards with one function,
+//! `route`: the deterministic engine hands it the node's shards
+//! directly, the threaded one its shard workers' mailboxes.
+//!
 //! On top of the command layer sit [`Session`] and [`ObjectHandle`] — the
 //! ergonomic application API with per-session defaults (read consistency,
 //! hint, priority). The same session code compiles once and runs unchanged
 //! on any engine.
 //!
 //! Reads are consistency-aware ([`ReadConsistency`]): `Any` serves the
-//! local replica under the configured [`crate::config::ReadPolicy`],
-//! `AtLeast(level)` additionally starts an on-demand detection probe when
-//! the current estimate sits below the requested floor, and `Fresh` always
-//! probes. The probe is asynchronous (§4.2's trigger semantics): the
+//! local replica and probes only when §4.2's read trigger fires (the
+//! object's first read at this node, or a replica not locally updated for
+//! a while), `AtLeast(level)` additionally starts an on-demand detection
+//! probe when the current estimate sits below the requested floor, and
+//! `Fresh` always probes. The probe is asynchronous (§4.2's trigger semantics): the
 //! response reports the level at read time plus whether a probe was
 //! launched, so a client can poll until its floor is met.
 //!
@@ -54,8 +59,8 @@ use std::sync::Arc;
 /// adaptive-consistency stores that let every read pick its level).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum ReadConsistency {
-    /// Serve the local replica; probe only when the configured
-    /// [`crate::config::ReadPolicy`] demands it (the paper's default).
+    /// Serve the local replica; probe only when §4.2's read trigger fires
+    /// (the paper's default).
     #[default]
     Any,
     /// Serve the local replica, and start an on-demand detection probe when
@@ -270,9 +275,9 @@ impl ConsistencySpecBuilder {
 // ====================================================================
 
 /// One client operation against a node — plain serializable data, the wire
-/// unit a future TCP frontend will carry. Covers the end-user interface
-/// (write, read, peek, level, report, demand-resolution, dissatisfaction)
-/// and every Table-1 setter.
+/// unit `idea-transport`'s TCP frontend carries. Covers the end-user
+/// interface (write, read, peek, level, report, demand-resolution,
+/// dissatisfaction) and every Table-1 setter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Command {
     /// Issue a local write (§4.2 trigger).
@@ -514,57 +519,142 @@ fn unexpected(what: &'static str, got: Response) -> CommandError {
 
 /// Executes one command against a whole node (the deterministic engine;
 /// also the path the applications use from inside protocol callbacks).
-/// Routes through [`apply_to_shard`] with the split the sharded engine
-/// uses: object-addressed commands run on the owning shard, node-wide
-/// setters on every shard.
+/// Splits it over the node's shards exactly as the sharded engine does
+/// (the private `route`), with direct access to the shards.
 pub fn apply_to_node(
     node: &mut IdeaNode,
     cmd: Command,
     ctx: &mut dyn Context<IdeaMsg>,
 ) -> Response {
-    let shards = node.shards_mut();
-    let n = shards.len();
-    let owner = |object: ObjectId| ShardId::of(object, n).index();
+    let mut shards = Direct { shards: node.shards_mut(), ctx };
+    route(&mut shards, cmd).unwrap_or_else(Response::err)
+}
+
+/// A node's shards as [`route`] reaches them: by index, running a closure
+/// on one shard and returning its result. Direct access inside an engine
+/// callback ([`apply_to_node`]) cannot fail; a shard worker behind a
+/// closed mailbox answers [`WireError::EngineUnavailable`].
+trait ShardAccess {
+    /// Shards of the node.
+    fn count(&self) -> usize;
+
+    /// Runs `f` on shard `shard` and returns what it returned.
+    fn query<R: Send + 'static>(
+        &mut self,
+        shard: usize,
+        f: impl FnOnce(&mut ProtocolShard, &mut dyn Context<IdeaMsg>) -> R + Send + 'static,
+    ) -> std::result::Result<R, WireError>;
+}
+
+/// The shards of a node held in the calling thread.
+struct Direct<'a> {
+    shards: &'a mut [ProtocolShard],
+    ctx: &'a mut dyn Context<IdeaMsg>,
+}
+
+impl ShardAccess for Direct<'_> {
+    fn count(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn query<R: Send + 'static>(
+        &mut self,
+        shard: usize,
+        f: impl FnOnce(&mut ProtocolShard, &mut dyn Context<IdeaMsg>) -> R + Send + 'static,
+    ) -> std::result::Result<R, WireError> {
+        Ok(f(&mut self.shards[shard], &mut *self.ctx))
+    }
+}
+
+/// The shard workers of one node of a [`ShardedEngine`].
+struct Workers<'a, P: ShardedProto + 'static> {
+    engine: &'a ShardedEngine<P>,
+    node: NodeId,
+}
+
+impl<P> ShardAccess for Workers<'_, P>
+where
+    P: ShardedProto<Msg = IdeaMsg, Shard = ProtocolShard> + 'static,
+{
+    fn count(&self) -> usize {
+        self.engine.shards()
+    }
+
+    fn query<R: Send + 'static>(
+        &mut self,
+        shard: usize,
+        f: impl FnOnce(&mut ProtocolShard, &mut dyn Context<IdeaMsg>) -> R + Send + 'static,
+    ) -> std::result::Result<R, WireError> {
+        self.engine.try_query(self.node, shard, f).ok_or_else(engine_unavailable)
+    }
+}
+
+/// The shard that runs `cmd` on its own: the owner of the object it
+/// addresses (`ShardId::of`, the same hash the message mailboxes use).
+/// `None` for the commands that span shards — the report (its resolution
+/// count is node-wide), the re-weighting dissatisfaction and the node-wide
+/// setters; [`route`] splits those.
+fn sole_shard(cmd: &Command, shards: usize) -> Option<usize> {
     match cmd {
-        // The report's resolution count is node-wide.
+        Command::Report { .. } | Command::Dissatisfied { new_weights: Some(_), .. } => None,
+        cmd => cmd.object().map(|object| ShardId::of(object, shards).index()),
+    }
+}
+
+/// How a node's command maps onto its shards — the one split both engines
+/// use. A command with a [`sole_shard`] runs there. The report is the
+/// owner's, with the resolutions of every shard summed. A re-weighting
+/// dissatisfaction checks object and weights on the owner first, so a
+/// rejected command mutates nothing, then sets the weights on every shard
+/// and resolves on the owner. A node-wide setter runs on every shard:
+/// shards validate identically, so either all accept or the first rejects
+/// before any shard changed.
+///
+/// # Errors
+/// Only what `shards` returns: an engine whose workers are gone.
+fn route(shards: &mut impl ShardAccess, cmd: Command) -> std::result::Result<Response, WireError> {
+    let n = shards.count();
+    if let Some(owner) = sole_shard(&cmd, n) {
+        return shards.query(owner, move |s, ctx| apply_to_shard(s, cmd, ctx));
+    }
+    match cmd {
         Command::Report { object } => {
-            let mut response = apply_to_shard(&mut shards[owner(object)], cmd, ctx);
-            if let Response::Report { report } = &mut response {
-                report.resolutions_initiated =
-                    shards.iter().map(ProtocolShard::resolutions_completed).sum();
+            let owner = ShardId::of(object, n).index();
+            let response = shards.query(owner, move |s, ctx| apply_to_shard(s, cmd, ctx))?;
+            let Response::Report { mut report } = response else {
+                return Ok(response); // rejected: unknown object
+            };
+            for shard in (0..n).filter(|&s| s != owner) {
+                report.resolutions_initiated +=
+                    shards.query(shard, |s, _| s.resolutions_completed())?;
             }
-            response
+            Ok(Response::Report { report })
         }
-        // Re-weighting is node-wide: check object and weights first so a
-        // rejected command mutates nothing, fan the weights out, then
-        // resolve on the owning shard.
         Command::Dissatisfied { object, new_weights: Some(w) } => {
-            let owner = owner(object);
-            let checked = shards[owner].store().replica(object).map(drop);
-            if let Err(e) = checked.and_then(|()| validate_weights(&Some(w))) {
-                return Response::err(e);
+            let owner = ShardId::of(object, n).index();
+            let checked = shards.query(owner, move |s, _| {
+                s.store().replica(object).map(drop).and_then(|()| validate_weights(&Some(w)))
+            })?;
+            if let Err(e) = checked {
+                return Ok(Response::err(e));
             }
-            for s in shards.iter_mut() {
-                s.set_weights(w);
+            for shard in 0..n {
+                shards.query(shard, move |s, _| s.set_weights(w))?;
             }
             let cmd = Command::Dissatisfied { object, new_weights: None };
-            apply_to_shard(&mut shards[owner], cmd, ctx)
+            shards.query(owner, move |s, ctx| apply_to_shard(s, cmd, ctx))
         }
-        cmd => match cmd.object() {
-            Some(object) => apply_to_shard(&mut shards[owner(object)], cmd, ctx),
-            // Shards validate identically: either all accept or the first
-            // rejects before any shard changed.
-            None => {
-                let mut out = Response::Done;
-                for s in shards.iter_mut() {
-                    out = apply_to_shard(s, cmd.clone(), ctx);
-                    if matches!(out, Response::Rejected { .. }) {
-                        break;
-                    }
+        cmd => {
+            let mut out = Response::Done;
+            for shard in 0..n {
+                let cmd = cmd.clone();
+                out = shards.query(shard, move |s, ctx| apply_to_shard(s, cmd, ctx))?;
+                if matches!(out, Response::Rejected { .. }) {
+                    break;
                 }
-                out
             }
-        },
+            Ok(out)
+        }
     }
 }
 
@@ -908,89 +998,27 @@ where
         if node.index() >= self.len() {
             return Ok(Response::err(IdeaError::UnknownNode(node)));
         }
-        match cmd {
-            // The report aggregates node-wide pieces across shard workers,
-            // exactly like `IdeaNode::report` does in-process.
-            Command::Report { object } => {
-                let owner = self.shard_for_object(object);
-                let report = self
-                    .try_query(node, owner, move |s, ctx| {
-                        apply_to_shard(s, Command::Report { object }, ctx)
-                    })
-                    .ok_or_else(engine_unavailable)?;
-                let Response::Report { mut report } = report else {
-                    return Ok(report); // Rejected (unknown object)
-                };
-                for shard in (0..self.shards()).filter(|&s| s != owner) {
-                    report.resolutions_initiated += self
-                        .try_query(node, shard, |s, _| s.resolutions_completed())
-                        .ok_or_else(engine_unavailable)?;
-                }
-                Ok(Response::Report { report })
-            }
-            // Re-weighting on dissatisfaction is node-wide: fan the weights
-            // to every worker, then resolve on the owning shard (the same
-            // split `IdeaNode::user_dissatisfied` performs). The owning
-            // shard validates object and weights *before* the fan-out so a
-            // rejected command mutates nothing — as in `apply_to_node`.
-            Command::Dissatisfied { object, new_weights: Some(w) } => {
-                match self.dissatisfied_checks(node, object, w)? {
-                    Response::Done => {}
-                    rejected => return Ok(rejected),
-                }
-                let weights = Command::SetWeight {
-                    numerical: w.numerical,
-                    order: w.order,
-                    staleness: w.staleness,
-                };
-                let r = self.fan_out(node, weights)?;
-                if !matches!(r, Response::Done) {
-                    return Ok(r);
-                }
-                let owner = self.shard_for_object(object);
-                self.try_query(node, owner, move |s, ctx| {
-                    apply_to_shard(s, Command::Dissatisfied { object, new_weights: None }, ctx)
-                })
-                .ok_or_else(engine_unavailable)
-            }
-            cmd => match cmd.object() {
-                Some(object) => {
-                    let owner = self.shard_for_object(object);
-                    self.try_query(node, owner, move |s, ctx| apply_to_shard(s, cmd, ctx))
-                        .ok_or_else(engine_unavailable)
-                }
-                None => self.fan_out(node, cmd),
-            },
-        }
+        route(&mut Workers { engine: self, node }, cmd)
     }
 
     fn dispatch(&self, node: NodeId, cmd: Command, reply: ReplyFn) {
         if node.index() >= self.len() {
             return reply(Response::err(IdeaError::UnknownNode(node)));
         }
-        // Object-addressed commands pipeline through the owning shard's
-        // mailbox. The two multi-shard commands (report aggregation,
-        // re-weighting dissatisfaction) and the node-wide setters execute
-        // inline on the calling thread — they are control-plane traffic.
-        let multi_shard = matches!(
-            cmd,
-            Command::Report { .. } | Command::Dissatisfied { new_weights: Some(_), .. }
-        );
-        match cmd.object() {
-            Some(object) if !multi_shard => {
-                let owner = self.shard_for_object(object);
-                let cell = ReplyCell::new(reply);
-                let in_worker = cell.clone();
-                if !self.try_invoke(node, owner, move |s, ctx| {
-                    in_worker.call(apply_to_shard(s, cmd, ctx));
-                }) {
-                    cell.call(Response::err(engine_unavailable()));
-                }
-            }
-            _ => {
-                let outcome = self.try_execute(node, cmd).unwrap_or_else(Response::err);
-                reply(outcome);
-            }
+        // A command with a sole shard pipelines through that shard's
+        // mailbox; the rest (the report, re-weighting, the node-wide
+        // setters) execute inline on the calling thread — they are
+        // control-plane traffic.
+        let Some(owner) = sole_shard(&cmd, self.shards()) else {
+            let outcome = self.try_execute(node, cmd).unwrap_or_else(Response::err);
+            return reply(outcome);
+        };
+        let cell = ReplyCell::new(reply);
+        let in_worker = cell.clone();
+        if !self.try_invoke(node, owner, move |s, ctx| {
+            in_worker.call(apply_to_shard(s, cmd, ctx));
+        }) {
+            cell.call(Response::err(engine_unavailable()));
         }
     }
 
@@ -998,25 +1026,13 @@ where
         if node.index() >= self.len() {
             return Ok(()); // dropped rejection, per the trait contract
         }
-        match cmd {
-            // Same node-wide split as try_execute(): without it the
-            // re-weighting would land on the owning shard alone.
-            Command::Dissatisfied { new_weights: Some(_), .. } => {
-                self.try_execute(node, cmd).map(|_| ())
-            }
-            cmd => match cmd.object() {
-                Some(object) => {
-                    let owner = self.shard_for_object(object);
-                    if self.try_invoke(node, owner, move |s, ctx| {
-                        let _ = apply_to_shard(s, cmd, ctx);
-                    }) {
-                        Ok(())
-                    } else {
-                        Err(engine_unavailable())
-                    }
-                }
-                None => self.fan_out(node, cmd).map(|_| ()),
-            },
+        let Some(owner) = sole_shard(&cmd, self.shards()) else {
+            return self.try_execute(node, cmd).map(drop);
+        };
+        if self.try_invoke(node, owner, move |s, ctx| drop(apply_to_shard(s, cmd, ctx))) {
+            Ok(())
+        } else {
+            Err(engine_unavailable())
         }
     }
 }
@@ -1035,61 +1051,6 @@ where
 
     fn submit(&mut self, node: NodeId, cmd: Command) {
         let _ = CommandExecutor::try_submit(self, node, cmd);
-    }
-}
-
-/// Node-wide helpers for the sharded engine's command routing.
-trait FanOut {
-    /// Applies the same command on every shard worker, returning the first
-    /// rejection (shards validate identically, so either all accept or all
-    /// reject).
-    fn fan_out(&self, node: NodeId, cmd: Command) -> std::result::Result<Response, WireError>;
-
-    /// Side-effect-free validation of a re-weighting dissatisfaction:
-    /// weights in domain, object hosted by its owning shard. `Done` means
-    /// the mutating fan-out may proceed.
-    fn dissatisfied_checks(
-        &self,
-        node: NodeId,
-        object: ObjectId,
-        w: Weights,
-    ) -> std::result::Result<Response, WireError>;
-}
-
-impl<P> FanOut for ShardedEngine<P>
-where
-    P: ShardedProto<Msg = IdeaMsg, Shard = ProtocolShard> + 'static,
-{
-    fn fan_out(&self, node: NodeId, cmd: Command) -> std::result::Result<Response, WireError> {
-        let mut out = Response::Done;
-        for shard in 0..self.shards() {
-            let c = cmd.clone();
-            let r = self
-                .try_query(node, shard, move |s, ctx| apply_to_shard(s, c, ctx))
-                .ok_or_else(engine_unavailable)?;
-            if matches!(r, Response::Rejected { .. }) {
-                return Ok(r);
-            }
-            out = r;
-        }
-        Ok(out)
-    }
-
-    fn dissatisfied_checks(
-        &self,
-        node: NodeId,
-        object: ObjectId,
-        w: Weights,
-    ) -> std::result::Result<Response, WireError> {
-        if let Err(e) = validate_weights(&Some(w)) {
-            return Ok(Response::err(e));
-        }
-        let owner = self.shard_for_object(object);
-        self.try_query(node, owner, move |s, _| match s.store().replica(object) {
-            Ok(_) => Response::Done,
-            Err(e) => Response::err(e),
-        })
-        .ok_or_else(engine_unavailable)
     }
 }
 

@@ -7,29 +7,6 @@ use idea_types::{IdeaError, Result, SimDuration};
 use idea_wal::DurabilityConfig;
 use serde::{Deserialize, Serialize};
 
-/// When does a *read* trigger the IDEA protocol (§4.2)?
-///
-/// "For read operations, IDEA is triggered when a reader tries to retrieve a
-/// new file … For other reads, IDEA is triggered according to the context:
-/// if the file is locally updated frequently, the read will not trigger
-/// IDEA; if the file hasn't been locally updated for a long time … IDEA can
-/// be triggered."
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ReadPolicy {
-    /// Trigger detection on the first read of an object this node has never
-    /// examined before ("a new snapshot").
-    pub fresh_read_triggers: bool,
-    /// Trigger detection when the replica's newest local update is older
-    /// than this (the "hasn't been locally updated for a long time" case).
-    pub stale_after: SimDuration,
-}
-
-impl Default for ReadPolicy {
-    fn default() -> Self {
-        ReadPolicy { fresh_read_triggers: true, stale_after: SimDuration::from_secs(30) }
-    }
-}
-
 /// Full configuration of one IDEA node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IdeaConfig {
@@ -49,56 +26,21 @@ pub struct IdeaConfig {
     /// Background resolution period (the `set_background_freq` API); `None`
     /// disables background resolution on this node.
     pub background_period: Option<SimDuration>,
-    /// Deadline for a detection round before it completes with whoever
-    /// answered (covers WAN RTT plus slack).
-    pub detect_deadline: SimDuration,
-    /// Detection batching window: probe starts requested within this window
-    /// coalesce into one round per dirty object (one timer, one fan-out per
-    /// peer), dropping steady-state probe traffic from O(writes × peers)
-    /// towards O(peers) per window. `None` starts a round per trigger (the
-    /// paper's behaviour).
-    pub detect_batch_window: Option<SimDuration>,
     /// How many per-writer timestamps a detection probe's [`idea_vv::VvSummary`]
     /// carries. The triple a peer computes is exact while per-writer
     /// divergence fits this tail; beyond it staleness saturates
     /// conservatively (the level can only drop, never inflate).
     pub summary_tail: usize,
-    /// Per-message dispatch cost charged to the initiator when fanning out
-    /// call-for-attention / inform messages. Models the paper's measured
-    /// 0.468 ms phase-1 cost (≈0.156 ms per member at top-layer size 4).
-    pub dispatch_cost: SimDuration,
-    /// Back-off window for contended active resolution: retry after a
-    /// uniform delay in `[backoff_min, backoff_max]` (§4.5.2).
-    pub backoff_min: SimDuration,
-    /// Upper edge of the back-off window.
-    pub backoff_max: SimDuration,
-    /// How long a granted call-for-attention lock is honoured before it is
-    /// considered stale (initiator crashed mid-resolution).
-    pub attention_lease: SimDuration,
-    /// Read-trigger policy (§4.2).
-    pub read_policy: ReadPolicy,
     /// Top-layer membership parameters (§4.1).
     pub top_layer: TopLayerConfig,
     /// Bottom-layer gossip parameters (§4.3).
     pub gossip: GossipConfig,
-    /// How long a node waits for a pulled rumor body before retrying
-    /// against a backup advertiser. Should comfortably exceed one WAN
-    /// round-trip.
-    pub gossip_pull_timeout: SimDuration,
-    /// Digest flush window: pending rumor advertisements
-    /// piggyback on outgoing detect traffic, and any still queued when
-    /// this window elapses go out in a dedicated
-    /// [`crate::messages::IdeaMsg::GossipDigest`].
-    pub gossip_digest_flush: SimDuration,
     /// Start a bottom-layer sweep every `n`-th detection round; `None`
     /// disables sweeping. The paper's evaluation disables rollback (§6),
     /// so the default is `None`; the rollback ablation turns it on.
     pub sweep_every: Option<u64>,
     /// Sweep collection deadline (bounds rollback exposure, §4.4.2).
     pub sweep_deadline: SimDuration,
-    /// "Sufficiently close" tolerance between top- and bottom-layer levels
-    /// (paper example: 78 % vs 80 % stays silent).
-    pub sweep_epsilon: f64,
     /// After a confirmed discrepancy, trigger an active resolution.
     pub rollback_resolve: bool,
     /// Resolve in phase 2 sequentially (the paper's design) or in parallel
@@ -108,12 +50,9 @@ pub struct IdeaConfig {
     /// state are partitioned by `ObjectId` hash into this many independent
     /// shards. `1` (the default) reproduces the historical single-map
     /// behaviour; higher values let the threaded engine process disjoint
-    /// objects concurrently (`ShardedEngine`). With per-trigger probing
-    /// (`detect_batch_window = None`) semantics are shard-count-independent
-    /// — pinned bit-for-bit by the shard-equivalence tests. With batching
-    /// enabled the coalescing window is **per shard** (each shard arms its
-    /// own timer over its own dirty objects), so probe *timing* can differ
-    /// across shard counts while convergence is unaffected.
+    /// objects concurrently (`ShardedEngine`). Semantics are
+    /// shard-count-independent — pinned bit-for-bit by the
+    /// shard-equivalence tests.
     pub store_shards: usize,
     /// Upper bound on the updates carried by a single `FetchReply` frame.
     /// A far-behind replica streams its backlog in chunks of this size
@@ -141,21 +80,11 @@ impl Default for IdeaConfig {
             hint: 0.0,
             hint_delta: 0.02,
             background_period: None,
-            detect_deadline: SimDuration::from_millis(400),
-            detect_batch_window: None,
             summary_tail: 8,
-            dispatch_cost: SimDuration::from_micros(156),
-            backoff_min: SimDuration::from_millis(50),
-            backoff_max: SimDuration::from_millis(400),
-            attention_lease: SimDuration::from_secs(5),
-            read_policy: ReadPolicy::default(),
             top_layer: TopLayerConfig::default(),
             gossip: GossipConfig::default(),
-            gossip_pull_timeout: SimDuration::from_millis(500),
-            gossip_digest_flush: SimDuration::from_millis(200),
             sweep_every: None,
             sweep_deadline: SimDuration::from_secs(5),
-            sweep_epsilon: 0.03,
             rollback_resolve: true,
             parallel_phase2: false,
             store_shards: 1,
@@ -175,22 +104,15 @@ impl IdeaConfig {
     ///
     /// # Errors
     /// Fails when `store_shards` is outside `1..=256`, a configured
-    /// `detect_batch_window` or `background_period` is zero, the hint floor
-    /// is outside `[0, 1]`, `hint_delta` is negative, the back-off window
-    /// is inverted (`backoff_min > backoff_max`), a configured
-    /// `max_fetch_updates` is zero, or `gossip_pull_timeout` or
-    /// `gossip_digest_flush` is zero.
+    /// `background_period` or `max_fetch_updates` is zero, the hint floor
+    /// is outside `[0, 1]`, `hint_delta` is negative or not finite, or an
+    /// enabled durability plane has no directory or a zero
+    /// `snapshot_every` or `group_commit`.
     pub fn validate(&self) -> Result<()> {
         if self.store_shards == 0 || self.store_shards > 256 {
             return Err(IdeaError::InvalidConfig {
                 field: "store_shards",
                 reason: "must be in 1..=256 (the timer encoding carries the shard in one byte)",
-            });
-        }
-        if self.detect_batch_window.is_some_and(|w| w.is_zero()) {
-            return Err(IdeaError::InvalidConfig {
-                field: "detect_batch_window",
-                reason: "must be positive when set (None disables batching)",
             });
         }
         if self.background_period.is_some_and(|p| p.is_zero()) {
@@ -217,12 +139,6 @@ impl IdeaConfig {
                 reason: "learning step must be non-negative and finite",
             });
         }
-        if self.backoff_min > self.backoff_max {
-            return Err(IdeaError::InvalidConfig {
-                field: "backoff_min",
-                reason: "back-off window is inverted (backoff_min > backoff_max)",
-            });
-        }
         if self.durability.enabled() {
             if self.durability.dir.as_os_str().is_empty() {
                 return Err(IdeaError::InvalidConfig {
@@ -242,18 +158,6 @@ impl IdeaConfig {
                     reason: "the group-commit window must be positive when durability is on",
                 });
             }
-        }
-        if self.gossip_pull_timeout.is_zero() {
-            return Err(IdeaError::InvalidConfig {
-                field: "gossip_pull_timeout",
-                reason: "gossip needs a positive pull retry timeout",
-            });
-        }
-        if self.gossip_digest_flush.is_zero() {
-            return Err(IdeaError::InvalidConfig {
-                field: "gossip_digest_flush",
-                reason: "gossip needs a positive digest flush window",
-            });
         }
         Ok(())
     }
@@ -291,8 +195,6 @@ mod tests {
         assert_eq!(c.hint, 0.0, "hint-based control disabled by default");
         assert!(c.background_period.is_none());
         assert!(c.sweep_every.is_none(), "paper's evaluation runs without rollback");
-        assert!(c.backoff_min <= c.backoff_max);
-        assert!(c.detect_batch_window.is_none(), "paper probes per trigger by default");
         assert!(c.summary_tail > 0, "probes must carry some timestamp tail");
         assert_eq!(c.store_shards, 1, "default is the paper's unsharded store");
         assert!(c.max_fetch_updates.is_none(), "fetch chunking is opt-in");
@@ -327,12 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_zero_batch_window() {
-        let cfg = IdeaConfig { detect_batch_window: Some(SimDuration::ZERO), ..Default::default() };
-        assert_eq!(rejected_field(&cfg), "detect_batch_window");
-    }
-
-    #[test]
     fn validate_rejects_zero_background_period() {
         let cfg = IdeaConfig { background_period: Some(SimDuration::ZERO), ..Default::default() };
         assert_eq!(rejected_field(&cfg), "background_period");
@@ -354,16 +250,6 @@ mod tests {
             rejected_field(&IdeaConfig { hint_delta: -0.5, ..Default::default() }),
             "hint_delta"
         );
-    }
-
-    /// The lazy plane is the only gossip mode, so its knobs are always
-    /// checked.
-    #[test]
-    fn validate_rejects_zero_lazy_knobs_only_in_lazy_mode() {
-        let cfg = IdeaConfig { gossip_pull_timeout: SimDuration::ZERO, ..Default::default() };
-        assert_eq!(rejected_field(&cfg), "gossip_pull_timeout");
-        let cfg = IdeaConfig { gossip_digest_flush: SimDuration::ZERO, ..Default::default() };
-        assert_eq!(rejected_field(&cfg), "gossip_digest_flush");
     }
 
     #[test]
@@ -409,16 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_inverted_backoff_window() {
-        let cfg = IdeaConfig {
-            backoff_min: SimDuration::from_millis(500),
-            backoff_max: SimDuration::from_millis(100),
-            ..Default::default()
-        };
-        assert_eq!(rejected_field(&cfg), "backoff_min");
-    }
-
-    #[test]
     fn whiteboard_preset_sets_hint() {
         let c = IdeaConfig::whiteboard(0.95);
         assert_eq!(c.hint, 0.95);
@@ -430,13 +306,5 @@ mod tests {
         let c = IdeaConfig::booking(SimDuration::from_secs(20));
         assert_eq!(c.background_period, Some(SimDuration::from_secs(20)));
         assert_eq!(c.hint, 0.0);
-    }
-
-    #[test]
-    fn dispatch_cost_matches_table2_phase1() {
-        // 3 members × 0.156 ms ≈ the paper's 0.468 ms phase-1 delay.
-        let c = IdeaConfig::default();
-        let phase1 = c.dispatch_cost.saturating_mul(3);
-        assert!((phase1.as_millis_f64() - 0.468).abs() < 0.01);
     }
 }

@@ -38,7 +38,7 @@ pub use client::{
     EngineHandle, IdeaHost, LockedEngine, ObjectHandle, ReadConsistency, ReadResult, ReplyFn,
     Response, Session,
 };
-pub use config::{IdeaConfig, ReadPolicy};
+pub use config::IdeaConfig;
 pub use idea_wal::{DurabilityConfig, DurabilityMode};
 pub use messages::IdeaMsg;
 pub use protocol::{GossipFootprint, IdeaNode, NodeReport};

@@ -12,23 +12,33 @@
 //! Probes carry a compact [`VvSummary`] and answers a [`VvDelta`]
 //! (suffixes beyond the probe's counters), so detection traffic scales with
 //! divergence, not history; the initiator reconstructs each peer's full
-//! vector from the delta plus the round's baseline snapshot. When
-//! [`crate::config::IdeaConfig::detect_batch_window`] is set, probe starts
-//! requested inside the window coalesce into one round per dirty object —
-//! one timer, one fan-out per peer — turning O(writes × peers) steady-state
-//! probe traffic into O(peers) per window.
+//! vector from the delta plus the round's baseline snapshot. Every trigger
+//! starts a round at once (the paper's per-trigger probing), at most one in
+//! flight per object.
 
-use super::{pack, NodeCore, Trigger, K_BATCH, K_DETECT, K_PULL, K_SWEEP};
+use super::{pack, NodeCore, Trigger, K_DETECT, K_PULL, K_SWEEP};
 use crate::adapt::AdaptAction;
 use crate::messages::{DigestGroup, IdeaMsg};
 use idea_detect::bottom::{BottomReport, SweepCollector};
 use idea_detect::round::DetectRound;
 use idea_net::{Context, TimerId};
 use idea_overlay::gossip::{Peers, Receipt, RumorId};
-use idea_types::{FastMap, NodeId, ObjectId};
+use idea_types::{FastMap, NodeId, ObjectId, SimDuration};
 use idea_vv::{VersionVector, VvDelta, VvSummary};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Deadline of a detection round: it completes with whoever answered by
+/// then (covers a WAN round-trip plus slack).
+const DETECT_DEADLINE: SimDuration = SimDuration::from_millis(400);
+
+/// "Sufficiently close" tolerance between top- and bottom-layer levels
+/// (the paper's example: 78 % against 80 % stays silent, §4.4.2).
+const SWEEP_EPSILON: f64 = 0.03;
+
+/// How long a node waits for a pulled rumor body before retrying against a
+/// backup advertiser; comfortably above one WAN round-trip.
+const GOSSIP_PULL_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 
 /// Per-object detection state.
 #[derive(Default)]
@@ -73,11 +83,6 @@ pub(crate) struct Detection {
     /// few objects have a pull pending at once, and a drained table keeps
     /// its buckets.
     missing: FastMap<(ObjectId, RumorId), Missing>,
-    /// Whether a batching-window timer is armed. The dirty objects the
-    /// window will probe live in the store shard's dirty-set
-    /// ([`idea_store::StoreShard::take_dirty`]): local writes mark it at
-    /// the store layer, read-triggered probes via `mark_dirty`.
-    batch_armed: bool,
 }
 
 /// Drains the probed object's pending IHAVEs bound for `peer` into a
@@ -97,42 +102,9 @@ impl Detection {
         self.states.entry(object).or_default()
     }
 
-    /// Requests a detection round for `object`. Without a batching window
-    /// the round starts immediately (the paper's per-trigger probing); with
-    /// one, the object is marked dirty in the store shard and a single
-    /// window timer fires one round per dirty object.
-    pub fn request_round(
-        &mut self,
-        core: &mut NodeCore,
-        object: ObjectId,
-        ctx: &mut dyn Context<IdeaMsg>,
-    ) {
-        match core.cfg.detect_batch_window {
-            None => self.begin_round(core, object, ctx),
-            Some(window) => {
-                // Local writes already marked the store dirty; this covers
-                // read-triggered probes (and is idempotent for writes).
-                core.store.mark_dirty(object);
-                if !self.batch_armed {
-                    self.batch_armed = true;
-                    ctx.set_timer(window, pack(K_BATCH, core.shard, 0));
-                }
-            }
-        }
-    }
-
-    /// The batching window closed: start one round per dirty object.
-    pub fn on_batch_timer(&mut self, core: &mut NodeCore, ctx: &mut dyn Context<IdeaMsg>) {
-        self.batch_armed = false;
-        let pending = core.store.take_dirty();
-        for object in pending {
-            self.begin_round(core, object, ctx);
-        }
-    }
-
     /// Starts a detection round towards the top-layer peers (one in flight
     /// per object; a no-op for unknown objects or an empty top layer).
-    fn begin_round(
+    pub fn request_round(
         &mut self,
         core: &mut NodeCore,
         object: ObjectId,
@@ -153,7 +125,7 @@ impl Detection {
         let summary = evv.summary(core.cfg.summary_tail);
         let st = self.state(object);
         st.round = Some(DetectRound::start(core.me, rid, &peers, ctx.now(), evv));
-        st.timer = Some(ctx.set_timer(core.cfg.detect_deadline, pack(K_DETECT, core.shard, rid)));
+        st.timer = Some(ctx.set_timer(DETECT_DEADLINE, pack(K_DETECT, core.shard, rid)));
         self.round_objects.insert(rid, object);
         for p in peers {
             // The probed object's pending lazy-gossip advertisements for
@@ -307,7 +279,6 @@ impl Detection {
             Arc::new(core.store.replica(object).expect("opened").version().counters().clone());
         let peers = Peers { me: core.me, n: ctx.node_count() };
         let deadline = ctx.now() + core.cfg.sweep_deadline;
-        let epsilon = core.cfg.sweep_epsilon;
         // Field-disjoint borrows: the config stays shared while the object
         // state is mutated.
         let cfg = &core.cfg;
@@ -315,7 +286,9 @@ impl Detection {
         let level = shared.level;
         let (id, _ttl, plan) = shared.gossip.originate(&cfg.gossip, peers, ctx.rng());
         let seq = u64::from(id.seq);
-        self.state(object).collectors.insert(seq, SweepCollector::new(level, epsilon, deadline));
+        self.state(object)
+            .collectors
+            .insert(seq, SweepCollector::new(level, SWEEP_EPSILON, deadline));
         shared.dispatch_rumor(cfg, object, id, plan, &counters, ctx);
         // Deadline timers route through a node-unique ticket: gossip seqs
         // are allocated per object, so two objects at one node can emit the
@@ -408,7 +381,6 @@ impl Detection {
         }
         core.open(object);
         let shard = core.shard;
-        let timeout = core.cfg.gossip_pull_timeout;
         // Pass 1: classify under the object borrow.
         let mut fresh = Vec::new();
         let shared = core.obj(object).expect("object state");
@@ -433,7 +405,7 @@ impl Detection {
         // the object borrow).
         for id in fresh {
             let ticket = core.fresh_id();
-            let timer = ctx.set_timer(timeout, pack(K_PULL, shard, ticket));
+            let timer = ctx.set_timer(GOSSIP_PULL_TIMEOUT, pack(K_PULL, shard, ticket));
             self.pull_tickets.insert(ticket, (object, id));
             self.missing.insert((object, id), Missing { advertisers: vec![from], timer, ticket });
         }
@@ -476,7 +448,6 @@ impl Detection {
             return;
         };
         let shard = core.shard;
-        let timeout = core.cfg.gossip_pull_timeout;
         let Some(shared) = core.objs.get(object) else {
             return;
         };
@@ -491,7 +462,7 @@ impl Detection {
             }
         };
         let fresh = core.fresh_id();
-        let timer = ctx.set_timer(timeout, pack(K_PULL, shard, fresh));
+        let timer = ctx.set_timer(GOSSIP_PULL_TIMEOUT, pack(K_PULL, shard, fresh));
         self.pull_tickets.insert(fresh, key);
         if let Some(miss) = self.missing.get_mut(&key) {
             miss.timer = timer;

@@ -26,10 +26,15 @@ use crate::config::IdeaConfig;
 use crate::messages::IdeaMsg;
 use idea_net::Context;
 use idea_overlay::gossip::{RelayPlan, RumorId};
-use idea_types::{FastMap, NodeId, ObjectId, ShardId};
+use idea_types::{FastMap, NodeId, ObjectId, ShardId, SimDuration};
 use idea_vv::VersionVector;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
+
+/// Digest flush window: pending advertisements piggyback on outgoing
+/// detect traffic, and any still queued when this window elapses go out in
+/// a dedicated [`crate::messages::IdeaMsg::GossipDigest`].
+const DIGEST_FLUSH: SimDuration = SimDuration::from_millis(200);
 
 /// Bodies kept per object for answering pulls. Old entries are evicted
 /// FIFO; a pull for an evicted body is simply unanswered and the puller's
@@ -129,10 +134,7 @@ impl ObjShared {
             self.lazy.flush_armed = true;
             // The timer comes back to the shard that owns the object.
             let shard = ShardId::of(object, cfg.store_shards);
-            ctx.set_timer(
-                cfg.gossip_digest_flush,
-                pack(K_LAZY_FLUSH, shard, object.index() as u64),
-            );
+            ctx.set_timer(DIGEST_FLUSH, pack(K_LAZY_FLUSH, shard, object.index() as u64));
         }
     }
 }

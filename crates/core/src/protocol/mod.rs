@@ -3,7 +3,8 @@
 //! layered subsystems and partitioned into per-object **shards**.
 //!
 //! Triggers (§4.2): every local **write** starts a top-layer detection
-//! round; **reads** start one per the [`crate::config::ReadPolicy`]; the
+//! round; a **read** starts one when it is the object's first read here or
+//! the replica has not been locally updated for a while; the
 //! adaptive layer starts **active resolution** when the quantified level
 //! falls below the learned floor; a timer starts **background resolution**
 //! periodically; every `sweep_every`-th detection round launches a
@@ -104,7 +105,6 @@ pub(crate) const K_DETECT: u64 = 1;
 pub(crate) const K_BACKGROUND: u64 = 2;
 pub(crate) const K_BACKOFF: u64 = 3;
 pub(crate) const K_SWEEP: u64 = 4;
-pub(crate) const K_BATCH: u64 = 5;
 pub(crate) const K_LAZY_FLUSH: u64 = 6;
 pub(crate) const K_PULL: u64 = 7;
 

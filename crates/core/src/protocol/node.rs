@@ -9,8 +9,8 @@ use super::detection::Detection;
 use super::resolution::ResolutionDriver;
 use super::write_path::WritePath;
 use super::{
-    unpack, NodeCore, SharedCore, Trigger, K_BACKGROUND, K_BACKOFF, K_BATCH, K_DETECT,
-    K_LAZY_FLUSH, K_PULL, K_SWEEP, MAX_SHARDS,
+    unpack, NodeCore, SharedCore, Trigger, K_BACKGROUND, K_BACKOFF, K_DETECT, K_LAZY_FLUSH, K_PULL,
+    K_SWEEP, MAX_SHARDS,
 };
 use crate::adapt::{AdaptAction, HintController};
 use crate::client::ReadConsistency;
@@ -222,7 +222,6 @@ impl ProtocolShard {
                     self.route(t, object, ctx);
                 }
             }
-            K_BATCH => self.detection.on_batch_timer(&mut self.core, ctx),
             K_LAZY_FLUSH => self.detection.on_flush_timer(&mut self.core, ObjectId(low), ctx),
             K_PULL => self.detection.on_pull_timer(&mut self.core, low, ctx),
             _ => {}
@@ -252,7 +251,7 @@ impl ProtocolShard {
 
     /// Consistency-aware read (the client layer's `Read` command): serves
     /// the local replica and decides the detection probe from both the
-    /// configured read policy *and* the requested [`ReadConsistency`] —
+    /// read policy (§4.2) *and* the requested [`ReadConsistency`] —
     /// `AtLeast` probes on demand when the current estimate sits below the
     /// floor, `Fresh` always probes. Returns the owned snapshot (version
     /// vector included) plus whether a probe was launched; callers that

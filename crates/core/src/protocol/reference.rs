@@ -6,8 +6,15 @@ use super::NodeCore;
 use crate::messages::IdeaMsg;
 use crate::resolution::ReferenceState;
 use idea_net::Context;
-use idea_types::{ConsistencyLevel, NodeId, ObjectId};
+use idea_types::{ConsistencyLevel, NodeId, ObjectId, SimDuration};
 use rand::Rng;
+
+/// Lower edge of the contended-resolution back-off window (§4.5.2).
+const BACKOFF_MIN: SimDuration = SimDuration::from_millis(50);
+/// Upper edge of the back-off window.
+const BACKOFF_MAX: SimDuration = SimDuration::from_millis(400);
+// The window is half-open, so it must not be empty (nor inverted).
+const _: () = assert!(BACKOFF_MIN.as_micros() < BACKOFF_MAX.as_micros(), "empty back-off window");
 
 /// Phase-2 fan-out: all members at once when `parallel_phase2` is set, one
 /// member at a time (the paper's design) otherwise. `probe` is the
@@ -65,12 +72,8 @@ pub(super) fn apply_reference(
     }
 }
 
-/// Uniform back-off delay in `[backoff_min, backoff_max)` (§4.5.2).
-pub(super) fn backoff_delay(
-    core: &NodeCore,
-    ctx: &mut dyn Context<IdeaMsg>,
-) -> idea_types::SimDuration {
-    let lo = core.cfg.backoff_min.as_micros();
-    let hi = core.cfg.backoff_max.as_micros().max(lo + 1);
-    idea_types::SimDuration::from_micros(ctx.rng().gen_range(lo..hi))
+/// Uniform back-off delay in `[BACKOFF_MIN, BACKOFF_MAX)` (§4.5.2).
+pub(super) fn backoff_delay(ctx: &mut dyn Context<IdeaMsg>) -> SimDuration {
+    let (lo, hi) = (BACKOFF_MIN.as_micros(), BACKOFF_MAX.as_micros());
+    SimDuration::from_micros(ctx.rng().gen_range(lo..hi))
 }

@@ -383,57 +383,6 @@ fn same_seed_produces_identical_reports() {
     assert_eq!(third.len(), first.len());
 }
 
-/// Detection batching must be an *optimisation*, not a semantic change:
-/// under the same workload, a cluster probing per write and one coalescing
-/// probes in a window converge to the same per-object levels and the same
-/// replica contents — while the batched cluster sends measurably fewer
-/// detect messages under bursty writes.
-#[test]
-fn batched_detection_converges_like_per_write_probing() {
-    fn scenario(window: Option<SimDuration>) -> (Vec<ConsistencyLevel>, Vec<i64>, u64) {
-        let cfg = IdeaConfig { detect_batch_window: window, ..Default::default() };
-        let mut eng = cluster(8, cfg, 21);
-        warm_up(&mut eng, &[0, 1, 2, 3]);
-        // Bursty waves: four writes per writer spaced wider than a round
-        // trip but inside the window — the shape where per-write probing
-        // pays O(writes × peers) and in-flight suppression cannot help.
-        for _ in 0..3 {
-            for _ in 0..4 {
-                for w in 0..4u32 {
-                    write(&mut eng, w, 1);
-                }
-                eng.run_for(SimDuration::from_millis(500));
-            }
-            eng.run_for(SimDuration::from_secs(5));
-        }
-        // A final demanded resolution settles every replica.
-        eng.with_node(NodeId(3), |p, ctx| p.demand_active_resolution(OBJ, ctx));
-        eng.run_for(SimDuration::from_secs(10));
-        let levels = (0..8u32).map(|n| eng.node(NodeId(n)).level(OBJ)).collect();
-        let metas = (0..4u32).map(|n| eng.node(NodeId(n)).report(OBJ).meta).collect();
-        (levels, metas, eng.stats().messages(idea_net::MsgClass::Detect))
-    }
-
-    let (per_write_levels, per_write_metas, per_write_msgs) = scenario(None);
-    let (batched_levels, batched_metas, batched_msgs) =
-        scenario(Some(SimDuration::from_millis(2_500)));
-
-    // Both schemes settle every top-layer replica on one reference.
-    assert!(per_write_metas.windows(2).all(|m| m[0] == m[1]), "{per_write_metas:?}");
-    assert!(batched_metas.windows(2).all(|m| m[0] == m[1]), "{batched_metas:?}");
-    assert_eq!(per_write_metas[0], batched_metas[0], "schemes must converge on the same state");
-    // And to the same per-object levels.
-    assert_eq!(batched_levels, per_write_levels);
-    for (w, level) in batched_levels.iter().take(4).enumerate() {
-        assert_eq!(*level, ConsistencyLevel::PERFECT, "writer {w} not settled");
-    }
-    // The whole point: coalescing cuts probe traffic under bursts.
-    assert!(
-        batched_msgs * 2 <= per_write_msgs,
-        "batching must at least halve detect messages: {batched_msgs} vs {per_write_msgs}"
-    );
-}
-
 /// The decomposition keeps subsystem state disjoint: an object only ever
 /// touched by *remote* traffic (no local write) must still answer reports
 /// and reads without panicking — the lazy per-subsystem state paths.

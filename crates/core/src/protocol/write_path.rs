@@ -11,10 +11,17 @@ use super::NodeCore;
 use crate::messages::IdeaMsg;
 use idea_net::Context;
 use idea_overlay::gossip::Peers;
-use idea_types::{ConsistencyLevel, NodeId, ObjectId, Result, Update, UpdatePayload, WriterId};
+use idea_types::{
+    ConsistencyLevel, NodeId, ObjectId, Result, SimDuration, Update, UpdatePayload, WriterId,
+};
 use idea_vv::VersionVector;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// A read probes the top layer when the replica's newest local update is
+/// older than this (§4.2: the file "hasn't been locally updated for a long
+/// time").
+const STALE_AFTER: SimDuration = SimDuration::from_secs(30);
 
 /// Per-object write-path state.
 #[derive(Debug, Default)]
@@ -66,10 +73,12 @@ impl WritePath {
         update
     }
 
-    /// Accounts a read of the local replica and returns whether the read
-    /// policy demands a detection probe (§4.2). The decision runs on the
-    /// borrowing [`idea_store::SnapshotView`]; nothing is cloned — the
-    /// caller reads the value through whichever view it needs.
+    /// Accounts a read of the local replica and returns whether it must
+    /// probe the top layer (§4.2): the first read of an object here ("a new
+    /// snapshot") does, and so does a read of a replica not locally updated
+    /// for [`STALE_AFTER`]. The decision runs on the borrowing
+    /// [`idea_store::SnapshotView`]; nothing is cloned — the caller reads
+    /// the value through whichever view it needs.
     pub fn read(
         &mut self,
         core: &mut NodeCore,
@@ -77,15 +86,11 @@ impl WritePath {
         ctx: &mut dyn Context<IdeaMsg>,
     ) -> Result<bool> {
         let view = core.store.read_view(object)?;
-        let policy = core.cfg.read_policy;
-        let stale = view
-            .latest_update
-            .map(|t| ctx.now().saturating_since(t) > policy.stale_after)
-            .unwrap_or(false);
+        let stale = view.latest_update.is_some_and(|t| ctx.now().saturating_since(t) > STALE_AFTER);
         let st = self.state(object);
         let fresh = !st.has_read;
         st.has_read = true;
-        Ok((fresh && policy.fresh_read_triggers) || stale)
+        Ok(fresh || stale)
     }
 
     /// Gossips every writer count this node knows (own plus learned) so the

@@ -1,5 +1,5 @@
 //! One shard of a node's store: the replicas whose [`ObjectId`] hashes to
-//! this shard, their local write sequencing, and the shard-local dirty-set.
+//! this shard and their local write sequencing.
 //!
 //! A [`StoreShard`] is the unit the protocol layer (`idea-core`) owns per
 //! shard worker: it never touches objects of other shards, so two shards of
@@ -76,13 +76,6 @@ struct StoreSlot {
     /// Next local sequence number; 0 until the first local write or
     /// resume sets it.
     next_seq: u64,
-    /// A detection probe is pending. Local writes mark their object, and
-    /// the protocol layer marks read-triggered probes via
-    /// [`StoreShard::mark_dirty`]; the detection layer's batching window
-    /// drains the marks ([`StoreShard::take_dirty`]) to start one
-    /// coalesced round per dirty object. Remote ingests do *not* dirty —
-    /// only local triggers start probes (§4.2).
-    dirty: bool,
 }
 
 /// The replicas of one shard, behind the same read/write API as the whole
@@ -140,7 +133,7 @@ impl StoreShard {
                 // Logging never adds or removes a slot, so `slot` stays
                 // the insertion point.
                 self.log_wal(WalRecord::Open { object });
-                let fresh = StoreSlot { replica: Replica::new(object), next_seq: 0, dirty: false };
+                let fresh = StoreSlot { replica: Replica::new(object), next_seq: 0 };
                 self.slots.insert_at(slot, object, fresh);
                 slot
             }
@@ -185,8 +178,7 @@ impl StoreShard {
     }
 
     /// Issues a local write: assigns the next sequence number, applies it to
-    /// the local replica, marks the object dirty and returns the update for
-    /// dissemination. Opens the object first when this shard does not
+    /// the local replica and returns the update for dissemination. Opens the object first when this shard does not
     /// host it yet.
     pub fn write(
         &mut self,
@@ -207,12 +199,10 @@ impl StoreShard {
         let s = self.slots.slot_mut(slot);
         let outcome = s.replica.apply(update.clone()).expect("own write applies");
         debug_assert_eq!(outcome, ApplyOutcome::Applied, "local writes are in order");
-        s.dirty = true;
         update
     }
 
-    /// Applies a remote update to the local replica. Does not mark the
-    /// object dirty — remote traffic never starts local probes (§4.2).
+    /// Applies a remote update to the local replica.
     ///
     /// # Errors
     /// Fails when no replica of the object exists (`open` it first).
@@ -262,29 +252,6 @@ impl StoreShard {
         }
         self.log_wal(WalRecord::ResumeSeq { object, seq });
         self.slots.slot_mut(slot).next_seq = seq + 1;
-    }
-
-    /// Marks an object dirty without a write (read-triggered probes). A
-    /// no-op for an object this shard does not host: there is nothing to
-    /// probe.
-    pub fn mark_dirty(&mut self, object: ObjectId) {
-        if let Some(s) = self.slots.get_mut(object) {
-            s.dirty = true;
-        }
-    }
-
-    /// Drains the dirty marks: the objects marked since the previous
-    /// drain, in id order.
-    pub fn take_dirty(&mut self) -> Vec<ObjectId> {
-        self.slots
-            .iter_mut()
-            .filter_map(|(o, s)| std::mem::take(&mut s.dirty).then_some(o))
-            .collect()
-    }
-
-    /// Objects currently marked dirty.
-    pub fn dirty_len(&self) -> usize {
-        self.slots.iter().filter(|(_, s)| s.dirty).count()
     }
 
     // ------------------------------------------------------- durability
@@ -383,7 +350,7 @@ impl StoreShard {
 
     /// Re-applies one logged record to in-memory state. Replay is exactly
     /// the mutation the record describes — no WAL appends (none is
-    /// attached yet), no dirty marks.
+    /// attached yet).
     fn replay(&mut self, rec: &WalRecord) {
         match rec {
             WalRecord::Open { object } => {
@@ -488,27 +455,6 @@ mod tests {
 
     fn payload() -> UpdatePayload {
         UpdatePayload::Opaque(Bytes::new())
-    }
-
-    #[test]
-    fn writes_mark_dirty_but_ingests_do_not() {
-        let mut a = shard(0);
-        let mut b = shard(1);
-        a.open(ObjectId(1));
-        b.open(ObjectId(1));
-        assert_eq!(a.dirty_len(), 0);
-        let u = a.write(ObjectId(1), SimTime::from_secs(1), 3, payload());
-        assert_eq!(a.dirty_len(), 1);
-        assert_eq!(a.take_dirty().into_iter().collect::<Vec<_>>(), vec![ObjectId(1)]);
-        assert_eq!(a.dirty_len(), 0, "drain empties the set");
-
-        // Remote traffic never starts local probes: ingest must not dirty.
-        assert_eq!(b.ingest(u.clone()).unwrap(), ApplyOutcome::Applied);
-        assert_eq!(b.dirty_len(), 0);
-        // Explicit marking (read-triggered probes) is idempotent.
-        b.mark_dirty(ObjectId(1));
-        b.mark_dirty(ObjectId(1));
-        assert_eq!(b.dirty_len(), 1);
     }
 
     #[test]
@@ -933,38 +879,33 @@ mod tests {
         Open(u64),
         Write(u64),
         Ingest(u64, u64),
-        MarkDirty(u64),
-        TakeDirty,
         Lookup(u64),
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        (0u8..6, 0u64..12, 1u64..4).prop_map(|(kind, o, seq)| match kind {
+        (0u8..4, 0u64..12, 1u64..4).prop_map(|(kind, o, seq)| match kind {
             0 => Op::Open(o),
             1 => Op::Write(o),
             2 => Op::Ingest(o, seq),
-            3 => Op::MarkDirty(o),
-            4 => Op::TakeDirty,
             _ => Op::Lookup(o),
         })
     }
 
     /// The map-per-field layout the slots replaced: a replica, a next
-    /// sequence number and a dirty mark per object.
+    /// sequence number per object.
     #[derive(Default)]
     struct Reference {
         replicas: BTreeMap<ObjectId, Replica>,
         next_seq: BTreeMap<ObjectId, u64>,
-        dirty: BTreeSet<ObjectId>,
     }
 
     use proptest::prelude::*;
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeMap;
 
     proptest! {
         /// The slot table against the `BTreeMap` layout under random open,
-        /// write, ingest, dirty and lookup orders: same objects in id
-        /// order, same sequence numbers, same drain order, same digest.
+        /// write, ingest and lookup orders: same objects in id order, same
+        /// sequence numbers, same digest.
         #[test]
         fn slots_match_the_btreemap_layout(ops in prop::collection::vec(op(), 1..80)) {
             let mut s = shard(0);
@@ -984,7 +925,6 @@ mod tests {
                         *next += 1;
                         let r = m.replicas.entry(object).or_insert_with(|| Replica::new(object));
                         r.apply(u).unwrap();
-                        m.dirty.insert(object);
                     }
                     Op::Ingest(o, seq) => {
                         let got = s.ingest(remote(o, 9, seq, 2));
@@ -993,22 +933,11 @@ mod tests {
                             None => prop_assert!(got.is_err()),
                         }
                     }
-                    Op::MarkDirty(o) => {
-                        s.mark_dirty(ObjectId(o));
-                        if m.replicas.contains_key(&ObjectId(o)) {
-                            m.dirty.insert(ObjectId(o));
-                        }
-                    }
-                    Op::TakeDirty => {
-                        let want: Vec<ObjectId> = std::mem::take(&mut m.dirty).into_iter().collect();
-                        prop_assert_eq!(s.take_dirty(), want);
-                    }
                     Op::Lookup(o) => {
                         let got = s.replica(ObjectId(o)).ok().map(Replica::state_hash);
                         prop_assert_eq!(got, m.replicas.get(&ObjectId(o)).map(Replica::state_hash));
                     }
                 }
-                prop_assert_eq!(s.dirty_len(), m.dirty.len());
             }
             prop_assert!(s.objects().eq(m.replicas.keys().copied()));
             let hash = m.replicas.iter().fold(0, |acc, (o, r)| {

@@ -239,3 +239,32 @@ fn session_priority_feeds_priority_wins_resolution() {
     // the highest id won instead, node 3's 100 + 3 delta would make it 106.
     assert_eq!(reference.meta, 103, "node 0's replica must be the reference");
 }
+
+/// Both engines split a re-weighting dissatisfaction over a node's shards
+/// the same way, so they reject it the same way: unknown object before
+/// bad weights, at one shard and at four.
+#[test]
+fn engines_agree_on_dissatisfied_rejections() {
+    let bad = Weights { numerical: -1.0, order: 0.5, staleness: 0.5 };
+    let good = Weights::new(0.2, 0.2, 0.6);
+    let cases = [(ObjectId(999), bad), (ObjectId(999), good), (ObjectId(0), bad)];
+    let command =
+        |(object, w): (ObjectId, Weights)| Command::Dissatisfied { object, new_weights: Some(w) };
+
+    let objects: Vec<ObjectId> = (0..8u64).map(ObjectId).collect();
+    let nodes: Vec<IdeaNode> =
+        (0..2).map(|i| IdeaNode::new(NodeId(i), IdeaConfig::whiteboard(0.9), &objects)).collect();
+    let mut sim = SimEngine::new(Topology::lan(2), SimConfig::default(), nodes);
+    let want: Vec<Response> = cases.iter().map(|&c| sim.execute(NodeId(0), command(c))).collect();
+    for r in &want {
+        assert!(matches!(r, Response::Rejected { .. }), "must reject: {r:?}");
+    }
+
+    for shards in [1, 4] {
+        let mut eng = small_sharded_fleet(shards);
+        let got: Vec<Response> =
+            cases.iter().map(|&c| eng.execute(NodeId(0), command(c))).collect();
+        eng.stop();
+        assert_eq!(got, want, "{shards}-shard engine disagrees with the sim engine");
+    }
+}
