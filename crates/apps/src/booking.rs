@@ -122,11 +122,6 @@ impl BookingServer {
         self.capacity
     }
 
-    /// The replicated booking-record object this server sells against.
-    pub fn object(&self) -> ObjectId {
-        self.flight_object
-    }
-
     /// Kicks off an on-demand active resolution round for the booking
     /// record — the hook fault harnesses use to force reconciliation at a
     /// chosen point in a schedule instead of waiting for the background

@@ -1,9 +1,9 @@
 //! The paper's two emulated applications (§3, §5).
 //!
-//! * [`whiteboard`] — a distributed white board: synchronous collaboration,
+//! * `whiteboard` — a distributed white board: synchronous collaboration,
 //!   order-error-dominated consistency semantics, on-demand/hint-based
 //!   adaptation via direct user interaction.
-//! * [`booking`] — an airline ticket booking system: asynchronous
+//! * `booking` — an airline ticket booking system: asynchronous
 //!   e-business workload, numerical-error (total sale) semantics,
 //!   fully-automatic background-resolution control balancing overselling
 //!   against underselling.
@@ -15,9 +15,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod booking;
-pub mod invariant;
-pub mod whiteboard;
+pub(crate) mod booking;
+pub(crate) mod invariant;
+pub(crate) mod whiteboard;
 
 pub use booking::{BookOutcome, BookingServer};
 pub use invariant::{FleetInvariant, NoOverbooking};

@@ -17,11 +17,11 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Stroke {
     /// Horizontal board position.
-    pub x: u16,
+    pub(crate) x: u16,
     /// Vertical board position.
-    pub y: u16,
+    pub(crate) y: u16,
     /// The drawn text.
-    pub text: String,
+    pub(crate) text: String,
 }
 
 /// Sum of the ASCII values of a stroke's text — the paper's white-board
@@ -53,16 +53,6 @@ impl WhiteboardClient {
     /// The wrapped IDEA node.
     pub fn idea(&self) -> &IdeaNode {
         &self.node
-    }
-
-    /// Mutable access to the wrapped IDEA node (Table-1 API calls).
-    pub fn idea_mut(&mut self) -> &mut IdeaNode {
-        &mut self.node
-    }
-
-    /// The board object id.
-    pub fn board_id(&self) -> ObjectId {
-        self.board
     }
 
     /// Draws a stroke: issues the write command with the ASCII-sum

@@ -1,15 +1,14 @@
 //! Criterion micro-benchmarks of IDEA's building blocks.
 //!
 //! These time the computational cost of the pieces the paper's delays are
-//! made of (vector comparison, triple computation, Formula-1
-//! quantification, detection rounds, store operations) — the end-to-end
-//! table/figure scenarios live in `figures.rs`.
+//! made of (vector comparison, triple computation — a settled detection
+//! round costs one — Formula-1 quantification, store operations); the
+//! end-to-end table/figure scenarios live in `figures.rs`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use idea_core::{MaxBounds, Quantifier, Weights};
-use idea_detect::round::DetectRound;
 use idea_store::Replica;
-use idea_types::{NodeId, ObjectId, SimTime, Update, WriterId};
+use idea_types::{ObjectId, SimTime, Update, WriterId};
 use idea_vv::{ExtendedVersionVector, VersionVector};
 
 fn evv_with(writers: u32, updates_each: u64) -> ExtendedVersionVector {
@@ -61,20 +60,6 @@ fn bench_quantify(c: &mut Criterion) {
     });
 }
 
-fn bench_detect_round(c: &mut Criterion) {
-    let mine = evv_with(4, 40);
-    let peers = [NodeId(1), NodeId(2), NodeId(3)];
-    c.bench_function("detect_round_complete", |bench| {
-        bench.iter(|| {
-            let mut round = DetectRound::start(NodeId(0), 1, &peers, SimTime::ZERO, mine.clone());
-            for p in peers {
-                round.on_reply(p, evv_with(4, 41));
-            }
-            black_box(round.complete(&mine, SimTime::from_secs(1)))
-        })
-    });
-}
-
 fn bench_store(c: &mut Criterion) {
     c.bench_function("replica_apply_100", |bench| {
         bench.iter(|| {
@@ -105,12 +90,5 @@ fn bench_store(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_version_vectors,
-    bench_triple,
-    bench_quantify,
-    bench_detect_round,
-    bench_store,
-);
+criterion_group!(benches, bench_version_vectors, bench_triple, bench_quantify, bench_store,);
 criterion_main!(benches);

@@ -25,7 +25,7 @@
 /// No report is checked in to agree with: the figures are pinned by shape
 /// predicates only — the `shape holds` line each binary prints and the
 /// reduced-size checks in the facade's `tests/figures_smoke.rs`.
-pub const DEFAULT_SEED: u64 = 7;
+pub(crate) const DEFAULT_SEED: u64 = 7;
 
 /// Parses an optional `--seed N`-style trailing argument (`args[i]` may also
 /// be a bare float/int used by individual binaries).

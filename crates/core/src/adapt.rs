@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 /// What the adaptive layer asks the protocol to do after a new sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdaptAction {
+pub(crate) enum AdaptAction {
     /// Nothing to do.
     None,
     /// Trigger an active resolution now.
@@ -42,14 +42,14 @@ impl HintController {
     ///
     /// # Panics
     /// Panics if the floor is outside `[0, 1]` or delta is negative.
-    pub fn new(floor: f64, delta: f64) -> Self {
+    pub(crate) fn new(floor: f64, delta: f64) -> Self {
         assert!((0.0..=1.0).contains(&floor), "hint must be within [0, 1]");
         assert!(delta >= 0.0, "delta must be non-negative");
         HintController { floor, delta, complaints: 0 }
     }
 
     /// True when hint-based control is active.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.floor > 0.0
     }
 
@@ -65,14 +65,14 @@ impl HintController {
 
     /// Replaces the hint (the `set_hint` API — including the Figure-8 reset
     /// from 95 % to 90 % mid-run).
-    pub fn set_hint(&mut self, floor: f64) {
+    pub(crate) fn set_hint(&mut self, floor: f64) {
         assert!((0.0..=1.0).contains(&floor), "hint must be within [0, 1]");
         self.floor = floor;
     }
 
     /// Feeds a fresh consistency sample; asks for resolution when the level
     /// has fallen below the floor.
-    pub fn on_sample(&mut self, level: ConsistencyLevel) -> AdaptAction {
+    pub(crate) fn on_sample(&mut self, level: ConsistencyLevel) -> AdaptAction {
         if self.enabled() && !level.satisfies(self.floor()) {
             AdaptAction::Resolve
         } else {
@@ -82,7 +82,7 @@ impl HintController {
 
     /// A user explicitly said the current consistency is not good enough:
     /// raise the floor by `Δ` (clamped to 1) and resolve immediately.
-    pub fn on_user_dissatisfied(&mut self) -> AdaptAction {
+    pub(crate) fn on_user_dissatisfied(&mut self) -> AdaptAction {
         self.complaints += 1;
         self.floor = (self.floor + self.delta).min(1.0);
         AdaptAction::Resolve
@@ -110,8 +110,6 @@ pub struct AutoController {
     max_period: SimDuration,
     /// Fraction of available bandwidth IDEA may consume (Formula 4's `x`).
     bandwidth_cap: f64,
-    oversell_events: u64,
-    undersell_events: u64,
 }
 
 impl AutoController {
@@ -125,8 +123,6 @@ impl AutoController {
             min_period: hard_min,
             max_period: hard_max,
             bandwidth_cap: 0.2,
-            oversell_events: 0,
-            undersell_events: 0,
         }
     }
 
@@ -140,18 +136,9 @@ impl AutoController {
         (self.min_period, self.max_period)
     }
 
-    /// Oversell events observed.
-    pub fn oversells(&self) -> u64 {
-        self.oversell_events
-    }
-
-    /// Undersell events observed.
-    pub fn undersells(&self) -> u64 {
-        self.undersell_events
-    }
-
     /// Sets the bandwidth cap fraction `x` of Formula 4.
-    pub fn set_bandwidth_cap(&mut self, x: f64) {
+    #[cfg(test)]
+    pub(crate) fn set_bandwidth_cap(&mut self, x: f64) {
         assert!((0.0..=1.0).contains(&x), "cap must be a fraction");
         self.bandwidth_cap = x;
     }
@@ -160,7 +147,6 @@ impl AutoController {
     /// frequency was too low. Keep the frequency *above* this point from now
     /// on (§5.2): the offending period becomes (just under) the new maximum.
     pub fn on_oversell(&mut self) {
-        self.oversell_events += 1;
         let new_max = self.period.mul_f64(0.9).max(self.min_period);
         self.max_period = new_max;
         self.period = self.period.min(self.max_period);
@@ -170,7 +156,6 @@ impl AutoController {
     /// frequency was too high. Keep it *below* this point: the offending
     /// period becomes (just above) the new minimum.
     pub fn on_undersell(&mut self) {
-        self.undersell_events += 1;
         let new_min = self.period.mul_f64(1.1).min(self.max_period);
         self.min_period = new_min;
         self.period = self.period.max(self.min_period);
@@ -260,7 +245,6 @@ mod tests {
         a.on_oversell();
         assert!(a.period() <= before);
         assert!(a.window().1 < SimDuration::from_secs(120));
-        assert_eq!(a.oversells(), 1);
     }
 
     #[test]
@@ -269,7 +253,6 @@ mod tests {
         a.on_undersell();
         assert!(a.window().0 > SimDuration::from_secs(2));
         assert!(a.period() >= a.window().0);
-        assert_eq!(a.undersells(), 1);
     }
 
     #[test]

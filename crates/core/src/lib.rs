@@ -11,7 +11,7 @@
 //! 3. **resolves** it only when the application's *current* requirement
 //!    demands ([`resolution`]): on explicit user demand (active, two-phase)
 //!    or periodically (background);
-//! 4. **adapts** the requirement itself from user feedback ([`adapt`]):
+//! 4. **adapts** the requirement itself from user feedback (`adapt`):
 //!    hint floors that learn upward, or the fully-automatic frequency
 //!    controller with under/oversell bounds and the Formula-4 rate cap.
 //!
@@ -23,11 +23,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapt;
+pub(crate) mod adapt;
 pub mod client;
 mod codec;
-pub mod config;
-pub mod messages;
+pub(crate) mod config;
+pub(crate) mod messages;
 pub mod protocol;
 pub mod quantify;
 pub mod resolution;

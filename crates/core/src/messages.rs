@@ -44,14 +44,14 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DigestGroup {
     /// Object the advertised rumors sweep.
-    pub object: ObjectId,
+    pub(crate) object: ObjectId,
     /// Advertised rumor ids with their remaining hop budgets.
-    pub ids: Vec<(RumorId, u8)>,
+    pub(crate) ids: Vec<(RumorId, u8)>,
 }
 
 impl DigestGroup {
     /// Approximate serialized size: object header + compact entries.
-    pub fn wire_bytes(&self) -> usize {
+    pub(crate) fn wire_bytes(&self) -> usize {
         8 + DIGEST_ENTRY_BYTES * self.ids.len()
     }
 }
@@ -73,7 +73,7 @@ pub enum IdeaMsg {
         /// Compact summary of the initiator's extended version vector.
         summary: VvSummary,
         /// Piggybacked lazy-gossip advertisements: the probed object's
-        /// pending IHAVEs for this peer, if any (see [`DigestGroup`]).
+        /// pending IHAVEs for this peer, if any (see `DigestGroup`).
         digests: Vec<DigestGroup>,
     },
     /// Peer → initiator: the peer's vector, as a delta against the probe.
@@ -222,7 +222,7 @@ impl IdeaMsg {
     /// The object this message is about. Every IDEA message is
     /// object-addressed, which is what lets the engines route it to the
     /// store shard owning the object.
-    pub fn object(&self) -> ObjectId {
+    pub(crate) fn object(&self) -> ObjectId {
         match self {
             IdeaMsg::DetectRequest { object, .. }
             | IdeaMsg::DetectReply { object, .. }

@@ -2,29 +2,34 @@
 //! the TTL-bounded bottom-layer gossip sweeps that double-check them
 //! (§4.4.2), both driving the quantified consistency level.
 //!
-//! Owns the in-flight [`DetectRound`] per object, the sweep collectors, and
-//! the timer-id routing for both. Every handler reports a [`Trigger`] so
-//! the composing node can forward adaptive-layer decisions (resolve now) to
-//! the resolution subsystem without this module knowing it exists.
+//! This module is the paper's inconsistency detection framework, the
+//! `detect(update)` of §4.3, together with the messages that drive it. It
+//! owns the round and sweep types: [`DetectRound`], the in-flight round per
+//! object, which settles to the initiator's error triple against the
+//! round's reference state, and [`Sweep`], a sweep's collection window,
+//! which settles to a discrepancy or to nothing. It also owns the timer-id
+//! routing for both. Every handler reports a [`Trigger`] so the composing
+//! node can forward adaptive-layer decisions (resolve now) to the
+//! resolution subsystem without this module knowing it exists.
 //!
 //! ## Hot-path economics
 //!
 //! Probes carry a compact [`VvSummary`] and answers a [`VvDelta`]
 //! (suffixes beyond the probe's counters), so detection traffic scales with
-//! divergence, not history; the initiator reconstructs each peer's full
-//! vector from the delta plus the round's baseline snapshot. Every trigger
+//! divergence, not history. The initiator reads one number out of a round,
+//! its own triple against the reference, so it rebuilds only the
+//! reference's full vector (from the delta plus the round's baseline
+//! snapshot); a lower-id reply is counted and dropped. Every trigger
 //! starts a round at once (the paper's per-trigger probing), at most one in
 //! flight per object.
 
 use super::{pack, NodeCore, Trigger, K_DETECT, K_PULL, K_SWEEP};
 use crate::adapt::AdaptAction;
 use crate::messages::{DigestGroup, IdeaMsg};
-use idea_detect::bottom::{BottomReport, SweepCollector};
-use idea_detect::round::DetectRound;
 use idea_net::{Context, TimerId};
 use idea_overlay::gossip::{Peers, Receipt, RumorId};
-use idea_types::{FastMap, NodeId, ObjectId, SimDuration};
-use idea_vv::{VersionVector, VvDelta, VvSummary};
+use idea_types::{ConsistencyLevel, ErrorTriple, FastMap, NodeId, ObjectId, SimDuration};
+use idea_vv::{ExtendedVersionVector, VersionVector, VvDelta, VvSummary};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -40,6 +45,97 @@ const SWEEP_EPSILON: f64 = 0.03;
 /// backup advertiser; comfortably above one WAN round-trip.
 const GOSSIP_PULL_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 
+/// An in-flight top-layer round at its initiator.
+///
+/// The *reference consistent state* is, per §4.4.1, "the replica with
+/// higher ID value": among the initiator and its repliers, the one held by
+/// the largest [`NodeId`] wins. A round keeps only what its one reader
+/// needs: who has answered, and the vector of the highest-id replier above
+/// the initiator so far.
+struct DetectRound {
+    me: NodeId,
+    /// Correlation id carried by request/reply messages.
+    round_id: u64,
+    /// The initiator's vector as probed: peers answer with suffix deltas
+    /// relative to its counters, so this snapshot is what reconstructs
+    /// their full vectors (the replica may advance mid-round).
+    baseline: ExtendedVersionVector,
+    expected: Vec<NodeId>,
+    answered: Vec<NodeId>,
+    /// The highest-id replier above `me` so far, with its full vector.
+    reference: Option<(NodeId, ExtendedVersionVector)>,
+}
+
+impl DetectRound {
+    fn start(me: NodeId, round_id: u64, peers: &[NodeId], baseline: ExtendedVersionVector) -> Self {
+        let answered = Vec::with_capacity(peers.len());
+        DetectRound { me, round_id, baseline, expected: peers.to_vec(), answered, reference: None }
+    }
+
+    /// Records a reply. A duplicate or a stranger's reply is ignored; only
+    /// a new reference is rebuilt from its delta. Returns `true` when every
+    /// expected peer has answered.
+    fn on_reply(&mut self, from: NodeId, delta: &VvDelta) -> bool {
+        if self.expected.contains(&from) && !self.answered.contains(&from) {
+            self.answered.push(from);
+            if from > self.reference.as_ref().map_or(self.me, |(n, _)| *n) {
+                self.reference = Some((from, self.baseline.reconstruct(delta)));
+            }
+        }
+        self.answered.len() == self.expected.len()
+    }
+
+    /// Settles the round (all replies in, or the deadline passed): the
+    /// initiator's vector `mine` against the reference, which is `mine`
+    /// itself when no higher id answered.
+    fn complete(self, mine: &ExtendedVersionVector) -> ErrorTriple {
+        let reference = self.reference.as_ref().map_or(mine, |(_, evv)| evv);
+        mine.triple_against(reference)
+    }
+}
+
+/// One bottom-layer sweep's collection window at its initiator.
+///
+/// After the top layer answers, IDEA "continues to detect inconsistency in
+/// the bottom layer and returns a new value. If the new value is
+/// sufficiently close to the previous one obtained from the top layer, IDEA
+/// keeps silent; otherwise, IDEA alerts the user about the discrepancy"
+/// (§4.4.2).
+struct Sweep {
+    /// The top-layer level the sweep double-checks.
+    top_level: ConsistencyLevel,
+    /// Divergent replicas reported so far, each with its triple against the
+    /// initiator's replica (the full vector is never retained).
+    replies: Vec<(NodeId, ErrorTriple)>,
+}
+
+impl Sweep {
+    /// The verdict: `None` when the bottom layer agrees with the top within
+    /// [`SWEEP_EPSILON`], else the corrected level (the worst reply's, never
+    /// above the top-layer level) and the first node at that level.
+    /// `quantify` is Formula 1 under the node's current weights.
+    fn discrepancy(
+        self,
+        quantify: impl Fn(&ErrorTriple) -> ConsistencyLevel,
+    ) -> Option<(ConsistencyLevel, NodeId)> {
+        let mut bottom_level = self.top_level;
+        let mut worst: Option<(NodeId, ConsistencyLevel)> = None;
+        for (node, triple) in &self.replies {
+            let level = quantify(triple);
+            bottom_level = bottom_level.min(level);
+            if worst.is_none_or(|(_, l)| level < l) {
+                worst = Some((*node, level));
+            }
+        }
+        let (worst_node, _) = worst?;
+        if (self.top_level.value() - bottom_level.value()).abs() <= SWEEP_EPSILON {
+            None
+        } else {
+            Some((bottom_level, worst_node))
+        }
+    }
+}
+
 /// Per-object detection state.
 #[derive(Default)]
 struct DetectState {
@@ -49,8 +145,8 @@ struct DetectState {
     timer: Option<TimerId>,
     /// Completed rounds (drives the sweep cadence).
     completed: u64,
-    /// Sweep collectors keyed by rumor sequence.
-    collectors: FastMap<u64, SweepCollector>,
+    /// Open sweeps keyed by rumor sequence.
+    sweeps: FastMap<u64, Sweep>,
 }
 
 /// A rumor advertised to us whose body has not arrived yet. No pull has
@@ -104,7 +200,7 @@ impl Detection {
 
     /// Starts a detection round towards the top-layer peers (one in flight
     /// per object; a no-op for unknown objects or an empty top layer).
-    pub fn request_round(
+    pub(crate) fn request_round(
         &mut self,
         core: &mut NodeCore,
         object: ObjectId,
@@ -124,7 +220,7 @@ impl Detection {
         let rid = core.fresh_id();
         let summary = evv.summary(core.cfg.summary_tail);
         let st = self.state(object);
-        st.round = Some(DetectRound::start(core.me, rid, &peers, ctx.now(), evv));
+        st.round = Some(DetectRound::start(core.me, rid, &peers, evv));
         st.timer = Some(ctx.set_timer(DETECT_DEADLINE, pack(K_DETECT, core.shard, rid)));
         self.round_objects.insert(rid, object);
         for p in peers {
@@ -142,7 +238,7 @@ impl Detection {
     /// refresh the local estimate pairwise (higher id is the pair's
     /// reference, §4.4.1 — the pairwise path only ever *lowers* the
     /// estimate; a full round or a resolution raises it).
-    pub fn on_request(
+    pub(crate) fn on_request(
         &mut self,
         core: &mut NodeCore,
         from: NodeId,
@@ -182,7 +278,7 @@ impl Detection {
     /// A probed peer answered; completes the round when everyone has. The
     /// peer's full vector is rebuilt from its delta over the round's
     /// baseline — nothing history-sized crossed the wire.
-    pub fn on_reply(
+    pub(crate) fn on_reply(
         &mut self,
         core: &mut NodeCore,
         from: NodeId,
@@ -197,10 +293,7 @@ impl Detection {
             return Trigger::None;
         };
         let complete = match st.round.as_mut() {
-            Some(r) if r.round_id == round => {
-                let evv = r.baseline().reconstruct(&delta);
-                r.on_reply(from, evv)
-            }
+            Some(r) if r.round_id == round => r.on_reply(from, &delta),
             _ => return Trigger::None,
         };
         if complete {
@@ -212,7 +305,7 @@ impl Detection {
 
     /// The round deadline passed: complete with whoever answered. Returns
     /// the affected object and the adaptive layer's verdict.
-    pub fn on_deadline(
+    pub(crate) fn on_deadline(
         &mut self,
         core: &mut NodeCore,
         rid: u64,
@@ -243,11 +336,9 @@ impl Detection {
         }
         self.round_objects.remove(&round.round_id);
         let st = self.state(object);
-        let report = round.complete(&mine, ctx.now());
         st.completed += 1;
         let rounds = st.completed;
-        let triple = report.triple_of(core.me).expect("initiator always appears in its own report");
-        let level = core.quant.level(&triple);
+        let level = core.quant.level(&round.complete(&mine));
         core.obj_mut(object).level = level;
         // Bottom-layer double-check every sweep_every-th round (§4.4.2).
         if let Some(k) = core.cfg.sweep_every {
@@ -263,7 +354,7 @@ impl Detection {
     }
 
     /// Advertised bodies of `object` still awaited here (pending pulls).
-    pub fn pending_pulls(&self, object: ObjectId) -> usize {
+    pub(crate) fn pending_pulls(&self, object: ObjectId) -> usize {
         self.missing.keys().filter(|(o, _)| *o == object).count()
     }
 
@@ -278,7 +369,6 @@ impl Detection {
         let counters =
             Arc::new(core.store.replica(object).expect("opened").version().counters().clone());
         let peers = Peers { me: core.me, n: ctx.node_count() };
-        let deadline = ctx.now() + core.cfg.sweep_deadline;
         // Field-disjoint borrows: the config stays shared while the object
         // state is mutated.
         let cfg = &core.cfg;
@@ -286,9 +376,7 @@ impl Detection {
         let level = shared.level;
         let (id, _ttl, plan) = shared.gossip.originate(&cfg.gossip, peers, ctx.rng());
         let seq = u64::from(id.seq);
-        self.state(object)
-            .collectors
-            .insert(seq, SweepCollector::new(level, SWEEP_EPSILON, deadline));
+        self.state(object).sweeps.insert(seq, Sweep { top_level: level, replies: Vec::new() });
         shared.dispatch_rumor(cfg, object, id, plan, &counters, ctx);
         // Deadline timers route through a node-unique ticket: gossip seqs
         // are allocated per object, so two objects at one node can emit the
@@ -306,7 +394,7 @@ impl Detection {
     /// `from` is the pushing (or pull-answering) peer: it is excluded from
     /// the relay targets, and a duplicate push demotes it to the lazy side.
     #[allow(clippy::too_many_arguments)]
-    pub fn on_sweep_rumor(
+    pub(crate) fn on_sweep_rumor(
         &mut self,
         core: &mut NodeCore,
         from: NodeId,
@@ -368,7 +456,7 @@ impl Detection {
     /// yet** — if an eager copy is already in flight the body lands first
     /// and cancels the timer, so only genuinely flood-missed nodes pull
     /// (and graft). Extra advertisers pile up as retry backups.
-    pub fn on_digests(
+    pub(crate) fn on_digests(
         &mut self,
         core: &mut NodeCore,
         from: NodeId,
@@ -417,7 +505,7 @@ impl Detection {
     /// missed; re-flooding from the puller would blow past the sweep's TTL
     /// budget. A cache miss is silently dropped — the puller's retry timer
     /// tries a backup.
-    pub fn on_pull(
+    pub(crate) fn on_pull(
         &mut self,
         core: &mut NodeCore,
         from: NodeId,
@@ -438,7 +526,7 @@ impl Detection {
     /// A pull grace/retry timer fired: if the body is still missing, pull
     /// from the next advertiser and re-arm; give up (background detection
     /// still covers the divergence) when none remain.
-    pub fn on_pull_timer(
+    pub(crate) fn on_pull_timer(
         &mut self,
         core: &mut NodeCore,
         ticket: u64,
@@ -473,7 +561,7 @@ impl Detection {
 
     /// A peer found our eager push redundant ([`IdeaMsg::GossipPrune`]):
     /// demote our link to it. Its next genuine miss grafts the link back.
-    pub fn on_prune(&mut self, core: &mut NodeCore, from: NodeId, object: ObjectId) {
+    pub(crate) fn on_prune(&mut self, core: &mut NodeCore, from: NodeId, object: ObjectId) {
         if let Some(shared) = core.objs.get_mut(object) {
             shared.gossip.demote(from);
         }
@@ -481,7 +569,7 @@ impl Detection {
 
     /// The digest flush window closed: advertisements that found no detect
     /// traffic to ride go out in dedicated [`IdeaMsg::GossipDigest`]s.
-    pub fn on_flush_timer(
+    pub(crate) fn on_flush_timer(
         &mut self,
         core: &mut NodeCore,
         object: ObjectId,
@@ -497,7 +585,7 @@ impl Detection {
     }
 
     /// A bottom node reported divergence against one of our sweeps.
-    pub fn on_sweep_divergence(
+    pub(crate) fn on_sweep_divergence(
         &mut self,
         core: &mut NodeCore,
         from: NodeId,
@@ -512,20 +600,19 @@ impl Detection {
         let Some(st) = self.states.get_mut(&object) else {
             return;
         };
-        if let Some(collector) = st.collectors.get_mut(&sweep) {
+        if let Some(open) = st.sweeps.get_mut(&sweep) {
             // Rebuild the diverging replica's vector over our own history
             // (the delta is relative to the counters our rumor carried).
             let theirs = mine.reconstruct(&delta);
-            let triple = mine.triple_against(&theirs);
-            collector.on_divergence(from, triple);
+            open.replies.push((from, mine.triple_against(&theirs)));
         }
     }
 
-    /// A sweep deadline fired: settle the collector's verdict. A confirmed
+    /// A sweep deadline fired: settle the sweep's verdict. A confirmed
     /// discrepancy counts a rollback, corrects the level, pulls the hidden
     /// updates in, and (configurably) demands a resolution. Returns the
     /// affected object and the adaptive layer's verdict.
-    pub fn on_sweep_deadline(
+    pub(crate) fn on_sweep_deadline(
         &mut self,
         core: &mut NodeCore,
         ticket: u64,
@@ -533,12 +620,11 @@ impl Detection {
     ) -> Option<(ObjectId, Trigger)> {
         let (object, seq) = self.sweep_tickets.remove(&ticket)?;
         let st = self.states.get_mut(&object)?;
-        let collector = st.collectors.remove(&seq)?;
+        let open = st.sweeps.remove(&seq)?;
         let quant = core.quant;
-        let report = collector.finish(|t| quant.level(t));
-        let trigger = match report {
-            BottomReport::Confirmed { .. } => Trigger::None,
-            BottomReport::Discrepancy { bottom_level, worst_node, .. } => {
+        let trigger = match open.discrepancy(|t| quant.level(t)) {
+            None => Trigger::None,
+            Some((bottom_level, worst_node)) => {
                 core.note_rollback();
                 let shared = core.obj_mut(object);
                 shared.level = shared.level.min(bottom_level);
@@ -552,5 +638,251 @@ impl Detection {
             }
         };
         Some((object, trigger))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::round_reference;
+    use super::*;
+    use idea_types::{SimTime, WriterId};
+    use proptest::prelude::*;
+
+    fn t(s: u64) -> SimTime {
+        SimTime::from_secs(s)
+    }
+
+    fn evv(updates: &[(u32, u64, u64, i64)]) -> ExtendedVersionVector {
+        let mut v = ExtendedVersionVector::new();
+        for &(w, seq, at, delta) in updates {
+            v.record(WriterId(w), seq, t(at), delta);
+        }
+        v
+    }
+
+    /// Answers `round`'s probe the way a peer holding `theirs` does.
+    fn reply(round: &mut DetectRound, from: NodeId, theirs: &ExtendedVersionVector) -> bool {
+        let delta = theirs.suffix_since(round.baseline.counters());
+        round.on_reply(from, &delta)
+    }
+
+    #[test]
+    fn round_tracks_outstanding_replies() {
+        let peers = [NodeId(1), NodeId(2), NodeId(3)];
+        let mut round = DetectRound::start(NodeId(0), 7, &peers, evv(&[]));
+        assert!(!reply(&mut round, NodeId(1), &evv(&[])));
+        assert!(!reply(&mut round, NodeId(1), &evv(&[]))); // duplicate ignored
+        assert!(!reply(&mut round, NodeId(9), &evv(&[]))); // stranger ignored
+        assert_eq!(round.answered, vec![NodeId(1)]);
+        assert!(!reply(&mut round, NodeId(2), &evv(&[])));
+        assert!(reply(&mut round, NodeId(3), &evv(&[])));
+    }
+
+    #[test]
+    fn highest_id_is_the_reference() {
+        let mine = evv(&[(0, 1, 1, 1)]);
+        let five = evv(&[(1, 1, 2, 4)]);
+        let mut round = DetectRound::start(NodeId(0), 1, &[NodeId(5), NodeId(2)], mine.clone());
+        reply(&mut round, NodeId(5), &five);
+        reply(&mut round, NodeId(2), &mine);
+        // Node 5 is the reference, not the later, lower replier.
+        assert_eq!(round.reference.as_ref().map(|(n, _)| *n), Some(NodeId(5)));
+        let triple = round.complete(&mine);
+        assert!(!triple.is_zero());
+        assert_eq!(triple, mine.triple_against(&five));
+
+        // An initiator above every replier is its own reference.
+        let mut round = DetectRound::start(NodeId(9), 2, &[NodeId(5)], mine.clone());
+        reply(&mut round, NodeId(5), &five);
+        assert!(round.reference.is_none(), "a lower replier is counted, not rebuilt");
+        assert!(round.complete(&mine).is_zero());
+    }
+
+    #[test]
+    fn consistent_round_settles_to_zero() {
+        let shared = evv(&[(0, 1, 1, 2), (1, 1, 2, 3)]);
+        let mut round = DetectRound::start(NodeId(3), 1, &[NodeId(1), NodeId(4)], shared.clone());
+        reply(&mut round, NodeId(1), &shared);
+        assert!(reply(&mut round, NodeId(4), &shared));
+        assert!(round.complete(&shared).is_zero());
+    }
+
+    #[test]
+    fn duplicate_replies_never_complete_a_round_early() {
+        let peers = [NodeId(1), NodeId(2), NodeId(3)];
+        let mine = evv(&[(0, 1, 1, 1)]);
+        let mut round = DetectRound::start(NodeId(0), 1, &peers, mine.clone());
+        // One peer answering three times is still one reply, and its first
+        // answer is the one kept.
+        assert!(!reply(&mut round, NodeId(3), &mine));
+        assert!(!reply(&mut round, NodeId(3), &mine));
+        assert!(!reply(&mut round, NodeId(3), &evv(&[(1, 1, 2, 9)])));
+        assert_eq!(round.answered, vec![NodeId(3)]);
+        assert!(!reply(&mut round, NodeId(2), &evv(&[])));
+        assert!(reply(&mut round, NodeId(1), &evv(&[])));
+        assert_eq!(round.answered.len(), 3, "a duplicate counted twice");
+        assert!(round.complete(&mine).is_zero(), "a duplicate replaced the first answer");
+    }
+
+    #[test]
+    fn partial_round_still_settles() {
+        // Deadline with one of three peers silent: the round settles over
+        // the initiator and the two repliers, and the highest replier (3)
+        // is the reference although the silent peer (2) is not.
+        let mine = evv(&[(0, 1, 1, 1), (0, 2, 3, 2)]);
+        let three = evv(&[(0, 1, 1, 1)]);
+        let mut round =
+            DetectRound::start(NodeId(0), 4, &[NodeId(1), NodeId(2), NodeId(3)], mine.clone());
+        assert!(!reply(&mut round, NodeId(1), &mine));
+        assert!(!reply(&mut round, NodeId(3), &three));
+        let triple = round.complete(&mine);
+        assert_eq!(triple, mine.triple_against(&three));
+        assert_eq!(triple.order, 1.0);
+    }
+
+    #[test]
+    fn zero_reply_deadline_reports_initiator_alone() {
+        // Everyone timed out: the initiator's own replica is the reference,
+        // so no inconsistency is observable.
+        let mine = evv(&[(0, 1, 1, 5)]);
+        let round = DetectRound::start(NodeId(7), 9, &[NodeId(8), NodeId(9)], mine.clone());
+        assert!(round.complete(&mine).is_zero());
+    }
+
+    #[test]
+    fn figure4_numbers_flow_through_the_round() {
+        // Reference replica b at node 1 (higher id), replica a at node 0:
+        // the Figure 4 walk-through end to end, b answering with a delta.
+        let mut a = ExtendedVersionVector::new();
+        let mut b = ExtendedVersionVector::new();
+        a.record(WriterId(1), 1, t(1), 2);
+        b.record(WriterId(1), 1, t(1), 2);
+        a.record(WriterId(0), 1, t(2), 1);
+        a.record(WriterId(0), 2, t(2), 2);
+        b.record(WriterId(1), 2, t(3), 6);
+
+        let mut round = DetectRound::start(NodeId(0), 1, &[NodeId(1)], a.clone());
+        assert!(reply(&mut round, NodeId(1), &b));
+        let ta = round.complete(&a);
+        assert_eq!(ta.numerical, 3.0);
+        assert_eq!(ta.order, 3.0);
+        assert_eq!(ta.staleness, SimDuration::from_secs(2));
+    }
+
+    fn lvl(v: f64) -> ConsistencyLevel {
+        ConsistencyLevel::new(v)
+    }
+
+    /// A toy quantifier: each unit of order error costs 10 %.
+    fn quantify(t: &ErrorTriple) -> ConsistencyLevel {
+        ConsistencyLevel::new(1.0 - t.order * 0.1)
+    }
+
+    fn sweep(top: f64, orders: &[(u32, f64)]) -> Sweep {
+        let replies = orders
+            .iter()
+            .map(|&(n, order)| (NodeId(n), ErrorTriple::new(order, order, SimDuration::ZERO)))
+            .collect();
+        Sweep { top_level: lvl(top), replies }
+    }
+
+    #[test]
+    fn silent_sweep_confirms_top_value() {
+        assert_eq!(sweep(0.8, &[]).discrepancy(quantify), None);
+    }
+
+    #[test]
+    fn close_values_stay_confirmed() {
+        // Paper example: 78 % from the bottom vs 80 % from the top — close
+        // enough, the top result "remains intact".
+        assert_eq!(sweep(0.80, &[(9, 2.2)]).discrepancy(quantify), None);
+        // Just past the window it is a discrepancy.
+        assert!(sweep(0.80, &[(9, 2.5)]).discrepancy(quantify).is_some());
+    }
+
+    #[test]
+    fn large_gap_is_a_discrepancy() {
+        let (bottom_level, worst_node) =
+            sweep(0.95, &[(4, 5.0)]).discrepancy(quantify).expect("discrepancy");
+        assert_eq!(worst_node, NodeId(4));
+        assert!((bottom_level.value() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn worst_reply_wins() {
+        let replies = [(1, 1.0), (2, 4.0), (3, 2.0), (5, 4.0)];
+        let (bottom_level, worst_node) =
+            sweep(0.95, &replies).discrepancy(quantify).expect("discrepancy");
+        // The first of the two worst replies is named.
+        assert_eq!(worst_node, NodeId(2));
+        assert!((bottom_level.value() - 0.6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bottom_level_never_exceeds_top() {
+        // A divergence reply that quantifies *better* than the top value
+        // must not raise the reported level: alone it confirms the top, and
+        // beside a worse reply the corrected level is that reply's.
+        assert_eq!(sweep(0.5, &[(1, 0.0)]).discrepancy(quantify), None);
+        let (bottom_level, worst_node) =
+            sweep(0.5, &[(1, 0.0), (2, 9.0)]).discrepancy(quantify).expect("discrepancy");
+        assert_eq!(worst_node, NodeId(2));
+        assert!((bottom_level.value() - 0.1).abs() < 1e-9);
+    }
+
+    /// Per writer (0..3), a run of `(time step, meta delta)` updates.
+    type Spec = Vec<Vec<(u64, i64)>>;
+
+    fn spec() -> impl Strategy<Value = Spec> {
+        proptest::collection::vec(proptest::collection::vec((0u64..4, -3i64..4), 0..4), 3..4)
+    }
+
+    /// `base`'s first `keep[w]` updates of each writer, then `extra`'s.
+    fn build(base: &Spec, keep: &[usize], extra: &Spec) -> ExtendedVersionVector {
+        let mut v = ExtendedVersionVector::new();
+        for (w, (ups, more)) in base.iter().zip(extra).enumerate() {
+            let mut at = 0;
+            let kept = ups.iter().take(keep.get(w).copied().unwrap_or(usize::MAX));
+            for (seq, &(step, delta)) in kept.chain(more).enumerate() {
+                at += step;
+                v.record(WriterId(w as u32), seq as u64 + 1, t(at), delta);
+            }
+        }
+        v
+    }
+
+    proptest! {
+        /// The folded round settles to the same triple the pre-change
+        /// report gave the initiator, over random vectors, node ids, reply
+        /// subsets, strangers and duplicate replies carrying other vectors.
+        /// The reference is fed each reply rebuilt from its delta, as the
+        /// plane fed it before the fold.
+        #[test]
+        fn folded_round_matches_the_report_reference(
+            me in 0u32..8,
+            peer_mask in 0u32..256,
+            base in spec(),
+            mine_extra in spec(),
+            replies in proptest::collection::vec(
+                (0u32..8, proptest::collection::vec(0usize..5, 3..4), spec()),
+                0..12,
+            ),
+        ) {
+            let me = NodeId(me);
+            let peers: Vec<NodeId> =
+                (0..8).filter(|i| peer_mask & (1 << i) != 0).map(NodeId).filter(|&p| p != me).collect();
+            let baseline = build(&base, &[], &vec![Vec::new(); 3]);
+            let mine = build(&base, &[], &mine_extra);
+            let mut folded = DetectRound::start(me, 1, &peers, baseline.clone());
+            let mut reference = round_reference::DetectRound::start(me, &peers);
+            for (from, keep, extra) in &replies {
+                let theirs = build(&base, keep, extra);
+                let delta = theirs.suffix_since(baseline.counters());
+                let done = folded.on_reply(NodeId(*from), &delta);
+                prop_assert_eq!(done, reference.on_reply(NodeId(*from), baseline.reconstruct(&delta)));
+            }
+            let expected = reference.complete(&mine).triple_of(me).expect("initiator line");
+            prop_assert_eq!(folded.complete(&mine), expected);
+        }
     }
 }

@@ -56,14 +56,14 @@ pub(crate) struct LazyPlane {
     /// flush timer.
     outbox: BTreeMap<NodeId, Vec<(RumorId, u8)>>,
     /// Whether a `K_LAZY_FLUSH` timer is armed for this object.
-    pub flush_armed: bool,
+    pub(crate) flush_armed: bool,
 }
 
 impl LazyPlane {
     /// Caches a body for answering pulls, evicting FIFO at capacity. The
     /// oldest body leaves before the new one is queued, so the eviction
     /// order never holds more than [`CACHE_CAP`] ids.
-    pub fn cache_body(&mut self, id: RumorId, counters: Arc<VersionVector>) {
+    pub(crate) fn cache_body(&mut self, id: RumorId, counters: Arc<VersionVector>) {
         if let Some(held) = self.cache.get_mut(&id) {
             *held = counters;
             return;
@@ -78,28 +78,28 @@ impl LazyPlane {
     }
 
     /// The cached body of `id`, if still held.
-    pub fn cached(&self, id: RumorId) -> Option<&Arc<VersionVector>> {
+    pub(crate) fn cached(&self, id: RumorId) -> Option<&Arc<VersionVector>> {
         self.cache.get(&id)
     }
 
     /// Bodies currently held for answering pulls (at most [`CACHE_CAP`]).
-    pub fn cached_bodies(&self) -> usize {
+    pub(crate) fn cached_bodies(&self) -> usize {
         self.cache.len()
     }
 
     /// Queues an advertisement of `id` towards `peer`.
-    pub fn enqueue_digest(&mut self, peer: NodeId, id: RumorId, ttl: u8) {
+    pub(crate) fn enqueue_digest(&mut self, peer: NodeId, id: RumorId, ttl: u8) {
         self.outbox.entry(peer).or_default().push((id, ttl));
     }
 
     /// Drains the advertisements queued for `peer` (for piggybacking on a
     /// detect message headed there).
-    pub fn take_outbox(&mut self, peer: NodeId) -> Vec<(RumorId, u8)> {
+    pub(crate) fn take_outbox(&mut self, peer: NodeId) -> Vec<(RumorId, u8)> {
         self.outbox.remove(&peer).unwrap_or_default()
     }
 
     /// Drains the whole outbox (for the flush timer).
-    pub fn drain_outbox(&mut self) -> BTreeMap<NodeId, Vec<(RumorId, u8)>> {
+    pub(crate) fn drain_outbox(&mut self) -> BTreeMap<NodeId, Vec<(RumorId, u8)>> {
         std::mem::take(&mut self.outbox)
     }
 }
@@ -110,7 +110,7 @@ impl ObjShared {
     /// eager links, queued digests (piggyback or flush) on the lazy links.
     /// The body is also cached so later pulls can be answered. Every copy
     /// shares `counters`' allocation.
-    pub fn dispatch_rumor(
+    pub(crate) fn dispatch_rumor(
         &mut self,
         cfg: &IdeaConfig,
         object: ObjectId,

@@ -15,10 +15,9 @@
 //! | module | subsystem | owns |
 //! |---|---|---|
 //! | `write_path` | local writes, read policies, snapshot serving, update transfer | per-object read/announce bookkeeping |
-//! | `detection` | top-layer temperature rounds + bottom-layer gossip sweeps | in-flight rounds, sweep collectors, pending pulls, timer routing |
+//! | `detection` | the inconsistency detection framework: top-layer temperature rounds + bottom-layer gossip sweeps | in-flight rounds, open sweeps, pending pulls, timer routing |
 //! | `lazy` | the gossip plane's per-object half (bodies on eager links, digests on lazy ones) | rumor body cache, per-peer digest outbox |
-//! | `resolution` | active two-phase + background periodic resolution over one collect/inform wire (delta collect answers, delta-or-full reference) | per-object resolution state machine, attention leases, the resolution log |
-//! | `reference` | helpers both resolution kinds share | collect fan-out, reference adoption, back-off delay |
+//! | `resolution` | active two-phase + background periodic resolution over one collect/inform wire (delta collect answers, delta-or-full reference) | per-object resolution state machine, attention leases, the resolution log; collect fan-out, reference adoption, back-off delay |
 //! | `node` | [`IdeaNode`] composing the shards; implements [`idea_net::Proto`] | the shard vector and the `SharedCore` |
 //!
 //! ## Sharding
@@ -76,10 +75,11 @@
 mod detection;
 mod lazy;
 mod node;
-mod reference;
 mod resolution;
 mod write_path;
 
+#[cfg(test)]
+mod round_reference;
 #[cfg(test)]
 mod tests;
 #[cfg(test)]

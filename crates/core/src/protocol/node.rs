@@ -88,16 +88,6 @@ impl ProtocolShard {
         }
     }
 
-    /// The owning node's identity.
-    pub fn node_id(&self) -> NodeId {
-        self.core.me
-    }
-
-    /// This shard's index within its node.
-    pub fn shard_id(&self) -> ShardId {
-        self.core.shard
-    }
-
     /// The shard of the store this shard owns.
     pub fn store(&self) -> &StoreShard {
         &self.core.store
@@ -135,7 +125,7 @@ impl ProtocolShard {
     }
 
     /// Arms this shard's start-of-run timers (background resolution).
-    pub fn on_start(&mut self, ctx: &mut dyn Context<IdeaMsg>) {
+    pub(crate) fn on_start(&mut self, ctx: &mut dyn Context<IdeaMsg>) {
         if let Some(period) = self.core.cfg.background_period {
             let shard = self.core.shard;
             for object in self.core.store.objects() {
@@ -145,7 +135,12 @@ impl ProtocolShard {
     }
 
     /// Handles one protocol message addressed to an object of this shard.
-    pub fn on_message(&mut self, from: NodeId, msg: IdeaMsg, ctx: &mut dyn Context<IdeaMsg>) {
+    pub(crate) fn on_message(
+        &mut self,
+        from: NodeId,
+        msg: IdeaMsg,
+        ctx: &mut dyn Context<IdeaMsg>,
+    ) {
         debug_assert_eq!(
             ShardId::of(msg.object(), self.core.cfg.store_shards.max(1)),
             self.core.shard,
@@ -205,7 +200,7 @@ impl ProtocolShard {
     }
 
     /// Handles a timer armed by this shard.
-    pub fn on_timer(&mut self, _timer: TimerId, kind: u64, ctx: &mut dyn Context<IdeaMsg>) {
+    pub(crate) fn on_timer(&mut self, _timer: TimerId, kind: u64, ctx: &mut dyn Context<IdeaMsg>) {
         let (base, _shard, low) = unpack(kind);
         match base {
             K_DETECT => {
@@ -245,7 +240,11 @@ impl ProtocolShard {
     }
 
     /// Reads the object, triggering detection per the read policy (§4.2).
-    pub fn read(&mut self, object: ObjectId, ctx: &mut dyn Context<IdeaMsg>) -> Result<Snapshot> {
+    pub(crate) fn read(
+        &mut self,
+        object: ObjectId,
+        ctx: &mut dyn Context<IdeaMsg>,
+    ) -> Result<Snapshot> {
         Ok(self.read_with(object, ReadConsistency::Any, ctx)?.0)
     }
 
@@ -260,7 +259,7 @@ impl ProtocolShard {
     ///
     /// # Errors
     /// Fails when this shard hosts no replica of the object.
-    pub fn read_with(
+    pub(crate) fn read_with(
         &mut self,
         object: ObjectId,
         consistency: ReadConsistency,
@@ -278,7 +277,7 @@ impl ProtocolShard {
     ///
     /// # Errors
     /// Fails when this shard hosts no replica of the object.
-    pub fn probe_for_read(
+    pub(crate) fn probe_for_read(
         &mut self,
         object: ObjectId,
         consistency: ReadConsistency,
@@ -300,7 +299,7 @@ impl ProtocolShard {
     /// without triggering detection — the cheap poll for callers that only
     /// need meta/recency (the consistency level is served by
     /// [`ProtocolShard::level`], already allocation-free).
-    pub fn peek(&self, object: ObjectId) -> Result<SnapshotView<'_>> {
+    pub(crate) fn peek(&self, object: ObjectId) -> Result<SnapshotView<'_>> {
         self.core.store.read_view(object)
     }
 
@@ -314,7 +313,7 @@ impl ProtocolShard {
     /// re-weights *this shard's* quantifier — on the sharded runtime,
     /// node-wide re-weighting is the composing layer's job
     /// ([`IdeaNode::user_dissatisfied`] fans it out to every shard).
-    pub fn user_dissatisfied(
+    pub(crate) fn user_dissatisfied(
         &mut self,
         object: ObjectId,
         new_weights: Option<Weights>,
@@ -330,7 +329,7 @@ impl ProtocolShard {
     }
 
     /// This shard's current consistency-level estimate for `object`.
-    pub fn level(&self, object: ObjectId) -> ConsistencyLevel {
+    pub(crate) fn level(&self, object: ObjectId) -> ConsistencyLevel {
         self.core.obj(object).map_or(ConsistencyLevel::PERFECT, |s| s.level)
     }
 
@@ -368,42 +367,42 @@ impl ProtocolShard {
     // on every shard.
 
     /// Sets the Formula-1 weights on this shard.
-    pub fn set_weights(&mut self, w: Weights) {
+    pub(crate) fn set_weights(&mut self, w: Weights) {
         self.core.quant.set_weights(w);
         self.core.cfg.weights = w;
     }
 
     /// Sets the Formula-1 saturation bounds on this shard.
-    pub fn set_bounds(&mut self, b: MaxBounds) {
+    pub(crate) fn set_bounds(&mut self, b: MaxBounds) {
         self.core.quant.set_bounds(b);
         self.core.cfg.bounds = b;
     }
 
     /// Sets the resolution policy on this shard.
-    pub fn set_policy(&mut self, policy: ResolutionPolicy) {
+    pub(crate) fn set_policy(&mut self, policy: ResolutionPolicy) {
         self.core.cfg.policy = policy;
     }
 
     /// Sets or clears the background-resolution period on this shard.
-    pub fn set_background_period(&mut self, period: Option<idea_types::SimDuration>) {
+    pub(crate) fn set_background_period(&mut self, period: Option<idea_types::SimDuration>) {
         self.core.cfg.background_period = period;
     }
 
     /// Assigns a priority rank to a node in this shard's table.
-    pub fn set_priority(&mut self, node: NodeId, priority: u8) {
+    pub(crate) fn set_priority(&mut self, node: NodeId, priority: u8) {
         self.core.priorities.insert(node, priority);
     }
 
     /// Sets the hint floor. The hint controller is *node-wide* (behind the
     /// shared core), so applying this on any — or every — shard of a node
     /// is equivalent.
-    pub fn set_hint_floor(&mut self, hint: f64) {
+    pub(crate) fn set_hint_floor(&mut self, hint: f64) {
         self.core.shared_handle().hint.lock().set_hint(hint);
     }
 
     /// Resolution rounds this shard initiated to completion (the sharded
     /// engine sums these across workers when assembling a node report).
-    pub fn resolutions_completed(&self) -> u64 {
+    pub(crate) fn resolutions_completed(&self) -> u64 {
         self.resolution.completed()
     }
 
@@ -417,13 +416,13 @@ impl ProtocolShard {
 
     /// The rolling content digest of this shard's replicas (see
     /// [`StoreShard::state_hash`]).
-    pub fn state_hash(&self) -> u64 {
+    pub(crate) fn state_hash(&self) -> u64 {
         self.core.store.state_hash()
     }
 
     /// Installs a final durable snapshot so the WAL tail is empty — the
     /// clean-shutdown invariant. No-op without durability.
-    pub fn flush_durability(&mut self) {
+    pub(crate) fn flush_durability(&mut self) {
         self.core.store.snapshot_now();
     }
 
@@ -432,7 +431,7 @@ impl ProtocolShard {
     /// counters (the chunked fetch path — a *delta* resync, not a full
     /// state transfer) and starts a detection round so peers relearn our
     /// version vector.
-    pub fn rejoin_from(&mut self, peer: NodeId, ctx: &mut dyn Context<IdeaMsg>) {
+    pub(crate) fn rejoin_from(&mut self, peer: NodeId, ctx: &mut dyn Context<IdeaMsg>) {
         let objects: Vec<ObjectId> = self.core.store.objects().collect();
         for object in objects {
             if peer != self.core.me {
@@ -573,11 +572,6 @@ impl IdeaNode {
         self.shards[0].core.me
     }
 
-    /// Number of protocol shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Immutable access to the shards, in index order.
     pub fn shards(&self) -> &[ProtocolShard] {
         &self.shards
@@ -600,7 +594,7 @@ impl IdeaNode {
     }
 
     /// Sets the Formula-1 weights on every shard (Table-1 `set_weight`).
-    pub fn set_weights(&mut self, w: Weights) {
+    pub(crate) fn set_weights(&mut self, w: Weights) {
         for s in &mut self.shards {
             s.set_weights(w);
         }
@@ -628,7 +622,8 @@ impl IdeaNode {
     }
 
     /// The priority rank assigned to `node`, if any.
-    pub fn priority_of(&self, node: NodeId) -> Option<u8> {
+    #[cfg(test)]
+    pub(crate) fn priority_of(&self, node: NodeId) -> Option<u8> {
         self.shards[0].core.priorities.get(&node).copied()
     }
 
@@ -714,38 +709,8 @@ impl IdeaNode {
         self.shard_for(object).read(object, ctx)
     }
 
-    /// Consistency-aware read (see [`ProtocolShard::read_with`]): serves
-    /// the local replica and launches an on-demand detection probe per the
-    /// requested [`ReadConsistency`].
-    ///
-    /// # Errors
-    /// Fails when no replica of the object exists.
-    pub fn read_with(
-        &mut self,
-        object: ObjectId,
-        consistency: ReadConsistency,
-        ctx: &mut dyn Context<IdeaMsg>,
-    ) -> Result<(Snapshot, bool)> {
-        self.shard_for(object).read_with(object, consistency, ctx)
-    }
-
-    /// The protocol half of a read (see [`ProtocolShard::probe_for_read`]):
-    /// launches whatever probe the read calls for and reports it; pair
-    /// with [`IdeaNode::peek`] for the value.
-    ///
-    /// # Errors
-    /// Fails when no replica of the object exists.
-    pub fn probe_for_read(
-        &mut self,
-        object: ObjectId,
-        consistency: ReadConsistency,
-        ctx: &mut dyn Context<IdeaMsg>,
-    ) -> Result<bool> {
-        self.shard_for(object).probe_for_read(object, consistency, ctx)
-    }
-
     /// Reads the object's value view without cloning its version vector and
-    /// without triggering detection (see [`ProtocolShard::peek`]).
+    /// without triggering detection (see `ProtocolShard::peek`).
     pub fn peek(&self, object: ObjectId) -> Result<SnapshotView<'_>> {
         self.shards[self.shard_idx(object)].peek(object)
     }
@@ -795,7 +760,7 @@ impl IdeaNode {
     /// requests the updates it missed from `peer` as a *delta* against its
     /// recovered version vectors (the chunked fetch path) and starts
     /// detection rounds so peers relearn our counters. See
-    /// [`ProtocolShard::rejoin_from`].
+    /// `ProtocolShard::rejoin_from`.
     pub fn rejoin_from(&mut self, peer: NodeId, ctx: &mut dyn Context<IdeaMsg>) {
         for s in &mut self.shards {
             s.rejoin_from(peer, ctx);

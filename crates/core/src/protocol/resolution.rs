@@ -1,21 +1,27 @@
 //! The resolution driver: active two-phase resolution (call-for-attention,
-//! then collect-and-inform, §4.5.2) and background periodic resolution,
-//! both delegating policy decisions to [`crate::resolution`].
+//! then collect-and-inform, §4.5.2) and background periodic resolution.
 //!
-//! Owns the per-object resolution state machine, the attention leases
-//! members grant to initiators, and the completed-round log. Talks to the
-//! rest of the node only through [`NodeCore`] (store, overlay view, level,
-//! hint controller) — swapping this driver for another strategy leaves the
-//! write path and detection untouched.
+//! The seam with [`crate::resolution`]: that module is pure policy and the
+//! wire-visible types (reference choice, the reference wire, the records),
+//! tested without a [`Context`]; this one is the message-driven driver
+//! that sends, times and applies them. It owns the per-object resolution
+//! state machine, the attention leases members grant to initiators, the
+//! completed-round log, and the steps both resolution kinds share: the
+//! phase-2 fan-out, adopting the chosen reference, and the contention
+//! back-off. Talks to the rest of the node only through [`NodeCore`]
+//! (store, overlay view, level, hint controller) — swapping this driver
+//! for another strategy leaves the write path and detection untouched.
 
-use super::reference::{apply_reference, backoff_delay, send_collects};
 use super::{pack, NodeCore, K_BACKGROUND, K_BACKOFF};
 use crate::adapt::AdaptAction;
 use crate::messages::IdeaMsg;
-use crate::resolution::{choose_reference, ReferenceWire, ResolutionKind, ResolutionRecord};
+use crate::resolution::{
+    choose_reference, ReferenceState, ReferenceWire, ResolutionKind, ResolutionRecord,
+};
 use idea_net::Context;
-use idea_types::{NodeId, ObjectId, SimDuration, SimTime};
+use idea_types::{ConsistencyLevel, NodeId, ObjectId, SimDuration, SimTime};
 use idea_vv::VersionVector;
+use rand::Rng;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Per-message dispatch cost charged to the initiator when fanning out
@@ -27,14 +33,21 @@ const DISPATCH_COST: SimDuration = SimDuration::from_micros(156);
 /// considered stale (the initiator crashed mid-resolution).
 const ATTENTION_LEASE: SimDuration = SimDuration::from_secs(5);
 
+/// Lower edge of the contended-resolution back-off window (§4.5.2).
+const BACKOFF_MIN: SimDuration = SimDuration::from_millis(50);
+/// Upper edge of the back-off window.
+const BACKOFF_MAX: SimDuration = SimDuration::from_millis(400);
+// The window is half-open, so it must not be empty (nor inverted).
+const _: () = assert!(BACKOFF_MIN.as_micros() < BACKOFF_MAX.as_micros(), "empty back-off window");
+
 /// The initiator's own vector snapshot taken at phase-2 entry: the
 /// `summary` rides every collect request of the round and the full
 /// `baseline` losslessly reconstructs each member's [`idea_vv::VvDelta`]
 /// answer.
 #[derive(Debug, Clone)]
 pub(super) struct CollectProbe {
-    pub summary: idea_vv::VvSummary,
-    pub baseline: idea_vv::ExtendedVersionVector,
+    pub(crate) summary: idea_vv::VvSummary,
+    pub(crate) baseline: idea_vv::ExtendedVersionVector,
 }
 
 /// Resolution state machine of one object at one node.
@@ -120,23 +133,23 @@ impl ResolutionDriver {
     }
 
     /// Completed resolution records.
-    pub fn log(&self) -> &[ResolutionRecord] {
+    pub(crate) fn log(&self) -> &[ResolutionRecord] {
         &self.log
     }
 
     /// Resolution rounds this node initiated to completion.
-    pub fn completed(&self) -> u64 {
+    pub(crate) fn completed(&self) -> u64 {
         self.completed
     }
 
     /// True while a resolution round involves this node as initiator (or it
     /// is backing off from one).
-    pub fn is_resolving(&self, object: ObjectId) -> bool {
+    pub(crate) fn is_resolving(&self, object: ObjectId) -> bool {
         self.states.get(&object).is_some_and(|s| !matches!(s.state, ResState::Idle))
     }
 
     /// Starts an active two-phase resolution (phase 1: call for attention).
-    pub fn start_active(
+    pub(crate) fn start_active(
         &mut self,
         core: &mut NodeCore,
         object: ObjectId,
@@ -162,7 +175,7 @@ impl ResolutionDriver {
     /// initiators tie-break by id — the larger id proceeds, the smaller
     /// backs off (a deterministic rendering of §4.5.2's "back-off and retry
     /// after a random amount of time").
-    pub fn on_call_for_attention(
+    pub(crate) fn on_call_for_attention(
         &mut self,
         core: &mut NodeCore,
         from: NodeId,
@@ -211,7 +224,7 @@ impl ResolutionDriver {
 
     /// Initiator side of phase 1: collect acknowledgements; a refusal sends
     /// us into back-off, the final grant moves us to phase 2.
-    pub fn on_attention(
+    pub(crate) fn on_attention(
         &mut self,
         core: &mut NodeCore,
         from: NodeId,
@@ -262,7 +275,7 @@ impl ResolutionDriver {
 
     /// Background resolution timer fired: the lowest-id top-layer member
     /// initiates a collect round directly (no phase 1, §4.5.2).
-    pub fn on_background_timer(
+    pub(crate) fn on_background_timer(
         &mut self,
         core: &mut NodeCore,
         object: ObjectId,
@@ -306,7 +319,7 @@ impl ResolutionDriver {
     /// delta-encoded `Inform` of the same round can resolve against them.
     /// The probe is deliberately *not* folded into our own known counts:
     /// observing it would perturb detection state.
-    pub fn on_collect_request(
+    pub(crate) fn on_collect_request(
         &mut self,
         core: &mut NodeCore,
         from: NodeId,
@@ -325,7 +338,7 @@ impl ResolutionDriver {
     /// against the round's probe baseline, gather it (members asked one at
     /// a time or all at once per the config), then pick and publish the
     /// reference.
-    pub fn on_collect_delta(
+    pub(crate) fn on_collect_delta(
         &mut self,
         core: &mut NodeCore,
         from: NodeId,
@@ -434,7 +447,7 @@ impl ResolutionDriver {
     /// resolves against the counter snapshot stored when this node
     /// answered the round's collect; on the (eviction-only) snapshot miss
     /// the adoption is skipped and the next background round reconciles.
-    pub fn on_inform(
+    pub(crate) fn on_inform(
         &mut self,
         core: &mut NodeCore,
         from: NodeId,
@@ -465,7 +478,7 @@ impl ResolutionDriver {
 
     /// Back-off expired: retry only if the level still violates the floor
     /// (the other initiator's resolution may already have fixed it).
-    pub fn on_backoff_timer(
+    pub(crate) fn on_backoff_timer(
         &mut self,
         core: &mut NodeCore,
         object: ObjectId,
@@ -485,6 +498,68 @@ impl ResolutionDriver {
             }
         }
     }
+}
+
+/// Phase-2 fan-out: all members at once when `parallel_phase2` is set, one
+/// member at a time (the paper's design) otherwise. `probe` is the
+/// initiator's own vector summary — members answer with a delta against
+/// it instead of their full vector.
+fn send_collects(
+    core: &NodeCore,
+    object: ObjectId,
+    rid: u64,
+    members: &[NodeId],
+    from_index: usize,
+    probe: &idea_vv::VvSummary,
+    ctx: &mut dyn Context<IdeaMsg>,
+) {
+    if core.cfg.parallel_phase2 {
+        if from_index == 0 {
+            for &m in members {
+                ctx.send(m, IdeaMsg::CollectRequest { rid, object, probe: probe.clone() });
+            }
+        }
+    } else if let Some(&m) = members.get(from_index) {
+        ctx.send(m, IdeaMsg::CollectRequest { rid, object, probe: probe.clone() });
+    }
+}
+
+/// Brings the local replica to the reference state: drop unsanctioned
+/// updates, fetch missing ones from the winner.
+fn apply_reference(
+    core: &mut NodeCore,
+    object: ObjectId,
+    reference: &ReferenceState,
+    ctx: &mut dyn Context<IdeaMsg>,
+) {
+    let my_writer = core.store.writer();
+    core.open(object);
+    // Through the store wrapper so the transition is WAL-logged when
+    // durability is on (a recovering node must not resurrect updates the
+    // reference dropped).
+    let _invalidated = core.store.drop_extras(object, &reference.counts).expect("opened above");
+    let have = core.store.replica(object).expect("opened above").version().counters().clone();
+    // Local sequencing resumes from the sanctioned count (see module docs
+    // on sequence reuse).
+    let resume = reference.counts.get(my_writer).max(have.get(my_writer));
+    core.store.resume_writes_after(object, resume);
+
+    let need = have.missing_from(&reference.counts);
+    match reference.winner {
+        Some(w) if w != core.me && need > 0 => {
+            ctx.send(w, IdeaMsg::FetchRequest { object, have });
+            // Level settles when the fetch lands.
+        }
+        _ => {
+            core.obj_mut(object).level = ConsistencyLevel::PERFECT;
+        }
+    }
+}
+
+/// Uniform back-off delay in `[BACKOFF_MIN, BACKOFF_MAX)` (§4.5.2).
+fn backoff_delay(ctx: &mut dyn Context<IdeaMsg>) -> SimDuration {
+    let (lo, hi) = (BACKOFF_MIN.as_micros(), BACKOFF_MAX.as_micros());
+    SimDuration::from_micros(ctx.rng().gen_range(lo..hi))
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@ impl WritePath {
     /// Issues a local write (§4.2: "The write operation … triggers the IDEA
     /// protocol because it … will surely cause inconsistency among
     /// replicas"). The caller must start a detection round afterwards.
-    pub fn local_write(
+    pub(crate) fn local_write(
         &mut self,
         core: &mut NodeCore,
         object: ObjectId,
@@ -79,7 +79,7 @@ impl WritePath {
     /// for [`STALE_AFTER`]. The decision runs on the borrowing
     /// [`idea_store::SnapshotView`]; nothing is cloned — the caller reads
     /// the value through whichever view it needs.
-    pub fn read(
+    pub(crate) fn read(
         &mut self,
         core: &mut NodeCore,
         object: ObjectId,
@@ -114,7 +114,7 @@ impl WritePath {
     /// prefix is per-writer seq-consecutive and safe to ingest — and
     /// `done: false` tells the requester to come back with its advanced
     /// counters as the continuation cursor.
-    pub fn on_fetch_request(
+    pub(crate) fn on_fetch_request(
         &self,
         core: &NodeCore,
         from: NodeId,
@@ -139,7 +139,7 @@ impl WritePath {
     /// Missing updates arrived: ingest them, then either settle the level
     /// (`done`) or request the next chunk from the sender, cursored by the
     /// counters the ingest just advanced.
-    pub fn on_fetch_reply(
+    pub(crate) fn on_fetch_reply(
         &mut self,
         core: &mut NodeCore,
         from: NodeId,

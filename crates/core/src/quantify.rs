@@ -64,7 +64,7 @@ impl Weights {
     }
 
     /// The weights scaled to sum to one.
-    pub fn normalized(&self) -> Weights {
+    pub(crate) fn normalized(&self) -> Weights {
         let s = self.sum();
         Weights {
             numerical: self.numerical / s,
@@ -142,13 +142,13 @@ impl Quantifier {
     }
 
     /// Replaces the weights (the `set_weight` API).
-    pub fn set_weights(&mut self, weights: Weights) {
+    pub(crate) fn set_weights(&mut self, weights: Weights) {
         weights.validate();
         self.weights = weights.normalized();
     }
 
     /// Replaces the bounds (the `set_consistency_metric` API).
-    pub fn set_bounds(&mut self, bounds: MaxBounds) {
+    pub(crate) fn set_bounds(&mut self, bounds: MaxBounds) {
         self.bounds = bounds;
     }
 

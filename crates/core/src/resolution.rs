@@ -5,6 +5,11 @@
 //! user-demanded **active** rounds (two-phase: call-for-attention, then
 //! collect/inform) — but one core: pick a *reference consistent state* from
 //! the collected version vectors and bring every member to it.
+//!
+//! The seam with `protocol::resolution`: this module is pure policy and
+//! the wire-visible types (reference choice, [`ReferenceWire`], the
+//! records), tested without a `Context`; that one is the message-driven
+//! driver that sends, times and applies them.
 
 use idea_types::{NodeId, SimDuration, SimTime, WriterId};
 use idea_vv::{ExtendedVersionVector, VersionVector};
@@ -38,7 +43,7 @@ impl ResolutionPolicy {
     }
 
     /// The Table-1 integer code of this policy.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             ResolutionPolicy::InvalidateBoth => 1,
             ResolutionPolicy::HighestIdWins => 2,
@@ -87,7 +92,7 @@ impl ReferenceWire {
     /// Picks the smaller encoding of `reference` for a member that reported
     /// `acked` in its collect answer: the delta against `acked` when it
     /// beats the full vector on the wire, the full form otherwise.
-    pub fn encode(reference: &ReferenceState, acked: &VersionVector) -> ReferenceWire {
+    pub(crate) fn encode(reference: &ReferenceState, acked: &VersionVector) -> ReferenceWire {
         let diffs = reference.counts.diff_from(acked);
         if diffs.len() < reference.counts.writers() {
             ReferenceWire::Delta { winner: reference.winner, diffs }
@@ -99,7 +104,7 @@ impl ReferenceWire {
     /// Reconstructs the exact [`ReferenceState`] on the member side.
     /// `acked` is the counter snapshot the member stored when it answered
     /// the round's collect; it is only consulted by the delta form.
-    pub fn resolve(&self, acked: &VersionVector) -> ReferenceState {
+    pub(crate) fn resolve(&self, acked: &VersionVector) -> ReferenceState {
         match self {
             ReferenceWire::Full(reference) => reference.clone(),
             ReferenceWire::Delta { winner, diffs } => {
@@ -110,13 +115,13 @@ impl ReferenceWire {
 
     /// Whether this form needs the member's acked-counter snapshot to
     /// resolve (the delta form is meaningless without it).
-    pub fn needs_snapshot(&self) -> bool {
+    pub(crate) fn needs_snapshot(&self) -> bool {
         matches!(self, ReferenceWire::Delta { .. })
     }
 
     /// Approximate serialized size in bytes: an 8-byte winner/tag header
     /// plus 12 bytes per carried `(writer, count)` entry.
-    pub fn wire_bytes(&self) -> usize {
+    pub(crate) fn wire_bytes(&self) -> usize {
         match self {
             ReferenceWire::Full(reference) => 8 + 12 * reference.counts.writers(),
             ReferenceWire::Delta { diffs, .. } => 8 + 12 * diffs.len(),
@@ -131,7 +136,7 @@ impl ReferenceWire {
 /// # Panics
 /// Panics if `candidates` is empty — a resolution round always includes at
 /// least the initiator's own replica.
-pub fn choose_reference(
+pub(crate) fn choose_reference(
     policy: ResolutionPolicy,
     candidates: &[(NodeId, ExtendedVersionVector)],
     priorities: &BTreeMap<NodeId, u8>,
@@ -171,7 +176,7 @@ pub fn choose_reference(
 
 /// How a resolution round was initiated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ResolutionKind {
+pub(crate) enum ResolutionKind {
     /// Periodic background round (§4.5.2).
     Background,
     /// User-demanded active round (two-phase).
@@ -183,13 +188,13 @@ pub enum ResolutionKind {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResolutionRecord {
     /// Correlation id of the round.
-    pub rid: u64,
+    pub(crate) rid: u64,
     /// Background or active.
-    pub kind: ResolutionKind,
+    pub(crate) kind: ResolutionKind,
     /// Number of top-layer members contacted (excluding the initiator).
     pub members: usize,
     /// When the round started.
-    pub started: SimTime,
+    pub(crate) started: SimTime,
     /// Phase-1 dispatch cost: time to fan out call-for-attention messages
     /// (zero for background rounds, which skip phase 1).
     pub phase1_dispatch: SimDuration,
@@ -215,12 +220,6 @@ impl ResolutionRecord {
 /// (`0.46825 + 104.747 · (n − 1)`).
 pub fn formula2_active_delay_ms(n: usize) -> f64 {
     0.46825 + 104.747 * (n.saturating_sub(1)) as f64
-}
-
-/// Formula 3: extrapolated background-resolution delay (ms) — phase 2 only
-/// (`104.747 · (n − 1)`).
-pub fn formula3_background_delay_ms(n: usize) -> f64 {
-    104.747 * (n.saturating_sub(1)) as f64
 }
 
 /// Formula 4: optimal background-resolution rate (rounds per second) given
@@ -346,12 +345,6 @@ mod tests {
         // Figure 9's headline: even at n = 10 the cost stays under 1 s.
         assert!(formula2_active_delay_ms(10) < 1_000.0);
         assert!((formula2_active_delay_ms(1) - 0.46825).abs() < 1e-9);
-    }
-
-    #[test]
-    fn formula3_is_phase2_only() {
-        assert_eq!(formula3_background_delay_ms(1), 0.0);
-        assert!(formula3_background_delay_ms(4) < formula2_active_delay_ms(4));
     }
 
     #[test]

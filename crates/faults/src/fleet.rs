@@ -20,19 +20,19 @@ pub const FLIGHT: u32 = 77;
 #[derive(Debug, Clone)]
 pub struct BookingFleetSpec {
     /// Number of booking servers.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Flight capacity shared by the fleet.
-    pub capacity: u32,
+    pub(crate) capacity: u32,
     /// Give every server an IPA-style escrow quota of `capacity / n`.
-    pub escrow: bool,
+    pub(crate) escrow: bool,
     /// Seed for topology and engine RNG.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Background resolution period.
-    pub period: SimDuration,
+    pub(crate) period: SimDuration,
     /// WAL root directory; `None` runs without durability (crash recovery
     /// then falls back to amnesiac restart even when a schedule asks for
     /// `via_wal`).
-    pub wal_dir: Option<PathBuf>,
+    pub(crate) wal_dir: Option<PathBuf>,
     /// Fsync per append (`Sync`) instead of buffered appends. Buffered is
     /// the fast default for big random sweeps: within one process the
     /// appended bytes are still visible to recovery reads, so WAL replay
@@ -58,7 +58,7 @@ impl BookingFleetSpec {
     }
 
     /// The node configuration this spec implies.
-    pub fn config(&self) -> IdeaConfig {
+    pub(crate) fn config(&self) -> IdeaConfig {
         let mut cfg = IdeaConfig::booking(self.period);
         if let Some(dir) = &self.wal_dir {
             cfg.durability = if self.wal_sync {
@@ -71,7 +71,7 @@ impl BookingFleetSpec {
     }
 
     /// Per-server escrow quota, when escrow is on.
-    pub fn quota(&self) -> Option<u32> {
+    pub(crate) fn quota(&self) -> Option<u32> {
         self.escrow.then(|| self.capacity / self.n as u32)
     }
 

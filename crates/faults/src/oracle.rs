@@ -1,62 +1,27 @@
-//! Convergence and divergence-bound oracles over a fleet.
+//! Convergence oracles over a fleet.
 //!
 //! The fault runner delegates *application* predicates to
 //! [`idea_apps::FleetInvariant`] checkers; this module holds the
 //! protocol-level oracles that apply to any [`crate::FaultHost`] fleet:
-//! state-hash convergence and the detection plane's divergence bound.
+//! state-hash convergence.
 
-use idea_core::NodeReport;
 use idea_types::SimTime;
 
 /// One observed invariant violation, timestamped in virtual time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// When the violation was observed.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Which invariant broke (its stable `name()`).
-    pub invariant: String,
+    pub(crate) invariant: String,
     /// Human-readable description, actionable on its own.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 /// True when every node reports the same state hash (vacuously true for
 /// an empty fleet).
-pub fn converged(hashes: &[u64]) -> bool {
+pub(crate) fn converged(hashes: &[u64]) -> bool {
     hashes.windows(2).all(|w| w[0] == w[1])
-}
-
-/// The detection plane's divergence bound: every node's *detected*
-/// consistency level must stay at or above a floor.
-///
-/// The floor is the level the deployment's `ConsistencySpec` hint pins
-/// (`NodeReport::hint_floor` is the node's own view of it); a fleet that
-/// drifts below while claiming to honour the spec has a broken detection
-/// or adaptation plane. Partitioned intervals are exempt by construction:
-/// callers check this oracle on connected, settled fleets.
-#[derive(Debug, Clone, Copy)]
-pub struct DivergenceBound {
-    /// Minimum acceptable detected consistency level, in `[0, 1]`.
-    pub floor: f64,
-}
-
-impl DivergenceBound {
-    /// Checks every node's report against the floor.
-    ///
-    /// # Errors
-    /// Returns the first node whose detected level sits below the floor.
-    pub fn check_reports(&self, reports: &[NodeReport]) -> Result<(), String> {
-        for r in reports {
-            let level = r.level.value();
-            if level < self.floor {
-                return Err(format!(
-                    "divergence bound violated: node {} detects level {level:.4} \
-                     below floor {:.4}",
-                    r.node.0, self.floor
-                ));
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -58,11 +58,11 @@ impl FaultHost for BookingServer {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceStep {
     /// Virtual time of the event.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Short label of the applied event.
-    pub label: String,
+    pub(crate) label: String,
     /// `state_hash()` of every node, in index order.
-    pub hashes: Vec<u64>,
+    pub(crate) hashes: Vec<u64>,
 }
 
 /// The outcome of running one scenario.
@@ -115,14 +115,14 @@ impl<P: FaultHost> FaultRunner<P> {
     /// replacement host for a recovery — through the WAL-replay path when
     /// `via_wal` (or fall back to fresh when the fleet runs without
     /// durability).
-    pub fn new(eng: SimEngine<P>, rebuild: Box<dyn Fn(NodeId, bool) -> P>) -> Self {
+    pub(crate) fn new(eng: SimEngine<P>, rebuild: Box<dyn Fn(NodeId, bool) -> P>) -> Self {
         let n = eng.len();
         FaultRunner { eng, rebuild, invariants: Vec::new(), down: vec![false; n] }
     }
 
     /// Registers a fleet invariant, checked after every scheduled event
     /// and once more after the healing epilogue.
-    pub fn check(mut self, inv: impl FleetInvariant<P> + 'static) -> Self {
+    pub(crate) fn check(mut self, inv: impl FleetInvariant<P> + 'static) -> Self {
         self.invariants.push(Box::new(inv));
         self
     }

@@ -42,7 +42,7 @@ pub fn split_brain_write_race() -> Scenario {
 /// the whole fleet keeps selling, with loss, reordering and duplication
 /// layered on during the flaps. Exercises retry paths and at-most-once
 /// delivery assumptions.
-pub fn flapping_link() -> Scenario {
+pub(crate) fn flapping_link() -> Scenario {
     let mut ev = vec![
         s(500, FaultEvent::Reorder { window: SimDuration::from_millis(100) }),
         s(501, FaultEvent::Duplicate { p: 0.2 }),
@@ -87,7 +87,7 @@ pub fn crash_during_resolution() -> Scenario {
 /// directions (±40 % rate) while the fleet sells and resolves. Staleness
 /// estimates and timer-driven behaviour see wildly different local times;
 /// replicated state must still converge.
-pub fn skewed_clock_sweep() -> Scenario {
+pub(crate) fn skewed_clock_sweep() -> Scenario {
     let mut ev = vec![
         s(1_000, FaultEvent::ClockSkew { node: 1, ppm: 400_000 }),
         s(1_001, FaultEvent::ClockSkew { node: 3, ppm: -400_000 }),

@@ -102,7 +102,7 @@ pub enum WorkOp {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scheduled {
     /// When the event fires (events must be non-decreasing in `at`).
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// What happens.
     pub event: FaultEvent,
 }
@@ -113,7 +113,7 @@ pub struct Scenario {
     /// Stable name for reports.
     pub name: String,
     /// Seed this scenario was derived from (0 for hand-written ones).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The schedule, non-decreasing in `at`.
     pub events: Vec<Scheduled>,
     /// Extra virtual time granted after the final event (and the healing
@@ -123,7 +123,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// Builds a hand-written scenario.
-    pub fn named(name: &str, events: Vec<Scheduled>, settle: SimDuration) -> Self {
+    pub(crate) fn named(name: &str, events: Vec<Scheduled>, settle: SimDuration) -> Self {
         let s = Scenario { name: name.to_string(), seed: 0, events, settle };
         debug_assert!(s.is_monotonic(), "schedule times must be non-decreasing");
         s
@@ -200,13 +200,8 @@ impl Scenario {
     }
 
     /// True when event times never decrease.
-    pub fn is_monotonic(&self) -> bool {
+    pub(crate) fn is_monotonic(&self) -> bool {
         self.events.windows(2).all(|w| w[0].at <= w[1].at)
-    }
-
-    /// Virtual time of the last event ([`SimTime::ZERO`] when empty).
-    pub fn end(&self) -> SimTime {
-        self.events.last().map_or(SimTime::ZERO, |s| s.at)
     }
 }
 

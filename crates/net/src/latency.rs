@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 /// Per-message perturbation applied on top of the base pair delay.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Jitter {
+pub(crate) enum Jitter {
     /// No perturbation: delivery takes exactly the base delay.
     None,
     /// Uniform multiplicative jitter: base × U(1−f, 1+f).
@@ -19,29 +19,17 @@ pub enum Jitter {
         /// Fractional half-width, e.g. 0.2 for ±20 %.
         frac: f64,
     },
-    /// Additive uniform jitter in microseconds: base + U(0, extra).
-    Additive {
-        /// Maximum extra delay in microseconds.
-        extra_us: u64,
-    },
 }
 
 impl Jitter {
     /// Applies the jitter to `base` using `rng`.
-    pub fn apply<R: Rng + ?Sized>(&self, base: SimDuration, rng: &mut R) -> SimDuration {
+    pub(crate) fn apply<R: Rng + ?Sized>(&self, base: SimDuration, rng: &mut R) -> SimDuration {
         match *self {
             Jitter::None => base,
             Jitter::Proportional { frac } => {
                 let f = frac.clamp(0.0, 0.99);
                 let k = rng.gen_range((1.0 - f)..=(1.0 + f));
                 base.mul_f64(k)
-            }
-            Jitter::Additive { extra_us } => {
-                if extra_us == 0 {
-                    base
-                } else {
-                    base + SimDuration::from_micros(rng.gen_range(0..=extra_us))
-                }
             }
         }
     }
@@ -55,7 +43,7 @@ impl Default for Jitter {
 
 /// Base one-way delay for an ordered node pair.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum LatencyModel {
+pub(crate) enum LatencyModel {
     /// Every pair has the same base delay.
     Constant(SimDuration),
     /// Dense per-pair matrix (row = from, column = to), microseconds.
@@ -70,16 +58,12 @@ pub enum LatencyModel {
 }
 
 impl LatencyModel {
-    /// A flat model with the given one-way delay.
-    pub fn constant_ms(ms: u64) -> Self {
-        LatencyModel::Constant(SimDuration::from_millis(ms))
-    }
-
     /// Builds a matrix model from a closure over ordered pairs.
     ///
     /// # Panics
     /// Panics when a delay exceeds `u32::MAX` microseconds.
-    pub fn from_fn(n: usize, mut f: impl FnMut(NodeId, NodeId) -> SimDuration) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_fn(n: usize, mut f: impl FnMut(NodeId, NodeId) -> SimDuration) -> Self {
         let mut us = Vec::with_capacity(n * n);
         for i in 0..n as u32 {
             for j in 0..n as u32 {
@@ -93,7 +77,7 @@ impl LatencyModel {
     }
 
     /// Base one-way delay from `from` to `to`.
-    pub fn base(&self, from: NodeId, to: NodeId) -> SimDuration {
+    pub(crate) fn base(&self, from: NodeId, to: NodeId) -> SimDuration {
         match self {
             LatencyModel::Constant(d) => *d,
             LatencyModel::Matrix { n, us } => {
@@ -105,7 +89,7 @@ impl LatencyModel {
     }
 
     /// Samples the delay for one message.
-    pub fn sample<R: Rng + ?Sized>(
+    pub(crate) fn sample<R: Rng + ?Sized>(
         &self,
         from: NodeId,
         to: NodeId,
@@ -116,7 +100,8 @@ impl LatencyModel {
     }
 
     /// Mean base one-way delay over all ordered pairs (excluding diagonal).
-    pub fn mean_base(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn mean_base(&self) -> SimDuration {
         match self {
             LatencyModel::Constant(d) => *d,
             LatencyModel::Matrix { n, us } => {
@@ -148,7 +133,7 @@ mod tests {
 
     #[test]
     fn constant_model_is_flat() {
-        let m = LatencyModel::constant_ms(50);
+        let m = LatencyModel::Constant(SimDuration::from_millis(50));
         assert_eq!(m.base(NodeId(0), NodeId(1)), SimDuration::from_millis(50));
         assert_eq!(m.base(NodeId(3), NodeId(2)), SimDuration::from_millis(50));
         assert_eq!(m.mean_base(), SimDuration::from_millis(50));
@@ -191,18 +176,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let base = SimDuration::from_millis(40);
         assert_eq!(Jitter::None.apply(base, &mut rng), base);
-    }
-
-    #[test]
-    fn additive_jitter_only_adds() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let base = SimDuration::from_millis(40);
-        for _ in 0..100 {
-            let d = Jitter::Additive { extra_us: 5_000 }.apply(base, &mut rng);
-            assert!(d >= base);
-            assert!(d <= base + SimDuration::from_micros(5_000));
-        }
-        assert_eq!(Jitter::Additive { extra_us: 0 }.apply(base, &mut rng), base);
     }
 
     proptest! {

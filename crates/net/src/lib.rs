@@ -18,22 +18,21 @@
 //! makes the two engines interchangeable.
 //!
 //! [`topology::Topology`] captures the WAN shape (per-pair one-way delays);
-//! [`latency::LatencyModel`] adds per-message jitter; [`stats::NetStats`]
+//! `latency::LatencyModel` adds per-message jitter; [`stats::NetStats`]
 //! counts messages and bytes per protocol class — the quantity Table 3 of
 //! the paper reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod latency;
-pub mod proto;
-pub mod sim;
-pub mod stats;
-pub mod threaded;
-pub mod topology;
-pub mod wheel;
+pub(crate) mod latency;
+pub(crate) mod proto;
+pub(crate) mod sim;
+pub(crate) mod stats;
+pub(crate) mod threaded;
+pub(crate) mod topology;
+pub(crate) mod wheel;
 
-pub use latency::{Jitter, LatencyModel};
 pub use proto::{Context, Proto, ShardedProto, TimerId, Wire};
 pub use sim::{Quiescence, SimConfig, SimEngine};
 pub use stats::{MsgClass, NetStats, StatsSnapshot};

@@ -229,11 +229,6 @@ impl<P: Proto> SimEngine<P> {
         self.nodes.is_empty()
     }
 
-    /// The topology the engine runs over.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
     /// Immutable access to a node's protocol state.
     pub fn node(&self, id: NodeId) -> &P {
         self.nodes[id.index()].as_ref().expect("node present")
@@ -294,7 +289,8 @@ impl<P: Proto> SimEngine<P> {
     }
 
     /// The clock-skew setting for `node` in parts-per-million.
-    pub fn clock_skew(&self, node: NodeId) -> i64 {
+    #[cfg(test)]
+    pub(crate) fn clock_skew(&self, node: NodeId) -> i64 {
         self.skew_ppm[node.index()]
     }
 
@@ -319,7 +315,8 @@ impl<P: Proto> SimEngine<P> {
     }
 
     /// True while `node` is paused.
-    pub fn is_paused(&self, node: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_paused(&self, node: NodeId) -> bool {
         self.paused[node.index()]
     }
 
@@ -542,13 +539,15 @@ impl<P: Proto> SimEngine<P> {
 
     /// Number of events still queued (parked events on paused nodes are not
     /// included).
-    pub fn pending_events(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_events(&self) -> usize {
         self.queue.len()
     }
 
     /// Cancellation tombstones currently held (bounded by in-flight
     /// timers; exposed so tests can pin that the set cannot leak).
-    pub fn pending_cancellations(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_cancellations(&self) -> usize {
         self.cancelled.len()
     }
 }

@@ -6,7 +6,6 @@
 //! [`MsgClass`] so the harness can report resolution traffic (the paper's
 //! number) and total traffic (for the trade-off ablation) separately.
 
-use idea_types::MessageSizeModel;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -46,7 +45,7 @@ impl MsgClass {
     ];
 
     /// Stable display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             MsgClass::Detect => "detect",
             MsgClass::ResolutionCtl => "resolution-ctl",
@@ -87,13 +86,13 @@ pub struct NetStats {
 
 impl NetStats {
     /// Fresh, zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records one sent message of `class` with `payload` bytes.
     #[inline]
-    pub fn record(&mut self, class: MsgClass, payload: u64) {
+    pub(crate) fn record(&mut self, class: MsgClass, payload: u64) {
         let i = class.index();
         self.messages[i] += 1;
         self.payload_bytes[i] += payload;
@@ -101,7 +100,7 @@ impl NetStats {
 
     /// Records a message dropped by loss/partition injection.
     #[inline]
-    pub fn record_drop(&mut self) {
+    pub(crate) fn record_drop(&mut self) {
         self.dropped += 1;
     }
 
@@ -152,11 +151,6 @@ impl NetStats {
         out.dropped = self.dropped.saturating_sub(earlier.dropped);
         out
     }
-
-    /// Bandwidth (bits/s) consumed by `class` over `secs`, under `model`.
-    pub fn bandwidth_bps(&self, class: MsgClass, model: MessageSizeModel, secs: f64) -> f64 {
-        model.bandwidth_bps(self.messages(class), self.payload_bytes(class), secs)
-    }
 }
 
 /// A frozen view of [`NetStats`] suitable for tables.
@@ -185,6 +179,7 @@ impl fmt::Display for StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idea_types::MessageSizeModel;
 
     #[test]
     fn record_accumulates_per_class() {
@@ -226,7 +221,12 @@ mod tests {
         for _ in 0..168 {
             s.record(MsgClass::ResolutionCtl, 0);
         }
-        let bps = s.bandwidth_bps(MsgClass::ResolutionCtl, MessageSizeModel::PAPER_1KB, 100.0);
+        let class = MsgClass::ResolutionCtl;
+        let bps = MessageSizeModel::PAPER_1KB.bandwidth_bps(
+            s.messages(class),
+            s.payload_bytes(class),
+            100.0,
+        );
         // Paper: 168 KB over 100 s — trivially small.
         assert!(bps < 56_000.0);
         assert!(bps > 10_000.0);

@@ -199,7 +199,6 @@ pub struct ShardedEngine<P: ShardedProto + 'static> {
     router_handles: Vec<thread::JoinHandle<()>>,
     shards: usize,
     stats: Arc<Mutex<NetStats>>,
-    start: Instant,
     scale: f64,
 }
 
@@ -299,14 +298,8 @@ impl<P: ShardedProto + 'static> ShardedEngine<P> {
             router_handles,
             shards,
             stats,
-            start,
             scale: cfg.time_scale,
         }
-    }
-
-    /// Current virtual time as observed by the engine.
-    pub fn now(&self) -> SimTime {
-        SimTime((self.start.elapsed().as_micros() as f64 / self.scale) as u64)
     }
 
     /// Number of nodes.
@@ -730,7 +723,7 @@ mod tests {
         let eng = start(Topology::lan(1), 4, 0.01, vec![Alarm { fired: vec![] }]);
         thread::sleep(Duration::from_millis(50));
         // 50 ms of wall time at scale 0.01 is ~5 s of virtual time.
-        let now = eng.now();
+        let now = eng.query(NodeId(0), 0, |_, ctx| ctx.now());
         assert!(now >= SimTime::from_secs(4), "virtual now {now}");
         eng.stop();
     }

@@ -29,18 +29,8 @@ pub enum Region {
 
 impl Region {
     /// All regions in assignment order.
-    pub const ALL: [Region; 4] =
+    pub(crate) const ALL: [Region; 4] =
         [Region::UsEast, Region::UsWest, Region::UsCentral, Region::Canada];
-
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Region::UsEast => "us-east",
-            Region::UsWest => "us-west",
-            Region::UsCentral => "us-central",
-            Region::Canada => "canada",
-        }
-    }
 }
 
 /// A node deployment: per-node regions plus the pairwise latency model.
@@ -93,37 +83,30 @@ impl Topology {
     }
 
     /// A topology with a custom latency model (uniform region labels).
-    pub fn custom(n: usize, latency: LatencyModel, jitter: Jitter) -> Topology {
+    #[cfg(test)]
+    pub(crate) fn custom(n: usize, latency: LatencyModel, jitter: Jitter) -> Topology {
         Topology { regions: vec![Region::UsEast; n], latency, jitter }
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.regions.len()
     }
 
-    /// True when the topology has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
-    }
-
     /// Region of `node`.
-    pub fn region(&self, node: NodeId) -> Region {
+    #[cfg(test)]
+    pub(crate) fn region(&self, node: NodeId) -> Region {
         self.regions[node.index()]
     }
 
     /// The latency model.
-    pub fn latency(&self) -> &LatencyModel {
+    #[cfg(test)]
+    pub(crate) fn latency(&self) -> &LatencyModel {
         &self.latency
     }
 
-    /// The per-message jitter.
-    pub fn jitter(&self) -> Jitter {
-        self.jitter
-    }
-
     /// Samples the one-way delay for one message.
-    pub fn sample_delay<R: Rng + ?Sized>(
+    pub(crate) fn sample_delay<R: Rng + ?Sized>(
         &self,
         from: NodeId,
         to: NodeId,
@@ -133,7 +116,8 @@ impl Topology {
     }
 
     /// Mean base RTT between nodes in *different* regions (reporting aid).
-    pub fn mean_cross_region_rtt(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn mean_cross_region_rtt(&self) -> SimDuration {
         let n = self.len();
         let mut sum = 0u128;
         let mut cnt = 0u128;
@@ -247,11 +231,5 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert_eq!(t.latency().base(NodeId(0), NodeId(3)), SimDuration::from_micros(500));
         assert_eq!(t.mean_cross_region_rtt(), SimDuration::ZERO); // single region
-    }
-
-    #[test]
-    fn region_names_are_stable() {
-        assert_eq!(Region::UsEast.name(), "us-east");
-        assert_eq!(Region::Canada.name(), "canada");
     }
 }

@@ -75,12 +75,14 @@ impl<T> TimerWheel<T> {
     }
 
     /// Number of queued entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -172,7 +174,7 @@ impl<T> TimerWheel<T> {
     /// (`run_until(t)` followed by a harness send at `t + ε`). The global
     /// minimum always sits in the earliest occupied slot of the lowest
     /// non-empty level, so no cascading is needed to find it.
-    pub fn next_at(&self) -> Option<u64> {
+    pub(crate) fn next_at(&self) -> Option<u64> {
         if self.len == 0 {
             return None;
         }

@@ -126,12 +126,13 @@ pub struct RelayPlan {
 
 impl RelayPlan {
     /// Total peers contacted by this plan.
-    pub fn contacts(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn contacts(&self) -> usize {
         self.eager.len() + self.lazy.len()
     }
 
     /// True when the plan contacts nobody.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.eager.is_empty() && self.lazy.is_empty()
     }
 }
@@ -239,7 +240,7 @@ impl GossipRouter {
     ///
     /// The duplicate check is the call's own: a caller that must react to
     /// a duplicate (the prune notification) matches on
-    /// [`Receipt::Duplicate`] instead of probing [`GossipRouter::has_seen`]
+    /// [`Receipt::Duplicate`] instead of probing `GossipRouter::has_seen`
     /// first.
     pub fn on_receive<R: Rng + ?Sized>(
         &mut self,
@@ -272,7 +273,7 @@ impl GossipRouter {
 
     /// True when this node still remembers processing the rumor (ids older
     /// than the suppression window are forgotten).
-    pub fn has_seen(&self, id: RumorId) -> bool {
+    pub(crate) fn has_seen(&self, id: RumorId) -> bool {
         self.seen.contains(&id) || self.seen_prev.contains(&id)
     }
 
@@ -321,7 +322,8 @@ impl GossipRouter {
     }
 
     /// True when the view link to `peer` is currently pruned.
-    pub fn is_demoted(&self, peer: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_demoted(&self, peer: NodeId) -> bool {
         self.links.contains(&(peer, true))
     }
 
@@ -408,21 +410,21 @@ fn pick_peers<R: Rng + ?Sized>(fanout: usize, peers: Peers, rng: &mut R) -> Vec<
 /// Message/coverage tallies of one simulated spread.
 #[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SpreadStats {
+pub(crate) struct SpreadStats {
     /// Nodes that processed the rumor body.
-    pub covered: usize,
+    pub(crate) covered: usize,
     /// Delivery waves until the spread died out.
-    pub hops: usize,
+    pub(crate) hops: usize,
     /// Total messages: bodies + digests + pulls + pull replies.
-    pub messages: usize,
+    pub(crate) messages: usize,
     /// Full-body messages (eager pushes plus pull replies).
-    pub bodies: usize,
+    pub(crate) bodies: usize,
     /// Digest messages sent on lazy links.
-    pub digests: usize,
+    pub(crate) digests: usize,
     /// Pull requests issued by digest receivers missing the body.
-    pub pulls: usize,
+    pub(crate) pulls: usize,
     /// Prune notifications sent back to duplicate pushers.
-    pub prunes: usize,
+    pub(crate) prunes: usize,
 }
 
 /// Synchronous multi-rumor spread simulation: the tests' oracle for what
@@ -433,7 +435,7 @@ pub struct SpreadStats {
 /// advertiser once the flood dies out (loss-free semantics; loss
 /// injection is the network engines' job).
 #[cfg(test)]
-pub struct SpreadSim {
+pub(crate) struct SpreadSim {
     cfg: GossipConfig,
     routers: Vec<GossipRouter>,
 }
@@ -441,7 +443,7 @@ pub struct SpreadSim {
 #[cfg(test)]
 impl SpreadSim {
     /// A fresh `n`-node population with per-node routers.
-    pub fn new(n: usize, cfg: GossipConfig) -> Self {
+    pub(crate) fn new(n: usize, cfg: GossipConfig) -> Self {
         SpreadSim { cfg, routers: (0..n).map(|_| GossipRouter::new(&cfg)).collect() }
     }
 
@@ -457,7 +459,7 @@ impl SpreadSim {
     /// the body flood has died out without reaching it. A pull grafts the
     /// link eager on both ends (it was load-bearing), so the next rumor
     /// rides the repaired tree and pruning never strands coverage.
-    pub fn spread<R: Rng + ?Sized>(&mut self, origin: NodeId, rng: &mut R) -> SpreadStats {
+    pub(crate) fn spread<R: Rng + ?Sized>(&mut self, origin: NodeId, rng: &mut R) -> SpreadStats {
         let mut stats = SpreadStats::default();
 
         // A full-body delivery in flight: receiver, stamped TTL, sender.
@@ -547,7 +549,7 @@ impl SpreadSim {
 /// cold-start wave (all links still eager); use [`SpreadSim`] for
 /// steady-state behaviour.
 #[cfg(test)]
-pub fn simulate_spread<R: Rng + ?Sized>(
+pub(crate) fn simulate_spread<R: Rng + ?Sized>(
     n: usize,
     origin: NodeId,
     cfg: GossipConfig,

@@ -343,7 +343,8 @@ impl TopLayer {
     /// Bottom-layer members: everyone in `0..n` not currently in the top
     /// layer. The bottom layer "covers all the nodes in the network" minus
     /// the hot writers (§4.1).
-    pub fn bottom_members(&self, cfg: &TopLayerConfig, n: usize) -> Vec<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn bottom_members(&self, cfg: &TopLayerConfig, n: usize) -> Vec<NodeId> {
         (0..n as u32).map(NodeId).filter(|&node| !self.is_top(cfg, node)).collect()
     }
 }

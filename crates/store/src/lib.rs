@@ -16,8 +16,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod replica;
-pub mod shard;
+pub(crate) mod replica;
+pub(crate) mod shard;
 
-pub use replica::{ApplyOutcome, Checkpoint, Replica};
+pub use replica::{ApplyOutcome, Replica};
 pub use shard::{Snapshot, SnapshotView, StoreShard};

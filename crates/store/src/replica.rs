@@ -12,9 +12,10 @@
 //! `O(writers + divergence)` and rebuilds only the vector from the
 //! surviving log. The wholesale [`Replica::reconcile_to`] always rebuilds.
 
-use idea_types::{IdeaError, ObjectId, Result, SimTime, Update, UpdateId, WriterId};
+use idea_types::{IdeaError, ObjectId, Result, Update, WriterId};
+#[cfg(test)]
+use idea_types::{SimTime, UpdateId};
 use idea_vv::ExtendedVersionVector;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Result of offering an update to a replica.
@@ -30,14 +31,16 @@ pub enum ApplyOutcome {
 }
 
 /// A restorable point in a replica's history (rollback support, §4.4.2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Checkpoint {
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Checkpoint {
     /// Log length at checkpoint time.
     log_len: usize,
     /// Virtual time the checkpoint was taken.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
 }
 
+#[cfg(test)]
 impl Checkpoint {
     /// The retained log length (the WAL logs rollbacks as a truncation to
     /// this many entries).
@@ -76,11 +79,6 @@ impl Replica {
         }
     }
 
-    /// The object this replica holds.
-    pub fn object(&self) -> ObjectId {
-        self.object
-    }
-
     /// The applied update log, in application order.
     pub fn log(&self) -> &[Update] {
         &self.log
@@ -107,26 +105,27 @@ impl Replica {
     }
 
     /// Number of updates buffered waiting for predecessors.
-    pub fn pending_len(&self) -> usize {
+    pub(crate) fn pending_len(&self) -> usize {
         self.pending.len()
     }
 
     /// The buffered out-of-order arrivals, in (writer, seq) order — the
     /// durability plane snapshots them alongside the applied log so a
     /// recovered replica buffers exactly what the crashed one did.
-    pub fn pending_updates(&self) -> impl Iterator<Item = &Update> + '_ {
+    pub(crate) fn pending_updates(&self) -> impl Iterator<Item = &Update> + '_ {
         self.pending.values()
     }
 
     /// The rolling content digest of the applied log (see the field docs):
     /// equal hashes ⇔ equal applied update sets, w.h.p. One `u64` pins
     /// recovery and rejoin equivalence.
-    pub fn state_hash(&self) -> u64 {
+    pub(crate) fn state_hash(&self) -> u64 {
         self.hash
     }
 
     /// True when the update has been applied (not merely buffered).
-    pub fn has(&self, id: UpdateId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has(&self, id: UpdateId) -> bool {
         self.evv.count(id.writer) >= id.seq
     }
 
@@ -172,7 +171,7 @@ impl Replica {
     }
 
     /// Number of applied updates beyond the per-writer `counts`.
-    pub fn count_beyond(&self, counts: &idea_vv::VersionVector) -> u64 {
+    pub(crate) fn count_beyond(&self, counts: &idea_vv::VersionVector) -> u64 {
         counts.missing_from(self.evv.counters())
     }
 
@@ -195,7 +194,8 @@ impl Replica {
     /// Updates this replica holds that `peer` (described by its vector) is
     /// missing — the transfer batch resolution ships (§4.5.2: members
     /// "update their copies by acquiring any missing updates").
-    pub fn updates_missing_at(&self, peer: &ExtendedVersionVector) -> Vec<Update> {
+    #[cfg(test)]
+    pub(crate) fn updates_missing_at(&self, peer: &ExtendedVersionVector) -> Vec<Update> {
         self.updates_beyond(peer.counters())
     }
 
@@ -240,7 +240,7 @@ impl Replica {
     /// [`Replica::updates_beyond`] makes. The vector is still rebuilt from
     /// the surviving log, `O(history)`: the in-place vector cut waits on
     /// the benchmark's memory accounting (ROADMAP item 1(b), step 2b).
-    pub fn drop_extras(&mut self, counts: &idea_vv::VersionVector) -> Vec<Update> {
+    pub(crate) fn drop_extras(&mut self, counts: &idea_vv::VersionVector) -> Vec<Update> {
         self.drop_beyond(counts, self.count_beyond(counts))
     }
 
@@ -278,7 +278,8 @@ impl Replica {
     }
 
     /// Takes a checkpoint that [`Replica::rollback`] can later restore.
-    pub fn checkpoint(&self, at: SimTime) -> Checkpoint {
+    #[cfg(test)]
+    pub(crate) fn checkpoint(&self, at: SimTime) -> Checkpoint {
         Checkpoint { log_len: self.log.len(), at }
     }
 
@@ -288,7 +289,8 @@ impl Replica {
     /// # Errors
     /// Fails if the checkpoint is ahead of the current log (it belongs to a
     /// different replica or the log was already reconciled shorter).
-    pub fn rollback(&mut self, cp: &Checkpoint) -> Result<Vec<Update>> {
+    #[cfg(test)]
+    pub(crate) fn rollback(&mut self, cp: &Checkpoint) -> Result<Vec<Update>> {
         if cp.log_len > self.log.len() {
             return Err(IdeaError::RollbackBeyondLog);
         }

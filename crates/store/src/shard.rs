@@ -8,7 +8,9 @@
 //! [`idea_types::ShardId`] so every layer agrees on it. Callers that never
 //! shard (the baselines) hold one `StoreShard` for the whole node.
 
-use crate::replica::{ApplyOutcome, Checkpoint, Replica};
+#[cfg(test)]
+use crate::replica::Checkpoint;
+use crate::replica::{ApplyOutcome, Replica};
 use idea_types::{
     IdeaError, NodeId, ObjectId, ObjectTable, Result, SimTime, Update, UpdateId, UpdatePayload,
     WriterId,
@@ -114,11 +116,6 @@ impl StoreShard {
         StoreShard { node, writer, slots: ObjectTable::with_capacity(objects), wal: None }
     }
 
-    /// The owning node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// The local writer identity.
     pub fn writer(&self) -> WriterId {
         self.writer
@@ -158,23 +155,14 @@ impl StoreShard {
     }
 
     /// Mutable access to a replica.
-    pub fn replica_mut(&mut self, object: ObjectId) -> Result<&mut Replica> {
+    #[cfg(test)]
+    pub(crate) fn replica_mut(&mut self, object: ObjectId) -> Result<&mut Replica> {
         self.slots.get_mut(object).map(|s| &mut s.replica).ok_or(IdeaError::UnknownObject(object))
     }
 
     /// Objects hosted by this shard, in id order (no per-call allocation).
     pub fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
         self.slots.ids()
-    }
-
-    /// Number of replicas hosted by this shard.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when the shard hosts no replica.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Issues a local write: assigns the next sequence number, applies it to
@@ -268,14 +256,6 @@ impl StoreShard {
     /// The attached WAL, if durability is on (introspection/tests).
     pub fn wal(&self) -> Option<&ShardWal> {
         self.wal.as_ref()
-    }
-
-    /// Forces buffered WAL appends to disk (the Async mode's clean-shutdown
-    /// flush; no-op without a WAL).
-    pub fn sync_wal(&mut self) {
-        if let Some(w) = self.wal.as_mut() {
-            w.sync().expect("WAL sync failed: cannot guarantee durability");
-        }
     }
 
     /// Appends `rec` when a WAL is attached, installing a snapshot first
@@ -388,7 +368,8 @@ impl StoreShard {
     ///
     /// # Errors
     /// Fails when no replica of the object exists.
-    pub fn reconcile_to(
+    #[cfg(test)]
+    pub(crate) fn reconcile_to(
         &mut self,
         object: ObjectId,
         reference_log: &[Update],
@@ -401,7 +382,7 @@ impl StoreShard {
     }
 
     /// Drops updates beyond the sanctioned `counts`, WAL-logging the
-    /// transition first. See [`Replica::drop_extras`].
+    /// transition first. See `Replica::drop_extras`.
     ///
     /// # Errors
     /// Fails when no replica of the object exists.
@@ -424,7 +405,8 @@ impl StoreShard {
     /// # Errors
     /// Fails when no replica of the object exists or the checkpoint is
     /// beyond the current log.
-    pub fn rollback(&mut self, object: ObjectId, cp: &Checkpoint) -> Result<Vec<Update>> {
+    #[cfg(test)]
+    pub(crate) fn rollback(&mut self, object: ObjectId, cp: &Checkpoint) -> Result<Vec<Update>> {
         let keep = cp.log_len() as u64;
         let dropped = self.replica_mut(object)?.rollback(cp)?;
         if self.wal.is_some() {
@@ -434,7 +416,7 @@ impl StoreShard {
     }
 
     /// The rolling content digest of every replica in this shard: each
-    /// object's [`Replica::state_hash`] folded through
+    /// object's `Replica::state_hash` folded through
     /// [`idea_wal::hash::object_hash`] and XOR-combined, so the node-level
     /// digest is independent of shard count and delivery interleaving.
     pub fn state_hash(&self) -> u64 {
@@ -555,7 +537,6 @@ mod tests {
         s.open(ObjectId(3));
         s.open(ObjectId(1));
         assert_eq!(s.objects().collect::<Vec<_>>(), vec![ObjectId(1), ObjectId(3)]);
-        assert_eq!(s.node(), NodeId(0));
         assert_eq!(s.writer(), WriterId(0));
     }
 
@@ -580,11 +561,10 @@ mod tests {
     #[test]
     fn len_tracks_replicas() {
         let mut s = shard(0);
-        assert!(s.is_empty());
+        assert_eq!(s.objects().count(), 0);
         s.open(ObjectId(1));
         s.open(ObjectId(2));
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
+        assert_eq!(s.objects().count(), 2);
     }
 
     // --------------------------------------------------- durability tests
@@ -944,7 +924,7 @@ mod tests {
                 acc ^ idea_wal::hash::object_hash(*o, r.state_hash())
             });
             prop_assert_eq!(s.state_hash(), hash);
-            prop_assert_eq!(s.len(), m.replicas.len());
+            prop_assert_eq!(s.objects().count(), m.replicas.len());
         }
     }
 }

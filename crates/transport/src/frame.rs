@@ -10,7 +10,7 @@
 //! ```
 //!
 //! All integers little-endian. `length` counts the body only and is capped
-//! at [`MAX_FRAME_BYTES`] so a corrupt peer cannot coerce a huge
+//! at `MAX_FRAME_BYTES` so a corrupt peer cannot coerce a huge
 //! allocation. `request_id` correlates responses with requests on a
 //! pipelined connection; id `0` is reserved for fire-and-forget commands,
 //! which the server never answers.
@@ -18,7 +18,7 @@
 use idea_core::{Command, Response};
 use idea_types::codec::{Codec, CodecError, Reader};
 use idea_types::{NodeId, WireError};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Frame magic: the ASCII bytes `IDEA`.
 pub const MAGIC: [u8; 4] = *b"IDEA";
@@ -28,7 +28,7 @@ pub const MAGIC: [u8; 4] = *b"IDEA";
 pub const VERSION: u16 = 1;
 
 /// Upper bound on one frame's body.
-pub const MAX_FRAME_BYTES: usize = 16 << 20;
+pub(crate) const MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// Request id reserved for fire-and-forget commands (no response frame).
 pub const NO_REPLY: u64 = 0;
@@ -107,7 +107,7 @@ impl Codec for Frame {
 /// Encodes `frame` with its header into a buffer ready to write.
 ///
 /// # Errors
-/// Rejects a body over [`MAX_FRAME_BYTES`] with a typed protocol error —
+/// Rejects a body over `MAX_FRAME_BYTES` with a typed protocol error —
 /// enforced on the send side too, so an oversized command fails *its own*
 /// call instead of poisoning the connection for every pipelined request.
 pub fn frame_bytes(frame: &Frame) -> Result<Vec<u8>, WireError> {
@@ -146,7 +146,8 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) -> Result<(), WireError> {
 /// # Errors
 /// [`WireError::Protocol`] for an over-cap body (nothing is written),
 /// [`WireError::Transport`] for I/O failures.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
+#[cfg(test)]
+pub(crate) fn write_frame(w: &mut impl io::Write, frame: &Frame) -> Result<(), WireError> {
     let bytes = frame_bytes(frame)?;
     w.write_all(&bytes).map_err(|e| transport_err(&e))?;
     w.flush().map_err(|e| transport_err(&e))

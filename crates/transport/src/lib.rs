@@ -12,7 +12,7 @@
 //!   (`magic · version · length · request_id · node · payload`) that
 //!   carries encoded values over a byte stream; `request_id` correlates
 //!   pipelined responses, id [`frame::NO_REPLY`] marks fire-and-forget.
-//! * [`server`] / [`client`] — [`IdeaServer`] fronts any
+//! * `server` / `client` — [`IdeaServer`] fronts any
 //!   [`idea_core::CommandExecutor`] (in practice a `ShardedEngine`, whose
 //!   per-shard mailboxes the dispatch path feeds directly), and
 //!   [`RemoteEngine`] implements [`idea_core::EngineHandle`] over a
@@ -54,10 +54,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
+pub(crate) mod client;
 pub mod frame;
-pub mod server;
+pub(crate) mod server;
 
 pub use client::{RemoteEngine, RemoteStats};
-pub use frame::{Frame, FramePayload, MAX_FRAME_BYTES, VERSION};
 pub use server::{IdeaServer, ServerConfig};

@@ -16,7 +16,7 @@
 //! snapshots in `idea-wal`; frames in `idea-transport`.
 //!
 //! Decoding is strict: it consumes exactly the encoded bytes. Truncated
-//! input, trailing bytes ([`Reader::finish`]) and out-of-domain values
+//! input, trailing bytes (`Reader::finish`) and out-of-domain values
 //! (unknown tags, invalid UTF-8, a length prefix beyond the remaining
 //! input, a consistency level outside `[0, 1]`) are all [`CodecError`]s,
 //! never silent best-effort. The transport surfaces them as
@@ -85,7 +85,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     /// Fails when fewer than `n` bytes remain.
     #[inline]
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(self.err("unexpected end of input"));
         }
@@ -99,7 +99,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     /// Fails when trailing bytes remain.
     #[inline]
-    pub fn finish(self) -> Result<(), CodecError> {
+    pub(crate) fn finish(self) -> Result<(), CodecError> {
         if self.remaining() != 0 {
             return Err(self.err("trailing bytes after value"));
         }

@@ -46,14 +46,6 @@ impl From<u32> for NodeId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct WriterId(pub u32);
 
-impl WriterId {
-    /// Returns the raw index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 impl fmt::Display for WriterId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "w{}", self.0)
@@ -122,7 +114,6 @@ mod tests {
     #[test]
     fn index_round_trips() {
         assert_eq!(NodeId(42).index(), 42);
-        assert_eq!(WriterId(7).index(), 7);
         assert_eq!(ObjectId(11).index(), 11);
     }
 

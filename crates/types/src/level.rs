@@ -44,15 +44,6 @@ impl ErrorTriple {
     pub fn is_zero(&self) -> bool {
         self.numerical == 0.0 && self.order == 0.0 && self.staleness.is_zero()
     }
-
-    /// Component-wise maximum of two triples.
-    pub fn component_max(&self, other: &ErrorTriple) -> ErrorTriple {
-        ErrorTriple {
-            numerical: self.numerical.max(other.numerical),
-            order: self.order.max(other.order),
-            staleness: self.staleness.max(other.staleness),
-        }
-    }
 }
 
 impl fmt::Display for ErrorTriple {
@@ -91,7 +82,7 @@ impl ConsistencyLevel {
 
     /// The value as a percentage in `[0, 100]`.
     #[inline]
-    pub fn percent(self) -> f64 {
+    pub(crate) fn percent(self) -> f64 {
         self.0 * 100.0
     }
 
@@ -166,16 +157,6 @@ mod tests {
         assert!(ErrorTriple::ZERO.is_zero());
         let t = ErrorTriple::new(1.0, 0.0, SimDuration::ZERO);
         assert!(!t.is_zero());
-    }
-
-    #[test]
-    fn triple_component_max() {
-        let a = ErrorTriple::new(1.0, 5.0, SimDuration::from_secs(1));
-        let b = ErrorTriple::new(3.0, 2.0, SimDuration::from_secs(4));
-        let m = a.component_max(&b);
-        assert_eq!(m.numerical, 3.0);
-        assert_eq!(m.order, 5.0);
-        assert_eq!(m.staleness, SimDuration::from_secs(4));
     }
 
     #[test]

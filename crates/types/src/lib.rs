@@ -15,15 +15,15 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod error;
-pub mod hash;
-pub mod ids;
-pub mod level;
-pub mod shard;
-pub mod size;
-pub mod table;
-pub mod time;
-pub mod update;
+pub(crate) mod error;
+pub(crate) mod hash;
+pub(crate) mod ids;
+pub(crate) mod level;
+pub(crate) mod shard;
+pub(crate) mod size;
+pub(crate) mod table;
+pub(crate) mod time;
+pub(crate) mod update;
 
 pub use error::{IdeaError, WireError};
 pub use hash::{mix64, FastMap, FastSet, FoldHasher};

@@ -24,16 +24,6 @@ impl MessageSizeModel {
     /// The paper's flat 1 KB assumption.
     pub const PAPER_1KB: MessageSizeModel = MessageSizeModel::Flat(1024);
 
-    /// Bytes charged for a message whose self-reported payload is
-    /// `payload_bytes` long.
-    #[inline]
-    pub fn charge(&self, payload_bytes: u64) -> u64 {
-        match self {
-            MessageSizeModel::Flat(b) => *b,
-            MessageSizeModel::Accounted { header } => header + payload_bytes,
-        }
-    }
-
     /// Average bytes/second given a message count over a span of seconds.
     pub fn bandwidth_bps(&self, messages: u64, total_payload: u64, secs: f64) -> f64 {
         if secs <= 0.0 {
@@ -60,14 +50,14 @@ mod tests {
     #[test]
     fn flat_model_ignores_payload() {
         let m = MessageSizeModel::PAPER_1KB;
-        assert_eq!(m.charge(0), 1024);
-        assert_eq!(m.charge(10_000), 1024);
+        assert_eq!(m.bandwidth_bps(1, 0, 8.0), 1024.0);
+        assert_eq!(m.bandwidth_bps(1, 10_000, 8.0), 1024.0);
     }
 
     #[test]
     fn accounted_model_adds_header() {
         let m = MessageSizeModel::Accounted { header: 40 };
-        assert_eq!(m.charge(60), 100);
+        assert_eq!(m.bandwidth_bps(1, 60, 8.0), 100.0);
     }
 
     #[test]

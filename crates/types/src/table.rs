@@ -26,14 +26,9 @@ impl<V> ObjectTable<V> {
 
     /// Number of objects in the table.
     #[inline]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
-    }
-
-    /// True when the table holds no object.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Where `id` sits: `Ok(slot)` when present, `Err(slot)` where it
@@ -103,11 +98,6 @@ impl<V> ObjectTable<V> {
     /// `(id, entry)` pairs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &V)> + '_ {
         self.slots.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// `(id, entry)` pairs in ascending id order, entries mutable.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (ObjectId, &mut V)> + '_ {
-        self.slots.iter_mut().map(|(k, v)| (*k, v))
     }
 }
 

@@ -53,12 +53,6 @@ impl SimTime {
         self.0
     }
 
-    /// Milliseconds since the origin, as a float (for reporting).
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Seconds since the origin, as a float (for reporting).
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -69,24 +63,6 @@ impl SimTime {
     #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked difference between two instants.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
-    /// The larger of two instants.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
-
-    /// The smaller of two instants.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
     }
 }
 
@@ -110,12 +86,6 @@ impl SimDuration {
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000)
-    }
-
-    /// Builds a span from fractional milliseconds (rounds to nearest µs).
-    #[inline]
-    pub fn from_millis_f64(ms: f64) -> Self {
-        SimDuration((ms * 1_000.0).round().max(0.0) as u64)
     }
 
     /// Builds a span from fractional seconds (rounds to nearest µs).
@@ -148,12 +118,6 @@ impl SimDuration {
         SimDuration(self.0.saturating_mul(k))
     }
 
-    /// Divides the span by an integer factor (integer division).
-    #[inline]
-    pub const fn div(self, k: u64) -> SimDuration {
-        SimDuration(self.0 / k)
-    }
-
     /// Scales the span by a float factor (rounds to nearest µs).
     #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {
@@ -164,18 +128,6 @@ impl SimDuration {
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// The larger of two spans.
-    #[inline]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
-    }
-
-    /// The smaller of two spans.
-    #[inline]
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
     }
 }
 
@@ -272,9 +224,7 @@ mod tests {
 
     #[test]
     fn float_constructors_round() {
-        assert_eq!(SimDuration::from_millis_f64(0.4685), SimDuration(469));
         assert_eq!(SimDuration::from_secs_f64(0.000_001_4), SimDuration(1));
-        assert_eq!(SimDuration::from_millis_f64(-3.0), SimDuration(0));
     }
 
     #[test]
@@ -294,7 +244,6 @@ mod tests {
         let late = SimTime::from_secs(5);
         assert_eq!(late.saturating_since(early), SimDuration::from_secs(4));
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(early.checked_since(late), None);
     }
 
     #[test]
@@ -326,7 +275,6 @@ mod tests {
     fn duration_scaling() {
         let d = SimDuration::from_millis(100);
         assert_eq!(d.saturating_mul(3), SimDuration::from_millis(300));
-        assert_eq!(d.div(4), SimDuration::from_millis(25));
         assert_eq!(d.mul_f64(0.5), SimDuration::from_millis(50));
     }
 

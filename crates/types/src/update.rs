@@ -66,11 +66,11 @@ mod serde_bytes_compat {
     use bytes::Bytes;
     use serde::{Deserialize, Deserializer, Serializer};
 
-    pub fn serialize<S: Serializer>(b: &Bytes, s: S) -> Result<S::Ok, S::Error> {
+    pub(crate) fn serialize<S: Serializer>(b: &Bytes, s: S) -> Result<S::Ok, S::Error> {
         s.serialize_bytes(b)
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Bytes, D::Error> {
+    pub(crate) fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Bytes, D::Error> {
         let v = Vec::<u8>::deserialize(d)?;
         Ok(Bytes::from(v))
     }
@@ -84,7 +84,7 @@ impl UpdatePayload {
     }
 
     /// Approximate wire size of the payload in bytes.
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         match self {
             UpdatePayload::Opaque(b) => b.len(),
             UpdatePayload::Stroke { text, .. } => 4 + text.len(),
@@ -153,16 +153,9 @@ impl fmt::Display for Update {
     }
 }
 
-/// Orders updates by issue time, breaking ties by update id. This is the
-/// canonical "happened earlier" order used when replaying merged logs.
-pub fn chronological(a: &Update, b: &Update) -> std::cmp::Ordering {
-    a.at.cmp(&b.at).then_with(|| a.id.cmp(&b.id))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn upd(writer: u32, seq: u64, at_us: u64) -> Update {
         Update::opaque(ObjectId(1), WriterId(writer), seq, SimTime(at_us), 1)
@@ -172,16 +165,6 @@ mod tests {
     fn update_id_display() {
         let u = upd(3, 7, 100);
         assert_eq!(u.id.to_string(), "w3#7");
-    }
-
-    #[test]
-    fn chronological_orders_by_time_then_id() {
-        let a = upd(1, 1, 100);
-        let b = upd(2, 1, 100);
-        let c = upd(1, 2, 200);
-        assert_eq!(chronological(&a, &b), std::cmp::Ordering::Less); // tie on time, w1 < w2
-        assert_eq!(chronological(&b, &c), std::cmp::Ordering::Less);
-        assert_eq!(chronological(&a, &a), std::cmp::Ordering::Equal);
     }
 
     #[test]
@@ -204,23 +187,5 @@ mod tests {
         let u = upd(5, 9, 10);
         assert_eq!(u.writer(), WriterId(5));
         assert_eq!(u.seq(), 9);
-    }
-
-    proptest! {
-        #[test]
-        fn chronological_is_total_and_antisymmetric(
-            w1 in 0u32..8, s1 in 1u64..100, t1 in 0u64..1_000,
-            w2 in 0u32..8, s2 in 1u64..100, t2 in 0u64..1_000,
-        ) {
-            let a = upd(w1, s1, t1);
-            let b = upd(w2, s2, t2);
-            let ab = chronological(&a, &b);
-            let ba = chronological(&b, &a);
-            prop_assert_eq!(ab, ba.reverse());
-            if ab == std::cmp::Ordering::Equal {
-                prop_assert_eq!(a.id, b.id);
-                prop_assert_eq!(a.at, b.at);
-            }
-        }
     }
 }

@@ -191,14 +191,6 @@ fn reconstruct_and_apply_delta_share_all_chunks_below_the_suffix() {
     };
     assert_eq!(shared(0), 2, "w0: both whole chunks below the cut come from the baseline");
     assert_eq!(shared(1), 2, "w1: the suffix (anchor included) starts in the baseline's tail");
-
-    let mut adopted = mine.clone();
-    adopted.apply_delta(&delta);
-    assert_eq!(adopted, peer);
-    assert_eq!(
-        adopted.raw_histories()[&WriterId(0)].shared_chunks(&mine.raw_histories()[&WriterId(0)]),
-        2
-    );
 }
 
 #[test]

@@ -37,13 +37,6 @@ pub enum VvOrdering {
     Concurrent,
 }
 
-impl VvOrdering {
-    /// True for `Less`, `Greater` or `Equal` (the paper's "comparable").
-    pub fn is_comparable(self) -> bool {
-        !matches!(self, VvOrdering::Concurrent)
-    }
-}
-
 /// A classic version vector: one update counter per writer.
 ///
 /// Writers absent from the vector implicitly have counter 0, so vectors over
@@ -131,21 +124,6 @@ impl VersionVector {
         self.position(writer).map_or(0, |i| self.counters[i].1)
     }
 
-    /// Increments `writer`'s counter and returns the new value.
-    pub fn increment(&mut self, writer: WriterId) -> u64 {
-        match self.position(writer) {
-            Ok(i) => {
-                let count = &mut self.counters[i].1;
-                *count += 1;
-                *count
-            }
-            Err(i) => {
-                self.counters.insert(i, (writer, 1));
-                1
-            }
-        }
-    }
-
     /// Sets `writer`'s counter to `max(current, seq)` — used when observing a
     /// writer's `seq`-th update out of order.
     pub fn observe(&mut self, writer: WriterId, seq: u64) {
@@ -209,17 +187,12 @@ impl VersionVector {
         }
     }
 
-    /// True when `self` dominates or equals `other`.
-    pub fn dominates(&self, other: &VersionVector) -> bool {
-        matches!(self.compare(other), VvOrdering::Equal | VvOrdering::Greater)
-    }
-
     /// Component-wise maximum (the join of the domination lattice).
-    pub fn merge(&mut self, other: &VersionVector) {
+    pub(crate) fn merge(&mut self, other: &VersionVector) {
         self.merge_with(other, |_, _, _| {});
     }
 
-    /// [`VersionVector::merge`] that reports every counter it raises:
+    /// `VersionVector::merge` that reports every counter it raises:
     /// `on_advance(writer, old, new)` runs once per writer whose count in
     /// `other` exceeds ours, in writer order. One lock-step walk over the
     /// two sorted runs, in place while every writer of `other` is already
@@ -519,7 +492,6 @@ mod tests {
         let a = vv(&[(0, 5), (1, 3)]);
         let b = vv(&[(0, 3), (1, 6)]);
         assert_eq!(a.compare(&b), VvOrdering::Concurrent);
-        assert!(!a.compare(&b).is_comparable());
     }
 
     #[test]
@@ -529,8 +501,6 @@ mod tests {
         let newer = vv(&[(0, 4), (1, 7)]);
         assert_eq!(older.compare(&newer), VvOrdering::Less);
         assert_eq!(newer.compare(&older), VvOrdering::Greater);
-        assert!(newer.dominates(&older));
-        assert!(!older.dominates(&newer));
     }
 
     #[test]
@@ -545,8 +515,7 @@ mod tests {
     #[test]
     fn increment_and_observe() {
         let mut v = VersionVector::new();
-        assert_eq!(v.increment(WriterId(0)), 1);
-        assert_eq!(v.increment(WriterId(0)), 2);
+        v.observe(WriterId(0), 2);
         v.observe(WriterId(1), 5);
         assert_eq!(v.get(WriterId(1)), 5);
         v.observe(WriterId(1), 3); // observing an older seq is a no-op
@@ -696,7 +665,11 @@ mod tests {
                 prop_assert_eq!(other.diff_from(&got), other_ref.diff_from(&want));
                 prop_assert_eq!(got == other, want == other_ref);
                 match op {
-                    0 => prop_assert_eq!(got.increment(writer), want.increment(writer)),
+                    0 => {
+                        let next = got.get(writer) + 1;
+                        got.observe(writer, next);
+                        prop_assert_eq!(next, want.increment(writer));
+                    }
                     1 => {
                         got.observe(writer, c);
                         want.observe(writer, c);
@@ -780,8 +753,8 @@ mod tests {
         #[test]
         fn merge_dominates_both(a in arb_vv(), b in arb_vv()) {
             let m = a.merged(&b);
-            prop_assert!(m.dominates(&a));
-            prop_assert!(m.dominates(&b));
+            prop_assert!(matches!(m.compare(&a), VvOrdering::Greater | VvOrdering::Equal));
+            prop_assert!(matches!(m.compare(&b), VvOrdering::Greater | VvOrdering::Equal));
         }
 
         #[test]

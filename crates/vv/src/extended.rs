@@ -158,14 +158,6 @@ impl ExtendedVersionVector {
         self.counters.get(writer)
     }
 
-    /// Timestamp of `writer`'s `seq`-th update, if recorded.
-    pub fn time_of(&self, writer: WriterId, seq: u64) -> Option<SimTime> {
-        if seq == 0 {
-            return None;
-        }
-        self.histories.get(&writer)?.get(seq as usize - 1)
-    }
-
     /// The critical metadata value.
     pub fn meta(&self) -> i64 {
         self.meta
@@ -308,7 +300,7 @@ impl ExtendedVersionVector {
     /// Renders in the paper's Figure-5 style:
     /// `<A:2(1, 2) B:0> <\[5\]> <num, order, stale>` (triple omitted — it is
     /// relative to a reference, not intrinsic).
-    pub fn paper_format(&self) -> String {
+    pub(crate) fn paper_format(&self) -> String {
         let mut s = String::from("<");
         for (i, (w, h)) in self.histories.iter().enumerate() {
             if i > 0 {
@@ -407,10 +399,6 @@ mod tests {
         assert_eq!(v.meta(), 6);
         assert_eq!(v.count(A), 2);
         assert_eq!(v.total(), 2);
-        assert_eq!(v.time_of(A, 1), Some(t(1)));
-        assert_eq!(v.time_of(A, 2), Some(t(2)));
-        assert_eq!(v.time_of(A, 3), None);
-        assert_eq!(v.time_of(A, 0), None);
         assert_eq!(v.latest_update_time(), Some(t(2)));
     }
 

@@ -17,8 +17,7 @@
 //!   per-writer suffixes beyond a baseline the receiver advertised
 //!   ([`ExtendedVersionVector::suffix_since`]). A receiver holding the
 //!   baseline history reconstructs the sender's full vector losslessly
-//!   ([`ExtendedVersionVector::reconstruct`]) or converges onto it
-//!   ([`ExtendedVersionVector::apply_delta`], the wire-form `adopt`).
+//!   ([`ExtendedVersionVector::reconstruct`]).
 //!
 //! Both forms cost `O(writers + suffix)` bytes instead of `O(history)`.
 
@@ -223,14 +222,6 @@ impl ExtendedVersionVector {
         ExtendedVersionVector::from_histories(parts, delta.meta)
     }
 
-    /// Converges this vector onto the delta's sender — the wire-form
-    /// [`ExtendedVersionVector::adopt`]. Returns the updates absorbed.
-    pub fn apply_delta(&mut self, delta: &VvDelta) -> u64 {
-        let absorbed = self.counters().missing_from(&delta.counters);
-        *self = self.reconstruct(delta);
-        absorbed
-    }
-
     /// The last-consistent point against a summarised replica: the
     /// merge-walk of [`ExtendedVersionVector::last_consistent_with`] with
     /// the remote timestamps drawn from the tail. Remote events in the
@@ -240,7 +231,7 @@ impl ExtendedVersionVector {
     /// treated as divergent at time zero — staleness saturates rather than
     /// being under-reported. Only positions the tail covers are compared
     /// one by one; the assumed-equal range below it is read per chunk.
-    pub fn last_consistent_with_summary(&self, summary: &VvSummary) -> SimTime {
+    pub(crate) fn last_consistent_with_summary(&self, summary: &VvSummary) -> SimTime {
         let empty = WriterHistory::default();
         // Per writer the summary counts: the local history, the common
         // range `1..=m`, and the tail's coverage `lo..hi` with its times.
@@ -498,28 +489,6 @@ mod tests {
     }
 
     proptest! {
-        /// `apply_delta(suffix_since(have))` must be equivalent to adopting
-        /// the full reference: same counters, same metadata, same triples.
-        #[test]
-        fn apply_delta_equals_adopt((a, b) in arb_divergent_pair(), probe in 0u64..4) {
-            let mut via_delta = a.clone();
-            let mut via_adopt = a.clone();
-            let delta = b.suffix_since(a.counters());
-            let absorbed_delta = via_delta.apply_delta(&delta);
-            let absorbed_adopt = via_adopt.adopt(&b);
-            prop_assert_eq!(absorbed_delta, absorbed_adopt);
-            prop_assert_eq!(via_delta.counters(), via_adopt.counters());
-            prop_assert_eq!(via_delta.meta(), via_adopt.meta());
-            prop_assert!(via_delta.triple_against(&b).is_zero());
-            // Triples against an unrelated third replica agree too.
-            let mut third = ExtendedVersionVector::new();
-            third.record(WriterId(probe as u32), 1, t(probe), 1);
-            prop_assert_eq!(
-                via_delta.triple_against(&third),
-                via_adopt.triple_against(&third)
-            );
-        }
-
         /// Reconstructing a peer from its delta over our own baseline is
         /// lossless when both grew from a shared prefix.
         #[test]

@@ -10,7 +10,7 @@ use idea_types::{ObjectId, Update, UpdatePayload};
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
-pub fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(GOLDEN);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -19,7 +19,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 
 /// Chains a value into a running hash (order-dependent, used *within* one
 /// update where field order is fixed).
-pub fn mix(h: u64, v: u64) -> u64 {
+pub(crate) fn mix(h: u64, v: u64) -> u64 {
     splitmix64(h ^ v.wrapping_mul(GOLDEN))
 }
 

@@ -29,11 +29,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
+pub(crate) mod config;
 pub mod hash;
-pub mod log;
-pub mod record;
-pub mod snapshot;
+pub(crate) mod log;
+pub(crate) mod record;
+pub(crate) mod snapshot;
 
 pub use config::{DurabilityConfig, DurabilityMode};
 pub use log::{crc32, Recovered, ShardWal, WalError, WalResult};

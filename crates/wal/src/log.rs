@@ -165,7 +165,7 @@ pub struct ShardWal {
 
 impl ShardWal {
     /// The per-node directory under the configured root.
-    pub fn node_dir(cfg: &DurabilityConfig, node: NodeId) -> PathBuf {
+    pub(crate) fn node_dir(cfg: &DurabilityConfig, node: NodeId) -> PathBuf {
         cfg.dir.join(format!("node-{}", node.index()))
     }
 
@@ -324,7 +324,7 @@ impl ShardWal {
 
     /// Appends one record; under [`DurabilityMode::Sync`] an `fdatasync`
     /// runs once the group-commit window fills (every append when the
-    /// window is 1, the default). [`ShardWal::sync`] drains a partially
+    /// window is 1, the default). A snapshot install drains a partially
     /// filled window.
     ///
     /// # Errors
@@ -339,18 +339,6 @@ impl ShardWal {
             self.unsynced = 0;
         }
         self.tail_records += 1;
-        Ok(())
-    }
-
-    /// Forces buffered appends to disk: the Async mode's clean-shutdown
-    /// flush, and the drain of a partially filled Sync group-commit
-    /// window.
-    ///
-    /// # Errors
-    /// Fails on I/O errors.
-    pub fn sync(&mut self) -> WalResult<()> {
-        self.file.sync_data()?;
-        self.unsynced = 0;
         Ok(())
     }
 
@@ -407,14 +395,6 @@ impl ShardWal {
         self.snapshot_records = snap.records();
         self.unsynced = 0;
         Ok(())
-    }
-
-    /// The log file's current byte length (bench/introspection).
-    ///
-    /// # Errors
-    /// Fails on I/O errors.
-    pub fn log_bytes(&self) -> WalResult<u64> {
-        Ok(self.file.metadata()?.len())
     }
 
     /// The log file path (introspection/tests).
@@ -561,11 +541,8 @@ mod tests {
             // The window fills: this append carries the fdatasync.
             wal.append(&WalRecord::Write { update: upd(2) }).unwrap();
             assert_eq!(wal.unsynced_records(), 0);
-            // An explicit flush drains a partial window (clean shutdown).
             wal.append(&WalRecord::Write { update: upd(3) }).unwrap();
             assert_eq!(wal.unsynced_records(), 1);
-            wal.sync().unwrap();
-            assert_eq!(wal.unsynced_records(), 0);
         }
         let (_, r) = ShardWal::open(&cfg, NodeId(0), 0).unwrap();
         assert_eq!(r.tail.len(), 4, "every append survives the reopen");

@@ -128,17 +128,3 @@ impl Codec for WalRecord {
         }
     }
 }
-
-impl WalRecord {
-    /// The object this record mutates.
-    pub fn object(&self) -> ObjectId {
-        match self {
-            WalRecord::Open { object }
-            | WalRecord::Reconcile { object, .. }
-            | WalRecord::DropExtras { object, .. }
-            | WalRecord::ResumeSeq { object, .. }
-            | WalRecord::Truncate { object, .. } => *object,
-            WalRecord::Write { update } | WalRecord::Ingest { update } => update.object,
-        }
-    }
-}

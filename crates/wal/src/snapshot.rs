@@ -89,7 +89,7 @@ impl ShardSnapshotRef<'_> {
 
     /// Updates held (applied and buffered, over all objects): what a
     /// recovery loads from this snapshot before it replays the tail.
-    pub fn records(&self) -> u64 {
+    pub(crate) fn records(&self) -> u64 {
         self.objects.iter().map(|o| (o.log.len() + o.pending.len()) as u64).sum()
     }
 }

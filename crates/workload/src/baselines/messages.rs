@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 /// Wire messages of the three baseline protocols.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum BaselineMsg {
+pub(crate) enum BaselineMsg {
     /// Optimistic anti-entropy: "here are my counters" (one-way pull).
     SyncDigest {
         /// Object being synchronised.
@@ -17,22 +17,16 @@ pub enum BaselineMsg {
     },
     /// Anti-entropy response / TACT push: the updates the peer was missing.
     SyncUpdates {
-        /// Object being synchronised.
-        object: ObjectId,
         /// Updates shipped.
         updates: Vec<Update>,
     },
     /// Strong consistency: eager synchronous propagation of one update.
     Propagate {
-        /// Object written.
-        object: ObjectId,
         /// The update itself.
         update: Update,
     },
     /// Strong consistency: acknowledgement of a propagated update.
     PropagateAck {
-        /// Object written.
-        object: ObjectId,
         /// Identity of the acknowledged update.
         id: UpdateId,
     },
@@ -75,12 +69,12 @@ mod tests {
         assert!(digest.wire_size() > 16);
 
         let u = Update::opaque(ObjectId(0), WriterId(0), 1, SimTime::ZERO, 1);
-        let push = BaselineMsg::SyncUpdates { object: ObjectId(0), updates: vec![u.clone()] };
+        let push = BaselineMsg::SyncUpdates { updates: vec![u.clone()] };
         assert_eq!(push.class(), MsgClass::Transfer);
-        let prop = BaselineMsg::Propagate { object: ObjectId(0), update: u };
+        let prop = BaselineMsg::Propagate { update: u };
         assert_eq!(push.wire_size(), prop.wire_size());
         assert_eq!(
-            BaselineMsg::PropagateAck { object: ObjectId(0), id: prop_id(&prop) }.class(),
+            BaselineMsg::PropagateAck { id: prop_id(&prop) }.class(),
             MsgClass::ResolutionCtl
         );
     }

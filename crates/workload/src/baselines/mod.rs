@@ -8,18 +8,15 @@
 //! inconsistency at a predefined level rather than adapting it.
 //!
 //! All three baselines run on the same engines and store as IDEA, so the
-//! trade-off ablation (`idea-bench --bin fig2`) measures them under an
-//! identical workload and an identical consistency oracle.
+//! trade-off ablation ([`crate::experiments::fig2`], `idea-bench --bin
+//! fig2`) measures them under an identical workload and an identical
+//! consistency oracle.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+pub(crate) mod messages;
+pub(crate) mod optimistic;
+pub(crate) mod strong;
+pub(crate) mod tact;
 
-pub mod messages;
-pub mod optimistic;
-pub mod strong;
-pub mod tact;
-
-pub use messages::BaselineMsg;
-pub use optimistic::OptimisticNode;
-pub use strong::StrongNode;
-pub use tact::{TactBounds, TactNode};
+pub(crate) use optimistic::OptimisticNode;
+pub(crate) use strong::StrongNode;
+pub(crate) use tact::{TactBounds, TactNode};

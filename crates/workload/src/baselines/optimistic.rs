@@ -6,7 +6,7 @@
 //! system converges eventually and silently — the left end of the paper's
 //! Figure-2 spectrum (lowest overhead, slowest inconsistency detection).
 
-use crate::messages::BaselineMsg;
+use super::messages::BaselineMsg;
 use idea_net::{Context, Proto, TimerId};
 use idea_store::StoreShard;
 use idea_types::{NodeId, ObjectId, SimDuration, Update, UpdatePayload, WriterId};
@@ -15,7 +15,7 @@ use rand::Rng;
 const K_SYNC: u64 = 1;
 
 /// An optimistic (anti-entropy) replica node.
-pub struct OptimisticNode {
+pub(crate) struct OptimisticNode {
     me: NodeId,
     object: ObjectId,
     store: StoreShard,
@@ -25,7 +25,7 @@ pub struct OptimisticNode {
 
 impl OptimisticNode {
     /// Builds a node replicating `object`, anti-entropying every `period`.
-    pub fn new(me: NodeId, object: ObjectId, period: SimDuration) -> Self {
+    pub(crate) fn new(me: NodeId, object: ObjectId, period: SimDuration) -> Self {
         let mut store = StoreShard::new(me, WriterId(me.0));
         store.open(object);
         OptimisticNode { me, object, store, sync_period: period, syncs: 0 }
@@ -33,7 +33,7 @@ impl OptimisticNode {
 
     /// Local write: applies immediately, nothing else happens until the next
     /// anti-entropy exchange.
-    pub fn local_write(
+    pub(crate) fn local_write(
         &mut self,
         meta_delta: i64,
         payload: UpdatePayload,
@@ -43,12 +43,13 @@ impl OptimisticNode {
     }
 
     /// The underlying store (oracle access).
-    pub fn store(&self) -> &StoreShard {
+    pub(crate) fn store(&self) -> &StoreShard {
         &self.store
     }
 
     /// Anti-entropy exchanges initiated.
-    pub fn syncs(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn syncs(&self) -> u64 {
         self.syncs
     }
 }
@@ -71,7 +72,7 @@ impl Proto for OptimisticNode {
                 };
                 let updates = replica.updates_beyond(&counters);
                 if !updates.is_empty() {
-                    ctx.send(from, BaselineMsg::SyncUpdates { object, updates });
+                    ctx.send(from, BaselineMsg::SyncUpdates { updates });
                 }
             }
             BaselineMsg::SyncUpdates { updates, .. } => {

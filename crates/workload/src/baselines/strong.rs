@@ -7,7 +7,7 @@
 //! the Figure-2 spectrum: highest overhead, instant "detection" (conflicts
 //! cannot accumulate).
 
-use crate::messages::BaselineMsg;
+use super::messages::BaselineMsg;
 use idea_net::{Context, Proto};
 use idea_store::StoreShard;
 use idea_types::{
@@ -18,7 +18,7 @@ use idea_types::{
 type PendingWrites = std::collections::HashMap<UpdateId, (usize, SimTime)>;
 
 /// A strongly-consistent replica node (write-all, ack-all).
-pub struct StrongNode {
+pub(crate) struct StrongNode {
     me: NodeId,
     object: ObjectId,
     store: StoreShard,
@@ -30,7 +30,7 @@ pub struct StrongNode {
 
 impl StrongNode {
     /// Builds a node replicating `object`.
-    pub fn new(me: NodeId, object: ObjectId) -> Self {
+    pub(crate) fn new(me: NodeId, object: ObjectId) -> Self {
         let mut store = StoreShard::new(me, WriterId(me.0));
         store.open(object);
         StrongNode {
@@ -44,7 +44,7 @@ impl StrongNode {
 
     /// Issues a write: applies locally and propagates to every other node;
     /// the write is *committed* when all acks return.
-    pub fn local_write(
+    pub(crate) fn local_write(
         &mut self,
         meta_delta: i64,
         payload: UpdatePayload,
@@ -60,27 +60,25 @@ impl StrongNode {
         for i in 0..ctx.node_count() as u32 {
             let to = NodeId(i);
             if to != self.me {
-                ctx.send(
-                    to,
-                    BaselineMsg::Propagate { object: self.object, update: update.clone() },
-                );
+                ctx.send(to, BaselineMsg::Propagate { update: update.clone() });
             }
         }
         update
     }
 
     /// The underlying store (oracle access).
-    pub fn store(&self) -> &StoreShard {
+    pub(crate) fn store(&self) -> &StoreShard {
         &self.store
     }
 
     /// Latencies of committed writes (one WAN RTT each).
-    pub fn commit_latencies(&self) -> &[SimDuration] {
+    pub(crate) fn commit_latencies(&self) -> &[SimDuration] {
         &self.commit_latencies
     }
 
     /// Writes still awaiting acknowledgements.
-    pub fn in_flight(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn in_flight(&self) -> usize {
         self.pending.len()
     }
 }
@@ -90,10 +88,10 @@ impl Proto for StrongNode {
 
     fn on_message(&mut self, from: NodeId, msg: BaselineMsg, ctx: &mut dyn Context<BaselineMsg>) {
         match msg {
-            BaselineMsg::Propagate { object, update } => {
+            BaselineMsg::Propagate { update, .. } => {
                 let id = update.id;
                 let _ = self.store.ingest(update);
-                ctx.send(from, BaselineMsg::PropagateAck { object, id });
+                ctx.send(from, BaselineMsg::PropagateAck { id });
             }
             BaselineMsg::PropagateAck { id, .. } => {
                 if let Some((left, issued)) = self.pending.get_mut(&id) {

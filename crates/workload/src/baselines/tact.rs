@@ -10,7 +10,7 @@
 //! level as was the case in TACT, IDEA … adaptively maintain[s an]
 //! acceptable consistency level".
 
-use crate::messages::BaselineMsg;
+use super::messages::BaselineMsg;
 use idea_net::{Context, Proto, TimerId};
 use idea_store::StoreShard;
 use idea_types::{NodeId, ObjectId, SimDuration, SimTime, Update, UpdatePayload, WriterId};
@@ -20,12 +20,12 @@ const K_STALENESS: u64 = 1;
 
 /// The enforced conit bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TactBounds {
+pub(crate) struct TactBounds {
     /// Maximum local writes a peer may be behind before a push (order
     /// error bound).
-    pub order: usize,
+    pub(crate) order: usize,
     /// Maximum age of an unpushed write before a push (staleness bound).
-    pub staleness: SimDuration,
+    pub(crate) staleness: SimDuration,
 }
 
 impl Default for TactBounds {
@@ -35,7 +35,7 @@ impl Default for TactBounds {
 }
 
 /// A TACT replica node enforcing fixed conit bounds.
-pub struct TactNode {
+pub(crate) struct TactNode {
     me: NodeId,
     object: ObjectId,
     store: StoreShard,
@@ -49,7 +49,7 @@ pub struct TactNode {
 
 impl TactNode {
     /// Builds a node replicating `object` under `bounds`.
-    pub fn new(me: NodeId, object: ObjectId, bounds: TactBounds) -> Self {
+    pub(crate) fn new(me: NodeId, object: ObjectId, bounds: TactBounds) -> Self {
         let mut store = StoreShard::new(me, WriterId(me.0));
         store.open(object);
         TactNode {
@@ -64,7 +64,7 @@ impl TactNode {
     }
 
     /// Local write; triggers a push when the order bound is reached.
-    pub fn local_write(
+    pub(crate) fn local_write(
         &mut self,
         meta_delta: i64,
         payload: UpdatePayload,
@@ -83,17 +83,19 @@ impl TactNode {
     }
 
     /// Pushes completed so far.
-    pub fn pushes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn pushes(&self) -> u64 {
         self.pushes
     }
 
     /// The underlying store (oracle access).
-    pub fn store(&self) -> &StoreShard {
+    pub(crate) fn store(&self) -> &StoreShard {
         &self.store
     }
 
     /// Writes buffered awaiting a bound violation.
-    pub fn unpushed(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn unpushed(&self) -> usize {
         self.unpushed.len()
     }
 
@@ -107,10 +109,7 @@ impl TactNode {
         for i in 0..ctx.node_count() as u32 {
             let to = NodeId(i);
             if to != self.me {
-                ctx.send(
-                    to,
-                    BaselineMsg::SyncUpdates { object: self.object, updates: updates.clone() },
-                );
+                ctx.send(to, BaselineMsg::SyncUpdates { updates: updates.clone() });
             }
         }
     }

@@ -25,7 +25,7 @@
 /// (indices into `rates`).
 ///
 /// Returns 1.0 when there is no update activity at all (nothing to miss).
-pub fn top_layer_catch_probability(rates: &[f64], top: &[usize]) -> f64 {
+pub(crate) fn top_layer_catch_probability(rates: &[f64], top: &[usize]) -> f64 {
     let total: f64 = rates.iter().copied().filter(|r| *r > 0.0).sum();
     if total <= 0.0 {
         return 1.0;
@@ -38,13 +38,13 @@ pub fn top_layer_catch_probability(rates: &[f64], top: &[usize]) -> f64 {
 
 /// Zipf-like activity profile: `n` nodes, exponent `s`; rate of rank-`k`
 /// node ∝ 1/(k+1)^s. Useful for coverage studies.
-pub fn zipf_rates(n: usize, s: f64) -> Vec<f64> {
+pub(crate) fn zipf_rates(n: usize, s: f64) -> Vec<f64> {
     (0..n).map(|k| 1.0 / ((k + 1) as f64).powf(s)).collect()
 }
 
 /// Smallest top-layer size (taking the most active writers first) whose
 /// catch probability reaches `target`.
-pub fn min_top_size_for(rates: &[f64], target: f64) -> usize {
+pub(crate) fn min_top_size_for(rates: &[f64], target: f64) -> usize {
     let mut order: Vec<usize> = (0..rates.len()).collect();
     order.sort_by(|&a, &b| rates[b].partial_cmp(&rates[a]).unwrap());
     let mut top = Vec::new();

@@ -11,9 +11,9 @@
 //! * **A4** — §5.2's under/oversell frequency-bounds learning.
 
 use super::active::{mean_ms, measure_active_rounds};
+use crate::coverage::{min_top_size_for, top_layer_catch_probability, zipf_rates};
 use crate::report::markdown_table;
 use idea_core::{IdeaConfig, IdeaNode};
-use idea_detect::coverage::{min_top_size_for, top_layer_catch_probability, zipf_rates};
 use idea_net::{MsgClass, SimConfig, SimEngine, Topology};
 use idea_types::{NodeId, ObjectId, SimDuration, UpdatePayload};
 
@@ -25,11 +25,11 @@ const OBJ: ObjectId = ObjectId(1);
 #[derive(Debug, Clone)]
 pub struct CoverageRow {
     /// Zipf exponent of the activity profile.
-    pub zipf_s: f64,
+    pub(crate) zipf_s: f64,
     /// Smallest top layer reaching 95 % catch probability.
-    pub min_size_95: usize,
+    pub(crate) min_size_95: usize,
     /// Catch probability at a 4-member top layer.
-    pub p_at_4: f64,
+    pub(crate) p_at_4: f64,
 }
 
 /// A1: coverage vs activity skew over `n` nodes.
@@ -77,11 +77,11 @@ pub fn report_coverage(rows: &[CoverageRow]) -> String {
 #[derive(Debug, Clone)]
 pub struct RollbackRow {
     /// Gossip TTL of the sweep.
-    pub ttl: u8,
+    pub(crate) ttl: u8,
     /// Rollback events confirmed during the run.
-    pub rollbacks: u64,
+    pub(crate) rollbacks: u64,
     /// Gossip messages spent.
-    pub gossip_messages: u64,
+    pub(crate) gossip_messages: u64,
 }
 
 /// A2: rollback detection vs sweep TTL with one bottom-layer writer.
@@ -156,7 +156,7 @@ pub fn report_rollback(rows: &[RollbackRow]) -> String {
 #[derive(Debug, Clone)]
 pub struct ParallelRow {
     /// Top-layer size.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Sequential phase-2 delay (ms).
     pub sequential_ms: f64,
     /// Parallel phase-2 delay (ms).
@@ -210,7 +210,7 @@ pub fn report_parallel(rows: &[ParallelRow]) -> String {
 pub struct BoundsTrace {
     /// `(event index, period seconds, window min, window max)` after each
     /// feedback event.
-    pub steps: Vec<(usize, f64, f64, f64)>,
+    pub(crate) steps: Vec<(usize, f64, f64, f64)>,
 }
 
 /// A4: feed alternating oversell/undersell events into the §5.2 controller

@@ -8,7 +8,7 @@ use idea_types::{NodeId, ObjectId, SimDuration, UpdatePayload};
 const OBJ: ObjectId = ObjectId(1);
 
 /// Builds a warmed cluster whose top layer is exactly the `writers` nodes.
-pub fn warmed_cluster(
+pub(crate) fn warmed_cluster(
     nodes: usize,
     writers: usize,
     seed: u64,
@@ -39,7 +39,7 @@ pub fn warmed_cluster(
 /// Runs one active resolution per initiator (the paper runs the scheme four
 /// times, "each time we pick a different writer to initiate"), returning
 /// the per-run records.
-pub fn measure_active_rounds(
+pub(crate) fn measure_active_rounds(
     nodes: usize,
     writers: usize,
     seed: u64,
@@ -68,7 +68,7 @@ pub fn measure_active_rounds(
 }
 
 /// Mean of a duration-valued field over records, in milliseconds.
-pub fn mean_ms(records: &[ResolutionRecord], f: impl Fn(&ResolutionRecord) -> f64) -> f64 {
+pub(crate) fn mean_ms(records: &[ResolutionRecord], f: impl Fn(&ResolutionRecord) -> f64) -> f64 {
     if records.is_empty() {
         return 0.0;
     }

@@ -5,11 +5,11 @@
 //! consistency never lets inconsistency exist but pays per-write WAN
 //! round-trips; IDEA sits between, and TACT holds a *fixed* point of the
 //! spectrum. We run the same four-writer workload under all four protocols
-//! and score every replica against the same [`ConsistencyOracle`].
+//! and score every replica against the same `ConsistencyOracle`.
 
+use crate::baselines::{OptimisticNode, StrongNode, TactBounds, TactNode};
 use crate::oracle::ConsistencyOracle;
 use crate::report::markdown_table;
-use idea_baselines::{OptimisticNode, StrongNode, TactBounds, TactNode};
 use idea_core::{IdeaConfig, IdeaNode, Quantifier};
 use idea_net::{SimConfig, SimEngine, Topology};
 use idea_types::{NodeId, ObjectId, SimDuration, SimTime, UpdatePayload};
@@ -20,13 +20,13 @@ const OBJ: ObjectId = ObjectId(1);
 #[derive(Debug, Clone)]
 pub struct TradeoffRow {
     /// Protocol name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Mean oracle consistency level over writers and samples.
-    pub mean_level: f64,
+    pub(crate) mean_level: f64,
     /// Total messages sent during the run.
-    pub total_messages: u64,
+    pub(crate) total_messages: u64,
     /// Mean write-commit latency in ms (zero for local-commit protocols).
-    pub mean_commit_ms: f64,
+    pub(crate) mean_commit_ms: f64,
 }
 
 /// Workload shared by all four runs.

@@ -9,14 +9,13 @@
 
 use crate::report::{ascii_chart, markdown_table};
 use crate::runner::{run_hint, HintRunConfig, HintRunResult};
-use idea_types::SimDuration;
 
 /// Paper anchor points for Figure 7.
 pub struct Fig7Anchors {
     /// The hint level of the run.
     pub hint: f64,
     /// The paper's reported lowest user-visible consistency.
-    pub paper_min: f64,
+    pub(crate) paper_min: f64,
 }
 
 /// Figure 7(a): hint 95 %.
@@ -76,11 +75,6 @@ pub fn report(anchors: &Fig7Anchors, result: &HintRunResult) -> String {
 pub fn shape_holds(anchors: &Fig7Anchors, result: &HintRunResult, tolerance: f64) -> bool {
     let min = result.min_worst;
     min < anchors.hint && min >= anchors.hint - tolerance && result.resolutions > 0
-}
-
-/// Default experiment duration (exposed for the bench harness).
-pub fn duration() -> SimDuration {
-    HintRunConfig::default().duration
 }
 
 #[cfg(test)]

@@ -13,11 +13,11 @@ use idea_core::resolution::formula2_active_delay_ms;
 #[derive(Debug, Clone, Copy)]
 pub struct Fig9Point {
     /// Top-layer size.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Measured mean total delay (phase-1 dispatch + phase 2), ms.
-    pub measured_ms: f64,
+    pub(crate) measured_ms: f64,
     /// Formula-2 extrapolation, ms.
-    pub formula_ms: f64,
+    pub(crate) formula_ms: f64,
 }
 
 /// Runs the sweep over top-layer sizes `2..=max_n`.

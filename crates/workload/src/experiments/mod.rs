@@ -5,7 +5,7 @@
 //! a `report(...) -> String` that renders the paper-vs-measured comparison;
 //! the `idea-bench` binaries and the `figures` bench are thin wrappers.
 
-pub mod active;
+pub(crate) mod active;
 pub mod fig10;
 pub mod fig2;
 pub mod fig7;

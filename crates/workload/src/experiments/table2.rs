@@ -14,21 +14,21 @@ use idea_core::resolution::formula2_active_delay_ms;
 #[derive(Debug, Clone, Copy)]
 pub struct Table2Result {
     /// Phase-1 dispatch cost (paper's "Phase 1").
-    pub phase1_dispatch_ms: f64,
+    pub(crate) phase1_dispatch_ms: f64,
     /// Phase-1 completion including acknowledgements (one WAN RTT) — a
     /// second reading the paper's sub-RTT number cannot include; reported
     /// for completeness.
-    pub phase1_acked_ms: f64,
+    pub(crate) phase1_acked_ms: f64,
     /// Phase-2 duration (paper's "Phase 2").
-    pub phase2_ms: f64,
+    pub(crate) phase2_ms: f64,
     /// Initiators averaged.
-    pub runs: usize,
+    pub(crate) runs: usize,
 }
 
 /// Paper anchors.
-pub const PAPER_PHASE1_MS: f64 = 0.46825;
+pub(crate) const PAPER_PHASE1_MS: f64 = 0.46825;
 /// Paper's phase-2 anchor.
-pub const PAPER_PHASE2_MS: f64 = 314.241;
+pub(crate) const PAPER_PHASE2_MS: f64 = 314.241;
 
 /// Runs the Table-2 experiment: 40 nodes, top layer of 4, one resolution
 /// per initiator, averaged.

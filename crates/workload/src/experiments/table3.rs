@@ -29,7 +29,7 @@ pub struct Table3Result {
 
 impl Table3Result {
     /// Formula 5: mean messages per round over both runs.
-    pub fn msgs_per_round(&self) -> f64 {
+    pub(crate) fn msgs_per_round(&self) -> f64 {
         let rounds = self.fast.rounds + self.slow.rounds;
         if rounds == 0 {
             return 0.0;

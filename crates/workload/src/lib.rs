@@ -13,11 +13,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub(crate) mod baselines;
+pub(crate) mod coverage;
 pub mod experiments;
-pub mod oracle;
-pub mod report;
+pub(crate) mod oracle;
+pub(crate) mod report;
 pub mod runner;
-
-pub use oracle::ConsistencyOracle;
-pub use report::{ascii_chart, markdown_table, to_csv};
-pub use runner::{BookingRunConfig, BookingRunResult, HintRunConfig, HintRunResult, SamplePoint};

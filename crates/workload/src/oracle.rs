@@ -7,40 +7,45 @@
 //! vector against it with the same Formula-1 quantifier.
 
 use idea_core::Quantifier;
-use idea_types::{ConsistencyLevel, Update};
+#[cfg(test)]
+use idea_types::ConsistencyLevel;
+use idea_types::Update;
 use idea_vv::ExtendedVersionVector;
 
 /// Global union state built from every issued update.
 #[derive(Debug, Clone, Default)]
-pub struct ConsistencyOracle {
+pub(crate) struct ConsistencyOracle {
     union: ExtendedVersionVector,
     quant: Quantifier,
 }
 
 impl ConsistencyOracle {
     /// An oracle with the default quantifier.
-    pub fn new(quant: Quantifier) -> Self {
+    pub(crate) fn new(quant: Quantifier) -> Self {
         ConsistencyOracle { union: ExtendedVersionVector::new(), quant }
     }
 
     /// Records an issued update (replays — e.g. reissued sequence numbers
     /// after invalidation — are ignored, keeping the union well-formed).
-    pub fn record(&mut self, update: &Update) {
+    pub(crate) fn record(&mut self, update: &Update) {
         self.union.record(update.writer(), update.seq(), update.at, update.meta_delta);
     }
 
     /// Total updates recorded.
-    pub fn total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> u64 {
         self.union.total()
     }
 
     /// Scores a replica's vector against the union state.
-    pub fn level_of(&self, replica: &ExtendedVersionVector) -> ConsistencyLevel {
+    #[cfg(test)]
+    pub(crate) fn level_of(&self, replica: &ExtendedVersionVector) -> ConsistencyLevel {
         self.quant.level(&replica.triple_against(&self.union))
     }
 
     /// Mean level over several replicas.
-    pub fn mean_level(&self, replicas: &[&ExtendedVersionVector]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_level(&self, replicas: &[&ExtendedVersionVector]) -> f64 {
         if replicas.is_empty() {
             return 1.0;
         }
@@ -53,7 +58,7 @@ impl ConsistencyOracle {
     /// score, this does not penalise protocols whose *resolution* discards
     /// conflicting updates — mutual agreement is what consistency means in
     /// the paper.
-    pub fn mutual_mean_level(&self, replicas_by_id: &[&ExtendedVersionVector]) -> f64 {
+    pub(crate) fn mutual_mean_level(&self, replicas_by_id: &[&ExtendedVersionVector]) -> f64 {
         let Some(reference) = replicas_by_id.last() else {
             return 1.0;
         };

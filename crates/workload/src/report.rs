@@ -1,7 +1,7 @@
 //! Table, CSV and ASCII-chart emitters for experiment output.
 
 /// Renders a GitHub-style markdown table.
-pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -25,22 +25,10 @@ pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Renders `(x, y)` series as CSV with the given headers.
-pub fn to_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str(&headers.join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    out
-}
-
 /// Renders one or more named series as a fixed-size ASCII chart — enough to
 /// eyeball the sawtooth of Figures 7/8/10 in a terminal. Series share the
 /// x-range; y is clamped to `[y_min, y_max]`.
-pub fn ascii_chart(
+pub(crate) fn ascii_chart(
     series: &[(&str, &[(f64, f64)])],
     width: usize,
     height: usize,
@@ -112,12 +100,6 @@ mod tests {
         assert!(lines[1].starts_with("| ---"));
         // All lines equal width.
         assert!(lines.windows(2).all(|w| w[0].len() == w[1].len()));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let c = to_csv(&["t", "level"], &[vec!["0".into(), "1.0".into()]]);
-        assert_eq!(c, "t,level\n0,1.0\n");
     }
 
     #[test]

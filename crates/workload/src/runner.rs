@@ -8,7 +8,7 @@
 
 use idea_apps::{BookingServer, WhiteboardClient};
 use idea_core::client::Session;
-use idea_core::{ConsistencySpec, IdeaConfig, MaxBounds, ResolutionRecord, Weights};
+use idea_core::{ConsistencySpec, IdeaConfig, MaxBounds, Weights};
 use idea_net::{MsgClass, NetStats, SimConfig, SimEngine, Topology};
 use idea_types::{MessageSizeModel, NodeId, ObjectId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -22,13 +22,13 @@ use serde::{Deserialize, Serialize};
 /// over the preceding sample window (polled at 1 s granularity) — the same
 /// quantity the paper's asynchronous sampling captures.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SamplePoint {
+pub(crate) struct SamplePoint {
     /// Seconds since the measurement window opened.
-    pub t_secs: f64,
+    pub(crate) t_secs: f64,
     /// "View from the user": the worst writer level observed in the window.
-    pub worst: f64,
+    pub(crate) worst: f64,
     /// "System average": mean level over the writers at the sample instant.
-    pub average: f64,
+    pub(crate) average: f64,
 }
 
 /// Sub-sampling granularity for the window minimum. Off the integer-second
@@ -87,16 +87,14 @@ impl Default for HintRunConfig {
 #[derive(Debug, Clone)]
 pub struct HintRunResult {
     /// The sampled series over the measurement window.
-    pub series: Vec<SamplePoint>,
+    pub(crate) series: Vec<SamplePoint>,
     /// Minimum of the worst-writer curve (the paper's "lowest consistency
     /// level for users").
     pub min_worst: f64,
     /// Mean of the system-average curve.
-    pub mean_average: f64,
+    pub(crate) mean_average: f64,
     /// Resolution rounds completed during the window (all initiators).
     pub resolutions: u64,
-    /// Resolution records from all writers (window only).
-    pub records: Vec<ResolutionRecord>,
     /// Resolution control+transfer messages in the window.
     pub resolution_messages: u64,
     /// Detection messages in the window.
@@ -203,14 +201,6 @@ pub fn run_hint(cfg: &HintRunConfig) -> HintRunResult {
     eng.run_until(end);
 
     let window = eng.stats().since(window_stats.as_ref().unwrap_or(eng.stats()));
-    let mut records = Vec::new();
-    for w in 0..cfg.writers {
-        for r in eng.node(NodeId(w as u32)).idea().resolution_log() {
-            if r.started >= start {
-                records.push(r.clone());
-            }
-        }
-    }
     let resolutions = total_resolutions(&eng, cfg.writers) - pre_window_res;
     let min_worst = series.iter().map(|p| p.worst).fold(1.0, f64::min);
     let mean_average = if series.is_empty() {
@@ -224,7 +214,6 @@ pub fn run_hint(cfg: &HintRunConfig) -> HintRunResult {
         min_worst,
         mean_average,
         resolutions,
-        records,
         resolution_messages: window.resolution_messages(),
         detect_messages: window.messages(MsgClass::Detect),
         detect_bytes: window.payload_bytes(MsgClass::Detect),
@@ -281,20 +270,18 @@ impl Default for BookingRunConfig {
 #[derive(Debug, Clone)]
 pub struct BookingRunResult {
     /// Sampled consistency series (worst/average over the servers).
-    pub series: Vec<SamplePoint>,
+    pub(crate) series: Vec<SamplePoint>,
     /// Mean of the average curve — Figure 10's comparison quantity.
-    pub mean_level: f64,
+    pub(crate) mean_level: f64,
     /// Resolution control+transfer messages in the window (Table 3's
     /// "Overhead (# of exchanged messages)").
-    pub resolution_messages: u64,
+    pub(crate) resolution_messages: u64,
     /// Completed background rounds in the window.
-    pub rounds: u64,
+    pub(crate) rounds: u64,
     /// Messages per round (Formula 5).
-    pub msgs_per_round: f64,
+    pub(crate) msgs_per_round: f64,
     /// Bandwidth under the paper's flat-1 KB model, bits/s.
-    pub bandwidth_bps: f64,
-    /// Seats sold across the fleet minus capacity (positive = oversold).
-    pub oversold: i64,
+    pub(crate) bandwidth_bps: f64,
 }
 
 /// Runs an automatic booking experiment (the §6.3 setup).
@@ -379,9 +366,6 @@ pub fn run_booking(cfg: &BookingRunConfig) -> BookingRunResult {
     } else {
         series.iter().map(|p| p.average).sum::<f64>() / series.len() as f64
     };
-    let sold: i64 =
-        (0..cfg.servers).map(|s| eng.node(NodeId(s as u32)).accepted_seats() as i64).sum();
-
     BookingRunResult {
         series,
         mean_level,
@@ -389,7 +373,6 @@ pub fn run_booking(cfg: &BookingRunConfig) -> BookingRunResult {
         rounds,
         msgs_per_round,
         bandwidth_bps,
-        oversold: sold - cfg.capacity as i64,
     }
 }
 

@@ -10,13 +10,15 @@
 //! * [`vv`] — classic and extended version vectors (TACT triples);
 //! * [`net`] — deterministic discrete-event simulator + threaded runtime;
 //! * [`overlay`] — temperature top layer, gossip bottom layer;
-//! * [`detect`] — the inconsistency detection framework;
 //! * [`store`] — the replicated object store substrate;
-//! * [`core`] — the IDEA middleware itself (quantification, protocol,
-//!   resolution, adaptive control, the typed client API);
-//! * [`baselines`] — optimistic / TACT / strong comparators;
+//! * [`core`] — the IDEA middleware itself (quantification, the protocol
+//!   with its inconsistency detection framework, resolution, adaptive
+//!   control, the typed client API);
+//! * [`transport`] — the TCP server and remote client of the served path;
 //! * [`apps`] — the white board and airline-booking applications;
-//! * [`workload`] — experiment runners regenerating every table and figure.
+//! * [`workload`] — experiment runners regenerating every table and figure,
+//!   with the optimistic / TACT / strong comparators and the top-layer
+//!   coverage model.
 //!
 //! ## Quickstart
 //!
@@ -49,9 +51,7 @@
 #![forbid(unsafe_code)]
 
 pub use idea_apps as apps;
-pub use idea_baselines as baselines;
 pub use idea_core as core;
-pub use idea_detect as detect;
 pub use idea_net as net;
 pub use idea_overlay as overlay;
 pub use idea_store as store;
