@@ -726,6 +726,19 @@ mod tests {
 
     #[test]
     fn partial_round_still_settles() {
+        // Deadline expiry with only one of two replies: the round still
+        // settles, against the one replier that is behind the initiator.
+        let mine = evv(&[(0, 1, 1, 1), (0, 2, 3, 2)]);
+        let one = evv(&[(0, 1, 1, 1)]);
+        let mut round = DetectRound::start(NodeId(0), 1, &[NodeId(1), NodeId(2)], mine.clone());
+        assert!(!reply(&mut round, NodeId(1), &one));
+        let triple = round.complete(&mine);
+        assert!(!triple.is_zero());
+        assert_eq!(triple, mine.triple_against(&one));
+    }
+
+    #[test]
+    fn missing_replies_leave_participants_out_of_the_round() {
         // Deadline with one of three peers silent: the round settles over
         // the initiator and the two repliers, and the highest replier (3)
         // is the reference although the silent peer (2) is not.
@@ -735,6 +748,8 @@ mod tests {
             DetectRound::start(NodeId(0), 4, &[NodeId(1), NodeId(2), NodeId(3)], mine.clone());
         assert!(!reply(&mut round, NodeId(1), &mine));
         assert!(!reply(&mut round, NodeId(3), &three));
+        assert_eq!(round.answered, vec![NodeId(1), NodeId(3)]);
+        assert_eq!(round.reference.as_ref().map(|(n, _)| *n), Some(NodeId(3)));
         let triple = round.complete(&mine);
         assert_eq!(triple, mine.triple_against(&three));
         assert_eq!(triple.order, 1.0);
