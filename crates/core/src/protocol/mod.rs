@@ -159,7 +159,7 @@ impl ObjShared {
     fn new(cfg: &IdeaConfig) -> Self {
         ObjShared {
             layer: TopLayer::new(&cfg.top_layer),
-            gossip: GossipRouter::new(&cfg.gossip),
+            gossip: GossipRouter::default(),
             level: ConsistencyLevel::PERFECT,
             lazy: lazy::LazyPlane::default(),
         }

@@ -58,8 +58,9 @@ pub struct GossipFootprint {
     pub view: usize,
     /// View links currently pruned to the lazy side (at most `view`).
     pub lazy_links: usize,
-    /// Rumor ids remembered for duplicate suppression (at most
-    /// `2 × gossip.seen_cap`).
+    /// Rumor ids the duplicate-suppression windows tell apart as
+    /// processed: at most 64 per origin heard from, the object's writers
+    /// and sweep initiators.
     pub seen_ids: usize,
     /// Rumor bodies cached for answering pulls (at most 1,024).
     pub cached_bodies: usize,

@@ -6,6 +6,7 @@
 
 use idea_core::{IdeaConfig, IdeaMsg, IdeaNode};
 use idea_net::{Context, Proto, SimConfig, SimEngine, TimerId, Topology};
+use idea_overlay::gossip::WINDOW;
 use idea_overlay::RumorId;
 use idea_types::{NodeId, ObjectId, SimDuration, SimTime, UpdatePayload, WriterId};
 use idea_vv::VersionVector;
@@ -20,12 +21,12 @@ const CACHE_CAP: usize = 1024;
 fn per_router_state_is_bounded_by_the_view_not_the_deployment() {
     const N: usize = 256;
     const WRITERS: u32 = 16;
-    const WRITES: u32 = 400;
+    const WRITES: u32 = 1_200;
     let objects: Vec<ObjectId> = (1..=8).map(ObjectId).collect();
-    let mut cfg = IdeaConfig::whiteboard(0.95);
-    // A window small enough that 400 writes rotate the generations: the
-    // 2 × seen_cap bound is approached, not merely far away.
-    cfg.gossip.seen_cap = 16;
+    // A sweep after every detection round, and 75 writes per writer: more
+    // than 64 rumors per writing origin, so windows slide and the
+    // per-origin bound is exercised past an origin's first sequences.
+    let cfg = IdeaConfig { sweep_every: Some(1), ..IdeaConfig::whiteboard(0.95) };
     let gossip = cfg.gossip;
     let nodes: Vec<IdeaNode> =
         (0..N).map(|i| IdeaNode::new(NodeId(i as u32), cfg.clone(), &objects)).collect();
@@ -58,25 +59,32 @@ fn per_router_state_is_bounded_by_the_view_not_the_deployment() {
     assert!(peak_pending > 0, "no pull was ever pending");
     assert_eq!(pending(&eng), 0, "pulls still pending after the run settled");
 
-    let (mut full_views, mut pruned, mut cached, mut rotated) = (0, 0, 0, 0);
+    let (mut full_views, mut pruned, mut cached, mut slid) = (0, 0, 0, 0);
     for node in (0..N as u32).map(NodeId) {
         for &object in &objects {
             let f = eng.node(node).gossip_footprint(object);
             assert!(f.view <= gossip.fanout, "{node} {object}: {f:?}");
             assert!(f.lazy_links <= f.view, "{node} {object}: {f:?}");
             assert!(f.cached_bodies <= CACHE_CAP, "{node} {object}: {f:?}");
-            assert!(f.seen_ids <= 2 * gossip.seen_cap, "{node} {object}: {f:?}");
+            // Every origin's window holds its newest id, so the listed ids
+            // name every origin held.
+            let seen = eng.node(node).gossip_seen(object);
+            let mut origins: Vec<NodeId> = seen.iter().map(|id| id.origin).collect();
+            origins.dedup();
+            assert!(f.seen_ids <= WINDOW as usize * origins.len(), "{node} {object}: {f:?}");
             full_views += usize::from(f.view == gossip.fanout);
             pruned += f.lazy_links;
             cached += f.cached_bodies;
-            rotated += usize::from(f.seen_ids > gossip.seen_cap);
+            // Sequences start at 0: a newest id past the window means the
+            // origin's first ids slid out of it.
+            slid += usize::from(seen.iter().any(|id| id.seq >= WINDOW));
         }
     }
     // The bounds above were exercised, not vacuous.
     assert!(full_views > N, "only {full_views} routers ever sampled a full view");
     assert!(pruned > 0, "no link was ever pruned");
     assert!(cached > 0, "no body was ever cached");
-    assert!(rotated > 0, "no suppression window ever rotated");
+    assert!(slid > 0, "no origin's suppression window ever slid");
 }
 
 /// A context that records what the node sends.

@@ -26,7 +26,7 @@ pub trait FaultHost: Proto {
     fn apply_op(&mut self, op: u64, ctx: &mut dyn Context<Self::Msg>);
 
     /// Forces an on-demand resolution round.
-    fn demand_resolution(&mut self, ctx: &mut dyn Context<Self::Msg>);
+    fn resolve_now(&mut self, ctx: &mut dyn Context<Self::Msg>);
 
     /// Pulls missed updates from `peer` after a restart.
     fn rejoin(&mut self, peer: NodeId, ctx: &mut dyn Context<Self::Msg>);
@@ -44,8 +44,10 @@ impl FaultHost for BookingServer {
         let _ = self.try_book(1, 5_000 + (op as i64 % 97) * 100, ctx);
     }
 
-    fn demand_resolution(&mut self, ctx: &mut dyn Context<IdeaMsg>) {
-        BookingServer::demand_resolution(self, ctx);
+    fn resolve_now(&mut self, ctx: &mut dyn Context<IdeaMsg>) {
+        // The inherent method: the trait's own name differs, so this can
+        // never resolve back to itself.
+        self.demand_resolution(ctx);
     }
 
     fn rejoin(&mut self, peer: NodeId, ctx: &mut dyn Context<IdeaMsg>) {
@@ -193,7 +195,7 @@ impl<P: FaultHost> FaultRunner<P> {
                 break;
             }
         }
-        self.eng.with_node(hub, |p, ctx| p.demand_resolution(ctx));
+        self.eng.with_node(hub, |p, ctx| p.resolve_now(ctx));
         self.eng.run_for(scenario.settle);
         let limit = self.eng.now() + scenario.settle;
         let q = self.eng.run_until_quiescent_bounded(limit, SimEngine::<P>::DEFAULT_EVENT_BUDGET);
@@ -251,7 +253,7 @@ impl<P: FaultHost> FaultRunner<P> {
             FaultEvent::Work(WorkOp::DemandResolution { node })
                 if *node < n && !self.down[*node as usize] =>
             {
-                self.eng.with_node(NodeId(*node), |p, ctx| p.demand_resolution(ctx));
+                self.eng.with_node(NodeId(*node), |p, ctx| p.resolve_now(ctx));
             }
             FaultEvent::Work(_) => {}
         }

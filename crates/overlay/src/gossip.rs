@@ -28,7 +28,9 @@
 //! `idea-core`) turns plans into actual messages, owns the rumor bodies,
 //! and runs the pull timers.
 
-use idea_types::{FastSet, NodeId};
+#[cfg(test)]
+use idea_types::FastSet;
+use idea_types::NodeId;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -39,14 +41,6 @@ pub struct GossipConfig {
     pub fanout: usize,
     /// Initial time-to-live (hop budget) of a rumor.
     pub ttl: u8,
-    /// Duplicate-suppression window: the router remembers between
-    /// `seen_cap` and `2 × seen_cap` of the most recent rumor ids (two
-    /// generations, evicted wholesale), so memory stays bounded no matter
-    /// how many rumors a long run produces. A rumor older than the window
-    /// may be relayed once more — its TTL still bounds the re-spread, and
-    /// in-flight copies (the correctness case) are far younger than any
-    /// realistic window.
-    pub seen_cap: usize,
     /// The eager floor: when *every* view link has been pruned, this many
     /// links are grafted back so bodies keep moving (a rumor must never
     /// stall on an all-lazy view). Clamped to the view size; values below
@@ -56,24 +50,86 @@ pub struct GossipConfig {
 
 impl Default for GossipConfig {
     fn default() -> Self {
-        GossipConfig { fanout: 3, ttl: 4, seen_cap: 4096, eager_fanout: 1 }
+        GossipConfig { fanout: 3, ttl: 4, eager_fanout: 1 }
     }
 }
 
 /// Unique rumor identity: (origin node, origin-local sequence), 8 bytes.
 ///
-/// The sequence is a wrapping `u32`. An id only has to be unique while
-/// something can still confuse it with another: inside the receivers'
-/// duplicate-suppression window (at most `2 × seen_cap` ids per router)
-/// and while one rumor's copies, cached bodies and pulls are alive. A
-/// router reuses a sequence only after 2³² originations of its own, far
-/// outside both.
+/// The sequence is a wrapping `u32`, consecutive per originating router.
+/// An id only has to be unique while something can still confuse it with
+/// another: inside the receivers' duplicate-suppression window (the
+/// [`WINDOW`] newest sequences of its origin) and while one rumor's copies,
+/// cached bodies and pulls are alive. A router reuses a sequence only
+/// after 2³² originations of its own, far outside both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct RumorId {
     /// Node that started the rumor.
     pub origin: NodeId,
     /// Origin-local sequence number (wrapping).
     pub seq: u32,
+}
+
+/// Sequences per origin a router tells apart: one `u64` of bits.
+pub const WINDOW: u32 = 64;
+
+/// One origin's duplicate-suppression window, 16 bytes: bit `k` of `bits`
+/// set means rumor `newest − k` of `origin` was processed here. Bit 0 is
+/// always set (the newest sequence is the newest one processed).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Window {
+    origin: NodeId,
+    newest: u32,
+    bits: u64,
+}
+
+impl Window {
+    /// Where `seq` falls: `Ok(age)` for a sequence at or behind `newest`,
+    /// `Err(d)` for one `d` ahead of it (wrapping, so half the sequence
+    /// space counts as ahead).
+    fn age(&self, seq: u32) -> Result<u32, u32> {
+        let d = seq.wrapping_sub(self.newest);
+        if (d as i32) > 0 {
+            Err(d)
+        } else {
+            Ok(self.newest.wrapping_sub(seq))
+        }
+    }
+
+    /// True when `seq` counts as processed: its bit is set, or it is too
+    /// far behind for the window to tell.
+    fn holds(&self, seq: u32) -> bool {
+        match self.age(seq) {
+            Err(_) => false,
+            Ok(age) => age >= WINDOW || self.bits & (1 << age) != 0,
+        }
+    }
+
+    /// Marks `seq` processed; returns `false` when it already counted as
+    /// processed ([`Window::holds`]).
+    fn note(&mut self, seq: u32) -> bool {
+        match self.age(seq) {
+            Err(d) => {
+                self.bits = if d >= WINDOW { 1 } else { self.bits << d | 1 };
+                self.newest = seq;
+                true
+            }
+            Ok(age) if age >= WINDOW => false,
+            Ok(age) => {
+                let bit = 1 << age;
+                let fresh = self.bits & bit == 0;
+                self.bits |= bit;
+                fresh
+            }
+        }
+    }
+
+    /// The processed sequences the window still tells apart.
+    fn ids(&self) -> impl Iterator<Item = RumorId> + '_ {
+        (0..WINDOW)
+            .filter(|&k| self.bits & (1 << k) != 0)
+            .map(|k| RumorId { origin: self.origin, seq: self.newest.wrapping_sub(k) })
+    }
 }
 
 /// Encoded bytes per digest entry: origin (4) + seq (8) + ttl (1). The
@@ -169,18 +225,16 @@ pub struct Peers {
 /// between them: the settings ([`GossipConfig`]) and the router's identity
 /// and population ([`Peers`]) come in with every call.
 ///
-/// Duplicate suppression is **generational**: ids go into a current
-/// generation; when it reaches `seen_cap` it becomes the previous
-/// generation (whose ids are still recognised) and the oldest generation is
-/// dropped wholesale. Memory is therefore bounded by `2 × seen_cap` ids —
-/// an unbounded `HashSet` here used to grow by one entry per rumor ever
-/// relayed, a real leak for long-lived nodes.
-#[derive(Debug, Clone)]
+/// Duplicate suppression is **one window per origin**: an origin's rumor
+/// sequences are consecutive, so the router keeps, per origin it has heard
+/// from, the newest sequence and a [`WINDOW`]-bit map of the ones just
+/// behind it. A rumor further behind than that counts as a duplicate and
+/// is never relayed again. Memory is 16 bytes per origin — the object's
+/// writers and sweep initiators — however many rumors a long run produces.
+#[derive(Debug, Clone, Default)]
 pub struct GossipRouter {
-    /// Current duplicate-suppression generation.
-    seen: FastSet<RumorId>,
-    /// Previous generation (read-only until evicted).
-    seen_prev: FastSet<RumorId>,
+    /// The windows, sorted by origin and stored exactly sized.
+    seen: Vec<Window>,
     /// The stable gossip neighbourhood in sampling order, each link with
     /// whether it is pruned to the lazy side (a duplicate body arrived on
     /// it): up to `fanout` peers, sampled once on first use and stored
@@ -191,28 +245,22 @@ pub struct GossipRouter {
 }
 
 impl GossipRouter {
-    /// An empty router, checked against the settings every later call
-    /// will pass.
-    pub fn new(cfg: &GossipConfig) -> Self {
-        assert!(cfg.seen_cap > 0, "duplicate suppression needs a positive window");
-        GossipRouter {
-            seen: FastSet::default(),
-            seen_prev: FastSet::default(),
-            links: Vec::new(),
-            next_seq: 0,
-        }
+    /// The index of `origin`'s window, or where it would go.
+    fn find(&self, origin: NodeId) -> Result<usize, usize> {
+        self.seen.binary_search_by_key(&origin, |w| w.origin)
     }
 
-    /// Records `id` as seen; returns `false` when it was already known.
-    fn note_seen(&mut self, cfg: &GossipConfig, id: RumorId) -> bool {
-        if self.seen_prev.contains(&id) || !self.seen.insert(id) {
-            return false;
+    /// Records `id` as seen; returns `false` when it already counted as
+    /// seen.
+    fn note_seen(&mut self, id: RumorId) -> bool {
+        match self.find(id.origin) {
+            Ok(i) => self.seen[i].note(id.seq),
+            Err(at) => {
+                self.seen.reserve_exact(1);
+                self.seen.insert(at, Window { origin: id.origin, newest: id.seq, bits: 1 });
+                true
+            }
         }
-        if self.seen.len() >= cfg.seen_cap {
-            // Rotate generations: drop the old one wholesale.
-            self.seen_prev = std::mem::take(&mut self.seen);
-        }
-        true
     }
 
     /// Starts a new rumor at `peers.me`; returns its id, the initial TTL,
@@ -225,7 +273,7 @@ impl GossipRouter {
     ) -> (RumorId, u8, RelayPlan) {
         let id = RumorId { origin: peers.me, seq: self.next_seq };
         self.next_seq = self.next_seq.wrapping_add(1);
-        self.note_seen(cfg, id);
+        self.note_seen(id);
         self.ensure_view(cfg, peers, rng);
         let plan = self.view_plan(cfg, None, cfg.ttl);
         (id, cfg.ttl, plan)
@@ -251,7 +299,7 @@ impl GossipRouter {
         peers: Peers,
         rng: &mut R,
     ) -> Receipt {
-        if !self.note_seen(cfg, id) {
+        if !self.note_seen(id) {
             // Duplicate body: the sender wasted a full push on us — prune
             // that link to the lazy side from now on.
             if let Some(p) = from {
@@ -271,28 +319,29 @@ impl GossipRouter {
         }
     }
 
-    /// True when this node still remembers processing the rumor (ids older
-    /// than the suppression window are forgotten).
+    /// True when the rumor counts as processed here: it was, or it is more
+    /// than [`WINDOW`] sequences behind the newest of its origin processed
+    /// here.
     pub(crate) fn has_seen(&self, id: RumorId) -> bool {
-        self.seen.contains(&id) || self.seen_prev.contains(&id)
+        self.find(id.origin).is_ok_and(|i| self.seen[i].holds(id.seq))
     }
 
-    /// True when a digest for `id` should trigger a pull: the body has not
-    /// been processed here yet.
+    /// True when a digest for `id` should trigger a pull: the body does not
+    /// count as processed here yet.
     pub fn wants_body(&self, id: RumorId) -> bool {
         !self.has_seen(id)
     }
 
-    /// Number of distinct rumor ids currently remembered (bounded by
-    /// `2 × seen_cap`).
+    /// Number of rumor ids the windows tell apart as processed (at most
+    /// [`WINDOW`] per origin).
     pub fn seen_count(&self) -> usize {
-        self.seen.len() + self.seen_prev.len()
+        self.seen.iter().map(|w| w.bits.count_ones() as usize).sum()
     }
 
-    /// Rumor ids currently remembered, sorted (test/harness introspection
-    /// for delivery-set comparisons).
+    /// Rumor ids the windows tell apart as processed, sorted
+    /// (test/harness introspection for delivery-set comparisons).
     pub fn seen_ids(&self) -> Vec<RumorId> {
-        let mut ids: Vec<RumorId> = self.seen.union(&self.seen_prev).copied().collect();
+        let mut ids: Vec<RumorId> = self.seen.iter().flat_map(Window::ids).collect();
         ids.sort_unstable();
         ids
     }
@@ -444,7 +493,7 @@ pub(crate) struct SpreadSim {
 impl SpreadSim {
     /// A fresh `n`-node population with per-node routers.
     pub(crate) fn new(n: usize, cfg: GossipConfig) -> Self {
-        SpreadSim { cfg, routers: (0..n).map(|_| GossipRouter::new(&cfg)).collect() }
+        SpreadSim { cfg, routers: (0..n).map(|_| GossipRouter::default()).collect() }
     }
 
     fn peers(&self, me: NodeId) -> Peers {
@@ -559,6 +608,96 @@ pub(crate) fn simulate_spread<R: Rng + ?Sized>(
 }
 
 #[cfg(test)]
+mod reference {
+    //! The two-generation duplicate suppression the per-origin windows
+    //! replaced, as it was, in front of the same view and link code: the
+    //! equivalence reference.
+
+    use super::{GossipConfig, GossipRouter, Peers, Receipt, RumorId};
+    use idea_types::{FastSet, NodeId};
+    use rand::Rng;
+
+    pub struct GenerationalRouter {
+        /// Ids went into the current generation; at `cap` it became the
+        /// previous one and the one before was dropped wholesale.
+        cap: usize,
+        seen: FastSet<RumorId>,
+        seen_prev: FastSet<RumorId>,
+        /// Only its view and links are used: its own windows stay empty.
+        links: GossipRouter,
+    }
+
+    impl GenerationalRouter {
+        pub fn new(cap: usize) -> Self {
+            assert!(cap > 0, "duplicate suppression needs a positive window");
+            GenerationalRouter {
+                cap,
+                seen: FastSet::default(),
+                seen_prev: FastSet::default(),
+                links: GossipRouter::default(),
+            }
+        }
+
+        fn note_seen(&mut self, id: RumorId) -> bool {
+            if self.seen_prev.contains(&id) || !self.seen.insert(id) {
+                return false;
+            }
+            if self.seen.len() >= self.cap {
+                self.seen_prev = std::mem::take(&mut self.seen);
+            }
+            true
+        }
+
+        pub fn on_receive<R: Rng + ?Sized>(
+            &mut self,
+            cfg: &GossipConfig,
+            id: RumorId,
+            ttl: u8,
+            from: Option<NodeId>,
+            peers: Peers,
+            rng: &mut R,
+        ) -> Receipt {
+            if !self.note_seen(id) {
+                if let Some(p) = from {
+                    self.links.demote(p);
+                }
+                return Receipt::Duplicate;
+            }
+            self.links.ensure_view(cfg, peers, rng);
+            if ttl == 0 {
+                return Receipt::Terminal;
+            }
+            let plan = self.links.view_plan(cfg, from, ttl - 1);
+            if plan.is_empty() {
+                Receipt::Terminal
+            } else {
+                Receipt::Relay(plan)
+            }
+        }
+
+        pub fn has_seen(&self, id: RumorId) -> bool {
+            self.seen.contains(&id) || self.seen_prev.contains(&id)
+        }
+
+        pub fn wants_body(&self, id: RumorId) -> bool {
+            !self.has_seen(id)
+        }
+
+        pub fn seen_ids(&self) -> Vec<RumorId> {
+            let mut ids: Vec<RumorId> = self.seen.union(&self.seen_prev).copied().collect();
+            ids.sort_unstable();
+            ids
+        }
+
+        /// The links, for the view and prune-state comparisons (and for
+        /// the demotion a receipt outside the window makes).
+        pub fn links(&mut self) -> &mut GossipRouter {
+            &mut self.links
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -566,7 +705,7 @@ mod tests {
     use rand::{RngCore, SeedableRng};
 
     fn lazy_cfg(fanout: usize, eager_fanout: usize, ttl: u8) -> GossipConfig {
-        GossipConfig { fanout, ttl, eager_fanout, ..Default::default() }
+        GossipConfig { fanout, ttl, eager_fanout }
     }
 
     /// Node `me` of an `n`-node deployment.
@@ -578,7 +717,7 @@ mod tests {
     fn originate_marks_seen_and_picks_fanout() {
         let mut rng = StdRng::seed_from_u64(1);
         let cfg = lazy_cfg(3, 1, 4);
-        let mut r = GossipRouter::new(&cfg);
+        let mut r = GossipRouter::default();
         let (id, ttl, plan) = r.originate(&cfg, at(0, 10), &mut rng);
         assert_eq!(id.origin, NodeId(0));
         assert_eq!(ttl, 4);
@@ -600,7 +739,7 @@ mod tests {
         // fanout 4 over 4 other nodes: the view is the whole population,
         // so every sender below is a view link.
         let cfg = lazy_cfg(4, 1, 3);
-        let mut r = GossipRouter::new(&cfg);
+        let mut r = GossipRouter::default();
         let id = RumorId { origin: NodeId(0), seq: 9 };
         let first = r.on_receive(&cfg, id, 3, Some(NodeId(0)), at(1, 5), &mut rng);
         assert!(matches!(first, Receipt::Relay(_)));
@@ -619,7 +758,7 @@ mod tests {
     fn ttl_zero_is_terminal() {
         let mut rng = StdRng::seed_from_u64(3);
         let cfg = GossipConfig::default();
-        let mut r = GossipRouter::new(&cfg);
+        let mut r = GossipRouter::default();
         let id = RumorId { origin: NodeId(0), seq: 1 };
         assert_eq!(r.on_receive(&cfg, id, 0, None, at(1, 5), &mut rng), Receipt::Terminal);
         // Still marked seen so a later copy with budget is also dropped.
@@ -630,7 +769,7 @@ mod tests {
     fn forwarded_ttl_decrements() {
         let mut rng = StdRng::seed_from_u64(4);
         let cfg = lazy_cfg(2, 1, 8);
-        let mut r = GossipRouter::new(&cfg);
+        let mut r = GossipRouter::default();
         let id = RumorId { origin: NodeId(0), seq: 0 };
         match r.on_receive(&cfg, id, 5, None, at(2, 6), &mut rng) {
             Receipt::Relay(plan) => {
@@ -652,7 +791,7 @@ mod tests {
         let cfg = lazy_cfg(2, 1, 8);
         for seed in 0..16 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut routers: Vec<GossipRouter> = (0..3).map(|_| GossipRouter::new(&cfg)).collect();
+            let mut routers: Vec<GossipRouter> = (0..3).map(|_| GossipRouter::default()).collect();
             let (id, _ttl, plan) = routers[0].originate(&cfg, at(0, 3), &mut rng);
             let mut total = plan.eager.len();
             let mut frontier: Vec<(NodeId, u8, NodeId)> =
@@ -679,7 +818,7 @@ mod tests {
     fn pruned_view_links_move_to_the_lazy_side() {
         let mut rng = StdRng::seed_from_u64(5);
         let cfg = lazy_cfg(4, 1, 6);
-        let mut r = GossipRouter::new(&cfg);
+        let mut r = GossipRouter::default();
         let (_id, _ttl, plan) = r.originate(&cfg, at(0, 10), &mut rng);
         assert_eq!(plan.eager.len(), 4, "links start eager");
         assert!(plan.lazy.is_empty());
@@ -697,7 +836,7 @@ mod tests {
     #[test]
     fn demoted_peers_drift_to_lazy_links() {
         let cfg = lazy_cfg(3, 1, 6);
-        let mut r = GossipRouter::new(&cfg);
+        let mut r = GossipRouter::default();
         let mut rng = StdRng::seed_from_u64(1);
         // First originate samples the view: all 3 other nodes.
         let _ = r.originate(&cfg, at(0, 4), &mut rng);
@@ -714,7 +853,7 @@ mod tests {
     #[test]
     fn all_demoted_still_fills_eager_floor() {
         let cfg = lazy_cfg(3, 2, 6);
-        let mut r = GossipRouter::new(&cfg);
+        let mut r = GossipRouter::default();
         let mut rng = StdRng::seed_from_u64(1);
         let _ = r.originate(&cfg, at(0, 4), &mut rng);
         for p in 1..4 {
@@ -765,9 +904,8 @@ mod tests {
     fn sequences_wrap_without_breaking_suppression() {
         let mut rng = StdRng::seed_from_u64(13);
         let cfg = lazy_cfg(2, 1, 3);
-        let mut origin = GossipRouter::new(&cfg);
-        origin.next_seq = u32::MAX - 2;
-        let mut relay = GossipRouter::new(&cfg);
+        let mut origin = GossipRouter { next_seq: u32::MAX - 2, ..Default::default() };
+        let mut relay = GossipRouter::default();
         let mut ids = Vec::new();
         for _ in 0..6 {
             let (id, ttl, _) = origin.originate(&cfg, at(0, 8), &mut rng);
@@ -809,54 +947,59 @@ mod tests {
     }
 
     /// The duplicate-suppression memory bound: a long-lived router that
-    /// relays rumors forever must hold at most `2 × seen_cap` ids — the
-    /// unbounded `HashSet` it replaced grew by one entry per rumor ever
-    /// seen.
+    /// relays rumors forever holds one window per origin — the unbounded
+    /// `HashSet` it once had grew by one entry per rumor ever seen, the
+    /// two generations after it by up to 8,192 ids.
     #[test]
-    fn seen_set_is_bounded_by_generations() {
+    fn seen_state_is_one_window_per_origin() {
         let mut rng = StdRng::seed_from_u64(10);
-        let cap = 64;
-        let cfg = GossipConfig { fanout: 2, ttl: 3, seen_cap: cap, ..Default::default() };
-        let mut r = GossipRouter::new(&cfg);
+        let cfg = lazy_cfg(2, 1, 3);
+        let mut r = GossipRouter::default();
         for seq in 0..100_000u32 {
-            let id = RumorId { origin: NodeId(0), seq };
-            let _ = r.on_receive(&cfg, id, 3, None, at(1, 8), &mut rng);
-            assert!(
-                r.seen_count() <= 2 * cap,
-                "seen grew to {} after {} rumors (cap {})",
-                r.seen_count(),
-                seq + 1,
-                cap
-            );
+            for origin in [NodeId(0), NodeId(5)] {
+                let _ = r.on_receive(&cfg, RumorId { origin, seq }, 3, None, at(1, 8), &mut rng);
+            }
+            assert!(r.seen.len() <= 2, "{} windows for two origins", r.seen.len());
+            assert!(r.seen_count() <= 2 * WINDOW as usize);
         }
+        assert_eq!(r.seen.capacity(), 2, "windows stored exactly sized");
+        assert_eq!(r.seen_count(), 2 * WINDOW as usize);
         // Recent rumors are still suppressed...
         let recent = RumorId { origin: NodeId(0), seq: 99_999 };
         assert!(r.has_seen(recent));
         assert_eq!(r.on_receive(&cfg, recent, 3, None, at(1, 8), &mut rng), Receipt::Duplicate);
-        // ...while ids far outside the window have been evicted.
+        // ...and so are ids far behind the window: they count as processed
+        // and are never relayed again.
         let ancient = RumorId { origin: NodeId(0), seq: 0 };
-        assert!(!r.has_seen(ancient), "eviction must eventually forget old ids");
+        assert!(r.has_seen(ancient), "ids behind the window count as processed");
+        assert!(!r.wants_body(ancient));
+        assert_eq!(r.on_receive(&cfg, ancient, 3, None, at(1, 8), &mut rng), Receipt::Duplicate);
     }
 
-    /// Duplicates arriving while an id straddles the generation rotation
-    /// are still suppressed (the previous generation stays searchable).
+    /// The window's edge: a rumor 63 sequences behind its origin's newest
+    /// is still told apart (fresh once, then a duplicate); one 64 behind
+    /// is a duplicate without ever having been processed.
     #[test]
-    fn duplicates_across_rotation_are_suppressed() {
+    fn duplicates_at_the_window_edge_are_suppressed() {
         let mut rng = StdRng::seed_from_u64(11);
-        let cap = 16;
-        let cfg = GossipConfig { fanout: 2, ttl: 3, seen_cap: cap, ..Default::default() };
-        let mut r = GossipRouter::new(&cfg);
-        let marked = RumorId { origin: NodeId(0), seq: 0 };
-        let receipt = r.on_receive(&cfg, marked, 3, None, at(1, 8), &mut rng);
-        assert!(matches!(receipt, Receipt::Relay(_)));
-        // Fill exactly up to one rotation: `marked` moves to the previous
-        // generation but must still be recognised.
-        for seq in 1..cap as u32 {
-            let id = RumorId { origin: NodeId(0), seq };
-            let _ = r.on_receive(&cfg, id, 3, None, at(1, 8), &mut rng);
-        }
-        assert!(r.has_seen(marked));
-        assert_eq!(r.on_receive(&cfg, marked, 3, None, at(1, 8), &mut rng), Receipt::Duplicate);
+        let cfg = lazy_cfg(2, 1, 3);
+        let mut r = GossipRouter::default();
+        let mut receive =
+            |r: &mut GossipRouter, id| r.on_receive(&cfg, id, 3, None, at(1, 8), &mut rng);
+        let id = |seq| RumorId { origin: NodeId(0), seq };
+        let (newest, age_63, age_64) = (id(100), id(37), id(36));
+        assert!(matches!(receive(&mut r, newest), Receipt::Relay(_)));
+        assert!(r.wants_body(age_63));
+        assert!(matches!(receive(&mut r, age_63), Receipt::Relay(_)));
+        assert_eq!(receive(&mut r, age_63), Receipt::Duplicate);
+        assert!(!r.wants_body(age_64));
+        assert_eq!(receive(&mut r, age_64), Receipt::Duplicate);
+        assert_eq!(r.seen_ids(), vec![age_63, newest]);
+        // One step more slides the processed age-63 id out of the window:
+        // still suppressed, no longer listed.
+        assert!(matches!(receive(&mut r, id(101)), Receipt::Relay(_)));
+        assert_eq!(r.seen_ids(), vec![newest, id(101)]);
+        assert_eq!(receive(&mut r, age_63), Receipt::Duplicate);
     }
 
     /// Prune state stays bounded by the view no matter how many distinct
@@ -864,7 +1007,7 @@ mod tests {
     #[test]
     fn demoted_set_is_bounded_by_the_view() {
         let cfg = lazy_cfg(3, 1, 4);
-        let mut r = GossipRouter::new(&cfg);
+        let mut r = GossipRouter::default();
         let mut rng = StdRng::seed_from_u64(3);
         let _ = r.originate(&cfg, at(0, 10_000), &mut rng);
         for p in 1..10_000u32 {
@@ -881,7 +1024,7 @@ mod tests {
     #[test]
     fn stored_view_is_exactly_sized() {
         let cfg = lazy_cfg(3, 1, 4);
-        let mut r = GossipRouter::new(&cfg);
+        let mut r = GossipRouter::default();
         let mut rng = StdRng::seed_from_u64(12);
         r.ensure_view(&cfg, at(0, 10_000), &mut rng);
         assert_eq!(r.links.capacity(), r.links.len());
@@ -917,7 +1060,7 @@ mod tests {
         peers: &[NodeId],
         rng: &mut StdRng,
     ) -> Option<RelayPlan> {
-        if !r.note_seen(cfg, id) {
+        if !r.note_seen(id) {
             if let Some(p) = from {
                 r.demote(p);
             }
@@ -978,18 +1121,18 @@ mod tests {
         /// The three-way receipt against the old two-call protocol
         /// (`has_seen`, then an `on_receive` that answered `None` for
         /// duplicate and terminal alike, picking from a listed pool) over
-        /// rumor sequences with repeats, exhausted TTLs, local injections
-        /// and generation rotation.
+        /// rumor sequences with repeats, exhausted TTLs and local
+        /// injections.
         #[test]
         fn receipt_matches_has_seen_then_reference(
             seed in 0u64..64,
             n in 2u32..12,
             arrivals in prop::collection::vec((0u32..24, 0u8..3, 0u32..13), 1..120),
         ) {
-            let cfg = GossipConfig { fanout: 3, ttl: 4, seen_cap: 8, eager_fanout: 1 };
+            let cfg = GossipConfig { fanout: 3, ttl: 4, eager_fanout: 1 };
             let peers: Vec<NodeId> = (0..n).map(NodeId).collect();
-            let mut new = GossipRouter::new(&cfg);
-            let mut old = GossipRouter::new(&cfg);
+            let mut new = GossipRouter::default();
+            let mut old = GossipRouter::default();
             let mut new_rng = StdRng::seed_from_u64(seed);
             let mut old_rng = StdRng::seed_from_u64(seed);
             for (seq, ttl, sender) in arrivals {
@@ -1008,6 +1151,105 @@ mod tests {
                 }
                 prop_assert_eq!(new.seen_ids(), old.seen_ids());
                 prop_assert_eq!(new.view().collect::<Vec<_>>(), old.view().collect::<Vec<_>>());
+            }
+            prop_assert_eq!(new_rng.next_u64(), old_rng.next_u64());
+        }
+
+        /// The per-origin windows against the two generations they
+        /// replaced (with room for every id), over several origins with
+        /// duplicates, reordering inside the window, jumps past it, an
+        /// origin restarting at seq 0 after fewer than 64 rumors and seqs
+        /// wrapping past `u32::MAX`. While an id is within 64 of its
+        /// origin's newest, the receipt, `has_seen`, `wants_body` and the
+        /// listed ids all agree; further behind, the receipt is
+        /// `Duplicate` (the reference would have relayed it once more).
+        #[test]
+        fn windows_match_the_generational_reference(
+            seed in 0u64..64,
+            wrap in prop::collection::vec(0u8..2, 3..4),
+            arrivals in prop::collection::vec((0usize..3, 0u8..5, 0u32..80, 0u8..3, 0u32..9), 1..160),
+        ) {
+            let cfg = GossipConfig { fanout: 3, ttl: 4, eager_fanout: 1 };
+            let peers = at(0, 8);
+            let mut new = GossipRouter::default();
+            let mut old = reference::GenerationalRouter::new(4096);
+            let mut new_rng = StdRng::seed_from_u64(seed);
+            let mut old_rng = StdRng::seed_from_u64(seed);
+            let origins = [NodeId(1), NodeId(4), NodeId(6)];
+            // Each origin's next sequence (near the wrap for some), and the
+            // newest sequence of it any receipt was asked about.
+            let mut next: Vec<u32> = wrap.iter().map(|&w| if w == 1 { u32::MAX - 40 } else { 0 }).collect();
+            let mut newest: Vec<Option<u32>> = vec![None; 3];
+            let in_window = |newest: Option<u32>, seq: u32| {
+                newest.is_none_or(|n| (seq.wrapping_sub(n) as i32) > 0 || n.wrapping_sub(seq) < WINDOW)
+            };
+            for (o, kind, amount, ttl, sender) in arrivals {
+                let seq = match kind {
+                    // A rumor behind the newest: a duplicate, a late copy
+                    // inside the window, or one past it.
+                    2 => next[o].wrapping_sub(1 + amount),
+                    // The origin restarts at 0 while its newest is young.
+                    3 => {
+                        if newest[o].is_some_and(|n| n < WINDOW - 1) {
+                            next[o] = 0;
+                        }
+                        next[o]
+                    }
+                    // The origin's next rumor, after no gap, a short one or
+                    // a long one.
+                    _ => {
+                        let gap = match kind {
+                            0 => 0,
+                            1 => amount,
+                            _ => amount << 12,
+                        };
+                        let seq = next[o].wrapping_add(gap);
+                        next[o] = seq.wrapping_add(1);
+                        seq
+                    }
+                };
+                let id = RumorId { origin: origins[o], seq };
+                // Senders past the population stand for local injection.
+                let from = (sender < 8).then_some(NodeId(sender));
+                let got = new.on_receive(&cfg, id, ttl, from, peers, &mut new_rng);
+                if in_window(newest[o], seq) {
+                    prop_assert_eq!(&got, &old.on_receive(&cfg, id, ttl, from, peers, &mut old_rng));
+                } else {
+                    prop_assert_eq!(&got, &Receipt::Duplicate);
+                    if let Some(p) = from {
+                        old.links().demote(p);
+                    }
+                }
+                if newest[o].is_none_or(|n| (seq.wrapping_sub(n) as i32) > 0) {
+                    newest[o] = Some(seq);
+                }
+                for p in (0..8).map(NodeId) {
+                    prop_assert_eq!(new.is_demoted(p), old.links().is_demoted(p));
+                }
+                prop_assert_eq!(new.view().collect::<Vec<_>>(), old.links().view().collect::<Vec<_>>());
+                let held = |id: &RumorId| {
+                    let o = origins.iter().position(|&x| x == id.origin).unwrap();
+                    in_window(newest[o], id.seq)
+                };
+                let want: Vec<RumorId> = old.seen_ids().into_iter().filter(held).collect();
+                prop_assert_eq!(new.seen_ids(), want);
+                prop_assert_eq!(new.seen_count(), new.seen_ids().len());
+                // Probes around every origin's newest, on both sides of the
+                // window's edge.
+                for (p, &origin) in origins.iter().enumerate() {
+                    let Some(n) = newest[p] else { continue };
+                    for back in [0, 1, amount, WINDOW - 1, WINDOW, WINDOW + 3] {
+                        let probe = RumorId { origin, seq: n.wrapping_sub(back) };
+                        if in_window(newest[p], probe.seq) {
+                            prop_assert_eq!(new.has_seen(probe), old.has_seen(probe));
+                            prop_assert_eq!(new.wants_body(probe), old.wants_body(probe));
+                        } else {
+                            prop_assert!(new.has_seen(probe) && !new.wants_body(probe));
+                        }
+                    }
+                    let ahead = RumorId { origin, seq: n.wrapping_add(1) };
+                    prop_assert!(!new.has_seen(ahead) && !old.has_seen(ahead));
+                }
             }
             prop_assert_eq!(new_rng.next_u64(), old_rng.next_u64());
         }
@@ -1042,7 +1284,7 @@ mod tests {
         fn full_fanout_spread_reaches_every_node(n in 2usize..40, seed in 0u64..32,
                                                  eager_fanout in 0usize..3) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let full = GossipConfig { fanout: n, ttl: 4, eager_fanout, ..Default::default() };
+            let full = GossipConfig { fanout: n, ttl: 4, eager_fanout };
             let mut sim = SpreadSim::new(n, full);
             for round in 0..4 {
                 let s = sim.spread(NodeId(0), &mut rng);

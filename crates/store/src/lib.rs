@@ -4,8 +4,9 @@
 //! handles the ordinary read/write operations" (§2); this crate is that
 //! substrate. Each node holds a [`Replica`] per shared object: an ordered
 //! log of applied [`idea_types::Update`]s, the matching
-//! [`idea_vv::ExtendedVersionVector`], checkpoints for the rollback path of §4.4.2,
-//! and the transfer helpers resolution uses to ship missing updates.
+//! [`idea_vv::ExtendedVersionVector`], the in-place loser invalidation that
+//! rolls back what a resolution's reference never sanctioned (§4.5.1), and
+//! the transfer helpers resolution uses to ship missing updates.
 //!
 //! [`StoreShard`] bundles the replicas of one shard behind the read/write
 //! API the protocol calls. A node's objects are partitioned by `ObjectId`

@@ -4,13 +4,12 @@
 //! per-writer sequence order. Batching a transfer leans on that: the number
 //! of updates beyond some counts is known from the counters alone, they sit
 //! near the log's end, and the scan back from the end stops once all of
-//! them are found. Rolling back cuts the log's suffix off and takes exactly
-//! those updates out of the vector and the digest. Both cost
-//! `O(writers + divergence)`, never a pass over the log. Loser invalidation
-//! ([`Replica::drop_extras`]) costs `O(writers)` when it drops nothing;
-//! otherwise it cuts the log and the digest in the same
-//! `O(writers + divergence)` and rebuilds only the vector from the
-//! surviving log. The wholesale [`Replica::reconcile_to`] always rebuilds.
+//! them are found. Loser invalidation ([`Replica::drop_extras`]) leans on it
+//! too: it costs `O(writers)` when it drops nothing; otherwise it cuts the
+//! dropped updates out of the log's suffix in place and takes exactly those
+//! out of the vector and the digest, `O(writers + divergence)`, never a
+//! pass over the log. The wholesale [`Replica::reconcile_to`] always
+//! rebuilds.
 
 use idea_types::{IdeaError, ObjectId, Result, Update, WriterId};
 #[cfg(test)]
@@ -30,25 +29,6 @@ pub enum ApplyOutcome {
     Duplicate,
 }
 
-/// A restorable point in a replica's history (rollback support, §4.4.2).
-#[cfg(test)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Checkpoint {
-    /// Log length at checkpoint time.
-    log_len: usize,
-    /// Virtual time the checkpoint was taken.
-    pub(crate) at: SimTime,
-}
-
-#[cfg(test)]
-impl Checkpoint {
-    /// The retained log length (the WAL logs rollbacks as a truncation to
-    /// this many entries).
-    pub(crate) fn log_len(&self) -> usize {
-        self.log_len
-    }
-}
-
 /// A replica: the applied update log plus its extended version vector.
 #[derive(Debug, Clone)]
 pub struct Replica {
@@ -62,8 +42,7 @@ pub struct Replica {
     /// the applied log. Order-independent (two replicas holding the same
     /// update *set* hash identically regardless of delivery interleaving),
     /// maintained incrementally: XORed in on apply, XORed back out on
-    /// rollback and loser invalidation, recomputed in the pass reconcile
-    /// already makes.
+    /// loser invalidation, recomputed in the pass reconcile already makes.
     hash: u64,
 }
 
@@ -235,11 +214,11 @@ impl Replica {
     /// When nothing is beyond `counts` — most members' `Inform`s — the
     /// counters say so in `O(writers)` and log, vector and digest are left
     /// untouched. Otherwise the dropped updates are cut out of the log's
-    /// suffix in place, survivors keeping their order, and their hashes
-    /// XORed out of the digest: `O(writers + divergence)`, the scan back
-    /// [`Replica::updates_beyond`] makes. The vector is still rebuilt from
-    /// the surviving log, `O(history)`: the in-place vector cut waits on
-    /// the benchmark's memory accounting (ROADMAP item 1(b), step 2b).
+    /// suffix in place, survivors keeping their order, their hashes XORed
+    /// out of the digest and the vector truncated back to `counts`, its
+    /// history chunks below the cut kept as they are:
+    /// `O(writers + divergence)`, the scan back [`Replica::updates_beyond`]
+    /// makes.
     pub(crate) fn drop_extras(&mut self, counts: &idea_vv::VersionVector) -> Vec<Update> {
         self.drop_beyond(counts, self.count_beyond(counts))
     }
@@ -254,67 +233,18 @@ impl Replica {
         debug_assert_eq!(beyond, self.count_beyond(counts));
         self.pending.clear();
         if beyond == 0 {
-            // Keeping every update in order would rebuild an equal vector
-            // and the same digest.
+            // Nothing to cut: log, vector and digest stay as they are.
             return Vec::new();
         }
         let from = self.beyond_from(counts);
         let dropped: Vec<Update> =
             self.log.extract_if(from.., |u| u.seq() > counts.get(u.writer())).collect();
+        let mut dropped_meta = 0;
         for u in &dropped {
+            dropped_meta += u.meta_delta;
             self.hash ^= idea_wal::hash::update_hash(u);
         }
-        // The vector is still rebuilt from the surviving log. Cutting it in
-        // place (`truncate_to`, as `truncate` does) is several times faster
-        // again, but lets a benchmark pass fit more revisits into its fixed
-        // time, and the harness keeps every revisit's vectors: `peak_rss_mb`
-        // then outgrows its bound (ROADMAP 1(a)(ii)).
-        let mut evv = ExtendedVersionVector::new();
-        for u in &self.log {
-            evv.record(u.writer(), u.seq(), u.at, u.meta_delta);
-        }
-        self.evv = evv;
-        dropped
-    }
-
-    /// Takes a checkpoint that [`Replica::rollback`] can later restore.
-    #[cfg(test)]
-    pub(crate) fn checkpoint(&self, at: SimTime) -> Checkpoint {
-        Checkpoint { log_len: self.log.len(), at }
-    }
-
-    /// Rolls back to `cp`, discarding every update applied after it and
-    /// returning the discarded suffix (newest last).
-    ///
-    /// # Errors
-    /// Fails if the checkpoint is ahead of the current log (it belongs to a
-    /// different replica or the log was already reconciled shorter).
-    #[cfg(test)]
-    pub(crate) fn rollback(&mut self, cp: &Checkpoint) -> Result<Vec<Update>> {
-        if cp.log_len > self.log.len() {
-            return Err(IdeaError::RollbackBeyondLog);
-        }
-        Ok(self.truncate(cp.log_len))
-    }
-
-    /// Keeps the first `len` applied updates and cuts the rest in place,
-    /// returning them (newest last); buffered arrivals are discarded. The
-    /// cut costs the dropped suffix, not the history. A `len` past the
-    /// log keeps everything.
-    pub(crate) fn truncate(&mut self, len: usize) -> Vec<Update> {
-        self.pending.clear();
-        let dropped: Vec<Update> = self.log.split_off(len.min(self.log.len()));
-        // Each writer's dropped updates are the newest of its run, in
-        // sequence order: the first one met fixes the surviving count.
-        let mut cut: BTreeMap<WriterId, u64> = BTreeMap::new();
-        let mut meta = 0;
-        for u in &dropped {
-            cut.entry(u.writer()).or_insert(u.seq() - 1);
-            meta += u.meta_delta;
-            self.hash ^= idea_wal::hash::update_hash(u);
-        }
-        let keep = self.evv.counters().with_overrides(&cut.into_iter().collect::<Vec<_>>());
-        self.evv.truncate_to(&keep, meta);
+        self.evv.truncate_to(counts, dropped_meta);
         dropped
     }
 }
@@ -454,37 +384,16 @@ mod tests {
         let mut r = Replica::new(OBJ);
         r.apply(upd(0, 1, 1, 1)).unwrap();
         r.apply(upd(0, 2, 2, 10)).unwrap();
-        let cp = r.checkpoint(SimTime::from_secs(2));
+        let counts = r.version().counters().clone();
         r.apply(upd(1, 1, 3, 100)).unwrap();
         r.apply(upd(0, 3, 4, 1000)).unwrap();
         assert_eq!(r.meta(), 1111);
 
-        let dropped = r.rollback(&cp).unwrap();
+        let dropped = r.drop_extras(&counts);
         assert_eq!(dropped.len(), 2);
         assert_eq!(r.len(), 2);
         assert_eq!(r.meta(), 11);
         assert_eq!(r.version().count(WriterId(1)), 0);
-    }
-
-    #[test]
-    fn rollback_beyond_log_fails() {
-        let mut r = Replica::new(OBJ);
-        r.apply(upd(0, 1, 1, 1)).unwrap();
-        let cp = r.checkpoint(SimTime::from_secs(1));
-        let reference = Replica::new(OBJ);
-        r.reconcile_to(reference.log()); // log now shorter than checkpoint
-        assert_eq!(r.rollback(&cp), Err(IdeaError::RollbackBeyondLog));
-    }
-
-    #[test]
-    fn checkpoint_then_noop_rollback_is_identity() {
-        let mut r = Replica::new(OBJ);
-        r.apply(upd(0, 1, 1, 4)).unwrap();
-        let cp = r.checkpoint(SimTime::from_secs(1));
-        let before_log = r.log().to_vec();
-        let dropped = r.rollback(&cp).unwrap();
-        assert!(dropped.is_empty());
-        assert_eq!(r.log(), &before_log[..]);
     }
 
     #[test]
@@ -498,9 +407,11 @@ mod tests {
                 r.apply(upd(1, s / 500, s, 5)).unwrap();
             }
         }
-        let cp = Checkpoint { log_len: 1_001, at: SimTime::from_secs(1) };
-        let (want, want_dropped) = rebuilt_rollback(&r, &cp);
-        assert_eq!(r.rollback(&cp).unwrap(), want_dropped);
+        // The first 1,001 log entries: w0's 1..=1000 and w1's first.
+        let counts = idea_vv::VersionVector::from_pairs([(WriterId(0), 1_000), (WriterId(1), 1)]);
+        let (want, want_dropped) = rebuilt_drop_extras(&r, &counts);
+        assert_eq!(want.len(), 1_001);
+        assert_eq!(r.drop_extras(&counts), want_dropped);
         assert_same(&r, &want);
     }
 
@@ -600,13 +511,8 @@ mod tests {
         }
     }
 
-    /// The rebuild-from-scratch `rollback` the in-place one replaced.
-    fn rebuilt_rollback(r: &Replica, cp: &Checkpoint) -> (Replica, Vec<Update>) {
-        (rebuilt_from(r.log[..cp.log_len].to_vec()), r.log[cp.log_len..].to_vec())
-    }
-
-    /// The always-rebuild `drop_extras` the no-op early return sits in
-    /// front of.
+    /// The rebuild-from-scratch `drop_extras` the in-place cut replaced:
+    /// partition the log, record the survivors into a fresh vector.
     fn rebuilt_drop_extras(r: &Replica, counts: &idea_vv::VersionVector) -> (Replica, Vec<Update>) {
         let (keep, dropped) =
             r.log.iter().cloned().partition(|u| u.seq() <= counts.get(u.writer()));
@@ -728,7 +634,9 @@ mod tests {
             prop_assert_eq!(r.count_beyond(&counts), 0);
         }
 
-        /// In-place `rollback` equals the rebuild at every checkpoint.
+        /// Loser invalidation back to the counts of a log prefix — a
+        /// rollback cutting every writer at once — equals the rebuild at
+        /// every cut.
         #[test]
         fn in_place_rollback_equals_the_rebuild(updates in arb_streams(), cut in 0usize..40) {
             let mut r = Replica::new(OBJ);
@@ -736,10 +644,10 @@ mod tests {
                 r.apply(u.clone()).unwrap();
             }
             r.apply(upd(3, r.version().count(WriterId(3)) + 2, 70, 1)).unwrap(); // buffered
-            let cp = Checkpoint { log_len: cut.min(r.len()), at: SimTime::from_secs(999) };
-            let (want, want_dropped) = rebuilt_rollback(&r, &cp);
-            let dropped = r.rollback(&cp).unwrap();
-            prop_assert_eq!(dropped, want_dropped);
+            let counts = rebuilt_from(r.log[..cut.min(r.len())].to_vec()).version().counters().clone();
+            let (want, want_dropped) = rebuilt_drop_extras(&r, &counts);
+            prop_assert_eq!(want.len(), cut.min(r.len()));
+            prop_assert_eq!(r.drop_extras(&counts), want_dropped);
             assert_same(&r, &want);
         }
 
@@ -765,6 +673,9 @@ mod tests {
             assert_same(&r, &want);
         }
 
+        /// Loser invalidation back to the counts of a prefix rolls back
+        /// exactly to that prefix: log, meta and the incrementally
+        /// maintained digest.
         #[test]
         fn rollback_is_exact_inverse(updates in arb_streams(), cut in 0usize..40) {
             let mut r = Replica::new(OBJ);
@@ -774,23 +685,15 @@ mod tests {
             }
             let snapshot_log = r.log().to_vec();
             let snapshot_meta = r.meta();
-            let cp = r.checkpoint(SimTime::from_secs(999));
+            let snapshot_hash = r.state_hash();
+            let counts = r.version().counters().clone();
             for u in &updates[cut..] {
                 r.apply(u.clone()).unwrap();
             }
-            let hash_at_cp = {
-                let mut fresh = Replica::new(OBJ);
-                for u in &snapshot_log {
-                    fresh.apply(u.clone()).unwrap();
-                }
-                fresh.state_hash()
-            };
-            r.rollback(&cp).unwrap();
+            r.drop_extras(&counts);
             prop_assert_eq!(r.log(), &snapshot_log[..]);
             prop_assert_eq!(r.meta(), snapshot_meta);
-            // Rollback's hash recomputation lands exactly on the prefix's
-            // incrementally-maintained digest.
-            prop_assert_eq!(r.state_hash(), hash_at_cp);
+            prop_assert_eq!(r.state_hash(), snapshot_hash);
         }
     }
 }

@@ -8,8 +8,6 @@
 //! [`idea_types::ShardId`] so every layer agrees on it. Callers that never
 //! shard (the baselines) hold one `StoreShard` for the whole node.
 
-#[cfg(test)]
-use crate::replica::Checkpoint;
 use crate::replica::{ApplyOutcome, Replica};
 use idea_types::{
     IdeaError, NodeId, ObjectId, ObjectTable, Result, SimTime, Update, UpdateId, UpdatePayload,
@@ -152,12 +150,6 @@ impl StoreShard {
     /// Immutable access to a replica.
     pub fn replica(&self, object: ObjectId) -> Result<&Replica> {
         self.slots.get(object).map(|s| &s.replica).ok_or(IdeaError::UnknownObject(object))
-    }
-
-    /// Mutable access to a replica.
-    #[cfg(test)]
-    pub(crate) fn replica_mut(&mut self, object: ObjectId) -> Result<&mut Replica> {
-        self.slots.get_mut(object).map(|s| &mut s.replica).ok_or(IdeaError::UnknownObject(object))
     }
 
     /// Objects hosted by this shard, in id order (no per-call allocation).
@@ -355,30 +347,7 @@ impl StoreShard {
                 let slot = self.open_slot(*object);
                 self.slots.slot_mut(slot).next_seq = *seq + 1;
             }
-            WalRecord::Truncate { object, keep } => {
-                // The in-place cut `rollback` made, not a rebuild of the
-                // surviving prefix.
-                self.open(*object).truncate(*keep as usize);
-            }
         }
-    }
-
-    /// Reconciles `object`'s replica to the sanctioned reference log,
-    /// WAL-logging the transition first. See [`Replica::reconcile_to`].
-    ///
-    /// # Errors
-    /// Fails when no replica of the object exists.
-    #[cfg(test)]
-    pub(crate) fn reconcile_to(
-        &mut self,
-        object: ObjectId,
-        reference_log: &[Update],
-    ) -> Result<Vec<Update>> {
-        let slot = self.hosted(object)?;
-        if self.wal.is_some() {
-            self.log_wal(WalRecord::Reconcile { object, log: reference_log.to_vec() });
-        }
-        Ok(self.slots.slot_mut(slot).replica.reconcile_to(reference_log))
     }
 
     /// Drops updates beyond the sanctioned `counts`, WAL-logging the
@@ -396,23 +365,6 @@ impl StoreShard {
             self.log_wal(WalRecord::DropExtras { object, counts: counts.clone() });
         }
         Ok(self.slots.slot_mut(slot).replica.drop_beyond(counts, beyond))
-    }
-
-    /// Rolls `object` back to `cp`, WAL-logging the truncation once it
-    /// succeeds: the record is deterministic, so log-after-apply is safe
-    /// here and avoids logging a rollback the replica then rejects.
-    ///
-    /// # Errors
-    /// Fails when no replica of the object exists or the checkpoint is
-    /// beyond the current log.
-    #[cfg(test)]
-    pub(crate) fn rollback(&mut self, object: ObjectId, cp: &Checkpoint) -> Result<Vec<Update>> {
-        let keep = cp.log_len() as u64;
-        let dropped = self.replica_mut(object)?.rollback(cp)?;
-        if self.wal.is_some() {
-            self.log_wal(WalRecord::Truncate { object, keep });
-        }
-        Ok(dropped)
     }
 
     /// The rolling content digest of every replica in this shard: each
@@ -521,9 +473,10 @@ mod tests {
         s.open(ObjectId(1));
         let keep = s.write(ObjectId(1), SimTime::from_secs(1), 1, payload());
         s.write(ObjectId(1), SimTime::from_secs(2), 1, payload());
-        // Reconciliation kept only seq 1 of this writer (the reference never
+        // Invalidation kept only seq 1 of this writer (the reference never
         // sanctioned seq 2); local sequencing must continue from 2 again.
-        let extras = s.replica_mut(ObjectId(1)).unwrap().reconcile_to(&[keep]);
+        let counts = VersionVector::from_pairs([(keep.writer(), keep.seq())]);
+        let extras = s.drop_extras(ObjectId(1), &counts).unwrap();
         assert_eq!(extras.len(), 1);
         s.resume_writes_after(ObjectId(1), 1);
         let u = s.write(ObjectId(1), SimTime::from_secs(3), 1, payload());
@@ -654,8 +607,8 @@ mod tests {
             s.write(ObjectId(1), SimTime::from_secs(i), 1, payload());
         }
         // A sanctioned reference keeps only this writer's first two updates.
-        let reference: Vec<Update> = s.replica(ObjectId(1)).unwrap().log()[..2].to_vec();
-        let invalidated = s.reconcile_to(ObjectId(1), &reference).unwrap();
+        let counts = VersionVector::from_pairs([(WriterId(0), 2)]);
+        let invalidated = s.drop_extras(ObjectId(1), &counts).unwrap();
         assert_eq!(invalidated.len(), 2);
         s.resume_writes_after(ObjectId(1), 2);
         let expect_hash = s.state_hash();
@@ -832,11 +785,11 @@ mod tests {
             s.write(ObjectId(1), SimTime::from_secs(i), 1, payload());
             s.ingest(remote(1, 9, i, 2)).unwrap();
         }
-        let cp = s.replica(ObjectId(1)).unwrap().checkpoint(SimTime::from_secs(3));
+        let counts = s.replica(ObjectId(1)).unwrap().version().counters().clone();
         s.ingest(remote(1, 7, 1, 5)).unwrap();
         s.write(ObjectId(1), SimTime::from_secs(4), -1, payload());
         s.ingest(remote(1, 9, 4, 3)).unwrap();
-        assert_eq!(s.rollback(ObjectId(1), &cp).unwrap().len(), 3);
+        assert_eq!(s.drop_extras(ObjectId(1), &counts).unwrap().len(), 3);
         // A buffered arrival after the cut: the pending set replays too.
         s.ingest(remote(1, 7, 3, 1)).unwrap();
         let live = s.replica(ObjectId(1)).unwrap().clone();

@@ -49,23 +49,17 @@ pub enum WalRecord {
         /// The last sanctioned local sequence number.
         seq: u64,
     },
-    /// Rollback to a checkpoint: the applied log was cut to `keep` entries.
-    Truncate {
-        /// The object rolled back.
-        object: ObjectId,
-        /// Number of log entries retained.
-        keep: u64,
-    },
 }
 
-// Tags start at 1 so a zeroed disk block never decodes as a record.
+// Tags start at 1 so a zeroed disk block never decodes as a record. Tag 7
+// was a rollback's truncation; it stays unassigned, so an old log holding
+// one fails to decode instead of replaying as something else.
 const T_OPEN: u8 = 1;
 const T_WRITE: u8 = 2;
 const T_INGEST: u8 = 3;
 const T_RECONCILE: u8 = 4;
 const T_DROP_EXTRAS: u8 = 5;
 const T_RESUME_SEQ: u8 = 6;
-const T_TRUNCATE: u8 = 7;
 
 impl Codec for WalRecord {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -97,11 +91,6 @@ impl Codec for WalRecord {
                 object.encode(out);
                 seq.encode(out);
             }
-            WalRecord::Truncate { object, keep } => {
-                T_TRUNCATE.encode(out);
-                object.encode(out);
-                keep.encode(out);
-            }
         }
     }
 
@@ -120,9 +109,6 @@ impl Codec for WalRecord {
             }),
             T_RESUME_SEQ => {
                 Ok(WalRecord::ResumeSeq { object: ObjectId::decode(r)?, seq: u64::decode(r)? })
-            }
-            T_TRUNCATE => {
-                Ok(WalRecord::Truncate { object: ObjectId::decode(r)?, keep: u64::decode(r)? })
             }
             _ => Err(r.err("unknown WAL record tag")),
         }

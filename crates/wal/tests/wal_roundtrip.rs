@@ -62,7 +62,7 @@ fn arb_vv() -> impl Strategy<Value = VersionVector> {
 
 fn arb_record() -> impl Strategy<Value = WalRecord> {
     (
-        0u8..7,
+        0u8..6,
         (0u64..64).prop_map(ObjectId),
         arb_update(),
         prop::collection::vec(arb_update(), 0..4),
@@ -75,8 +75,7 @@ fn arb_record() -> impl Strategy<Value = WalRecord> {
             2 => WalRecord::Ingest { update },
             3 => WalRecord::Reconcile { object, log },
             4 => WalRecord::DropExtras { object, counts },
-            5 => WalRecord::ResumeSeq { object, seq: n },
-            _ => WalRecord::Truncate { object, keep: n },
+            _ => WalRecord::ResumeSeq { object, seq: n },
         })
 }
 
@@ -142,8 +141,6 @@ fn fixture_records() -> Vec<WalRecord> {
         },
         WalRecord::DropExtras { object: obj, counts: VersionVector::new() },
         WalRecord::ResumeSeq { object: obj, seq: 17 },
-        WalRecord::Truncate { object: obj, keep: 0 },
-        WalRecord::Truncate { object: obj, keep: 9 },
     ]
 }
 
@@ -179,7 +176,7 @@ fn every_record_variant_round_trips() {
 /// bytes the codec wrote when the format was fixed. A WAL file on disk is
 /// only recoverable while these stay put: a round trip alone would pass a
 /// change that re-encodes both sides differently.
-const PINNED_RECORDS: [(usize, &str); 7] = [
+const PINNED_RECORDS: [(usize, &str); 6] = [
     (0, "010700000000000000"),
     (
         1,
@@ -203,7 +200,6 @@ const PINNED_RECORDS: [(usize, &str); 7] = [
          0000000000",
     ),
     (8, "0607000000000000001100000000000000"),
-    (10, "0707000000000000000900000000000000"),
 ];
 
 const PINNED_SNAPSHOT: &str = "\
@@ -234,7 +230,7 @@ fn fixtures_encode_to_the_pinned_bytes() {
         assert_eq!(hex(&rec.to_bytes()), pinned, "{rec:?}");
         assert_eq!(&WalRecord::from_bytes(&unhex(pinned)).unwrap(), rec);
     }
-    assert_eq!(variants.len(), 7, "one pin per record variant");
+    assert_eq!(variants.len(), 6, "one pin per record variant");
     let snap = fixture_snapshot();
     assert_eq!(snap.objects.len(), 2);
     assert_eq!(hex(&snap.to_bytes()), PINNED_SNAPSHOT);
@@ -285,8 +281,9 @@ fn trailing_bytes_are_rejected() {
 
 #[test]
 fn unknown_tag_is_rejected() {
-    // Tag 0 is deliberately unassigned (a zeroed disk block never decodes).
-    for tag in [0u8, 8, 200] {
+    // Tag 0 is deliberately unassigned (a zeroed disk block never decodes);
+    // tag 7 was a rollback's truncation, which nothing writes any more.
+    for tag in [0u8, 7, 8, 200] {
         assert!(WalRecord::from_bytes(&[tag]).is_err(), "tag {tag} decoded");
     }
 }
