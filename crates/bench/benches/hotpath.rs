@@ -17,15 +17,27 @@
 //! estimate — so these groups price the encoding those forms would get.
 //! The frame group times the one encoding that does ship on every served
 //! request: a framed `Command::Write` and its `Response::Written`.
+//! The gossip-receipt group times the per-layer work of one rumor receipt
+//! on warm state: the top layer learning a 16-writer counter vector, and
+//! the router's duplicate check and plan on its terminal and relay paths.
+//! The object-table group times a dense `ObjectTable` lookup when the
+//! tables do not fit in cache, the case where the probe's cache lines are
+//! the cost.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use idea_core::{Command, Response};
 use idea_net::TimerWheel;
-use idea_overlay::gossip::{decode_digest, encode_digest, RumorId};
+use idea_overlay::gossip::{decode_digest, encode_digest, Receipt, RumorId};
+use idea_overlay::{GossipConfig, GossipRouter, Peers, TopLayer, TopLayerConfig};
 use idea_transport::frame::{encode_into, frame_bytes, parse_frame, Frame, FramePayload};
 use idea_types::codec::Codec;
-use idea_types::{FastSet, NodeId, ObjectId, SimTime, Update, UpdateId, UpdatePayload, WriterId};
+use idea_types::{
+    FastSet, NodeId, ObjectId, ObjectTable, SimDuration, SimTime, Update, UpdateId, UpdatePayload,
+    WriterId,
+};
 use idea_vv::{ExtendedVersionVector, VersionVector, VvDelta};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// History sizes swept: total updates spread over four writers.
 const SIZES: [u64; 3] = [10, 100, 1_000];
@@ -313,6 +325,91 @@ fn bench_frame_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// Writers per object on `sim_gossip_fanout`, and the deployment size.
+const RECEIPT_WRITERS: u32 = 16;
+const RECEIPT_NODES: usize = 640;
+
+/// One rumor receipt's layers on warm state. `observe_counts` learns a
+/// 16-writer counter vector in which one writer advanced (what a sweep
+/// rumor usually brings); `on_receive` takes a fresh rumor from one of 16
+/// origins it already holds a window for, on the terminal path (ttl 0)
+/// and on the relay path, whose plan is walked as the sender would.
+fn bench_gossip_receipt(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gossip-receipt");
+    let cfg = TopLayerConfig::default();
+    let mut layer = TopLayer::new(&cfg);
+    let mut counts: Vec<(NodeId, u64)> = (0..RECEIPT_WRITERS).map(|w| (NodeId(w), 1)).collect();
+    let mut now = SimTime::from_secs(1);
+    layer.observe_counts(&cfg, counts.iter().copied(), now);
+    let mut k = 0;
+    group.bench_function(BenchmarkId::from_parameter("observe-counts"), |bench| {
+        bench.iter(|| {
+            k += 1;
+            counts[k % RECEIPT_WRITERS as usize].1 += 1;
+            now += SimDuration::from_millis(5);
+            layer.observe_counts(&cfg, black_box(counts.iter().copied()), now);
+        })
+    });
+    let gossip = GossipConfig::default();
+    let peers = Peers { me: NodeId(17), n: RECEIPT_NODES };
+    for (name, ttl) in [("receive-terminal", 0u8), ("receive-relay", 3)] {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut router = GossipRouter::default();
+        let mut seq = 0u32;
+        let mut next = || {
+            seq += 1;
+            RumorId { origin: NodeId(seq % RECEIPT_WRITERS), seq: seq / RECEIPT_WRITERS }
+        };
+        for _ in 0..RECEIPT_WRITERS {
+            let _ = router.on_receive(&gossip, next(), 3, None, peers, &mut rng);
+        }
+        group.bench_function(BenchmarkId::from_parameter(name), |bench| {
+            bench.iter(|| {
+                let id = next();
+                match router.on_receive(&gossip, id, ttl, Some(NodeId(1)), peers, &mut rng) {
+                    Receipt::Relay(plan) => {
+                        black_box(plan.eager().chain(plan.lazy()).map(|p| p.0).sum::<u32>())
+                    }
+                    _ => 0,
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+/// Ids per table (objects per node on `sim_gossip_fanout`), and tables
+/// enough that together they outgrow any L2.
+const TABLE_IDS: u64 = 64;
+const TABLES: usize = 512;
+
+/// `ObjectTable::get` on dense 64-id tables of 240-byte entries (an
+/// `ObjShared`'s size), 8 MB in all, visited in a scattered order so
+/// nearly every lookup starts cold.
+fn bench_object_table(c: &mut Criterion) {
+    let tables: Vec<ObjectTable<[u64; 30]>> = (0..TABLES)
+        .map(|t| {
+            let mut table = ObjectTable::with_capacity(TABLE_IDS as usize);
+            for (slot, id) in (1..=TABLE_IDS).enumerate() {
+                table.insert_at(slot, ObjectId(id), [t as u64 ^ id; 30]);
+            }
+            table
+        })
+        .collect();
+    let mut group = c.benchmark_group("object-table");
+    let mut i = 0usize;
+    group.bench_function(BenchmarkId::from_parameter("get-dense-cold"), |bench| {
+        bench.iter(|| {
+            // A stride coprime to both sizes walks every (table, id) pair.
+            i = i.wrapping_add(7_919);
+            let table = &tables[i % TABLES];
+            let id = ObjectId(1 + (i / TABLES) as u64 % TABLE_IDS);
+            black_box(table.get(id).map_or(0, |e| e[29]))
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     hotpath,
     bench_record,
@@ -325,6 +422,8 @@ criterion_group!(
     bench_digest_codec,
     bench_collect_delta_codec,
     bench_fetch_chunk_codec,
-    bench_frame_codec
+    bench_frame_codec,
+    bench_gossip_receipt,
+    bench_object_table
 );
 criterion_main!(hotpath);

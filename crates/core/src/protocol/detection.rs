@@ -185,7 +185,7 @@ pub(crate) struct Detection {
 /// digest group for piggybacking on a detect frame (none when its outbox
 /// for that peer is empty).
 fn batched_digests(core: &mut NodeCore, primary: ObjectId, peer: NodeId) -> Vec<DigestGroup> {
-    let ids = core.obj_mut(primary).lazy.take_outbox(peer);
+    let ids = core.outbox.take(primary, peer);
     if ids.is_empty() {
         Vec::new()
     } else {
@@ -377,7 +377,7 @@ impl Detection {
         let (id, _ttl, plan) = shared.gossip.originate(&cfg.gossip, peers, ctx.rng());
         let seq = u64::from(id.seq);
         self.state(object).sweeps.insert(seq, Sweep { top_level: level, replies: Vec::new() });
-        shared.dispatch_rumor(cfg, object, id, plan, &counters, ctx);
+        shared.lazy.dispatch_rumor(&mut core.outbox, cfg, object, id, plan, &counters, ctx);
         // Deadline timers route through a node-unique ticket: gossip seqs
         // are allocated per object, so two objects at one node can emit the
         // same `id.seq` and a seq-keyed map would settle the wrong sweep.
@@ -425,15 +425,24 @@ impl Detection {
             // `on_receive`); the eager overlay trims towards a tree.
             ctx.send(from, IdeaMsg::GossipPrune { object });
         }
-        // The body closes any pending pull for it, however it got here,
-        // and grafts the deliverer — its link just proved load-bearing.
-        if let Some(miss) = self.missing.remove(&(object, id)) {
-            shared.gossip.graft(from);
-            ctx.cancel_timer(miss.timer);
-            self.pull_tickets.remove(&miss.ticket);
-        }
+        // The body closes any pending pull for it, however it got here.
+        // Most receipts find no pull pending at all: skip the hash then.
+        let pulled = !self.missing.is_empty() && {
+            let miss = self.missing.remove(&(object, id));
+            if let Some(miss) = &miss {
+                ctx.cancel_timer(miss.timer);
+                self.pull_tickets.remove(&miss.ticket);
+            }
+            miss.is_some()
+        };
         if let Receipt::Relay(plan) = receipt {
-            shared.dispatch_rumor(cfg, object, id, plan, &counters, ctx);
+            shared.lazy.dispatch_rumor(&mut core.outbox, cfg, object, id, plan, &counters, ctx);
+        }
+        if pulled {
+            // The deliverer's link just proved load-bearing. It is not in
+            // the plan (the arrival link never is), so grafting it after
+            // the plan went out changes nothing the plan sent.
+            shared.gossip.graft(from);
         }
         let mine = core.store.replica(object).expect("opened").version();
         if counters.missing_from(mine.counters()) > 0 {
@@ -579,7 +588,7 @@ impl Detection {
             return;
         };
         shared.lazy.flush_armed = false;
-        for (peer, ids) in shared.lazy.drain_outbox() {
+        for (peer, ids) in core.outbox.drain(object) {
             ctx.send(peer, IdeaMsg::GossipDigest { object, ids });
         }
     }

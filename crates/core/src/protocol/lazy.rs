@@ -1,34 +1,41 @@
-//! The gossip plane's per-object half: rumor body caching and per-peer
-//! digest outboxes.
+//! The gossip plane's sending half: rumor body caching and the digest
+//! outbox.
 //!
 //! A relay plan's eager links carry rumor bodies and its lazy links only
-//! rumor ids. This module owns the per-object state that makes those ids
-//! useful: the **body cache** answering
+//! rumor ids. This module owns the state that makes those ids useful: the
+//! per-object **body cache** answering
 //! [`crate::messages::IdeaMsg::GossipPull`]s and the **outbox** of
 //! pending advertisements (piggybacked on outgoing detect traffic,
-//! flushed by the `K_LAZY_FLUSH` timer otherwise). The other half —
-//! bodies advertised to us but not yet held, whose `K_PULL` timer both
-//! delays the first pull (giving in-flight eager copies a grace window)
-//! and retries against backup advertisers — is one table per shard in
+//! flushed by the object's `K_LAZY_FLUSH` timer otherwise). The outbox is
+//! one [`Outbox`] per shard, like the receiving half — bodies advertised
+//! to us but not yet held, whose `K_PULL` timer both delays the first pull
+//! (giving in-flight eager copies a grace window) and retries against
+//! backup advertisers — which is one table per shard in
 //! [`super::detection::Detection`], keyed by (object, rumor id): few
-//! objects have a pull pending at any moment, so a per-object table would
-//! sit empty in almost every slot.
+//! objects have an advertisement or a pull pending at any moment, so a
+//! per-object table would sit empty in almost every slot.
 //!
-//! The state lives in [`super::ObjShared`] and in the shard's detection
-//! subsystem, so the sharded runtime needs no cross-shard coordination.
+//! A warm plane relays a rumor without calling the allocator: the plan
+//! borrows the router's view, the body is a refcount on the allocation it
+//! arrived in, and the outbox is one flat vector that keeps its capacity
+//! across drains.
+//!
+//! The state lives in [`super::ObjShared`] and in the shard's
+//! [`super::NodeCore`] and detection subsystem, so the sharded runtime
+//! needs no cross-shard coordination.
 //! Piggybacked digests are grouped per object
 //! ([`crate::messages::DigestGroup`]): a detect frame carries the probed
 //! object's group only, so when an advert is delivered never depends on
 //! which other objects share its shard.
 
-use super::{pack, ObjShared, K_LAZY_FLUSH};
+use super::{pack, K_LAZY_FLUSH};
 use crate::config::IdeaConfig;
 use crate::messages::IdeaMsg;
 use idea_net::Context;
 use idea_overlay::gossip::{RelayPlan, RumorId};
 use idea_types::{FastMap, NodeId, ObjectId, ShardId, SimDuration};
 use idea_vv::VersionVector;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Digest flush window: pending advertisements piggyback on outgoing
@@ -41,7 +48,10 @@ const DIGEST_FLUSH: SimDuration = SimDuration::from_millis(200);
 /// retry timer moves on to a backup advertiser.
 const CACHE_CAP: usize = 1024;
 
-/// Per-object lazy-plane state (see module docs).
+/// Per-object lazy-plane state (see module docs): the body cache and
+/// whether the object's flush timer is armed. Once the cache has grown to
+/// what the object's traffic needs, relaying a rumor through the plane
+/// calls the allocator zero times.
 #[derive(Default)]
 pub(crate) struct LazyPlane {
     /// Rumor bodies held for answering pulls: id → counters, sharing the
@@ -52,9 +62,6 @@ pub(crate) struct LazyPlane {
     cache: FastMap<RumorId, Arc<VersionVector>>,
     /// FIFO eviction order of `cache`.
     cache_order: VecDeque<RumorId>,
-    /// Pending advertisements per peer, drained by piggybacking and the
-    /// flush timer.
-    outbox: BTreeMap<NodeId, Vec<(RumorId, u8)>>,
     /// Whether a `K_LAZY_FLUSH` timer is armed for this object.
     pub(crate) flush_armed: bool,
 }
@@ -87,51 +94,33 @@ impl LazyPlane {
         self.cache.len()
     }
 
-    /// Queues an advertisement of `id` towards `peer`.
-    pub(crate) fn enqueue_digest(&mut self, peer: NodeId, id: RumorId, ttl: u8) {
-        self.outbox.entry(peer).or_default().push((id, ttl));
-    }
-
-    /// Drains the advertisements queued for `peer` (for piggybacking on a
-    /// detect message headed there).
-    pub(crate) fn take_outbox(&mut self, peer: NodeId) -> Vec<(RumorId, u8)> {
-        self.outbox.remove(&peer).unwrap_or_default()
-    }
-
-    /// Drains the whole outbox (for the flush timer).
-    pub(crate) fn drain_outbox(&mut self) -> BTreeMap<NodeId, Vec<(RumorId, u8)>> {
-        std::mem::take(&mut self.outbox)
-    }
-}
-
-impl ObjShared {
-    /// Sends a relay plan of a rumor about `object` (the object this state
+    /// Sends a relay plan of a rumor about `object` (the object this plane
     /// belongs to) on the wire: full [`IdeaMsg::SweepRumor`] bodies on the
-    /// eager links, queued digests (piggyback or flush) on the lazy links.
-    /// The body is also cached so later pulls can be answered. Every copy
-    /// shares `counters`' allocation.
+    /// eager links, digests queued in the shard's `outbox` (piggyback or
+    /// flush) on the lazy links. The body is also cached so later pulls can
+    /// be answered. Every copy shares `counters`' allocation.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn dispatch_rumor(
         &mut self,
+        outbox: &mut Outbox,
         cfg: &IdeaConfig,
         object: ObjectId,
         id: RumorId,
-        plan: RelayPlan,
+        plan: RelayPlan<'_>,
         counters: &Arc<VersionVector>,
         ctx: &mut dyn Context<IdeaMsg>,
     ) {
-        for &t in &plan.eager {
+        for t in plan.eager() {
             let counters = Arc::clone(counters);
             ctx.send(t, IdeaMsg::SweepRumor { id, ttl: plan.ttl, object, counters });
         }
-        self.lazy.cache_body(id, Arc::clone(counters));
-        if plan.lazy.is_empty() {
-            return;
+        self.cache_body(id, Arc::clone(counters));
+        let queued = outbox.0.len();
+        for p in plan.lazy() {
+            outbox.enqueue(object, p, id, plan.ttl);
         }
-        for &p in &plan.lazy {
-            self.lazy.enqueue_digest(p, id, plan.ttl);
-        }
-        if !self.lazy.flush_armed {
-            self.lazy.flush_armed = true;
+        if outbox.0.len() > queued && !self.flush_armed {
+            self.flush_armed = true;
             // The timer comes back to the shard that owns the object.
             let shard = ShardId::of(object, cfg.store_shards);
             ctx.set_timer(DIGEST_FLUSH, pack(K_LAZY_FLUSH, shard, object.index() as u64));
@@ -139,9 +128,119 @@ impl ObjShared {
     }
 }
 
+/// A shard's pending advertisements, as `(object, peer, id, ttl)` in the
+/// order they were queued: drained one (object, peer) at a time by
+/// piggybacking and one object at a time by its flush timer. One flat
+/// vector for the whole shard: a node has a handful of advertisements
+/// pending at any moment across all its objects, so a list per object
+/// would hold nothing, or a spare buffer, in almost every slot. Drains keep
+/// the vector's capacity, so queueing on a warm shard allocates nothing.
+#[derive(Default)]
+pub(crate) struct Outbox(Vec<(ObjectId, NodeId, RumorId, u8)>);
+
+impl Outbox {
+    /// Queues an advertisement of `id` (about `object`) towards `peer`.
+    pub(crate) fn enqueue(&mut self, object: ObjectId, peer: NodeId, id: RumorId, ttl: u8) {
+        self.0.push((object, peer, id, ttl));
+    }
+
+    /// Drains the advertisements about `object` queued for `peer`, in
+    /// queue order (for piggybacking on a detect message headed there).
+    pub(crate) fn take(&mut self, object: ObjectId, peer: NodeId) -> Vec<(RumorId, u8)> {
+        let mut ids = Vec::new();
+        self.0.retain(|&(o, p, id, ttl)| {
+            let keep = (o, p) != (object, peer);
+            if !keep {
+                ids.push((id, ttl));
+            }
+            keep
+        });
+        ids
+    }
+
+    /// Drains every advertisement about `object` (for its flush timer):
+    /// each peer with its advertisements in queue order, peers ascending.
+    pub(crate) fn drain(&mut self, object: ObjectId) -> Vec<(NodeId, Vec<(RumorId, u8)>)> {
+        let mut queued = Vec::new();
+        self.0.retain(|&(o, p, id, ttl)| {
+            let keep = o != object;
+            if !keep {
+                queued.push((p, id, ttl));
+            }
+            keep
+        });
+        // A stable sort keeps each peer's advertisements in queue order.
+        queued.sort_by_key(|&(peer, ..)| peer);
+        queued
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| (run[0].0, run.iter().map(|&(_, id, ttl)| (id, ttl)).collect()))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The per-peer map the flat outbox replaced, as it was: the
+    /// equivalence reference.
+    #[derive(Default)]
+    struct MapOutbox(BTreeMap<NodeId, Vec<(RumorId, u8)>>);
+
+    impl MapOutbox {
+        fn enqueue_digest(&mut self, peer: NodeId, id: RumorId, ttl: u8) {
+            self.0.entry(peer).or_default().push((id, ttl));
+        }
+
+        fn take_outbox(&mut self, peer: NodeId) -> Vec<(RumorId, u8)> {
+            self.0.remove(&peer).unwrap_or_default()
+        }
+
+        fn drain_outbox(&mut self) -> BTreeMap<NodeId, Vec<(RumorId, u8)>> {
+            std::mem::take(&mut self.0)
+        }
+    }
+
+    proptest! {
+        /// The shard's flat outbox against one per-peer map per object,
+        /// over random queues, piggyback takes and flushes on three
+        /// objects: every take hands out the same ids in the same order,
+        /// every flush the same peers in the same order with the same ids,
+        /// and draining keeps the shard's buffer.
+        #[test]
+        fn flat_outbox_matches_the_map_reference(
+            ops in prop::collection::vec((0u8..6, 0u64..3, 0u32..5, 0u32..40), 0..160),
+        ) {
+            let mut flat = Outbox::default();
+            let mut maps: [MapOutbox; 3] = Default::default();
+            for (op, object, peer, seq) in ops {
+                let (map, object, peer) = (&mut maps[object as usize], ObjectId(object), NodeId(peer));
+                match op {
+                    0..=3 => {
+                        let id = RumorId { origin: NodeId(seq % 3), seq };
+                        let ttl = (seq % 5) as u8;
+                        flat.enqueue(object, peer, id, ttl);
+                        map.enqueue_digest(peer, id, ttl);
+                    }
+                    4 => prop_assert_eq!(flat.take(object, peer), map.take_outbox(peer)),
+                    _ => {
+                        let held = flat.0.capacity();
+                        let want: Vec<_> = map.drain_outbox().into_iter().collect();
+                        prop_assert_eq!(flat.drain(object), want);
+                        prop_assert!(flat.0.iter().all(|e| e.0 != object));
+                        prop_assert_eq!(flat.0.capacity(), held);
+                    }
+                }
+            }
+            for (object, map) in maps.iter_mut().enumerate() {
+                let want: Vec<_> = map.drain_outbox().into_iter().collect();
+                prop_assert_eq!(flat.drain(ObjectId(object as u64)), want);
+            }
+            prop_assert!(flat.0.is_empty());
+        }
+    }
 
     #[test]
     fn the_body_cache_evicts_fifo_within_its_capacity() {

@@ -16,7 +16,7 @@
 //! |---|---|---|
 //! | `write_path` | local writes, read policies, snapshot serving, update transfer | per-object read/announce bookkeeping |
 //! | `detection` | the inconsistency detection framework: top-layer temperature rounds + bottom-layer gossip sweeps | in-flight rounds, open sweeps, pending pulls, timer routing |
-//! | `lazy` | the gossip plane's per-object half (bodies on eager links, digests on lazy ones) | rumor body cache, per-peer digest outbox |
+//! | `lazy` | the gossip plane's sending half (bodies on eager links, digests on lazy ones) | rumor body cache, the shard's digest outbox |
 //! | `resolution` | active two-phase + background periodic resolution over one collect/inform wire (delta collect answers, delta-or-full reference) | per-object resolution state machine, attention leases, the resolution log; collect fan-out, reference adoption, back-off delay |
 //! | `node` | [`IdeaNode`] composing the shards; implements [`idea_net::Proto`] | the shard vector and the `SharedCore` |
 //!
@@ -149,7 +149,7 @@ pub(crate) struct ObjShared {
     pub gossip: GossipRouter,
     /// Current consistency-level estimate for the object.
     pub level: ConsistencyLevel,
-    /// Lazy gossip plane: body cache and digest outbox.
+    /// Lazy gossip plane: body cache and flush-timer flag.
     pub lazy: lazy::LazyPlane,
 }
 
@@ -219,6 +219,8 @@ pub(crate) struct NodeCore {
     /// Shared state of every object this shard hosts, in id order; holds
     /// exactly the store shard's objects (see [`NodeCore::open`]).
     pub objs: ObjectTable<ObjShared>,
+    /// Lazy-link advertisements of every object here, not yet sent.
+    pub outbox: lazy::Outbox,
     shared: Arc<SharedCore>,
 }
 
@@ -241,6 +243,7 @@ impl NodeCore {
             store: StoreShard::with_capacity(me, WriterId(me.0), n),
             priorities: BTreeMap::new(),
             objs: ObjectTable::with_capacity(n),
+            outbox: lazy::Outbox::default(),
             shared,
         };
         for o in objects {

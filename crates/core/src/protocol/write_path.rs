@@ -105,7 +105,8 @@ impl WritePath {
             counters.observe(WriterId(node.0), count);
         }
         let (id, _ttl, plan) = shared.gossip.originate(&cfg.gossip, peers, ctx.rng());
-        shared.dispatch_rumor(cfg, object, id, plan, &Arc::new(counters), ctx);
+        let counters = Arc::new(counters);
+        shared.lazy.dispatch_rumor(&mut core.outbox, cfg, object, id, plan, &counters, ctx);
     }
 
     /// A peer asked for the updates it is missing: ship them (batched).

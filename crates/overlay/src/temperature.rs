@@ -102,7 +102,12 @@ const _: () = assert!(std::mem::size_of::<Heat>() == 32);
 
 impl Heat {
     fn decayed(&self, now: SimTime, half_life: SimDuration) -> f64 {
-        let dt = now.saturating_since(self.at).as_micros() as f64;
+        let dt = now.saturating_since(self.at).as_micros();
+        if dt == 0 {
+            // Exact: 0.5⁰ = 1, and a rumor's observations share one `now`.
+            return self.value;
+        }
+        let dt = dt as f64;
         let hl = half_life.as_micros() as f64;
         if hl <= 0.0 {
             return self.value;
@@ -142,10 +147,22 @@ fn floor(cfg: &TopLayerConfig) -> f64 {
 /// One exists per (node, object), so it holds only what differs between
 /// them. The settings are the caller's — one [`TopLayerConfig`] per shard,
 /// passed by reference to every call that decays a score.
+///
+/// The table grows in batches: a counter vector that brings `k` nodes the
+/// table has not seen reserves room for all `k` at once, rounded up to an
+/// even capacity, so a delivery reallocates at most once and the capacity
+/// is at most one entry more than the nodes seen. A delivery that brings
+/// none calls the allocator zero times.
+///
+/// Tables learn an object's writers one or two at a time over a whole run
+/// and there is one per (node, object), so the rounding is the trade: it
+/// halves the reallocations of growing to exactly the nodes seen, for at
+/// most 32 spare bytes per table, where doubling would leave a quarter of
+/// a table spare on average.
 #[derive(Debug, Clone)]
 pub struct TopLayer {
-    /// One entry per node ever seen, sorted by node id. Grown one slot at
-    /// a time, so its capacity is the number of nodes it has seen.
+    /// One entry per node ever seen, sorted by node id; the capacity is the
+    /// length rounded up to even.
     entries: Vec<Heat>,
     /// Time of the latest refresh; every entry is exact as of it once it
     /// applies the refresh it owes (see the module docs).
@@ -165,15 +182,18 @@ impl TopLayer {
     }
 
     /// Index of `node`'s entry, which is at `at` or belongs there; a new
-    /// one is inserted cold, knowing no count.
-    fn entry(&mut self, node: NodeId, at: usize) -> usize {
+    /// one is inserted cold, knowing no count. `batch` is how many new
+    /// entries the caller is about to insert, this one included: a full
+    /// table reserves that many, rounded up to an even capacity.
+    fn entry(&mut self, node: NodeId, at: usize, batch: impl FnOnce(&Self) -> usize) -> usize {
         if self.entries.get(at).is_some_and(|e| e.node == node) {
             return at;
         }
         if self.entries.len() == self.entries.capacity() {
             // One of these per (node, object): doubling would leave up to
             // half of every table empty for good.
-            self.entries.reserve_exact(1);
+            let batch = batch(self);
+            self.entries.reserve_exact(batch + (self.entries.len() + batch) % 2);
         }
         let heat =
             Heat { node, member: false, hot: false, known: 0, value: 0.0, at: SimTime::ZERO };
@@ -185,22 +205,24 @@ impl TopLayer {
     /// learned from a detection message), then refreshes membership.
     pub fn observe_update(&mut self, cfg: &TopLayerConfig, node: NodeId, now: SimTime) {
         let at = self.entries.partition_point(|e| e.node < node);
-        let i = self.entry(node, at);
+        let i = self.entry(node, at, |_| 1);
         self.observe(cfg, i, now);
     }
 
     /// Learns per-node write counts from a counter vector: one
     /// [`TopLayer::observe_update`] per count a node advanced beyond what
     /// this table knew, in node order. `counts` must be sorted by node;
-    /// one forward walk over it and the table finds every entry.
-    pub fn observe_counts(
-        &mut self,
-        cfg: &TopLayerConfig,
-        counts: impl IntoIterator<Item = (NodeId, u64)>,
-        now: SimTime,
-    ) {
+    /// one forward walk over it and the table finds every entry. The first
+    /// new node of a full table reserves room for every new node of
+    /// `counts` (see [`TopLayer`] for the rounding).
+    pub fn observe_counts<I>(&mut self, cfg: &TopLayerConfig, counts: I, now: SimTime)
+    where
+        I: IntoIterator<Item = (NodeId, u64)>,
+        I::IntoIter: Clone,
+    {
+        let mut counts = counts.into_iter();
         let mut i = 0;
-        for (node, count) in counts {
+        while let Some((node, count)) = counts.next() {
             while self.entries.get(i).is_some_and(|e| e.node < node) {
                 i += 1;
             }
@@ -209,7 +231,8 @@ impl TopLayer {
             if count <= known {
                 continue;
             }
-            i = self.entry(node, i);
+            let rest = counts.clone();
+            i = self.entry(node, i, |layer| 1 + layer.unseen(rest, i));
             for _ in known..count {
                 self.observe(cfg, i, now);
             }
@@ -256,6 +279,20 @@ impl TopLayer {
             }
             self.refreshed = now;
         }
+    }
+
+    /// How many nodes of `counts` (sorted by node, all past the entry
+    /// before `from`) with a nonzero count have no entry yet.
+    fn unseen(&self, counts: impl Iterator<Item = (NodeId, u64)>, mut from: usize) -> usize {
+        let mut unseen = 0;
+        for (node, count) in counts {
+            while self.entries.get(from).is_some_and(|e| e.node < node) {
+                from += 1;
+            }
+            unseen +=
+                usize::from(count > 0 && self.entries.get(from).is_none_or(|e| e.node != node));
+        }
+        unseen
     }
 
     /// Current temperature of `node`.
@@ -607,30 +644,56 @@ mod tests {
         assert_eq!((layer.entries.as_ptr(), layer.entries.capacity()), table);
     }
 
-    /// The table keeps one entry per node it has seen, so it grows one slot
-    /// per new node and never again for a node whose score went cold and
-    /// warmed back up.
+    /// The table keeps one entry per node it has seen and grows in batches
+    /// rounded up to an even capacity: nodes observed on their own grow it
+    /// two slots at a time, a counter vector bringing several new nodes
+    /// grows it once for all of them, and a node whose score went cold and
+    /// warmed back up never grows it again. Its capacity is always its
+    /// length rounded up to even.
     #[test]
     fn table_capacity_follows_its_peak_length() {
         let c = cfg();
         let mut layer = TopLayer::new(&c);
-        for (i, w) in [9u32, 2, 5, 0, 7].into_iter().enumerate() {
+        let sized = |layer: &TopLayer| {
+            let len = layer.entries.len();
+            (len, layer.entries.capacity()) == (len, len + len % 2)
+        };
+        for w in [9u32, 2, 5, 0, 7] {
             layer.observe_update(&c, NodeId(w), t(0));
-            assert_eq!(layer.entries.capacity(), i + 1, "after {} nodes", i + 1);
+            assert!(
+                sized(&layer),
+                "{} entries, capacity {}",
+                layer.entries.len(),
+                layer.entries.capacity()
+            );
         }
+        assert_eq!(layer.entries.capacity(), 6);
         // Five minutes of silence decay every score cold; the entries stay.
         layer.refresh(&c, t(300));
         assert_eq!((layer.entries.len(), layer.hot), (5, 0));
-        // Cold scores warming again reuse their entries in place...
+        // Cold scores warming again reuse their entries in place, and a
+        // node never seen before takes the spare slot...
         let buffer = layer.entries.as_ptr();
         for w in [9u32, 2, 5, 0, 7] {
             layer.observe_update(&c, NodeId(w), t(300));
         }
-        assert_eq!((layer.entries.len(), layer.entries.capacity(), layer.hot), (5, 5, 5));
-        assert_eq!(layer.entries.as_ptr(), buffer);
-        // ...and a node never seen before grows the table by exactly one.
+        assert_eq!((layer.entries.len(), layer.hot), (5, 5));
         layer.observe_update(&c, NodeId(4), t(300));
         assert_eq!((layer.entries.len(), layer.entries.capacity()), (6, 6));
+        assert_eq!(layer.entries.as_ptr(), buffer);
+        // ...a vector bringing four new nodes among known ones grows it
+        // once, by four, wherever they land; one bringing a single new node
+        // grows it by two...
+        let counts = [1u32, 2, 3, 7, 8, 11].map(|w| (NodeId(w), u64::from(w % 3 + 1)));
+        layer.observe_counts(&c, counts, t(301));
+        assert_eq!((layer.entries.len(), layer.entries.capacity()), (10, 10));
+        layer.observe_counts(&c, [(NodeId(6), 1)], t(301));
+        assert_eq!((layer.entries.len(), layer.entries.capacity()), (11, 12));
+        // ...and one bringing none, only higher counts, keeps the buffer.
+        let buffer = layer.entries.as_ptr();
+        layer.observe_counts(&c, counts.map(|(w, n)| (w, n + 2)), t(302));
+        assert_eq!((layer.entries.len(), layer.entries.capacity()), (11, 12));
+        assert_eq!(layer.entries.as_ptr(), buffer);
     }
 
     #[test]

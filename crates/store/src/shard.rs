@@ -337,9 +337,6 @@ impl StoreShard {
             WalRecord::Ingest { update } => {
                 let _ = self.open(update.object).apply(update.clone());
             }
-            WalRecord::Reconcile { object, log } => {
-                self.open(*object).reconcile_to(log);
-            }
             WalRecord::DropExtras { object, counts } => {
                 self.open(*object).drop_extras(counts);
             }

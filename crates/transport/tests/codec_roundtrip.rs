@@ -145,7 +145,7 @@ fn arb_update() -> impl Strategy<Value = Update> {
 }
 
 fn arb_wire_error() -> impl Strategy<Value = WireError> {
-    (0u8..13, 0u32..100, prop::collection::vec(0u8..255, 0..20)).prop_map(|(tag, n, bytes)| {
+    (0u8..12, 0u32..100, prop::collection::vec(0u8..255, 0..20)).prop_map(|(tag, n, bytes)| {
         let text: String = bytes.iter().map(|b| char::from(b' ' + b % 95)).collect();
         match tag {
             0 => WireError::UnknownNode(NodeId(n)),
@@ -155,15 +155,14 @@ fn arb_wire_error() -> impl Strategy<Value = WireError> {
                 expected: u64::from(n) + 1,
                 got: u64::from(n) + 3,
             },
-            3 => WireError::RollbackBeyondLog,
-            4 => WireError::InvalidParameter(text),
-            5 => WireError::InvalidConfig { field: text.clone(), reason: text },
-            6 => WireError::NothingToResolve,
-            7 => WireError::ResolutionContended,
-            8 => WireError::HorizonExceeded,
-            9 => WireError::EngineUnavailable(text),
-            10 => WireError::Transport(text),
-            11 => WireError::Protocol(text),
+            3 => WireError::InvalidParameter(text),
+            4 => WireError::InvalidConfig { field: text.clone(), reason: text },
+            5 => WireError::NothingToResolve,
+            6 => WireError::ResolutionContended,
+            7 => WireError::HorizonExceeded,
+            8 => WireError::EngineUnavailable(text),
+            9 => WireError::Transport(text),
+            10 => WireError::Protocol(text),
             _ => WireError::ServerAtCapacity { limit: n },
         }
     })
@@ -491,6 +490,28 @@ proptest! {
         };
         let wire = frame_bytes(&frame).unwrap();
         prop_assert_eq!(read_frame(&mut &wire[..]).unwrap().unwrap(), frame);
+    }
+}
+
+/// A `Rejected` response carrying error tag `tag` and nothing after it.
+fn rejected_with_error_tag(tag: u8) -> Vec<u8> {
+    let mut bytes = Response::Rejected { error: WireError::NothingToResolve }.to_bytes();
+    *bytes.last_mut().unwrap() = tag;
+    bytes
+}
+
+/// Error tags no variant owns are rejected. Tag 3 was a rollback past the
+/// log, which nothing raises any more; past 12 nothing was ever assigned.
+#[test]
+fn unknown_wire_error_tag_is_rejected() {
+    let known = rejected_with_error_tag(6);
+    assert_eq!(
+        Response::from_bytes(&known).unwrap(),
+        Response::Rejected { error: WireError::NothingToResolve }
+    );
+    for tag in [3u8, 13, 200] {
+        let err = Response::from_bytes(&rejected_with_error_tag(tag)).unwrap_err();
+        assert_eq!(err.what, "WireError tag out of domain", "tag {tag}");
     }
 }
 

@@ -415,7 +415,6 @@ impl Codec for WireError {
                 expected.encode(out);
                 got.encode(out);
             }
-            WireError::RollbackBeyondLog => out.push(3),
             WireError::InvalidParameter(what) => {
                 out.push(4);
                 what.encode(out);
@@ -457,7 +456,6 @@ impl Codec for WireError {
                 expected: u64::decode(r)?,
                 got: u64::decode(r)?,
             }),
-            3 => Ok(WireError::RollbackBeyondLog),
             4 => Ok(WireError::InvalidParameter(String::decode(r)?)),
             5 => Ok(WireError::InvalidConfig {
                 field: String::decode(r)?,
@@ -470,6 +468,9 @@ impl Codec for WireError {
             10 => Ok(WireError::Transport(String::decode(r)?)),
             11 => Ok(WireError::Protocol(String::decode(r)?)),
             12 => Ok(WireError::ServerAtCapacity { limit: u32::decode(r)? }),
+            // Tag 3 was a rollback past the log, which nothing raises any
+            // more: it stays unassigned, so an old peer's tag 3 is
+            // rejected instead of read as something else.
             _ => Err(r.err("WireError tag out of domain")),
         }
     }

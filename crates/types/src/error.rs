@@ -21,8 +21,6 @@ pub enum IdeaError {
         /// Sequence number that actually arrived.
         got: u64,
     },
-    /// A rollback target time preceded the retained log prefix.
-    RollbackBeyondLog,
     /// An API parameter was outside its documented domain.
     InvalidParameter(&'static str),
     /// A configuration field was outside its documented domain
@@ -51,9 +49,6 @@ impl fmt::Display for IdeaError {
                 f,
                 "writer {writer} skipped sequence numbers (expected {expected}, got {got})"
             ),
-            IdeaError::RollbackBeyondLog => {
-                write!(f, "rollback target precedes the retained log prefix")
-            }
             IdeaError::InvalidParameter(what) => write!(f, "invalid parameter: {what}"),
             IdeaError::InvalidConfig { field, reason } => {
                 write!(f, "invalid config: {field} {reason}")
@@ -100,8 +95,6 @@ pub enum WireError {
         /// Sequence number that actually arrived.
         got: u64,
     },
-    /// A rollback target time preceded the retained log prefix.
-    RollbackBeyondLog,
     /// An API parameter was outside its documented domain.
     InvalidParameter(String),
     /// A configuration field was outside its documented domain.
@@ -144,7 +137,6 @@ impl From<IdeaError> for WireError {
             IdeaError::NonConsecutiveSeq { writer, expected, got } => {
                 WireError::NonConsecutiveSeq { writer, expected, got }
             }
-            IdeaError::RollbackBeyondLog => WireError::RollbackBeyondLog,
             IdeaError::InvalidParameter(what) => WireError::InvalidParameter(what.to_string()),
             IdeaError::InvalidConfig { field, reason } => {
                 WireError::InvalidConfig { field: field.to_string(), reason: reason.to_string() }
@@ -165,9 +157,6 @@ impl fmt::Display for WireError {
                 f,
                 "writer {writer} skipped sequence numbers (expected {expected}, got {got})"
             ),
-            WireError::RollbackBeyondLog => {
-                write!(f, "rollback target precedes the retained log prefix")
-            }
             WireError::InvalidParameter(what) => write!(f, "invalid parameter: {what}"),
             WireError::InvalidConfig { field, reason } => {
                 write!(f, "invalid config: {field} {reason}")
@@ -215,7 +204,7 @@ mod tests {
     #[test]
     fn is_std_error() {
         fn takes_err(_: &dyn std::error::Error) {}
-        takes_err(&IdeaError::RollbackBeyondLog);
+        takes_err(&IdeaError::NothingToResolve);
         takes_err(&WireError::Transport("connection reset".into()));
     }
 
@@ -227,7 +216,6 @@ mod tests {
             IdeaError::UnknownNode(NodeId(3)),
             IdeaError::UnknownObject(ObjectId(9)),
             IdeaError::NonConsecutiveSeq { writer: WriterId(1), expected: 2, got: 5 },
-            IdeaError::RollbackBeyondLog,
             IdeaError::InvalidParameter("hint must be within [0, 1]"),
             IdeaError::InvalidConfig { field: "store_shards", reason: "must be in 1..=256" },
             IdeaError::NothingToResolve,

@@ -164,7 +164,7 @@ impl VersionVector {
     }
 
     /// Iterates `(writer, count)` pairs in writer order.
-    pub fn iter(&self) -> impl Iterator<Item = (WriterId, u64)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (WriterId, u64)> + Clone + '_ {
         self.counters.iter().copied()
     }
 

@@ -26,14 +26,6 @@ pub enum WalRecord {
         /// The remote update applied (or buffered) at the replica.
         update: Update,
     },
-    /// The replica adopted a reference consistent state wholesale
-    /// (resolution reconciliation): its log becomes exactly `log`.
-    Reconcile {
-        /// The object reconciled.
-        object: ObjectId,
-        /// The reference log adopted.
-        log: Vec<Update>,
-    },
     /// Loser invalidation: updates beyond the sanctioned per-writer
     /// `counts` were dropped (the reference/resolution transition).
     DropExtras {
@@ -51,13 +43,13 @@ pub enum WalRecord {
     },
 }
 
-// Tags start at 1 so a zeroed disk block never decodes as a record. Tag 7
-// was a rollback's truncation; it stays unassigned, so an old log holding
+// Tags start at 1 so a zeroed disk block never decodes as a record. Tag 4
+// was a wholesale reconciliation and tag 7 a rollback's truncation; nothing
+// writes either any more, and both stay unassigned, so an old log holding
 // one fails to decode instead of replaying as something else.
 const T_OPEN: u8 = 1;
 const T_WRITE: u8 = 2;
 const T_INGEST: u8 = 3;
-const T_RECONCILE: u8 = 4;
 const T_DROP_EXTRAS: u8 = 5;
 const T_RESUME_SEQ: u8 = 6;
 
@@ -75,11 +67,6 @@ impl Codec for WalRecord {
             WalRecord::Ingest { update } => {
                 T_INGEST.encode(out);
                 update.encode(out);
-            }
-            WalRecord::Reconcile { object, log } => {
-                T_RECONCILE.encode(out);
-                object.encode(out);
-                log.encode(out);
             }
             WalRecord::DropExtras { object, counts } => {
                 T_DROP_EXTRAS.encode(out);
@@ -99,10 +86,6 @@ impl Codec for WalRecord {
             T_OPEN => Ok(WalRecord::Open { object: ObjectId::decode(r)? }),
             T_WRITE => Ok(WalRecord::Write { update: Update::decode(r)? }),
             T_INGEST => Ok(WalRecord::Ingest { update: Update::decode(r)? }),
-            T_RECONCILE => Ok(WalRecord::Reconcile {
-                object: ObjectId::decode(r)?,
-                log: Vec::<Update>::decode(r)?,
-            }),
             T_DROP_EXTRAS => Ok(WalRecord::DropExtras {
                 object: ObjectId::decode(r)?,
                 counts: VersionVector::decode(r)?,

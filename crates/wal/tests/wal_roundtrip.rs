@@ -61,22 +61,15 @@ fn arb_vv() -> impl Strategy<Value = VersionVector> {
 }
 
 fn arb_record() -> impl Strategy<Value = WalRecord> {
-    (
-        0u8..6,
-        (0u64..64).prop_map(ObjectId),
-        arb_update(),
-        prop::collection::vec(arb_update(), 0..4),
-        arb_vv(),
-        0u64..1_000,
-    )
-        .prop_map(|(tag, object, update, log, counts, n)| match tag {
+    (0u8..5, (0u64..64).prop_map(ObjectId), arb_update(), arb_vv(), 0u64..1_000).prop_map(
+        |(tag, object, update, counts, n)| match tag {
             0 => WalRecord::Open { object },
             1 => WalRecord::Write { update },
             2 => WalRecord::Ingest { update },
-            3 => WalRecord::Reconcile { object, log },
-            4 => WalRecord::DropExtras { object, counts },
+            3 => WalRecord::DropExtras { object, counts },
             _ => WalRecord::ResumeSeq { object, seq: n },
-        })
+        },
+    )
 }
 
 fn arb_snapshot() -> impl Strategy<Value = ShardSnapshot> {
@@ -130,11 +123,6 @@ fn fixture_records() -> Vec<WalRecord> {
         WalRecord::Ingest {
             update: upd(3, UpdatePayload::Booking { flight: 12, seats: 2, price_cents: 45_000 }),
         },
-        WalRecord::Reconcile {
-            object: obj,
-            log: vec![upd(1, UpdatePayload::none()), upd(2, UpdatePayload::none())],
-        },
-        WalRecord::Reconcile { object: obj, log: vec![] },
         WalRecord::DropExtras {
             object: obj,
             counts: VersionVector::from_pairs([(WriterId(0), 4), (WriterId(2), 1)]),
@@ -176,7 +164,7 @@ fn every_record_variant_round_trips() {
 /// bytes the codec wrote when the format was fixed. A WAL file on disk is
 /// only recoverable while these stay put: a round trip alone would pass a
 /// change that re-encodes both sides differently.
-const PINNED_RECORDS: [(usize, &str); 6] = [
+const PINNED_RECORDS: [(usize, &str); 5] = [
     (0, "010700000000000000"),
     (
         1,
@@ -190,16 +178,10 @@ const PINNED_RECORDS: [(usize, &str); 6] = [
     ),
     (
         4,
-        "040700000000000000020000000000000007000000000000000200000001000000000000\
-         0038d8120000000000fdffffffffffffff00000000000000000007000000000000000200\
-         0000020000000000000020dc120000000000fdffffffffffffff000000000000000000",
-    ),
-    (
-        6,
         "050700000000000000020000000000000000000000040000000000000002000000010000\
          0000000000",
     ),
-    (8, "0607000000000000001100000000000000"),
+    (6, "0607000000000000001100000000000000"),
 ];
 
 const PINNED_SNAPSHOT: &str = "\
@@ -230,7 +212,7 @@ fn fixtures_encode_to_the_pinned_bytes() {
         assert_eq!(hex(&rec.to_bytes()), pinned, "{rec:?}");
         assert_eq!(&WalRecord::from_bytes(&unhex(pinned)).unwrap(), rec);
     }
-    assert_eq!(variants.len(), 6, "one pin per record variant");
+    assert_eq!(variants.len(), 5, "one pin per record variant");
     let snap = fixture_snapshot();
     assert_eq!(snap.objects.len(), 2);
     assert_eq!(hex(&snap.to_bytes()), PINNED_SNAPSHOT);
@@ -282,8 +264,9 @@ fn trailing_bytes_are_rejected() {
 #[test]
 fn unknown_tag_is_rejected() {
     // Tag 0 is deliberately unassigned (a zeroed disk block never decodes);
-    // tag 7 was a rollback's truncation, which nothing writes any more.
-    for tag in [0u8, 7, 8, 200] {
+    // tag 4 was a wholesale reconciliation and tag 7 a rollback's
+    // truncation, which nothing writes any more.
+    for tag in [0u8, 4, 7, 8, 200] {
         assert!(WalRecord::from_bytes(&[tag]).is_err(), "tag {tag} decoded");
     }
 }
