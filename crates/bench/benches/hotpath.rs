@@ -6,9 +6,10 @@
 //! `record`, the cached `counters` view, the merge-walk `triple_against`,
 //! `adopt`, the compact `summary`/`suffix_since` encodes, and classic
 //! `missing_from` — so regressions in the allocation-free paths show up
-//! directly. The timer-wheel and gossip-digest groups cover the two
-//! structures the lazy-gossip work added to the hot path: the engine's
-//! `(at, seq)`-ordered timer queue and the IHAVE advertisement codec.
+//! directly. The event-queue group times `SimEngine`'s `(at, seq)`-ordered
+//! queue through its public API, and the gossip-digest and body-cache
+//! groups the two structures the lazy-gossip plane adds to the hot path:
+//! the IHAVE advertisement codec and the ring of bodies kept for pulls.
 //! The collect-delta and fetch-chunk groups time the shared binary codec
 //! (`idea_types::codec`) on the resolution plane's compact forms: the
 //! `VvDelta` collect answer (cost must track divergence, not history
@@ -26,18 +27,18 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use idea_core::{Command, Response};
-use idea_net::TimerWheel;
-use idea_overlay::gossip::{decode_digest, encode_digest, Receipt, RumorId};
+use idea_net::{Context, MsgClass, Proto, SimConfig, SimEngine, Topology, Wire};
+use idea_overlay::gossip::{decode_digest, encode_digest, Receipt, RumorCache, RumorId};
 use idea_overlay::{GossipConfig, GossipRouter, Peers, TopLayer, TopLayerConfig};
 use idea_transport::frame::{encode_into, frame_bytes, parse_frame, Frame, FramePayload};
 use idea_types::codec::Codec;
 use idea_types::{
-    FastSet, NodeId, ObjectId, ObjectTable, SimDuration, SimTime, Update, UpdateId, UpdatePayload,
-    WriterId,
+    NodeId, ObjectId, ObjectTable, SimDuration, SimTime, Update, UpdateId, UpdatePayload, WriterId,
 };
 use idea_vv::{ExtendedVersionVector, VersionVector, VvDelta};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// History sizes swept: total updates spread over four writers.
 const SIZES: [u64; 3] = [10, 100, 1_000];
@@ -139,58 +140,67 @@ fn bench_missing_from(c: &mut Criterion) {
     group.finish();
 }
 
-/// Timer counts swept for the wheel benches: a busy shard's in-flight
-/// timer population (detect deadlines, sweep deadlines, pull and flush
-/// timers) sits in the hundreds-to-tens-of-thousands range.
+/// Timer counts swept for the event-queue benches: a busy shard's
+/// in-flight timer population (detect deadlines, sweep deadlines, pull and
+/// flush timers) sits in the hundreds-to-tens-of-thousands range.
 const TIMERS: [u64; 3] = [100, 1_000, 10_000];
 
-/// Spread deadline for timer `i`: multiplicative-hash scatter over a ~1 M
-/// tick horizon, exercising all wheel levels instead of one hot slot.
+/// Spread delay for timer `i`: multiplicative-hash scatter over a ~1 M
+/// µs horizon, so pushes and pops land all over the queue.
 fn deadline(i: u64) -> u64 {
     (i.wrapping_mul(7919)) % 1_048_576
 }
 
-fn wheel_with(n: u64) -> TimerWheel<u64> {
-    let mut w = TimerWheel::new();
-    for i in 0..n {
-        w.push(deadline(i), i, i);
+/// A protocol that only owns timers, so the event-queue group times
+/// nothing but `SimEngine`'s queue.
+struct Idle;
+
+/// `Idle`'s message type: never sent.
+#[derive(Debug, Clone)]
+struct Never;
+
+impl Wire for Never {
+    fn class(&self) -> MsgClass {
+        MsgClass::App
     }
-    w
 }
 
-/// The `SimEngine` timer-queue operations the heap-to-wheel swap rewrote:
-/// schedule (push at scattered deadlines), fire (drain in `(at, seq)`
-/// order, cascading across levels), and cancel (the engine's tombstone
-/// set, checked as each entry pops). A drained wheel is not reusable, so
-/// `fire` and `cancel` rebuild inside the measured routine — subtract the
-/// `schedule` entry for the pop-side cost alone.
-fn bench_timer_wheel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("timer-wheel");
+impl Proto for Idle {
+    type Msg = Never;
+    fn on_message(&mut self, _: NodeId, _: Never, _: &mut dyn Context<Never>) {}
+}
+
+/// A one-node engine with `n` timers armed at scattered deadlines, every
+/// even one cancelled right away when `cancel_half`.
+fn engine_with(n: u64, cancel_half: bool) -> SimEngine<Idle> {
+    let mut eng = SimEngine::new(Topology::lan(1), SimConfig::default(), vec![Idle]);
+    eng.with_node(NodeId(0), |_, ctx| {
+        for i in 0..n {
+            let timer = ctx.set_timer(SimDuration::from_micros(deadline(i)), i);
+            if cancel_half && i % 2 == 0 {
+                ctx.cancel_timer(timer);
+            }
+        }
+    });
+    eng
+}
+
+/// The engine's timer-queue operations: schedule (arm at scattered
+/// deadlines), fire (run every timer in `(at, seq)` order) and cancel
+/// (half the timers tombstoned, skipped as they pop). Each routine builds
+/// its engine, so subtract the `schedule` entry for the pop-side cost.
+fn bench_event_queue(c: &mut Criterion) {
+    let horizon = SimTime::from_micros(1 << 20);
+    let mut group = c.benchmark_group("event-queue");
     for &n in &TIMERS {
         group.bench_with_input(BenchmarkId::new("schedule", n), &n, |bench, &n| {
-            bench.iter(|| black_box(wheel_with(n)))
+            bench.iter(|| black_box(engine_with(n, false)))
         });
         group.bench_with_input(BenchmarkId::new("fire", n), &n, |bench, &n| {
-            bench.iter(|| {
-                let mut w = wheel_with(n);
-                while let Some(e) = w.pop() {
-                    black_box(e);
-                }
-            })
+            bench.iter(|| engine_with(n, false).run_until(horizon))
         });
         group.bench_with_input(BenchmarkId::new("cancel", n), &n, |bench, &n| {
-            bench.iter(|| {
-                // Half the timers are cancelled before they fire —
-                // tombstoned exactly like `SimEngine::cancel_timer`.
-                let mut w = wheel_with(n);
-                let mut cancelled: FastSet<u64> = (0..n).filter(|i| i % 2 == 0).collect();
-                while let Some((at, seq, id)) = w.pop() {
-                    if cancelled.remove(&id) {
-                        continue;
-                    }
-                    black_box((at, seq, id));
-                }
-            })
+            bench.iter(|| engine_with(n, true).run_until(horizon))
         });
     }
     group.finish();
@@ -378,6 +388,45 @@ fn bench_gossip_receipt(c: &mut Criterion) {
     group.finish();
 }
 
+/// Bodies the lazy plane keeps per object for answering pulls.
+const BODY_CAP: usize = 1024;
+
+/// Rumor `seq` of one origin.
+fn rumor(seq: u32) -> RumorId {
+    RumorId { origin: NodeId(7), seq }
+}
+
+/// The lazy plane's body cache, full: per iteration, one turn of relays
+/// (1,024 fresh inserts, each evicting the oldest), then 1,024 pulls of
+/// held bodies (each id once, so the scan depth averages out) and 1,024
+/// pulls of a body no longer held.
+fn bench_body_cache(c: &mut Criterion) {
+    let body = Arc::new(evv_total(64).counters().clone());
+    let mut cache = RumorCache::<Arc<VersionVector>, BODY_CAP>::default();
+    let mut next = 0u32;
+    for _ in 0..BODY_CAP {
+        cache.insert(rumor(next), Arc::clone(&body), true);
+        next += 1;
+    }
+    let mut group = c.benchmark_group("body-cache");
+    group.bench_function(BenchmarkId::from_parameter("insert-at-cap"), |bench| {
+        bench.iter(|| {
+            for _ in 0..BODY_CAP {
+                cache.insert(rumor(next), Arc::clone(&body), true);
+                next += 1;
+            }
+        })
+    });
+    let held = next - BODY_CAP as u32..next;
+    group.bench_function(BenchmarkId::from_parameter("pull-hit-at-cap"), |bench| {
+        bench.iter(|| held.clone().filter(|&seq| cache.get(rumor(seq)).is_some()).count())
+    });
+    group.bench_function(BenchmarkId::from_parameter("pull-miss-at-cap"), |bench| {
+        bench.iter(|| (0..BODY_CAP as u32).filter(|&seq| cache.get(rumor(seq)).is_some()).count())
+    });
+    group.finish();
+}
+
 /// Ids per table (objects per node on `sim_gossip_fanout`), and tables
 /// enough that together they outgrow any L2.
 const TABLE_IDS: u64 = 64;
@@ -418,12 +467,13 @@ criterion_group!(
     bench_adopt,
     bench_wire_forms,
     bench_missing_from,
-    bench_timer_wheel,
+    bench_event_queue,
     bench_digest_codec,
     bench_collect_delta_codec,
     bench_fetch_chunk_codec,
     bench_frame_codec,
     bench_gossip_receipt,
-    bench_object_table
+    bench_object_table,
+    bench_body_cache
 );
 criterion_main!(hotpath);

@@ -71,23 +71,6 @@ fn bench_store(c: &mut Criterion) {
             black_box(r.len())
         })
     });
-    // The resolution hot path: reconcile a diverged replica to a reference.
-    let mut reference = Replica::new(ObjectId(1));
-    for s in 1..=100u64 {
-        reference
-            .apply(Update::opaque(ObjectId(1), WriterId(1), s, SimTime::from_secs(s), 1))
-            .expect("in order");
-    }
-    c.bench_function("replica_reconcile_100", |bench| {
-        bench.iter(|| {
-            let mut r = Replica::new(ObjectId(1));
-            for s in 1..=20u64 {
-                r.apply(Update::opaque(ObjectId(1), WriterId(0), s, SimTime::from_secs(s), 1))
-                    .expect("in order");
-            }
-            black_box(r.reconcile_to(reference.log()))
-        })
-    });
 }
 
 criterion_group!(benches, bench_version_vectors, bench_triple, bench_quantify, bench_store,);

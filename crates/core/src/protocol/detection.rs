@@ -374,10 +374,10 @@ impl Detection {
         let cfg = &core.cfg;
         let shared = core.objs.get_mut(object).expect("object state");
         let level = shared.level;
-        let (id, _ttl, plan) = shared.gossip.originate(&cfg.gossip, peers, ctx.rng());
+        let (id, fresh, plan) = shared.gossip.originate(&cfg.gossip, peers, ctx.rng());
         let seq = u64::from(id.seq);
         self.state(object).sweeps.insert(seq, Sweep { top_level: level, replies: Vec::new() });
-        shared.lazy.dispatch_rumor(&mut core.outbox, cfg, object, id, plan, &counters, ctx);
+        shared.lazy.dispatch_rumor(&mut core.outbox, cfg, object, id, fresh, plan, &counters, ctx);
         // Deadline timers route through a node-unique ticket: gossip seqs
         // are allocated per object, so two objects at one node can emit the
         // same `id.seq` and a seq-keyed map would settle the wrong sweep.
@@ -436,7 +436,17 @@ impl Detection {
             miss.is_some()
         };
         if let Receipt::Relay(plan) = receipt {
-            shared.lazy.dispatch_rumor(&mut core.outbox, cfg, object, id, plan, &counters, ctx);
+            // A relayed id is new to the router, so new to the cache.
+            shared.lazy.dispatch_rumor(
+                &mut core.outbox,
+                cfg,
+                object,
+                id,
+                true,
+                plan,
+                &counters,
+                ctx,
+            );
         }
         if pulled {
             // The deliverer's link just proved load-bearing. It is not in
@@ -476,11 +486,17 @@ impl Detection {
         if ids.is_empty() {
             return;
         }
-        core.open(object);
         let shard = core.shard;
         // Pass 1: classify under the object borrow.
         let mut fresh = Vec::new();
-        let shared = core.obj(object).expect("object state");
+        let shared = match core.objs.get(object) {
+            Some(shared) => shared,
+            None => {
+                // First contact: open the replica, create the state.
+                core.open(object);
+                core.objs.get(object).expect("object state")
+            }
+        };
         for (id, _ttl) in ids {
             if !shared.gossip.wants_body(id) {
                 continue; // body already processed here

@@ -17,8 +17,9 @@
 //!
 //! A warm plane relays a rumor without calling the allocator: the plan
 //! borrows the router's view, the body is a refcount on the allocation it
-//! arrived in, and the outbox is one flat vector that keeps its capacity
-//! across drains.
+//! arrived in, the cache is a ring that overwrites its oldest slot once
+//! full, and the outbox is one flat vector that keeps its capacity across
+//! drains.
 //!
 //! The state lives in [`super::ObjShared`] and in the shard's
 //! [`super::NodeCore`] and detection subsystem, so the sharded runtime
@@ -32,10 +33,9 @@ use super::{pack, K_LAZY_FLUSH};
 use crate::config::IdeaConfig;
 use crate::messages::IdeaMsg;
 use idea_net::Context;
-use idea_overlay::gossip::{RelayPlan, RumorId};
-use idea_types::{FastMap, NodeId, ObjectId, ShardId, SimDuration};
+use idea_overlay::gossip::{RelayPlan, RumorCache, RumorId};
+use idea_types::{NodeId, ObjectId, ShardId, SimDuration};
 use idea_vv::VersionVector;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Digest flush window: pending advertisements piggyback on outgoing
@@ -54,39 +54,20 @@ const CACHE_CAP: usize = 1024;
 /// calls the allocator zero times.
 #[derive(Default)]
 pub(crate) struct LazyPlane {
-    /// Rumor bodies held for answering pulls: id → counters, sharing the
-    /// allocation the body arrived in (an entry costs a refcount, not a
-    /// copy). Pull replies are stamped ttl 0 (terminal): a pull satisfies
-    /// the one node the flood missed, it must not re-flood past the
-    /// sweep's TTL budget.
-    cache: FastMap<RumorId, Arc<VersionVector>>,
-    /// FIFO eviction order of `cache`.
-    cache_order: VecDeque<RumorId>,
+    /// Rumor bodies held for answering pulls, each sharing the allocation
+    /// the body arrived in (an entry costs a refcount, not a copy): a FIFO
+    /// ring of the newest [`CACHE_CAP`]. Pull replies are stamped ttl 0
+    /// (terminal): a pull satisfies the one node the flood missed, it must
+    /// not re-flood past the sweep's TTL budget.
+    cache: RumorCache<Arc<VersionVector>, CACHE_CAP>,
     /// Whether a `K_LAZY_FLUSH` timer is armed for this object.
     pub(crate) flush_armed: bool,
 }
 
 impl LazyPlane {
-    /// Caches a body for answering pulls, evicting FIFO at capacity. The
-    /// oldest body leaves before the new one is queued, so the eviction
-    /// order never holds more than [`CACHE_CAP`] ids.
-    pub(crate) fn cache_body(&mut self, id: RumorId, counters: Arc<VersionVector>) {
-        if let Some(held) = self.cache.get_mut(&id) {
-            *held = counters;
-            return;
-        }
-        if self.cache_order.len() == CACHE_CAP {
-            if let Some(old) = self.cache_order.pop_front() {
-                self.cache.remove(&old);
-            }
-        }
-        self.cache_order.push_back(id);
-        self.cache.insert(id, counters);
-    }
-
     /// The cached body of `id`, if still held.
     pub(crate) fn cached(&self, id: RumorId) -> Option<&Arc<VersionVector>> {
-        self.cache.get(&id)
+        self.cache.get(id)
     }
 
     /// Bodies currently held for answering pulls (at most [`CACHE_CAP`]).
@@ -98,7 +79,10 @@ impl LazyPlane {
     /// belongs to) on the wire: full [`IdeaMsg::SweepRumor`] bodies on the
     /// eager links, digests queued in the shard's `outbox` (piggyback or
     /// flush) on the lazy links. The body is also cached so later pulls can
-    /// be answered. Every copy shares `counters`' allocation.
+    /// be answered. `fresh` says the object's router had never seen `id`
+    /// (true of every relay); only an originate can meet an id the cache
+    /// holds, when a recovered node restarts its rumor sequence. Every copy
+    /// shares `counters`' allocation.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn dispatch_rumor(
         &mut self,
@@ -106,6 +90,7 @@ impl LazyPlane {
         cfg: &IdeaConfig,
         object: ObjectId,
         id: RumorId,
+        fresh: bool,
         plan: RelayPlan<'_>,
         counters: &Arc<VersionVector>,
         ctx: &mut dyn Context<IdeaMsg>,
@@ -114,7 +99,7 @@ impl LazyPlane {
             let counters = Arc::clone(counters);
             ctx.send(t, IdeaMsg::SweepRumor { id, ttl: plan.ttl, object, counters });
         }
-        self.cache_body(id, Arc::clone(counters));
+        self.cache.insert(id, Arc::clone(counters), fresh);
         let queued = outbox.0.len();
         for p in plan.lazy() {
             outbox.enqueue(object, p, id, plan.ttl);
@@ -248,17 +233,20 @@ mod tests {
         let body = Arc::new(VersionVector::new());
         let id = |seq: usize| RumorId { origin: NodeId(3), seq: seq as u32 };
         for seq in 0..CACHE_CAP + 5 {
-            lazy.cache_body(id(seq), Arc::clone(&body));
+            lazy.cache.insert(id(seq), Arc::clone(&body), true);
         }
         assert_eq!(lazy.cached_bodies(), CACHE_CAP);
         assert!((0..5).all(|seq| lazy.cached(id(seq)).is_none()), "the oldest left first");
         assert!((5..CACHE_CAP + 5).all(|seq| lazy.cached(id(seq)).is_some()));
-        assert!(lazy.cache_order.iter().copied().eq((5..CACHE_CAP + 5).map(id)));
-        assert!(lazy.cache_order.capacity() <= CACHE_CAP, "the order outgrew the cap");
-        // A body cached again replaces the held one and keeps its place.
+        // An originate that meets a held id (a restarted rumor sequence)
+        // replaces the held body, and the body keeps its place: it is
+        // still the next one evicted.
         let newer = Arc::new(VersionVector::new());
-        lazy.cache_body(id(5), Arc::clone(&newer));
+        lazy.cache.insert(id(5), Arc::clone(&newer), false);
         assert!(Arc::ptr_eq(lazy.cached(id(5)).unwrap(), &newer));
-        assert_eq!(lazy.cache_order.front(), Some(&id(5)));
+        assert_eq!(lazy.cached_bodies(), CACHE_CAP);
+        lazy.cache.insert(id(CACHE_CAP + 5), Arc::clone(&body), true);
+        assert!(lazy.cached(id(5)).is_none());
+        assert!((6..CACHE_CAP + 6).all(|seq| lazy.cached(id(seq)).is_some()));
     }
 }

@@ -104,9 +104,9 @@ impl WritePath {
         for (node, count) in shared.layer.known_counts() {
             counters.observe(WriterId(node.0), count);
         }
-        let (id, _ttl, plan) = shared.gossip.originate(&cfg.gossip, peers, ctx.rng());
+        let (id, fresh, plan) = shared.gossip.originate(&cfg.gossip, peers, ctx.rng());
         let counters = Arc::new(counters);
-        shared.lazy.dispatch_rumor(&mut core.outbox, cfg, object, id, plan, &counters, ctx);
+        shared.lazy.dispatch_rumor(&mut core.outbox, cfg, object, id, fresh, plan, &counters, ctx);
     }
 
     /// A peer asked for the updates it is missing: ship them (batched).

@@ -31,11 +31,9 @@ pub(crate) mod sim;
 pub(crate) mod stats;
 pub(crate) mod threaded;
 pub(crate) mod topology;
-pub(crate) mod wheel;
 
 pub use proto::{Context, Proto, ShardedProto, TimerId, Wire};
 pub use sim::{Quiescence, SimConfig, SimEngine};
 pub use stats::{MsgClass, NetStats, StatsSnapshot};
 pub use threaded::{ShardedEngine, ThreadedConfig};
 pub use topology::{Region, Topology};
-pub use wheel::TimerWheel;

@@ -12,10 +12,11 @@
 use crate::proto::{Context, Proto, TimerId, Wire};
 use crate::stats::NetStats;
 use crate::topology::Topology;
-use crate::wheel::TimerWheel;
 use idea_types::{FastMap, FastSet, NodeId, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -33,6 +34,10 @@ impl Default for SimConfig {
         SimConfig { seed: 0, local_delay: SimDuration::from_micros(50), loss_rate: 0.0 }
     }
 }
+
+/// Low bits of a queue key holding the event's slot; the `seq` above
+/// them gets the other 40.
+const SLOT_BITS: u32 = 24;
 
 /// What an event does when it fires.
 #[derive(Debug)]
@@ -136,11 +141,12 @@ pub struct SimEngine<P: Proto> {
     cfg: SimConfig,
     topo: Topology,
     nodes: Vec<Option<P>>,
-    /// Event queue: a hierarchical timer wheel popping in `(at, seq)`
-    /// order, bit-identical to the `BinaryHeap` it replaced (proven by the
-    /// proptest in [`crate::wheel`]). It holds slots of `events`, so a
-    /// cascade moves 24-byte `(at, seq, slot)` entries, not the events.
-    queue: TimerWheel<u32>,
+    /// Event queue: a min-heap of `(at µs, seq, slot)` keys packed as
+    /// `at << 64 | seq << SLOT_BITS | slot`, the slot indexing `events`.
+    /// `seq` is unique, so the heap pops in exactly `(at, seq)` order; a
+    /// sift moves 16-byte keys, never the events, and compares two keys in
+    /// one `u128` comparison.
+    queue: BinaryHeap<Reverse<u128>>,
     /// Queued events by slot; `None` marks a free slot. As long as the
     /// most events ever queued at once.
     events: Vec<Option<EvKind<P::Msg>>>,
@@ -190,7 +196,7 @@ impl<P: Proto> SimEngine<P> {
             cfg,
             topo,
             nodes: nodes.into_iter().map(Some).collect(),
-            queue: TimerWheel::new(),
+            queue: BinaryHeap::new(),
             events: Vec::new(),
             free: Vec::new(),
             now: SimTime::ZERO,
@@ -445,6 +451,7 @@ impl<P: Proto> SimEngine<P> {
 
     fn push(&mut self, at: SimTime, kind: EvKind<P::Msg>) {
         let seq = self.seq;
+        assert!(seq < 1 << (64 - SLOT_BITS), "under 2^40 events per run");
         self.seq += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -452,22 +459,30 @@ impl<P: Proto> SimEngine<P> {
                 slot
             }
             None => {
-                let slot = u32::try_from(self.events.len()).expect("under 2^32 queued events");
+                let slot = self.events.len();
+                assert!(slot < 1 << SLOT_BITS, "under 2^24 events queued at once");
                 self.events.push(Some(kind));
-                slot
+                slot as u32
             }
         };
-        self.queue.push(at.as_micros(), seq, slot);
+        let low = seq << SLOT_BITS | u64::from(slot);
+        self.queue.push(Reverse(u128::from(at.as_micros()) << 64 | u128::from(low)));
+    }
+
+    /// Virtual µs of the next queued event, without removing it.
+    fn next_at(&self) -> Option<u64> {
+        self.queue.peek().map(|Reverse(key)| (key >> 64) as u64)
     }
 
     /// Processes the next event, if any; returns whether one was processed.
     pub fn step(&mut self) -> bool {
-        let Some((at, _seq, slot)) = self.queue.pop() else {
+        let Some(Reverse(key)) = self.queue.pop() else {
             return false;
         };
+        let slot = key as u32 & ((1 << SLOT_BITS) - 1);
         let kind = self.events[slot as usize].take().expect("a queued slot holds its event");
         self.free.push(slot);
-        let at = SimTime::from_micros(at);
+        let at = SimTime::from_micros((key >> 64) as u64);
         debug_assert!(at >= self.now, "time must not run backwards");
         self.now = at;
         match kind {
@@ -497,7 +512,7 @@ impl<P: Proto> SimEngine<P> {
 
     /// Runs every event scheduled at or before `t`, then advances to `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        while self.queue.next_at().is_some_and(|at| at <= t.as_micros()) {
+        while self.next_at().is_some_and(|at| at <= t.as_micros()) {
             self.step();
         }
         if t > self.now {
@@ -527,7 +542,7 @@ impl<P: Proto> SimEngine<P> {
     /// [`SimEngine::run_until_quiescent`] with an explicit event budget.
     pub fn run_until_quiescent_bounded(&mut self, limit: SimTime, budget: u64) -> Quiescence {
         let mut events = 0u64;
-        while self.queue.next_at().is_some_and(|at| at <= limit.as_micros()) {
+        while self.next_at().is_some_and(|at| at <= limit.as_micros()) {
             if events >= budget {
                 return Quiescence::LimitHit { at: self.now, events };
             }
@@ -736,6 +751,100 @@ mod tests {
         assert_eq!(fired[0].0, 1);
         // The tombstone was consumed when the cancelled event popped.
         assert_eq!(eng.pending_cancellations(), 0);
+    }
+
+    /// Records every event it handles as `(tag, now)`: a timer's kind, or
+    /// a token's hop count with bit 32 set. When the timer of kind
+    /// `rearm.0` fires it arms kind `rearm.1` for the current tick.
+    #[derive(Default)]
+    struct Alarm {
+        fired: Vec<(u64, SimTime)>,
+        rearm: Option<(u64, u64)>,
+    }
+
+    impl Proto for Alarm {
+        type Msg = Token;
+        fn on_message(&mut self, _f: NodeId, msg: Token, ctx: &mut dyn Context<Token>) {
+            self.fired.push((u64::from(msg.hops) | 1 << 32, ctx.now()));
+        }
+        fn on_timer(&mut self, _t: TimerId, kind: u64, ctx: &mut dyn Context<Token>) {
+            self.fired.push((kind, ctx.now()));
+            if let Some((_, next)) = self.rearm.filter(|&(on, _)| on == kind) {
+                ctx.set_timer(SimDuration::ZERO, next);
+            }
+        }
+    }
+
+    fn alarm_engine(rearm: Option<(u64, u64)>) -> SimEngine<Alarm> {
+        let nodes = vec![Alarm { fired: vec![], rearm }];
+        SimEngine::new(Topology::lan(1), SimConfig::default(), nodes)
+    }
+
+    fn tags(fired: &[(u64, SimTime)]) -> Vec<u64> {
+        fired.iter().map(|&(tag, _)| tag).collect()
+    }
+
+    #[test]
+    fn events_due_in_one_microsecond_fire_in_schedule_order() {
+        let mut eng = alarm_engine(None);
+        eng.with_node(NodeId(0), |_, ctx| {
+            ctx.set_timer(SimDuration::from_micros(50), 0);
+            ctx.set_timer(SimDuration::from_micros(10), 1);
+            ctx.set_timer(SimDuration::from_micros(10), 2);
+            // A self-send lands after `local_delay` (50 µs), between the
+            // two timers due then.
+            ctx.send(NodeId(0), Token { hops: 7 });
+            ctx.set_timer(SimDuration::from_micros(700), 3);
+            ctx.set_timer(SimDuration::from_micros(50), 4);
+        });
+        assert!(eng.run_until_quiescent(SimTime::from_secs(1)).reached());
+        let fired = &eng.node(NodeId(0)).fired;
+        assert_eq!(tags(fired), [1, 2, 0, 7 | 1 << 32, 4, 3]);
+        let at: Vec<u64> = fired.iter().map(|&(_, t)| t.as_micros()).collect();
+        assert_eq!(at, [10, 10, 50, 50, 50, 700]);
+    }
+
+    #[test]
+    fn an_event_scheduled_for_the_draining_tick_fires_after_those_due() {
+        // Timer 0 arms timer 9 for the tick the queue is draining: it
+        // fires in that tick, after timer 1 that was already due.
+        let mut eng = alarm_engine(Some((0, 9)));
+        eng.with_node(NodeId(0), |_, ctx| {
+            ctx.set_timer(SimDuration::from_micros(10), 0);
+            ctx.set_timer(SimDuration::from_micros(10), 1);
+            ctx.set_timer(SimDuration::from_micros(11), 2);
+        });
+        assert!(eng.run_until_quiescent(SimTime::from_secs(1)).reached());
+        let fired = &eng.node(NodeId(0)).fired;
+        assert_eq!(tags(fired), [0, 1, 9, 2]);
+        assert_eq!(fired[2].1, SimTime::from_micros(10));
+    }
+
+    #[test]
+    fn a_far_timer_fires_on_time_after_a_long_idle() {
+        let mut eng = alarm_engine(None);
+        let far = [1u64 << 30, (1 << 30) + 1, u64::MAX / 4, 4096, 65, 64, 63];
+        eng.with_node(NodeId(0), |_, ctx| {
+            for (kind, &us) in far.iter().enumerate() {
+                ctx.set_timer(SimDuration::from_micros(us), kind as u64);
+            }
+        });
+        // Peeking at the next deadline removes nothing: a run that stops
+        // short fires none of the far timers, and an event injected after
+        // the stop still runs before them.
+        eng.run_until(SimTime::from_micros(1 << 29));
+        assert_eq!(eng.node(NodeId(0)).fired.len(), 4);
+        assert_eq!(eng.pending_events(), 3);
+        eng.with_node(NodeId(0), |_, ctx| ctx.set_timer(SimDuration::from_micros(1), 99));
+        assert!(eng.run_until_quiescent(SimTime::from_micros(u64::MAX / 2)).reached());
+        let fired = &eng.node(NodeId(0)).fired;
+        let want = [(6, 63), (5, 64), (4, 65), (3, 4096), (99, (1 << 29) + 1)].into_iter().chain([
+            (0, 1 << 30),
+            (1, (1 << 30) + 1),
+            (2, u64::MAX / 4),
+        ]);
+        assert!(fired.iter().copied().eq(want.map(|(k, us)| (k, SimTime::from_micros(us)))));
+        assert_eq!(eng.now(), SimTime::from_micros(u64::MAX / 4));
     }
 
     /// Protocol pattern that used to leak: arm a deadline, have it fire,

@@ -300,20 +300,22 @@ impl GossipRouter {
         }
     }
 
-    /// Starts a new rumor at `peers.me`; returns its id, the initial TTL,
-    /// and the first hop plan chosen among `peers`.
+    /// Starts a new rumor at `peers.me`; returns its id, whether that id
+    /// was new here, and the first hop plan chosen among `peers` (stamped
+    /// with the initial TTL). An id is not new when a restarted sequence
+    /// (a recovered node's) meets one this router already counted as seen.
     pub fn originate<R: Rng + ?Sized>(
         &mut self,
         cfg: &GossipConfig,
         peers: Peers,
         rng: &mut R,
-    ) -> (RumorId, u8, RelayPlan<'_>) {
+    ) -> (RumorId, bool, RelayPlan<'_>) {
         let id = RumorId { origin: peers.me, seq: self.next_seq };
         self.next_seq = self.next_seq.wrapping_add(1);
-        self.note_seen(id);
+        let fresh = self.note_seen(id);
         self.ensure_view(cfg, peers, rng);
         let plan = self.view_plan(cfg, None, cfg.ttl);
-        (id, cfg.ttl, plan)
+        (id, fresh, plan)
     }
 
     /// Processes a received rumor body and decides whether to relay it.
@@ -484,6 +486,74 @@ fn pick_peers<R: Rng + ?Sized>(fanout: usize, peers: Peers, rng: &mut R) -> Vec<
     view
 }
 
+/// The newest rumor bodies a node keeps for answering pulls: a FIFO ring
+/// of at most `CAP` distinct ids (`CAP > 0`) in one allocation, which
+/// stops growing once the ring is full. The router never holds bodies;
+/// the caller owns them, as `T`, and keeps here the ones a pull may still
+/// ask for.
+///
+/// Pulls are rare next to relays, so a lookup scans the ring instead of
+/// every insert keeping an index.
+#[derive(Debug, Clone)]
+pub struct RumorCache<T, const CAP: usize> {
+    /// Ids with their bodies; the oldest at `oldest` once the ring is full.
+    ring: Vec<(RumorId, T)>,
+    /// Index of the oldest entry, which the next insert overwrites once
+    /// the ring is full (0 while it fills).
+    oldest: usize,
+}
+
+impl<T, const CAP: usize> Default for RumorCache<T, CAP> {
+    fn default() -> Self {
+        RumorCache { ring: Vec::new(), oldest: 0 }
+    }
+}
+
+impl<T, const CAP: usize> RumorCache<T, CAP> {
+    /// Caches `body` under `id`, evicting the oldest entry at capacity.
+    ///
+    /// `fresh` promises the cache does not hold `id`, which is true of any
+    /// id its router had never seen, every relayed one included: the
+    /// insert then skips the scan. Otherwise a held `id` has its body
+    /// replaced and keeps its place.
+    pub fn insert(&mut self, id: RumorId, body: T, fresh: bool) {
+        if !fresh {
+            if let Some(held) = self.ring.iter_mut().find(|(held, _)| *held == id) {
+                held.1 = body;
+                return;
+            }
+        }
+        if self.ring.len() < CAP {
+            self.ring.push((id, body));
+        } else {
+            self.ring[self.oldest] = (id, body);
+            self.oldest = (self.oldest + 1) % CAP;
+        }
+    }
+
+    /// The body cached under `id`, if still held.
+    pub fn get(&self, id: RumorId) -> Option<&T> {
+        self.ring.iter().find(|(held, _)| *held == id).map(|(_, body)| body)
+    }
+
+    /// Bodies held (at most `CAP`).
+    pub fn len(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// True when no body is held.
+    pub fn is_empty(&self) -> bool {
+        self.ring.is_empty()
+    }
+
+    /// The held ids, oldest first: the order they will be evicted in.
+    #[cfg(test)]
+    fn ids(&self) -> impl Iterator<Item = RumorId> + '_ {
+        let (newer, older) = self.ring.split_at(self.oldest);
+        older.iter().chain(newer).map(|(id, _)| *id)
+    }
+}
+
 /// Message/coverage tallies of one simulated spread.
 #[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -566,7 +636,7 @@ impl SpreadSim {
         };
 
         let peers = self.peers(origin);
-        let (id, _ttl, first) = self.routers[origin.index()].originate(&self.cfg, peers, rng);
+        let (id, _, first) = self.routers[origin.index()].originate(&self.cfg, peers, rng);
         queue_plan(&first, origin, &mut frontier, &mut advertised, &mut stats);
 
         loop {
@@ -639,12 +709,39 @@ pub(crate) fn simulate_spread<R: Rng + ?Sized>(
 mod reference {
     //! The two-generation duplicate suppression the per-origin windows
     //! replaced, as it was, in front of the same view and link code, and
-    //! the relay plan as it was before plans borrowed the view: the
-    //! equivalence references.
+    //! the relay plan as it was before plans borrowed the view, and the
+    //! body cache as it was before [`super::RumorCache`]: the equivalence
+    //! references.
 
     use super::{GossipConfig, GossipRouter, Peers, Receipt, RumorId};
-    use idea_types::{FastSet, NodeId};
+    use idea_types::{FastMap, FastSet, NodeId};
     use rand::Rng;
+    use std::collections::VecDeque;
+
+    /// A body cache of at most `cap` ids as an id map plus its FIFO
+    /// order: a body cached again replaces the held one and keeps its
+    /// place.
+    pub struct MapCache<T> {
+        pub cap: usize,
+        pub cache: FastMap<RumorId, T>,
+        pub order: VecDeque<RumorId>,
+    }
+
+    impl<T> MapCache<T> {
+        pub fn insert(&mut self, id: RumorId, body: T) {
+            if let Some(held) = self.cache.get_mut(&id) {
+                *held = body;
+                return;
+            }
+            if self.order.len() == self.cap {
+                if let Some(old) = self.order.pop_front() {
+                    self.cache.remove(&old);
+                }
+            }
+            self.order.push_back(id);
+            self.cache.insert(id, body);
+        }
+    }
 
     /// A relay plan that owns its two peer lists.
     pub struct OwnedPlan {
@@ -800,9 +897,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let cfg = lazy_cfg(3, 1, 4);
         let mut r = GossipRouter::default();
-        let (id, ttl, plan) = r.originate(&cfg, at(0, 10), &mut rng);
+        let (id, fresh, plan) = r.originate(&cfg, at(0, 10), &mut rng);
         assert_eq!(id.origin, NodeId(0));
-        assert_eq!(ttl, 4);
+        assert!(fresh);
         assert_eq!(plan.ttl, 4);
         let (eager, lazy) = sides(&plan);
         assert!(lazy.is_empty(), "a fresh view's links are all eager");
@@ -814,6 +911,12 @@ mod tests {
         t.sort_unstable();
         t.dedup();
         assert_eq!(t.len(), 3);
+        // A restarted sequence (a recovered node's) reissues an id the
+        // router already counted as seen: the origin reports it as not new.
+        r.next_seq = 0;
+        let (again, fresh, _) = r.originate(&cfg, at(0, 10), &mut rng);
+        assert_eq!(again, id);
+        assert!(!fresh);
     }
 
     #[test]
@@ -875,7 +978,7 @@ mod tests {
         for seed in 0..16 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut routers: Vec<GossipRouter> = (0..3).map(|_| GossipRouter::default()).collect();
-            let (id, _ttl, plan) = routers[0].originate(&cfg, at(0, 3), &mut rng);
+            let (id, _, plan) = routers[0].originate(&cfg, at(0, 3), &mut rng);
             let mut total = plan.eager().count();
             let mut frontier: Vec<(NodeId, u8, NodeId)> =
                 plan.eager().map(|t| (t, plan.ttl, NodeId(0))).collect();
@@ -902,19 +1005,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let cfg = lazy_cfg(4, 1, 6);
         let mut r = GossipRouter::default();
-        let (_id, _ttl, plan) = r.originate(&cfg, at(0, 10), &mut rng);
+        let (_id, _, plan) = r.originate(&cfg, at(0, 10), &mut rng);
         let (eager, lazy) = sides(&plan);
         assert_eq!(eager.len(), 4, "links start eager");
         assert!(lazy.is_empty());
         let pruned = eager[0];
         r.demote(pruned);
-        let (_id, _ttl, plan) = r.originate(&cfg, at(0, 10), &mut rng);
+        let (_id, _, plan) = r.originate(&cfg, at(0, 10), &mut rng);
         let (eager, lazy) = sides(&plan);
         assert_eq!(eager.len(), 3);
         assert_eq!(lazy, vec![pruned]);
         // Disjoint link sets, and the split is stable without randomness.
         assert!(eager.iter().all(|e| !lazy.contains(e)));
-        let (_id, _ttl, again) = r.originate(&cfg, at(0, 10), &mut rng);
+        let (_id, _, again) = r.originate(&cfg, at(0, 10), &mut rng);
         assert_eq!(sides(&again).1, vec![pruned]);
     }
 
@@ -929,7 +1032,7 @@ mod tests {
         r.demote(NodeId(2));
         // The split is persistent state, identical on every later rumor.
         for round in 0..8 {
-            let (_id, _ttl, plan) = r.originate(&cfg, at(0, 4), &mut rng);
+            let (_id, _, plan) = r.originate(&cfg, at(0, 4), &mut rng);
             let (eager, lazy) = sides(&plan);
             assert_eq!(eager, vec![NodeId(3)], "round {round}");
             assert_eq!(lazy.len(), 2);
@@ -945,7 +1048,7 @@ mod tests {
         for p in 1..4 {
             r.demote(NodeId(p));
         }
-        let (_id, _ttl, plan) = r.originate(&cfg, at(0, 4), &mut rng);
+        let (_id, _, plan) = r.originate(&cfg, at(0, 4), &mut rng);
         let (eager, lazy) = sides(&plan);
         assert_eq!(eager.len(), 2, "bodies must still move when every link is pruned");
         assert_eq!(lazy.len(), 1);
@@ -995,7 +1098,8 @@ mod tests {
         let mut relay = GossipRouter::default();
         let mut ids = Vec::new();
         for _ in 0..6 {
-            let (id, ttl, _) = origin.originate(&cfg, at(0, 8), &mut rng);
+            let (id, _, plan) = origin.originate(&cfg, at(0, 8), &mut rng);
+            let ttl = plan.ttl;
             let mut receive =
                 |rng: &mut StdRng| kind(relay.on_receive(&cfg, id, ttl, None, at(1, 8), rng));
             assert_eq!(receive(&mut rng), "relay");
@@ -1445,5 +1549,74 @@ mod tests {
             prop_assert!(s.bodies <= 2 * s.covered);
             prop_assert!(s.messages <= n * cfg.fanout + 2 * n);
         }
+
+        /// The ring at the core's cap (1,024) against the map + deque it
+        /// replaced, with more inserts than the cap.
+        #[test]
+        fn rumor_cache_matches_the_map_reference(
+            ops in prop::collection::vec((0u8..10, 0u32..100_000), 2_000..2_600),
+        ) {
+            ring_matches_map::<1024>(ops);
+        }
+
+        /// The same at a cap of 5, so the ring wraps many times and most
+        /// repeated ids are still held.
+        #[test]
+        fn small_rumor_cache_matches_the_map_reference(
+            ops in prop::collection::vec((0u8..10, 0u32..100_000), 1..120),
+        ) {
+            ring_matches_map::<5>(ops);
+        }
+    }
+
+    /// Drives a [`RumorCache`] and the map + deque reference through the
+    /// same `(op, pick)` steps: relays of distinct ids (`fresh`),
+    /// originates that repeat an issued id (held or already evicted), and
+    /// lookups of issued and unknown ids. Every lookup finds the same body
+    /// in both, both hold as many, and they evict in the same order.
+    fn ring_matches_map<const CAP: usize>(ops: Vec<(u8, u32)>) {
+        let mut ring = RumorCache::<std::sync::Arc<u32>, CAP>::default();
+        let mut map =
+            reference::MapCache { cap: CAP, cache: Default::default(), order: Default::default() };
+        let mut issued: Vec<RumorId> = Vec::new();
+        for (step, (op, pick)) in ops.into_iter().enumerate() {
+            let body = std::sync::Arc::new(pick);
+            match op {
+                // A relay: its router never saw the id.
+                0..=5 => {
+                    let next = issued.len() as u32;
+                    let id = RumorId { origin: NodeId(next % 7), seq: next };
+                    issued.push(id);
+                    ring.insert(id, body.clone(), true);
+                    map.insert(id, body);
+                }
+                // An originate reissuing an id after a restart.
+                6 if !issued.is_empty() => {
+                    let id = issued[pick as usize % issued.len()];
+                    ring.insert(id, body.clone(), false);
+                    map.insert(id, body);
+                }
+                _ => {
+                    let id = match issued.len() {
+                        0 => RumorId { origin: NodeId(0), seq: pick },
+                        n if op == 7 => RumorId { origin: NodeId(7), seq: n as u32 + pick },
+                        n => issued[pick as usize % n],
+                    };
+                    match (ring.get(id), map.cache.get(&id)) {
+                        (None, None) => {}
+                        (Some(got), Some(want)) => {
+                            assert!(std::sync::Arc::ptr_eq(got, want), "another body for {id:?}")
+                        }
+                        (got, want) => panic!("{id:?}: ring {got:?}, map {want:?}"),
+                    }
+                }
+            }
+            assert_eq!(ring.len(), map.cache.len());
+            if step % 64 == 0 {
+                assert!(ring.ids().eq(map.order.iter().copied()), "eviction order at {step}");
+            }
+        }
+        assert!(ring.ids().eq(map.order.iter().copied()));
+        assert!(ring.ring.capacity() <= CAP.next_power_of_two());
     }
 }

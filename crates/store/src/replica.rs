@@ -8,8 +8,7 @@
 //! too: it costs `O(writers)` when it drops nothing; otherwise it cuts the
 //! dropped updates out of the log's suffix in place and takes exactly those
 //! out of the vector and the digest, `O(writers + divergence)`, never a
-//! pass over the log. The wholesale [`Replica::reconcile_to`] always
-//! rebuilds.
+//! pass over the log.
 
 use idea_types::{IdeaError, ObjectId, Result, Update, WriterId};
 #[cfg(test)]
@@ -42,7 +41,7 @@ pub struct Replica {
     /// the applied log. Order-independent (two replicas holding the same
     /// update *set* hash identically regardless of delivery interleaving),
     /// maintained incrementally: XORed in on apply, XORed back out on
-    /// loser invalidation, recomputed in the pass reconcile already makes.
+    /// loser invalidation.
     hash: u64,
 }
 
@@ -176,25 +175,6 @@ impl Replica {
     #[cfg(test)]
     pub(crate) fn updates_missing_at(&self, peer: &ExtendedVersionVector) -> Vec<Update> {
         self.updates_beyond(peer.counters())
-    }
-
-    /// Replaces this replica's content with the reference state: applied
-    /// log and vector become exactly the reference's. Extra local updates
-    /// (not sanctioned by the reference) are returned so the caller can
-    /// surface them to the application (e.g. re-issue or discard).
-    pub fn reconcile_to(&mut self, reference_log: &[Update]) -> Vec<Update> {
-        let mut evv = ExtendedVersionVector::new();
-        let mut hash = 0u64;
-        for u in reference_log {
-            evv.record(u.writer(), u.seq(), u.at, u.meta_delta);
-            hash ^= idea_wal::hash::update_hash(u);
-        }
-        let extras = self.log.iter().filter(|u| evv.count(u.writer()) < u.seq()).cloned().collect();
-        self.log = reference_log.to_vec();
-        self.evv = evv;
-        self.hash = hash;
-        self.pending.clear();
-        extras
     }
 
     /// Updates this replica holds beyond the per-writer `counts`, in log
@@ -340,24 +320,6 @@ mod tests {
             b.apply(u).unwrap();
         }
         assert_eq!(b.version().count(WriterId(0)), 4);
-    }
-
-    #[test]
-    fn reconcile_adopts_reference_and_reports_extras() {
-        let mut reference = Replica::new(OBJ);
-        reference.apply(upd(0, 1, 1, 1)).unwrap();
-        reference.apply(upd(1, 1, 2, 2)).unwrap();
-
-        let mut r = Replica::new(OBJ);
-        r.apply(upd(0, 1, 1, 1)).unwrap();
-        r.apply(upd(2, 1, 3, 7)).unwrap(); // the extra the reference lacks
-
-        let extras = r.reconcile_to(reference.log());
-        assert_eq!(extras.len(), 1);
-        assert_eq!(extras[0].writer(), WriterId(2));
-        assert_eq!(r.log(), reference.log());
-        assert_eq!(r.meta(), reference.meta());
-        assert!(r.version().triple_against(reference.version()).is_zero());
     }
 
     #[test]
