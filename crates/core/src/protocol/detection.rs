@@ -809,6 +809,57 @@ mod tests {
         assert_eq!(ta.staleness, SimDuration::from_secs(2));
     }
 
+    /// A resolution's `Inform` can cut the initiator's replica between a
+    /// round's probe and its replies. The replies are deltas against the
+    /// probed counters, so the round must rebuild its reference over the
+    /// vector as it stood at round start, not over the cut replica: here
+    /// the cut drops writer 0's updates 2 and 3, and the writer re-issues
+    /// update 2 at a later time before any peer answers.
+    #[test]
+    fn a_cut_mid_round_does_not_leak_into_the_round() {
+        use super::super::tests::{hot_core, RecCtx, OBJ};
+        use idea_types::UpdatePayload;
+
+        let mut core = hot_core(crate::config::IdeaConfig::default());
+        let mut ctx = RecCtx::new();
+        let mut detection = Detection::default();
+        for s in 1..=3 {
+            core.store.write(OBJ, t(s), 1, UpdatePayload::none());
+        }
+        let at_start = core.store.replica(OBJ).unwrap().version().clone();
+        detection.request_round(&mut core, OBJ, &mut ctx);
+        let (round, probed) = ctx
+            .sent
+            .iter()
+            .find_map(|(_, m)| match m {
+                IdeaMsg::DetectRequest { round, summary, .. } => {
+                    Some((*round, summary.counters.clone()))
+                }
+                _ => None,
+            })
+            .expect("the round probes its peers");
+
+        core.store.drop_extras(OBJ, &VersionVector::from_pairs([(WriterId(0), 1)])).unwrap();
+        core.store.resume_writes_after(OBJ, 1);
+        core.store.write(OBJ, t(9), 1, UpdatePayload::none());
+
+        // Every peer holds the round-start vector plus one update of
+        // writer 3; node 3 is the reference.
+        let mut theirs = at_start.clone();
+        theirs.record(WriterId(3), 1, t(4), 5);
+        let delta = theirs.suffix_since(&probed);
+        for peer in [NodeId(1), NodeId(2), NodeId(3)] {
+            detection.on_reply(&mut core, peer, round, OBJ, delta.clone(), &mut ctx);
+        }
+
+        let live = core.store.replica(OBJ).unwrap().version();
+        let from_start = live.triple_against(&at_start.reconstruct(&delta));
+        let from_live = live.triple_against(&live.reconstruct(&delta));
+        assert_ne!(from_start, from_live, "the cut must change the rebuilt reference");
+        assert_eq!(core.obj(OBJ).unwrap().level, core.quant.level(&from_start));
+        assert_ne!(core.quant.level(&from_start), core.quant.level(&from_live));
+    }
+
     fn lvl(v: f64) -> ConsistencyLevel {
         ConsistencyLevel::new(v)
     }

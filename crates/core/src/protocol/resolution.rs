@@ -566,6 +566,59 @@ fn backoff_delay(ctx: &mut dyn Context<IdeaMsg>) -> SimDuration {
 mod tests {
     use super::DISPATCH_COST;
 
+    /// The resolution twin of detection's mid-round cut: members answer a
+    /// collect with deltas against the probed counters, so the initiator
+    /// rebuilds each answer over its vector as it stood when the probe
+    /// went out, even after an `Inform` cut its replica and the writer
+    /// re-issued the cut sequence number.
+    #[test]
+    fn a_cut_mid_round_does_not_leak_into_the_collect_probe() {
+        use super::super::tests::{hot_core, RecCtx, OBJ};
+        use super::{ResState, ResolutionDriver};
+        use crate::config::IdeaConfig;
+        use crate::messages::IdeaMsg;
+        use idea_types::{NodeId, SimTime, UpdatePayload, WriterId};
+        use idea_vv::VersionVector;
+
+        let t = SimTime::from_secs;
+        let cfg = IdeaConfig {
+            background_period: Some(super::SimDuration::from_secs(30)),
+            ..Default::default()
+        };
+        let mut core = hot_core(cfg);
+        let mut ctx = RecCtx::new();
+        let mut driver = ResolutionDriver::default();
+        for s in 1..=3 {
+            core.store.write(OBJ, t(s), 1, UpdatePayload::none());
+        }
+        let at_start = core.store.replica(OBJ).unwrap().version().clone();
+        driver.on_background_timer(&mut core, OBJ, &mut ctx);
+        let (rid, probed) = ctx
+            .sent
+            .iter()
+            .find_map(|(_, m)| match m {
+                IdeaMsg::CollectRequest { rid, probe, .. } => Some((*rid, probe.counters.clone())),
+                _ => None,
+            })
+            .expect("the round collects from its members");
+
+        core.store.drop_extras(OBJ, &VersionVector::from_pairs([(WriterId(0), 1)])).unwrap();
+        core.store.resume_writes_after(OBJ, 1);
+        core.store.write(OBJ, t(9), 1, UpdatePayload::none());
+
+        let mut theirs = at_start.clone();
+        theirs.record(WriterId(1), 1, t(4), 5);
+        let delta = theirs.suffix_since(&probed);
+        driver.on_collect_delta(&mut core, NodeId(1), rid, OBJ, delta.clone(), &mut ctx);
+
+        let ResState::Phase2 { collected, .. } = &driver.states[&OBJ].state else {
+            panic!("one of three members answered: the round is still collecting");
+        };
+        let live = core.store.replica(OBJ).unwrap().version();
+        assert_ne!(at_start.reconstruct(&delta), live.reconstruct(&delta));
+        assert_eq!(collected[..], [(NodeId(1), at_start.reconstruct(&delta))]);
+    }
+
     #[test]
     fn dispatch_cost_matches_table2_phase1() {
         // 3 members × 0.156 ms ≈ the paper's 0.468 ms phase-1 delay.

@@ -10,7 +10,7 @@ use crate::resolution::{ResolutionKind, ResolutionPolicy};
 use idea_net::{SimConfig, SimEngine, Topology};
 use idea_types::{ConsistencyLevel, NodeId, ObjectId, SimDuration, UpdatePayload};
 
-const OBJ: ObjectId = ObjectId(1);
+pub(super) const OBJ: ObjectId = ObjectId(1);
 
 fn cluster(n: usize, cfg: IdeaConfig, seed: u64) -> SimEngine<IdeaNode> {
     let nodes: Vec<IdeaNode> =
@@ -22,6 +22,59 @@ fn write(eng: &mut SimEngine<IdeaNode>, node: u32, delta: i64) {
     eng.with_node(NodeId(node), |p, ctx| {
         p.local_write(OBJ, delta, UpdatePayload::Opaque(bytes::Bytes::new()), ctx);
     });
+}
+
+/// A context that records every message a shard sends and ignores its
+/// timers, for driving one subsystem by hand (clock at `now`, two nodes).
+pub(super) struct RecCtx {
+    pub(super) sent: Vec<(NodeId, crate::messages::IdeaMsg)>,
+    pub(super) now: idea_types::SimTime,
+    rng: rand::rngs::mock::StepRng,
+}
+
+impl RecCtx {
+    pub(super) fn new() -> Self {
+        RecCtx {
+            sent: Vec::new(),
+            now: idea_types::SimTime::ZERO,
+            rng: rand::rngs::mock::StepRng::new(0, 1),
+        }
+    }
+}
+
+impl idea_net::Context<crate::messages::IdeaMsg> for RecCtx {
+    fn now(&self) -> idea_types::SimTime {
+        self.now
+    }
+    fn me(&self) -> NodeId {
+        NodeId(0)
+    }
+    fn node_count(&self) -> usize {
+        2
+    }
+    fn send(&mut self, to: NodeId, msg: crate::messages::IdeaMsg) {
+        self.sent.push((to, msg));
+    }
+    fn set_timer(&mut self, _delay: SimDuration, _kind: u64) -> idea_net::TimerId {
+        idea_net::TimerId(0)
+    }
+    fn cancel_timer(&mut self, _timer: idea_net::TimerId) {}
+    fn rng(&mut self) -> &mut dyn rand::RngCore {
+        &mut self.rng
+    }
+}
+
+/// Node 0's only shard core, hosting [`OBJ`], that has seen nodes 0–3
+/// write five updates each: its top layer is nodes 0–3, so its top peers
+/// are 1, 2 and 3, and it is the lowest-id member.
+pub(super) fn hot_core(cfg: IdeaConfig) -> NodeCore {
+    let hint = HintController::new(cfg.hint, cfg.hint_delta);
+    let shared = Arc::new(SharedCore::new(hint));
+    let mut core = NodeCore::new(NodeId(0), ShardId(0), cfg, [OBJ].into_iter(), shared);
+    let hot = VersionVector::from_pairs((0..4).map(|w| (idea_types::WriterId(w), 5)));
+    core.note_counters(OBJ, &hot, idea_types::SimTime::ZERO);
+    assert_eq!(core.top_peers(OBJ), [NodeId(1), NodeId(2), NodeId(3)]);
+    core
 }
 
 /// Warm up: every writer writes twice so the top layer forms.
