@@ -70,8 +70,9 @@ pub enum IdeaMsg {
         round: u64,
         /// Object being checked.
         object: ObjectId,
-        /// Compact summary of the initiator's extended version vector.
-        summary: VvSummary,
+        /// Compact summary of the initiator's extended version vector,
+        /// built once per round and shared by all of its requests.
+        summary: Arc<VvSummary>,
         /// Piggybacked lazy-gossip advertisements: the probed object's
         /// pending IHAVEs for this peer, if any (see `DigestGroup`).
         digests: Vec<DigestGroup>,
@@ -115,9 +116,10 @@ pub enum IdeaMsg {
         rid: u64,
         /// Object being resolved.
         object: ObjectId,
-        /// Compact summary of the initiator's own vector; the member
-        /// answers with an [`IdeaMsg::CollectDelta`] against it.
-        probe: VvSummary,
+        /// Compact summary of the initiator's own vector, built once per
+        /// round and shared by all of its requests; the member answers
+        /// with an [`IdeaMsg::CollectDelta`] against it.
+        probe: Arc<VvSummary>,
     },
     /// Member → initiator: the member's vector as suffixes beyond the
     /// request's probe. The initiator reconstructs the full vector
@@ -306,7 +308,7 @@ mod tests {
             IdeaMsg::DetectRequest {
                 round: 1,
                 object: ObjectId(0),
-                summary: evv.summary(8),
+                summary: Arc::new(evv.summary(8)),
                 digests: vec![],
             }
             .class(),
@@ -345,13 +347,13 @@ mod tests {
         let small = IdeaMsg::DetectRequest {
             round: 1,
             object: ObjectId(0),
-            summary: ExtendedVersionVector::new().summary(8),
+            summary: Arc::new(ExtendedVersionVector::new().summary(8)),
             digests: vec![],
         };
         let big = IdeaMsg::DetectRequest {
             round: 1,
             object: ObjectId(0),
-            summary: sample_evv().summary(8),
+            summary: Arc::new(sample_evv().summary(8)),
             digests: vec![],
         };
         assert!(big.wire_size() > small.wire_size());
@@ -396,7 +398,7 @@ mod tests {
         let probe = IdeaMsg::DetectRequest {
             round: 1,
             object: ObjectId(0),
-            summary: long.summary(8),
+            summary: Arc::new(long.summary(8)),
             digests: vec![],
         };
         // A full-history probe would weigh 16 + 12 + 8·500 ≈ 4 KB.
@@ -421,14 +423,14 @@ mod tests {
         let base = IdeaMsg::DetectRequest {
             round: 1,
             object: ObjectId(0),
-            summary: sample_evv().summary(8),
+            summary: Arc::new(sample_evv().summary(8)),
             digests: vec![],
         };
         let id = RumorId { origin: idea_types::NodeId(3), seq: 7 };
         let loaded = IdeaMsg::DetectRequest {
             round: 1,
             object: ObjectId(0),
-            summary: sample_evv().summary(8),
+            summary: Arc::new(sample_evv().summary(8)),
             digests: vec![DigestGroup { object: ObjectId(0), ids: vec![(id, 4), (id, 3)] }],
         };
         assert_eq!(loaded.wire_size(), base.wire_size() + 8 + 2 * DIGEST_ENTRY_BYTES);
@@ -438,7 +440,7 @@ mod tests {
         let batched = IdeaMsg::DetectRequest {
             round: 1,
             object: ObjectId(0),
-            summary: sample_evv().summary(8),
+            summary: Arc::new(sample_evv().summary(8)),
             digests: vec![
                 DigestGroup { object: ObjectId(0), ids: vec![(id, 4), (id, 3)] },
                 DigestGroup { object: ObjectId(9), ids: vec![(id, 2)] },
@@ -476,7 +478,8 @@ mod tests {
             probe_state.record(WriterId(0), s, SimTime::from_secs(s), 1);
         }
         let probe = probe_state.summary(8);
-        let request = IdeaMsg::CollectRequest { rid: 1, object: ObjectId(0), probe: probe.clone() };
+        let request =
+            IdeaMsg::CollectRequest { rid: 1, object: ObjectId(0), probe: Arc::new(probe.clone()) };
         assert_eq!(request.wire_size(), 24 + probe.wire_bytes());
         assert!(request.wire_size() < 200, "got {}", request.wire_size());
 

@@ -45,51 +45,90 @@ const SWEEP_EPSILON: f64 = 0.03;
 /// backup advertiser; comfortably above one WAN round-trip.
 const GOSSIP_PULL_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 
+/// Finished rounds a shard keeps for reuse: a new round rebuilds its
+/// snapshot, probe and reference into a finished round's buffers instead
+/// of allocating its own. More than one only when rounds on several objects
+/// overlap.
+const SPARE_ROUNDS: usize = 4;
+
 /// An in-flight top-layer round at its initiator.
 ///
 /// The *reference consistent state* is, per §4.4.1, "the replica with
 /// higher ID value": among the initiator and its repliers, the one held by
 /// the largest [`NodeId`] wins. A round keeps only what its one reader
-/// needs: who has answered, and the vector of the highest-id replier above
-/// the initiator so far.
+/// needs: who has yet to answer, and the vector of the highest-id replier
+/// above the initiator so far.
 struct DetectRound {
     me: NodeId,
     /// Correlation id carried by request/reply messages.
     round_id: u64,
     /// The initiator's vector as probed: peers answer with suffix deltas
     /// relative to its counters, so this snapshot is what reconstructs
-    /// their full vectors (the replica may advance mid-round).
+    /// their full vectors (the replica may advance, or be cut, mid-round).
     baseline: ExtendedVersionVector,
-    expected: Vec<NodeId>,
-    answered: Vec<NodeId>,
-    /// The highest-id replier above `me` so far, with its full vector.
-    reference: Option<(NodeId, ExtendedVersionVector)>,
+    /// The probe every request of the round carries: one summary, shared.
+    summary: Arc<VvSummary>,
+    /// Peers probed that have not answered yet, in id order.
+    awaiting: Vec<NodeId>,
+    /// The highest-id replier above `me` so far; its vector is `rebuilt`.
+    reference: Option<NodeId>,
+    /// The reference's full vector, rebuilt from its delta over `baseline`
+    /// (meaningless while `reference` is `None`).
+    rebuilt: ExtendedVersionVector,
 }
 
 impl DetectRound {
+    /// A round expecting a reply from each of `peers`.
     fn start(me: NodeId, round_id: u64, peers: &[NodeId], baseline: ExtendedVersionVector) -> Self {
-        let answered = Vec::with_capacity(peers.len());
-        DetectRound { me, round_id, baseline, expected: peers.to_vec(), answered, reference: None }
+        DetectRound {
+            me,
+            round_id,
+            baseline,
+            summary: Arc::default(),
+            awaiting: peers.to_vec(),
+            reference: None,
+            rebuilt: ExtendedVersionVector::new(),
+        }
+    }
+
+    /// Turns a finished round into a new one probing `peers` with a
+    /// snapshot of `mine`, reusing the old round's buffers (its summary's
+    /// too, once no request of the old round holds it any more).
+    fn restart(
+        &mut self,
+        me: NodeId,
+        round_id: u64,
+        peers: Vec<NodeId>,
+        mine: &ExtendedVersionVector,
+        summary_tail: usize,
+    ) {
+        (self.me, self.round_id, self.awaiting, self.reference) = (me, round_id, peers, None);
+        self.baseline.clone_from(mine);
+        match Arc::get_mut(&mut self.summary) {
+            Some(summary) => self.baseline.summary_into(summary_tail, summary),
+            None => self.summary = Arc::new(self.baseline.summary(summary_tail)),
+        }
     }
 
     /// Records a reply. A duplicate or a stranger's reply is ignored; only
     /// a new reference is rebuilt from its delta. Returns `true` when every
     /// expected peer has answered.
     fn on_reply(&mut self, from: NodeId, delta: &VvDelta) -> bool {
-        if self.expected.contains(&from) && !self.answered.contains(&from) {
-            self.answered.push(from);
-            if from > self.reference.as_ref().map_or(self.me, |(n, _)| *n) {
-                self.reference = Some((from, self.baseline.reconstruct(delta)));
+        if let Some(i) = self.awaiting.iter().position(|&p| p == from) {
+            self.awaiting.remove(i);
+            if from > self.reference.unwrap_or(self.me) {
+                self.baseline.reconstruct_into(delta, &mut self.rebuilt);
+                self.reference = Some(from);
             }
         }
-        self.answered.len() == self.expected.len()
+        self.awaiting.is_empty()
     }
 
     /// Settles the round (all replies in, or the deadline passed): the
     /// initiator's vector `mine` against the reference, which is `mine`
     /// itself when no higher id answered.
-    fn complete(self, mine: &ExtendedVersionVector) -> ErrorTriple {
-        let reference = self.reference.as_ref().map_or(mine, |(_, evv)| evv);
+    fn complete(&self, mine: &ExtendedVersionVector) -> ErrorTriple {
+        let reference = if self.reference.is_some() { &self.rebuilt } else { mine };
         mine.triple_against(reference)
     }
 }
@@ -174,6 +213,9 @@ pub(crate) struct Detection {
     sweep_tickets: FastMap<u64, (ObjectId, u64)>,
     /// Pull-retry ticket → (object, rumor id), for `K_PULL` timers.
     pull_tickets: FastMap<u64, (ObjectId, RumorId)>,
+    /// Finished rounds whose buffers the next rounds reuse (at most
+    /// [`SPARE_ROUNDS`]).
+    spare: Vec<DetectRound>,
     /// Advertised-but-missing bodies of every object of the shard, with
     /// their pull state. One table per shard rather than one per object:
     /// few objects have a pull pending at once, and a drained table keeps
@@ -209,29 +251,35 @@ impl Detection {
         if self.states.get(&object).is_some_and(|st| st.round.is_some()) {
             return; // one round in flight per object
         }
-        let evv = match core.store.replica(object) {
-            Ok(r) => r.version().clone(),
-            Err(_) => return,
-        };
+        if core.store.replica(object).is_err() {
+            return;
+        }
         let peers = core.top_peers(object);
         if peers.is_empty() {
             return;
         }
         let rid = core.fresh_id();
-        let summary = evv.summary(core.cfg.summary_tail);
-        let st = self.state(object);
-        st.round = Some(DetectRound::start(core.me, rid, &peers, evv));
-        st.timer = Some(ctx.set_timer(DETECT_DEADLINE, pack(K_DETECT, core.shard, rid)));
+        // The round's baseline: replies are deltas against the probed
+        // counters, so they are rebuilt over the vector as it stands now,
+        // however the replica moves before they arrive.
+        let mine = core.store.replica(object).expect("checked above").version();
+        let mut round = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| DetectRound::start(core.me, rid, &[], ExtendedVersionVector::new()));
+        round.restart(core.me, rid, peers, mine, core.cfg.summary_tail);
+        let timer = ctx.set_timer(DETECT_DEADLINE, pack(K_DETECT, core.shard, rid));
         self.round_objects.insert(rid, object);
-        for p in peers {
+        for &p in &round.awaiting {
             // The probed object's pending lazy-gossip advertisements for
             // this peer hitch a ride (zero wire bytes when none are queued).
             let digests = batched_digests(core, object, p);
-            ctx.send(
-                p,
-                IdeaMsg::DetectRequest { round: rid, object, summary: summary.clone(), digests },
-            );
+            let summary = Arc::clone(&round.summary);
+            ctx.send(p, IdeaMsg::DetectRequest { round: rid, object, summary, digests });
         }
+        let st = self.state(object);
+        st.round = Some(round);
+        st.timer = Some(timer);
     }
 
     /// A peer probes us: reply with our suffixes beyond its counters, then
@@ -244,7 +292,7 @@ impl Detection {
         from: NodeId,
         round: u64,
         object: ObjectId,
-        summary: VvSummary,
+        summary: Arc<VvSummary>,
         ctx: &mut dyn Context<IdeaMsg>,
     ) -> Trigger {
         let me = core.me;
@@ -326,7 +374,6 @@ impl Detection {
         object: ObjectId,
         ctx: &mut dyn Context<IdeaMsg>,
     ) -> Trigger {
-        let mine = core.store.replica(object).expect("opened").version().clone();
         let st = self.state(object);
         let Some(round) = st.round.take() else {
             return Trigger::None;
@@ -334,11 +381,14 @@ impl Detection {
         if let Some(t) = st.timer.take() {
             ctx.cancel_timer(t);
         }
-        self.round_objects.remove(&round.round_id);
-        let st = self.state(object);
         st.completed += 1;
         let rounds = st.completed;
-        let level = core.quant.level(&round.complete(&mine));
+        self.round_objects.remove(&round.round_id);
+        let mine = core.store.replica(object).expect("opened").version();
+        let level = core.quant.level(&round.complete(mine));
+        if self.spare.len() < SPARE_ROUNDS {
+            self.spare.push(round);
+        }
         core.obj_mut(object).level = level;
         // Bottom-layer double-check every sweep_every-th round (§4.4.2).
         if let Some(k) = core.cfg.sweep_every {
@@ -604,9 +654,8 @@ impl Detection {
             return;
         };
         shared.lazy.flush_armed = false;
-        for (peer, ids) in core.outbox.drain(object) {
-            ctx.send(peer, IdeaMsg::GossipDigest { object, ids });
-        }
+        core.outbox
+            .drain(object, |peer, ids| ctx.send(peer, IdeaMsg::GossipDigest { object, ids }));
     }
 
     /// A bottom node reported divergence against one of our sweeps.
@@ -698,7 +747,7 @@ mod tests {
         assert!(!reply(&mut round, NodeId(1), &evv(&[])));
         assert!(!reply(&mut round, NodeId(1), &evv(&[]))); // duplicate ignored
         assert!(!reply(&mut round, NodeId(9), &evv(&[]))); // stranger ignored
-        assert_eq!(round.answered, vec![NodeId(1)]);
+        assert_eq!(round.awaiting, [NodeId(2), NodeId(3)]);
         assert!(!reply(&mut round, NodeId(2), &evv(&[])));
         assert!(reply(&mut round, NodeId(3), &evv(&[])));
     }
@@ -711,7 +760,7 @@ mod tests {
         reply(&mut round, NodeId(5), &five);
         reply(&mut round, NodeId(2), &mine);
         // Node 5 is the reference, not the later, lower replier.
-        assert_eq!(round.reference.as_ref().map(|(n, _)| *n), Some(NodeId(5)));
+        assert_eq!(round.reference, Some(NodeId(5)));
         let triple = round.complete(&mine);
         assert!(!triple.is_zero());
         assert_eq!(triple, mine.triple_against(&five));
@@ -742,10 +791,10 @@ mod tests {
         assert!(!reply(&mut round, NodeId(3), &mine));
         assert!(!reply(&mut round, NodeId(3), &mine));
         assert!(!reply(&mut round, NodeId(3), &evv(&[(1, 1, 2, 9)])));
-        assert_eq!(round.answered, vec![NodeId(3)]);
+        assert_eq!(round.awaiting, [NodeId(1), NodeId(2)]);
         assert!(!reply(&mut round, NodeId(2), &evv(&[])));
         assert!(reply(&mut round, NodeId(1), &evv(&[])));
-        assert_eq!(round.answered.len(), 3, "a duplicate counted twice");
+        assert!(round.awaiting.is_empty(), "a duplicate counted twice");
         assert!(round.complete(&mine).is_zero(), "a duplicate replaced the first answer");
     }
 
@@ -773,8 +822,8 @@ mod tests {
             DetectRound::start(NodeId(0), 4, &[NodeId(1), NodeId(2), NodeId(3)], mine.clone());
         assert!(!reply(&mut round, NodeId(1), &mine));
         assert!(!reply(&mut round, NodeId(3), &three));
-        assert_eq!(round.answered, vec![NodeId(1), NodeId(3)]);
-        assert_eq!(round.reference.as_ref().map(|(n, _)| *n), Some(NodeId(3)));
+        assert_eq!(round.awaiting, [NodeId(2)]);
+        assert_eq!(round.reference, Some(NodeId(3)));
         let triple = round.complete(&mine);
         assert_eq!(triple, mine.triple_against(&three));
         assert_eq!(triple.order, 1.0);

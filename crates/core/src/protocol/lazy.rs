@@ -100,11 +100,11 @@ impl LazyPlane {
             ctx.send(t, IdeaMsg::SweepRumor { id, ttl: plan.ttl, object, counters });
         }
         self.cache.insert(id, Arc::clone(counters), fresh);
-        let queued = outbox.0.len();
+        let queued = outbox.queued.len();
         for p in plan.lazy() {
             outbox.enqueue(object, p, id, plan.ttl);
         }
-        if outbox.0.len() > queued && !self.flush_armed {
+        if outbox.queued.len() > queued && !self.flush_armed {
             self.flush_armed = true;
             // The timer comes back to the shard that owns the object.
             let shard = ShardId::of(object, cfg.store_shards);
@@ -119,21 +119,28 @@ impl LazyPlane {
 /// vector for the whole shard: a node has a handful of advertisements
 /// pending at any moment across all its objects, so a list per object
 /// would hold nothing, or a spare buffer, in almost every slot. Drains keep
-/// the vector's capacity, so queueing on a warm shard allocates nothing.
+/// the vector's capacity, and a flush sorts in a scratch buffer the outbox
+/// also keeps, so queueing and flushing on a warm shard allocate only the
+/// id lists that go on the wire.
 #[derive(Default)]
-pub(crate) struct Outbox(Vec<(ObjectId, NodeId, RumorId, u8)>);
+pub(crate) struct Outbox {
+    queued: Vec<(ObjectId, NodeId, RumorId, u8)>,
+    /// A flush's advertisements with their queue positions, sorted by
+    /// peer; empty between flushes.
+    scratch: Vec<(NodeId, u32, RumorId, u8)>,
+}
 
 impl Outbox {
     /// Queues an advertisement of `id` (about `object`) towards `peer`.
     pub(crate) fn enqueue(&mut self, object: ObjectId, peer: NodeId, id: RumorId, ttl: u8) {
-        self.0.push((object, peer, id, ttl));
+        self.queued.push((object, peer, id, ttl));
     }
 
     /// Drains the advertisements about `object` queued for `peer`, in
     /// queue order (for piggybacking on a detect message headed there).
     pub(crate) fn take(&mut self, object: ObjectId, peer: NodeId) -> Vec<(RumorId, u8)> {
         let mut ids = Vec::new();
-        self.0.retain(|&(o, p, id, ttl)| {
+        self.queued.retain(|&(o, p, id, ttl)| {
             let keep = (o, p) != (object, peer);
             if !keep {
                 ids.push((id, ttl));
@@ -143,23 +150,30 @@ impl Outbox {
         ids
     }
 
-    /// Drains every advertisement about `object` (for its flush timer):
-    /// each peer with its advertisements in queue order, peers ascending.
-    pub(crate) fn drain(&mut self, object: ObjectId) -> Vec<(NodeId, Vec<(RumorId, u8)>)> {
-        let mut queued = Vec::new();
-        self.0.retain(|&(o, p, id, ttl)| {
+    /// Drains every advertisement about `object` (for its flush timer),
+    /// handing `send` each peer with its advertisements in queue order,
+    /// peers ascending. Each list is allocated at its exact size; nothing
+    /// else is.
+    pub(crate) fn drain(
+        &mut self,
+        object: ObjectId,
+        mut send: impl FnMut(NodeId, Vec<(RumorId, u8)>),
+    ) {
+        let scratch = &mut self.scratch;
+        self.queued.retain(|&(o, p, id, ttl)| {
             let keep = o != object;
             if !keep {
-                queued.push((p, id, ttl));
+                scratch.push((p, scratch.len() as u32, id, ttl));
             }
             keep
         });
-        // A stable sort keeps each peer's advertisements in queue order.
-        queued.sort_by_key(|&(peer, ..)| peer);
-        queued
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(|run| (run[0].0, run.iter().map(|&(_, id, ttl)| (id, ttl)).collect()))
-            .collect()
+        // Queue positions are unique, so the unstable (allocation-free)
+        // sort leaves each peer's advertisements in queue order.
+        scratch.sort_unstable_by_key(|&(peer, at, ..)| (peer, at));
+        for run in scratch.chunk_by(|a, b| a.0 == b.0) {
+            send(run[0].0, run.iter().map(|&(_, _, id, ttl)| (id, ttl)).collect());
+        }
+        scratch.clear();
     }
 }
 
@@ -188,12 +202,22 @@ mod tests {
         }
     }
 
+    /// Everything a flush of `object` hands its sender, in call order.
+    fn drained(outbox: &mut Outbox, object: ObjectId) -> Vec<(NodeId, Vec<(RumorId, u8)>)> {
+        let mut sent = Vec::new();
+        outbox.drain(object, |peer, ids| {
+            assert_eq!(ids.capacity(), ids.len(), "each list is exactly sized");
+            sent.push((peer, ids));
+        });
+        sent
+    }
+
     proptest! {
         /// The shard's flat outbox against one per-peer map per object,
         /// over random queues, piggyback takes and flushes on three
         /// objects: every take hands out the same ids in the same order,
         /// every flush the same peers in the same order with the same ids,
-        /// and draining keeps the shard's buffer.
+        /// and draining keeps the shard's buffer and its sorting scratch.
         #[test]
         fn flat_outbox_matches_the_map_reference(
             ops in prop::collection::vec((0u8..6, 0u64..3, 0u32..5, 0u32..40), 0..160),
@@ -211,19 +235,21 @@ mod tests {
                     }
                     4 => prop_assert_eq!(flat.take(object, peer), map.take_outbox(peer)),
                     _ => {
-                        let held = flat.0.capacity();
+                        let held = (flat.queued.capacity(), flat.scratch.capacity());
                         let want: Vec<_> = map.drain_outbox().into_iter().collect();
-                        prop_assert_eq!(flat.drain(object), want);
-                        prop_assert!(flat.0.iter().all(|e| e.0 != object));
-                        prop_assert_eq!(flat.0.capacity(), held);
+                        prop_assert_eq!(drained(&mut flat, object), want);
+                        prop_assert!(flat.queued.iter().all(|e| e.0 != object));
+                        prop_assert!(flat.scratch.is_empty());
+                        prop_assert_eq!(flat.queued.capacity(), held.0);
+                        prop_assert!(flat.scratch.capacity() >= held.1, "the scratch is kept");
                     }
                 }
             }
             for (object, map) in maps.iter_mut().enumerate() {
                 let want: Vec<_> = map.drain_outbox().into_iter().collect();
-                prop_assert_eq!(flat.drain(ObjectId(object as u64)), want);
+                prop_assert_eq!(drained(&mut flat, ObjectId(object as u64)), want);
             }
-            prop_assert!(flat.0.is_empty());
+            prop_assert!(flat.queued.is_empty());
         }
     }
 

@@ -313,8 +313,10 @@ impl NodeCore {
         self.objs.get_mut(object).expect("object state")
     }
 
-    /// Top-layer peers of this node for `object` (members minus itself);
-    /// panics when the object was never opened.
+    /// Top-layer peers of this node for `object` (members minus itself), in
+    /// id order; panics when the object was never opened. Every caller
+    /// keeps the list for its round, so it is built once and moved into
+    /// the round rather than copied.
     pub fn top_peers(&self, object: ObjectId) -> Vec<NodeId> {
         let layer = &self.obj(object).expect("object state").layer;
         layer.top_peers(&self.cfg.top_layer, self.me)

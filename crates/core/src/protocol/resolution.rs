@@ -23,6 +23,7 @@ use idea_types::{ConsistencyLevel, NodeId, ObjectId, SimDuration, SimTime};
 use idea_vv::VersionVector;
 use rand::Rng;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Per-message dispatch cost charged to the initiator when fanning out
 /// call-for-attention and inform messages. Models the paper's measured
@@ -41,12 +42,12 @@ const BACKOFF_MAX: SimDuration = SimDuration::from_millis(400);
 const _: () = assert!(BACKOFF_MIN.as_micros() < BACKOFF_MAX.as_micros(), "empty back-off window");
 
 /// The initiator's own vector snapshot taken at phase-2 entry: the
-/// `summary` rides every collect request of the round and the full
-/// `baseline` losslessly reconstructs each member's [`idea_vv::VvDelta`]
-/// answer.
+/// `summary`, built once, is shared by every collect request of the round,
+/// and the full `baseline` losslessly reconstructs each member's
+/// [`idea_vv::VvDelta`] answer however the replica moves meanwhile.
 #[derive(Debug, Clone)]
 pub(super) struct CollectProbe {
-    pub(crate) summary: idea_vv::VvSummary,
+    pub(crate) summary: Arc<idea_vv::VvSummary>,
     pub(crate) baseline: idea_vv::ExtendedVersionVector,
 }
 
@@ -124,7 +125,7 @@ pub(crate) struct ResolutionDriver {
 /// pure overhead on every collect request.
 fn make_probe(core: &mut NodeCore, object: ObjectId) -> Box<CollectProbe> {
     let baseline = core.open(object).version().clone();
-    Box::new(CollectProbe { summary: baseline.summary(0), baseline })
+    Box::new(CollectProbe { summary: Arc::new(baseline.summary(0)), baseline })
 }
 
 impl ResolutionDriver {
@@ -164,11 +165,11 @@ impl ResolutionDriver {
         }
         let rid = core.fresh_id();
         let dispatch = DISPATCH_COST.saturating_mul(members.len() as u64);
-        self.state(object).state =
-            ResState::Phase1 { rid, awaiting: members.clone(), started: ctx.now(), dispatch };
-        for m in members {
+        for &m in &members {
             ctx.send(m, IdeaMsg::CallForAttention { rid, object });
         }
+        let started = ctx.now();
+        self.state(object).state = ResState::Phase1 { rid, awaiting: members, started, dispatch };
     }
 
     /// Member side of phase 1: grant or refuse attention. Contending
@@ -261,7 +262,7 @@ impl ResolutionDriver {
             st.state = ResState::Phase2 {
                 rid,
                 kind: ResolutionKind::Active,
-                members: members.clone(),
+                members,
                 collected: Vec::new(),
                 next: 0,
                 started,
@@ -303,7 +304,7 @@ impl ResolutionDriver {
         self.state(object).state = ResState::Phase2 {
             rid,
             kind: ResolutionKind::Background,
-            members: peers.clone(),
+            members: peers,
             collected: Vec::new(),
             next: 0,
             started: now,
@@ -325,7 +326,7 @@ impl ResolutionDriver {
         from: NodeId,
         rid: u64,
         object: ObjectId,
-        probe: idea_vv::VvSummary,
+        probe: Arc<idea_vv::VvSummary>,
         ctx: &mut dyn Context<IdeaMsg>,
     ) {
         let evv = core.open(object).version();
@@ -371,7 +372,6 @@ impl ResolutionDriver {
     }
 
     fn finish(&mut self, core: &mut NodeCore, object: ObjectId, ctx: &mut dyn Context<IdeaMsg>) {
-        let mine = core.store.replica(object).expect("opened").version().clone();
         let st = self.state(object);
         let (rid, kind, members, collected, started, phase2_started, p1d, p1a) =
             match std::mem::take(&mut st.state) {
@@ -401,10 +401,12 @@ impl ResolutionDriver {
                 }
             };
 
-        let mut candidates = collected;
-        candidates.push((core.me, mine));
+        // The members' rebuilt vectors, then this node's own, borrowed.
+        let mine = core.store.replica(object).expect("opened").version();
+        let candidates: Vec<(NodeId, &idea_vv::ExtendedVersionVector)> =
+            collected.iter().map(|(n, evv)| (*n, evv)).chain([(core.me, mine)]).collect();
         let any_conflict = {
-            let (_, first) = &candidates[0];
+            let (_, first) = candidates[0];
             candidates
                 .iter()
                 .any(|(_, evv)| !matches!(evv.compare(first), idea_vv::VvOrdering::Equal))
@@ -510,17 +512,17 @@ fn send_collects(
     rid: u64,
     members: &[NodeId],
     from_index: usize,
-    probe: &idea_vv::VvSummary,
+    probe: &Arc<idea_vv::VvSummary>,
     ctx: &mut dyn Context<IdeaMsg>,
 ) {
     if core.cfg.parallel_phase2 {
         if from_index == 0 {
             for &m in members {
-                ctx.send(m, IdeaMsg::CollectRequest { rid, object, probe: probe.clone() });
+                ctx.send(m, IdeaMsg::CollectRequest { rid, object, probe: Arc::clone(probe) });
             }
         }
     } else if let Some(&m) = members.get(from_index) {
-        ctx.send(m, IdeaMsg::CollectRequest { rid, object, probe: probe.clone() });
+        ctx.send(m, IdeaMsg::CollectRequest { rid, object, probe: Arc::clone(probe) });
     }
 }
 

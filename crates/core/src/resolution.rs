@@ -14,6 +14,7 @@
 use idea_types::{NodeId, SimDuration, SimTime, WriterId};
 use idea_vv::{ExtendedVersionVector, VersionVector};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Conflict-resolution policies of §4.5.1.
@@ -136,9 +137,9 @@ impl ReferenceWire {
 /// # Panics
 /// Panics if `candidates` is empty — a resolution round always includes at
 /// least the initiator's own replica.
-pub(crate) fn choose_reference(
+pub(crate) fn choose_reference<V: Borrow<ExtendedVersionVector>>(
     policy: ResolutionPolicy,
-    candidates: &[(NodeId, ExtendedVersionVector)],
+    candidates: &[(NodeId, V)],
     priorities: &BTreeMap<NodeId, u8>,
 ) -> ReferenceState {
     assert!(!candidates.is_empty(), "resolution requires at least one replica");
@@ -147,7 +148,7 @@ pub(crate) fn choose_reference(
             // Common prefix: component-wise minimum over all candidates.
             let mut counts: Option<BTreeMap<idea_types::WriterId, u64>> = None;
             for (_, evv) in candidates {
-                let these: BTreeMap<_, _> = evv.counters().iter().collect();
+                let these: BTreeMap<_, _> = evv.borrow().counters().iter().collect();
                 counts = Some(match counts {
                     None => these,
                     Some(acc) => acc
@@ -162,14 +163,14 @@ pub(crate) fn choose_reference(
         ResolutionPolicy::HighestIdWins => {
             let (node, evv) =
                 candidates.iter().max_by_key(|(n, _)| *n).expect("non-empty candidates");
-            ReferenceState { winner: Some(*node), counts: evv.counters().clone() }
+            ReferenceState { winner: Some(*node), counts: evv.borrow().counters().clone() }
         }
         ResolutionPolicy::PriorityWins => {
             let (node, evv) = candidates
                 .iter()
                 .max_by_key(|(n, _)| (priorities.get(n).copied().unwrap_or(0), *n))
                 .expect("non-empty candidates");
-            ReferenceState { winner: Some(*node), counts: evv.counters().clone() }
+            ReferenceState { winner: Some(*node), counts: evv.borrow().counters().clone() }
         }
     }
 }
@@ -299,7 +300,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one replica")]
     fn empty_candidates_panic() {
-        let _ = choose_reference(ResolutionPolicy::HighestIdWins, &[], &BTreeMap::new());
+        let none: &[(NodeId, ExtendedVersionVector)] = &[];
+        let _ = choose_reference(ResolutionPolicy::HighestIdWins, none, &BTreeMap::new());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use idea_types::{
     ConsistencyLevel, NodeId, ObjectId, SimDuration, SimTime, Update, UpdateId, UpdatePayload,
     WireError, WriterId,
 };
-use idea_vv::{VersionVector, VvDelta, VvSummary, WriterSuffix};
+use idea_vv::{Suffixes, VersionVector, VvDelta, VvSummary};
 use proptest::prelude::*;
 
 // ====================================================================
@@ -216,19 +216,17 @@ fn arb_vv() -> impl Strategy<Value = VersionVector> {
         .prop_map(|m| VersionVector::from_pairs(m.into_iter().map(|(w, c)| (WriterId(w), c))))
 }
 
-fn arb_suffixes() -> impl Strategy<Value = Vec<WriterSuffix>> {
+fn arb_suffixes() -> impl Strategy<Value = Suffixes> {
     prop::collection::vec(
         (0u32..16, 1u64..100, prop::collection::vec(0u64..600_000_000, 0..5)),
         0..4,
     )
     .prop_map(|v| {
-        v.into_iter()
-            .map(|(w, start_seq, times)| WriterSuffix {
-                writer: WriterId(w),
-                start_seq,
-                times: times.into_iter().map(SimTime).collect(),
-            })
-            .collect()
+        let mut suffixes = Suffixes::new();
+        for (w, start_seq, times) in v {
+            suffixes.push(WriterId(w), start_seq, times.into_iter().map(SimTime));
+        }
+        suffixes
     })
 }
 

@@ -41,10 +41,21 @@ pub enum VvOrdering {
 ///
 /// Writers absent from the vector implicitly have counter 0, so vectors over
 /// different writer sets compare correctly.
-#[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct VersionVector {
     /// `(writer, count)` pairs, strictly ascending by writer, no zero count.
     counters: Vec<(WriterId, u64)>,
+}
+
+impl Clone for VersionVector {
+    fn clone(&self) -> Self {
+        VersionVector { counters: self.counters.clone() }
+    }
+
+    /// Reuses `self`'s buffer when it is large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.counters.clone_from(&source.counters);
+    }
 }
 
 /// Two sorted counter runs walked in lock-step: every writer either run
@@ -114,7 +125,7 @@ impl VersionVector {
 
     /// Index of `writer`'s entry, or where it would be inserted.
     #[inline]
-    fn position(&self, writer: WriterId) -> Result<usize, usize> {
+    pub(crate) fn position(&self, writer: WriterId) -> Result<usize, usize> {
         self.counters.binary_search_by_key(&writer, |&(w, _)| w)
     }
 
@@ -151,6 +162,12 @@ impl VersionVector {
             (Err(_), 0) => {}
             (Err(i), _) => self.counters.insert(i, (writer, count)),
         }
+    }
+
+    /// The `(writer, count)` pairs, ascending by writer.
+    #[inline]
+    pub(crate) fn pairs(&self) -> &[(WriterId, u64)] {
+        &self.counters
     }
 
     /// Total updates across all writers.

@@ -3,8 +3,8 @@
 //! [`VvSummary`]/[`VvDelta`] wire forms.
 
 use crate::classic::VersionVector;
-use crate::wire::{VvDelta, VvSummary, WriterSuffix};
-use idea_types::codec::{decode_len, Codec, CodecError, Reader};
+use crate::wire::{Suffixes, VvDelta, VvSummary};
+use idea_types::codec::{decode_len, encode_seq, Codec, CodecError, Reader};
 use idea_types::{SimTime, WriterId};
 
 /// A version vector is a run of `(writer, counter)` pairs, strictly
@@ -39,18 +39,32 @@ impl Codec for VersionVector {
     }
 }
 
-impl Codec for WriterSuffix {
+/// A run list encodes as it did when each run was its own
+/// `(writer, start_seq, Vec<SimTime>)` struct in a `Vec`: the run count,
+/// then per run its writer, first sequence number and counted timestamps.
+impl Codec for Suffixes {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.writer.encode(out);
-        self.start_seq.encode(out);
-        self.times.encode(out);
+        self.len().encode(out);
+        for run in self.iter() {
+            run.writer.encode(out);
+            run.start_seq.encode(out);
+            encode_seq(run.times.iter(), out);
+        }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(WriterSuffix {
-            writer: WriterId::decode(r)?,
-            start_seq: u64::decode(r)?,
-            times: Vec::<SimTime>::decode(r)?,
-        })
+        let runs = decode_len(r)?;
+        let mut out = Suffixes::with_capacity(runs.min(1024), 0);
+        for _ in 0..runs {
+            let writer = WriterId::decode(r)?;
+            let start_seq = u64::decode(r)?;
+            let n = decode_len(r)?;
+            let mut times = Vec::with_capacity(n.min(1024));
+            for _ in 0..n {
+                times.push(SimTime::decode(r)?);
+            }
+            out.push(writer, start_seq, times);
+        }
+        Ok(out)
     }
 }
 
@@ -66,7 +80,7 @@ impl Codec for VvSummary {
             counters: VersionVector::decode(r)?,
             meta: i64::decode(r)?,
             latest: Option::<SimTime>::decode(r)?,
-            tail: Vec::<WriterSuffix>::decode(r)?,
+            tail: Suffixes::decode(r)?,
         })
     }
 }
@@ -83,7 +97,7 @@ impl Codec for VvDelta {
             counters: VersionVector::decode(r)?,
             meta: i64::decode(r)?,
             latest: Option::<SimTime>::decode(r)?,
-            suffixes: Vec::<WriterSuffix>::decode(r)?,
+            suffixes: Suffixes::decode(r)?,
         })
     }
 }
@@ -99,6 +113,12 @@ mod tests {
         assert_eq!(VersionVector::from_bytes(&VersionVector::new().to_bytes()).unwrap().total(), 0);
     }
 
+    fn suffixes(writer: WriterId, start_seq: u64, times: &[SimTime]) -> Suffixes {
+        let mut s = Suffixes::new();
+        s.push(writer, start_seq, times.iter().copied());
+        s
+    }
+
     #[test]
     fn resolution_vector_forms_round_trip() {
         let vv = VersionVector::from_pairs([(WriterId(1), 4), (WriterId(9), 2)]);
@@ -108,11 +128,7 @@ mod tests {
             counters: vv.clone(),
             meta: -7,
             latest: Some(SimTime::from_micros(42)),
-            tail: vec![WriterSuffix {
-                writer: WriterId(9),
-                start_seq: 1,
-                times: vec![SimTime::from_micros(40), SimTime::from_micros(42)],
-            }],
+            tail: suffixes(WriterId(9), 1, &[SimTime::from_micros(40), SimTime::from_micros(42)]),
         };
         assert_eq!(VvSummary::from_bytes(&summary.to_bytes()).unwrap(), summary);
 
@@ -120,13 +136,27 @@ mod tests {
             counters: vv,
             meta: 3,
             latest: None,
-            suffixes: vec![WriterSuffix {
-                writer: WriterId(1),
-                start_seq: 4,
-                times: vec![SimTime::ZERO],
-            }],
+            suffixes: suffixes(WriterId(1), 4, &[SimTime::ZERO]),
         };
         assert_eq!(VvDelta::from_bytes(&delta.to_bytes()).unwrap(), delta);
+    }
+
+    /// The flat run list encodes byte for byte as the `Vec` of
+    /// `(writer, start_seq, Vec<SimTime>)` runs it replaced.
+    #[test]
+    fn flat_suffixes_encode_as_the_run_list_did() {
+        let mut flat = Suffixes::new();
+        flat.push(WriterId(2), 5, [SimTime(7), SimTime(9)]);
+        flat.push(WriterId(0), 1, []);
+        let mut old = Vec::new();
+        2usize.encode(&mut old);
+        for (w, start, times) in [(2u32, 5u64, vec![SimTime(7), SimTime(9)]), (0, 1, vec![])] {
+            WriterId(w).encode(&mut old);
+            start.encode(&mut old);
+            times.encode(&mut old);
+        }
+        assert_eq!(flat.to_bytes(), old);
+        assert_eq!(Suffixes::from_bytes(&old).unwrap(), flat);
     }
 
     #[test]

@@ -21,28 +21,52 @@
 //! vectors share and those lying wholly past their divergence, so all of
 //! them cost `O(writers + chunks)` plus the chunk the divergence falls in
 //! rather than a pass over the history (two vectors that share nothing
-//! still pay one vector compare over their common prefix). The classic
-//! counter view is cached and maintained incrementally by
-//! [`ExtendedVersionVector::record`]/[`ExtendedVersionVector::adopt`], so
-//! [`ExtendedVersionVector::counters`] is a free borrow. Compact wire forms
-//! live in [`crate::wire`].
+//! still pay one vector compare over their common prefix).
+//!
+//! The writers are flat: the classic counter view is one sorted run of
+//! `(writer, count)` pairs, and the histories sit index for index beside
+//! it in three flat buffers, so one binary search finds both and a clone,
+//! a prefix or a reconstruction allocates a fixed number of buffers
+//! whatever the number of writers. The counter view is maintained
+//! incrementally by [`ExtendedVersionVector::record`] and
+//! [`ExtendedVersionVector::adopt`], so [`ExtendedVersionVector::counters`]
+//! is a free borrow. Compact wire forms live in [`crate::wire`].
 
 use crate::classic::{VersionVector, VvOrdering};
-use crate::history::WriterHistory;
+use crate::history::{Histories, History, Start};
 use idea_types::{ErrorTriple, SimTime, UpdateId, WriterId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
 /// The extended version vector of one replica.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ExtendedVersionVector {
-    histories: BTreeMap<WriterId, WriterHistory>,
+    /// Per-writer timestamp histories, writer by writer in the order of
+    /// `counters`, whose counts also say where each one starts.
+    histories: Histories,
     /// Cumulative critical-metadata value (the `\[5\]` column of Figure 5).
     meta: i64,
-    /// Cached classic counter view, maintained incrementally so the hot
-    /// detection path never rebuilds it.
+    /// The classic counter view: the writers in order, each with its
+    /// history's length.
     counters: VersionVector,
+}
+
+impl Clone for ExtendedVersionVector {
+    fn clone(&self) -> Self {
+        ExtendedVersionVector {
+            histories: self.histories.clone(),
+            meta: self.meta,
+            counters: self.counters.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffers when they are large enough: a snapshot
+    /// retaken into the same vector allocates nothing in steady state.
+    fn clone_from(&mut self, source: &Self) {
+        self.histories.clone_from(&source.histories);
+        self.meta = source.meta;
+        self.counters.clone_from(&source.counters);
+    }
 }
 
 /// The smallest divergent event between two event sets, as a `(time, id)`
@@ -58,43 +82,42 @@ pub(crate) fn note_divergence(d: &mut Divergence, t: SimTime, writer: WriterId, 
     }
 }
 
-/// Walks the union of two writer maps in writer order, handing `f` the two
-/// (possibly empty) histories of each writer — the merge-walk primitive
-/// shared by the triple computations.
-fn walk_writer_pairs(
-    a: &BTreeMap<WriterId, WriterHistory>,
-    b: &BTreeMap<WriterId, WriterHistory>,
-    mut f: impl FnMut(WriterId, &WriterHistory, &WriterHistory),
+/// Walks the union of two vectors' writers in writer order, handing `f`
+/// the two (possibly empty) histories of each writer — the merge-walk
+/// primitive shared by the triple computations.
+fn walk_writer_pairs<'a>(
+    a: &'a ExtendedVersionVector,
+    b: &'a ExtendedVersionVector,
+    mut f: impl FnMut(WriterId, History<'a>, History<'a>),
 ) {
-    let empty = WriterHistory::default();
-    let mut ia = a.iter().peekable();
-    let mut ib = b.iter().peekable();
+    use std::cmp::Ordering::{Greater, Less};
+    let (wa, wb) = (a.counters.pairs(), b.counters.pairs());
+    let (mut i, mut j) = (0, 0);
+    let (mut sa, mut sb) = (Start::default(), Start::default());
     loop {
-        match (ia.peek(), ib.peek()) {
-            (Some((wa, ha)), Some((wb, hb))) => match wa.cmp(wb) {
-                std::cmp::Ordering::Less => {
-                    f(**wa, ha, &empty);
-                    ia.next();
-                }
-                std::cmp::Ordering::Greater => {
-                    f(**wb, &empty, hb);
-                    ib.next();
-                }
-                std::cmp::Ordering::Equal => {
-                    f(**wa, ha, hb);
-                    ia.next();
-                    ib.next();
-                }
-            },
-            (Some((wa, ha)), None) => {
-                f(**wa, ha, &empty);
-                ia.next();
-            }
-            (None, Some((wb, hb))) => {
-                f(**wb, &empty, hb);
-                ib.next();
-            }
+        let order = match (wa.get(i), wb.get(j)) {
             (None, None) => break,
+            (Some(_), None) => Less,
+            (None, Some(_)) => Greater,
+            (Some(x), Some(y)) => x.0.cmp(&y.0),
+        };
+        let ha = match order {
+            Greater => History::default(),
+            _ => a.histories.get(sa, wa[i].1 as usize),
+        };
+        let hb = match order {
+            Less => History::default(),
+            _ => b.histories.get(sb, wb[j].1 as usize),
+        };
+        let w = if order == Greater { wb[j].0 } else { wa[i].0 };
+        f(w, ha, hb);
+        if order != Greater {
+            sa = sa.skip(wa[i].1 as usize);
+            i += 1;
+        }
+        if order != Less {
+            sb = sb.skip(wb[j].1 as usize);
+            j += 1;
         }
     }
 }
@@ -105,27 +128,32 @@ impl ExtendedVersionVector {
         Self::default()
     }
 
-    /// Assembles a vector from finished per-writer histories (the wire-form
-    /// reconstruction path); empty histories are elided.
-    pub(crate) fn from_histories(
-        parts: impl IntoIterator<Item = (WriterId, WriterHistory)>,
-        meta: i64,
-    ) -> Self {
-        let mut histories = BTreeMap::new();
-        let mut counters = VersionVector::new();
-        for (w, h) in parts {
-            if h.is_empty() {
-                continue;
-            }
-            counters.observe(w, h.len() as u64);
-            histories.insert(w, h);
-        }
-        ExtendedVersionVector { histories, meta, counters }
+    /// The parts the wire-form reconstruction rebuilds in place: the
+    /// histories, the metadata value and the counters.
+    pub(crate) fn parts_mut(&mut self) -> (&mut Histories, &mut i64, &mut VersionVector) {
+        (&mut self.histories, &mut self.meta, &mut self.counters)
     }
 
-    /// Raw per-writer histories (crate-internal: the wire forms read them).
-    pub(crate) fn raw_histories(&self) -> &BTreeMap<WriterId, WriterHistory> {
-        &self.histories
+    /// `writer`'s history (empty when it recorded nothing).
+    pub(crate) fn history(&self, writer: WriterId) -> History<'_> {
+        let pairs = self.counters.pairs();
+        match self.counters.position(writer) {
+            Ok(i) => self.histories.get(Start::after(&pairs[..i]), pairs[i].1 as usize),
+            Err(_) => History::default(),
+        }
+    }
+
+    /// Every writer with its history, in writer order.
+    pub(crate) fn writers(&self) -> impl Iterator<Item = (WriterId, History<'_>)> + '_ {
+        let pairs = self.counters.pairs();
+        pairs.iter().map(|p| p.0).zip(self.histories.iter(pairs))
+    }
+
+    /// Raw per-writer histories, keyed by writer (test introspection).
+    #[cfg(test)]
+    pub(crate) fn raw_histories(&self) -> RawHistories<'_> {
+        let writers = self.counters.pairs();
+        RawHistories { writers, histories: self.histories.iter(writers).collect() }
     }
 
     /// Records the replica applying `writer`'s update with sequence `seq`
@@ -136,14 +164,18 @@ impl ExtendedVersionVector {
     /// Panics in debug builds if `seq` is not consecutive; release builds
     /// tolerate replays (`seq <= count`) by ignoring them.
     pub fn record(&mut self, writer: WriterId, seq: u64, at: SimTime, meta_delta: i64) {
-        let h = self.histories.entry(writer).or_default();
-        let count = h.len() as u64;
+        let pairs = self.counters.pairs();
+        let (i, count) = match self.counters.position(writer) {
+            Ok(i) => (i, pairs[i].1),
+            // A new writer starts, empty, where its successor does.
+            Err(i) => (i, 0),
+        };
         if seq <= count {
             // Replay of an already-recorded update: ignore.
             return;
         }
         debug_assert_eq!(seq, count + 1, "update for {writer} skipped seq {count}+1 -> {seq}");
-        h.push(at);
+        self.histories.push(Start::after(&pairs[..i]), count as usize, at);
         self.counters.observe(writer, count + 1);
         self.meta += meta_delta;
     }
@@ -170,14 +202,14 @@ impl ExtendedVersionVector {
 
     /// Timestamp of the most recent recorded update (`None` when empty).
     pub fn latest_update_time(&self) -> Option<SimTime> {
-        self.histories.values().filter_map(WriterHistory::last).max()
+        self.histories.iter(self.counters.pairs()).filter_map(|h| h.last()).max()
     }
 
     /// Chronologically largest recorded timestamp — equals
     /// [`ExtendedVersionVector::latest_update_time`] for monotone per-writer
     /// histories, but robust to out-of-order issue times.
     pub(crate) fn max_event_time(&self) -> Option<SimTime> {
-        self.histories.values().filter_map(WriterHistory::max_time).max()
+        self.histories.iter(self.counters.pairs()).filter_map(|h| h.max_time()).max()
     }
 
     /// Compares the counter views under the domination order.
@@ -190,9 +222,9 @@ impl ExtendedVersionVector {
     /// diagnostics; the triple computation no longer materialises it.
     pub fn events(&self) -> Vec<(SimTime, UpdateId)> {
         let mut out: Vec<(SimTime, UpdateId)> = Vec::with_capacity(self.total() as usize);
-        for (w, h) in &self.histories {
+        for (w, h) in self.writers() {
             for (i, t) in h.iter_from(0) {
-                out.push((t, UpdateId { writer: *w, seq: i as u64 + 1 }));
+                out.push((t, UpdateId { writer: w, seq: i as u64 + 1 }));
             }
         }
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
@@ -211,17 +243,13 @@ impl ExtendedVersionVector {
     /// divergence falls in (see the `history` module for the skip rules).
     pub fn last_consistent_with(&self, reference: &ExtendedVersionVector) -> SimTime {
         let mut d: Divergence = None;
-        walk_writer_pairs(&self.histories, &reference.histories, |w, a, b| {
-            a.note_divergence(b, w, &mut d);
-        });
+        walk_writer_pairs(self, reference, |w, a, b| a.note_divergence(&b, w, &mut d));
         let Some(d) = d else {
             // Identical event sets: consistent through the newest event.
             return self.max_event_time().unwrap_or(SimTime::ZERO);
         };
         let mut last = SimTime::ZERO;
-        walk_writer_pairs(&self.histories, &reference.histories, |w, a, b| {
-            a.newest_common_before(b, w, d, &mut last);
-        });
+        walk_writer_pairs(self, reference, |w, a, b| a.newest_common_before(&b, w, d, &mut last));
         last
     }
 
@@ -261,12 +289,10 @@ impl ExtendedVersionVector {
     /// reconciliation after a resolution round otherwise. Extra updates this
     /// replica holds that the reference lacks must be handled by the store
     /// (invalidated or re-sequenced) — the vector itself keeps them only if
-    /// the reference also has them.
+    /// the reference also has them. Reuses this vector's buffers.
     pub fn adopt(&mut self, reference: &ExtendedVersionVector) -> u64 {
         let absorbed = self.counters.missing_from(&reference.counters);
-        self.histories = reference.histories.clone();
-        self.counters = reference.counters.clone();
-        self.meta = reference.meta;
+        self.clone_from(reference);
         absorbed
     }
 
@@ -276,23 +302,18 @@ impl ExtendedVersionVector {
     /// only timestamps). Writers cut to zero leave no
     /// entry behind, so the result is structurally equal to a vector that
     /// only ever recorded the surviving updates. Costs `O(writers)` plus
-    /// one partial chunk per writer actually cut.
+    /// one partial chunk per writer actually cut, and allocates nothing.
     pub fn truncate_to(&mut self, counts: &VersionVector, dropped_meta: i64) {
-        let cut: Vec<(WriterId, u64)> = self
-            .counters
-            .iter()
-            .filter_map(|(w, have)| {
-                let keep = counts.get(w);
-                (keep < have).then_some((w, keep))
-            })
-            .collect();
-        for (w, keep) in cut {
-            if keep == 0 {
-                self.histories.remove(&w);
-            } else if let Some(h) = self.histories.get_mut(&w) {
-                h.truncate(keep as usize);
+        // Back to front, so removing a writer leaves the indices and
+        // offsets of the writers still to visit in place.
+        for i in (0..self.counters.writers()).rev() {
+            let pairs = self.counters.pairs();
+            let (w, have) = pairs[i];
+            let keep = counts.get(w);
+            if keep < have {
+                self.histories.truncate(Start::after(&pairs[..i]), have as usize, keep as usize);
+                self.counters.set(w, keep);
             }
-            self.counters.set(w, keep);
         }
         self.meta -= dropped_meta;
     }
@@ -302,21 +323,19 @@ impl ExtendedVersionVector {
     /// relative to a reference, not intrinsic).
     pub(crate) fn paper_format(&self) -> String {
         let mut s = String::from("<");
-        for (i, (w, h)) in self.histories.iter().enumerate() {
+        for (i, (w, h)) in self.writers().enumerate() {
             if i > 0 {
                 s.push(' ');
             }
             let _ = write!(s, "{w}:{}", h.len());
-            if !h.is_empty() {
-                s.push('(');
-                for (j, t) in h.iter_from(0) {
-                    if j > 0 {
-                        s.push_str(", ");
-                    }
-                    let _ = write!(s, "{}", t.as_secs_f64());
+            s.push('(');
+            for (j, t) in h.iter_from(0) {
+                if j > 0 {
+                    s.push_str(", ");
                 }
-                s.push(')');
+                let _ = write!(s, "{}", t.as_secs_f64());
             }
+            s.push(')');
         }
         let _ = write!(s, "> <[{}]>", self.meta);
         s
@@ -326,6 +345,55 @@ impl ExtendedVersionVector {
 impl fmt::Display for ExtendedVersionVector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.paper_format())
+    }
+}
+
+/// A vector's histories keyed by writer, in the shape of the map the flat
+/// layout replaced (test introspection: the boundary tests read chunks
+/// through it).
+#[cfg(test)]
+pub(crate) struct RawHistories<'a> {
+    writers: &'a [(WriterId, u64)],
+    histories: Vec<History<'a>>,
+}
+
+#[cfg(test)]
+impl<'a> RawHistories<'a> {
+    fn index(&self, w: WriterId) -> Option<usize> {
+        self.writers.binary_search_by_key(&w, |p| p.0).ok()
+    }
+
+    /// `w`'s history, if it recorded anything.
+    pub(crate) fn get(&self, w: &WriterId) -> Option<&History<'a>> {
+        self.index(*w).map(|i| &self.histories[i])
+    }
+
+    /// The writers, ascending.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &'a WriterId> + use<'a> {
+        self.writers.iter().map(|p| &p.0)
+    }
+}
+
+#[cfg(test)]
+impl<'a> std::ops::Index<&WriterId> for RawHistories<'a> {
+    type Output = History<'a>;
+
+    fn index(&self, w: &WriterId) -> &History<'a> {
+        self.get(w).expect("writer recorded")
+    }
+}
+
+#[cfg(test)]
+impl<'a> IntoIterator for RawHistories<'a> {
+    type Item = (&'a WriterId, History<'a>);
+    type IntoIter = std::iter::Zip<
+        std::iter::Map<std::slice::Iter<'a, (WriterId, u64)>, fn(&(WriterId, u64)) -> &WriterId>,
+        std::vec::IntoIter<History<'a>>,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let key: fn(&(WriterId, u64)) -> &WriterId = |p| &p.0;
+        self.writers.iter().map(key).zip(self.histories)
     }
 }
 

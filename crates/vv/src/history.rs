@@ -1,5 +1,6 @@
-//! One writer's timestamp history: frozen chunks shared behind [`Arc`] plus
-//! a small mutable tail.
+//! Per-writer timestamp histories: frozen chunks shared behind [`Arc`] plus
+//! a small mutable tail per writer, with every writer of one vector held in
+//! three flat buffers.
 //!
 //! A history only ever grows at its end or is cut back to a prefix, so two
 //! vectors that descend from the same replica (a probe baseline and the
@@ -16,9 +17,22 @@
 //! two keys per chunk and scan only the chunk the divergence falls in,
 //! however deep that is.
 //!
-//! The representation is canonical — every frozen chunk is full and the
-//! tail holds fewer than [`CHUNK`] entries — so the derived structural
-//! equality is content equality.
+//! ## Layout
+//!
+//! [`Histories`] keeps the writers of one vector side by side, in the order
+//! of the vector's counters: one buffer of chunk pointers and one of tail
+//! timestamps. A writer of length `n` holds `n / CHUNK` chunks and
+//! `n % CHUNK` tail entries, so where each writer's slices start follows
+//! from the counters alone ([`Start`]), and the borrowed [`History`] view
+//! reads them. Cloning a vector, cutting it and rebuilding a peer's
+//! therefore allocate two buffers whatever the number of writers, and none
+//! for the chunks while every history is shorter than one. The price is
+//! paid on append: a timestamp for a writer other than the last shifts the
+//! tails of the writers after it, fewer than [`CHUNK`] entries each.
+//!
+//! The representation is canonical — every frozen chunk is full, every
+//! tail holds fewer than [`CHUNK`] entries, and no writer is empty — so the
+//! derived structural equality is content equality.
 
 use crate::extended::{note_divergence, Divergence};
 use idea_types::{SimTime, UpdateId, WriterId};
@@ -31,7 +45,7 @@ pub(crate) const CHUNK: usize = 256;
 
 /// `CHUNK` consecutive timestamps of one writer, immutable once built.
 #[derive(Debug, PartialEq, Eq)]
-struct Chunk {
+pub(crate) struct Chunk {
     times: [SimTime; CHUNK],
     /// Smallest `(time, seq)` among the chunk's entries (`seq` 1-based).
     min: (SimTime, u64),
@@ -39,15 +53,25 @@ struct Chunk {
     max: (SimTime, u64),
 }
 
-/// Timestamps of one writer's updates `1..=len`, oldest first.
+impl Chunk {
+    /// Freezes `times`, a writer's entries from 0-based position `base` on.
+    fn freeze(times: [SimTime; CHUNK], base: usize) -> Arc<Chunk> {
+        let keys = || times.iter().enumerate().map(|(i, t)| (*t, (base + i) as u64 + 1));
+        let (min, max) = (keys().min().expect("non-empty"), keys().max().expect("non-empty"));
+        Arc::new(Chunk { times, min, max })
+    }
+}
+
+/// Timestamps of one writer's updates `1..=len`, oldest first, borrowed
+/// from a vector's buffers. An absent writer is the empty view.
 ///
 /// Not serde-annotated: vectors cross the wire as [`crate::VvSummary`] and
 /// [`crate::VvDelta`], never as their in-memory chunks.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub(crate) struct WriterHistory {
-    frozen: Vec<Arc<Chunk>>,
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct History<'a> {
+    frozen: &'a [Arc<Chunk>],
     /// The newest `len % CHUNK` timestamps (always fewer than `CHUNK`).
-    tail: Vec<SimTime>,
+    tail: &'a [SimTime],
 }
 
 /// Content equality of two timestamp runs, written without an early exit
@@ -61,28 +85,10 @@ fn key(t: SimTime, writer: WriterId, seq: u64) -> (SimTime, UpdateId) {
     (t, UpdateId { writer, seq })
 }
 
-impl WriterHistory {
+impl<'a> History<'a> {
     /// Number of recorded updates.
     pub(crate) fn len(&self) -> usize {
         self.frozen.len() * CHUNK + self.tail.len()
-    }
-
-    /// True when no update is recorded.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.frozen.is_empty() && self.tail.is_empty()
-    }
-
-    /// Appends the timestamp of the writer's next update.
-    pub(crate) fn push(&mut self, t: SimTime) {
-        self.tail.push(t);
-        if self.tail.len() == CHUNK {
-            let base = (self.frozen.len() * CHUNK) as u64;
-            let times: [SimTime; CHUNK] = self.tail[..].try_into().expect("tail is CHUNK long");
-            let keys = || times.iter().enumerate().map(|(i, t)| (*t, base + i as u64 + 1));
-            let (min, max) = (keys().min().expect("non-empty"), keys().max().expect("non-empty"));
-            self.frozen.push(Arc::new(Chunk { times, min, max }));
-            self.tail.clear();
-        }
     }
 
     /// Timestamp at 0-based position `i`.
@@ -105,63 +111,35 @@ impl WriterHistory {
 
     /// The `k`-th run of at most `CHUNK` timestamps: a frozen chunk, the
     /// tail, or empty beyond both.
-    fn block(&self, k: usize) -> &[SimTime] {
+    fn block(&self, k: usize) -> &'a [SimTime] {
         match self.frozen.get(k) {
             Some(c) => &c.times,
-            None if k == self.frozen.len() => &self.tail,
+            None if k == self.frozen.len() => self.tail,
             None => &[],
         }
     }
 
     /// `(0-based position, timestamp)` of every entry from `start` on.
-    pub(crate) fn iter_from(&self, start: usize) -> impl Iterator<Item = (usize, SimTime)> + '_ {
-        (start / CHUNK..=self.frozen.len()).flat_map(move |k| {
+    pub(crate) fn iter_from(&self, start: usize) -> impl Iterator<Item = (usize, SimTime)> + 'a {
+        let h = *self;
+        (start / CHUNK..=h.frozen.len()).flat_map(move |k| {
             let base = k * CHUNK;
             let skip = start.saturating_sub(base);
-            self.block(k).iter().enumerate().skip(skip).map(move |(i, t)| (base + i, *t))
+            h.block(k).iter().enumerate().skip(skip).map(move |(i, t)| (base + i, *t))
         })
     }
 
-    /// The timestamps from position `start` on, copied out (wire forms).
+    /// The timestamps from position `start` on, copied out.
+    #[cfg(test)]
     pub(crate) fn copy_from(&self, start: usize) -> Vec<SimTime> {
-        let mut out = Vec::with_capacity(self.len().saturating_sub(start));
-        out.extend(self.iter_from(start).map(|(_, t)| t));
-        out
-    }
-
-    /// Cuts the history back to its first `n` entries (no-op when it is
-    /// not longer). Whole chunks below the cut stay shared; at most one
-    /// partial chunk is copied into the tail.
-    pub(crate) fn truncate(&mut self, n: usize) {
-        if n >= self.len() {
-            return;
-        }
-        let (whole, rest) = (n / CHUNK, n % CHUNK);
-        if whole < self.frozen.len() {
-            self.tail.clear();
-            self.tail.extend_from_slice(&self.frozen[whole].times[..rest]);
-            self.frozen.truncate(whole);
-        } else {
-            self.tail.truncate(rest);
-        }
-    }
-
-    /// The first `min(n, len)` entries as a history of their own, sharing
-    /// every whole chunk with `self`.
-    pub(crate) fn prefix(&self, n: usize) -> WriterHistory {
-        let n = n.min(self.len());
-        let whole = n / CHUNK;
-        WriterHistory {
-            frozen: self.frozen[..whole].to_vec(),
-            tail: self.block(whole)[..n % CHUNK].to_vec(),
-        }
+        self.iter_from(start).map(|(_, t)| t).collect()
     }
 
     /// How many leading frozen chunks `self` and `other` hold by the same
     /// pointer (test introspection for the sharing guarantees).
     #[cfg(test)]
-    pub(crate) fn shared_chunks(&self, other: &WriterHistory) -> usize {
-        self.frozen.iter().zip(&other.frozen).take_while(|(a, b)| Arc::ptr_eq(a, b)).count()
+    pub(crate) fn shared_chunks(&self, other: &History<'_>) -> usize {
+        self.frozen.iter().zip(other.frozen).take_while(|(a, b)| Arc::ptr_eq(a, b)).count()
     }
 
     /// Number of frozen chunks (test introspection).
@@ -188,7 +166,7 @@ impl WriterHistory {
     /// vector compare.
     pub(crate) fn note_divergence(
         &self,
-        other: &WriterHistory,
+        other: &History<'_>,
         writer: WriterId,
         d: &mut Divergence,
     ) {
@@ -228,10 +206,10 @@ impl WriterHistory {
     /// Second pass of the triple walk: raises `last` to the newest event
     /// both histories hold under the same timestamp and whose key sorts
     /// before the divergence `d` found by
-    /// [`WriterHistory::note_divergence`] over the same vectors.
+    /// [`History::note_divergence`] over the same vectors.
     pub(crate) fn newest_common_before(
         &self,
-        other: &WriterHistory,
+        other: &History<'_>,
         writer: WriterId,
         d: (SimTime, UpdateId),
         last: &mut SimTime,
@@ -295,14 +273,167 @@ impl WriterHistory {
     }
 }
 
+/// Where a writer's data starts in [`Histories`]' two buffers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Start {
+    chunks: usize,
+    tail: usize,
+}
+
+impl Start {
+    /// Where the writer after the first `lens.len()` writers starts: each
+    /// writer of length `n` holds `n / CHUNK` chunks and `n % CHUNK` tail
+    /// entries, so the offsets follow from the lengths alone.
+    pub(crate) fn after(lens: &[(WriterId, u64)]) -> Start {
+        lens.iter().fold(Start::default(), |s, &(_, n)| s.skip(n as usize))
+    }
+
+    /// Where the writer after one of length `len` starting here starts.
+    pub(crate) fn skip(self, len: usize) -> Start {
+        Start { chunks: self.chunks + len / CHUNK, tail: self.tail + len % CHUNK }
+    }
+}
+
+/// Every writer's history of one vector, writer by writer in two flat
+/// buffers (see the module docs). The buffers hold no lengths: the owning
+/// vector's counters do, and a writer is addressed by its [`Start`] and
+/// length, both derived from them.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Histories {
+    chunks: Vec<Arc<Chunk>>,
+    tails: Vec<SimTime>,
+}
+
+impl Clone for Histories {
+    fn clone(&self) -> Self {
+        Histories { chunks: self.chunks.clone(), tails: self.tails.clone() }
+    }
+
+    /// Reuses `self`'s buffers when they are large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.chunks.clone_from(&source.chunks);
+        self.tails.clone_from(&source.tails);
+    }
+}
+
+impl Histories {
+    /// Empties the buffers and makes room for writers of lengths `lens`
+    /// (the exact size of a rebuilt vector, so rebuilding one allocates
+    /// each buffer at most once, and not at all into buffers that already
+    /// held one as large).
+    pub(crate) fn reset(&mut self, lens: &[(WriterId, u64)]) {
+        let size = Start::after(lens);
+        self.chunks.clear();
+        self.tails.clear();
+        self.chunks.reserve_exact(size.chunks);
+        self.tails.reserve_exact(size.tail);
+    }
+
+    /// The history of the writer of length `len` starting at `at`.
+    pub(crate) fn get(&self, at: Start, len: usize) -> History<'_> {
+        let end = at.skip(len);
+        History {
+            frozen: &self.chunks[at.chunks..end.chunks],
+            tail: &self.tails[at.tail..end.tail],
+        }
+    }
+
+    /// Every writer's history, for writers of lengths `lens` in order.
+    pub(crate) fn iter<'a>(
+        &'a self,
+        lens: &'a [(WriterId, u64)],
+    ) -> impl Iterator<Item = History<'a>> + 'a {
+        lens.iter().scan(Start::default(), move |at, &(_, n)| {
+            let h = self.get(*at, n as usize);
+            *at = at.skip(n as usize);
+            Some(h)
+        })
+    }
+
+    /// Appends the timestamp of the next update of the writer of length
+    /// `len` starting at `at` (a writer new to the vector has length 0 and
+    /// starts where its successor does), freezing its tail into a chunk
+    /// when it fills. Shifts the tails of the writers after it.
+    pub(crate) fn push(&mut self, at: Start, len: usize, t: SimTime) {
+        let end = at.skip(len);
+        self.tails.insert(end.tail, t);
+        if (len + 1).is_multiple_of(CHUNK) {
+            let times: [SimTime; CHUNK] =
+                self.tails[at.tail..at.tail + CHUNK].try_into().expect("tail is CHUNK long");
+            self.tails.drain(at.tail..at.tail + CHUNK);
+            self.chunks.insert(end.chunks, Chunk::freeze(times, len + 1 - CHUNK));
+        }
+    }
+
+    /// Cuts the writer of length `len` starting at `at` back to its first
+    /// `n` entries (no-op when it is not longer; zero removes every entry).
+    /// Whole chunks below the cut stay shared; at most one partial chunk
+    /// is copied into the tail.
+    pub(crate) fn truncate(&mut self, at: Start, len: usize, n: usize) {
+        if n >= len {
+            return;
+        }
+        let (end, kept) = (at.skip(len), at.skip(n));
+        let held = end.chunks - at.chunks;
+        let (whole, rest) = (n / CHUNK, n % CHUNK);
+        if whole < held {
+            // The new tail comes out of the first chunk cut away.
+            let chunk = Arc::clone(&self.chunks[kept.chunks]);
+            self.tails.splice(at.tail..end.tail, chunk.times[..rest].iter().copied());
+            self.chunks.drain(kept.chunks..end.chunks);
+        } else {
+            self.tails.drain(kept.tail..end.tail);
+        }
+    }
+
+    /// Appends a writer after the last one holding `len` entries: the first
+    /// `min(end, len)` are `shared`'s (a missing one reads as
+    /// [`SimTime::ZERO`]), the rest are `suffix` padded with zeros. Whole
+    /// chunks of `shared` lying below `end` are shared, not copied.
+    pub(crate) fn push_writer(
+        &mut self,
+        len: usize,
+        shared: History<'_>,
+        end: usize,
+        suffix: &[SimTime],
+    ) {
+        let value = |p: usize| match p.checked_sub(end) {
+            None => shared.get(p).unwrap_or(SimTime::ZERO),
+            Some(i) => suffix.get(i).copied().unwrap_or(SimTime::ZERO),
+        };
+        let reuse = (end.min(shared.len()) / CHUNK).min(len / CHUNK);
+        self.chunks.extend_from_slice(&shared.frozen[..reuse]);
+        for k in reuse..len / CHUNK {
+            let times = std::array::from_fn(|s| value(k * CHUNK + s));
+            self.chunks.push(Chunk::freeze(times, k * CHUNK));
+        }
+        // The tail in up to four runs: `shared`'s entries, zeros up to
+        // `end`, the suffix, zeros up to `len`.
+        let from = len / CHUNK * CHUNK;
+        let mine = end.min(len).min(shared.len()).max(from);
+        self.tails.extend_from_slice(&shared.block(from / CHUNK)[..mine - from]);
+        let zeros = end.min(len).max(mine) - mine;
+        self.tails.extend(std::iter::repeat_n(SimTime::ZERO, zeros));
+        let past = end.max(from);
+        let sfx = suffix.get(past - end..).unwrap_or(&[]);
+        let copied = sfx.len().min(len.saturating_sub(past));
+        self.tails.extend_from_slice(&sfx[..copied]);
+        let filled = past + copied;
+        self.tails.extend(std::iter::repeat_n(SimTime::ZERO, len.saturating_sub(filled)));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn hist(n: usize) -> WriterHistory {
-        let mut h = WriterHistory::default();
+    const W: WriterId = WriterId(0);
+
+    /// One writer with `n` entries at times `0, 3, 6, …`.
+    fn hist(n: usize) -> Histories {
+        let mut h = Histories::default();
         for i in 0..n {
-            h.push(SimTime(i as u64 * 3));
+            h.push(Start::default(), i, SimTime(i as u64 * 3));
         }
         h
     }
@@ -311,52 +442,104 @@ mod tests {
     fn push_freezes_exactly_at_the_chunk_boundary() {
         for n in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK] {
             let h = hist(n);
-            assert_eq!(h.len(), n);
-            assert_eq!(h.frozen_chunks(), n / CHUNK, "n={n}");
-            assert!(h.tail.len() < CHUNK);
-            assert_eq!(h.copy_from(0), (0..n).map(|i| SimTime(i as u64 * 3)).collect::<Vec<_>>());
-            assert_eq!(h.last(), n.checked_sub(1).map(|i| SimTime(i as u64 * 3)));
-            assert_eq!(h.max_time(), h.last());
-            assert_eq!(h.get(n), None);
+            let v = h.get(Start::default(), n);
+            assert_eq!(v.len(), n);
+            assert_eq!(v.frozen_chunks(), n / CHUNK, "n={n}");
+            assert!(v.tail.len() < CHUNK);
+            assert_eq!(v.copy_from(0), (0..n).map(|i| SimTime(i as u64 * 3)).collect::<Vec<_>>());
+            assert_eq!(v.last(), n.checked_sub(1).map(|i| SimTime(i as u64 * 3)));
+            assert_eq!(v.max_time(), v.last());
+            assert_eq!(v.get(n), None);
         }
+        // Pushing to a writer before the last shifts only the later ones.
+        let mut h = hist(CHUNK - 1);
+        let second = Start::after(&[(W, CHUNK as u64 - 1)]);
+        h.push(second, 0, SimTime(7));
+        h.push(Start::default(), CHUNK - 1, SimTime(9_000));
+        let lens = [(W, CHUNK as u64), (WriterId(1), 1)];
+        let got: Vec<_> = h.iter(&lens).collect();
+        assert_eq!(got[0].frozen_chunks(), 1);
+        assert_eq!(got[0].last(), Some(SimTime(9_000)));
+        assert_eq!(got[1].copy_from(0), [SimTime(7)]);
     }
 
     #[test]
     fn cached_max_tracks_non_monotone_times() {
-        let mut h = WriterHistory::default();
+        let mut h = Histories::default();
         for i in 0..CHUNK as u64 {
             // A peak in the middle; two entries tie on the peak time, the
             // later sequence number wins the key.
-            h.push(SimTime(if i == 10 || i == 20 { 9_999 } else { i }));
+            h.push(
+                Start::default(),
+                i as usize,
+                SimTime(if i == 10 || i == 20 { 9_999 } else { i }),
+            );
         }
-        assert_eq!(h.frozen[0].max, (SimTime(9_999), 21));
-        assert_eq!(h.frozen[0].min, (SimTime(0), 1));
-        assert_eq!(h.max_time(), Some(SimTime(9_999)));
-        assert_eq!(h.last(), Some(SimTime(CHUNK as u64 - 1)));
+        let v = h.get(Start::default(), CHUNK);
+        assert_eq!(v.frozen[0].max, (SimTime(9_999), 21));
+        assert_eq!(v.frozen[0].min, (SimTime(0), 1));
+        assert_eq!(v.max_time(), Some(SimTime(9_999)));
+        assert_eq!(v.last(), Some(SimTime(CHUNK as u64 - 1)));
     }
 
     #[test]
     fn truncate_and_prefix_are_canonical_and_share_whole_chunks() {
-        let full = hist(3 * CHUNK + 7);
-        for n in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5, 3 * CHUNK, 3 * CHUNK + 7, 9_999]
-        {
-            let want = hist(n.min(full.len()));
+        let len = 3 * CHUNK + 7;
+        let full = hist(len);
+        let src = full.get(Start::default(), len);
+        for n in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5, 3 * CHUNK, len, 9_999] {
+            let m = n.min(len);
+            let want = hist(m);
             let mut cut = full.clone();
-            cut.truncate(n);
+            cut.truncate(Start::default(), len, n);
             assert_eq!(cut, want, "truncate({n}) must equal the history built to that length");
-            assert_eq!(cut.shared_chunks(&full), want.frozen_chunks());
-            let pre = full.prefix(n);
+            let frozen = want.get(Start::default(), m).frozen_chunks();
+            assert_eq!(cut.get(Start::default(), m).shared_chunks(&src), frozen);
+            let mut pre = Histories::default();
+            pre.push_writer(m, src, m, &[]);
             assert_eq!(pre, want, "prefix({n})");
-            assert_eq!(pre.shared_chunks(&full), want.frozen_chunks());
+            assert_eq!(pre.get(Start::default(), m).shared_chunks(&src), frozen);
+        }
+    }
+
+    /// `push_writer` against the position-by-position definition, across
+    /// every way the shared part, the zero padding and the suffix can fall
+    /// around chunk boundaries.
+    #[test]
+    fn push_writer_matches_the_positional_definition() {
+        let base = hist(2 * CHUNK + 3);
+        let src = base.get(Start::default(), 2 * CHUNK + 3);
+        let suffix: Vec<SimTime> = (0..CHUNK as u64 + 9).map(|i| SimTime(100_000 + i)).collect();
+        let points =
+            [0, 1, CHUNK - 1, CHUNK, CHUNK + 2, 2 * CHUNK + 3, 2 * CHUNK + 9, 3 * CHUNK + 1];
+        for len in points {
+            for end in points {
+                for sfx in [0, 3, suffix.len()] {
+                    let mut got = Histories::default();
+                    got.push_writer(len, src, end, &suffix[..sfx]);
+                    let mut want = Histories::default();
+                    for p in 0..len {
+                        let t = if p < end {
+                            src.get(p).unwrap_or(SimTime::ZERO)
+                        } else {
+                            suffix[..sfx].get(p - end).copied().unwrap_or(SimTime::ZERO)
+                        };
+                        want.push(Start::default(), p, t);
+                    }
+                    assert_eq!(got, want, "len {len} end {end} suffix {sfx}");
+                }
+            }
         }
     }
 
     #[test]
     fn iter_from_crosses_chunk_boundaries() {
-        let h = hist(2 * CHUNK + 3);
+        let n = 2 * CHUNK + 3;
+        let h = hist(n);
+        let v = h.get(Start::default(), n);
         for start in [0, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 2, 2 * CHUNK + 3, 5 * CHUNK] {
-            let got: Vec<_> = h.iter_from(start).collect();
-            let want: Vec<_> = (start..h.len()).map(|i| (i, SimTime(i as u64 * 3))).collect();
+            let got: Vec<_> = v.iter_from(start).collect();
+            let want: Vec<_> = (start..v.len()).map(|i| (i, SimTime(i as u64 * 3))).collect();
             assert_eq!(got, want, "start={start}");
         }
     }

@@ -27,8 +27,10 @@ pub mod classic;
 mod codec;
 pub mod extended;
 mod history;
+#[cfg(test)]
+mod reference;
 pub mod wire;
 
 pub use classic::{VersionVector, VvOrdering};
 pub use extended::ExtendedVersionVector;
-pub use wire::{VvDelta, VvSummary, WriterSuffix};
+pub use wire::{Runs, Suffixes, VvDelta, VvSummary, WriterSuffix};

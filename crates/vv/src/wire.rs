@@ -20,35 +20,120 @@
 //!   ([`ExtendedVersionVector::reconstruct`]).
 //!
 //! Both forms cost `O(writers + suffix)` bytes instead of `O(history)`.
+//! In memory each holds its per-writer timestamps in one flat
+//! [`Suffixes`] buffer, so building one allocates two buffers (counters
+//! and runs) whatever the number of writers; a detection or collect round
+//! builds its probe summary once and every request of the round shares it.
 
 use crate::classic::VersionVector;
 use crate::extended::{note_divergence, Divergence, ExtendedVersionVector};
-use crate::history::WriterHistory;
+use crate::history::History;
 use idea_types::{ErrorTriple, SimDuration, SimTime, UpdateId, WriterId};
 use serde::{Deserialize, Serialize};
 
 /// Timestamps of one writer's newest updates: the `start_seq`-th update
-/// onwards (1-based, contiguous through the writer's current count).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WriterSuffix {
+/// onwards (1-based, contiguous through the writer's current count),
+/// borrowed from a [`Suffixes`] buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WriterSuffix<'a> {
     /// The writer the suffix belongs to.
     pub writer: WriterId,
     /// Sequence number of the first timestamp in `times` (1-based).
     pub start_seq: u64,
     /// Issue timestamps of updates `start_seq..start_seq + times.len()`.
-    pub times: Vec<SimTime>,
+    pub times: &'a [SimTime],
 }
 
-impl WriterSuffix {
-    /// Approximate serialized size: writer id + start_seq header plus one
-    /// timestamp per carried update.
-    fn wire_bytes(&self) -> usize {
-        12 + 8 * self.times.len()
+/// Per-writer timestamp runs of a wire form, in the order they were
+/// pushed, in one buffer: each run is a three-slot header — writer, first
+/// sequence number, timestamp count — followed by its timestamps. The
+/// headers share the timestamps' 64-bit slot so a run's times stay one
+/// borrowable slice; a form carries a handful of runs, so finding one is a
+/// short hop from header to header.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Suffixes {
+    slots: Vec<SimTime>,
+}
+
+/// Header slots before each run's timestamps.
+const HEADER: usize = 3;
+
+impl Suffixes {
+    /// No runs. Allocates nothing.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Room for `runs` runs holding `times` timestamps in all.
+    pub fn with_capacity(runs: usize, times: usize) -> Self {
+        Suffixes { slots: Vec::with_capacity(HEADER * runs + times) }
+    }
+
+    /// Appends `writer`'s run of `times` starting at update `start_seq`.
+    pub fn push(
+        &mut self,
+        writer: WriterId,
+        start_seq: u64,
+        times: impl IntoIterator<Item = SimTime>,
+    ) {
+        let header = self.slots.len();
+        self.slots.extend([SimTime(u64::from(writer.0)), SimTime(start_seq), SimTime::ZERO]);
+        self.slots.extend(times);
+        self.slots[header + 2] = SimTime((self.slots.len() - header - HEADER) as u64);
+    }
+
+    /// Number of runs.
+    pub fn len(&self) -> usize {
+        self.iter().len()
+    }
+
+    /// True when no run is held.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Total timestamps over all runs.
+    pub fn total_times(&self) -> usize {
+        self.slots.len() - HEADER * self.len()
+    }
+
+    /// The runs, in push order.
+    pub fn iter(&self) -> Runs<'_> {
+        Runs { rest: &self.slots }
+    }
+
+    /// `writer`'s first run.
+    pub fn get(&self, writer: WriterId) -> Option<WriterSuffix<'_>> {
+        self.iter().find(|r| r.writer == writer)
     }
 }
 
+/// Iterator over a [`Suffixes`] buffer's runs.
+#[derive(Debug, Clone)]
+pub struct Runs<'a> {
+    rest: &'a [SimTime],
+}
+
+impl<'a> Iterator for Runs<'a> {
+    type Item = WriterSuffix<'a>;
+
+    fn next(&mut self) -> Option<WriterSuffix<'a>> {
+        let (header, rest) = self.rest.split_first_chunk::<HEADER>()?;
+        let (times, rest) = rest.split_at(header[2].0 as usize);
+        self.rest = rest;
+        Some(WriterSuffix { writer: WriterId(header[0].0 as u32), start_seq: header[1].0, times })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.clone().count();
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Runs<'_> {}
+
 /// Compact, self-contained wire form of an extended version vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct VvSummary {
     /// Per-writer update counters (the classic vector).
     pub counters: VersionVector,
@@ -56,9 +141,9 @@ pub struct VvSummary {
     pub meta: i64,
     /// Timestamp of the newest recorded update (`None` when empty).
     pub latest: Option<SimTime>,
-    /// Bounded per-writer timestamp tails (newest updates only), sorted by
-    /// writer.
-    pub tail: Vec<WriterSuffix>,
+    /// Bounded per-writer timestamp tails (newest updates only), in writer
+    /// order.
+    pub tail: Suffixes,
 }
 
 /// Exact per-writer suffixes beyond a baseline counter vector the receiver
@@ -71,18 +156,15 @@ pub struct VvDelta {
     pub meta: i64,
     /// Timestamp of the sender's newest recorded update.
     pub latest: Option<SimTime>,
-    /// Per-writer timestamps beyond the baseline, sorted by writer.
-    pub suffixes: Vec<WriterSuffix>,
+    /// Per-writer timestamps beyond the baseline, in writer order.
+    pub suffixes: Suffixes,
 }
 
 /// Shared wire-size model: meta + latest header, per-writer counter
-/// entries, then the carried suffixes.
-fn form_bytes(counters: &VersionVector, suffixes: &[WriterSuffix]) -> usize {
-    16 + 12 * counters.writers() + suffixes.iter().map(WriterSuffix::wire_bytes).sum::<usize>()
-}
-
-fn suffix_for(suffixes: &[WriterSuffix], writer: WriterId) -> Option<&WriterSuffix> {
-    suffixes.binary_search_by_key(&writer, |s| s.writer).ok().map(|i| &suffixes[i])
+/// entries, then the carried suffixes (a writer id + start_seq header plus
+/// one timestamp per carried update each).
+fn form_bytes(counters: &VersionVector, suffixes: &Suffixes) -> usize {
+    16 + 12 * counters.writers() + 12 * suffixes.len() + 8 * suffixes.total_times()
 }
 
 impl VvSummary {
@@ -95,11 +177,11 @@ impl VvSummary {
     /// meaning the summarised replica recorded `times[i]` for the writer's
     /// update `first + i`. Empty when the tail skips the writer.
     fn coverage(&self, writer: WriterId) -> (u64, &[SimTime]) {
-        match suffix_for(&self.tail, writer) {
+        match self.tail.get(writer) {
             // Sequence numbers are 1-based; a (malformed) zero start
             // covers nothing with its first slot.
             Some(s) if s.start_seq == 0 => (1, s.times.get(1..).unwrap_or(&[])),
-            Some(s) => (s.start_seq, &s.times),
+            Some(s) => (s.start_seq, s.times),
             None => (1, &[]),
         }
     }
@@ -137,23 +219,25 @@ impl ExtendedVersionVector {
     /// Builds the compact wire summary, carrying at most `tail_len`
     /// timestamps per writer (the newest ones).
     pub fn summary(&self, tail_len: usize) -> VvSummary {
-        let mut tail = Vec::new();
-        for (w, h) in self.raw_histories() {
-            if h.is_empty() || tail_len == 0 {
-                continue;
+        let mut out = VvSummary::default();
+        self.summary_into(tail_len, &mut out);
+        out
+    }
+
+    /// [`ExtendedVersionVector::summary`] written over `out`, reusing its
+    /// buffers.
+    pub fn summary_into(&self, tail_len: usize, out: &mut VvSummary) {
+        out.counters.clone_from(self.counters());
+        out.meta = self.meta();
+        out.latest = self.latest_update_time();
+        out.tail.slots.clear();
+        if tail_len > 0 {
+            let times: usize = self.writers().map(|(_, h)| h.len().min(tail_len)).sum();
+            out.tail.slots.reserve_exact(HEADER * self.counters().writers() + times);
+            for (w, h) in self.writers() {
+                let skip = h.len().saturating_sub(tail_len);
+                out.tail.push(w, skip as u64 + 1, h.iter_from(skip).map(|(_, t)| t));
             }
-            let skip = h.len().saturating_sub(tail_len);
-            tail.push(WriterSuffix {
-                writer: *w,
-                start_seq: skip as u64 + 1,
-                times: h.copy_from(skip),
-            });
-        }
-        VvSummary {
-            counters: self.counters().clone(),
-            meta: self.meta(),
-            latest: self.latest_update_time(),
-            tail,
         }
     }
 
@@ -169,16 +253,22 @@ impl ExtendedVersionVector {
     /// timestamp and the triple walk detect the divergence, instead of the
     /// receiver silently vouching its stale copy.
     pub fn suffix_since(&self, have: &VersionVector) -> VvDelta {
-        let mut suffixes = Vec::new();
-        for (w, h) in self.raw_histories() {
-            let base = (have.get(*w) as usize).min(h.len());
-            if base < h.len() {
-                let start = base.saturating_sub(1);
-                suffixes.push(WriterSuffix {
-                    writer: *w,
-                    start_seq: start as u64 + 1,
-                    times: h.copy_from(start),
-                });
+        // Where each writer's suffix starts, when it has one.
+        let start = |w: WriterId, h: &History<'_>| {
+            let base = (have.get(w) as usize).min(h.len());
+            (base < h.len()).then(|| base.saturating_sub(1))
+        };
+        let (mut runs, mut times) = (0, 0);
+        for (w, h) in self.writers() {
+            if let Some(s) = start(w, &h) {
+                runs += 1;
+                times += h.len() - s;
+            }
+        }
+        let mut suffixes = Suffixes::with_capacity(runs, times);
+        for (w, h) in self.writers() {
+            if let Some(s) = start(w, &h) {
+                suffixes.push(w, s as u64 + 1, h.iter_from(s).map(|(_, t)| t));
             }
         }
         VvDelta {
@@ -198,28 +288,25 @@ impl ExtendedVersionVector {
     /// which makes the later triple computation conservatively treat them
     /// as immediately-divergent.
     pub fn reconstruct(&self, delta: &VvDelta) -> ExtendedVersionVector {
-        let parts = delta.counters.iter().map(|(w, c)| {
+        let mut out = ExtendedVersionVector::new();
+        self.reconstruct_into(delta, &mut out);
+        out
+    }
+
+    /// [`ExtendedVersionVector::reconstruct`] written over `out`, reusing
+    /// its buffers: rebuilding into a vector that already held one as large
+    /// allocates nothing.
+    pub fn reconstruct_into(&self, delta: &VvDelta, out: &mut ExtendedVersionVector) {
+        let (histories, meta, counters) = out.parts_mut();
+        histories.reset(delta.counters.pairs());
+        for (w, c) in delta.counters.iter() {
             let c = c as usize;
-            let sfx = suffix_for(&delta.suffixes, w);
-            let prefix_end = sfx.map_or(c, |s| (s.start_seq - 1) as usize).min(c);
-            let mut h =
-                self.raw_histories().get(&w).map(|l| l.prefix(prefix_end)).unwrap_or_default();
-            while h.len() < prefix_end {
-                h.push(SimTime::ZERO);
-            }
-            for t in sfx.map_or(&[][..], |s| &s.times) {
-                if h.len() < c {
-                    h.push(*t);
-                }
-            }
-            // Defensive: a malformed delta (suffix shorter than the counter
-            // claims) must not produce an inconsistent vector.
-            while h.len() < c {
-                h.push(SimTime::ZERO);
-            }
-            (w, h)
-        });
-        ExtendedVersionVector::from_histories(parts, delta.meta)
+            let sfx = delta.suffixes.get(w);
+            let end = sfx.map_or(c, |s| (s.start_seq - 1) as usize).min(c);
+            histories.push_writer(c, self.history(w), end, sfx.map_or(&[], |s| s.times));
+        }
+        *meta = delta.meta;
+        counters.clone_from(&delta.counters);
     }
 
     /// The last-consistent point against a summarised replica: the
@@ -232,12 +319,11 @@ impl ExtendedVersionVector {
     /// being under-reported. Only positions the tail covers are compared
     /// one by one; the assumed-equal range below it is read per chunk.
     pub(crate) fn last_consistent_with_summary(&self, summary: &VvSummary) -> SimTime {
-        let empty = WriterHistory::default();
         // Per writer the summary counts: the local history, the common
         // range `1..=m`, and the tail's coverage `lo..hi` with its times.
         let spans = || {
             summary.counters.iter().map(|(w, cr)| {
-                let local = self.raw_histories().get(&w).unwrap_or(&empty);
+                let local = self.history(w);
                 let (lo, times) = summary.coverage(w);
                 let hi = lo.saturating_add(times.len() as u64);
                 (w, cr, local, (local.len() as u64).min(cr), lo, hi, times)
@@ -267,10 +353,10 @@ impl ExtendedVersionVector {
             }
         }
         // Local-only suffixes (writers or updates the summary lacks).
-        for (w, h) in self.raw_histories() {
-            let cr = summary.counters.get(*w) as usize;
+        for (w, h) in self.writers() {
+            let cr = summary.counters.get(w) as usize;
             for (s, t) in h.iter_from(cr.min(h.len())) {
-                note(&mut d, t, *w, s as u64 + 1);
+                note(&mut d, t, w, s as u64 + 1);
             }
         }
         let Some(d) = d else {
@@ -339,8 +425,9 @@ mod tests {
         }
         let s = a.summary(4);
         assert_eq!(s.tail.len(), 1);
-        assert_eq!(s.tail[0].start_seq, 17);
-        assert_eq!(s.tail[0].times, vec![t(17), t(18), t(19), t(20)]);
+        let w0 = s.tail.get(WriterId(0)).expect("writer 0's tail");
+        assert_eq!(w0.start_seq, 17);
+        assert_eq!(w0.times, [t(17), t(18), t(19), t(20)]);
         assert!(s.wire_bytes() < a.summary(100).wire_bytes());
     }
 
@@ -378,10 +465,10 @@ mod tests {
         assert_eq!(d.suffixes.len(), 2);
         // Writer 0: the missing seq 3 plus the seq-2 anchor the receiver
         // claims to share.
-        let w0 = &d.suffixes[0];
+        let w0 = d.suffixes.get(WriterId(0)).expect("writer 0's suffix");
         assert_eq!((w0.writer, w0.start_seq), (WriterId(0), 2));
-        assert_eq!(w0.times, vec![t(2), t(4)]);
-        let w1 = &d.suffixes[1];
+        assert_eq!(w0.times, [t(2), t(4)]);
+        let w1 = d.suffixes.get(WriterId(1)).expect("writer 1's suffix");
         assert_eq!((w1.writer, w1.start_seq), (WriterId(1), 1));
         assert!(d.wire_bytes() < b.summary(100).wire_bytes());
     }
@@ -439,7 +526,7 @@ mod tests {
             counters: VersionVector::from_pairs([(WriterId(0), 3)]),
             meta: 9,
             latest: Some(t(9)),
-            suffixes: vec![], // claims 3 updates, ships no timestamps
+            suffixes: Suffixes::new(), // claims 3 updates, ships no timestamps
         };
         let rebuilt = a.reconstruct(&delta);
         assert_eq!(rebuilt.count(WriterId(0)), 3);
