@@ -4,9 +4,10 @@
 //! Complements `microbench.rs`: these sweep history size (10 / 100 / 1 000
 //! updates) over exactly the operations the wire-compaction work rewrote —
 //! `record`, the cached `counters` view, the merge-walk `triple_against`,
-//! `adopt`, the compact `summary`/`suffix_since` encodes, and classic
-//! `missing_from` — so regressions in the allocation-free paths show up
-//! directly. The event-queue group times `SimEngine`'s `(at, seq)`-ordered
+//! `adopt`, the copies a detection or collect round makes (a snapshot
+//! `clone`, a cut `prefix`, a `reconstruct`ed peer), the compact
+//! `summary`/`suffix_since` encodes, and classic `missing_from` — so
+//! regressions in the allocation-free paths show up directly. The event-queue group times `SimEngine`'s `(at, seq)`-ordered
 //! queue through its public API, and the gossip-digest and body-cache
 //! groups the two structures the lazy-gossip plane adds to the hot path:
 //! the IHAVE advertisement codec and the ring of bodies kept for pulls.
@@ -122,6 +123,34 @@ fn bench_wire_forms(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("suffix_since", total), &total, |bench, _| {
             bench.iter(|| black_box(b.suffix_since(a.counters())))
+        });
+    }
+    group.finish();
+}
+
+/// What a round copies: a snapshot of the replica's vector (`clone`), a
+/// vector cut back to half of every writer's history (`prefix`, a clone
+/// then `truncate_to`) and a peer's vector rebuilt from its delta over the
+/// snapshot (`reconstruct`, one update ahead per writer).
+fn bench_clone(c: &mut Criterion) {
+    let mut group = c.benchmark_group("evv-clone");
+    for &total in &SIZES {
+        let a = evv_total(total);
+        let half =
+            VersionVector::from_pairs(a.counters().iter().map(|(w, n)| (w, n.div_ceil(2))));
+        let delta = diverged(&a).suffix_since(a.counters());
+        group.bench_with_input(BenchmarkId::new("clone", total), &total, |bench, _| {
+            bench.iter(|| black_box(a.clone()))
+        });
+        group.bench_with_input(BenchmarkId::new("prefix", total), &total, |bench, _| {
+            bench.iter(|| {
+                let mut v = a.clone();
+                v.truncate_to(&half, 0);
+                black_box(v)
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("reconstruct", total), &total, |bench, _| {
+            bench.iter(|| black_box(a.reconstruct(&delta)))
         });
     }
     group.finish();
@@ -465,6 +494,7 @@ criterion_group!(
     bench_counters,
     bench_triple_against,
     bench_adopt,
+    bench_clone,
     bench_wire_forms,
     bench_missing_from,
     bench_event_queue,

@@ -150,6 +150,15 @@ impl VersionVector {
         }
     }
 
+    /// Adds one to `writer`'s counter, found at `pos` by
+    /// [`VersionVector::position`] (inserted at one when absent).
+    pub(crate) fn increment_at(&mut self, pos: Result<usize, usize>, writer: WriterId) {
+        match pos {
+            Ok(i) => self.counters[i].1 += 1,
+            Err(i) => self.counters.insert(i, (writer, 1)),
+        }
+    }
+
     /// Sets `writer`'s counter to exactly `count` (zero removes the entry,
     /// keeping the vector zero-elided) — the in-place form of a one-entry
     /// [`VersionVector::with_overrides`].

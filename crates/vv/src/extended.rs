@@ -164,19 +164,17 @@ impl ExtendedVersionVector {
     /// Panics in debug builds if `seq` is not consecutive; release builds
     /// tolerate replays (`seq <= count`) by ignoring them.
     pub fn record(&mut self, writer: WriterId, seq: u64, at: SimTime, meta_delta: i64) {
+        let pos = self.counters.position(writer);
         let pairs = self.counters.pairs();
-        let (i, count) = match self.counters.position(writer) {
-            Ok(i) => (i, pairs[i].1),
-            // A new writer starts, empty, where its successor does.
-            Err(i) => (i, 0),
-        };
+        // A new writer starts, empty, where its successor does.
+        let (i, count) = pos.map_or_else(|i| (i, 0), |i| (i, pairs[i].1));
         if seq <= count {
             // Replay of an already-recorded update: ignore.
             return;
         }
         debug_assert_eq!(seq, count + 1, "update for {writer} skipped seq {count}+1 -> {seq}");
         self.histories.push(Start::after(&pairs[..i]), count as usize, at);
-        self.counters.observe(writer, count + 1);
+        self.counters.increment_at(pos, writer);
         self.meta += meta_delta;
     }
 

@@ -26,9 +26,11 @@
 //! from the counters alone ([`Start`]), and the borrowed [`History`] view
 //! reads them. Cloning a vector, cutting it and rebuilding a peer's
 //! therefore allocate two buffers whatever the number of writers, and none
-//! for the chunks while every history is shorter than one. The price is
-//! paid on append: a timestamp for a writer other than the last shifts the
-//! tails of the writers after it, fewer than [`CHUNK`] entries each.
+//! for the chunks while every history is shorter than one. Each tail sits
+//! in a run of slots sized to the next power of two, the spare ones zero,
+//! so an append writes in place and the writers after it shift only when
+//! the tail outgrows its run — as often as a `Vec` of its own would
+//! reallocate.
 //!
 //! The representation is canonical — every frozen chunk is full, every
 //! tail holds fewer than [`CHUNK`] entries, and no writer is empty — so the
@@ -121,12 +123,18 @@ impl<'a> History<'a> {
 
     /// `(0-based position, timestamp)` of every entry from `start` on.
     pub(crate) fn iter_from(&self, start: usize) -> impl Iterator<Item = (usize, SimTime)> + 'a {
+        self.runs_from(start)
+            .flat_map(|run| run.iter().copied())
+            .enumerate()
+            .map(move |(i, t)| (start + i, t))
+    }
+
+    /// The entries from position `start` on, as at most one slice per
+    /// block (for copying them out a slice at a time).
+    pub(crate) fn runs_from(&self, start: usize) -> impl Iterator<Item = &'a [SimTime]> + 'a {
         let h = *self;
-        (start / CHUNK..=h.frozen.len()).flat_map(move |k| {
-            let base = k * CHUNK;
-            let skip = start.saturating_sub(base);
-            h.block(k).iter().enumerate().skip(skip).map(move |(i, t)| (base + i, *t))
-        })
+        (start / CHUNK..=h.frozen.len())
+            .map(move |k| h.block(k).get(start.saturating_sub(k * CHUNK)..).unwrap_or(&[]))
     }
 
     /// The timestamps from position `start` on, copied out.
@@ -183,15 +191,16 @@ impl<'a> History<'a> {
                 }
             }
             let (ta, tb) = (self.block(k), other.block(k));
-            if same(ta, tb) {
-                continue;
-            }
-            let seq = |s: usize| (k * CHUNK + s) as u64 + 1;
             let m = ta.len().min(tb.len());
-            for s in 0..m {
-                if ta[s] != tb[s] {
-                    note_divergence(d, ta[s], writer, seq(s));
-                    note_divergence(d, tb[s], writer, seq(s));
+            let seq = |s: usize| (k * CHUNK + s) as u64 + 1;
+            // One vector compare settles the common part in the usual case
+            // (one side a few entries ahead, nothing rewritten).
+            if !same(&ta[..m], &tb[..m]) {
+                for s in 0..m {
+                    if ta[s] != tb[s] {
+                        note_divergence(d, ta[s], writer, seq(s));
+                        note_divergence(d, tb[s], writer, seq(s));
+                    }
                 }
             }
             for (s, t) in ta.iter().enumerate().skip(m) {
@@ -228,12 +237,20 @@ impl<'a> History<'a> {
                     continue;
                 }
             }
-            let base = k * CHUNK;
-            for (s, (ta, tb)) in self.block(k).iter().zip(other.block(k)).enumerate() {
-                if *ta > *last && ta == tb && key(*ta, writer, (base + s) as u64 + 1) < d {
-                    *last = *ta;
+            let (ta, tb) = (self.block(k), other.block(k));
+            let m = ta.len().min(tb.len());
+            if same(&ta[..m], &tb[..m]) {
+                // Identical over the common part: every entry is common.
+                *last = (*last).max(newest_below(&ta[..m], k * CHUNK, writer, d));
+                continue;
+            }
+            let (base, mut newest) = (k * CHUNK, *last);
+            for (s, (ta, tb)) in ta.iter().zip(tb).enumerate() {
+                if *ta > newest && ta == tb && key(*ta, writer, (base + s) as u64 + 1) < d {
+                    newest = *ta;
                 }
             }
+            *last = newest;
         }
     }
 
@@ -264,13 +281,38 @@ impl<'a> History<'a> {
                     continue;
                 }
             }
-            for (s, t) in self.block(k)[lo..hi].iter().enumerate() {
-                if *t > *last && key(*t, writer, (base + lo + s) as u64 + 1) < d {
-                    *last = *t;
-                }
-            }
+            let newest = newest_below(&self.block(k)[lo..hi], base + lo, writer, d);
+            *last = (*last).max(newest);
         }
     }
+}
+
+/// The newest of `times` — `writer`'s entries from 0-based position `base`
+/// on — whose key sorts before `d` (`ZERO` when none does). Below `d` means
+/// an earlier time, or `d`'s time and an id before `d`'s: for one writer,
+/// a position below `tied`.
+fn newest_below(
+    times: &[SimTime],
+    base: usize,
+    writer: WriterId,
+    d: (SimTime, UpdateId),
+) -> SimTime {
+    let tied = match writer.cmp(&d.1.writer) {
+        std::cmp::Ordering::Less => usize::MAX,
+        std::cmp::Ordering::Equal => (d.1.seq as usize).saturating_sub(1),
+        std::cmp::Ordering::Greater => 0,
+    };
+    let split = tied.clamp(base, base + times.len()) - base;
+    let bound = d.0 .0;
+    let at_most = newest_at_most(&times[..split], bound);
+    let below = bound.checked_sub(1).map_or(0, |b| newest_at_most(&times[split..], b));
+    SimTime(at_most.max(below))
+}
+
+/// The largest of `times` no later than `bound` (0 when none is), without
+/// a branch per entry.
+fn newest_at_most(times: &[SimTime], bound: u64) -> u64 {
+    times.iter().map(|t| if t.0 <= bound { t.0 } else { 0 }).fold(0, u64::max)
 }
 
 /// Where a writer's data starts in [`Histories`]' two buffers.
@@ -280,17 +322,30 @@ pub(crate) struct Start {
     tail: usize,
 }
 
+/// Tail slots a writer whose tail holds `n` entries occupies: `n` rounded
+/// up to a power of two (zero for none), the spare slots zero. Appending
+/// within the slots moves nothing; only when a tail outgrows them, eight
+/// times on its way to [`CHUNK`], do the writers after it shift.
+fn tail_slots(n: usize) -> usize {
+    if n == 0 {
+        0
+    } else {
+        n.next_power_of_two()
+    }
+}
+
 impl Start {
     /// Where the writer after the first `lens.len()` writers starts: each
-    /// writer of length `n` holds `n / CHUNK` chunks and `n % CHUNK` tail
-    /// entries, so the offsets follow from the lengths alone.
+    /// writer of length `n` holds `n / CHUNK` chunks and the tail slots of
+    /// its `n % CHUNK` tail entries, so the offsets follow from the lengths
+    /// alone.
     pub(crate) fn after(lens: &[(WriterId, u64)]) -> Start {
         lens.iter().fold(Start::default(), |s, &(_, n)| s.skip(n as usize))
     }
 
     /// Where the writer after one of length `len` starting here starts.
     pub(crate) fn skip(self, len: usize) -> Start {
-        Start { chunks: self.chunks + len / CHUNK, tail: self.tail + len % CHUNK }
+        Start { chunks: self.chunks + len / CHUNK, tail: self.tail + tail_slots(len % CHUNK) }
     }
 }
 
@@ -331,10 +386,9 @@ impl Histories {
 
     /// The history of the writer of length `len` starting at `at`.
     pub(crate) fn get(&self, at: Start, len: usize) -> History<'_> {
-        let end = at.skip(len);
         History {
-            frozen: &self.chunks[at.chunks..end.chunks],
-            tail: &self.tails[at.tail..end.tail],
+            frozen: &self.chunks[at.chunks..at.chunks + len / CHUNK],
+            tail: &self.tails[at.tail..at.tail + len % CHUNK],
         }
     }
 
@@ -353,15 +407,25 @@ impl Histories {
     /// Appends the timestamp of the next update of the writer of length
     /// `len` starting at `at` (a writer new to the vector has length 0 and
     /// starts where its successor does), freezing its tail into a chunk
-    /// when it fills. Shifts the tails of the writers after it.
+    /// when it fills. Shifts the tails of the writers after it only when
+    /// its tail outgrows its slots.
     pub(crate) fn push(&mut self, at: Start, len: usize, t: SimTime) {
-        let end = at.skip(len);
-        self.tails.insert(end.tail, t);
-        if (len + 1).is_multiple_of(CHUNK) {
+        let held = len % CHUNK;
+        let (slots, grown) = (tail_slots(held), tail_slots(held + 1));
+        if grown > slots {
+            // Outgrown: open `grown - slots` zero slots after this tail.
+            let (spare, old_end) = (at.tail + slots, self.tails.len());
+            self.tails.resize(old_end + grown - slots, SimTime::ZERO);
+            self.tails.copy_within(spare..old_end, at.tail + grown);
+            self.tails[spare..at.tail + grown].fill(SimTime::ZERO);
+        }
+        self.tails[at.tail + held] = t;
+        if held + 1 == CHUNK {
             let times: [SimTime; CHUNK] =
                 self.tails[at.tail..at.tail + CHUNK].try_into().expect("tail is CHUNK long");
             self.tails.drain(at.tail..at.tail + CHUNK);
-            self.chunks.insert(end.chunks, Chunk::freeze(times, len + 1 - CHUNK));
+            let end = at.chunks + len / CHUNK;
+            self.chunks.insert(end, Chunk::freeze(times, len + 1 - CHUNK));
         }
     }
 
@@ -373,16 +437,19 @@ impl Histories {
         if n >= len {
             return;
         }
-        let (end, kept) = (at.skip(len), at.skip(n));
-        let held = end.chunks - at.chunks;
-        let (whole, rest) = (n / CHUNK, n % CHUNK);
+        let (held, whole, rest) = (len / CHUNK, n / CHUNK, n % CHUNK);
+        let slots = at.tail..at.tail + tail_slots(len % CHUNK);
+        let zeros = tail_slots(rest) - rest;
         if whole < held {
             // The new tail comes out of the first chunk cut away.
-            let chunk = Arc::clone(&self.chunks[kept.chunks]);
-            self.tails.splice(at.tail..end.tail, chunk.times[..rest].iter().copied());
-            self.chunks.drain(kept.chunks..end.chunks);
+            let cut = at.chunks + whole;
+            let chunk = Arc::clone(&self.chunks[cut]);
+            let tail = chunk.times[..rest].iter().copied();
+            self.tails.splice(slots, tail.chain(std::iter::repeat_n(SimTime::ZERO, zeros)));
+            self.chunks.drain(cut..at.chunks + held);
         } else {
-            self.tails.drain(kept.tail..end.tail);
+            self.tails.drain(at.tail + tail_slots(rest)..slots.end);
+            self.tails[at.tail + rest..at.tail + rest + zeros].fill(SimTime::ZERO);
         }
     }
 
@@ -420,6 +487,8 @@ impl Histories {
         self.tails.extend_from_slice(&sfx[..copied]);
         let filled = past + copied;
         self.tails.extend(std::iter::repeat_n(SimTime::ZERO, len.saturating_sub(filled)));
+        let held = len % CHUNK;
+        self.tails.extend(std::iter::repeat_n(SimTime::ZERO, tail_slots(held) - held));
     }
 }
 

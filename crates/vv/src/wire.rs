@@ -76,9 +76,28 @@ impl Suffixes {
         start_seq: u64,
         times: impl IntoIterator<Item = SimTime>,
     ) {
+        let header = self.open_run(writer, start_seq);
+        self.slots.extend(times);
+        self.close_run(header);
+    }
+
+    /// Appends `writer`'s run copied out of `history` from 0-based
+    /// position `from` on, a slice at a time.
+    pub(crate) fn push_history(&mut self, writer: WriterId, history: History<'_>, from: usize) {
+        let header = self.open_run(writer, from as u64 + 1);
+        for run in history.runs_from(from) {
+            self.slots.extend_from_slice(run);
+        }
+        self.close_run(header);
+    }
+
+    fn open_run(&mut self, writer: WriterId, start_seq: u64) -> usize {
         let header = self.slots.len();
         self.slots.extend([SimTime(u64::from(writer.0)), SimTime(start_seq), SimTime::ZERO]);
-        self.slots.extend(times);
+        header
+    }
+
+    fn close_run(&mut self, header: usize) {
         self.slots[header + 2] = SimTime((self.slots.len() - header - HEADER) as u64);
     }
 
@@ -235,8 +254,7 @@ impl ExtendedVersionVector {
             let times: usize = self.writers().map(|(_, h)| h.len().min(tail_len)).sum();
             out.tail.slots.reserve_exact(HEADER * self.counters().writers() + times);
             for (w, h) in self.writers() {
-                let skip = h.len().saturating_sub(tail_len);
-                out.tail.push(w, skip as u64 + 1, h.iter_from(skip).map(|(_, t)| t));
+                out.tail.push_history(w, h, h.len().saturating_sub(tail_len));
             }
         }
     }
@@ -268,7 +286,7 @@ impl ExtendedVersionVector {
         let mut suffixes = Suffixes::with_capacity(runs, times);
         for (w, h) in self.writers() {
             if let Some(s) = start(w, &h) {
-                suffixes.push(w, s as u64 + 1, h.iter_from(s).map(|(_, t)| t));
+                suffixes.push_history(w, h, s);
             }
         }
         VvDelta {
