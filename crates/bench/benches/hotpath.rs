@@ -136,8 +136,7 @@ fn bench_clone(c: &mut Criterion) {
     let mut group = c.benchmark_group("evv-clone");
     for &total in &SIZES {
         let a = evv_total(total);
-        let half =
-            VersionVector::from_pairs(a.counters().iter().map(|(w, n)| (w, n.div_ceil(2))));
+        let half = VersionVector::from_pairs(a.counters().iter().map(|(w, n)| (w, n.div_ceil(2))));
         let delta = diverged(&a).suffix_since(a.counters());
         group.bench_with_input(BenchmarkId::new("clone", total), &total, |bench, _| {
             bench.iter(|| black_box(a.clone()))

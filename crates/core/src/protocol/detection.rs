@@ -22,6 +22,13 @@
 //! snapshot); a lower-id reply is counted and dropped. Every trigger
 //! starts a round at once (the paper's per-trigger probing), at most one in
 //! flight per object.
+//!
+//! A round's copies cost no allocation once the shard is warm: its
+//! requests share one summary behind an `Arc`, and a finished round is
+//! kept (up to [`SPARE_ROUNDS`] per shard) so the next round refills its
+//! snapshot, summary and rebuilt reference in place. The snapshot stays a
+//! snapshot — a resolution's `Inform` can cut the replica mid-round, and
+//! the replies are deltas against the counters probed at round start.
 
 use super::{pack, NodeCore, Trigger, K_DETECT, K_PULL, K_SWEEP};
 use crate::adapt::AdaptAction;

@@ -24,10 +24,12 @@
 //! still pay one vector compare over their common prefix).
 //!
 //! The writers are flat: the classic counter view is one sorted run of
-//! `(writer, count)` pairs, and the histories sit index for index beside
-//! it in three flat buffers, so one binary search finds both and a clone,
-//! a prefix or a reconstruction allocates a fixed number of buffers
-//! whatever the number of writers. The counter view is maintained
+//! `(writer, count)` pairs, and the histories sit writer by writer beside
+//! it in two flat buffers whose offsets the counts determine, so one binary
+//! search finds both and a clone, a prefix or a reconstruction allocates
+//! two buffers whatever the number of writers (none at all when
+//! `clone_from` or [`ExtendedVersionVector::reconstruct_into`] refill a
+//! vector that held one as large). The counter view is maintained
 //! incrementally by [`ExtendedVersionVector::record`] and
 //! [`ExtendedVersionVector::adopt`], so [`ExtendedVersionVector::counters`]
 //! is a free borrow. Compact wire forms live in [`crate::wire`].

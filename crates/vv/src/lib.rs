@@ -33,4 +33,4 @@ pub mod wire;
 
 pub use classic::{VersionVector, VvOrdering};
 pub use extended::ExtendedVersionVector;
-pub use wire::{Runs, Suffixes, VvDelta, VvSummary, WriterSuffix};
+pub use wire::{Suffixes, VvDelta, VvSummary, WriterSuffix};

@@ -103,7 +103,7 @@ impl Suffixes {
 
     /// Number of runs.
     pub fn len(&self) -> usize {
-        self.iter().len()
+        self.iter().count()
     }
 
     /// True when no run is held.
@@ -117,8 +117,15 @@ impl Suffixes {
     }
 
     /// The runs, in push order.
-    pub fn iter(&self) -> Runs<'_> {
-        Runs { rest: &self.slots }
+    pub fn iter(&self) -> impl Iterator<Item = WriterSuffix<'_>> + '_ {
+        let mut rest = &self.slots[..];
+        std::iter::from_fn(move || {
+            let (header, after) = rest.split_first_chunk::<HEADER>()?;
+            let (times, after) = after.split_at(header[2].0 as usize);
+            rest = after;
+            let (writer, start_seq) = (WriterId(header[0].0 as u32), header[1].0);
+            Some(WriterSuffix { writer, start_seq, times })
+        })
     }
 
     /// `writer`'s first run.
@@ -126,30 +133,6 @@ impl Suffixes {
         self.iter().find(|r| r.writer == writer)
     }
 }
-
-/// Iterator over a [`Suffixes`] buffer's runs.
-#[derive(Debug, Clone)]
-pub struct Runs<'a> {
-    rest: &'a [SimTime],
-}
-
-impl<'a> Iterator for Runs<'a> {
-    type Item = WriterSuffix<'a>;
-
-    fn next(&mut self) -> Option<WriterSuffix<'a>> {
-        let (header, rest) = self.rest.split_first_chunk::<HEADER>()?;
-        let (times, rest) = rest.split_at(header[2].0 as usize);
-        self.rest = rest;
-        Some(WriterSuffix { writer: WriterId(header[0].0 as u32), start_seq: header[1].0, times })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.clone().count();
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for Runs<'_> {}
 
 /// Compact, self-contained wire form of an extended version vector.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -276,18 +259,11 @@ impl ExtendedVersionVector {
             let base = (have.get(w) as usize).min(h.len());
             (base < h.len()).then(|| base.saturating_sub(1))
         };
-        let (mut runs, mut times) = (0, 0);
-        for (w, h) in self.writers() {
-            if let Some(s) = start(w, &h) {
-                runs += 1;
-                times += h.len() - s;
-            }
-        }
-        let mut suffixes = Suffixes::with_capacity(runs, times);
-        for (w, h) in self.writers() {
-            if let Some(s) = start(w, &h) {
-                suffixes.push_history(w, h, s);
-            }
+        let runs = || self.writers().filter_map(|(w, h)| start(w, &h).map(|s| (w, h, s)));
+        let times = runs().map(|(_, h, s)| h.len() - s).sum();
+        let mut suffixes = Suffixes::with_capacity(runs().count(), times);
+        for (w, h, s) in runs() {
+            suffixes.push_history(w, h, s);
         }
         VvDelta {
             counters: self.counters().clone(),
