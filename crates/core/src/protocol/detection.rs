@@ -202,11 +202,47 @@ struct DetectState {
 /// with graft/prune oscillation).
 struct Missing {
     /// Advertisers to pull from, tried one per timer firing.
-    advertisers: Vec<NodeId>,
+    advertisers: Advertisers,
     /// The armed `K_PULL` grace/retry timer.
     timer: TimerId,
     /// Ticket keying `pull_tickets`.
     ticket: u64,
+}
+
+/// The advertisers of a missing body not yet pulled from, in the order
+/// they advertised it. Most pending pulls hear from one advertiser, so the
+/// first is kept inline and the backups' vector allocates only for a
+/// second.
+struct Advertisers {
+    /// The one to pull from next; `None` only once `backups` is empty too.
+    next: Option<NodeId>,
+    /// The ones behind it, in advertising order.
+    backups: Vec<NodeId>,
+}
+
+impl Advertisers {
+    /// `from` alone; allocates nothing.
+    fn one(from: NodeId) -> Self {
+        Advertisers { next: Some(from), backups: Vec::new() }
+    }
+
+    /// Queues `from` behind the others, unless it is queued already.
+    fn add(&mut self, from: NodeId) {
+        match self.next {
+            None => self.next = Some(from),
+            Some(next) if next == from || self.backups.contains(&from) => {}
+            Some(_) => self.backups.push(from),
+        }
+    }
+
+    /// Takes the earliest advertiser still queued.
+    fn pop(&mut self) -> Option<NodeId> {
+        let next = self.next.take()?;
+        if !self.backups.is_empty() {
+            self.next = Some(self.backups.remove(0));
+        }
+        Some(next)
+    }
 }
 
 /// The detection subsystem.
@@ -559,11 +595,7 @@ impl Detection {
                 continue; // body already processed here
             }
             match self.missing.get_mut(&(object, id)) {
-                Some(miss) => {
-                    if !miss.advertisers.contains(&from) {
-                        miss.advertisers.push(from);
-                    }
-                }
+                Some(miss) => miss.advertisers.add(from),
                 None => {
                     if !fresh.contains(&id) {
                         fresh.push(id);
@@ -577,7 +609,10 @@ impl Detection {
             let ticket = core.fresh_id();
             let timer = ctx.set_timer(GOSSIP_PULL_TIMEOUT, pack(K_PULL, shard, ticket));
             self.pull_tickets.insert(ticket, (object, id));
-            self.missing.insert((object, id), Missing { advertisers: vec![from], timer, ticket });
+            self.missing.insert(
+                (object, id),
+                Missing { advertisers: Advertisers::one(from), timer, ticket },
+            );
         }
     }
 
@@ -623,13 +658,12 @@ impl Detection {
         };
         let key = (object, id);
         let peer = match self.missing.get_mut(&key) {
-            Some(miss) if shared.gossip.wants_body(id) && !miss.advertisers.is_empty() => {
-                miss.advertisers.remove(0)
-            }
-            _ => {
-                self.missing.remove(&key);
-                return;
-            }
+            Some(miss) if shared.gossip.wants_body(id) => miss.advertisers.pop(),
+            _ => None,
+        };
+        let Some(peer) = peer else {
+            self.missing.remove(&key);
+            return;
         };
         let fresh = core.fresh_id();
         let timer = ctx.set_timer(GOSSIP_PULL_TIMEOUT, pack(K_PULL, shard, fresh));
@@ -745,6 +779,27 @@ mod tests {
     fn reply(round: &mut DetectRound, from: NodeId, theirs: &ExtendedVersionVector) -> bool {
         let delta = theirs.suffix_since(round.baseline.counters());
         round.on_reply(from, &delta)
+    }
+
+    /// A pending pull tries its advertisers in the order they advertised,
+    /// each once, as the list it replaced did; one advertiser allocates
+    /// nothing, and a repeat of a queued one is not queued again.
+    #[test]
+    fn advertisers_are_tried_first_come_first_served() {
+        let mut ads = Advertisers::one(NodeId(4));
+        ads.add(NodeId(4));
+        assert_eq!(ads.backups.capacity(), 0, "one advertiser, no allocation");
+        for n in [7, 2, 4, 7, 9] {
+            ads.add(NodeId(n));
+        }
+        assert_eq!(ads.pop(), Some(NodeId(4)));
+        // Already tried: queued again behind the rest.
+        ads.add(NodeId(4));
+        let order: Vec<NodeId> = std::iter::from_fn(|| ads.pop()).collect();
+        assert_eq!(order, [7, 2, 9, 4].map(NodeId));
+        assert_eq!(ads.pop(), None);
+        ads.add(NodeId(3));
+        assert_eq!((ads.pop(), ads.pop()), (Some(NodeId(3)), None));
     }
 
     #[test]

@@ -46,14 +46,16 @@ impl Default for Jitter {
 pub(crate) enum LatencyModel {
     /// Every pair has the same base delay.
     Constant(SimDuration),
-    /// Dense per-pair matrix (row = from, column = to), microseconds.
+    /// Dense per-pair matrix (row = from, column = to), whole milliseconds.
     Matrix {
         /// Number of nodes (matrix is `n × n`).
         n: usize,
-        /// Row-major one-way delays in microseconds; diagonal is local.
-        /// Four bytes a cell: a one-way delay above `u32::MAX` µs (~71
-        /// minutes) is no WAN, and `n²` cells are the model's whole size.
-        us: Vec<u32>,
+        /// Row-major one-way delays in whole milliseconds; diagonal is
+        /// local. One byte a cell: WAN one-way delays are tens of ms (the
+        /// PlanetLab testbed draws 8–55 ms), `n²` cells are the model's
+        /// whole size, and every simulated message reads one, so a denser
+        /// matrix misses the cache less (640 nodes: 0.41 MB).
+        ms: Vec<u8>,
     },
 }
 
@@ -61,29 +63,31 @@ impl LatencyModel {
     /// Builds a matrix model from a closure over ordered pairs.
     ///
     /// # Panics
-    /// Panics when a delay exceeds `u32::MAX` microseconds.
+    /// Panics when a delay is not a whole number of milliseconds, or
+    /// exceeds 255 ms.
     #[cfg(test)]
     pub(crate) fn from_fn(n: usize, mut f: impl FnMut(NodeId, NodeId) -> SimDuration) -> Self {
-        let mut us = Vec::with_capacity(n * n);
+        let mut ms = Vec::with_capacity(n * n);
         for i in 0..n as u32 {
             for j in 0..n as u32 {
                 let d = f(NodeId(i), NodeId(j));
-                us.push(u32::try_from(d.as_micros()).unwrap_or_else(|_| {
-                    panic!("delay {d} from n{i} to n{j} exceeds the matrix cell's u32::MAX µs")
-                }));
+                match u8::try_from(d.as_micros() / 1_000) {
+                    Ok(cell) if d.as_micros().is_multiple_of(1_000) => ms.push(cell),
+                    _ => panic!("delay {d} from n{i} to n{j} is not a whole ms up to 255 ms"),
+                }
             }
         }
-        LatencyModel::Matrix { n, us }
+        LatencyModel::Matrix { n, ms }
     }
 
     /// Base one-way delay from `from` to `to`.
     pub(crate) fn base(&self, from: NodeId, to: NodeId) -> SimDuration {
         match self {
             LatencyModel::Constant(d) => *d,
-            LatencyModel::Matrix { n, us } => {
+            LatencyModel::Matrix { n, ms } => {
                 let (i, j) = (from.index(), to.index());
                 assert!(i < *n && j < *n, "pair ({from},{to}) outside {n}-node matrix");
-                SimDuration::from_micros(u64::from(us[i * n + j]))
+                SimDuration::from_millis(u64::from(ms[i * n + j]))
             }
         }
     }
@@ -104,7 +108,7 @@ impl LatencyModel {
     pub(crate) fn mean_base(&self) -> SimDuration {
         match self {
             LatencyModel::Constant(d) => *d,
-            LatencyModel::Matrix { n, us } => {
+            LatencyModel::Matrix { n, ms } => {
                 if *n < 2 {
                     return SimDuration::ZERO;
                 }
@@ -113,7 +117,7 @@ impl LatencyModel {
                 for i in 0..*n {
                     for j in 0..*n {
                         if i != j {
-                            sum += u128::from(us[i * n + j]);
+                            sum += u128::from(ms[i * n + j]) * 1_000;
                             cnt += 1;
                         }
                     }
@@ -157,18 +161,24 @@ mod tests {
     }
 
     #[test]
-    fn matrix_cells_hold_up_to_u32_max_micros() {
-        let top = SimDuration::from_micros(u64::from(u32::MAX));
-        let m = LatencyModel::from_fn(2, |_, _| top);
+    fn matrix_cells_hold_whole_ms_up_to_255() {
+        let top = SimDuration::from_millis(255);
+        let m = LatencyModel::from_fn(2, |a, b| if a == b { SimDuration::ZERO } else { top });
         assert_eq!(m.base(NodeId(1), NodeId(0)), top);
+        assert_eq!(m.base(NodeId(1), NodeId(1)), SimDuration::ZERO);
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the matrix cell's u32::MAX µs")]
-    fn matrix_rejects_a_delay_past_u32_micros() {
-        let _ = LatencyModel::from_fn(2, |a, b| {
-            SimDuration::from_micros(if a == b { 0 } else { u64::from(u32::MAX) + 1 })
-        });
+    #[should_panic(expected = "not a whole ms up to 255 ms")]
+    fn matrix_rejects_a_delay_past_255_ms() {
+        let _ =
+            LatencyModel::from_fn(2, |a, b| SimDuration::from_millis(if a == b { 0 } else { 256 }));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a whole ms up to 255 ms")]
+    fn matrix_rejects_a_fractional_ms() {
+        let _ = LatencyModel::from_fn(2, |_, _| SimDuration::from_micros(10_500));
     }
 
     #[test]

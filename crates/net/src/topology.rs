@@ -51,7 +51,7 @@ impl Topology {
         let regions: Vec<Region> = (0..n).map(|i| Region::ALL[i % Region::ALL.len()]).collect();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x70_70_1a_b5);
         // Sample the upper triangle, mirror for symmetry.
-        let mut us = vec![0u32; n * n];
+        let mut ms = vec![0u8; n * n];
         for i in 0..n {
             for j in (i + 1)..n {
                 // Drawn as u64: the draw type decides the stream, so only
@@ -61,14 +61,14 @@ impl Topology {
                 } else {
                     rng.gen_range(40..=55)
                 };
-                let cell = u32::try_from(one_way_ms * 1_000).expect("at most 55 ms");
-                us[i * n + j] = cell;
-                us[j * n + i] = cell;
+                let cell = u8::try_from(one_way_ms).expect("at most 55 ms");
+                ms[i * n + j] = cell;
+                ms[j * n + i] = cell;
             }
         }
         Topology {
             regions,
-            latency: LatencyModel::Matrix { n, us },
+            latency: LatencyModel::Matrix { n, ms },
             jitter: Jitter::Proportional { frac: 0.08 },
         }
     }

@@ -86,21 +86,67 @@ impl Default for TopLayerConfig {
 /// writes seen in any counter vector, and its temperature — a decayed
 /// score with its last-touch time and whether the node was in the top
 /// layer when the entry was last evaluated. A score that decays to the
-/// drop floor goes cold (`hot = false`) but the entry stays, so the table
+/// drop floor goes cold (not `hot`) but the entry stays, so the table
 /// grows once per node it ever sees.
+///
+/// There is one table per (node, object), so an entry is 28 bytes, packed
+/// to 4-byte alignment: the two flags live in the top bits of the node-id
+/// word (`member` in bit 31, `hot` in bit 30), so a node id must stay below
+/// 2^30, which [`Heat::new`] asserts. A packed struct lends no reference
+/// to a field, so every field is read and written by value.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 struct Heat {
-    node: NodeId,
-    member: bool,
-    hot: bool,
+    /// The node id in bits 0–29, then the `hot` and `member` flags.
+    word: u32,
     known: u64,
     value: f64,
     at: SimTime,
 }
 
-const _: () = assert!(std::mem::size_of::<Heat>() == 32);
+const _: () = assert!(std::mem::size_of::<Heat>() == 28);
+
+/// The `member` flag of [`Heat::word`].
+const MEMBER: u32 = 1 << 31;
+/// The `hot` flag of [`Heat::word`].
+const HOT: u32 = 1 << 30;
+/// The node-id bits of [`Heat::word`]: the largest id an entry holds.
+const NODE_MASK: u32 = HOT - 1;
 
 impl Heat {
+    /// A cold entry for `node` that knows no count.
+    ///
+    /// # Panics
+    /// Panics when the id does not fit below the flag bits (≥ 2^30).
+    fn new(node: NodeId) -> Heat {
+        assert!(
+            node.0 <= NODE_MASK,
+            "node id {} does not fit a temperature entry (< 2^30)",
+            node.0
+        );
+        Heat { word: node.0, known: 0, value: 0.0, at: SimTime::ZERO }
+    }
+
+    fn node(&self) -> NodeId {
+        NodeId(self.word & NODE_MASK)
+    }
+
+    fn member(&self) -> bool {
+        self.word & MEMBER != 0
+    }
+
+    fn hot(&self) -> bool {
+        self.word & HOT != 0
+    }
+
+    fn set_member(&mut self, on: bool) {
+        self.word = self.word & !MEMBER | if on { MEMBER } else { 0 };
+    }
+
+    fn set_hot(&mut self, on: bool) {
+        self.word = self.word & !HOT | if on { HOT } else { 0 };
+    }
+
     fn decayed(&self, now: SimTime, half_life: SimDuration) -> f64 {
         let dt = now.saturating_since(self.at).as_micros();
         if dt == 0 {
@@ -120,19 +166,19 @@ impl Heat {
         // A cold member is a node the refresh at `at` dropped while it
         // still qualified (`leave_threshold ≤ 0`): it stays listed until
         // the next refresh.
-        self.member && (!self.hot || self.decayed(at, cfg.half_life) >= cfg.leave_threshold)
+        self.member() && (!self.hot() || self.decayed(at, cfg.half_life) >= cfg.leave_threshold)
     }
 
     /// Applies the refresh at `at` that this entry still owes (see the
     /// module docs); returns whether the score went cold.
     fn settle(&mut self, cfg: &TopLayerConfig, at: SimTime) -> bool {
-        if !self.hot {
+        if !self.hot() {
             return false;
         }
         let t = self.decayed(at, cfg.half_life);
-        self.member &= t >= cfg.leave_threshold;
-        self.hot = t > floor(cfg);
-        !self.hot
+        self.set_member(self.member() && t >= cfg.leave_threshold);
+        self.set_hot(t > floor(cfg));
+        !self.hot()
     }
 }
 
@@ -157,8 +203,14 @@ fn floor(cfg: &TopLayerConfig) -> f64 {
 /// Tables learn an object's writers one or two at a time over a whole run
 /// and there is one per (node, object), so the rounding is the trade: it
 /// halves the reallocations of growing to exactly the nodes seen, for at
-/// most 32 spare bytes per table, where doubling would leave a quarter of
-/// a table spare on average.
+/// most one spare 28-byte entry per table, where doubling would leave a
+/// quarter of a table spare on average. The entries stay one vector of
+/// whole entries (one allocation, one growth per table): keeping node
+/// ids, counts and scores in three vectors grew three buffers per table,
+/// and read slower and peaked higher on the 640-node workload.
+///
+/// Node ids must stay below 2^30: an entry keeps its two flags in the top
+/// bits of the id's word (see `Heat`).
 #[derive(Debug, Clone)]
 pub struct TopLayer {
     /// One entry per node ever seen, sorted by node id; the capacity is the
@@ -186,7 +238,7 @@ impl TopLayer {
     /// entries the caller is about to insert, this one included: a full
     /// table reserves that many, rounded up to an even capacity.
     fn entry(&mut self, node: NodeId, at: usize, batch: impl FnOnce(&Self) -> usize) -> usize {
-        if self.entries.get(at).is_some_and(|e| e.node == node) {
+        if self.entries.get(at).is_some_and(|e| e.node() == node) {
             return at;
         }
         if self.entries.len() == self.entries.capacity() {
@@ -195,16 +247,14 @@ impl TopLayer {
             let batch = batch(self);
             self.entries.reserve_exact(batch + (self.entries.len() + batch) % 2);
         }
-        let heat =
-            Heat { node, member: false, hot: false, known: 0, value: 0.0, at: SimTime::ZERO };
-        self.entries.insert(at, heat);
+        self.entries.insert(at, Heat::new(node));
         at
     }
 
     /// Records that `node` updated the object at `now` (observed locally or
     /// learned from a detection message), then refreshes membership.
     pub fn observe_update(&mut self, cfg: &TopLayerConfig, node: NodeId, now: SimTime) {
-        let at = self.entries.partition_point(|e| e.node < node);
+        let at = self.entries.partition_point(|e| e.node() < node);
         let i = self.entry(node, at, |_| 1);
         self.observe(cfg, i, now);
     }
@@ -223,11 +273,11 @@ impl TopLayer {
         let mut counts = counts.into_iter();
         let mut i = 0;
         while let Some((node, count)) = counts.next() {
-            while self.entries.get(i).is_some_and(|e| e.node < node) {
+            while self.entries.get(i).is_some_and(|e| e.node() < node) {
                 i += 1;
             }
-            debug_assert!(i == 0 || self.entries[i - 1].node < node, "counts sorted by node");
-            let known = self.entries.get(i).filter(|e| e.node == node).map_or(0, |e| e.known);
+            debug_assert!(i == 0 || self.entries[i - 1].node() < node, "counts sorted by node");
+            let known = self.entries.get(i).filter(|e| e.node() == node).map_or(0, |e| e.known);
             if count <= known {
                 continue;
             }
@@ -242,7 +292,7 @@ impl TopLayer {
 
     /// The highest write count seen per node, in node order.
     pub fn known_counts(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.entries.iter().filter(|e| e.known > 0).map(|e| (e.node, e.known))
+        self.entries.iter().filter(|e| e.known > 0).map(|e| (e.node(), e.known))
     }
 
     /// One observed update of entry `i` at `now`, and the refresh that
@@ -251,7 +301,7 @@ impl TopLayer {
     fn observe(&mut self, cfg: &TopLayerConfig, i: usize, now: SimTime) {
         let last = self.refreshed;
         self.hot -= u32::from(self.entries[i].settle(cfg, last));
-        let warming = u32::from(!self.entries[i].hot);
+        let warming = u32::from(!self.entries[i].hot());
         let full = cfg.leave_threshold <= 0.0
             || (self.hot + warming) as usize > cfg.max_size
             || now < last;
@@ -261,9 +311,9 @@ impl TopLayer {
             }
         }
         let heat = &mut self.entries[i];
-        heat.value = if heat.hot { heat.decayed(now, cfg.half_life) + 1.0 } else { 1.0 };
+        heat.value = if heat.hot() { heat.decayed(now, cfg.half_life) + 1.0 } else { 1.0 };
         heat.at = now;
-        heat.hot = true;
+        heat.set_hot(true);
         self.hot += warming;
         if full {
             self.refresh_settled(cfg, now);
@@ -272,9 +322,11 @@ impl TopLayer {
             // (decayed by 0.5⁰ = 1: exactly `value`); every other entry
             // owes it.
             let t = heat.value;
-            heat.member = t >= if heat.member { cfg.leave_threshold } else { cfg.join_threshold };
+            heat.set_member(
+                t >= if heat.member() { cfg.leave_threshold } else { cfg.join_threshold },
+            );
             if t <= floor(cfg) {
-                heat.hot = false;
+                heat.set_hot(false);
                 self.hot -= 1;
             }
             self.refreshed = now;
@@ -286,11 +338,11 @@ impl TopLayer {
     fn unseen(&self, counts: impl Iterator<Item = (NodeId, u64)>, mut from: usize) -> usize {
         let mut unseen = 0;
         for (node, count) in counts {
-            while self.entries.get(from).is_some_and(|e| e.node < node) {
+            while self.entries.get(from).is_some_and(|e| e.node() < node) {
                 from += 1;
             }
             unseen +=
-                usize::from(count > 0 && self.entries.get(from).is_none_or(|e| e.node != node));
+                usize::from(count > 0 && self.entries.get(from).is_none_or(|e| e.node() != node));
         }
         unseen
     }
@@ -298,7 +350,7 @@ impl TopLayer {
     /// Current temperature of `node`.
     pub fn temperature(&self, cfg: &TopLayerConfig, node: NodeId, now: SimTime) -> f64 {
         self.find(node)
-            .filter(|e| e.hot && e.decayed(self.refreshed, cfg.half_life) > floor(cfg))
+            .filter(|e| e.hot() && e.decayed(self.refreshed, cfg.half_life) > floor(cfg))
             .map_or(0.0, |e| e.decayed(now, cfg.half_life))
     }
 
@@ -324,29 +376,30 @@ impl TopLayer {
         let mut ranked: Vec<(NodeId, f64)> = Vec::new();
         let mut hot = 0;
         for heat in &mut self.entries {
-            if !heat.hot {
+            if !heat.hot() {
                 // A member the previous refresh dropped leaves now.
-                heat.member = false;
+                heat.set_member(false);
                 continue;
             }
             let t = heat.decayed(now, half_life);
             // Current members stay while above leave_threshold
             // (hysteresis); non-members join above join_threshold.
-            heat.member = t >= if heat.member { leave_threshold } else { join_threshold };
-            if heat.member && rank {
-                ranked.push((heat.node, t));
+            heat.set_member(t >= if heat.member() { leave_threshold } else { join_threshold });
+            if heat.member() && rank {
+                ranked.push((heat.node(), t));
             }
             // Stone-cold scores go cold; the entry keeps its known count.
-            heat.hot = t > floor;
-            hot += u32::from(heat.hot);
+            heat.set_hot(t > floor);
+            hot += u32::from(heat.hot());
         }
         if rank {
             // Hottest first; cap at max_size.
             ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
             ranked.truncate(max_size);
             ranked.sort_unstable_by_key(|&(node, _)| node);
-            for heat in self.entries.iter_mut().filter(|h| h.member) {
-                heat.member = ranked.binary_search_by_key(&heat.node, |&(node, _)| node).is_ok();
+            for heat in self.entries.iter_mut().filter(|h| h.member()) {
+                let kept = ranked.binary_search_by_key(&heat.node(), |&(node, _)| node).is_ok();
+                heat.set_member(kept);
             }
         }
         self.hot = hot;
@@ -354,12 +407,12 @@ impl TopLayer {
     }
 
     fn find(&self, node: NodeId) -> Option<&Heat> {
-        self.entries.binary_search_by_key(&node, |e| e.node).ok().map(|i| &self.entries[i])
+        self.entries.binary_search_by_key(&node, |e| e.node()).ok().map(|i| &self.entries[i])
     }
 
     /// Current top-layer members, sorted by node id.
     pub fn top_members<'a>(&'a self, cfg: &'a TopLayerConfig) -> impl Iterator<Item = NodeId> + 'a {
-        self.entries.iter().filter(|e| e.listed(cfg, self.refreshed)).map(|e| e.node)
+        self.entries.iter().filter(|e| e.listed(cfg, self.refreshed)).map(|e| e.node())
     }
 
     /// True when `node` is currently in the top layer.
@@ -696,6 +749,17 @@ mod tests {
         assert_eq!(layer.entries.as_ptr(), buffer);
     }
 
+    /// An id at the flag bits does not fit an entry: the table refuses it
+    /// where the entry would be created.
+    #[test]
+    #[should_panic(expected = "does not fit a temperature entry")]
+    fn node_ids_from_two_to_the_thirty_are_refused() {
+        let c = cfg();
+        let mut layer = TopLayer::new(&c);
+        layer.observe_update(&c, NodeId(NODE_MASK), t(0));
+        layer.observe_counts(&c, [(NodeId(NODE_MASK + 1), 1)], t(0));
+    }
+
     #[test]
     #[should_panic(expected = "hysteresis")]
     fn invalid_thresholds_panic() {
@@ -754,6 +818,25 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+
+        /// Every id below 2^30 comes back out of an entry whatever its
+        /// flags, and each flag reads back as last set.
+        #[test]
+        fn node_ids_round_trip_with_every_flag(id in 0u32..(1 << 30), from in 0u8..4) {
+            let flags = |bits: u8| (bits & 1 != 0, bits & 2 != 0);
+            let mut heat = Heat::new(NodeId(id));
+            prop_assert_eq!((heat.node(), heat.member(), heat.hot()), (NodeId(id), false, false));
+            // Every combination, entered from a random one.
+            let (member, hot) = flags(from);
+            heat.set_member(member);
+            heat.set_hot(hot);
+            for bits in 0..4u8 {
+                let (member, hot) = flags(bits);
+                heat.set_member(member);
+                heat.set_hot(hot);
+                prop_assert_eq!((heat.node(), heat.member(), heat.hot()), (NodeId(id), member, hot));
             }
         }
 

@@ -6,7 +6,9 @@
 //! log of applied [`idea_types::Update`]s, the matching
 //! [`idea_vv::ExtendedVersionVector`], the in-place loser invalidation that
 //! rolls back what a resolution's reference never sanctioned (§4.5.1), and
-//! the transfer helpers resolution uses to ship missing updates.
+//! the transfer helpers resolution uses to ship missing updates. A replica
+//! allocates on its first update: until then it reads as one shared empty
+//! body, since most replicas of a large deployment never see an update.
 //!
 //! [`StoreShard`] bundles the replicas of one shard behind the read/write
 //! API the protocol calls. A node's objects are partitioned by `ObjectId`

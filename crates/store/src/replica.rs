@@ -29,9 +29,25 @@ pub enum ApplyOutcome {
 }
 
 /// A replica: the applied update log plus its extended version vector.
+///
+/// A node hosts every object of its deployment from the start, but on a
+/// large fleet few of its replicas ever see an update. So a replica holds
+/// only its object id until the first update is applied or buffered; the
+/// log, vector, buffer and digest (`Body`) live behind one box created by
+/// that update. Every read of a replica without one sees `EMPTY`, one
+/// shared `static` empty body, so an empty replica costs 16 bytes and its
+/// reads allocate nothing. A duplicate, or a loser invalidation that finds
+/// nothing to drop, never creates a body.
 #[derive(Debug, Clone)]
 pub struct Replica {
     object: ObjectId,
+    /// `None` until the first update is applied or buffered.
+    body: Option<Box<Body>>,
+}
+
+/// What a replica holds once it has seen an update.
+#[derive(Debug, Clone)]
+struct Body {
     log: Vec<Update>,
     evv: ExtendedVersionVector,
     /// Out-of-order arrivals waiting for their per-writer predecessor,
@@ -45,66 +61,79 @@ pub struct Replica {
     hash: u64,
 }
 
+/// The body every replica without one reads (see [`Replica`]).
+static EMPTY: Body = Body::EMPTY;
+
 impl Replica {
-    /// An empty replica of `object`.
+    /// An empty replica of `object`. Allocates nothing.
     pub fn new(object: ObjectId) -> Self {
-        Replica {
-            object,
-            log: Vec::new(),
-            evv: ExtendedVersionVector::new(),
-            pending: BTreeMap::new(),
-            hash: 0,
-        }
+        Replica { object, body: None }
+    }
+
+    /// What the replica holds: its own body, or the shared empty one.
+    #[inline]
+    fn body(&self) -> &Body {
+        self.body.as_deref().unwrap_or(&EMPTY)
+    }
+
+    /// The body to change, created on first use.
+    fn body_mut(&mut self) -> &mut Body {
+        self.body.get_or_insert_with(|| Box::new(Body::EMPTY))
     }
 
     /// The applied update log, in application order.
+    #[inline]
     pub fn log(&self) -> &[Update] {
-        &self.log
+        &self.body().log
     }
 
     /// Number of applied updates.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.log.len()
+        self.body().log.len()
     }
 
     /// True when no update has been applied.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.log.is_empty()
+        self.body().log.is_empty()
     }
 
     /// The extended version vector describing this replica.
+    #[inline]
     pub fn version(&self) -> &ExtendedVersionVector {
-        &self.evv
+        &self.body().evv
     }
 
     /// Current critical-metadata value.
+    #[inline]
     pub fn meta(&self) -> i64 {
-        self.evv.meta()
+        self.body().evv.meta()
     }
 
     /// Number of updates buffered waiting for predecessors.
     pub(crate) fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.body().pending.len()
     }
 
     /// The buffered out-of-order arrivals, in (writer, seq) order — the
     /// durability plane snapshots them alongside the applied log so a
     /// recovered replica buffers exactly what the crashed one did.
     pub(crate) fn pending_updates(&self) -> impl Iterator<Item = &Update> + '_ {
-        self.pending.values()
+        self.body().pending.values()
     }
 
-    /// The rolling content digest of the applied log (see the field docs):
+    /// The rolling content digest of the applied log (see [`Body`]):
     /// equal hashes ⇔ equal applied update sets, w.h.p. One `u64` pins
     /// recovery and rejoin equivalence.
     pub(crate) fn state_hash(&self) -> u64 {
-        self.hash
+        self.body().hash
     }
 
     /// True when the update has been applied (not merely buffered).
     #[cfg(test)]
     pub(crate) fn has(&self, id: UpdateId) -> bool {
-        self.evv.count(id.writer) >= id.seq
+        self.version().count(id.writer) >= id.seq
     }
 
     /// Offers an update. Out-of-order updates (per writer) are buffered and
@@ -116,57 +145,24 @@ impl Replica {
         if update.object != self.object {
             return Err(IdeaError::UnknownObject(update.object));
         }
-        let have = self.evv.count(update.writer());
+        let have = self.version().count(update.writer());
         if update.seq() <= have {
             return Ok(ApplyOutcome::Duplicate);
         }
+        let body = self.body_mut();
         if update.seq() > have + 1 {
-            self.pending.insert((update.writer(), update.seq()), update);
+            body.pending.insert((update.writer(), update.seq()), update);
             return Ok(ApplyOutcome::Buffered);
         }
         let writer = update.writer();
-        self.apply_in_order(update);
-        self.drain_pending(writer);
+        body.apply_in_order(update);
+        body.drain_pending(writer);
         Ok(ApplyOutcome::Applied)
-    }
-
-    fn apply_in_order(&mut self, update: Update) {
-        self.evv.record(update.writer(), update.seq(), update.at, update.meta_delta);
-        self.hash ^= idea_wal::hash::update_hash(&update);
-        self.log.push(update);
-    }
-
-    /// Applies the buffered successors of `writer`'s update that was just
-    /// applied. Nothing else can have become applicable: the buffer never
-    /// holds an update whose predecessor is already applied, and only
-    /// `writer`'s count moved.
-    fn drain_pending(&mut self, writer: WriterId) {
-        let mut next = self.evv.count(writer) + 1;
-        while let Some(u) = self.pending.remove(&(writer, next)) {
-            self.apply_in_order(u);
-            next += 1;
-        }
     }
 
     /// Number of applied updates beyond the per-writer `counts`.
     pub(crate) fn count_beyond(&self, counts: &idea_vv::VersionVector) -> u64 {
-        counts.missing_from(self.evv.counters())
-    }
-
-    /// Log index from which the suffix holds every update beyond `counts`
-    /// (`len` when there is none): scans back from the end only until the
-    /// number the counters promise has been seen.
-    fn beyond_from(&self, counts: &idea_vv::VersionVector) -> usize {
-        let mut left = self.count_beyond(counts);
-        let mut i = self.log.len();
-        while left > 0 && i > 0 {
-            i -= 1;
-            let u = &self.log[i];
-            if u.seq() > counts.get(u.writer()) {
-                left -= 1;
-            }
-        }
-        i
+        counts.missing_from(self.version().counters())
     }
 
     /// Updates this replica holds that `peer` (described by its vector) is
@@ -180,8 +176,9 @@ impl Replica {
     /// Updates this replica holds beyond the per-writer `counts`, in log
     /// order — the transfer batch for a peer that advertised bare counters.
     pub fn updates_beyond(&self, counts: &idea_vv::VersionVector) -> Vec<Update> {
-        let from = self.beyond_from(counts);
-        self.log[from..].iter().filter(|u| u.seq() > counts.get(u.writer())).cloned().collect()
+        let body = self.body();
+        let from = body.beyond_from(counts);
+        body.log[from..].iter().filter(|u| u.seq() > counts.get(u.writer())).cloned().collect()
     }
 
     /// Drops every applied update beyond the per-writer `counts` — the
@@ -211,21 +208,67 @@ impl Replica {
         beyond: u64,
     ) -> Vec<Update> {
         debug_assert_eq!(beyond, self.count_beyond(counts));
-        self.pending.clear();
+        // A replica without a body has nothing to drop or discard.
+        let Some(body) = self.body.as_deref_mut() else { return Vec::new() };
+        body.pending.clear();
         if beyond == 0 {
             // Nothing to cut: log, vector and digest stay as they are.
             return Vec::new();
         }
-        let from = self.beyond_from(counts);
+        let from = body.beyond_from(counts);
         let dropped: Vec<Update> =
-            self.log.extract_if(from.., |u| u.seq() > counts.get(u.writer())).collect();
+            body.log.extract_if(from.., |u| u.seq() > counts.get(u.writer())).collect();
         let mut dropped_meta = 0;
         for u in &dropped {
             dropped_meta += u.meta_delta;
-            self.hash ^= idea_wal::hash::update_hash(u);
+            body.hash ^= idea_wal::hash::update_hash(u);
         }
-        self.evv.truncate_to(counts, dropped_meta);
+        body.evv.truncate_to(counts, dropped_meta);
         dropped
+    }
+}
+
+impl Body {
+    /// No update applied or buffered; allocates nothing.
+    const EMPTY: Body = Body {
+        log: Vec::new(),
+        evv: ExtendedVersionVector::new(),
+        pending: BTreeMap::new(),
+        hash: 0,
+    };
+
+    fn apply_in_order(&mut self, update: Update) {
+        self.evv.record(update.writer(), update.seq(), update.at, update.meta_delta);
+        self.hash ^= idea_wal::hash::update_hash(&update);
+        self.log.push(update);
+    }
+
+    /// Applies the buffered successors of `writer`'s update that was just
+    /// applied. Nothing else can have become applicable: the buffer never
+    /// holds an update whose predecessor is already applied, and only
+    /// `writer`'s count moved.
+    fn drain_pending(&mut self, writer: WriterId) {
+        let mut next = self.evv.count(writer) + 1;
+        while let Some(u) = self.pending.remove(&(writer, next)) {
+            self.apply_in_order(u);
+            next += 1;
+        }
+    }
+
+    /// Log index from which the suffix holds every update beyond `counts`
+    /// (`len` when there is none): scans back from the end only until the
+    /// number the counters promise has been seen.
+    fn beyond_from(&self, counts: &idea_vv::VersionVector) -> usize {
+        let mut left = counts.missing_from(self.evv.counters());
+        let mut i = self.log.len();
+        while left > 0 && i > 0 {
+            i -= 1;
+            let u = &self.log[i];
+            if u.seq() > counts.get(u.writer()) {
+                left -= 1;
+            }
+        }
+        i
     }
 }
 
@@ -256,6 +299,51 @@ mod tests {
         assert_eq!(r.meta(), 8);
         assert!(r.has(UpdateId { writer: WriterId(0), seq: 2 }));
         assert!(!r.has(UpdateId { writer: WriterId(0), seq: 3 }));
+    }
+
+    /// An empty replica holds no body, and every read of it borrows the
+    /// one shared empty body: two empty replicas hand out the same
+    /// vector, and nothing they return owns a buffer.
+    #[test]
+    fn empty_replicas_share_one_body_and_allocate_nothing() {
+        let (a, b) = (Replica::new(OBJ), Replica::new(ObjectId(8)));
+        assert!(std::ptr::eq(a.version(), b.version()));
+        assert!(std::ptr::eq(a.version(), &EMPTY.evv));
+        assert!(std::ptr::eq(a.log(), b.log()));
+        assert_eq!((a.len(), a.is_empty(), a.meta(), a.state_hash()), (0, true, 0, 0));
+        assert_eq!((a.pending_len(), a.pending_updates().count()), (0, 0));
+        let counts = idea_vv::VersionVector::from_pairs([(WriterId(0), 3)]);
+        assert_eq!(a.count_beyond(&counts), 0);
+        assert!(a.updates_beyond(&counts).is_empty());
+        assert!(!a.has(UpdateId { writer: WriterId(0), seq: 1 }));
+        assert_eq!(a.version().counters().writers(), 0);
+        assert_eq!((EMPTY.log.capacity(), EMPTY.evv.counters().writers()), (0, 0));
+        assert!(a.body.is_none() && b.body.is_none(), "reads create no body");
+    }
+
+    /// Only an update that is applied or buffered creates the body: a
+    /// wrong-object offer, a loser invalidation of an empty replica and a
+    /// duplicate do not.
+    #[test]
+    fn the_first_update_creates_the_body() {
+        let mut r = Replica::new(OBJ);
+        let counts = idea_vv::VersionVector::from_pairs([(WriterId(0), 2)]);
+        assert!(r.drop_extras(&counts).is_empty());
+        assert!(r.drop_beyond(&idea_vv::VersionVector::new(), 0).is_empty());
+        let mut stray = upd(0, 1, 1, 1);
+        stray.object = ObjectId(99);
+        assert!(r.apply(stray).is_err());
+        assert!(r.body.is_none(), "nothing applied, nothing created");
+
+        assert_eq!(r.apply(upd(0, 1, 1, 5)).unwrap(), ApplyOutcome::Applied);
+        let body: *const Body = r.body.as_deref().expect("the first apply creates the body");
+        assert!(!std::ptr::eq(r.version(), Replica::new(OBJ).version()));
+        assert_eq!(r.apply(upd(0, 1, 1, 5)).unwrap(), ApplyOutcome::Duplicate);
+        assert!(std::ptr::eq(r.body(), body), "the body is created once");
+
+        let mut buffered = Replica::new(OBJ);
+        assert_eq!(buffered.apply(upd(0, 2, 2, 1)).unwrap(), ApplyOutcome::Buffered);
+        assert!(buffered.body.is_some(), "buffering creates the body too");
     }
 
     #[test]
@@ -393,10 +481,10 @@ mod tests {
             (WriterId(2), 1),
         ]);
         let (want, _) = rebuilt_drop_extras(&r, &counts);
-        let (ptr, cap) = (r.log.as_ptr(), r.log.capacity());
+        let (ptr, cap) = (r.body().log.as_ptr(), r.body().log.capacity());
         assert!(r.drop_extras(&counts).is_empty());
         assert_same(&r, &want);
-        assert_eq!((r.log.as_ptr(), r.log.capacity()), (ptr, cap), "log not rebuilt");
+        assert_eq!((r.body().log.as_ptr(), r.body().log.capacity()), (ptr, cap), "log not rebuilt");
     }
 
     #[test]
@@ -415,9 +503,13 @@ mod tests {
             (WriterId(2), 6),
         ]);
         let (want, want_dropped) = rebuilt_drop_extras(&r, &counts);
-        let (ptr, cap) = (r.log.as_ptr(), r.log.capacity());
+        let (ptr, cap) = (r.body().log.as_ptr(), r.body().log.capacity());
         let dropped = r.drop_extras(&counts);
-        assert_eq!((r.log.as_ptr(), r.log.capacity()), (ptr, cap), "log cut in place");
+        assert_eq!(
+            (r.body().log.as_ptr(), r.body().log.capacity()),
+            (ptr, cap),
+            "log cut in place"
+        );
         let order: Vec<(u32, u64)> = dropped.iter().map(|u| (u.writer().0, u.seq())).collect();
         let mut want_order = vec![(0, 5), (0, 6)];
         want_order.extend((7..=10).flat_map(|s| [(0, s), (2, s)]));
@@ -448,7 +540,7 @@ mod tests {
             if step % 2 == 0 {
                 let n = rng.gen_range(10..30);
                 grow(&mut r, n, &mut rng);
-                assert_same(&r, &rebuilt_from(r.log.clone()));
+                assert_same(&r, &rebuilt_from(r.log().to_vec()));
                 continue;
             }
             // Buffered, and discarded by the drop.
@@ -477,17 +569,18 @@ mod tests {
     /// partition the log, record the survivors into a fresh vector.
     fn rebuilt_drop_extras(r: &Replica, counts: &idea_vv::VersionVector) -> (Replica, Vec<Update>) {
         let (keep, dropped) =
-            r.log.iter().cloned().partition(|u| u.seq() <= counts.get(u.writer()));
+            r.log().iter().cloned().partition(|u| u.seq() <= counts.get(u.writer()));
         (rebuilt_from(keep), dropped)
     }
 
     fn rebuilt_from(log: Vec<Update>) -> Replica {
         let mut out = Replica::new(OBJ);
+        let body = out.body_mut();
         for u in &log {
-            out.evv.record(u.writer(), u.seq(), u.at, u.meta_delta);
-            out.hash ^= idea_wal::hash::update_hash(u);
+            body.evv.record(u.writer(), u.seq(), u.at, u.meta_delta);
+            body.hash ^= idea_wal::hash::update_hash(u);
         }
-        out.log = log;
+        body.log = log;
         out
     }
 
@@ -589,7 +682,7 @@ mod tests {
                 sanctioned.iter().enumerate().map(|(w, c)| (WriterId(w as u32), *c)),
             );
             let beyond: Vec<Update> =
-                r.log.iter().filter(|u| u.seq() > counts.get(u.writer())).cloned().collect();
+                r.log().iter().filter(|u| u.seq() > counts.get(u.writer())).cloned().collect();
             prop_assert_eq!(r.count_beyond(&counts), beyond.len() as u64);
             prop_assert_eq!(&r.updates_beyond(&counts), &beyond);
             prop_assert_eq!(r.drop_extras(&counts), beyond, "same extras, same order");
@@ -606,7 +699,7 @@ mod tests {
                 r.apply(u.clone()).unwrap();
             }
             r.apply(upd(3, r.version().count(WriterId(3)) + 2, 70, 1)).unwrap(); // buffered
-            let counts = rebuilt_from(r.log[..cut.min(r.len())].to_vec()).version().counters().clone();
+            let counts = rebuilt_from(r.log()[..cut.min(r.len())].to_vec()).version().counters().clone();
             let (want, want_dropped) = rebuilt_drop_extras(&r, &counts);
             prop_assert_eq!(want.len(), cut.min(r.len()));
             prop_assert_eq!(r.drop_extras(&counts), want_dropped);

@@ -69,7 +69,8 @@ impl SnapshotView<'_> {
     }
 }
 
-/// What a shard keeps per hosted object.
+/// What a shard keeps per hosted object. Most hosted objects never see an
+/// update, so a slot holds a replica that allocates on its first one.
 #[derive(Debug, Clone)]
 struct StoreSlot {
     replica: Replica,
@@ -77,6 +78,10 @@ struct StoreSlot {
     /// resume sets it.
     next_seq: u64,
 }
+
+// There is one per (node, object), mostly holding no update: the table
+// entry, id included, stays within 32 bytes.
+const _: () = assert!(std::mem::size_of::<(ObjectId, StoreSlot)>() <= 32);
 
 /// The replicas of one shard, behind the same read/write API as the whole
 /// store.

@@ -22,13 +22,18 @@ use std::fmt;
 pub struct ShardId(pub u32);
 
 impl ShardId {
-    /// The shard owning `object` among `shards` shards.
+    /// The shard owning `object` among `shards` shards. With one shard
+    /// that is shard 0 without hashing: every delivered message is routed
+    /// through here, and most nodes run one shard.
     ///
     /// # Panics
     /// Panics if `shards` is zero.
     #[inline]
     pub fn of(object: ObjectId, shards: usize) -> ShardId {
         assert!(shards > 0, "shard count must be positive");
+        if shards == 1 {
+            return ShardId(0);
+        }
         ShardId((shard_hash(object) % shards as u64) as u32)
     }
 
@@ -74,6 +79,15 @@ mod tests {
     fn single_shard_owns_everything() {
         for obj in [0u64, 1, 17, u64::MAX] {
             assert_eq!(ShardId::of(ObjectId(obj), 1), ShardId(0));
+        }
+    }
+
+    proptest::proptest! {
+        /// The one-shard shortcut answers what the hash would (any hash
+        /// modulo one is zero), for any object id.
+        #[test]
+        fn one_shard_is_shard_zero_for_every_object(id in 0u64..u64::MAX) {
+            proptest::prop_assert_eq!(ShardId::of(ObjectId(id), 1), ShardId(0));
         }
     }
 

@@ -96,9 +96,10 @@ fn zip<'a>(a: &'a [(WriterId, u64)], b: &'a [(WriterId, u64)]) -> Zip<'a> {
 }
 
 impl VersionVector {
-    /// The empty vector (all counters zero). Allocates nothing.
-    pub fn new() -> Self {
-        Self::default()
+    /// The empty vector (all counters zero). Allocates nothing, and is
+    /// `const`, so an empty vector can live in a `static`.
+    pub const fn new() -> Self {
+        VersionVector { counters: Vec::new() }
     }
 
     /// Builds a vector from `(writer, count)` pairs; zero counts are elided.

@@ -125,9 +125,14 @@ fn walk_writer_pairs<'a>(
 }
 
 impl ExtendedVersionVector {
-    /// The empty extended vector.
-    pub fn new() -> Self {
-        Self::default()
+    /// The empty extended vector. Allocates nothing, and is `const`, so
+    /// an empty vector can live in a `static`.
+    pub const fn new() -> Self {
+        ExtendedVersionVector {
+            histories: Histories::new(),
+            meta: 0,
+            counters: VersionVector::new(),
+        }
     }
 
     /// The parts the wire-form reconstruction rebuilds in place: the

@@ -372,6 +372,11 @@ impl Clone for Histories {
 }
 
 impl Histories {
+    /// No writer's history; allocates nothing.
+    pub(crate) const fn new() -> Self {
+        Histories { chunks: Vec::new(), tails: Vec::new() }
+    }
+
     /// Empties the buffers and makes room for writers of lengths `lens`
     /// (the exact size of a rebuilt vector, so rebuilding one allocates
     /// each buffer at most once, and not at all into buffers that already
