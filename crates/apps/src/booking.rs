@@ -14,10 +14,9 @@ use idea_core::client::{apply_to_node, Command, IdeaHost, Response};
 use idea_core::{AutoController, IdeaConfig, IdeaMsg, IdeaNode, NodeReport};
 use idea_net::{Context, Proto, TimerId};
 use idea_types::{NodeId, ObjectId, SimDuration, Update, UpdatePayload, WriterId};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a booking request at one server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BookOutcome {
     /// Seats sold; the update carries the sale.
     Accepted {

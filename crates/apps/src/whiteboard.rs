@@ -10,11 +10,10 @@ use idea_core::client::{apply_to_node, Command, IdeaHost, Response};
 use idea_core::{IdeaConfig, IdeaMsg, IdeaNode, NodeReport, Weights};
 use idea_net::{Context, Proto, TimerId};
 use idea_types::{ConsistencyLevel, NodeId, ObjectId, Update, UpdatePayload};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One drawn stroke.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stroke {
     /// Horizontal board position.
     pub(crate) x: u16,

@@ -15,7 +15,6 @@
 
 use crate::resolution::formula4_optimal_rate;
 use idea_types::{ConsistencyLevel, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// What the adaptive layer asks the protocol to do after a new sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +26,7 @@ pub(crate) enum AdaptAction {
 }
 
 /// Hint-based adaptation (§4.6 "Hint-based", §6.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HintController {
     /// Current floor `L1` (0 disables the controller).
     floor: f64,
@@ -101,7 +100,7 @@ impl Default for HintController {
 /// learned window is `[min_period, max_period]`: overselling events shrink
 /// `max_period` (resolve more often), underselling events raise
 /// `min_period` (resolve less often).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AutoController {
     period: SimDuration,
     /// Lower bound learned from underselling (locking too often).

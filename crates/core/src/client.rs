@@ -43,13 +43,11 @@ use crate::quantify::{MaxBounds, Weights};
 use crate::resolution::ResolutionPolicy;
 use idea_net::{Context, Proto, ShardedEngine, ShardedProto, SimEngine};
 use idea_types::{
-    ConsistencyLevel, IdeaError, NodeId, ObjectId, Result, ShardId, SimDuration, SimTime, Update,
-    UpdatePayload, WireError,
+    lock, ConsistencyLevel, IdeaError, NodeId, ObjectId, Result, ShardId, SimDuration, SimTime,
+    Update, UpdatePayload, WireError,
 };
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 // ====================================================================
 // Read consistency
@@ -57,7 +55,7 @@ use std::sync::Arc;
 
 /// How consistent a session read must be (per-operation choice, as in
 /// adaptive-consistency stores that let every read pick its level).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ReadConsistency {
     /// Serve the local replica; probe only when §4.2's read trigger fires
     /// (the paper's default).
@@ -77,7 +75,7 @@ pub enum ReadConsistency {
 // ====================================================================
 
 /// Background-resolution choice inside a [`ConsistencySpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BackgroundFreq {
     /// Disable background resolution.
     Disabled,
@@ -94,7 +92,7 @@ pub enum BackgroundFreq {
 /// [`ConsistencySpecBuilder::build`] time, so an applied spec can no longer
 /// fail. Specs are plain serializable data and travel inside
 /// [`Command::Configure`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ConsistencySpec {
     // Crate-visible for the codec, whose decode re-validates; everything
     // else builds specs through the builder.
@@ -278,7 +276,7 @@ impl ConsistencySpecBuilder {
 /// unit `idea-transport`'s TCP frontend carries. Covers the end-user
 /// interface (write, read, peek, level, report, demand-resolution,
 /// dissatisfaction) and every Table-1 setter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Issue a local write (§4.2 trigger).
     Write {
@@ -400,7 +398,7 @@ impl Command {
 /// What a read or peek returns over the command layer: the replica's value
 /// view plus the node's level estimate — serializable, unlike the borrowing
 /// store snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReadResult {
     /// The object read.
     pub object: ObjectId,
@@ -437,7 +435,7 @@ impl ReadResult {
 }
 
 /// The outcome of one [`Command`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// The command succeeded and has no payload.
     Done,
@@ -477,7 +475,7 @@ impl Response {
 }
 
 /// A rejected command, surfaced by the [`Session`] API.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommandError {
     /// Why the command was rejected.
     pub error: WireError,
@@ -876,7 +874,7 @@ impl ReplyCell {
     }
 
     fn call(&self, response: Response) {
-        if let Some(reply) = self.0 .0.lock().take() {
+        if let Some(reply) = lock(&self.0 .0).take() {
             reply(response);
         }
     }
@@ -884,7 +882,7 @@ impl ReplyCell {
 
 impl Drop for ReplyCellInner {
     fn drop(&mut self) {
-        if let Some(reply) = self.0.lock().take() {
+        if let Some(reply) = lock(&self.0).take() {
             reply(Response::err(engine_unavailable()));
         }
     }
@@ -907,28 +905,28 @@ impl<E> LockedEngine<E> {
 
     /// Unwraps the engine again (e.g. to stop it after serving).
     pub fn into_inner(self) -> E {
-        self.inner.into_inner()
+        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Runs `f` with exclusive access to the wrapped engine — the escape
     /// hatch for engine-specific driving (e.g. `SimEngine::run_for`)
     /// between served commands.
     pub fn with<R>(&self, f: impl FnOnce(&mut E) -> R) -> R {
-        f(&mut self.inner.lock())
+        f(&mut lock(&self.inner))
     }
 }
 
 impl<E: EngineHandle + Send> CommandExecutor for LockedEngine<E> {
     fn node_count(&self) -> usize {
-        self.inner.lock().nodes()
+        lock(&self.inner).nodes()
     }
 
     fn try_execute(&self, node: NodeId, cmd: Command) -> std::result::Result<Response, WireError> {
-        Ok(self.inner.lock().execute(node, cmd))
+        Ok(lock(&self.inner).execute(node, cmd))
     }
 
     fn try_submit(&self, node: NodeId, cmd: Command) -> std::result::Result<(), WireError> {
-        self.inner.lock().submit(node, cmd);
+        lock(&self.inner).submit(node, cmd);
         Ok(())
     }
 }
@@ -1636,15 +1634,33 @@ mod tests {
         );
     }
 
+    /// One panic under the served engine's lock must not become an outage:
+    /// the next command still answers, and the engine can still be
+    /// unwrapped.
+    #[test]
+    fn a_panic_under_the_engine_lock_does_not_stop_the_served_engine() {
+        let served = LockedEngine::new(engine(2));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            served.with(|_| panic!("fault while holding the engine lock"))
+        }));
+        assert!(panicked.is_err(), "the closure must have panicked");
+
+        let r = served.try_execute(
+            NodeId(0),
+            Command::Write { object: OBJ, meta_delta: 4, payload: UpdatePayload::none() },
+        );
+        assert!(matches!(r, Ok(Response::Written { .. })), "{r:?}");
+        assert_eq!(served.into_inner().nodes(), 2);
+    }
+
     #[test]
     fn command_is_plain_wire_data() {
-        // The vendored serde stand-in cannot drive serialization at
-        // runtime, but the bounds pin that every wire unit of the client
-        // layer is serde-annotated, owned, clonable data — exactly what a
-        // TCP frontend needs to frame.
+        // The bounds pin that every wire unit of the client layer has a
+        // codec and is owned, clonable data — exactly what a TCP frontend
+        // needs to frame. `codec_roundtrip.rs` checks the encodings.
         fn assert_wire<T>()
         where
-            T: serde::Serialize + for<'de> serde::Deserialize<'de> + Clone + Send + 'static,
+            T: idea_types::codec::Codec + Clone + Send + 'static,
         {
         }
         assert_wire::<Command>();

@@ -5,10 +5,9 @@ use crate::resolution::ResolutionPolicy;
 use idea_overlay::{GossipConfig, TopLayerConfig};
 use idea_types::{IdeaError, Result, SimDuration};
 use idea_wal::DurabilityConfig;
-use serde::{Deserialize, Serialize};
 
 /// Full configuration of one IDEA node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdeaConfig {
     /// Formula-1 weights (the `set_weight` API).
     pub weights: Weights,

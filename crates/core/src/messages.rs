@@ -29,7 +29,6 @@ use idea_net::{MsgClass, Wire};
 use idea_overlay::gossip::{RumorId, DIGEST_ENTRY_BYTES};
 use idea_types::{ObjectId, Update};
 use idea_vv::{VersionVector, VvDelta, VvSummary};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One object's worth of piggybacked lazy-gossip advertisements.
@@ -41,7 +40,7 @@ use std::sync::Arc;
 /// lets a receiver apply any number of groups. Each group costs an 8-byte
 /// object header plus [`DIGEST_ENTRY_BYTES`] per advertised rumor; an
 /// empty group list costs zero bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DigestGroup {
     /// Object the advertised rumors sweep.
     pub(crate) object: ObjectId,
@@ -61,7 +60,7 @@ fn digest_bytes(groups: &[DigestGroup]) -> usize {
 }
 
 /// All messages exchanged by [`crate::protocol::IdeaNode`]s.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum IdeaMsg {
     // ---- detection (§4.3) ----
     /// Initiator → top-layer peer: "here is my vector, send me yours".

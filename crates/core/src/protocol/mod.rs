@@ -93,12 +93,13 @@ use crate::quantify::Quantifier;
 use idea_overlay::gossip::GossipRouter;
 use idea_overlay::temperature::{TopLayer, TopLayerConfig};
 use idea_store::{Replica, StoreShard};
-use idea_types::{ConsistencyLevel, NodeId, ObjectId, ObjectTable, ShardId, SimTime, WriterId};
+use idea_types::{
+    lock, ConsistencyLevel, NodeId, ObjectId, ObjectTable, ShardId, SimTime, WriterId,
+};
 use idea_vv::VersionVector;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 // Timer kinds (packed as `kind << 56 | shard << 48 | payload`).
 pub(crate) const K_DETECT: u64 = 1;
@@ -270,17 +271,17 @@ impl NodeCore {
 
     /// Feeds a consistency sample to the node-wide hint controller.
     pub fn hint_sample(&self, level: ConsistencyLevel) -> AdaptAction {
-        self.shared.hint.lock().on_sample(level)
+        lock(&self.shared.hint).on_sample(level)
     }
 
     /// Reports user dissatisfaction to the node-wide hint controller.
     pub fn hint_user_dissatisfied(&self) -> AdaptAction {
-        self.shared.hint.lock().on_user_dissatisfied()
+        lock(&self.shared.hint).on_user_dissatisfied()
     }
 
     /// The hint floor currently in force.
     pub fn hint_floor(&self) -> ConsistencyLevel {
-        self.shared.hint.lock().floor()
+        lock(&self.shared.hint).floor()
     }
 
     /// Counts a confirmed bottom-layer discrepancy (node-wide).

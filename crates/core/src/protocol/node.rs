@@ -21,15 +21,14 @@ use crate::resolution::{ResolutionPolicy, ResolutionRecord};
 use idea_net::{Context, Proto, ShardedProto, TimerId};
 use idea_store::{Replica, Snapshot, SnapshotView, StoreShard};
 use idea_types::{
-    ConsistencyLevel, NodeId, ObjectId, Result, ShardId, Update, UpdatePayload, WriterId,
+    lock, ConsistencyLevel, NodeId, ObjectId, Result, ShardId, Update, UpdatePayload, WriterId,
 };
 use idea_wal::ShardWal;
-use serde::{Deserialize, Serialize};
 use std::ops::Deref;
 use std::sync::Arc;
 
 /// Snapshot of one node's IDEA state for the harness and tests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeReport {
     /// The reporting node.
     pub node: NodeId,
@@ -52,7 +51,7 @@ pub struct NodeReport {
 /// What one node's gossip plane currently holds for one object — each
 /// figure is bounded by the router's configuration, none by the
 /// deployment size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GossipFootprint {
     /// Peers in the stable view (at most `gossip.fanout`).
     pub view: usize,
@@ -398,7 +397,7 @@ impl ProtocolShard {
     /// shared core), so applying this on any — or every — shard of a node
     /// is equivalent.
     pub(crate) fn set_hint_floor(&mut self, hint: f64) {
-        self.core.shared_handle().hint.lock().set_hint(hint);
+        lock(&self.core.shared_handle().hint).set_hint(hint);
     }
 
     /// Resolution rounds this shard initiated to completion (the sharded
@@ -603,7 +602,7 @@ impl IdeaNode {
 
     /// The hint controller (node-wide; short lock).
     pub fn hint(&self) -> impl Deref<Target = HintController> + '_ {
-        self.shared.hint.lock()
+        lock(&self.shared.hint)
     }
 
     /// Sets or clears the background-resolution period

@@ -15,11 +15,10 @@
 //! example: `weight<0.4, 0, 0.6>`).
 
 use idea_types::{ConsistencyLevel, ErrorTriple, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Weights of the three triple members. Need not sum to one — the
 /// quantifier normalises — but must be non-negative and not all zero.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Weights {
     /// Weight of the numerical error.
     pub numerical: f64,
@@ -82,7 +81,7 @@ impl Default for Weights {
 
 /// Saturation maxima for the three triple members (`set_consistency_metric`
 /// in the Table-1 API: "cast applications to IDEA's consistency metric").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaxBounds {
     /// Numerical error at (or beyond) which that member contributes zero.
     pub numerical: f64,
@@ -118,7 +117,7 @@ impl Default for MaxBounds {
 }
 
 /// The Formula-1 quantifier: weights + bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantifier {
     weights: Weights,
     bounds: MaxBounds,

@@ -13,12 +13,11 @@
 
 use idea_types::{NodeId, SimDuration, SimTime, WriterId};
 use idea_vv::{ExtendedVersionVector, VersionVector};
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Conflict-resolution policies of §4.5.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResolutionPolicy {
     /// Both conflicting versions are invalidated; everyone rolls back to the
     /// last commonly-sanctioned prefix.
@@ -54,7 +53,7 @@ impl ResolutionPolicy {
 }
 
 /// The chosen reference consistent state of one resolution round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReferenceState {
     /// The node whose replica is the reference, when a replica wins;
     /// `None` for [`ResolutionPolicy::InvalidateBoth`] (the reference is
@@ -74,7 +73,7 @@ pub struct ReferenceState {
 /// [`ReferenceWire::Delta`] carries those overrides (explicit zeros mark
 /// invalidated writers); [`ReferenceWire::Full`] is the self-contained
 /// fallback for a member the delta would not shrink.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ReferenceWire {
     /// Self-contained: the complete reference state.
     Full(ReferenceState),
@@ -176,7 +175,7 @@ pub(crate) fn choose_reference<V: Borrow<ExtendedVersionVector>>(
 }
 
 /// How a resolution round was initiated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ResolutionKind {
     /// Periodic background round (§4.5.2).
     Background,
@@ -186,7 +185,7 @@ pub(crate) enum ResolutionKind {
 
 /// Timing record of one completed resolution round — the raw material of
 /// Table 2, Figure 9 and Formula 2/3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolutionRecord {
     /// Correlation id of the round.
     pub(crate) rid: u64,

@@ -11,7 +11,6 @@
 use idea_types::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One injectable fault (or interleaved workload step).
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// current fleet state (crashing a crashed node, working a down node).
 /// That tolerance is what keeps every subsequence of a schedule runnable,
 /// which the shrinker depends on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultEvent {
     /// Split the fleet into the given groups; traffic flows only within a
     /// group. Nodes listed in no group are fully isolated. Replaces any
@@ -82,7 +81,7 @@ pub enum FaultEvent {
 }
 
 /// Application work interleaved with the faults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkOp {
     /// Apply the host's `op`-th workload operation on one node.
     Apply {
@@ -99,7 +98,7 @@ pub enum WorkOp {
 }
 
 /// A fault event pinned to a point in virtual time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scheduled {
     /// When the event fires (events must be non-decreasing in `at`).
     pub(crate) at: SimTime,
@@ -108,7 +107,7 @@ pub struct Scheduled {
 }
 
 /// A complete, replayable fault schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Stable name for reports.
     pub name: String,

@@ -7,10 +7,9 @@
 
 use idea_types::{NodeId, SimDuration};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Per-message perturbation applied on top of the base pair delay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Jitter {
     /// No perturbation: delivery takes exactly the base delay.
     None,
@@ -42,7 +41,7 @@ impl Default for Jitter {
 }
 
 /// Base one-way delay for an ordered node pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum LatencyModel {
     /// Every pair has the same base delay.
     Constant(SimDuration),

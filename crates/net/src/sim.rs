@@ -1053,7 +1053,7 @@ mod tests {
         fn on_message(&mut self, from: NodeId, msg: Token, ctx: &mut dyn Context<Token>) {
             let me = ctx.me();
             let at = ctx.now().as_micros();
-            self.trace.lock().unwrap().push((at, from.0, me.0, u64::from(msg.hops)));
+            idea_types::lock(&self.trace).push((at, from.0, me.0, u64::from(msg.hops)));
             if msg.hops < 3 {
                 let to = NodeId(ctx.rng().next_u32() % ctx.node_count() as u32);
                 ctx.send(to, Token { hops: msg.hops + 1 });
@@ -1062,7 +1062,7 @@ mod tests {
         fn on_timer(&mut self, _timer: TimerId, kind: u64, ctx: &mut dyn Context<Token>) {
             let me = ctx.me();
             let at = ctx.now().as_micros();
-            self.trace.lock().unwrap().push((at, me.0, me.0, kind | 1 << 32));
+            idea_types::lock(&self.trace).push((at, me.0, me.0, kind | 1 << 32));
             if kind != 1 || self.ticks == 12 {
                 return;
             }
@@ -1121,7 +1121,7 @@ mod tests {
     #[test]
     fn faulted_delivery_trace_is_pinned() {
         let (_, trace) = chatter_run(11);
-        let trace = trace.lock().unwrap();
+        let trace = idea_types::lock(&trace);
         assert_eq!((trace.len(), checksum(&trace)), (785, 0x53c0_1343_c88f_87e4));
     }
 

@@ -6,11 +6,10 @@
 //! [`MsgClass`] so the harness can report resolution traffic (the paper's
 //! number) and total traffic (for the trade-off ablation) separately.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Protocol class of a message, used to bucket accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MsgClass {
     /// Version-vector exchange triggered by updates (§4.3).
     Detect,
@@ -154,7 +153,7 @@ impl NetStats {
 }
 
 /// A frozen view of [`NetStats`] suitable for tables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StatsSnapshot {
     /// `(class, messages, payload_bytes)` per class in reporting order.
     pub per_class: Vec<(MsgClass, u64, u64)>,

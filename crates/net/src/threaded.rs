@@ -2,8 +2,8 @@
 //!
 //! [`ShardedEngine`] runs `ThreadedConfig::shards` worker threads **per
 //! node**, each owning one shard of the node's state, plus one delay-router
-//! thread per shard. Links are crossbeam channels; a router holds every
-//! in-flight message in a delay heap and forwards it when its (scaled)
+//! thread per shard. Links are `std::sync::mpsc` channels; a router holds
+//! every in-flight message in a delay heap and forwards it when its (scaled)
 //! latency elapses, so the engine exhibits the same WAN behaviour as the
 //! simulator — just in wall-clock time and without determinism. At
 //! `shards: 1` that is one worker per node and one router: the plain
@@ -24,14 +24,13 @@
 use crate::proto::{Context, Proto, ShardedProto, TimerId, Wire};
 use crate::stats::{NetStats, StatsSnapshot};
 use crate::topology::Topology;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use idea_types::{FastSet, NodeId, SimDuration, SimTime};
-use parking_lot::Mutex;
+use idea_types::{lock, FastSet, NodeId, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -228,14 +227,14 @@ impl<P: ShardedProto + 'static> ShardedEngine<P> {
         let mut router_txs = Vec::with_capacity(shards);
         let mut router_rxs = Vec::with_capacity(shards);
         for _ in 0..shards {
-            let (tx, rx) = unbounded::<RouterCmd<P::Msg>>();
+            let (tx, rx) = channel::<RouterCmd<P::Msg>>();
             router_txs.push(tx);
             router_rxs.push(rx);
         }
         let mut worker_txs = Vec::with_capacity(n * shards);
         let mut worker_rxs = Vec::with_capacity(n * shards);
         for _ in 0..n * shards {
-            let (tx, rx) = unbounded::<ShardEnvelope<P>>();
+            let (tx, rx) = channel::<ShardEnvelope<P>>();
             worker_txs.push(tx);
             worker_rxs.push(rx);
         }
@@ -375,7 +374,7 @@ impl<P: ShardedProto + 'static> ShardedEngine<P> {
         shard: usize,
         f: impl FnOnce(&mut P::Shard, &mut dyn Context<P::Msg>) -> R + Send + 'static,
     ) -> Option<R> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         if !self.try_invoke(id, shard, move |p, ctx| {
             let _ = tx.send(f(p, ctx));
         }) {
@@ -391,7 +390,7 @@ impl<P: ShardedProto + 'static> ShardedEngine<P> {
 
     /// Snapshot of network statistics.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.lock().snapshot()
+        lock(&self.stats).snapshot()
     }
 
     /// Stops all workers and routers, reassembles each node from its shards
@@ -529,7 +528,7 @@ fn sharded_router_loop<P: ShardedProto>(
 
         match rx.recv_timeout(timeout) {
             Ok(RouterCmd::Send { from, to, msg }) => {
-                stats.lock().record(msg.class(), msg.wire_size() as u64);
+                lock(&stats).record(msg.class(), msg.wire_size() as u64);
                 let virt = if from == to {
                     SimDuration::from_micros(50)
                 } else {

@@ -12,10 +12,9 @@ use crate::latency::{Jitter, LatencyModel};
 use idea_types::{NodeId, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Coarse geographic region of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
     /// US east coast.
     UsEast,

@@ -32,10 +32,9 @@
 use idea_types::FastSet;
 use idea_types::NodeId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Gossip configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GossipConfig {
     /// Number of peers each node forwards a fresh rumor to.
     pub fanout: usize,
@@ -62,7 +61,7 @@ impl Default for GossipConfig {
 /// [`WINDOW`] newest sequences of its origin) and while one rumor's copies,
 /// cached bodies and pulls are alive. A router reuses a sequence only
 /// after 2³² originations of its own, far outside both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RumorId {
     /// Node that started the rumor.
     pub origin: NodeId,

@@ -52,10 +52,9 @@
 //!   undo part of the decay the refresh at `P` applied.
 
 use idea_types::{NodeId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Top-layer membership configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopLayerConfig {
     /// Decay half-life of the temperature score.
     pub half_life: SimDuration,

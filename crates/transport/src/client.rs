@@ -16,14 +16,13 @@
 //! which is what lets a write drain pipeline over one connection.
 
 use crate::frame::{frame_bytes, read_frame, Frame, FramePayload, NO_REPLY};
-use crossbeam::channel::{bounded, Sender};
 use idea_core::{Command, CommandExecutor, EngineHandle, Response};
-use idea_types::{NodeId, ShardId, WireError};
-use parking_lot::Mutex;
+use idea_types::{lock, NodeId, ShardId, WireError};
 use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -38,7 +37,7 @@ pub struct RemoteStats {
 }
 
 #[allow(clippy::disallowed_types)] // network-facing: keeps std's keyed hasher
-type PendingMap = Mutex<std::collections::HashMap<u64, Sender<Result<Response, WireError>>>>;
+type PendingMap = Mutex<std::collections::HashMap<u64, SyncSender<Result<Response, WireError>>>>;
 
 /// Shared between a connection and its reader thread: the in-flight
 /// request map plus the "connection is gone" marker. The reader records
@@ -110,7 +109,7 @@ impl Connection {
         // An over-cap command fails its own call with a typed error here,
         // before anything touches the socket.
         let bytes = frame_bytes(frame)?;
-        let mut w = self.write.lock();
+        let mut w = lock(&self.write);
         w.write_all(&bytes).map_err(|e| WireError::Transport(format!("write frame: {e}")))
     }
 }
@@ -130,7 +129,7 @@ fn reader_loop(mut read_half: TcpStream, shared: &ConnShared) {
     let disconnect = loop {
         match read_frame(&mut read_half) {
             Ok(Some(Frame { request_id, payload: FramePayload::Response(resp), .. })) => {
-                if let Some(tx) = shared.pending.lock().remove(&request_id) {
+                if let Some(tx) = lock(&shared.pending).remove(&request_id) {
                     let _ = tx.send(Ok(resp));
                 }
                 // An unknown id is a late reply whose waiter timed out —
@@ -144,8 +143,8 @@ fn reader_loop(mut read_half: TcpStream, shared: &ConnShared) {
     };
     // Mark the connection dead *first*, then fail the in-flight requests:
     // a request registering between the two steps sees the marker.
-    *shared.closed.lock() = Some(disconnect.clone());
-    for (_, tx) in shared.pending.lock().drain() {
+    *lock(&shared.closed) = Some(disconnect.clone());
+    for (_, tx) in lock(&shared.pending).drain() {
         let _ = tx.send(Err(disconnect.clone()));
     }
 }
@@ -236,18 +235,18 @@ impl CommandExecutor for RemoteEngine {
     fn try_execute(&self, node: NodeId, cmd: Command) -> std::result::Result<Response, WireError> {
         let conn = self.conn_for(&cmd);
         let request_id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        let (tx, rx) = bounded(1);
-        conn.shared.pending.lock().insert(request_id, tx);
+        let (tx, rx) = sync_channel(1);
+        lock(&conn.shared.pending).insert(request_id, tx);
         let frame = Frame { request_id, node, payload: FramePayload::Command(cmd) };
         if let Err(e) = conn.send(&frame) {
-            conn.shared.pending.lock().remove(&request_id);
+            lock(&conn.shared.pending).remove(&request_id);
             return Err(e);
         }
         // The reader may have died between registration and now (it fails
         // the requests it saw, then marks the connection): if the marker is
         // set and our entry is still in the map, nobody will answer it.
-        if let Some(reason) = conn.shared.closed.lock().clone() {
-            if conn.shared.pending.lock().remove(&request_id).is_some() {
+        if let Some(reason) = lock(&conn.shared.closed).clone() {
+            if lock(&conn.shared.pending).remove(&request_id).is_some() {
                 return Err(reason);
             }
         }
@@ -256,7 +255,7 @@ impl CommandExecutor for RemoteEngine {
         match rx.recv_timeout(self.response_timeout) {
             Ok(outcome) => outcome,
             Err(_) => {
-                conn.shared.pending.lock().remove(&request_id);
+                lock(&conn.shared.pending).remove(&request_id);
                 Err(WireError::Transport(format!("no response within {:?}", self.response_timeout)))
             }
         }

@@ -30,13 +30,12 @@
 use super::{IdeaServer, ServerConfig};
 use crate::frame::{encode_into, frame_bytes, parse_frame, Frame, FramePayload, NO_REPLY};
 use idea_core::{CommandExecutor, Response};
-use idea_types::{NodeId, WireError};
+use idea_types::{lock, NodeId, WireError};
 use mio::{Events, Interest, Poll, Registry, Token, Waker};
-use parking_lot::Mutex;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 const LISTENER: Token = Token(0);
@@ -98,7 +97,7 @@ impl CompletionSink {
     }
 
     fn complete(&self, completion: Completion) {
-        self.queue.lock().push(completion);
+        lock(&self.queue).push(completion);
         if !self.wake_pending.swap(true, Ordering::SeqCst) {
             self.wakes.fetch_add(1, Ordering::Relaxed);
             let _ = self.waker.wake();
@@ -110,7 +109,7 @@ impl CompletionSink {
     /// the next queue, so a steady state allocates nothing).
     fn take_into(&self, batch: &mut Vec<Completion>) {
         self.wake_pending.store(false, Ordering::SeqCst);
-        std::mem::swap(&mut *self.queue.lock(), batch);
+        std::mem::swap(&mut *lock(&self.queue), batch);
     }
 }
 
@@ -482,7 +481,7 @@ impl EventLoop {
     /// the run loop's pass is what pumps those connections.
     fn fold_own_completions(&mut self, token: usize, conn: &mut Conn) {
         {
-            let mut queue = self.sink.queue.lock();
+            let mut queue = lock(&self.sink.queue);
             let mut others = Vec::new();
             for completion in queue.drain(..) {
                 if completion.0 == token {
@@ -612,7 +611,7 @@ mod tests {
 
         let holder = Arc::clone(&sink);
         let panicked = thread::spawn(move || {
-            let _guard = holder.queue.lock();
+            let _guard = lock(&holder.queue);
             panic!("fault while holding the completion queue");
         })
         .join();

@@ -5,9 +5,8 @@
 use idea_core::{Command, CommandExecutor, EngineHandle, IdeaConfig, IdeaNode, Response, Session};
 use idea_net::{ShardedEngine, ThreadedConfig, Topology};
 use idea_transport::{IdeaServer, RemoteEngine};
-use idea_types::{NodeId, ObjectId, UpdatePayload, WireError};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use idea_types::{lock, NodeId, ObjectId, UpdatePayload, WireError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const OBJ: ObjectId = ObjectId(1);
@@ -32,7 +31,7 @@ impl CommandExecutor for SlowExecutor {
 
     fn try_execute(&self, _node: NodeId, cmd: Command) -> std::result::Result<Response, WireError> {
         std::thread::sleep(self.delay);
-        self.applied.lock().push(cmd);
+        lock(&self.applied).push(cmd);
         Ok(Response::Done)
     }
 }
@@ -71,7 +70,7 @@ fn remote_submits_pipeline_without_round_trips() {
     let response = remote.execute(NodeId(0), Command::Peek { object: OBJ });
     assert_eq!(response, Response::Done, "SlowExecutor answers everything with Done");
     assert_eq!(
-        executor.applied.lock().len() as u64,
+        lock(&executor.applied).len() as u64,
         WRITES + 1,
         "all pipelined submits must be applied before the flush's response"
     );

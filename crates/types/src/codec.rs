@@ -4,11 +4,8 @@
 //!
 //! The form is deterministic little-endian binary: integers at their
 //! natural width, `u64` length prefixes on strings, byte buffers and
-//! sequences, one-byte tags for enum variants and `Option`. It is the
-//! runtime realisation of the `serde` annotations the types carry — the
-//! offline `serde` stand-in cannot drive serialization (see
-//! `vendor/README.md`), so each impl is hand-written against the field
-//! layout the derives describe.
+//! sequences, one-byte tags for enum variants and `Option`. Each impl is
+//! hand-written against its type's field layout.
 //!
 //! Each impl lives in the crate that owns its type: primitives, ids, time,
 //! [`Update`] and [`WireError`] here; the version-vector forms in

@@ -2,7 +2,6 @@
 //! wire-facing sibling [`WireError`].
 
 use crate::ids::{NodeId, ObjectId, WriterId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors surfaced by the IDEA middleware and its substrates.
@@ -80,7 +79,7 @@ impl std::error::Error for IdeaError {}
 ///   at admission (its connection cap is reached);
 /// * [`WireError::Transport`] — an I/O failure on the connection;
 /// * [`WireError::Protocol`] — a malformed or version-incompatible frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// A node id was not part of the deployment.
     UnknownNode(NodeId),

@@ -4,7 +4,6 @@
 //! total, hashing is trivial, and the "higher ID wins" resolution policy of
 //! the paper (§4.5.1) maps onto the derived `Ord`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identity of a participating node (a machine holding replicas).
@@ -15,7 +14,7 @@ use std::fmt;
 /// node "a randomly chosen ID, such as the hash value of their IP address";
 /// here IDs are dense integers and the random assignment is done by the
 /// topology builder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -43,7 +42,7 @@ impl From<u32> for NodeId {
 /// The paper's extended version vectors are keyed by writer (user A, user B
 /// in the worked example of §4.4.1). A writer usually *resides* on a node;
 /// the mapping is maintained by the experiment harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WriterId(pub u32);
 
 impl fmt::Display for WriterId {
@@ -63,7 +62,7 @@ impl From<u32> for WriterId {
 /// Consistency, the top/bottom-layer split and resolution are all *per
 /// object* (§4.1: "different files may have different top layers — and
 /// different top layers do not interfere with one another").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u64);
 
 impl ObjectId {

@@ -7,14 +7,13 @@
 //! `[0, 1]`.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The TACT error triple for one replica relative to a reference state.
 ///
 /// All three members are non-negative; zero in all members means the replica
 /// is identical to the reference consistent state.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ErrorTriple {
     /// Gap between the replica's critical-metadata value and the reference's
     /// (e.g. difference of total sale price). `|meta_ref - meta_replica|`.
@@ -56,7 +55,7 @@ impl fmt::Display for ErrorTriple {
 ///
 /// Construction clamps, so downstream arithmetic can stay unchecked. Ordering
 /// is total (levels are never NaN by construction).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct ConsistencyLevel(f64);
 
 impl ConsistencyLevel {

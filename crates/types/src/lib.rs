@@ -37,3 +37,17 @@ pub use update::{Update, UpdateId, UpdatePayload};
 
 /// Result alias used across the workspace.
 pub type Result<T> = std::result::Result<T, IdeaError>;
+
+/// Locks `m`, recovering the guard if a panicking holder poisoned it.
+///
+/// Recovery is sound because no lock in the tree guards state that a panic
+/// can leave half-written: each critical section pushes, takes, swaps or
+/// inserts one value, or makes one call on the guarded value, which a panic
+/// leaves no worse than the same call made without a lock. Recovering keeps
+/// one panicking request from turning every later request on that lock
+/// into a second panic. This is the one way to lock a `Mutex` under
+/// `crates/`: `clippy.toml` rejects a direct `Mutex::lock`.
+#[allow(clippy::disallowed_methods)]
+pub fn lock<T: ?Sized>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

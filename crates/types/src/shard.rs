@@ -10,7 +10,6 @@
 
 use crate::hash::mix64;
 use crate::ids::ObjectId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identity of one store/runtime shard within a node.
@@ -18,7 +17,7 @@ use std::fmt;
 /// Shards are dense indices `0..S`; `S` is a per-node deployment choice
 /// (`IdeaConfig::store_shards` in `idea-core`, `ThreadedConfig::shards` in
 /// `idea-net`) and every layer routing by object must agree on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardId(pub u32);
 
 impl ShardId {

@@ -5,10 +5,8 @@
 //! flat assumption or account actual serialized sizes, so the Formula-4
 //! optimal-rate derivation (`b · x% / c`) can be replayed under both.
 
-use serde::{Deserialize, Serialize};
-
 /// How to charge bytes for a protocol message.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MessageSizeModel {
     /// Every message costs a flat number of bytes (paper default: 1024).
     Flat(u64),

@@ -10,11 +10,10 @@
 use crate::ids::{ObjectId, WriterId};
 use crate::time::SimTime;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Globally unique identity of an update: writer plus per-writer sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UpdateId {
     /// The writer that issued the update.
     pub writer: WriterId,
@@ -34,10 +33,10 @@ impl fmt::Display for UpdateId {
 /// IDEA itself treats payloads as opaque; applications encode what they need.
 /// The two emulated applications of the paper are given dedicated variants so
 /// examples and tests stay readable without an extra codec layer.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum UpdatePayload {
     /// Raw bytes, for applications outside the two emulated ones.
-    Opaque(#[serde(with = "serde_bytes_compat")] Bytes),
+    Opaque(Bytes),
     /// A white-board stroke: freehand text drawn at a board position.
     Stroke {
         /// Horizontal board coordinate.
@@ -58,24 +57,6 @@ pub enum UpdatePayload {
     },
 }
 
-/// Serde adapter so `bytes::Bytes` can ride inside the payload enum.
-// Only referenced from the `#[serde(with)]` attribute, which the offline
-// serde stub's no-op derives never expand — hence the dead-code allowance.
-#[allow(dead_code)]
-mod serde_bytes_compat {
-    use bytes::Bytes;
-    use serde::{Deserialize, Deserializer, Serializer};
-
-    pub(crate) fn serialize<S: Serializer>(b: &Bytes, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_bytes(b)
-    }
-
-    pub(crate) fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Bytes, D::Error> {
-        let v = Vec::<u8>::deserialize(d)?;
-        Ok(Bytes::from(v))
-    }
-}
-
 impl UpdatePayload {
     /// An empty opaque payload — convenient for metadata-only updates and
     /// synthetic workloads.
@@ -94,7 +75,7 @@ impl UpdatePayload {
 }
 
 /// A single write operation on a replicated object.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Update {
     /// The shared object being mutated.
     pub object: ObjectId,

@@ -20,7 +20,6 @@
 //! allocates nothing.
 
 use idea_types::WriterId;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -41,7 +40,7 @@ pub enum VvOrdering {
 ///
 /// Writers absent from the vector implicitly have counter 0, so vectors over
 /// different writer sets compare correctly.
-#[derive(PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(PartialEq, Eq, Default)]
 pub struct VersionVector {
     /// `(writer, count)` pairs, strictly ascending by writer, no zero count.
     counters: Vec<(WriterId, u64)>,

@@ -37,11 +37,10 @@
 use crate::classic::{VersionVector, VvOrdering};
 use crate::history::{Histories, History, Start};
 use idea_types::{ErrorTriple, SimTime, UpdateId, WriterId};
-use serde::{Deserialize, Serialize};
 use std::fmt::{self, Write as _};
 
 /// The extended version vector of one replica.
-#[derive(Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Default)]
 pub struct ExtendedVersionVector {
     /// Per-writer timestamp histories, writer by writer in the order of
     /// `counters`, whose counts also say where each one starts.

@@ -67,7 +67,7 @@ impl Chunk {
 /// Timestamps of one writer's updates `1..=len`, oldest first, borrowed
 /// from a vector's buffers. An absent writer is the empty view.
 ///
-/// Not serde-annotated: vectors cross the wire as [`crate::VvSummary`] and
+/// Has no codec: vectors cross the wire as [`crate::VvSummary`] and
 /// [`crate::VvDelta`], never as their in-memory chunks.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct History<'a> {

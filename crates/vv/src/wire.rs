@@ -29,7 +29,6 @@ use crate::classic::VersionVector;
 use crate::extended::{note_divergence, Divergence, ExtendedVersionVector};
 use crate::history::History;
 use idea_types::{ErrorTriple, SimDuration, SimTime, UpdateId, WriterId};
-use serde::{Deserialize, Serialize};
 
 /// Timestamps of one writer's newest updates: the `start_seq`-th update
 /// onwards (1-based, contiguous through the writer's current count),
@@ -135,7 +134,7 @@ impl Suffixes {
 }
 
 /// Compact, self-contained wire form of an extended version vector.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct VvSummary {
     /// Per-writer update counters (the classic vector).
     pub counters: VersionVector,
@@ -150,7 +149,7 @@ pub struct VvSummary {
 
 /// Exact per-writer suffixes beyond a baseline counter vector the receiver
 /// advertised.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VvDelta {
     /// The sender's full per-writer counters.
     pub counters: VersionVector,

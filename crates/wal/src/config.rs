@@ -1,10 +1,9 @@
 //! The durability policy knobs a node is built with.
 
-use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
 /// When (if ever) WAL appends reach the disk platter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DurabilityMode {
     /// No durability: no files are created, no records are written. The
     /// default — every pinned fixed-seed trace runs exactly as before.
@@ -24,7 +23,7 @@ pub enum DurabilityMode {
 }
 
 /// Durability configuration of one node (carried in `IdeaConfig`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// Fsync policy; [`DurabilityMode::Off`] disables the plane entirely.
     pub mode: DurabilityMode,

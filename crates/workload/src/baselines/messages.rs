@@ -3,10 +3,9 @@
 use idea_net::{MsgClass, Wire};
 use idea_types::{ObjectId, Update, UpdateId};
 use idea_vv::VersionVector;
-use serde::{Deserialize, Serialize};
 
 /// Wire messages of the three baseline protocols.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) enum BaselineMsg {
     /// Optimistic anti-entropy: "here are my counters" (one-way pull).
     SyncDigest {

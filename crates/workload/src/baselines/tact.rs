@@ -14,12 +14,11 @@ use super::messages::BaselineMsg;
 use idea_net::{Context, Proto, TimerId};
 use idea_store::StoreShard;
 use idea_types::{NodeId, ObjectId, SimDuration, SimTime, Update, UpdatePayload, WriterId};
-use serde::{Deserialize, Serialize};
 
 const K_STALENESS: u64 = 1;
 
 /// The enforced conit bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TactBounds {
     /// Maximum local writes a peer may be behind before a push (order
     /// error bound).

@@ -11,7 +11,6 @@ use idea_core::client::Session;
 use idea_core::{ConsistencySpec, IdeaConfig, MaxBounds, Weights};
 use idea_net::{MsgClass, NetStats, SimConfig, SimEngine, Topology};
 use idea_types::{MessageSizeModel, NodeId, ObjectId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One sample of the consistency series.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// the write grid and miss them, so `worst` is the *minimum* level observed
 /// over the preceding sample window (polled at 1 s granularity) — the same
 /// quantity the paper's asynchronous sampling captures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SamplePoint {
     /// Seconds since the measurement window opened.
     pub(crate) t_secs: f64,

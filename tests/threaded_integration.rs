@@ -1,7 +1,8 @@
 //! The IDEA protocol under real concurrency: the threaded engine drives the
-//! same state machines over crossbeam channels with injected WAN latency.
-//! Every test runs at one worker per node **and** at four, so neither
-//! partitioning of a node's state depends on a CI matrix to be exercised.
+//! same state machines over `std::sync::mpsc` channels with injected WAN
+//! latency. Every test runs at one worker per node **and** at four, so
+//! neither partitioning of a node's state depends on a CI matrix to be
+//! exercised.
 
 use idea::prelude::*;
 use std::thread;
