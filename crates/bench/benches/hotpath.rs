@@ -24,7 +24,9 @@
 //! the router's duplicate check and plan on its terminal and relay paths.
 //! The object-table group times a dense `ObjectTable` lookup when the
 //! tables do not fit in cache, the case where the probe's cache lines are
-//! the cost.
+//! the cost. The WAL group times the last hop of a served write: one
+//! group-commit window of appends into a log in the temp directory,
+//! `fdatasync` included, so the figure is the disk's as much as the code's.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use idea_core::{Command, Response};
@@ -37,6 +39,7 @@ use idea_types::{
     NodeId, ObjectId, ObjectTable, SimDuration, SimTime, Update, UpdateId, UpdatePayload, WriterId,
 };
 use idea_vv::{ExtendedVersionVector, VersionVector, VvDelta};
+use idea_wal::{DurabilityConfig, ShardWal, WalRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -487,6 +490,33 @@ fn bench_object_table(c: &mut Criterion) {
     group.finish();
 }
 
+/// The served deployment's group-commit window.
+const WAL_WINDOW: u64 = 32;
+
+/// One full group-commit window on a served shard's WAL: 32 appends of a
+/// whiteboard-stroke write record, the last one carrying the window's
+/// `fdatasync`. The log keeps growing across iterations, so appends cross
+/// zero-filled chunk boundaries at the rate a served shard does.
+fn bench_wal_sync_window(c: &mut Criterion) {
+    let dir = std::env::temp_dir().join(format!("idea-bench-wal-{}", std::process::id()));
+    let cfg = DurabilityConfig::sync_grouped(&dir, WAL_WINDOW);
+    let mut wal = ShardWal::create(&cfg, NodeId(0), 0).expect("create the bench WAL");
+    let mut update = update_chunk(1).remove(0);
+    update.payload = UpdatePayload::Stroke { x: 12, y: 34, text: "abcdefghijklmnop".into() };
+    let rec = WalRecord::Write { update };
+    let mut group = c.benchmark_group("wal-sync-window");
+    group.bench_function(BenchmarkId::from_parameter("32-appends"), |bench| {
+        bench.iter(|| {
+            for _ in 0..WAL_WINDOW {
+                wal.append(black_box(&rec)).expect("append");
+            }
+        })
+    });
+    group.finish();
+    drop(wal);
+    std::fs::remove_dir_all(&dir).expect("remove the bench WAL");
+}
+
 criterion_group!(
     hotpath,
     bench_record,
@@ -503,6 +533,7 @@ criterion_group!(
     bench_frame_codec,
     bench_gossip_receipt,
     bench_object_table,
-    bench_body_cache
+    bench_body_cache,
+    bench_wal_sync_window
 );
 criterion_main!(hotpath);
