@@ -46,6 +46,7 @@ use idea_types::{
     lock, ConsistencyLevel, IdeaError, NodeId, ObjectId, Result, ShardId, SimDuration, SimTime,
     Update, UpdatePayload, WireError,
 };
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -802,6 +803,10 @@ pub trait EngineHandle {
 /// exactly once with the command's outcome, possibly from a worker thread.
 pub type ReplyFn = Box<dyn FnOnce(Response) + Send + 'static>;
 
+/// Commands handed to [`CommandExecutor::dispatch_batch`], in arrival
+/// order, each with the node it addresses and its reply.
+pub type DispatchBatch = Vec<(NodeId, Command, ReplyFn)>;
+
 /// The object-safe, shared-access half of the engine surface: what a
 /// network server boxes and fronts. Everything is `&self` (connection
 /// handler threads share one executor) and fallible — an engine whose
@@ -814,6 +819,13 @@ pub type ReplyFn = Box<dyn FnOnce(Response) + Send + 'static>;
 /// [`LockedEngine`] (any `EngineHandle` behind a mutex — how the
 /// deterministic engine is served), and the `RemoteEngine` client stub in
 /// `idea-transport` (proxying makes a server chainable).
+///
+/// Ordering: commands dispatched from one thread apply in the order they
+/// were handed over *per (node, shard)* — the sharded engine runs each
+/// shard worker's mailbox in FIFO order, and commands on different shards
+/// run concurrently. A node-wide command (one without a sole owning shard:
+/// the report, a re-weighting dissatisfaction, the Table-1 setters) is a
+/// barrier: it sees every command handed over before it and none after.
 pub trait CommandExecutor: Send + Sync {
     /// Number of nodes in the deployment.
     fn node_count(&self) -> usize;
@@ -837,6 +849,17 @@ pub trait CommandExecutor: Send + Sync {
         reply(outcome);
     }
 
+    /// Dispatches every command of `batch` as [`CommandExecutor::dispatch`]
+    /// would, in order, and leaves `batch` empty (its buffer is the
+    /// caller's to reuse). The default hands the commands to `dispatch` one
+    /// by one; the sharded engine sends each shard worker one envelope for
+    /// all of the batch's commands it owns.
+    fn dispatch_batch(&self, batch: &mut DispatchBatch) {
+        for (node, cmd, reply) in batch.drain(..) {
+            self.dispatch(node, cmd, reply);
+        }
+    }
+
     /// Fire-and-forget submission: enqueues the command without any reply
     /// path at all. Command-level rejections (unknown node or object,
     /// out-of-domain parameter) are silently dropped — there is nowhere to
@@ -856,33 +879,41 @@ fn engine_unavailable() -> WireError {
     WireError::EngineUnavailable("engine worker stopped".into())
 }
 
-/// A one-shot reply slot shared between the "posted into the mailbox" and
-/// the "mailbox already closed" paths of [`CommandExecutor::dispatch`]:
-/// whichever side runs first consumes the callback. If neither side ever
-/// runs — the engine accepted the envelope but stopped before processing
-/// it, dropping the closure unrun — the drop of the last reference answers
-/// with [`WireError::EngineUnavailable`], so a caller blocked on the reply
-/// fails fast instead of waiting out a timeout.
-#[derive(Clone)]
-struct ReplyCell(Arc<ReplyCellInner>);
+/// The commands of one [`CommandExecutor::dispatch_batch`] bound for one
+/// shard worker, in arrival order — what travels in that worker's
+/// envelope. It is also the batch's reply guard: every command it still
+/// holds when it drops (the mailbox refused the envelope, the engine
+/// stopped with it queued and dropped it unrun, or a command panicked
+/// mid-run) is answered with [`WireError::EngineUnavailable`], so a caller
+/// blocked on the reply fails fast instead of waiting out a timeout.
+struct ShardGroup {
+    /// Commands not yet run, in arrival order.
+    queued: VecDeque<(Command, ReplyFn)>,
+    /// The reply of the command running now.
+    running: Option<ReplyFn>,
+}
 
-struct ReplyCellInner(Mutex<Option<ReplyFn>>);
-
-impl ReplyCell {
-    fn new(reply: ReplyFn) -> Self {
-        ReplyCell(Arc::new(ReplyCellInner(Mutex::new(Some(reply)))))
+impl ShardGroup {
+    fn new(cmd: Command, reply: ReplyFn) -> Self {
+        ShardGroup { queued: VecDeque::from([(cmd, reply)]), running: None }
     }
 
-    fn call(&self, response: Response) {
-        if let Some(reply) = lock(&self.0 .0).take() {
-            reply(response);
+    /// Applies the commands in arrival order, answering each as it runs.
+    fn run(mut self, shard: &mut ProtocolShard, ctx: &mut dyn Context<IdeaMsg>) {
+        while let Some((cmd, reply)) = self.queued.pop_front() {
+            self.running = Some(reply);
+            let response = apply_to_shard(shard, cmd, ctx);
+            if let Some(reply) = self.running.take() {
+                reply(response);
+            }
         }
     }
 }
 
-impl Drop for ReplyCellInner {
+impl Drop for ShardGroup {
     fn drop(&mut self) {
-        if let Some(reply) = lock(&self.0).take() {
+        let queued = self.queued.drain(..).map(|(_, reply)| reply);
+        for reply in self.running.take().into_iter().chain(queued) {
             reply(Response::err(engine_unavailable()));
         }
     }
@@ -1000,24 +1031,11 @@ where
     }
 
     fn dispatch(&self, node: NodeId, cmd: Command, reply: ReplyFn) {
-        if node.index() >= self.len() {
-            return reply(Response::err(IdeaError::UnknownNode(node)));
-        }
-        // A command with a sole shard pipelines through that shard's
-        // mailbox; the rest (the report, re-weighting, the node-wide
-        // setters) execute inline on the calling thread — they are
-        // control-plane traffic.
-        let Some(owner) = sole_shard(&cmd, self.shards()) else {
-            let outcome = self.try_execute(node, cmd).unwrap_or_else(Response::err);
-            return reply(outcome);
-        };
-        let cell = ReplyCell::new(reply);
-        let in_worker = cell.clone();
-        if !self.try_invoke(node, owner, move |s, ctx| {
-            in_worker.call(apply_to_shard(s, cmd, ctx));
-        }) {
-            cell.call(Response::err(engine_unavailable()));
-        }
+        dispatch_in_groups(self, [(node, cmd, reply)]);
+    }
+
+    fn dispatch_batch(&self, batch: &mut DispatchBatch) {
+        dispatch_in_groups(self, batch.drain(..));
     }
 
     fn try_submit(&self, node: NodeId, cmd: Command) -> std::result::Result<(), WireError> {
@@ -1032,6 +1050,51 @@ where
         } else {
             Err(engine_unavailable())
         }
+    }
+}
+
+/// The sharded engine's [`CommandExecutor::dispatch_batch`] (and, for a
+/// batch of one, its `dispatch`). Commands with a sole shard pipeline
+/// through that shard's mailbox, one envelope per (node, shard) group; the
+/// rest (the report, re-weighting, the node-wide setters) are
+/// control-plane traffic and execute inline on the calling thread, after
+/// the groups gathered before them are sent, so they see those commands
+/// applied.
+fn dispatch_in_groups<P>(
+    engine: &ShardedEngine<P>,
+    commands: impl IntoIterator<Item = (NodeId, Command, ReplyFn)>,
+) where
+    P: ShardedProto<Msg = IdeaMsg, Shard = ProtocolShard> + 'static,
+{
+    let mut groups: Vec<(NodeId, usize, ShardGroup)> = Vec::new();
+    for (node, cmd, reply) in commands {
+        if node.index() >= engine.len() {
+            reply(Response::err(IdeaError::UnknownNode(node)));
+            continue;
+        }
+        let Some(owner) = sole_shard(&cmd, engine.shards()) else {
+            send_groups(engine, &mut groups);
+            reply(engine.try_execute(node, cmd).unwrap_or_else(Response::err));
+            continue;
+        };
+        match groups.iter_mut().find(|(n, s, _)| (*n, *s) == (node, owner)) {
+            Some((_, _, group)) => group.queued.push_back((cmd, reply)),
+            None => groups.push((node, owner, ShardGroup::new(cmd, reply))),
+        }
+    }
+    send_groups(engine, &mut groups);
+}
+
+/// Sends each of a batch's shard groups to its worker as one envelope, in
+/// order.
+fn send_groups<P>(engine: &ShardedEngine<P>, groups: &mut Vec<(NodeId, usize, ShardGroup)>)
+where
+    P: ShardedProto<Msg = IdeaMsg, Shard = ProtocolShard> + 'static,
+{
+    for (node, shard, group) in groups.drain(..) {
+        // A refused envelope is dropped with the group in it, and the
+        // group's guard answers every command.
+        let _sent = engine.try_invoke(node, shard, move |s, ctx| group.run(s, ctx));
     }
 }
 
@@ -1616,22 +1679,37 @@ mod tests {
         }
     }
 
-    /// A dispatch reply closure dropped unrun (engine stopped with the
-    /// envelope still queued) must still answer — with the typed
-    /// engine-unavailable rejection — so a blocked caller fails fast
-    /// instead of waiting out a timeout.
+    /// A batch's envelope dropped unrun (refused by a closed mailbox, or
+    /// the engine stopped with it still queued) must still answer every
+    /// command it holds — with the typed engine-unavailable rejection, in
+    /// arrival order — so blocked callers fail fast instead of waiting out
+    /// a timeout. So must one dropped mid-run, its running command first.
     #[test]
-    fn dropped_reply_cell_answers_engine_unavailable() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let cell = ReplyCell::new(Box::new(move |resp| {
-            let _ = tx.send(resp);
-        }));
-        drop(cell);
-        let resp = rx.try_recv().expect("drop must produce a response");
-        assert!(
-            matches!(resp, Response::Rejected { error: WireError::EngineUnavailable(_) }),
-            "{resp:?}"
-        );
+    fn dropped_batch_envelope_answers_every_command() {
+        for mid_run in [false, true] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let mut replies = (0..3).map(|i| {
+                let tx = tx.clone();
+                Box::new(move |resp| {
+                    let _ = tx.send((i, resp));
+                }) as ReplyFn
+            });
+            let running = if mid_run { replies.next() } else { None };
+            let queued = replies.map(|reply| (Command::Peek { object: OBJ }, reply)).collect();
+            let group = ShardGroup { queued, running };
+            let envelope =
+                move |s: &mut ProtocolShard, ctx: &mut dyn Context<IdeaMsg>| group.run(s, ctx);
+            drop(envelope);
+            let answers: Vec<(usize, Response)> = rx.try_iter().collect();
+            assert_eq!(answers.len(), 3, "every command must be answered: {answers:?}");
+            for (want, (i, resp)) in answers.into_iter().enumerate() {
+                assert_eq!(i, want, "answers come in arrival order");
+                assert!(
+                    matches!(resp, Response::Rejected { error: WireError::EngineUnavailable(_) }),
+                    "{resp:?}"
+                );
+            }
+        }
     }
 
     /// One panic under the served engine's lock must not become an outage:

@@ -35,8 +35,8 @@ pub mod resolution;
 pub use adapt::{AutoController, HintController};
 pub use client::{
     apply_to_node, apply_to_shard, Command, CommandError, CommandExecutor, ConsistencySpec,
-    EngineHandle, IdeaHost, LockedEngine, ObjectHandle, ReadConsistency, ReadResult, ReplyFn,
-    Response, Session,
+    DispatchBatch, EngineHandle, IdeaHost, LockedEngine, ObjectHandle, ReadConsistency, ReadResult,
+    ReplyFn, Response, Session,
 };
 pub use config::IdeaConfig;
 pub use idea_wal::{DurabilityConfig, DurabilityMode};

@@ -488,10 +488,9 @@ impl IdeaNode {
         let mut node = Self::build(me, cfg, objects)?;
         let dcfg = node.config().durability.clone();
         if dcfg.enabled() {
-            for (i, s) in node.shards.iter_mut().enumerate() {
-                let wal = ShardWal::create(&dcfg, me, i as u32).unwrap_or_else(|e| {
-                    panic!("cannot create WAL files under {:?}: {e}", dcfg.dir)
-                });
+            let wals = ShardWal::create_shards(&dcfg, me, 0..node.shards.len() as u32)
+                .unwrap_or_else(|e| panic!("cannot create WAL files under {:?}: {e}", dcfg.dir));
+            for (s, wal) in node.shards.iter_mut().zip(wals) {
                 s.core.store.attach_wal(wal);
             }
         }

@@ -25,7 +25,9 @@
 //!
 //! Per connection, commands are dispatched in arrival order into
 //! per-object FIFO worker mailboxes: two commands on the same connection
-//! addressing the same object execute in order. Responses return in
+//! addressing the same object execute in order, and a node-wide command
+//! (a report, a Table-1 setter) sees every command that arrived before
+//! it on its connection. Responses return in
 //! *completion* order (correlate by `request_id`). Across connections —
 //! including the pool connections of one [`RemoteEngine`] — only commands
 //! for the same object keep their order, because the pool pins each object

@@ -9,10 +9,12 @@
 //!
 //! Per connection, commands dispatch in arrival order into the executor's
 //! per-object FIFO mailboxes via the non-blocking
-//! [`CommandExecutor::dispatch`] reply-callback path, responses return in
-//! *completion* order correlated by `request_id`, and fire-and-forget
-//! frames (`request_id == `[`NO_REPLY`](crate::frame::NO_REPLY)) are
-//! submitted with no reply path at all.
+//! [`CommandExecutor::dispatch_batch`] reply-callback path (the commands
+//! one read delivered travel together, one envelope per shard worker),
+//! responses return in *completion* order correlated by `request_id`, and
+//! fire-and-forget frames (`request_id == `[`NO_REPLY`](crate::frame::NO_REPLY))
+//! are submitted with no reply path at all, after every command that
+//! arrived before them.
 //!
 //! Admission and backpressure:
 //!

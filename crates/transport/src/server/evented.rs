@@ -11,10 +11,14 @@
 //!   to and flushes drain with single `write` calls — many small pipelined
 //!   responses coalesce into one syscall.
 //!
-//! Commands dispatch in arrival order through the non-blocking
-//! [`CommandExecutor::dispatch`] reply-callback path; callbacks hand their
-//! response to the [`CompletionSink`], which wakes the loop at most once
-//! per pass, and the loop encodes them in completion order.
+//! Parsed commands queue with their reply callbacks in one reusable batch,
+//! which the loop hands to the non-blocking
+//! [`CommandExecutor::dispatch_batch`] before it folds completions and
+//! before any fire-and-forget (`NO_REPLY`) command is submitted, so each
+//! connection's commands reach the executor in arrival order. The sharded
+//! engine sends each shard worker one envelope per batch. Callbacks hand
+//! their response to the [`CompletionSink`], which wakes the loop at most
+//! once per pass, and the loop encodes them in completion order.
 //!
 //! Readiness handling is drain-to-`WouldBlock` throughout, so the loop is
 //! correct under both level-triggered semantics (the epoll backend) and
@@ -29,7 +33,7 @@
 
 use super::{IdeaServer, ServerConfig};
 use crate::frame::{encode_into, frame_bytes, parse_frame, Frame, FramePayload, NO_REPLY};
-use idea_core::{CommandExecutor, Response};
+use idea_core::{CommandExecutor, DispatchBatch, Response};
 use idea_types::{lock, NodeId, WireError};
 use mio::{Events, Interest, Poll, Registry, Token, Waker};
 use std::io::{self, Read, Write};
@@ -152,6 +156,8 @@ pub(super) fn spawn(
                 conns: ConnMap::default(),
                 next_token: FIRST_CONN,
                 batch: Vec::new(),
+                others: Vec::new(),
+                dispatch: Vec::new(),
                 scratch: vec![0u8; READ_CHUNK],
             }
             .run();
@@ -239,6 +245,12 @@ struct EventLoop {
     /// Completions taken from the sink and not yet encoded; empty between
     /// uses, kept for its buffer.
     batch: Vec<Completion>,
+    /// Completions for other connections, set aside while one connection
+    /// folds its own; empty between uses, kept for its buffer.
+    others: Vec<Completion>,
+    /// Commands parsed and not yet handed to the executor; empty between
+    /// uses, kept for its buffer.
+    dispatch: DispatchBatch,
     scratch: Vec<u8>,
 }
 
@@ -464,6 +476,7 @@ impl EventLoop {
         if unfolded > 0 {
             self.fold_own_completions(token, conn);
         }
+        debug_assert!(self.dispatch.is_empty(), "every parsed command was handed over");
         if conn.in_start == conn.in_buf.len() {
             conn.in_buf.clear();
             conn.in_start = 0;
@@ -479,18 +492,21 @@ impl EventLoop {
     /// parsing — coalesces into the flush that follows. Completions for
     /// other connections stay queued, in order: their wake is pending and
     /// the run loop's pass is what pumps those connections.
+    ///
+    /// The commands parsed since the last fold are handed to the executor
+    /// first, so the fold can already see those an inline executor ran.
     fn fold_own_completions(&mut self, token: usize, conn: &mut Conn) {
+        self.executor.dispatch_batch(&mut self.dispatch);
         {
             let mut queue = lock(&self.sink.queue);
-            let mut others = Vec::new();
             for completion in queue.drain(..) {
                 if completion.0 == token {
                     self.batch.push(completion);
                 } else {
-                    others.push(completion);
+                    self.others.push(completion);
                 }
             }
-            queue.append(&mut others);
+            std::mem::swap(&mut *queue, &mut self.others);
         }
         for (_, request_id, node, response) in self.batch.drain(..) {
             conn.in_flight -= 1;
@@ -498,13 +514,15 @@ impl EventLoop {
         }
     }
 
-    /// One decoded frame; a command's reply callback hands the response to
-    /// the completion sink. Returns whether a command with a reply owed was
-    /// dispatched.
+    /// One decoded frame. A command owing a reply joins the dispatch batch
+    /// with a callback that hands its response to the completion sink;
+    /// returns whether it did. A fire-and-forget command is submitted at
+    /// once, after the batch gathered before it is handed over.
     fn handle_frame(&mut self, token: usize, conn: &mut Conn, frame: Frame) -> bool {
         let Frame { request_id, node, payload } = frame;
         match payload {
             FramePayload::Command(cmd) if request_id == NO_REPLY => {
+                self.executor.dispatch_batch(&mut self.dispatch);
                 match self.executor.try_submit(node, cmd) {
                     Ok(()) => {}
                     // Command-independent failure: the engine is gone, so
@@ -518,11 +536,11 @@ impl EventLoop {
             FramePayload::Command(cmd) => {
                 conn.in_flight += 1;
                 let sink = Arc::clone(&self.sink);
-                self.executor.dispatch(
+                self.dispatch.push((
                     node,
                     cmd,
                     Box::new(move |response| sink.complete((token, request_id, node, response))),
-                );
+                ));
                 true
             }
             // Only clients send Hello/Response frames — answer with a

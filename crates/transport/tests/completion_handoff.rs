@@ -3,8 +3,8 @@
 //! already pending, and no completion is ever stranded by a wake that was
 //! skipped.
 //!
-//! The CI `transport-smoke` job repeats `serial_requests_never_strand` in
-//! release mode: a lost wakeup is a race, and one pass proves little.
+//! The CI `transport-smoke` job repeats both tests in release mode: a
+//! lost wakeup is a race, and one pass proves little.
 
 use idea_core::client::ReadConsistency;
 use idea_core::{Command, CommandExecutor, IdeaConfig, IdeaNode, Response};

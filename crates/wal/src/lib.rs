@@ -38,8 +38,10 @@
 //! reported as [`Recovered::torn_bytes`]; a checksum-*valid*, non-empty
 //! frame that fails to decode is real corruption and surfaces as an
 //! error. Under [`DurabilityMode::Sync`] the node directory is fsynced
-//! after a new log is created and after a snapshot's rename, so neither
-//! name change can be lost behind a later data sync.
+//! after a node's new logs are created and after a snapshot's rename, so
+//! neither name change can be lost behind a later data sync, and the
+//! parent of every directory the WAL creates is fsynced too, so a new
+//! node directory cannot be lost either.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

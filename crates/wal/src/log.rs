@@ -10,6 +10,7 @@ use idea_types::NodeId;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// File magics: 8 bytes of identity + format version, so a snapshot file
@@ -128,6 +129,21 @@ impl Recovered {
 /// Makes `dir`'s entries durable: a file created or renamed in it.
 fn sync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
+}
+
+/// `create_dir_all(dir)`; under `Sync` also fsyncs the parent of each
+/// directory it created, so a host crash cannot lose a new directory (and
+/// every acknowledged record later written into it).
+fn create_dir_durable(dir: &Path, mode: DurabilityMode) -> std::io::Result<()> {
+    let created: Vec<&Path> = dir.ancestors().take_while(|d| !d.exists()).collect();
+    std::fs::create_dir_all(dir)?;
+    if mode == DurabilityMode::Sync {
+        for parent in created.iter().filter_map(|d| d.parent()) {
+            // A relative path's last parent is the empty path: the cwd.
+            sync_dir(if parent.as_os_str().is_empty() { Path::new(".") } else { parent })?;
+        }
+    }
+    Ok(())
 }
 
 /// Appends one frame to `out`, letting `encode` write the payload straight
@@ -282,7 +298,7 @@ impl ShardWal {
         shard: u32,
     ) -> WalResult<(ShardWal, Recovered)> {
         let (dir, log_path, snap_path) = Self::paths(cfg, node, shard);
-        std::fs::create_dir_all(&dir)?;
+        create_dir_durable(&dir, cfg.mode)?;
         let recovered = Self::load(cfg, node, shard)?;
 
         // `truncate(false)`: the valid prefix must survive; only the torn
@@ -316,33 +332,56 @@ impl ShardWal {
     }
 
     /// Opens the shard's WAL as a **fresh genesis**: any existing log and
-    /// snapshot are discarded first. This is what a brand-new node identity
-    /// uses (`IdeaNode::try_new`); restarting an existing identity goes
+    /// snapshot are discarded first. Restarting an existing identity goes
     /// through [`ShardWal::open`] + replay (`IdeaNode::recover`).
     ///
     /// # Errors
     /// Fails on I/O errors.
     pub fn create(cfg: &DurabilityConfig, node: NodeId, shard: u32) -> WalResult<ShardWal> {
-        let (dir, log_path, snap_path) = Self::paths(cfg, node, shard);
-        std::fs::create_dir_all(&dir)?;
-        if snap_path.exists() {
-            std::fs::remove_file(&snap_path)?;
-        }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&log_path)?;
-        file.set_len(0)?;
-        file.write_all(LOG_MAGIC)?;
+        let mut wals = Self::create_shards(cfg, node, shard..shard + 1)?;
+        Ok(wals.pop().expect("one shard was asked for"))
+    }
+
+    /// [`ShardWal::create`] for the shards `shards` of one node, in order:
+    /// under `Sync` the node directory is fsynced once for all of their
+    /// logs, not once per log. This is what a brand-new node identity uses
+    /// (`IdeaNode::try_new`).
+    ///
+    /// # Errors
+    /// Fails on I/O errors.
+    pub fn create_shards(
+        cfg: &DurabilityConfig,
+        node: NodeId,
+        shards: Range<u32>,
+    ) -> WalResult<Vec<ShardWal>> {
+        let dir = Self::node_dir(cfg, node);
+        create_dir_durable(&dir, cfg.mode)?;
+        let wals = shards
+            .map(|shard| {
+                let (_, log_path, snap_path) = Self::paths(cfg, node, shard);
+                if snap_path.exists() {
+                    std::fs::remove_file(&snap_path)?;
+                }
+                let mut file = OpenOptions::new()
+                    .read(true)
+                    .write(true)
+                    .create(true)
+                    .truncate(false)
+                    .open(&log_path)?;
+                file.set_len(0)?;
+                file.write_all(LOG_MAGIC)?;
+                if cfg.mode == DurabilityMode::Sync {
+                    file.sync_data()?;
+                }
+                let end = LOG_MAGIC.len() as u64;
+                Ok(Self::handle(cfg, shard, log_path, snap_path, file, end))
+            })
+            .collect::<WalResult<Vec<_>>>()?;
         if cfg.mode == DurabilityMode::Sync {
-            file.sync_data()?;
-            // The new log's name (and the old snapshot's removal).
+            // The new logs' names (and the old snapshots' removal).
             sync_dir(&dir)?;
         }
-        let end = LOG_MAGIC.len() as u64;
-        Ok(Self::handle(cfg, shard, log_path, snap_path, file, end))
+        Ok(wals)
     }
 
     /// A handle on `file`, positioned at `end` with nothing past it.
@@ -691,6 +730,43 @@ mod tests {
         drop(wal);
         let (_, r) = ShardWal::open(&cfg, NodeId(0), 0).unwrap();
         assert!(r.is_empty());
+        std::fs::remove_dir_all(&cfg.dir).unwrap();
+    }
+
+    /// Under `Sync` both entry points make the whole missing path and
+    /// fsync each new directory's parent on the way.
+    #[test]
+    fn create_and_open_make_a_missing_root_two_levels_deep() {
+        let base = tmp_cfg("deep").dir;
+        let cfg = DurabilityConfig::sync(base.join("a").join("b"));
+        assert!(!base.exists());
+        let mut created = ShardWal::create(&cfg, NodeId(0), 0).unwrap();
+        created.append(&WalRecord::Open { object: ObjectId(3) }).unwrap();
+        drop(created);
+        let (_, fresh) = ShardWal::open(&cfg, NodeId(1), 0).unwrap();
+        assert!(fresh.is_empty());
+        let (_, r) = ShardWal::open(&cfg, NodeId(0), 0).unwrap();
+        assert_eq!(r.tail, vec![WalRecord::Open { object: ObjectId(3) }]);
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    /// A node's genesis creates each shard's log in order, discarding what
+    /// a previous identity left.
+    #[test]
+    fn create_shards_makes_one_fresh_log_per_shard() {
+        let cfg = tmp_cfg("shards");
+        {
+            let (mut wal, _) = ShardWal::open(&cfg, NodeId(0), 1).unwrap();
+            wal.append(&WalRecord::Open { object: ObjectId(3) }).unwrap();
+        }
+        let wals = ShardWal::create_shards(&cfg, NodeId(0), 0..3).unwrap();
+        let names: Vec<_> = wals.iter().map(|w| w.log_path().file_name().unwrap()).collect();
+        assert_eq!(names, ["wal-0.log", "wal-1.log", "wal-2.log"]);
+        drop(wals);
+        for shard in 0..3 {
+            let (_, r) = ShardWal::open(&cfg, NodeId(0), shard).unwrap();
+            assert!(r.is_empty(), "shard {shard}");
+        }
         std::fs::remove_dir_all(&cfg.dir).unwrap();
     }
 
