@@ -8,10 +8,11 @@
 //!   time. All figures and tables of the paper are regenerated on it; a
 //!   seed fully determines a run.
 //! * [`threaded::ShardedEngine`] — OS threads (one worker per node and
-//!   state shard), `std::sync::mpsc` channels for links, router threads
-//!   injecting the same latency model in wall-clock time. This is the
-//!   engine a served deployment runs on; examples and integration tests
-//!   also use it to demonstrate the protocol under real concurrency.
+//!   state shard), `std::sync::mpsc` channels for links, and the same
+//!   latency model in wall-clock time: a sender stamps each message with
+//!   its due time and the receiving worker holds it until then. This is
+//!   the engine a served deployment runs on; examples and integration
+//!   tests also use it to demonstrate the protocol under real concurrency.
 //!
 //! Protocol logic implements [`Proto`] and interacts with the world only
 //! through [`Context`] (time, identity, sends, timers, RNG), which is what

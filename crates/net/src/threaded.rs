@@ -1,12 +1,14 @@
 //! The threaded runtime: the same [`Proto`] state machines on real threads.
 //!
 //! [`ShardedEngine`] runs `ThreadedConfig::shards` worker threads **per
-//! node**, each owning one shard of the node's state, plus one delay-router
-//! thread per shard. Links are `std::sync::mpsc` channels; a router holds
-//! every in-flight message in a delay heap and forwards it when its (scaled)
-//! latency elapses, so the engine exhibits the same WAN behaviour as the
-//! simulator — just in wall-clock time and without determinism. At
-//! `shards: 1` that is one worker per node and one router: the plain
+//! node**, each owning one shard of the node's state, and no other thread.
+//! Links are `std::sync::mpsc` channels straight into the destination
+//! worker's mailbox. A send samples the link's latency from the sending
+//! worker's delay RNG and stamps the message with the instant it is due;
+//! the receiving worker holds a message that arrives early until then. So
+//! the engine exhibits the same WAN behaviour as the simulator — just in
+//! wall-clock time and without determinism — and a message crosses one
+//! thread hand-off. At `shards: 1` that is one worker per node: the plain
 //! thread-per-node runtime.
 //!
 //! `time_scale` maps virtual time to wall time (`wall = virtual × scale`), so
@@ -17,9 +19,22 @@
 //! Every message is routed to the worker `ShardedProto::shard_of(msg, S)` of
 //! its destination node, so messages about one object always land on the
 //! same FIFO worker (per-object order preserved) while disjoint objects are
-//! processed concurrently. The delay-router is sharded by the same function
-//! — shard `s` traffic of all nodes flows through router `s` — so no single
-//! thread serialises the cluster's forwarding.
+//! processed concurrently.
+//!
+//! ## Delivery
+//!
+//! Before it takes its next envelope, a worker delivers the messages it
+//! holds that are due and fires its due timers, earliest first (a message
+//! before a timer due at the same instant). With nothing due it sleeps
+//! until its next held message or timer, or until an envelope arrives. So:
+//!
+//! * no message is handled before its send time plus its link delay
+//!   (50 µs of virtual time for a self-send);
+//! * messages on one jitter-free link are handled in send order: their due
+//!   times rise with their send times, and equal due times go in arrival
+//!   order;
+//! * [`ShardedEngine::stop`] hands every message a worker still holds to
+//!   the protocol, in due order, without waiting for it to come due.
 
 use crate::proto::{Context, Proto, ShardedProto, TimerId, Wire};
 use crate::stats::{NetStats, StatsSnapshot};
@@ -37,7 +52,7 @@ use std::time::{Duration, Instant};
 /// Threaded-engine configuration.
 #[derive(Debug, Clone)]
 pub struct ThreadedConfig {
-    /// Seed for the router's latency sampling and per-node RNGs.
+    /// Seed for the workers' latency sampling and per-node RNGs.
     pub seed: u64,
     /// Wall seconds per virtual second. `0.01` replays a 100 s scenario in
     /// roughly one wall second.
@@ -50,37 +65,6 @@ pub struct ThreadedConfig {
 impl Default for ThreadedConfig {
     fn default() -> Self {
         ThreadedConfig { seed: 0, time_scale: 1.0, shards: 1 }
-    }
-}
-
-enum RouterCmd<M> {
-    Send { from: NodeId, to: NodeId, msg: M },
-    Stop,
-}
-
-/// In-flight message inside the router's delay heap.
-struct InFlight<M> {
-    due: Instant,
-    seq: u64,
-    from: NodeId,
-    to: NodeId,
-    msg: M,
-}
-
-impl<M> PartialEq for InFlight<M> {
-    fn eq(&self, o: &Self) -> bool {
-        self.due == o.due && self.seq == o.seq
-    }
-}
-impl<M> Eq for InFlight<M> {}
-impl<M> PartialOrd for InFlight<M> {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl<M> Ord for InFlight<M> {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        self.due.cmp(&o.due).then_with(|| self.seq.cmp(&o.seq))
     }
 }
 
@@ -125,13 +109,78 @@ impl Timers {
         None
     }
 
-    /// How long a worker may block before its next timer comes due (an
-    /// hour with none armed: the mailbox wakes it for everything else).
-    fn sleep_for(&self) -> Duration {
-        self.heap
-            .peek()
-            .map(|Reverse((due, _, _))| due.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_secs(3600))
+    /// When the earliest timer still armed comes due; cancelled entries
+    /// ahead of it are dropped on the way.
+    fn next_due(&mut self) -> Option<Instant> {
+        while let Some(&Reverse((due, id, _))) = self.heap.peek() {
+            if self.live.contains(&id) {
+                return Some(due);
+            }
+            self.heap.pop();
+        }
+        None
+    }
+}
+
+/// Low bits of a held message's key holding its slab slot; the arrival
+/// sequence above them gets the other 40 (the key layout of `SimEngine`'s
+/// event queue).
+const SLOT_BITS: u32 = 24;
+
+/// The messages a worker received before they were due: a min-heap of
+/// `(due, arrival seq, slot)` keys packed as
+/// `due ns since start << 64 | seq << SLOT_BITS | slot`, the slot indexing
+/// `slab`. `seq` is unique, so equal due times pop in arrival order, and a
+/// sift moves 16-byte keys, never the messages.
+struct Held<M> {
+    /// The engine's start, which due times are counted from.
+    start: Instant,
+    heap: BinaryHeap<Reverse<u128>>,
+    /// Held messages by slot; `None` marks a free slot. As long as the most
+    /// messages ever held at once.
+    slab: Vec<Option<(NodeId, M)>>,
+    /// Free slots of `slab`, the last freed reused first.
+    free: Vec<u32>,
+    seq: u64,
+}
+
+impl<M> Held<M> {
+    fn new(start: Instant) -> Self {
+        Held { start, heap: BinaryHeap::new(), slab: Vec::new(), free: Vec::new(), seq: 0 }
+    }
+
+    fn push(&mut self, due: Instant, from: NodeId, msg: M) {
+        let seq = self.seq;
+        assert!(seq < 1 << (64 - SLOT_BITS), "under 2^40 arrivals per worker");
+        self.seq += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some((from, msg));
+                slot
+            }
+            None => {
+                let slot = self.slab.len();
+                assert!(slot < 1 << SLOT_BITS, "under 2^24 messages held at once");
+                self.slab.push(Some((from, msg)));
+                slot as u32
+            }
+        };
+        let due_ns = due.saturating_duration_since(self.start).as_nanos() as u64;
+        let low = seq << SLOT_BITS | u64::from(slot);
+        self.heap.push(Reverse(u128::from(due_ns) << 64 | u128::from(low)));
+    }
+
+    /// When the earliest held message comes due.
+    fn next_due(&self) -> Option<Instant> {
+        self.heap.peek().map(|Reverse(key)| self.start + Duration::from_nanos((key >> 64) as u64))
+    }
+
+    /// Takes the earliest held message, due or not.
+    fn pop(&mut self) -> Option<(NodeId, M)> {
+        let Reverse(key) = self.heap.pop()?;
+        let slot = key as u32 & ((1 << SLOT_BITS) - 1);
+        self.free.push(slot);
+        Some(self.slab[slot as usize].take().expect("a held slot holds its message"))
     }
 }
 
@@ -140,26 +189,37 @@ type ShardInvokeFn<P> =
     Box<dyn FnOnce(&mut <P as ShardedProto>::Shard, &mut dyn Context<<P as Proto>::Msg>) + Send>;
 
 enum ShardEnvelope<P: ShardedProto> {
-    Net { from: NodeId, msg: P::Msg },
+    /// A protocol message, to be handled no earlier than `due`.
+    Net {
+        from: NodeId,
+        msg: P::Msg,
+        due: Instant,
+    },
     Invoke(ShardInvokeFn<P>),
     Stop,
 }
 
-/// Worker-thread context handed to protocol callbacks; sends go to the
-/// router of the message's shard.
-struct ShardCtx<'a, M> {
+/// One worker's side of the engine, handed to protocol callbacks as their
+/// [`Context`]: a send goes straight into the destination worker's mailbox.
+struct ShardCtx<P: ShardedProto> {
     me: NodeId,
     n: usize,
     shards: usize,
     start: Instant,
     scale: f64,
-    route: fn(&M, usize) -> usize,
-    routers: &'a [Sender<RouterCmd<M>>],
-    timers: &'a mut Timers,
-    rng: &'a mut StdRng,
+    topo: Arc<Topology>,
+    /// Every worker's mailbox, indexed `node * shards + shard`.
+    mailboxes: Vec<Sender<ShardEnvelope<P>>>,
+    /// This worker's send counters; [`ShardedEngine::stats`] sums them.
+    sent: Arc<Mutex<NetStats>>,
+    timers: Timers,
+    rng: StdRng,
+    /// Link-delay draws, kept apart from `rng` so the protocol's draws do
+    /// not depend on what it sent.
+    delay_rng: StdRng,
 }
 
-impl<M> Context<M> for ShardCtx<'_, M> {
+impl<P: ShardedProto> Context<P::Msg> for ShardCtx<P> {
     fn now(&self) -> SimTime {
         let wall = self.start.elapsed().as_micros() as f64;
         SimTime((wall / self.scale) as u64)
@@ -170,10 +230,17 @@ impl<M> Context<M> for ShardCtx<'_, M> {
     fn node_count(&self) -> usize {
         self.n
     }
-    fn send(&mut self, to: NodeId, msg: M) {
-        let shard = (self.route)(&msg, self.shards);
-        // A closed router means the engine is stopping; drop silently.
-        let _ = self.routers[shard].send(RouterCmd::Send { from: self.me, to, msg });
+    fn send(&mut self, to: NodeId, msg: P::Msg) {
+        lock(&self.sent).record(msg.class(), msg.wire_size() as u64);
+        let virt = if to == self.me {
+            SimDuration::from_micros(50)
+        } else {
+            self.topo.sample_delay(self.me, to, &mut self.delay_rng)
+        };
+        let due = Instant::now() + Duration::from_secs_f64(virt.as_secs_f64() * self.scale);
+        let mailbox = to.index() * self.shards + P::shard_of(&msg, self.shards);
+        // A closed mailbox means the engine is stopping; drop silently.
+        let _ = self.mailboxes[mailbox].send(ShardEnvelope::Net { from: self.me, msg, due });
     }
     fn set_timer(&mut self, delay: SimDuration, kind: u64) -> TimerId {
         let wall = Duration::from_secs_f64(delay.as_secs_f64() * self.scale);
@@ -183,27 +250,30 @@ impl<M> Context<M> for ShardCtx<'_, M> {
         self.timers.cancel(timer);
     }
     fn rng(&mut self) -> &mut dyn RngCore {
-        self.rng
+        &mut self.rng
     }
 }
 
 /// The threaded engine: `shards` workers per node, each owning one
-/// [`ShardedProto::Shard`], mailboxes and delay-routers partitioned by the
-/// protocol's object hash. See the module docs for the ordering guarantees.
+/// [`ShardedProto::Shard`], mailboxes partitioned by the protocol's object
+/// hash. See the module docs for the ordering guarantees.
+///
+/// Dropping the engine without [`ShardedEngine::stop`] stops and joins its
+/// workers (and drops their shards), except when the last handle drops on
+/// one of those workers: they are then told to stop and left to exit.
 pub struct ShardedEngine<P: ShardedProto + 'static> {
     /// Worker mailboxes, indexed `node * shards + shard`.
     worker_txs: Vec<Sender<ShardEnvelope<P>>>,
-    router_txs: Vec<Sender<RouterCmd<P::Msg>>>,
     worker_handles: Vec<thread::JoinHandle<P::Shard>>,
-    router_handles: Vec<thread::JoinHandle<()>>,
     shards: usize,
-    stats: Arc<Mutex<NetStats>>,
+    /// Each worker's send counters, in mailbox order.
+    sent: Vec<Arc<Mutex<NetStats>>>,
     scale: f64,
 }
 
 impl<P: ShardedProto + 'static> ShardedEngine<P> {
-    /// Starts `cfg.shards` workers per node plus one delay-router per
-    /// shard, running `shard_on_start` on every worker.
+    /// Starts `cfg.shards` workers per node, running `shard_on_start` on
+    /// every worker.
     ///
     /// # Panics
     /// Panics when a node's [`ShardedProto::shard_count`] differs from
@@ -221,41 +291,11 @@ impl<P: ShardedProto + 'static> ShardedEngine<P> {
             );
         }
         let n = nodes.len();
-        let stats = Arc::new(Mutex::new(NetStats::new()));
+        let topo = Arc::new(topo);
         let start = Instant::now();
-
-        let mut router_txs = Vec::with_capacity(shards);
-        let mut router_rxs = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = channel::<RouterCmd<P::Msg>>();
-            router_txs.push(tx);
-            router_rxs.push(rx);
-        }
-        let mut worker_txs = Vec::with_capacity(n * shards);
-        let mut worker_rxs = Vec::with_capacity(n * shards);
-        for _ in 0..n * shards {
-            let (tx, rx) = channel::<ShardEnvelope<P>>();
-            worker_txs.push(tx);
-            worker_rxs.push(rx);
-        }
-
-        // One delay-router per shard: shard s of every node talks through
-        // router s, which delivers into the `node * shards + s` mailboxes.
-        let mut router_handles = Vec::with_capacity(shards);
-        for (s, rx) in router_rxs.into_iter().enumerate() {
-            let topo = topo.clone();
-            let txs: Vec<Sender<ShardEnvelope<P>>> = worker_txs.clone();
-            let stats = Arc::clone(&stats);
-            let scale = cfg.time_scale;
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0070_07e5 ^ ((s as u64) << 32));
-            let handle = thread::Builder::new()
-                .name(format!("idea-router-{s}"))
-                .spawn(move || {
-                    sharded_router_loop::<P>(topo, scale, shards, s, txs, rx, stats, &mut rng);
-                })
-                .expect("spawn router");
-            router_handles.push(handle);
-        }
+        let (worker_txs, worker_rxs): (Vec<_>, Vec<_>) =
+            (0..n * shards).map(|_| channel::<ShardEnvelope<P>>()).unzip();
+        let sent: Vec<Arc<Mutex<NetStats>>> = (0..n * shards).map(|_| Arc::default()).collect();
 
         // Shard workers: node i's shards take mailboxes i*shards.. in order.
         let mut worker_handles = Vec::with_capacity(n * shards);
@@ -266,23 +306,24 @@ impl<P: ShardedProto + 'static> ShardedEngine<P> {
             for (s, (mut shard, inbox)) in
                 node_shards.into_iter().zip(worker_rxs.by_ref()).enumerate()
             {
-                let routers = router_txs.clone();
-                let scale = cfg.time_scale;
-                let seed = cfg.seed.wrapping_add(1 + (i * shards + s) as u64);
+                let w = i * shards + s;
+                let ctx = ShardCtx::<P> {
+                    me: NodeId(i as u32),
+                    n,
+                    shards,
+                    start,
+                    scale: cfg.time_scale,
+                    topo: Arc::clone(&topo),
+                    mailboxes: worker_txs.clone(),
+                    sent: Arc::clone(&sent[w]),
+                    timers: Timers::default(),
+                    rng: StdRng::seed_from_u64(cfg.seed.wrapping_add(1 + w as u64)),
+                    delay_rng: StdRng::seed_from_u64(cfg.seed ^ 0x0070_07e5 ^ ((w as u64) << 32)),
+                };
                 let handle = thread::Builder::new()
                     .name(format!("idea-node-{i}-s{s}"))
                     .spawn(move || {
-                        shard_worker_loop::<P>(
-                            NodeId(i as u32),
-                            n,
-                            shards,
-                            start,
-                            scale,
-                            &mut shard,
-                            inbox,
-                            routers,
-                            seed,
-                        );
+                        shard_worker_loop::<P>(&mut shard, &inbox, ctx);
                         shard
                     })
                     .expect("spawn shard worker");
@@ -290,17 +331,8 @@ impl<P: ShardedProto + 'static> ShardedEngine<P> {
             }
         }
 
-        ShardedEngine {
-            worker_txs,
-            router_txs,
-            worker_handles,
-            router_handles,
-            shards,
-            stats,
-            scale: cfg.time_scale,
-        }
+        ShardedEngine { worker_txs, worker_handles, shards, sent, scale: cfg.time_scale }
     }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.worker_txs.len() / self.shards
@@ -388,28 +420,25 @@ impl<P: ShardedProto + 'static> ShardedEngine<P> {
         thread::sleep(Duration::from_secs_f64(d.as_secs_f64() * self.scale));
     }
 
-    /// Snapshot of network statistics.
+    /// Snapshot of network statistics: every worker's send counters,
+    /// summed.
     pub fn stats(&self) -> StatsSnapshot {
-        lock(&self.stats).snapshot()
+        let mut total = NetStats::new();
+        for sent in &self.sent {
+            total.merge(&lock(sent));
+        }
+        total.snapshot()
     }
 
-    /// Stops all workers and routers, reassembles each node from its shards
-    /// and returns the final node states in id order.
+    /// Stops all workers, reassembles each node from its shards and returns
+    /// the final node states in id order.
     ///
-    /// Routers are stopped and joined **before** the workers are told to
-    /// stop: a router's shutdown path flushes every message still in its
-    /// delay heap into the worker mailboxes, and only after that flush do
-    /// the workers get their `Stop` envelope — channel FIFO order then
-    /// guarantees each worker drains the flushed messages before it exits.
-    /// (Stopping workers first delivered the flush into mailboxes nobody
-    /// reads, silently dropping in-flight protocol traffic on shutdown.)
+    /// `Stop` queues behind every envelope already in a mailbox, and a
+    /// worker hands the protocol every message it still holds, in due order
+    /// and without waiting for it, before it exits. So a message sent before
+    /// `stop` is delivered; one sent while the workers stop may find its
+    /// destination gone and is dropped.
     pub fn stop(mut self) -> Vec<P> {
-        for tx in &self.router_txs {
-            let _ = tx.send(RouterCmd::Stop);
-        }
-        for h in self.router_handles.drain(..) {
-            let _ = h.join();
-        }
         for tx in &self.worker_txs {
             let _ = tx.send(ShardEnvelope::Stop);
         }
@@ -427,124 +456,79 @@ impl<P: ShardedProto + 'static> ShardedEngine<P> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn shard_worker_loop<P: ShardedProto>(
-    me: NodeId,
-    n: usize,
-    shards: usize,
-    start: Instant,
-    scale: f64,
-    shard: &mut P::Shard,
-    inbox: Receiver<ShardEnvelope<P>>,
-    routers: Vec<Sender<RouterCmd<P::Msg>>>,
-    seed: u64,
-) {
-    let mut timers = Timers::default();
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    macro_rules! ctx {
-        () => {
-            ShardCtx {
-                me,
-                n,
-                shards,
-                start,
-                scale,
-                route: P::shard_of,
-                routers: &routers,
-                timers: &mut timers,
-                rng: &mut rng,
-            }
-        };
-    }
-
-    {
-        let mut c = ctx!();
-        P::shard_on_start(shard, &mut c);
-    }
-
-    loop {
-        // Fire due timers first.
-        while let Some((id, kind)) = timers.pop_due(Instant::now()) {
-            let mut c = ctx!();
-            P::shard_on_timer(shard, id, kind, &mut c);
+impl<P: ShardedProto + 'static> Drop for ShardedEngine<P> {
+    /// Stops the workers `stop` did not, so an engine dropped without it
+    /// leaks no thread. Every worker holds every mailbox's sender, so no
+    /// worker would ever see its mailbox close.
+    fn drop(&mut self) {
+        if self.worker_handles.is_empty() {
+            return;
         }
-
-        // Idle shard workers must not wake the scheduler: with no timer
-        // armed, block until the next envelope (Stop arrives on the
-        // channel too). With hundreds of workers per machine a 25 ms idle
-        // poll was a measurable scheduling storm.
-        match inbox.recv_timeout(timers.sleep_for()) {
-            Ok(ShardEnvelope::Net { from, msg }) => {
-                let mut c = ctx!();
-                P::shard_on_message(shard, from, msg, &mut c);
-            }
-            Ok(ShardEnvelope::Invoke(f)) => {
-                let mut c = ctx!();
-                f(shard, &mut c);
-            }
-            Ok(ShardEnvelope::Stop) | Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => {}
+        for tx in &self.worker_txs {
+            let _ = tx.send(ShardEnvelope::Stop);
+        }
+        // A worker cannot join itself: dropped on one, the workers are left
+        // to exit on their own.
+        let me = thread::current().id();
+        if self.worker_handles.iter().any(|h| h.thread().id() == me) {
+            return;
+        }
+        for h in self.worker_handles.drain(..) {
+            let _ = h.join();
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn sharded_router_loop<P: ShardedProto>(
-    topo: Topology,
-    scale: f64,
-    shards: usize,
-    my_shard: usize,
-    txs: Vec<Sender<ShardEnvelope<P>>>,
-    rx: Receiver<RouterCmd<P::Msg>>,
-    stats: Arc<Mutex<NetStats>>,
-    rng: &mut StdRng,
+/// The worker thread: runs `shard` until `Stop` (see the module docs'
+/// "Delivery" for the order it handles things in).
+fn shard_worker_loop<P: ShardedProto>(
+    shard: &mut P::Shard,
+    inbox: &Receiver<ShardEnvelope<P>>,
+    mut ctx: ShardCtx<P>,
 ) {
-    let deliver = |f: InFlight<P::Msg>| {
-        let _ = txs[f.to.index() * shards + my_shard]
-            .send(ShardEnvelope::Net { from: f.from, msg: f.msg });
-    };
-    let mut heap: BinaryHeap<Reverse<InFlight<P::Msg>>> = BinaryHeap::new();
-    let mut seq = 0u64;
+    let mut held = Held::new(ctx.start);
+    P::shard_on_start(shard, &mut ctx);
+
     loop {
-        // Forward everything due.
+        // Deliver due messages and fire due timers, earliest first.
         loop {
-            let due_now = match heap.peek() {
-                Some(Reverse(f)) => f.due <= Instant::now(),
-                None => false,
-            };
-            if !due_now {
-                break;
+            let now = Instant::now();
+            let msg = held.next_due().filter(|&due| due <= now);
+            let timer = ctx.timers.next_due().filter(|&due| due <= now);
+            match (msg, timer) {
+                (None, None) => break,
+                (Some(m), t) if t.is_none_or(|t| m <= t) => {
+                    let (from, msg) = held.pop().expect("a due message");
+                    P::shard_on_message(shard, from, msg, &mut ctx);
+                }
+                _ => {
+                    let (id, kind) = ctx.timers.pop_due(now).expect("a due timer");
+                    P::shard_on_timer(shard, id, kind, &mut ctx);
+                }
             }
-            let Reverse(f) = heap.pop().expect("peeked");
-            deliver(f);
         }
 
-        // Nothing in flight: block until the next command.
-        let timeout = heap
-            .peek()
-            .map(|Reverse(f)| f.due.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_secs(3600));
-
-        match rx.recv_timeout(timeout) {
-            Ok(RouterCmd::Send { from, to, msg }) => {
-                lock(&stats).record(msg.class(), msg.wire_size() as u64);
-                let virt = if from == to {
-                    SimDuration::from_micros(50)
-                } else {
-                    topo.sample_delay(from, to, rng)
-                };
-                let wall = Duration::from_secs_f64(virt.as_secs_f64() * scale);
-                heap.push(Reverse(InFlight { due: Instant::now() + wall, seq, from, to, msg }));
-                seq += 1;
-            }
-            Ok(RouterCmd::Stop) | Err(RecvTimeoutError::Disconnected) => break,
+        // Block until the next envelope or the next held message or timer
+        // comes due. An idle worker must not wake the scheduler: with
+        // hundreds of workers per machine a 25 ms idle poll was a
+        // measurable scheduling storm.
+        let wake = match (held.next_due(), ctx.timers.next_due()) {
+            (Some(m), Some(t)) => Some(m.min(t)),
+            (m, t) => m.or(t),
+        };
+        let wait = wake
+            .map_or(Duration::from_secs(3600), |due| due.saturating_duration_since(Instant::now()));
+        match inbox.recv_timeout(wait) {
+            Ok(ShardEnvelope::Net { from, msg, due }) => held.push(due, from, msg),
+            Ok(ShardEnvelope::Invoke(f)) => f(shard, &mut ctx),
+            Ok(ShardEnvelope::Stop) | Err(RecvTimeoutError::Disconnected) => break,
             Err(RecvTimeoutError::Timeout) => {}
         }
     }
-    // Flush anything still queued so late messages are not lost on stop.
-    while let Some(Reverse(f)) = heap.pop() {
-        deliver(f);
+
+    // Stopping: hand over what is still held, in due order, at once.
+    while let Some((from, msg)) = held.pop() {
+        P::shard_on_message(shard, from, msg, &mut ctx);
     }
 }
 
@@ -745,6 +729,148 @@ mod tests {
         // stop() enqueues RouterCmd::Stop behind it.
         eng.query(NodeId(0), 0, |_, ctx| ctx.send(NodeId(1), Token { hops: 99 }));
         assert_eq!(stop(eng)[1].received, 1, "in-flight message dropped on stop");
+    }
+
+    /// A message stamped with its sender's virtual send time.
+    #[derive(Debug, Clone)]
+    struct Stamped {
+        sent: SimTime,
+        n: u32,
+    }
+
+    impl Wire for Stamped {
+        fn class(&self) -> MsgClass {
+            MsgClass::App
+        }
+    }
+
+    /// Records `(n, virtual µs from send to handling)` per message.
+    #[derive(Default)]
+    struct Log {
+        got: Vec<(u32, u64)>,
+    }
+
+    impl Proto for Log {
+        type Msg = Stamped;
+        fn on_message(&mut self, _from: NodeId, msg: Stamped, ctx: &mut dyn Context<Stamped>) {
+            self.got.push((msg.n, ctx.now().as_micros() - msg.sent.as_micros()));
+        }
+    }
+
+    /// Sends `count` stamped messages from node 0 to `to`, `burst` per
+    /// worker turn with a short pause between turns, and returns what `to`
+    /// handled.
+    fn stamped_run(nodes: usize, to: NodeId, count: u32, burst: u32) -> Vec<(u32, u64)> {
+        let eng = start(Topology::lan(nodes), 6, 1.0, (0..nodes).map(|_| Log::default()).collect());
+        for first in (0..count).step_by(burst as usize) {
+            eng.invoke(NodeId(0), 0, move |_, ctx| {
+                for n in first..(first + burst).min(count) {
+                    let sent = ctx.now();
+                    ctx.send(to, Stamped { sent, n });
+                }
+            });
+            thread::sleep(Duration::from_micros(150));
+        }
+        // Wait for every message to be handled as it came due, not flushed
+        // by `stop`.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while eng.query(to, 0, |p, _| p.got.len()) < count as usize {
+            assert!(Instant::now() < deadline, "messages never delivered");
+            thread::sleep(Duration::from_millis(1));
+        }
+        stop(eng).swap_remove(to.index()).got
+    }
+
+    #[test]
+    fn no_message_is_handled_before_its_link_delay() {
+        let got = stamped_run(2, NodeId(1), 400, 8);
+        assert_eq!(got.len(), 400);
+        let early: Vec<_> = got.iter().filter(|&&(_, late)| late < 500).collect();
+        assert!(early.is_empty(), "handled before the 500 µs LAN delay: {early:?}");
+    }
+
+    #[test]
+    fn one_jitter_free_link_delivers_in_send_order() {
+        let got = stamped_run(2, NodeId(1), 600, 16);
+        let order: Vec<u32> = got.iter().map(|&(n, _)| n).collect();
+        assert_eq!(order, (0..600).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_self_send_waits_its_50_us() {
+        let got = stamped_run(1, NodeId(0), 200, 4);
+        assert_eq!(got.len(), 200);
+        assert!(got.iter().all(|&(_, late)| late >= 50), "self-send handled early: {got:?}");
+    }
+
+    #[test]
+    fn held_messages_leave_in_due_then_arrival_order() {
+        let start = Instant::now();
+        let at = |us| start + Duration::from_micros(us);
+        let mut held = Held::new(start);
+        for (due, n) in [(30, 0), (10, 1), (30, 2), (20, 3), (10, 4)] {
+            held.push(at(due), NodeId(n), n);
+        }
+        assert_eq!(held.next_due(), Some(at(10)));
+        let order: Vec<u32> = std::iter::from_fn(|| held.pop()).map(|(_, n)| n).collect();
+        assert_eq!(order, [1, 4, 3, 0, 2]);
+        // Freed slots are reused: the slab stays as long as its peak.
+        held.push(at(5), NodeId(9), 9);
+        assert_eq!(held.slab.len(), 5);
+        assert_eq!(held.pop(), Some((NodeId(9), 9)));
+        assert_eq!(held.next_due(), None);
+    }
+
+    /// Holds one clone of a shared token, so a test can see when the
+    /// engine has dropped every shard.
+    struct Holder {
+        _token: Arc<()>,
+    }
+
+    impl Proto for Holder {
+        type Msg = Token;
+        fn on_start(&mut self, ctx: &mut dyn Context<Token>) {
+            // An armed timer: the worker sleeps on it, not on its mailbox.
+            ctx.set_timer(SimDuration::from_secs(600), 1);
+        }
+        fn on_message(&mut self, _f: NodeId, _m: Token, _c: &mut dyn Context<Token>) {}
+    }
+
+    #[test]
+    fn a_dropped_engine_releases_its_shards() {
+        let token = Arc::new(());
+        let eng = start(
+            Topology::lan(3),
+            7,
+            1.0,
+            (0..3).map(|_| Holder { _token: Arc::clone(&token) }).collect(),
+        );
+        eng.invoke(NodeId(2), 0, |_, ctx| ctx.send(NodeId(0), Token { hops: 0 }));
+        drop(eng);
+        assert_eq!(Arc::strong_count(&token), 1, "a shard outlived its engine");
+    }
+
+    #[test]
+    fn an_engine_dropped_on_its_own_worker_does_not_join_itself() {
+        let token = Arc::new(());
+        let nodes = (0..2).map(|_| Holder { _token: Arc::clone(&token) }).collect();
+        let eng = Arc::new(start(Topology::lan(2), 8, 1.0, nodes));
+        let last = Arc::clone(&eng);
+        let (go, wait) = channel::<()>();
+        let (done_tx, done) = channel::<()>();
+        eng.invoke(NodeId(1), 0, move |_, _| {
+            wait.recv().expect("go");
+            drop(last); // the engine's last handle, dropped on worker 1
+            done_tx.send(()).expect("test alive");
+        });
+        drop(eng);
+        go.send(()).expect("worker alive");
+        done.recv_timeout(Duration::from_secs(10)).expect("the drop returned on the worker");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Arc::strong_count(&token) > 1 {
+            assert!(Instant::now() < deadline, "workers still hold their shards");
+            thread::sleep(Duration::from_millis(5));
+        }
     }
 
     #[test]

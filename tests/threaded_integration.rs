@@ -105,9 +105,10 @@ fn threaded_engine_reports_stats() {
     }
 }
 
-/// Sharded mailboxes and routers: disjoint objects are processed
-/// concurrently while per-object ordering holds, so every object still
-/// converges through its own detection/resolution rounds.
+/// Sharded mailboxes: disjoint objects are processed concurrently while
+/// per-object ordering holds (each worker holds early arrivals until their
+/// link delay has passed), so every object still converges through its own
+/// detection/resolution rounds.
 #[test]
 fn sharded_threaded_cluster_converges_per_object() {
     let objects: Vec<ObjectId> = (0..8u64).map(ObjectId).collect();
