@@ -97,16 +97,6 @@ impl NetStats {
         self.payload_bytes[i] += payload;
     }
 
-    /// Adds `other`'s counters to these (the threaded engine sums its
-    /// workers' counters this way).
-    pub(crate) fn merge(&mut self, other: &NetStats) {
-        for i in 0..7 {
-            self.messages[i] += other.messages[i];
-            self.payload_bytes[i] += other.payload_bytes[i];
-        }
-        self.dropped += other.dropped;
-    }
-
     /// Records a message dropped by loss/partition injection.
     #[inline]
     pub(crate) fn record_drop(&mut self) {

@@ -122,20 +122,12 @@ impl Timers {
     }
 }
 
-/// Low bits of a held message's key holding its slab slot; the arrival
-/// sequence above them gets the other 40 (the key layout of `SimEngine`'s
-/// event queue).
-const SLOT_BITS: u32 = 24;
-
 /// The messages a worker received before they were due: a min-heap of
-/// `(due, arrival seq, slot)` keys packed as
-/// `due ns since start << 64 | seq << SLOT_BITS | slot`, the slot indexing
-/// `slab`. `seq` is unique, so equal due times pop in arrival order, and a
-/// sift moves 16-byte keys, never the messages.
+/// `(due, arrival seq, slot)` keys, the slot indexing `slab`. `seq` is
+/// unique, so equal due times pop in arrival order, and a sift moves the
+/// keys, not the messages.
 struct Held<M> {
-    /// The engine's start, which due times are counted from.
-    start: Instant,
-    heap: BinaryHeap<Reverse<u128>>,
+    heap: BinaryHeap<Reverse<(Instant, u64, u32)>>,
     /// Held messages by slot; `None` marks a free slot. As long as the most
     /// messages ever held at once.
     slab: Vec<Option<(NodeId, M)>>,
@@ -145,40 +137,33 @@ struct Held<M> {
 }
 
 impl<M> Held<M> {
-    fn new(start: Instant) -> Self {
-        Held { start, heap: BinaryHeap::new(), slab: Vec::new(), free: Vec::new(), seq: 0 }
+    fn new() -> Self {
+        Held { heap: BinaryHeap::new(), slab: Vec::new(), free: Vec::new(), seq: 0 }
     }
 
     fn push(&mut self, due: Instant, from: NodeId, msg: M) {
-        let seq = self.seq;
-        assert!(seq < 1 << (64 - SLOT_BITS), "under 2^40 arrivals per worker");
-        self.seq += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = Some((from, msg));
                 slot
             }
             None => {
-                let slot = self.slab.len();
-                assert!(slot < 1 << SLOT_BITS, "under 2^24 messages held at once");
                 self.slab.push(Some((from, msg)));
-                slot as u32
+                (self.slab.len() - 1) as u32
             }
         };
-        let due_ns = due.saturating_duration_since(self.start).as_nanos() as u64;
-        let low = seq << SLOT_BITS | u64::from(slot);
-        self.heap.push(Reverse(u128::from(due_ns) << 64 | u128::from(low)));
+        self.heap.push(Reverse((due, self.seq, slot)));
+        self.seq += 1;
     }
 
     /// When the earliest held message comes due.
     fn next_due(&self) -> Option<Instant> {
-        self.heap.peek().map(|Reverse(key)| self.start + Duration::from_nanos((key >> 64) as u64))
+        self.heap.peek().map(|&Reverse((due, _, _))| due)
     }
 
     /// Takes the earliest held message, due or not.
     fn pop(&mut self) -> Option<(NodeId, M)> {
-        let Reverse(key) = self.heap.pop()?;
-        let slot = key as u32 & ((1 << SLOT_BITS) - 1);
+        let Reverse((_, _, slot)) = self.heap.pop()?;
         self.free.push(slot);
         Some(self.slab[slot as usize].take().expect("a held slot holds its message"))
     }
@@ -210,8 +195,8 @@ struct ShardCtx<P: ShardedProto> {
     topo: Arc<Topology>,
     /// Every worker's mailbox, indexed `node * shards + shard`.
     mailboxes: Vec<Sender<ShardEnvelope<P>>>,
-    /// This worker's send counters; [`ShardedEngine::stats`] sums them.
-    sent: Arc<Mutex<NetStats>>,
+    /// Send counters, shared by every worker.
+    stats: Arc<Mutex<NetStats>>,
     timers: Timers,
     rng: StdRng,
     /// Link-delay draws, kept apart from `rng` so the protocol's draws do
@@ -231,7 +216,7 @@ impl<P: ShardedProto> Context<P::Msg> for ShardCtx<P> {
         self.n
     }
     fn send(&mut self, to: NodeId, msg: P::Msg) {
-        lock(&self.sent).record(msg.class(), msg.wire_size() as u64);
+        lock(&self.stats).record(msg.class(), msg.wire_size() as u64);
         let virt = if to == self.me {
             SimDuration::from_micros(50)
         } else {
@@ -266,8 +251,7 @@ pub struct ShardedEngine<P: ShardedProto + 'static> {
     worker_txs: Vec<Sender<ShardEnvelope<P>>>,
     worker_handles: Vec<thread::JoinHandle<P::Shard>>,
     shards: usize,
-    /// Each worker's send counters, in mailbox order.
-    sent: Vec<Arc<Mutex<NetStats>>>,
+    stats: Arc<Mutex<NetStats>>,
     scale: f64,
 }
 
@@ -295,7 +279,7 @@ impl<P: ShardedProto + 'static> ShardedEngine<P> {
         let start = Instant::now();
         let (worker_txs, worker_rxs): (Vec<_>, Vec<_>) =
             (0..n * shards).map(|_| channel::<ShardEnvelope<P>>()).unzip();
-        let sent: Vec<Arc<Mutex<NetStats>>> = (0..n * shards).map(|_| Arc::default()).collect();
+        let stats = Arc::new(Mutex::new(NetStats::new()));
 
         // Shard workers: node i's shards take mailboxes i*shards.. in order.
         let mut worker_handles = Vec::with_capacity(n * shards);
@@ -315,7 +299,7 @@ impl<P: ShardedProto + 'static> ShardedEngine<P> {
                     scale: cfg.time_scale,
                     topo: Arc::clone(&topo),
                     mailboxes: worker_txs.clone(),
-                    sent: Arc::clone(&sent[w]),
+                    stats: Arc::clone(&stats),
                     timers: Timers::default(),
                     rng: StdRng::seed_from_u64(cfg.seed.wrapping_add(1 + w as u64)),
                     delay_rng: StdRng::seed_from_u64(cfg.seed ^ 0x0070_07e5 ^ ((w as u64) << 32)),
@@ -331,7 +315,7 @@ impl<P: ShardedProto + 'static> ShardedEngine<P> {
             }
         }
 
-        ShardedEngine { worker_txs, worker_handles, shards, sent, scale: cfg.time_scale }
+        ShardedEngine { worker_txs, worker_handles, shards, stats, scale: cfg.time_scale }
     }
     /// Number of nodes.
     pub fn len(&self) -> usize {
@@ -420,14 +404,9 @@ impl<P: ShardedProto + 'static> ShardedEngine<P> {
         thread::sleep(Duration::from_secs_f64(d.as_secs_f64() * self.scale));
     }
 
-    /// Snapshot of network statistics: every worker's send counters,
-    /// summed.
+    /// Snapshot of network statistics.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut total = NetStats::new();
-        for sent in &self.sent {
-            total.merge(&lock(sent));
-        }
-        total.snapshot()
+        lock(&self.stats).snapshot()
     }
 
     /// Stops all workers, reassembles each node from its shards and returns
@@ -486,7 +465,7 @@ fn shard_worker_loop<P: ShardedProto>(
     inbox: &Receiver<ShardEnvelope<P>>,
     mut ctx: ShardCtx<P>,
 ) {
-    let mut held = Held::new(ctx.start);
+    let mut held = Held::new();
     P::shard_on_start(shard, &mut ctx);
 
     loop {
@@ -714,19 +693,17 @@ mod tests {
     #[test]
     fn stop_delivers_messages_still_in_the_delay_heap() {
         use crate::latency::{Jitter, LatencyModel};
-        // 200 ms constant delay: the token is guaranteed to still sit in
-        // the router's delay heap when stop() runs right after the send.
-        // The router's shutdown flush must land in a mailbox the worker will
-        // still drain (regression: workers used to be stopped first, so the
-        // flushed message arrived behind Stop and was never processed).
+        // 200 ms constant delay: the token is guaranteed to still sit,
+        // not yet due, in node 1's worker when stop() runs right after the
+        // send. The worker must hand it to the protocol before it exits.
         let topo = Topology::custom(
             2,
             LatencyModel::Constant(SimDuration::from_millis(200)),
             Jitter::None,
         );
         let eng = start(topo, 5, 1.0, rings(2, 0));
-        // query (not invoke) so the send has reached the router before
-        // stop() enqueues RouterCmd::Stop behind it.
+        // query (not invoke) so the send has reached node 1's mailbox
+        // before stop() enqueues Stop behind it.
         eng.query(NodeId(0), 0, |_, ctx| ctx.send(NodeId(1), Token { hops: 99 }));
         assert_eq!(stop(eng)[1].received, 1, "in-flight message dropped on stop");
     }
@@ -807,7 +784,7 @@ mod tests {
     fn held_messages_leave_in_due_then_arrival_order() {
         let start = Instant::now();
         let at = |us| start + Duration::from_micros(us);
-        let mut held = Held::new(start);
+        let mut held = Held::new();
         for (due, n) in [(30, 0), (10, 1), (30, 2), (20, 3), (10, 4)] {
             held.push(at(due), NodeId(n), n);
         }
