@@ -541,7 +541,7 @@ impl IdeaNode {
                 panic!("cannot recover WAL shard {i} under {:?}: {e}", dcfg.dir)
             });
             if !recovered.is_empty() {
-                shard.core.store = StoreShard::recover(me, WriterId(me.0), &recovered);
+                shard.core.store = StoreShard::recover(me, WriterId(me.0), recovered);
                 // Recovered objects need their protocol-plane state too, and
                 // newly configured objects that never hit the log open fresh.
                 let objects: Vec<ObjectId> =

@@ -119,7 +119,7 @@ impl Replica {
     /// The buffered out-of-order arrivals, in (writer, seq) order — the
     /// durability plane snapshots them alongside the applied log so a
     /// recovered replica buffers exactly what the crashed one did.
-    pub(crate) fn pending_updates(&self) -> impl Iterator<Item = &Update> + '_ {
+    pub(crate) fn pending_updates(&self) -> impl ExactSizeIterator<Item = &Update> + Clone + '_ {
         self.body().pending.values()
     }
 

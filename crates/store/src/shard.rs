@@ -296,7 +296,7 @@ impl StoreShard {
                     object,
                     next_seq: s.next_seq,
                     log: s.replica.log(),
-                    pending: s.replica.pending_updates().collect(),
+                    pending: s.replica.pending_updates(),
                 })
                 .collect(),
         };
@@ -304,22 +304,23 @@ impl StoreShard {
     }
 
     /// Rebuilds a shard from recovered durable state: the snapshot first,
-    /// then the log tail replayed in append order. The result has no WAL
-    /// attached — the caller reattaches the truncated handle afterwards.
-    pub fn recover(node: NodeId, writer: WriterId, recovered: &Recovered) -> StoreShard {
-        let objects = recovered.snapshot.as_ref().map_or(0, |snap| snap.objects.len());
+    /// then the log tail replayed in append order. Each decoded update is
+    /// moved into its replica, so the recovered state is never held twice.
+    /// The result has no WAL attached — the caller reattaches the
+    /// truncated handle afterwards.
+    pub fn recover(node: NodeId, writer: WriterId, recovered: Recovered) -> StoreShard {
+        let Recovered { snapshot, tail, .. } = recovered;
+        let objects = snapshot.as_ref().map_or(0, |snap| snap.objects.len());
         let mut s = StoreShard::with_capacity(node, writer, objects);
-        if let Some(snap) = &recovered.snapshot {
-            for os in &snap.objects {
-                let slot = s.open_slot(os.object);
-                let slot = s.slots.slot_mut(slot);
-                for u in os.log.iter().chain(&os.pending) {
-                    let _ = slot.replica.apply(u.clone());
-                }
-                slot.next_seq = os.next_seq;
+        for os in snapshot.into_iter().flat_map(|snap| snap.objects) {
+            let slot = s.open_slot(os.object);
+            let slot = s.slots.slot_mut(slot);
+            for u in os.log.into_iter().chain(os.pending) {
+                let _ = slot.replica.apply(u);
             }
+            slot.next_seq = os.next_seq;
         }
-        for rec in &recovered.tail {
+        for rec in tail {
             s.replay(rec);
         }
         s
@@ -328,26 +329,26 @@ impl StoreShard {
     /// Re-applies one logged record to in-memory state. Replay is exactly
     /// the mutation the record describes — no WAL appends (none is
     /// attached yet).
-    fn replay(&mut self, rec: &WalRecord) {
+    fn replay(&mut self, rec: WalRecord) {
         match rec {
             WalRecord::Open { object } => {
-                self.open(*object);
+                self.open(object);
             }
             WalRecord::Write { update } => {
                 let slot = self.open_slot(update.object);
                 let s = self.slots.slot_mut(slot);
                 s.next_seq = s.next_seq.max(update.seq() + 1);
-                let _ = s.replica.apply(update.clone());
+                let _ = s.replica.apply(update);
             }
             WalRecord::Ingest { update } => {
-                let _ = self.open(update.object).apply(update.clone());
+                let _ = self.open(update.object).apply(update);
             }
             WalRecord::DropExtras { object, counts } => {
-                self.open(*object).drop_extras(counts);
+                self.open(object).drop_extras(&counts);
             }
             WalRecord::ResumeSeq { object, seq } => {
-                let slot = self.open_slot(*object);
-                self.slots.slot_mut(slot).next_seq = *seq + 1;
+                let slot = self.open_slot(object);
+                self.slots.slot_mut(slot).next_seq = seq + 1;
             }
         }
     }
@@ -545,7 +546,7 @@ mod tests {
 
     fn reopen(cfg: &DurabilityConfig) -> StoreShard {
         let (wal, recovered) = ShardWal::open(cfg, NodeId(0), 0).unwrap();
-        let mut s = StoreShard::recover(NodeId(0), WriterId(0), &recovered);
+        let mut s = StoreShard::recover(NodeId(0), WriterId(0), recovered);
         s.attach_wal(wal);
         s
     }

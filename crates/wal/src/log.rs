@@ -4,9 +4,9 @@
 
 use crate::config::{DurabilityConfig, DurabilityMode};
 use crate::record::WalRecord;
-use crate::snapshot::{ShardSnapshot, ShardSnapshotRef};
+use crate::snapshot::{ShardSnapshot, ShardSnapshotRef, SNAPSHOT_STAGE};
 use idea_types::codec::Codec;
-use idea_types::NodeId;
+use idea_types::{NodeId, Update};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -36,11 +36,13 @@ static ZEROS: [u8; ZERO_CHUNK] = [0; ZERO_CHUNK];
 
 // ---------------------------------------------------------------- CRC-32
 
-/// The CRC-32 (IEEE 802.3) lookup table, built at compile time — no
+/// The CRC-32 (IEEE 802.3) slicing-by-8 tables, built at compile time — no
 /// dependency, no unsafe, and the same polynomial every standard tool
-/// (`cksum -o3`, zlib) can verify a WAL file against.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// (`cksum -o3`, zlib) can verify a WAL file against. `CRC_TABLES[0]` is
+/// the bytewise table; `CRC_TABLES[k][b]` is the CRC of byte `b` followed
+/// by `k` zero bytes, so one step folds eight input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -49,17 +51,48 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    crc32_update(0, bytes)
+}
+
+/// The CRC-32 of the bytes `crc` covers followed by `bytes`, so a stream
+/// can be checksummed piece by piece: `crc32_update(crc32(a), b)` is
+/// `crc32` of `a` then `b`, and `crc32_update(0, b)` is `crc32(b)`.
+fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = !crc;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -146,6 +179,14 @@ fn create_dir_durable(dir: &Path, mode: DurabilityMode) -> std::io::Result<()> {
     Ok(())
 }
 
+/// A frame header: `[len: u32 LE][crc32: u32 LE]`.
+fn frame_header(len: usize, crc: u32) -> [u8; FRAME_HEADER] {
+    let mut header = [0; FRAME_HEADER];
+    header[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc.to_le_bytes());
+    header
+}
+
 /// Appends one frame to `out`, letting `encode` write the payload straight
 /// into it: the header is reserved first and filled in once the payload's
 /// length and checksum are known, so nothing is encoded into a buffer of
@@ -155,10 +196,8 @@ fn append_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
     out.extend_from_slice(&[0; FRAME_HEADER]);
     encode(out);
     let payload = header + FRAME_HEADER;
-    let len = (out.len() - payload) as u32;
-    let crc = crc32(&out[payload..]);
-    out[header..header + 4].copy_from_slice(&len.to_le_bytes());
-    out[header + 4..payload].copy_from_slice(&crc.to_le_bytes());
+    let filled = frame_header(out.len() - payload, crc32(&out[payload..]));
+    out[header..payload].copy_from_slice(&filled);
 }
 
 /// One frame scanned out of `buf` at `pos`: `Some((payload, next_pos))`
@@ -214,7 +253,8 @@ pub struct ShardWal {
     snapshot_records: u64,
     /// Appends written since the last `fdatasync` (group-commit window).
     unsynced: u64,
-    /// The frame being appended (kept for its allocation).
+    /// The frame being appended, or the stage a snapshot streams through
+    /// (`SNAPSHOT_STAGE`, 64 KiB); kept for its allocation.
     frame: Vec<u8>,
 }
 
@@ -474,24 +514,45 @@ impl ShardWal {
         self.tail_records
     }
 
-    /// Installs a durable snapshot: write to a temporary file, fsync,
+    /// Installs a durable snapshot: stream it to a temporary file, fsync,
     /// rename over the previous snapshot (under [`DurabilityMode::Sync`],
     /// fsync the directory so the rename is durable before the log
     /// shrinks), then truncate the log to its magic; the next append
-    /// zero-fills again. A crash
-    /// between rename and truncate only leaves already-snapshotted records
-    /// in the log — replaying them over the snapshot is idempotent for
-    /// every record the store writes after a snapshot boundary.
+    /// zero-fills again.
+    ///
+    /// No buffer the size of the snapshot is built: the file gets the
+    /// magic and a zero frame header, then the payload is encoded through
+    /// the handle's 64 KiB stage (the append frame's buffer), checksummed
+    /// and written a stage at a time, and the real `[len][crc]` header is
+    /// patched in last, before the fsync. A crash before the rename leaves
+    /// only the `.tmp` file, which recovery never reads; one between rename
+    /// and truncate only leaves already-snapshotted records in the log —
+    /// replaying them over the snapshot is idempotent for every record the
+    /// store writes after a snapshot boundary.
     ///
     /// # Errors
     /// Fails on I/O errors.
-    pub fn install_snapshot(&mut self, snap: &ShardSnapshotRef<'_>) -> WalResult<()> {
+    pub fn install_snapshot<'a, P>(&mut self, snap: &ShardSnapshotRef<'a, P>) -> WalResult<()>
+    where
+        P: ExactSizeIterator<Item = &'a Update> + Clone,
+    {
         let tmp = self.snap_path.with_extension("tmp");
         {
             let mut f = File::create(&tmp)?;
-            let mut out = SNAP_MAGIC.to_vec();
-            append_frame(&mut out, |out| snap.encode(out));
-            f.write_all(&out)?;
+            f.write_all(SNAP_MAGIC)?;
+            f.write_all(&[0; FRAME_HEADER])?;
+            let (mut len, mut crc) = (0, 0);
+            self.frame.clear();
+            self.frame.reserve_exact(SNAPSHOT_STAGE);
+            snap.encode_chunked(&mut self.frame, |stage| {
+                len += stage.len();
+                crc = crc32_update(crc, stage);
+                f.write_all(stage)?;
+                stage.clear();
+                Ok::<_, std::io::Error>(())
+            })?;
+            f.seek(SeekFrom::Start(SNAP_MAGIC.len() as u64))?;
+            f.write_all(&frame_header(len, crc))?;
             f.sync_all()?;
         }
         std::fs::rename(&tmp, &self.snap_path)?;
@@ -560,6 +621,50 @@ mod tests {
         // The standard IEEE check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise CRC-32 the slicing-by-8 form must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    /// `n` bytes of a fixed xorshift stream.
+    fn noise(n: usize, mut x: u64) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_form_at_every_length_and_alignment() {
+        let buf = noise(64 + 8, 0x9E37_79B9_7F4A_7C15);
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "offset {offset} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_form_on_random_buffers() {
+        for seed in 1..=64u64 {
+            let bytes = noise((seed * 977 % 5_000) as usize, seed);
+            let whole = crc32(&bytes);
+            assert_eq!(whole, crc32_bytewise(&bytes), "seed {seed}");
+            // Checksummed in two pieces split anywhere, as a snapshot stream is.
+            let cut = (seed * 31) as usize % (bytes.len() + 1);
+            assert_eq!(crc32_update(crc32(&bytes[..cut]), &bytes[cut..]), whole, "seed {seed}");
+        }
     }
 
     #[test]

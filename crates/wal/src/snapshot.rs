@@ -6,10 +6,23 @@
 //! Each form exists twice: owned ([`ShardSnapshot`], what recovery decodes)
 //! and borrowed ([`ShardSnapshotRef`], what a live shard hands to
 //! [`crate::ShardWal::install_snapshot`] so its logs are serialised in
-//! place, never cloned). The borrowed form owns the one encoder.
+//! place, never cloned). The borrowed form owns the one encoder, a chunked
+//! one: it stages values in a buffer and hands the buffer to a sink each
+//! time it passes `STAGE_FLUSH` bytes, so the installer streams a
+//! snapshot to disk through a 64 KiB buffer (`SNAPSHOT_STAGE`) instead
+//! of encoding it whole. [`ShardSnapshotRef::encode`] runs the same
+//! encoder into a `Vec` whose sink keeps every byte.
 
-use idea_types::codec::{encode_seq, Codec, CodecError, Reader};
+use idea_types::codec::{Codec, CodecError, Reader};
 use idea_types::{NodeId, ObjectId, Update, WriterId};
+use std::convert::Infallible;
+
+/// The staging buffer a snapshot install streams through.
+pub(crate) const SNAPSHOT_STAGE: usize = 64 << 10;
+
+/// Staged bytes at which the chunked encoder calls its sink: half the
+/// stage, so no update under 32 KiB makes a full stage grow.
+const STAGE_FLUSH: usize = SNAPSHOT_STAGE / 2;
 
 /// One replica's durable form.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,9 +52,11 @@ pub struct ShardSnapshot {
     pub objects: Vec<ObjectSnapshot>,
 }
 
-/// [`ObjectSnapshot`] borrowed from a live replica.
+/// [`ObjectSnapshot`] borrowed from a live replica. `P` walks the buffered
+/// arrivals where they are kept (a slice for the owned form, the replica's
+/// pending map for a live one), so nothing is collected to encode them.
 #[derive(Debug, Clone)]
-pub struct ObjectSnapshotRef<'a> {
+pub struct ObjectSnapshotRef<'a, P = std::slice::Iter<'a, Update>> {
     /// The object.
     pub object: ObjectId,
     /// The local writer's next sequence number (0 when never written).
@@ -49,12 +64,12 @@ pub struct ObjectSnapshotRef<'a> {
     /// The applied update log, in application order.
     pub log: &'a [Update],
     /// Out-of-order arrivals still waiting for a predecessor.
-    pub pending: Vec<&'a Update>,
+    pub pending: P,
 }
 
 /// [`ShardSnapshot`] borrowed from a live shard.
 #[derive(Debug, Clone)]
-pub struct ShardSnapshotRef<'a> {
+pub struct ShardSnapshotRef<'a, P = std::slice::Iter<'a, Update>> {
     /// The owning node.
     pub node: NodeId,
     /// The local writer identity.
@@ -62,29 +77,72 @@ pub struct ShardSnapshotRef<'a> {
     /// The shard index within the node.
     pub shard: u32,
     /// Per-object state, in object-id order.
-    pub objects: Vec<ObjectSnapshotRef<'a>>,
+    pub objects: Vec<ObjectSnapshotRef<'a, P>>,
 }
 
-impl ObjectSnapshotRef<'_> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.object.encode(out);
-        self.next_seq.encode(out);
-        encode_seq(self.log.iter(), out);
-        encode_seq(self.pending.iter().copied(), out);
+/// The sink of an encode into a `Vec`: every staged byte stays.
+fn keep(_: &mut Vec<u8>) -> Result<(), Infallible> {
+    Ok(())
+}
+
+/// A sequence in the `Vec<Update>` form (count, then the updates), handing
+/// the stage to `sink` whenever it holds `STAGE_FLUSH` bytes or more.
+fn encode_updates<'a, E>(
+    updates: impl ExactSizeIterator<Item = &'a Update>,
+    stage: &mut Vec<u8>,
+    sink: &mut impl FnMut(&mut Vec<u8>) -> Result<(), E>,
+) -> Result<(), E> {
+    updates.len().encode(stage);
+    for u in updates {
+        u.encode(stage);
+        if stage.len() >= STAGE_FLUSH {
+            sink(stage)?;
+        }
+    }
+    Ok(())
+}
+
+impl<'a, P: ExactSizeIterator<Item = &'a Update> + Clone> ObjectSnapshotRef<'a, P> {
+    fn encode_chunked<E>(
+        &self,
+        stage: &mut Vec<u8>,
+        sink: &mut impl FnMut(&mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.object.encode(stage);
+        self.next_seq.encode(stage);
+        encode_updates(self.log.iter(), stage, sink)?;
+        encode_updates(self.pending.clone(), stage, sink)
     }
 }
 
-impl ShardSnapshotRef<'_> {
+impl<'a, P: ExactSizeIterator<Item = &'a Update> + Clone> ShardSnapshotRef<'a, P> {
+    /// Encodes the snapshot through `stage`: values are appended to it, and
+    /// `sink` is handed it each time it holds `STAGE_FLUSH` bytes or more,
+    /// and once at the end. A sink that writes the staged bytes out and
+    /// clears them keeps the stage near its flush mark; one that leaves
+    /// them builds the whole encoding in `stage`.
+    ///
+    /// # Errors
+    /// Stops at the first error `sink` returns.
+    pub(crate) fn encode_chunked<E>(
+        &self,
+        stage: &mut Vec<u8>,
+        mut sink: impl FnMut(&mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.node.encode(stage);
+        self.writer.encode(stage);
+        self.shard.encode(stage);
+        (self.objects.len() as u64).encode(stage);
+        for o in &self.objects {
+            o.encode_chunked(stage, &mut sink)?;
+        }
+        sink(stage)
+    }
+
     /// Appends the snapshot's encoding — byte-identical to the owned
     /// form's, which decodes it.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        self.node.encode(out);
-        self.writer.encode(out);
-        self.shard.encode(out);
-        (self.objects.len() as u64).encode(out);
-        for o in &self.objects {
-            o.encode(out);
-        }
+        let Ok(()) = self.encode_chunked(out, keep);
     }
 
     /// Updates held (applied and buffered, over all objects): what a
@@ -100,7 +158,7 @@ impl ObjectSnapshot {
             object: self.object,
             next_seq: self.next_seq,
             log: &self.log,
-            pending: self.pending.iter().collect(),
+            pending: self.pending.iter(),
         }
     }
 }
@@ -119,7 +177,7 @@ impl ShardSnapshot {
 
 impl Codec for ObjectSnapshot {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.borrowed().encode(out);
+        let Ok(()) = self.borrowed().encode_chunked(out, &mut keep);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(ObjectSnapshot {

@@ -464,3 +464,86 @@ proptest! {
         std::fs::remove_dir_all(&cfg.dir).unwrap();
     }
 }
+
+// ====================================================================
+// Streamed snapshot files
+// ====================================================================
+
+/// The snapshot installer's staging buffer.
+const STAGE: usize = 64 << 10;
+
+/// Installs `snap` through a fresh WAL and returns the snapshot file's bytes.
+fn installed_bytes(tag: &str, snap: &ShardSnapshot) -> Vec<u8> {
+    let cfg = DurabilityConfig::buffered(tmp_cfg(tag).dir);
+    let (mut wal, _) = ShardWal::open(&cfg, NodeId(0), 0).unwrap();
+    wal.install_snapshot(&snap.borrowed()).unwrap();
+    drop(wal);
+    let bytes = std::fs::read(cfg.dir.join("node-0").join("snap-0.bin")).unwrap();
+    std::fs::remove_dir_all(&cfg.dir).unwrap();
+    bytes
+}
+
+/// What the installer must write: the magic, then one frame holding the
+/// in-memory encoding.
+fn framed_snapshot(snap: &ShardSnapshot) -> Vec<u8> {
+    let payload = snap.to_bytes();
+    let mut out = b"IDEASNP1".to_vec();
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out
+}
+
+#[test]
+fn streamed_snapshot_of_an_empty_shard_is_the_framed_encoding() {
+    let snap = ShardSnapshot { node: NodeId(0), writer: WriterId(0), shard: 0, objects: vec![] };
+    assert_eq!(installed_bytes("stream-empty", &snap), framed_snapshot(&snap));
+}
+
+#[test]
+fn streamed_snapshot_of_one_object_is_the_framed_encoding() {
+    let mut snap = fixture_snapshot();
+    snap.objects.truncate(1);
+    assert_eq!(installed_bytes("stream-one", &snap), framed_snapshot(&snap));
+}
+
+#[test]
+fn streamed_snapshot_over_several_stages_is_the_framed_encoding() {
+    // Payload sizes vary, so updates straddle the stage's flush points.
+    let log = |object: u64| -> Vec<Update> {
+        (1..=40)
+            .map(|seq| Update {
+                object: ObjectId(object),
+                id: UpdateId { writer: WriterId(1), seq },
+                at: SimTime::from_secs(seq),
+                meta_delta: 1,
+                payload: UpdatePayload::Opaque(Bytes::from(vec![seq as u8; 1 + seq as usize * 97])),
+            })
+            .collect()
+    };
+    let snap = ShardSnapshot {
+        node: NodeId(1),
+        writer: WriterId(1),
+        shard: 2,
+        objects: (0..6)
+            .map(|o| {
+                let mut log = log(o);
+                let pending = log.split_off(38);
+                ObjectSnapshot { object: ObjectId(o), next_seq: 0, log, pending }
+            })
+            .collect(),
+    };
+    let bytes = installed_bytes("stream-big", &snap);
+    assert!(bytes.len() > 3 * STAGE, "{} bytes span at least three stages", bytes.len());
+    assert_eq!(bytes, framed_snapshot(&snap));
+    assert_eq!(ShardSnapshot::from_bytes(&bytes[16..]).unwrap(), snap);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    #[test]
+    fn streamed_random_snapshots_are_the_framed_encoding(snap in arb_snapshot()) {
+        prop_assert_eq!(installed_bytes("stream-random", &snap), framed_snapshot(&snap));
+    }
+}
